@@ -1,25 +1,10 @@
 GO ?= go
 
-# bash + pipefail so a failing `go test` isn't masked by the `tee` it pipes
-# through in the bench loops.
+# bash + pipefail so a failing command isn't masked by the pipe it feeds.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-# Figure/table math, per-app offline analysis, the end-to-end
-# attribution→analysis throughput benchmark, the journal append path, and the
-# full fleet campaign (collector + store + telemetry) measured per app.
-# Each group runs in its own `go test` process: BenchmarkFleetThroughput
-# leaves ~100MB of heap garbage behind, and in-process GC pressure from one
-# benchmark bleeding into the next skews sub-millisecond measurements.
-BENCH_GROUPS = 'BenchmarkFig' 'BenchmarkOfflineAnalysisPerApp|BenchmarkAnalysisThroughput' 'BenchmarkJournalAppend' 'BenchmarkFleetThroughput' 'BenchmarkStorePointLookup|BenchmarkStoreScan' 'BenchmarkBusPublish'
-
-# The gate skips BenchmarkJournalAppend: the append path is fsync-bound and
-# its ns/op tracks storage latency windows (±15% between runs on this host),
-# so a speed ratio gates the disk, not the code. The record still tracks it,
-# and its allocation profile (512 B/op, 6 allocs/op) is exact and stable.
-BENCH_GATE_GROUPS = 'BenchmarkFig' 'BenchmarkOfflineAnalysisPerApp|BenchmarkAnalysisThroughput' 'BenchmarkFleetThroughput' 'BenchmarkStorePointLookup|BenchmarkStoreScan' 'BenchmarkBusPublish'
-
-.PHONY: build test vet race bench bench-gate fuzz chaos verify
+.PHONY: build test vet race bench loc fuzz chaos verify
 
 build:
 	$(GO) build ./...
@@ -40,76 +25,17 @@ race:
 	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/...
 	$(GO) test -race -run 'TestShardCountInvarianceHonest|TestMergeShardOutcomesProcessMode|TestResultStoreShardInvariance|TestEventLogShardCountInvariance' .
 
-# Benchmark duration. Fixed low iteration counts (the old 5x) amortize the
-# cold first iteration over so few warm ones that sub-millisecond benchmarks
-# report scheduling noise — and a single slow filesystem write — as speedup;
-# time-based runs give every benchmark enough warm iterations to measure
-# steady state, which is what speedup_vs_prev and the bench gate compare.
-# 3s windows average over this host's multi-second load-drift so sample
-# means hold within a few percent; the sub-nanosecond Fig reads need no
-# stability (the gate floors them out) and run shorter, while the ~150ms
-# fleet campaign needs a still-longer window to collect enough iterations.
-BENCH_TIME ?= 3s
-BENCH_TIME_FIG ?= 1s
-BENCH_TIME_FLEET ?= 4s
-
-# Samples per benchmark. benchjson collapses repeats to the fastest sample,
-# so records and gate runs are best-of-N — single draws on a shared vCPU
-# vary ±20% and would flake the gate. The gate takes more samples than the
-# record: comparing the gate run's noise floor against a 3-sample record
-# keeps window drift (±5% here) from reading as a code regression, while a
-# real slowdown shifts the floor itself and still trips the threshold.
-BENCH_COUNT ?= 3
-BENCH_GATE_COUNT ?= 5
-
-# Gate threshold; override on a noisy machine (spurious failures within a
-# few percent of the bar mean window drift, not regression — re-run or
-# lower via BENCH_GATE=0.90).
-BENCH_GATE ?= 0.95
-
-# Runs the analysis benchmarks (one process per group, appended into one
-# transcript) and writes BENCH_pr9.json: ratios against the checked-in
-# pre-refactor baseline (bench/baseline_pr2.txt) plus a speedup_vs_prev diff
-# against the recorded PR 8 run (BENCH_pr8.json). Benchmarks new in this PR
-# (the event-bus publish trio) carry "no_prev": true instead of a diff.
+# The repo's benchmark (BENCHMARK.json): six end-to-end campaign workloads
+# with a per-layer table, each run in its own process. bench_test.go stays
+# as per-layer diagnostics: `go test -run '^$$' -bench <regexp> -benchmem .`
 bench:
-	: > bench/current_pr9.txt
-	for g in $(BENCH_GROUPS); do \
-		case "$$g" in \
-			BenchmarkFig) t=$(BENCH_TIME_FIG) ;; \
-			BenchmarkFleetThroughput) t=$(BENCH_TIME_FLEET) ;; \
-			*) t=$(BENCH_TIME) ;; \
-		esac; \
-		$(GO) test -run '^$$' -bench "$$g" -benchtime $$t -count $(BENCH_COUNT) -benchmem . | tee -a bench/current_pr9.txt || exit 1; \
-	done
-	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr2.txt -prev BENCH_pr8.json -out BENCH_pr9.json \
-		-note 'BusPublish/inactive is the per-publish-site tax of an unobserved fleet (the Active gate); subscriber and stalled are the live fan-out and the drop-oldest worst case, all alloc-free. FleetThroughput vs-prev reflects machine-load drift, not code: a same-machine A/B of the pr8 tree measures the same ~145ms' \
-		< bench/current_pr9.txt
+	bash benchmark/run.sh
 
-# Regression gate: re-runs the gated benchmark groups and fails (exit 2)
-# when any benchmark with a previous measurement drops below $(BENCH_GATE)
-# of its recorded speed in the committed BENCH_pr8.json — the same
-# measurement regime, so every ratio is comparable. Benchmarks without a
-# prior record (the event-bus trio, new in PR 9) pass vacuously, as do
-# sub-microsecond ones (cached figure reads at ~1ns measure timer jitter,
-# not work). FleetThroughput is the one wall-clock benchmark in the gate
-# (real UDP collector, 4-worker scheduling): it drifts with machine load
-# across days in a way the CPU-bound benchmarks don't, so it carries its
-# own 0.85 tolerance — a same-machine A/B (git stash) is the arbiter when
-# it trips. Writes the comparison to bench/gate_check.json without
-# touching the committed record.
-bench-gate:
-	: > bench/gate_run.txt
-	for g in $(BENCH_GATE_GROUPS); do \
-		case "$$g" in \
-			BenchmarkFig) t=$(BENCH_TIME_FIG) ;; \
-			BenchmarkFleetThroughput) t=$(BENCH_TIME_FLEET) ;; \
-			*) t=$(BENCH_TIME) ;; \
-		esac; \
-		$(GO) test -run '^$$' -bench "$$g" -benchtime $$t -count $(BENCH_GATE_COUNT) -benchmem . | tee -a bench/gate_run.txt || exit 1; \
-	done
-	$(GO) run ./cmd/benchjson -baseline bench/baseline_pr2.txt -prev BENCH_pr8.json -gate $(BENCH_GATE) -gate-min-ns 1000 \
-		-gate-override 'BenchmarkFleetThroughput=0.85' -out bench/gate_check.json < bench/gate_run.txt
+# Non-test Go lines of the campaign engine, its CLIs, and the flag
+# package — the number a simplicity PR's author and reviewer both check.
+LOC_DIRS = . internal/dispatch internal/journal internal/fleetflags cmd/libspector cmd/libreport examples/fleetscan
+loc:
+	@total=0; for d in $(LOC_DIRS); do n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total+n)); printf '%6d  %s\n' $$n $$d; done; printf '%6d  total\n' $$total
 
 # Fuzz smoke over the wire-format decoders fed by untrusted bytes — the pcap
 # packet decoder, the supervisor UDP report decoder, the journal replay
@@ -126,8 +52,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPartialDecode -fuzztime 10s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/resultstore
 
-# Process-level chaos smoke: a 4-shard fleetscan campaign whose seeded
-# schedule SIGKILLs two shard children and the coordinator itself, resumed
+# Process-level chaos smoke: a 4-shard `cmd/libspector -shards` campaign
+# whose seeded schedule SIGKILLs two shard children and the coordinator
+# itself (the script builds ./cmd/libspector, parent and children), resumed
 # via the coordinator WAL until done, with the merged event log required
 # byte-identical to a single-process baseline. Exercises real processes
 # (Setpgid, group kill, /healthz probes) where the in-tree chaos test

@@ -18,7 +18,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"syscall"
 	"testing"
 
 	"libspector"
@@ -45,6 +44,11 @@ func chaosEnvInt(name string) int {
 	return n
 }
 
+func chaosEnvBool(name string) bool {
+	b, _ := strconv.ParseBool(os.Getenv(name))
+	return b
+}
+
 func chaosEnvUint64(name string) uint64 {
 	n, _ := strconv.ParseUint(os.Getenv(name), 10, 64)
 	return n
@@ -63,180 +67,92 @@ func chaosCampaignConfig(seed uint64, apps int, dir string) libspector.Config {
 	return cfg
 }
 
-func chaosEventsShardPath(dir string, index int) string {
-	return filepath.Join(dir, fmt.Sprintf("events.jsonl.shard-%03d", index))
-}
-
-// chaosShardMain is the re-exec'd shard child: run one shard of the
-// campaign, write its deterministic event log, then its outcome file.
-// Event log strictly before outcome: the parent seals a shard only after
-// reading the outcome, so a sealed shard always has a complete log even
-// when this process is SIGKILLed at an arbitrary point.
-func chaosShardMain() int {
-	dir := os.Getenv("LS_CHAOS_DIR")
-	cfg := chaosCampaignConfig(chaosEnvUint64("LS_CHAOS_SEED"), chaosEnvInt("LS_CHAOS_APPS"), dir)
-	cfg.Resume = os.Getenv("LS_CHAOS_RESUME") == "1"
-	cfg.ChaosKillAfterRuns = chaosEnvInt("LS_CHAOS_KILL_AFTER")
+// chaosTelemetry attaches virtual telemetry with a bus and a
+// deterministic event log to cfg and returns the log.
+func chaosTelemetry(cfg *libspector.Config) *obs.EventLog {
 	tel := obs.NewVirtual(nil)
 	tel.SetBus(obs.NewBus(tel.Metrics()))
 	evlog := obs.NewEventLog()
 	evlog.AttachTo(tel.Bus())
 	cfg.Telemetry = tel
+	return evlog
+}
 
-	index, shards := chaosEnvInt("LS_CHAOS_INDEX"), chaosEnvInt("LS_CHAOS_SHARDS")
-	exp, err := libspector.NewExperiment(cfg)
+func chaosExit(role string, err error) int {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos shard:", err)
-		return 1
-	}
-	out, err := exp.RunShard(context.Background(), index, shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos shard:", err)
-		return 1
-	}
-	if err := evlog.WriteFile(chaosEventsShardPath(dir, index)); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos shard:", err)
-		return 1
-	}
-	if err := dispatch.WriteShardOutcome(os.Getenv("LS_CHAOS_OUT"), out); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos shard:", err)
+		fmt.Fprintf(os.Stderr, "chaos %s: %v\n", role, err)
 		return 1
 	}
 	return 0
 }
 
-// chaosCoordinatorMain is the re-exec'd supervising coordinator: spawn
-// shard children under the seeded chaos plan, journal supervision in the
-// WAL, and — on a fresh incarnation — die at the plan's WAL record. On
-// success it writes the campaign figures and merged event log next to
-// the store.
+// chaosShardMain is the re-exec'd shard child: the shared child entry
+// point (event log strictly before outcome file) over a config rebuilt
+// from the environment the coordinator's command factory rendered.
+func chaosShardMain() int {
+	cfg := chaosCampaignConfig(chaosEnvUint64("LS_CHAOS_SEED"), chaosEnvInt("LS_CHAOS_APPS"), os.Getenv("LS_CHAOS_DIR"))
+	cfg.Resume = chaosEnvBool("LS_CHAOS_RESUME")
+	cfg.ChaosKillAfterRuns = chaosEnvInt("LS_CHAOS_KILL_AFTER")
+	evlog := chaosTelemetry(&cfg)
+	exp, err := libspector.NewExperiment(cfg)
+	if err == nil {
+		err = exp.RunShardChild(context.Background(), libspector.ShardChild{
+			Index:     chaosEnvInt("LS_CHAOS_INDEX"),
+			Shards:    chaosEnvInt("LS_CHAOS_SHARDS"),
+			Out:       os.Getenv("LS_CHAOS_OUT"),
+			EventsOut: os.Getenv("LS_CHAOS_EVENTS"),
+		}, evlog)
+	}
+	return chaosExit("shard", err)
+}
+
+// chaosCoordinatorMain is the re-exec'd supervising coordinator: the
+// shared process runner under the seeded chaos plan, with a command
+// factory that re-execs this test binary as the shard child. A fresh
+// incarnation dies at the plan's WAL record; on success it writes the
+// campaign figures next to the store and the merged event log.
 func chaosCoordinatorMain() int {
 	dir := os.Getenv("LS_CHAOS_DIR")
 	seed, apps := chaosEnvUint64("LS_CHAOS_SEED"), chaosEnvInt("LS_CHAOS_APPS")
 	shards := chaosEnvInt("LS_CHAOS_SHARDS")
-	resume := os.Getenv("LS_CHAOS_RESUME") == "1"
 	cfg := chaosCampaignConfig(seed, apps, dir)
-	cfg.Resume = resume
-	tel := obs.NewVirtual(nil)
-	tel.SetBus(obs.NewBus(tel.Metrics()))
-	evlog := obs.NewEventLog()
-	evlog.AttachTo(tel.Bus())
-	cfg.Telemetry = tel
+	cfg.Resume = chaosEnvBool("LS_CHAOS_RESUME")
+	cfg.CoordinatorWAL = cfg.Journal + ".coordinator"
+	evlog := chaosTelemetry(&cfg)
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
+		return chaosExit("coordinator", err)
 	}
-
-	// Chaos only on fresh incarnations: resumed coordinators run clean,
-	// which is what makes the kill schedule convergent.
-	var plan *faults.ProcPlan
-	if kills := chaosEnvInt("LS_CHAOS_KILLS"); kills > 0 && !resume {
-		plan = faults.NewProcPlan(chaosEnvUint64("LS_CHAOS_PLAN_SEED"), shards, kills)
-	}
-
-	self := os.Args[0]
-	coord := &dispatch.Coordinator{
-		Plan:         dispatch.ShardPlan{TotalApps: apps, Shards: shards, Workers: cfg.Workers},
-		MaxTakeovers: apps,
-		Tel:          tel,
-		WAL:          cfg.Journal + ".coordinator",
-		Resume:       resume,
-		Fingerprint:  cfg.Fingerprint(),
-		Run: func(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-			outPath := filepath.Join(dir, fmt.Sprintf("shard-%03d.attempt-%03d.json", task.Index, task.Attempt))
-			cmd := exec.CommandContext(ctx, self)
+	res, err := exp.RunShardProcesses(context.Background(), shards, libspector.ProcessOptions{
+		Command: func(ctx context.Context, child libspector.ShardChild) *exec.Cmd {
+			cmd := exec.CommandContext(ctx, os.Args[0])
 			cmd.Env = append(os.Environ(),
 				"LS_CHAOS_ROLE=shard",
-				"LS_CHAOS_DIR="+dir,
-				fmt.Sprintf("LS_CHAOS_SEED=%d", seed),
-				fmt.Sprintf("LS_CHAOS_APPS=%d", apps),
-				fmt.Sprintf("LS_CHAOS_SHARDS=%d", shards),
-				fmt.Sprintf("LS_CHAOS_INDEX=%d", task.Index),
-				"LS_CHAOS_OUT="+outPath,
+				fmt.Sprintf("LS_CHAOS_INDEX=%d", child.Index),
+				"LS_CHAOS_OUT="+child.Out,
+				"LS_CHAOS_EVENTS="+child.EventsOut,
+				fmt.Sprintf("LS_CHAOS_RESUME=%t", child.Resume),
+				fmt.Sprintf("LS_CHAOS_KILL_AFTER=%d", child.KillAfter),
 			)
-			if resume || task.Attempt > 0 {
-				cmd.Env = append(cmd.Env, "LS_CHAOS_RESUME=1")
-			} else {
-				cmd.Env = append(cmd.Env, "LS_CHAOS_RESUME=0")
-			}
-			if n, ok := plan.ShardKillAfter(task.Index, task.Attempt); ok {
-				cmd.Env = append(cmd.Env, fmt.Sprintf("LS_CHAOS_KILL_AFTER=%d", n))
-			} else {
-				cmd.Env = append(cmd.Env, "LS_CHAOS_KILL_AFTER=0")
-			}
-			// Children die with the coordinator (Pdeathsig) and cancel
-			// kills the whole process group — a chaos-killed parent must
-			// leave no orphan emulator fleet behind.
-			cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true, Pdeathsig: syscall.SIGKILL}
-			cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 			cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-			if err := cmd.Run(); err != nil {
-				return nil, fmt.Errorf("shard %d attempt %d: %w", task.Index, task.Attempt, err)
-			}
-			return dispatch.ReadShardOutcome(outPath)
+			return cmd
 		},
-	}
-	if plan != nil {
-		killRec := plan.CoordinatorKillRecord()
-		coord.WALObserver = func(records int) {
-			if records >= killRec {
-				faults.KillSelf()
-			}
-		}
-	}
-
-	out, err := coord.Execute(context.Background())
+		EventsOut: filepath.Join(dir, "events.jsonl"),
+		Events:    evlog,
+		ChaosSeed: chaosEnvUint64("LS_CHAOS_PLAN_SEED"),
+		ChaosKill: chaosEnvInt("LS_CHAOS_KILLS"),
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
-	}
-	res, err := exp.FinishCampaign(out, shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
+		return chaosExit("coordinator", err)
 	}
 	fig, err := os.Create(filepath.Join(dir, "figures.json"))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
+		return chaosExit("coordinator", err)
 	}
 	if err := res.Aggregates.Summarize(25).WriteJSON(fig); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
+		return chaosExit("coordinator", err)
 	}
-	if err := fig.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
-	}
-	// Merged event log: child logs in shard order (each sorted, ranges
-	// contiguous => global canonical order), campaign.done from the
-	// parent's own log last — the same assembly fleetscan uses.
-	merged, err := os.Create(filepath.Join(dir, "events.jsonl"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
-	}
-	for i := 0; i < shards; i++ {
-		part, err := os.ReadFile(chaosEventsShardPath(dir, i))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-			return 1
-		}
-		if _, err := merged.Write(part); err != nil {
-			fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-			return 1
-		}
-	}
-	if err := evlog.WriteJSONL(merged); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
-	}
-	if err := merged.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos coordinator:", err)
-		return 1
-	}
-	return 0
+	return chaosExit("coordinator", fig.Close())
 }
 
 // chaosOutputs is the byte-identity triple the harness pins.
@@ -251,11 +167,7 @@ type chaosOutputs struct {
 func runChaosBaseline(t *testing.T, seed uint64, apps int, dir string) chaosOutputs {
 	t.Helper()
 	cfg := chaosCampaignConfig(seed, apps, dir)
-	tel := obs.NewVirtual(nil)
-	tel.SetBus(obs.NewBus(tel.Metrics()))
-	evlog := obs.NewEventLog()
-	evlog.AttachTo(tel.Bus())
-	cfg.Telemetry = tel
+	evlog := chaosTelemetry(&cfg)
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +194,9 @@ func runChaosCoordinator(t *testing.T, dir string, seed uint64, apps, shards, ki
 	cmd.Env = append(os.Environ(),
 		"LS_CHAOS_ROLE=coordinator",
 		"LS_CHAOS_DIR="+dir,
+		// A SIGKILLed coordinator cannot remove its per-attempt outcome
+		// scratch dir; keep it inside the test's own temp dir.
+		"TMPDIR="+dir,
 		fmt.Sprintf("LS_CHAOS_SEED=%d", seed),
 		fmt.Sprintf("LS_CHAOS_APPS=%d", apps),
 		fmt.Sprintf("LS_CHAOS_SHARDS=%d", shards),

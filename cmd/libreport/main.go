@@ -33,7 +33,7 @@ import (
 	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
-	"libspector/internal/obs"
+	"libspector/internal/fleetflags"
 	"libspector/internal/report"
 	"libspector/internal/resultstore"
 )
@@ -47,20 +47,17 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("libreport", flag.ContinueOnError)
+	// The campaign flags libreport shares with the fleet CLIs; -store and
+	// -artifacts keep libreport's own meanings (a record store path, a
+	// directory to reanalyze), so those groups are not adopted.
+	flags := fleetflags.New(fs).Corpus(200, 0).ShardFlags().EventLog()
 	var (
-		figure     = fs.String("figure", "totals", "table/figure id: T1,F2..F10,E1,E2,E4,totals,json")
-		apps       = fs.Int("apps", 200, "number of apps in the corpus")
-		seed       = fs.Uint64("seed", 42, "experiment seed")
-		workers    = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		topN       = fs.Int("top", 15, "entries in the Figure 3 rankings")
-		artifacts  = fs.String("artifacts", "", "reanalyze persisted run evidence from this directory instead of running a fleet")
-		csvDir     = fs.String("csv", "", "also write the figure series as CSV files into this directory")
-		shards      = fs.Int("shards", 1, "run the experiment as N in-process shards and report from the merged aggregates")
-		shardIndex  = fs.Int("shard-index", -1, "run only this shard of an N-shard split and write its outcome instead of a report (requires -shards and -shard-out)")
-		shardOut    = fs.String("shard-out", "", "shard outcome file to write in -shard-index mode")
+		figure      = fs.String("figure", "totals", "table/figure id: T1,F2..F10,E1,E2,E4,totals,json")
+		topN        = fs.Int("top", 15, "entries in the Figure 3 rankings")
+		artifacts   = fs.String("artifacts", "", "reanalyze persisted run evidence from this directory instead of running a fleet")
+		csvDir      = fs.String("csv", "", "also write the figure series as CSV files into this directory")
 		mergeShards = fs.String("merge-shards", "", "comma-separated shard outcome files to merge into the report instead of running a fleet")
 		store       = fs.String("store", "", "attribution record store path: written during a run, read by the -query-* flags")
-		eventsOut   = fs.String("events-out", "", "write the run's deterministic event log as JSONL to this file")
 		inspectWAL  = fs.String("wal", "", "inspect a coordinator write-ahead log: print the campaign header and supervision history (attempts, takeovers, seals), no fleet run")
 		queryApp    = fs.String("query-app", "", "query the -store for one app SHA (no fleet run)")
 		queryLib    = fs.String("query-library", "", "query the -store for one origin library (no fleet run)")
@@ -82,30 +79,16 @@ func run(args []string) error {
 		return queryStore(*store, *queryApp, *queryLib, *queryDomain, *groupBy, *topGroups)
 	}
 
-	cfg := libspector.DefaultConfig()
-	cfg.Apps = *apps
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.ResultStore = *store
 	// -events-out records the deterministic campaign event log; virtual
 	// telemetry keeps same-seed logs byte-identical.
-	var evlog *obs.EventLog
-	if *eventsOut != "" {
-		tel := obs.NewVirtual(nil)
-		tel.SetBus(obs.NewBus(tel.Metrics()))
-		evlog = obs.NewEventLog()
-		evlog.AttachTo(tel.Bus())
-		cfg.Telemetry = tel
+	cfg, err := flags.Open()
+	if err != nil {
+		return err
 	}
-	writeEvents := func() error {
-		if evlog == nil {
-			return nil
-		}
-		if err := evlog.WriteFile(*eventsOut); err != nil {
-			return fmt.Errorf("writing event log: %w", err)
-		}
-		fmt.Printf("Wrote %d events to %s.\n", evlog.Len(), *eventsOut)
-		return nil
+	defer flags.Close()
+	cfg.ResultStore = *store
+	if flags.ShardIndex >= 0 {
+		return flags.RunShardChild(context.Background(), cfg)
 	}
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {
@@ -115,20 +98,6 @@ func run(args []string) error {
 	// only ever materializes the mergeable aggregates.
 	var ds *analysis.Dataset
 	switch {
-	case *shardIndex >= 0:
-		if *shardOut == "" {
-			return fmt.Errorf("-shard-index requires -shard-out")
-		}
-		out, err := exp.RunShard(context.Background(), *shardIndex, *shards)
-		if err != nil {
-			return err
-		}
-		if err := dispatch.WriteShardOutcome(*shardOut, out); err != nil {
-			return err
-		}
-		fmt.Printf("Shard %d/%d done: apps [%d,%d) -> %s\n",
-			*shardIndex, *shards, out.Range.Lo, out.Range.Hi, *shardOut)
-		return writeEvents()
 	case *mergeShards != "":
 		outs, err := readOutcomes(*mergeShards)
 		if err != nil {
@@ -137,8 +106,8 @@ func run(args []string) error {
 		if _, err := exp.MergeShardOutcomes(outs); err != nil {
 			return err
 		}
-	case *shards > 1:
-		if _, err := exp.RunSharded(context.Background(), *shards); err != nil {
+	case flags.Shards > 1:
+		if _, err := exp.RunSharded(context.Background(), flags.Shards); err != nil {
 			return err
 		}
 	case *artifacts != "":
@@ -151,7 +120,7 @@ func run(args []string) error {
 		}
 		ds = exp.Dataset()
 	}
-	if err := writeEvents(); err != nil {
+	if err := flags.WriteOutputs(); err != nil {
 		return err
 	}
 	ag := exp.Aggregates()

@@ -8,7 +8,12 @@
 //	libspector [-apps N] [-seed S] [-workers W] [-events E] [-collector] [-store]
 //	           [-journal campaign.wal] [-resume]
 //	           [-metrics-addr :8321] [-trace-out traces.jsonl] [-events-out events.jsonl]
+//	libspector -shards N [-journal campaign.wal -artifacts DIR] [-probe-base-port P]
 //	libspector audit -artifacts DIR [-journal campaign.wal]
+//
+// The campaign flags are declared in internal/fleetflags. With -shards N
+// the campaign runs as N child processes of this binary under the
+// supervising coordinator (libspector.RunShardProcesses).
 package main
 
 import (
@@ -26,7 +31,7 @@ import (
 	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
-	"libspector/internal/faults"
+	"libspector/internal/fleetflags"
 	"libspector/internal/journal"
 	"libspector/internal/obs"
 	"libspector/internal/report"
@@ -117,123 +122,18 @@ func run(ctx context.Context, args []string) error {
 		return runAudit(args[1:])
 	}
 	fs := flag.NewFlagSet("libspector", flag.ContinueOnError)
-	var (
-		apps            = fs.Int("apps", 300, "number of apps in the corpus")
-		seed            = fs.Uint64("seed", 42, "experiment seed")
-		workers         = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		events          = fs.Int("events", 1000, "monkey events per app")
-		throttleMS      = fs.Int("throttle", 500, "monkey throttle between events (ms, virtual)")
-		collector       = fs.Bool("collector", false, "route supervisor reports through a real UDP collector")
-		store           = fs.Bool("store", false, "round-trip apks through the database server")
-		domainScale     = fs.Float64("domain-scale", 0.05, "fraction of the paper's 14,140-domain universe")
-		methodScale     = fs.Float64("method-scale", 0.03, "fraction of the paper's 49,138 mean methods per apk")
-		volumeScale     = fs.Float64("volume-scale", 1.0, "traffic volume scale (1.0 = paper's ~1.23 MB/app)")
-		topN            = fs.Int("top", 15, "entries in the Figure 3 rankings")
-		artifactDir     = fs.String("artifacts", "", "persist per-run raw evidence (apk/pcap/reports/trace) into this directory")
-		journalPath     = fs.String("journal", "", "append a checksummed write-ahead log of campaign progress to this file")
-		resume          = fs.Bool("resume", false, "replay the -journal log and continue the campaign instead of restarting (requires the same -artifacts store)")
-		continueOnError = fs.Bool("continue-on-error", false, "keep the fleet running past individual app failures")
-		runTimeout      = fs.Duration("run-timeout", 0, "per-run attempt deadline (0 = none)")
-		maxAttempts     = fs.Int("max-attempts", 1, "run attempts per app before giving up (retries with backoff)")
-		retryBackoff    = fs.Duration("retry-backoff", 0, "base backoff between attempts, doubled per retry (charged to a virtual clock)")
-		faultRate       = fs.Float64("fault-rate", 0, "fraction of apps hit by an injected fault on their first attempt [0,1]")
-		faultPoison     = fs.Float64("fault-poison", 0, "fraction of faulted apps whose fault repeats on every attempt [0,1]")
-		faultClasses    = fs.String("fault-classes", "", "comma-separated fault classes to inject (default all): emulator-abort,stall-run,capture-truncate,datagram-drop,hook-fault; opt-in crash classes: journal-crash,journal-tear,artifact-flip")
-		metricsAddr     = fs.String("metrics-addr", "", "serve the live ops endpoint (dashboard at /, SSE events at /events, JSON snapshot at /debug/vars, pprof) on this address while the fleet runs")
-		eventsOut       = fs.String("events-out", "", "write the campaign's deterministic event log as JSONL to this file after the run")
-		traceOut        = fs.String("trace-out", "", "write per-run span traces as JSONL to this file after the fleet")
-		shards          = fs.Int("shards", 1, "split the campaign into N shards run under an in-process coordinator (byte-identical to -shards 1 when -workers >= N)")
-		shardIndex      = fs.Int("shard-index", -1, "run only this shard of an N-shard split and exit (child-process mode; requires -shards and -shard-out)")
-		shardOut        = fs.String("shard-out", "", "write the shard's outcome (ledger, snapshot, encoded partial) to this file for the parent to merge")
-		coordWAL        = fs.String("coordinator-wal", "", "coordinator write-ahead log for crash-safe -shards supervision: a killed campaign re-run with -resume verifies sealed shard outcomes and continues without resetting the takeover budget")
-	)
+	flags := fleetflags.New(fs).Corpus(300, 0).World().Durability().Faults().Ops().ShardFlags().Supervision()
+	topN := fs.Int("top", 15, "entries in the Figure 3 rankings")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	classes, err := faults.ParseClasses(*faultClasses)
+	cfg, err := flags.Open()
 	if err != nil {
 		return err
 	}
-
-	cfg := libspector.DefaultConfig()
-	cfg.Apps = *apps
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.MonkeyEvents = *events
-	cfg.Throttle = time.Duration(*throttleMS) * time.Millisecond
-	cfg.UseCollector = *collector
-	cfg.UseStore = *store
-	cfg.DomainScale = *domainScale
-	cfg.MethodScale = *methodScale
-	cfg.VolumeScale = *volumeScale
-	cfg.ArtifactDir = *artifactDir
-	cfg.Journal = *journalPath
-	cfg.Resume = *resume
-	cfg.CoordinatorWAL = *coordWAL
-	if *resume && *journalPath == "" {
-		return fmt.Errorf("-resume requires -journal")
-	}
-	if *coordWAL != "" && *shards <= 1 {
-		return fmt.Errorf("-coordinator-wal requires -shards > 1")
-	}
-	cfg.ContinueOnError = *continueOnError
-	cfg.RunTimeout = *runTimeout
-	cfg.MaxAttempts = *maxAttempts
-	cfg.RetryBackoff = *retryBackoff
-	cfg.FaultRate = *faultRate
-	cfg.FaultPoisonRate = *faultPoison
-	cfg.FaultClasses = classes
-
-	// Deterministic virtual telemetry by default, so same-flag runs stay
-	// byte-identical (modulo the wall-clock line); opting into the live ops
-	// endpoint switches to wall-clock telemetry, which adds the wall-only
-	// series (drain polls, attribution latency) to the snapshot.
-	tel := obs.NewVirtual(nil)
-	if *metricsAddr != "" {
-		tel = obs.New()
-	}
-	// The event bus exists only when something consumes it — the live ops
-	// endpoint streams it over SSE, and -events-out records the
-	// deterministic subset. An unobserved run never pays for publishing.
-	var evlog *obs.EventLog
-	if *metricsAddr != "" || *eventsOut != "" {
-		tel.SetBus(obs.NewBus(tel.Metrics()))
-		if *eventsOut != "" {
-			evlog = obs.NewEventLog()
-			evlog.AttachTo(tel.Bus())
-		}
-	}
-	if *metricsAddr != "" {
-		ops, err := obs.ServeOps(*metricsAddr, tel.Metrics(), tel.Bus())
-		if err != nil {
-			return fmt.Errorf("starting ops endpoint: %w", err)
-		}
-		defer ops.Close()
-		fmt.Printf("Ops endpoint live on http://%s/ (dashboard; /events SSE, /debug/vars, /debug/pprof).\n", ops.Addr())
-	}
-	cfg.Telemetry = tel
-	writeEvents := func() error {
-		if evlog == nil {
-			return nil
-		}
-		if err := evlog.WriteFile(*eventsOut); err != nil {
-			return fmt.Errorf("writing event log: %w", err)
-		}
-		fmt.Printf("Wrote %d events to %s.\n", evlog.Len(), *eventsOut)
-		return nil
-	}
-
-	if *shardIndex >= 0 {
-		if err := runShardChild(ctx, cfg, *shardIndex, *shards, *shardOut); err != nil {
-			return err
-		}
-		return writeEvents()
-	}
-	if *shards > 1 {
-		if err := runShardedCampaign(ctx, cfg, *shards, *topN); err != nil {
-			return err
-		}
-		return writeEvents()
+	defer flags.Close()
+	if flags.ShardIndex >= 0 {
+		return flags.RunShardChild(ctx, cfg)
 	}
 
 	fmt.Printf("Generating world (seed=%d, %d apps) and running the fleet...\n", cfg.Seed, cfg.Apps)
@@ -242,6 +142,23 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	start := time.Now()
+	if flags.Shards > 1 {
+		// -shards N: the campaign runs as N child processes of this binary
+		// (-shard-index mode) under the supervising coordinator, and the
+		// report renders from the merged result.
+		res, err := flags.RunShardProcesses(ctx, exp)
+		if err != nil {
+			return err
+		}
+		acct := res.Accounting
+		fmt.Printf("Sharded fleet done in %s: %d runs across %d shards (%d takeovers), %d ARM-only apps skipped.\n",
+			time.Since(start).Round(time.Millisecond), acct.Completed, res.Shards, res.Takeovers, acct.SkippedARMOnly)
+		fleetflags.PrintDegraded(acct, res.Failures, res.Quarantined)
+		fmt.Printf("\n%s\n\n", obs.Render(res.Snapshot))
+		printAggregateFigures(exp, *topN)
+		fmt.Println(report.PaperComparison(exp.Aggregates().CompareWithPaper()))
+		return nil
+	}
 	if err := exp.RunContext(ctx); err != nil {
 		if ctx.Err() == nil || exp.Dataset() == nil {
 			return err
@@ -255,41 +172,20 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("Fleet done in %s: %d runs, %d ARM-only apps skipped.\n",
 			time.Since(start).Round(time.Millisecond), len(res.Runs), res.SkippedARMOnly)
 	}
-	if res := exp.Result(); res != nil {
-		acct := res.Accounting
-		if len(res.Failures) > 0 || len(res.Quarantined) > 0 || acct.NotRun > 0 {
-			fmt.Printf("Degraded fleet: %d failed, %d quarantined, %d never run — coverage %.1f%% of the analyzable corpus.\n",
-				acct.Failed, acct.Quarantined, acct.NotRun, 100*acct.Coverage())
-			for _, q := range res.Quarantined {
-				fmt.Printf("  quarantined app %d after %d attempts: %v\n", q.AppIndex, q.Attempts, q.LastErr)
-			}
-			if acct.Retried > 0 {
-				fmt.Printf("  %d apps recovered by retries (%d attempts total, %s backoff charged).\n",
-					acct.Retried, acct.Attempts, acct.Backoff)
-			}
-		}
-	}
+	res := exp.Result()
+	fleetflags.PrintDegraded(res.Accounting, res.Failures, res.Quarantined)
 	// The fleet, collector, and attribution series all render from the one
-	// telemetry snapshot — the collector's Totals now surface here instead
-	// of a hand-rolled summary line.
-	fmt.Println()
-	fmt.Println(obs.Render(tel.Metrics().Snapshot()))
-	if *traceOut != "" {
-		if err := tel.Tracer().WriteFile(*traceOut); err != nil {
-			return fmt.Errorf("writing traces: %w", err)
-		}
-		fmt.Printf("Wrote %d spans to %s.\n", tel.Tracer().SpanCount(), *traceOut)
-	}
-	fmt.Println()
+	// telemetry snapshot.
+	fmt.Printf("\n%s\n\n", obs.Render(flags.Tel.Metrics().Snapshot()))
 
 	// Figures and tables render from the streaming aggregates; the batch
 	// dataset (byte-identical on a clean run) still backs the record-level
-	// baselines below.
+	// baselines below, which a sharded campaign never materializes.
 	ds := exp.Dataset()
 	printAggregateFigures(exp, *topN)
 	fmt.Println(report.Baselines(baseline.CompareUA(ds), baseline.CompareHostname(ds), baseline.CompareContentType(ds)))
 	fmt.Println(report.PaperComparison(exp.Aggregates().CompareWithPaper()))
-	return writeEvents()
+	return flags.WriteOutputs()
 }
 
 // printAggregateFigures renders every table and figure that needs only
@@ -324,64 +220,4 @@ func printAggregateFigures(exp *libspector.Experiment, topN int) {
 		corpus.LibSocialNetwork, corpus.LibDigitalIdentity, corpus.LibGameEngine)
 	fmt.Println(report.Costs(costs))
 	fmt.Println(report.Energy(analysis.NewEnergyModel(), avgs.PerLibrary[corpus.LibAdvertisement]))
-}
-
-// runShardChild is the -shard-index entry point: run exactly one shard of
-// the N-way split and write its outcome file for the parent to merge.
-func runShardChild(ctx context.Context, cfg libspector.Config, index, shards int, out string) error {
-	if out == "" {
-		return fmt.Errorf("-shard-index requires -shard-out")
-	}
-	if index >= shards {
-		return fmt.Errorf("-shard-index %d out of range for -shards %d", index, shards)
-	}
-	exp, err := libspector.NewExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	outcome, err := exp.RunShard(ctx, index, shards)
-	if err != nil {
-		return err
-	}
-	if err := dispatch.WriteShardOutcome(out, outcome); err != nil {
-		return err
-	}
-	fmt.Printf("Shard %d/%d done: apps [%d,%d) -> %s\n",
-		index, shards, outcome.Range.Lo, outcome.Range.Hi, out)
-	return nil
-}
-
-// runShardedCampaign runs the campaign as N in-process shards under the
-// coordinator and reports from the merged result.
-func runShardedCampaign(ctx context.Context, cfg libspector.Config, shards, topN int) error {
-	fmt.Printf("Generating world (seed=%d, %d apps) and running %d shards...\n", cfg.Seed, cfg.Apps, shards)
-	exp, err := libspector.NewExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := exp.RunSharded(ctx, shards)
-	if err != nil {
-		return err
-	}
-	acct := res.Accounting
-	fmt.Printf("Sharded fleet done in %s: %d runs across %d shards (%d takeovers), %d ARM-only apps skipped.\n",
-		time.Since(start).Round(time.Millisecond), acct.Completed, res.Shards, res.Takeovers, acct.SkippedARMOnly)
-	if len(res.Failures) > 0 || len(res.Quarantined) > 0 || acct.NotRun > 0 {
-		fmt.Printf("Degraded fleet: %d failed, %d quarantined, %d never run — coverage %.1f%% of the analyzable corpus.\n",
-			acct.Failed, acct.Quarantined, acct.NotRun, 100*acct.Coverage())
-		for _, q := range res.Quarantined {
-			fmt.Printf("  quarantined app %d after %d attempts: %v\n", q.AppIndex, q.Attempts, q.LastErr)
-		}
-		if acct.Retried > 0 {
-			fmt.Printf("  %d apps recovered by retries (%d attempts total, %s backoff charged).\n",
-				acct.Retried, acct.Attempts, acct.Backoff)
-		}
-	}
-	fmt.Println()
-	fmt.Println(obs.Render(res.Snapshot))
-	fmt.Println()
-	printAggregateFigures(exp, topN)
-	fmt.Println(report.PaperComparison(exp.Aggregates().CompareWithPaper()))
-	return nil
 }

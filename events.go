@@ -115,14 +115,6 @@ func publishCampaignDone(tel *obs.Telemetry, acct dispatch.Accounting) {
 	}
 	bus.Publish(obs.Event{
 		Type: obs.EvCampaignDone, TS: tel.Now(), App: -1, Shard: -1,
-		Counts: &obs.EventCounts{
-			Apps:        int64(acct.TotalApps),
-			Completed:   int64(acct.Completed),
-			Skipped:     int64(acct.SkippedARMOnly),
-			Failed:      int64(acct.Failed),
-			Quarantined: int64(acct.Quarantined),
-			Attempts:    int64(acct.Attempts),
-			Retried:     int64(acct.Retried),
-		},
+		Counts: acct.EventCounts(),
 	})
 }

@@ -4,26 +4,15 @@
 // a real loopback UDP collector, and apks round-trip through the database
 // server with the §III-A selection policy.
 //
-// The fleet runs as a streaming pipeline: a progress sink prints per-app
-// events as workers complete them, and Ctrl-C reports whatever finished
-// before the interrupt instead of discarding the run.
-//
-// With -shards N the campaign runs as N separate worker processes
-// supervised by a dispatch.Coordinator: the parent re-executes itself once
-// per shard (-shard-index/-shard-out) in its own process group, probes each
-// child's /healthz endpoint with hysteresis, watches the apps-completed
-// watermark for live-but-stuck shards (-stall-deadline), re-spawns dead
-// shards with -resume so they take over from their journal, and merges the
-// shard outcome files into one campaign report. With -coordinator-wal the
-// parent itself is crash-safe: a killed coordinator re-run with -resume
-// verifies sealed shard outcomes and resumes the campaign without resetting
-// the takeover budget. -chaos-seed/-chaos-kill SIGKILL real shard children
-// (and the coordinator, mid-campaign) at deterministic points to prove the
-// resumed run converges byte-for-byte.
+// It is the streaming API in miniature: a progress sink prints per-app
+// events as workers complete them, Ctrl-C reports whatever finished before
+// the interrupt instead of discarding the run, and the summary ends with
+// the per-run join health. (Sharded, supervised, and chaos campaigns are
+// cmd/libspector -shards N.)
 //
 //	go run ./examples/fleetscan [-apps 40] [-workers 4]
-//	go run ./examples/fleetscan -apps 40 -shards 4 -journal wal -artifacts evidence
-//	go run ./examples/fleetscan -apps 40 -shards 4 -journal wal -chaos-seed 7 -chaos-kill 2
+//	go run ./examples/fleetscan -apps 60 -fault-rate 0.2 -max-attempts 3
+//	go run ./examples/fleetscan -apps 3000 -metrics-addr 127.0.0.1:8321
 package main
 
 import (
@@ -31,16 +20,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"libspector"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
-	"libspector/internal/faults"
+	"libspector/internal/fleetflags"
 	"libspector/internal/obs"
 )
 
@@ -55,7 +42,7 @@ func main() {
 
 // progress is a dispatch.Sink printing a live line per stream event.
 type progress struct {
-	done, skipped, failed, quarantined int
+	done int
 }
 
 func (p *progress) Consume(ev dispatch.RunEvent) error {
@@ -65,287 +52,27 @@ func (p *progress) Consume(ev dispatch.RunEvent) error {
 		fmt.Printf("  [%3d done] app %d: %s (%d flows)\n",
 			p.done, ev.AppIndex, ev.Run.AppPackage, len(ev.Run.Flows))
 	case dispatch.EventSkip:
-		p.skipped++
 		fmt.Printf("  [   skip ] app %d: ARM-only (§III-A ABI filter)\n", ev.AppIndex)
 	case dispatch.EventFailure:
-		p.failed++
 		fmt.Printf("  [   fail ] app %d: %v\n", ev.AppIndex, ev.Err)
 	case dispatch.EventQuarantine:
-		p.quarantined++
 		fmt.Printf("  [quarant.] app %d after %d attempts: %v\n",
 			ev.AppIndex, ev.Quarantine.Attempts, ev.Err)
 	}
 	return nil
 }
 
-// inheritedArgs reconstructs the explicitly-set command-line flags so a
-// child shard process sees the same campaign configuration as the
-// parent. Orchestration and supervision flags are owned by the parent
-// and re-issued per child; -resume is appended only on takeover (or a
-// whole-campaign resume), so it is excluded here too.
-func inheritedArgs() []string {
-	var args []string
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shards", "shard-index", "shard-out", "probe-base-port", "metrics-addr",
-			"resume", "events-out", "coordinator-wal", "stall-deadline", "probe-strikes",
-			"chaos-seed", "chaos-kill", "chaos-kill-after":
-			return
-		}
-		args = append(args, "-"+f.Name+"="+f.Value.String())
-	})
-	return args
-}
-
-// processOpts carries the parent's supervision and chaos configuration.
-type processOpts struct {
-	journalPath   string
-	walPath       string
-	probeBase     int
-	probeStrikes  int
-	stallDeadline time.Duration
-	eventsOut     string
-	chaosSeed     uint64
-	chaosKill     int
-}
-
-// spawnShard runs one shard incarnation as a child process and waits
-// for it. Children live in their own process group with SIGKILL parent
-// death signaling, so a dying parent — panicking, SIGKILLed by chaos —
-// never leaves orphan shard processes (or their ops-port listeners)
-// behind, and a cancelled shard context kills the whole group.
-func spawnShard(ctx context.Context, self string, task dispatch.ShardTask, n int, outPath string, opts processOpts, campaignResume bool, plan *faults.ProcPlan) error {
-	args := inheritedArgs()
-	args = append(args, fmt.Sprintf("-shards=%d", n), fmt.Sprintf("-shard-index=%d", task.Index), "-shard-out="+outPath)
-	if campaignResume || task.Attempt > 0 {
-		args = append(args, "-resume")
-	}
-	if opts.eventsOut != "" {
-		// Each child records its own shard's log; the parent owns the flag
-		// and re-issues it suffixed so children never clobber one file.
-		args = append(args, fmt.Sprintf("-events-out=%s.shard-%03d", opts.eventsOut, task.Index))
-	}
-	if opts.probeBase > 0 {
-		args = append(args, fmt.Sprintf("-metrics-addr=127.0.0.1:%d", opts.probeBase+task.Index))
-	}
-	if after, ok := plan.ShardKillAfter(task.Index, task.Attempt); ok {
-		fmt.Printf("  [chaos] shard %d will SIGKILL itself after %d runs\n", task.Index, after)
-		args = append(args, fmt.Sprintf("-chaos-kill-after=%d", after))
-	}
-	cmd := exec.CommandContext(ctx, self, args...)
-	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-	cmd.SysProcAttr = &syscall.SysProcAttr{
-		// Own process group: killing the shard kills everything it
-		// spawned, and a chaos kill of THIS parent delivers SIGKILL to
-		// the child via Pdeathsig instead of orphaning it.
-		Setpgid:   true,
-		Pdeathsig: syscall.SIGKILL,
-	}
-	cmd.Cancel = func() error {
-		// Group kill (negative pid): the probe/stall watcher cancelling
-		// the shard context must reap the child's whole tree.
-		return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
-	}
-	return cmd.Run()
-}
-
-// runShardProcesses is the -shards parent: a dispatch.Coordinator whose
-// runner spawns one child process per shard attempt. The coordinator
-// supplies liveness (probe hysteresis + stall watermark against each
-// child's ops endpoint), journal-backed takeover of dead children, and
-// — when a coordinator WAL is configured — crash-safe resume of the
-// parent itself: re-run after a parent kill with -resume and sealed
-// shard outcomes are verified and reused, in-flight shards resume from
-// their journals, and the takeover budget picks up where it stopped.
-func runShardProcesses(ctx context.Context, cfg libspector.Config, n int, opts processOpts) error {
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "fleetscan-shards-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.RemoveAll(dir) }()
-
-	// The seeded chaos schedule applies only to a fresh campaign: the
-	// resumed incarnation runs clean, which is what lets the chaos smoke
-	// assert convergence to the uninterrupted run instead of dying
-	// forever.
-	var plan *faults.ProcPlan
-	if opts.chaosKill > 0 && !cfg.Resume {
-		plan = faults.NewProcPlan(opts.chaosSeed, n, opts.chaosKill)
-	}
-
-	fmt.Printf("Scanning %d apps as %d shard processes...\n", cfg.Apps, n)
-	coord := &dispatch.Coordinator{
-		Plan: dispatch.ShardPlan{TotalApps: cfg.Apps, Shards: n},
-		Run: func(cctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-			// Per-incarnation outcome files: a half-written file from a
-			// killed child must never be confused with the retry's.
-			outPath := filepath.Join(dir, fmt.Sprintf("shard-%03d.attempt-%03d.json", task.Index, task.Attempt))
-			if task.Attempt > 0 {
-				fmt.Printf("  [takeover] shard %d re-spawning with -resume (attempt %d)\n", task.Index, task.Attempt)
-			}
-			if err := spawnShard(cctx, self, task, n, outPath, opts, cfg.Resume, plan); err != nil {
-				return nil, err
-			}
-			return dispatch.ReadShardOutcome(outPath)
-		},
-		// The parent narrates shard-process lifecycle on its own bus so a
-		// dashboard attached to the parent's ops endpoint shows the
-		// fleet's liveness grid even though the runs happen in children.
-		Tel: cfg.Telemetry,
-	}
-	if opts.journalPath != "" {
-		// Journal replay makes takeover cheap; without a journal a
-		// re-spawned shard would redo (and double-count) every run, so
-		// the budget stays zero and a shard death fails the campaign.
-		coord.MaxTakeovers = cfg.Apps
-	}
-	if opts.probeBase > 0 {
-		addr := func(i int) string { return fmt.Sprintf("127.0.0.1:%d", opts.probeBase+i) }
-		coord.Probe = func(i int) error { return obs.ProbeHealthz(addr(i), time.Second) }
-		coord.ProbeInterval = 500 * time.Millisecond
-		coord.ProbeStrikes = opts.probeStrikes
-		if opts.stallDeadline > 0 {
-			coord.Progress = func(i int) (int64, error) { return obs.FetchProgress(addr(i), time.Second) }
-			coord.StallDeadline = opts.stallDeadline
-		}
-	}
-	if opts.walPath != "" {
-		coord.WAL = opts.walPath
-		coord.Resume = cfg.Resume
-		coord.Fingerprint = cfg.Fingerprint()
-		if plan != nil {
-			kill := plan.CoordinatorKillRecord()
-			coord.WALObserver = func(records int) {
-				if records == kill {
-					fmt.Printf("  [chaos] coordinator at WAL record %d — SIGKILLing itself mid-campaign\n", records)
-					faults.KillSelf()
-				}
-			}
-		}
-	}
-
-	out, err := coord.Execute(ctx)
-	if err != nil {
-		return err
-	}
-	exp, err := libspector.NewExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := exp.FinishCampaign(out, n)
-	if err != nil {
-		return err
-	}
-	acct := res.Accounting
-	fmt.Printf("Merged %d shard outcomes: %d runs, %d skipped, %d failed, %d quarantined (%d process takeovers).\n",
-		n, acct.Completed, acct.SkippedARMOnly, acct.Failed, acct.Quarantined, res.Takeovers)
-	fmt.Println()
-	fmt.Println(obs.Render(res.Snapshot))
-	ag := exp.Aggregates()
-	totals := ag.ComputeTotals()
-	fmt.Printf("  traffic:             %.2f MB over %d flows to %d domains\n",
-		float64(totals.TotalBytes())/1e6, totals.Flows, totals.DistinctDomains)
-	fmt.Printf("  origin-libraries:    %d\n", totals.DistinctOrigins)
-	cov := ag.Fig10Coverage()
-	fmt.Printf("  mean method coverage: %.1f%% (paper: 9.5%%)\n", cov.Mean)
-	m := ag.Fig2CategoryTransfer()
-	fmt.Printf("  advertisement share:  %.1f%% of bytes (paper: 28.3%%)\n",
-		100*m.LegendShare[corpus.LibAdvertisement])
-	return nil
-}
-
-// mergeShardEvents assembles the campaign's single deterministic event
-// log from the per-child shard logs plus the parent's own logged events
-// (campaign.done). Shard ranges are contiguous and ascending and each
-// child log is already in canonical order, so concatenation in shard
-// order IS the canonical order — the file comes out byte-identical to a
-// single-process same-seed run's -events-out.
-func mergeShardEvents(eventsOut string, n int, evlog *obs.EventLog) error {
-	f, err := os.Create(eventsOut)
-	if err != nil {
-		return fmt.Errorf("writing event log: %w", err)
-	}
-	defer f.Close()
-	total := 0
-	for i := 0; i < n; i++ {
-		data, err := os.ReadFile(fmt.Sprintf("%s.shard-%03d", eventsOut, i))
-		if err != nil {
-			return fmt.Errorf("merging shard event logs: %w", err)
-		}
-		for _, b := range data {
-			if b == '\n' {
-				total++
-			}
-		}
-		if _, err := f.Write(data); err != nil {
-			return fmt.Errorf("merging shard event logs: %w", err)
-		}
-	}
-	if err := evlog.WriteJSONL(f); err != nil {
-		return fmt.Errorf("merging shard event logs: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("writing event log: %w", err)
-	}
-	fmt.Printf("  wrote %d events to %s\n", total+evlog.Len(), eventsOut)
-	return nil
-}
-
 func run(ctx context.Context) error {
-	apps := flag.Int("apps", 40, "corpus size")
-	workers := flag.Int("workers", 4, "parallel workers")
-	seed := flag.Uint64("seed", 42, "experiment seed")
-	faultRate := flag.Float64("fault-rate", 0, "fraction of apps hit by an injected fault on the first attempt [0,1]")
-	faultPoison := flag.Float64("fault-poison", 0, "fraction of faulted apps whose fault repeats on every attempt [0,1]")
-	maxAttempts := flag.Int("max-attempts", 1, "run attempts per app before quarantine")
-	artifactDir := flag.String("artifacts", "", "persist per-run raw evidence into this directory")
-	journalPath := flag.String("journal", "", "append a checksummed write-ahead log of campaign progress to this file")
-	resume := flag.Bool("resume", false, "replay the -journal log and continue instead of restarting (requires the same -artifacts store)")
-	runTimeout := flag.Duration("run-timeout", 0, "per-run attempt deadline (0 = none)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff between attempts, doubled per retry")
-	metricsAddr := flag.String("metrics-addr", "", "serve the live ops endpoint (dashboard at /, SSE at /events, JSON snapshot at /debug/vars, pprof) on this address while the fleet runs")
-	eventsOut := flag.String("events-out", "", "write the deterministic event log as JSONL to this file (shard-process mode writes one .shard-NNN file per child)")
-	traceOut := flag.String("trace-out", "", "write per-run span traces as JSONL to this file after the fleet")
-	shards := flag.Int("shards", 1, "run the campaign as N separate shard processes and merge their outcomes")
-	shardIndex := flag.Int("shard-index", -1, "child mode: run only this shard and write its outcome (spawned by -shards)")
-	shardOut := flag.String("shard-out", "", "child mode: shard outcome file to write")
-	probeBase := flag.Int("probe-base-port", 0, "liveness: child shard i serves /healthz on 127.0.0.1:(port+i) and the parent kills shards that stop answering (0 = off)")
-	probeStrikes := flag.Int("probe-strikes", 3, "consecutive failed /healthz probes before a shard is declared dead (transient timeouts don't burn takeover budget)")
-	stallDeadline := flag.Duration("stall-deadline", 0, "declare a live shard dead when its apps-completed watermark (/debug/vars) stops advancing for this long (0 = off; needs -probe-base-port)")
-	coordWAL := flag.String("coordinator-wal", "", "coordinator write-ahead log for crash-safe -shards supervision; a killed parent re-run with -resume picks the campaign up (defaults to <journal>.coordinator when -journal is set)")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "seed for the deterministic process-level chaos schedule")
-	chaosKill := flag.Int("chaos-kill", 0, "chaos: SIGKILL this many shard children mid-run, plus the coordinator itself mid-campaign when a WAL is active; re-run with -resume to converge")
-	chaosKillAfter := flag.Int("chaos-kill-after", 0, "child mode: SIGKILL this shard process after N terminal run outcomes (issued by the parent's chaos schedule)")
+	flags := fleetflags.New(flag.CommandLine).Corpus(40, 4).Faults().Ops()
 	flag.Parse()
-
-	cfg := libspector.DefaultConfig()
-	cfg.Apps = *apps
-	cfg.Workers = *workers
-	cfg.Seed = *seed
+	cfg, err := flags.Open()
+	if err != nil {
+		return err
+	}
+	defer flags.Close()
 	cfg.UseCollector = true // real UDP collection server
 	cfg.UseStore = true     // database-server round trip per apk
-	cfg.ArtifactDir = *artifactDir
-	cfg.Journal = *journalPath
-	cfg.Resume = *resume
-	cfg.ChaosKillAfterRuns = *chaosKillAfter
-	if *resume && *journalPath == "" {
-		return fmt.Errorf("-resume requires -journal")
-	}
-	if *chaosKill > 0 && *journalPath == "" {
-		// Killed shards can only be taken over from their journals;
-		// chaos without one would just fail the campaign.
-		return fmt.Errorf("-chaos-kill requires -journal")
-	}
-	cfg.FaultRate = *faultRate
-	cfg.FaultPoisonRate = *faultPoison
-	cfg.MaxAttempts = *maxAttempts
-	cfg.RunTimeout = *runTimeout
-	cfg.RetryBackoff = *retryBackoff
-	if *faultRate > 0 {
+	if cfg.FaultRate > 0 {
 		// A faulted fleet must keep going and retry; otherwise the first
 		// injected fault would abort the whole scan.
 		cfg.ContinueOnError = true
@@ -358,93 +85,11 @@ func run(ctx context.Context) error {
 			cfg.RunTimeout = 10 * time.Second
 		}
 	}
-
-	// Deterministic virtual telemetry by default; the live ops endpoint
-	// switches to wall-clock telemetry, adding the wall-only series to the
-	// snapshot (see DESIGN.md §6).
-	tel := obs.NewVirtual(nil)
-	if *metricsAddr != "" {
-		tel = obs.New()
-	}
-	// The event bus is built only when something consumes it: the SSE ops
-	// endpoint, or the -events-out deterministic log.
-	var evlog *obs.EventLog
-	if *metricsAddr != "" || *eventsOut != "" {
-		tel.SetBus(obs.NewBus(tel.Metrics()))
-		if *eventsOut != "" {
-			evlog = obs.NewEventLog()
-			evlog.AttachTo(tel.Bus())
-		}
-	}
-	if *metricsAddr != "" {
-		ops, err := obs.ServeOps(*metricsAddr, tel.Metrics(), tel.Bus())
-		if err != nil {
-			return fmt.Errorf("starting ops endpoint: %w", err)
-		}
-		defer ops.Close()
-		fmt.Printf("Live dashboard on http://%s/ (SSE at /events, snapshot at /debug/vars, pprof at /debug/pprof).\n", ops.Addr())
-	}
-	cfg.Telemetry = tel
-	writeEvents := func() error {
-		if evlog == nil {
-			return nil
-		}
-		if err := evlog.WriteFile(*eventsOut); err != nil {
-			return fmt.Errorf("writing event log: %w", err)
-		}
-		fmt.Printf("  wrote %d events to %s\n", evlog.Len(), *eventsOut)
-		return nil
-	}
-
-	if *shardIndex >= 0 {
-		if *shardOut == "" {
-			return fmt.Errorf("-shard-index requires -shard-out")
-		}
-		exp, err := libspector.NewExperiment(cfg)
-		if err != nil {
-			return err
-		}
-		out, err := exp.RunShard(ctx, *shardIndex, *shards)
-		if err != nil {
-			return err
-		}
-		if err := dispatch.WriteShardOutcome(*shardOut, out); err != nil {
-			return err
-		}
-		fmt.Printf("  [shard %d] apps [%d,%d) done -> %s\n", *shardIndex, out.Range.Lo, out.Range.Hi, *shardOut)
-		return writeEvents()
-	}
-	if *shards > 1 {
-		walPath := *coordWAL
-		if walPath == "" && *journalPath != "" {
-			walPath = *journalPath + ".coordinator"
-		}
-		opts := processOpts{
-			journalPath:   *journalPath,
-			walPath:       walPath,
-			probeBase:     *probeBase,
-			probeStrikes:  *probeStrikes,
-			stallDeadline: *stallDeadline,
-			eventsOut:     *eventsOut,
-			chaosSeed:     *chaosSeed,
-			chaosKill:     *chaosKill,
-		}
-		if err := runShardProcesses(ctx, cfg, *shards, opts); err != nil {
-			return err
-		}
-		if evlog != nil {
-			// Process mode owns its event-log assembly: child shard logs
-			// concatenated in shard order, then the parent's campaign.done.
-			return mergeShardEvents(*eventsOut, *shards, evlog)
-		}
-		return nil
-	}
-
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Scanning %d apps with %d workers (UDP collector + apk store enabled)...\n", *apps, *workers)
+	fmt.Printf("Scanning %d apps with %d workers (UDP collector + apk store enabled)...\n", cfg.Apps, cfg.Workers)
 	if err := exp.RunContext(ctx, &progress{}); err != nil {
 		if ctx.Err() == nil || exp.Result() == nil {
 			return err
@@ -453,18 +98,13 @@ func run(ctx context.Context) error {
 	}
 
 	res := exp.Result()
-	fmt.Printf("Fleet finished in %s.\n", res.Elapsed.Round(1e6))
+	fmt.Printf("Fleet finished in %s.\n", res.Elapsed.Round(time.Millisecond))
 	// Fleet counts, collector datagram totals, and attribution joins all
-	// come from the telemetry snapshot now; only derived analysis figures
-	// keep bespoke lines below.
+	// come from the telemetry snapshot; only derived analysis figures keep
+	// bespoke lines below.
 	fmt.Println()
-	fmt.Println(obs.Render(tel.Metrics().Snapshot()))
-	acct := res.Accounting
-	if acct.Quarantined > 0 || acct.Failed > 0 || acct.NotRun > 0 || acct.Retried > 0 {
-		fmt.Printf("  degradation: %d failed, %d quarantined, %d never run; %d recovered by retry (%d attempts, %s backoff)\n",
-			acct.Failed, acct.Quarantined, acct.NotRun, acct.Retried, acct.Attempts, acct.Backoff)
-		fmt.Printf("  coverage:    %.1f%% of the analyzable corpus\n", 100*acct.Coverage())
-	}
+	fmt.Println(obs.Render(flags.Tel.Metrics().Snapshot()))
+	fleetflags.PrintDegraded(res.Accounting, res.Failures, res.Quarantined)
 
 	// Aggregates come from the streaming accumulator — no per-flow records
 	// were retained to produce them.
@@ -473,13 +113,9 @@ func run(ctx context.Context) error {
 	fmt.Printf("  traffic:             %.2f MB over %d flows to %d domains\n",
 		float64(totals.TotalBytes())/1e6, totals.Flows, totals.DistinctDomains)
 	fmt.Printf("  origin-libraries:    %d\n", totals.DistinctOrigins)
-
-	cov := ag.Fig10Coverage()
-	fmt.Printf("  mean method coverage: %.1f%% (paper: 9.5%%)\n", cov.Mean)
-
-	m := ag.Fig2CategoryTransfer()
+	fmt.Printf("  mean method coverage: %.1f%% (paper: 9.5%%)\n", ag.Fig10Coverage().Mean)
 	fmt.Printf("  advertisement share:  %.1f%% of bytes (paper: 28.3%%)\n",
-		100*m.LegendShare[corpus.LibAdvertisement])
+		100*ag.Fig2CategoryTransfer().LegendShare[corpus.LibAdvertisement])
 
 	// Per-run join health: in a correct pipeline every flow matches a
 	// supervisor report and checksums all verify.
@@ -491,11 +127,5 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("  join health: %d unmatched flows, %d unmatched reports, %d checksum mismatches\n",
 		unmatchedFlows, unmatchedReports, mismatches)
-	if *traceOut != "" {
-		if err := tel.Tracer().WriteFile(*traceOut); err != nil {
-			return fmt.Errorf("writing traces: %w", err)
-		}
-		fmt.Printf("  wrote %d spans to %s\n", tel.Tracer().SpanCount(), *traceOut)
-	}
-	return writeEvents()
+	return flags.WriteOutputs()
 }

@@ -95,20 +95,17 @@ type Coordinator struct {
 	Tel *obs.Telemetry
 
 	// WAL, when non-empty, is the path of the coordinator's own
-	// crash-safe write-ahead log and switches Execute to supervised
-	// mode: shard attempts, takeover-budget consumption, and sealed
-	// outcomes are journaled so a killed-and-restarted coordinator
-	// resumes instead of redoing finished shards or resetting the
-	// budget. See supervise.go.
+	// crash-safe write-ahead log: shard attempts, takeover-budget
+	// consumption, and sealed outcomes are journaled so a
+	// killed-and-restarted coordinator resumes instead of redoing
+	// finished shards or resetting the budget. Sealed outcomes are
+	// persisted next to it, in WAL + ".outcomes". See supervise.go.
 	WAL string
 	// Resume re-opens an existing WAL and resumes the campaign it
 	// describes; without it a pre-existing WAL is truncated and the
 	// campaign starts over (matching journal.Create's semantics for the
 	// shard journals).
 	Resume bool
-	// OutcomeDir is where sealed shard outcomes are persisted in
-	// supervised mode; it defaults to WAL + ".outcomes".
-	OutcomeDir string
 	// Fingerprint binds the WAL to one campaign configuration; a resume
 	// against a WAL recorded under a different fingerprint fails.
 	Fingerprint string
@@ -119,7 +116,7 @@ type Coordinator struct {
 	// CrashAfterWALRecords, when > 0, is the in-process chaos hook: the
 	// WAL refuses every append after that many records, simulating a
 	// coordinator killed at an exact record boundary (the durable prefix
-	// is precisely that many records — supervised mode fsyncs each one).
+	// is precisely that many records — the WAL fsyncs each one).
 	CrashAfterWALRecords int
 }
 
@@ -203,9 +200,30 @@ func (a Accounting) Plus(b Accounting) Accounting {
 	return a
 }
 
+// EventCounts is the ledger as the counts block of a bus event
+// (fleet.summary, shard.done, campaign.done).
+func (a Accounting) EventCounts() *obs.EventCounts {
+	return &obs.EventCounts{
+		Apps:        int64(a.TotalApps),
+		Completed:   int64(a.Completed),
+		Skipped:     int64(a.SkippedARMOnly),
+		Failed:      int64(a.Failed),
+		Quarantined: int64(a.Quarantined),
+		Attempts:    int64(a.Attempts),
+		Retried:     int64(a.Retried),
+	}
+}
+
 // Execute runs the campaign. All shards run concurrently; the first
 // shard error (lowest index wins, after the takeover budget is spent)
 // fails the campaign. On success every shard outcome is merged.
+//
+// There is one supervision path. Every shard attempt, takeover, and
+// sealed outcome is journaled to the WAL before it takes effect, so
+// killing the coordinator at ANY record boundary leaves a resumable
+// campaign that converges to the uninterrupted result; a coordinator
+// without a WAL path runs the same loop over the nil log (see
+// supervise.go), whose appends and seals do nothing.
 func (c *Coordinator) Execute(ctx context.Context) (*CampaignOutcome, error) {
 	if err := c.Plan.Validate(); err != nil {
 		return nil, err
@@ -216,19 +234,22 @@ func (c *Coordinator) Execute(ctx context.Context) (*CampaignOutcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.WAL != "" {
-		return c.executeSupervised(ctx)
+	wal, st, err := c.openWAL()
+	if err != nil {
+		return nil, err
 	}
+	defer wal.close()
 
 	outcomes := make([]*ShardOutcome, c.Plan.Shards)
 	errs := make([]error, c.Plan.Shards)
 	var takeovers atomic.Int64
+	takeovers.Store(int64(st.takeovers))
 	var wg sync.WaitGroup
 	for i := 0; i < c.Plan.Shards; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outcomes[i], errs[i] = c.runShard(ctx, i, &takeovers)
+			outcomes[i], errs[i] = c.runShard(ctx, i, st, wal, &takeovers)
 		}(i)
 	}
 	wg.Wait()
@@ -238,19 +259,61 @@ func (c *Coordinator) Execute(ctx context.Context) (*CampaignOutcome, error) {
 			return nil, fmt.Errorf("dispatch: shard %d: %w", i, err)
 		}
 	}
-	return c.mergeOutcomes(outcomes, int(takeovers.Load()))
+	res, err := MergeOutcomes(outcomes)
+	if err != nil {
+		return nil, err
+	}
+	res.Takeovers = int(takeovers.Load())
+	for i, o := range outcomes {
+		c.publish(obs.Event{Type: obs.EvMergeProgress, App: -1, Shard: o.Index, Done: i + 1, Total: len(outcomes)})
+	}
+	// Recorded after the merge succeeds; a coordinator killed mid-merge
+	// resumes with every shard sealed and re-merges idempotently.
+	if !st.done {
+		if err := wal.append(WALRecord{Type: walDone, Shard: -1}); err != nil {
+			return nil, err
+		}
+	}
+	if err := wal.close(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// runShard drives one shard through launch, liveness watching, and
-// takeover until it completes or the campaign's takeover budget is
-// exhausted.
-func (c *Coordinator) runShard(ctx context.Context, i int, takeovers *atomic.Int64) (*ShardOutcome, error) {
-	for attempt := 0; ; attempt++ {
+// runShard drives one shard to a sealed outcome: verify-and-reuse the
+// outcome a previous incarnation sealed, or (re)launch attempts —
+// journaling each one before it runs and each takeover before the
+// relaunch, with liveness watching inside every attempt — until the
+// shard completes or the campaign's takeover budget is exhausted.
+func (c *Coordinator) runShard(ctx context.Context, i int, st *walState, wal *campaignWAL, takeovers *atomic.Int64) (*ShardOutcome, error) {
+	attempt := st.nextAttempt[i]
+	if sha, ok := st.sealed[i]; ok {
+		out, err := c.reopenSealed(wal.dir, i, sha)
+		if err == nil {
+			c.publishDone(i, attempt, out)
+			return out, nil
+		}
+		// The seal failed verification (tampered, truncated, lost): the
+		// shard's own journal still holds its history, so demote to a
+		// resumed re-run at the recorded attempt. No budget is charged —
+		// storage damage is not a shard failure.
+		c.publish(obs.Event{Type: obs.EvShardDead, App: -1, Shard: i, Attempt: attempt, Error: err.Error()})
+	}
+	for ; ; attempt++ {
+		// Journal the attempt BEFORE launching it: if we die mid-attempt
+		// the next incarnation re-runs this attempt number with resume
+		// semantics instead of treating the shard as untouched.
+		if err := wal.append(WALRecord{Type: walAttempt, Shard: i, Attempt: attempt}); err != nil {
+			return nil, err
+		}
 		c.supTel().Gauge(obs.MCoordShardAttempts(i)).Set(int64(attempt + 1))
 		out, err := c.runAttempt(ctx, i, attempt)
 		if err == nil {
 			if out == nil {
 				return nil, fmt.Errorf("runner returned no outcome")
+			}
+			if err := wal.seal(out, attempt); err != nil {
+				return nil, err
 			}
 			return out, nil
 		}
@@ -260,9 +323,22 @@ func (c *Coordinator) runShard(ctx context.Context, i int, takeovers *atomic.Int
 		if !consumeTakeover(takeovers, c.MaxTakeovers) {
 			return nil, fmt.Errorf("attempt %d failed with no takeover budget left: %w", attempt, err)
 		}
+		if werr := wal.append(WALRecord{Type: walTakeover, Shard: i, Attempt: attempt + 1, Error: err.Error()}); werr != nil {
+			return nil, werr
+		}
 		c.supTel().Counter(obs.MCoordTakeovers).Inc()
 		c.publish(obs.Event{Type: obs.EvShardTakeover, App: -1, Shard: i, Attempt: attempt + 1, Error: err.Error()})
 	}
+}
+
+// publishDone announces a shard's final outcome, whether an attempt just
+// produced it or a resumed coordinator reopened its seal.
+func (c *Coordinator) publishDone(i, attempt int, out *ShardOutcome) {
+	rng := c.Plan.Range(i)
+	c.publish(obs.Event{
+		Type: obs.EvShardDone, App: -1, Shard: i, Lo: rng.Lo, Hi: rng.Hi, Attempt: attempt,
+		Counts: out.Accounting.EventCounts(),
+	})
 }
 
 func (c *Coordinator) runAttempt(ctx context.Context, i, attempt int) (*ShardOutcome, error) {
@@ -296,18 +372,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, i, attempt int) (*ShardOut
 		}
 		return nil, err
 	}
-	c.publish(obs.Event{
-		Type: obs.EvShardDone, App: -1, Shard: i, Lo: rng.Lo, Hi: rng.Hi, Attempt: attempt,
-		Counts: &obs.EventCounts{
-			Apps:        int64(out.Accounting.TotalApps),
-			Completed:   int64(out.Accounting.Completed),
-			Skipped:     int64(out.Accounting.SkippedARMOnly),
-			Failed:      int64(out.Accounting.Failed),
-			Quarantined: int64(out.Accounting.Quarantined),
-			Attempts:    int64(out.Accounting.Attempts),
-			Retried:     int64(out.Accounting.Retried),
-		},
-	})
+	c.publishDone(i, attempt, out)
 	return out, nil
 }
 
@@ -392,9 +457,16 @@ func consumeTakeover(used *atomic.Int64, max int) bool {
 	}
 }
 
-// mergeOutcomes folds the per-shard outcomes into the campaign result.
-func (c *Coordinator) mergeOutcomes(outcomes []*ShardOutcome, takeovers int) (*CampaignOutcome, error) {
-	out := &CampaignOutcome{Takeovers: takeovers}
+// MergeOutcomes folds shard outcomes — passed in shard order and
+// covering the whole plan — into the campaign result: what Execute does
+// after its last shard finishes, and what a caller holding outcomes
+// gathered out-of-band (files written by shard processes it did not
+// supervise) calls directly.
+func MergeOutcomes(outcomes []*ShardOutcome) (*CampaignOutcome, error) {
+	if len(outcomes) == 0 {
+		return nil, fmt.Errorf("dispatch: no shard outcomes to merge")
+	}
+	out := &CampaignOutcome{}
 	snaps := make([]obs.Snapshot, 0, len(outcomes))
 	for i, o := range outcomes {
 		if o == nil {
@@ -406,7 +478,6 @@ func (c *Coordinator) mergeOutcomes(outcomes []*ShardOutcome, takeovers int) (*C
 		out.Partials = append(out.Partials, o.Partial)
 		out.Segments = append(out.Segments, o.Records)
 		snaps = append(snaps, o.Snapshot)
-		c.publish(obs.Event{Type: obs.EvMergeProgress, App: -1, Shard: o.Index, Done: i + 1, Total: len(outcomes)})
 	}
 	sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].AppIndex < out.Failures[j].AppIndex })
 	sort.Slice(out.Quarantined, func(i, j int) bool { return out.Quarantined[i].AppIndex < out.Quarantined[j].AppIndex })

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"libspector/internal/codec"
 	"libspector/internal/journal"
@@ -87,29 +87,14 @@ func WriteShardOutcome(path string, out *ShardOutcome) error {
 		return fmt.Errorf("dispatch: encoding shard outcome: %w", err)
 	}
 	data := codec.Seal(shardOutcomeMagic, body)
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	err = journal.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("dispatch: writing shard outcome: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: writing shard outcome: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: syncing shard outcome: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: closing shard outcome: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("dispatch: publishing shard outcome: %w", err)
-	}
-	return journal.SyncParentDir(path)
+	return nil
 }
 
 // ReadShardOutcome loads a shard outcome file written by

@@ -228,17 +228,42 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 	return f.events, nil
 }
 
-// Gather drains a stream, forwarding every event to the sinks, and
-// materializes the batch Result with runs in app-index order — the bridge
-// from the streaming API back to the original batch shape. On error the
-// returned Result still holds whatever completed before the stream ended,
-// so callers can report partial aggregates after a cancellation.
-func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
-	type indexedRun struct {
-		idx int
-		run *attribution.RunResult
+// RunCollector is the Sink that retains every completed run — what turns
+// Drain's ledger-only Result into the batch shape. A campaign that only
+// needs folded aggregates (a shard) leaves it out and never holds more
+// than the in-flight runs.
+type RunCollector struct {
+	runs []indexedRun
+}
+
+type indexedRun struct {
+	idx int
+	run *attribution.RunResult
+}
+
+// Consume implements Sink.
+func (c *RunCollector) Consume(ev RunEvent) error {
+	if ev.Kind == EventRun {
+		c.runs = append(c.runs, indexedRun{ev.AppIndex, ev.Run})
 	}
-	var runs []indexedRun
+	return nil
+}
+
+// Runs returns the retained runs in app-index order.
+func (c *RunCollector) Runs() []*attribution.RunResult {
+	sort.Slice(c.runs, func(i, j int) bool { return c.runs[i].idx < c.runs[j].idx })
+	var out []*attribution.RunResult
+	for _, r := range c.runs {
+		out = append(out, r.run)
+	}
+	return out
+}
+
+// Drain consumes a stream to its end, forwarding every event to the sinks
+// in order, and returns the closing summary as a Result without Runs. On
+// error the returned Result still holds whatever the summary reported, so
+// callers can account for a partial fleet after a cancellation.
+func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 	var summary *StreamSummary
 	var sinkErr error
 	for ev := range events {
@@ -250,18 +275,11 @@ func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 				sinkErr = err
 			}
 		}
-		switch ev.Kind {
-		case EventRun:
-			runs = append(runs, indexedRun{ev.AppIndex, ev.Run})
-		case EventSummary:
+		if ev.Kind == EventSummary {
 			summary = ev.Summary
 		}
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].idx < runs[j].idx })
 	res := &Result{}
-	for _, r := range runs {
-		res.Runs = append(res.Runs, r.run)
-	}
 	if summary != nil {
 		res.SkippedARMOnly = summary.SkippedARMOnly
 		res.Failures = summary.Failures
@@ -281,6 +299,17 @@ func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 		return res, sinkErr
 	}
 	return res, nil
+}
+
+// Gather is Drain plus a RunCollector: it materializes the batch Result
+// with runs in app-index order — the bridge from the streaming API back
+// to the original batch shape. On error the returned Result still holds
+// whatever completed before the stream ended.
+func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
+	collect := &RunCollector{}
+	res, err := Drain(events, append(sinks[:len(sinks):len(sinks)], collect)...)
+	res.Runs = collect.Runs()
+	return res, err
 }
 
 // fleetRun is the shared state of one streaming fleet execution.
@@ -444,15 +473,7 @@ feed:
 		bus.Publish(obs.Event{
 			Type: obs.EvFleetSummary, TS: f.tel.Now(), App: -1, Shard: -1,
 			Lo: lo, Hi: hi,
-			Counts: &obs.EventCounts{
-				Apps:        int64(numApps),
-				Completed:   int64(acct.Completed),
-				Skipped:     int64(acct.SkippedARMOnly),
-				Failed:      int64(acct.Failed),
-				Quarantined: int64(acct.Quarantined),
-				Attempts:    int64(acct.Attempts),
-				Retried:     int64(acct.Retried),
-			},
+			Counts: acct.EventCounts(),
 		})
 	}
 	f.emit(RunEvent{Kind: EventSummary, AppIndex: -1, Summary: sum})

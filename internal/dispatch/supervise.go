@@ -22,7 +22,7 @@ package dispatch
 //	            the attempt was already paid for).
 //	takeover  — one unit of campaign takeover budget was consumed for
 //	            shard i. Replayed on restart so the budget is NOT reset.
-//	sealed    — shard i's outcome was durably persisted to OutcomeDir,
+//	sealed    — shard i's outcome was durably persisted to the outcome dir,
 //	            with the sha256 of the sealed file. On restart the file
 //	            is re-verified against the recorded sha and re-decoded;
 //	            verification failure demotes the shard to a resumed
@@ -33,7 +33,6 @@ package dispatch
 //	            finished campaign from an interrupted one.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -42,10 +41,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"libspector/internal/journal"
-	"libspector/internal/obs"
 )
 
 // WAL record types.
@@ -81,16 +78,23 @@ var errWALCrash = errors.New("dispatch: injected coordinator crash at WAL record
 
 // campaignWAL serializes appends from concurrent shard supervisors onto
 // one frame writer and tracks the record count for the observer/crash
-// hooks.
+// hooks. A nil *campaignWAL is the unsupervised campaign's log: appends,
+// seals, and close are no-ops, so the coordinator runs one loop whether
+// or not anything is journaled.
 type campaignWAL struct {
-	mu         sync.Mutex
-	fw         *journal.FrameWriter
+	mu sync.Mutex
+	fw *journal.FrameWriter
+	// dir is where sealed shard outcomes are persisted.
+	dir        string
 	records    int
 	observer   func(int)
 	crashAfter int
 }
 
 func (w *campaignWAL) append(rec WALRecord) error {
+	if w == nil {
+		return nil
+	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("dispatch: encoding WAL record: %w", err)
@@ -110,7 +114,31 @@ func (w *campaignWAL) append(rec WALRecord) error {
 	return nil
 }
 
-func (w *campaignWAL) close() error { return w.fw.Close() }
+// seal persists a finished shard's outcome to the outcome dir and
+// journals its sha256, so a restarted coordinator can verify the bytes
+// before trusting them.
+func (w *campaignWAL) seal(out *ShardOutcome, attempt int) error {
+	if w == nil {
+		return nil
+	}
+	path := outcomePath(w.dir, out.Index)
+	if err := WriteShardOutcome(path, out); err != nil {
+		return err
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("dispatch: rereading sealed outcome: %w", err)
+	}
+	sum := sha256.Sum256(data)
+	return w.append(WALRecord{Type: walSealed, Shard: out.Index, Attempt: attempt, OutcomeSHA: hex.EncodeToString(sum[:])})
+}
+
+func (w *campaignWAL) close() error {
+	if w == nil {
+		return nil
+	}
+	return w.fw.Close()
+}
 
 // walState is what a recovered WAL says about the campaign.
 type walState struct {
@@ -135,8 +163,14 @@ type walState struct {
 // are tolerated exactly like the run journal's; interior corruption
 // returns *journal.CorruptError.
 func ReplayWAL(data []byte) ([]WALRecord, error) {
-	var recs []WALRecord
-	_, _, err := journal.WalkFrames(data, func(off int64, index int, payload []byte) error {
+	recs, _, err := replayWAL(data)
+	return recs, err
+}
+
+// replayWAL is ReplayWAL plus the byte length of the intact prefix (the
+// truncation point for reopening).
+func replayWAL(data []byte) (recs []WALRecord, validLen int64, err error) {
+	validLen, _, err = journal.WalkFrames(data, func(off int64, index int, payload []byte) error {
 		var rec WALRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return &journal.CorruptError{Offset: off, Record: index, Reason: fmt.Sprintf("undecodable WAL payload: %v", err)}
@@ -145,43 +179,36 @@ func ReplayWAL(data []byte) ([]WALRecord, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return recs, nil
+	return recs, validLen, nil
 }
 
-// recoverWALState folds a WAL image into walState, verifying the header
-// against this coordinator's plan, and returns the byte length of the
-// intact prefix (the truncation point for reopening).
-func (c *Coordinator) recoverWALState(data []byte) (*walState, int64, error) {
-	st := &walState{
-		nextAttempt: make([]int, c.Plan.Shards),
-		sealed:      make(map[int]string),
+// recoverWALState folds a WAL image into a fresh walState, verifying the
+// header against this coordinator's plan, and returns the byte length of
+// the intact prefix.
+func (c *Coordinator) recoverWALState(st *walState, data []byte) (int64, error) {
+	recs, validLen, err := replayWAL(data)
+	if err != nil {
+		return 0, err
 	}
-	sawHeader := false
-	validLen, _, err := journal.WalkFrames(data, func(off int64, index int, payload []byte) error {
-		var rec WALRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return &journal.CorruptError{Offset: off, Record: index, Reason: fmt.Sprintf("undecodable WAL payload: %v", err)}
-		}
-		if index == 0 {
-			if rec.Type != walCampaign {
-				return fmt.Errorf("dispatch: WAL does not start with a campaign record (got %q)", rec.Type)
-			}
-			if rec.Fingerprint != c.Fingerprint || rec.Apps != c.Plan.TotalApps || rec.Shards != c.Plan.Shards || rec.Workers != c.Plan.Workers {
-				return fmt.Errorf("dispatch: WAL belongs to a different campaign (fingerprint %s, %d apps / %d shards / %d workers; want %s, %d/%d/%d)",
-					rec.Fingerprint, rec.Apps, rec.Shards, rec.Workers,
-					c.Fingerprint, c.Plan.TotalApps, c.Plan.Shards, c.Plan.Workers)
-			}
-			sawHeader = true
-			st.records++
-			return nil
+	if len(recs) == 0 {
+		return 0, fmt.Errorf("dispatch: WAL %s holds no campaign record", c.WAL)
+	}
+	st.records = len(recs)
+	if hdr := recs[0]; hdr.Type != walCampaign {
+		return 0, fmt.Errorf("dispatch: WAL does not start with a campaign record (got %q)", hdr.Type)
+	} else if hdr.Fingerprint != c.Fingerprint || hdr.Apps != c.Plan.TotalApps || hdr.Shards != c.Plan.Shards || hdr.Workers != c.Plan.Workers {
+		return 0, fmt.Errorf("dispatch: WAL belongs to a different campaign (fingerprint %s, %d apps / %d shards / %d workers; want %s, %d/%d/%d)",
+			hdr.Fingerprint, hdr.Apps, hdr.Shards, hdr.Workers,
+			c.Fingerprint, c.Plan.TotalApps, c.Plan.Shards, c.Plan.Workers)
+	}
+	for n, rec := range recs[1:] {
+		if (rec.Type == walAttempt || rec.Type == walSealed) && (rec.Shard < 0 || rec.Shard >= c.Plan.Shards) {
+			return 0, fmt.Errorf("dispatch: WAL %s record for shard %d outside plan of %d", rec.Type, rec.Shard, c.Plan.Shards)
 		}
 		switch rec.Type {
 		case walAttempt:
-			if rec.Shard < 0 || rec.Shard >= c.Plan.Shards {
-				return fmt.Errorf("dispatch: WAL attempt record for shard %d outside plan of %d", rec.Shard, c.Plan.Shards)
-			}
 			st.nextAttempt[rec.Shard] = rec.Attempt
 		case walTakeover:
 			st.takeovers++
@@ -194,61 +221,45 @@ func (c *Coordinator) recoverWALState(data []byte) (*walState, int64, error) {
 				st.nextAttempt[rec.Shard] = rec.Attempt
 			}
 		case walSealed:
-			if rec.Shard < 0 || rec.Shard >= c.Plan.Shards {
-				return fmt.Errorf("dispatch: WAL sealed record for shard %d outside plan of %d", rec.Shard, c.Plan.Shards)
-			}
 			st.sealed[rec.Shard] = rec.OutcomeSHA
 		case walDone:
 			st.done = true
 		default:
-			return fmt.Errorf("dispatch: WAL record %d has unknown type %q", index, rec.Type)
+			return 0, fmt.Errorf("dispatch: WAL record %d has unknown type %q", n+1, rec.Type)
 		}
-		st.records++
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
 	}
-	if !sawHeader {
-		return nil, 0, fmt.Errorf("dispatch: WAL %s holds no campaign record", c.WAL)
-	}
-	return st, validLen, nil
+	return validLen, nil
 }
 
-// openWAL creates a fresh WAL or recovers an existing one (Resume).
-// Without Resume an existing WAL is truncated — the same start-over
-// semantics journal.Create applies to shard journals, so a non-resume
-// relaunch means the same thing at every layer.
+// openWAL opens the campaign's supervision log and the state it implies.
+// Without a WAL path that is the nil log and a fresh campaign's state.
+// With Resume an existing WAL is recovered (torn tail dropped, appends
+// continue from the intact prefix); without it an existing WAL is
+// truncated — the same start-over semantics journal.Create applies to
+// shard journals, so a non-resume relaunch means the same thing at every
+// layer.
 func (c *Coordinator) openWAL() (*campaignWAL, *walState, error) {
+	st := &walState{
+		nextAttempt: make([]int, c.Plan.Shards),
+		sealed:      make(map[int]string),
+	}
+	if c.WAL == "" {
+		return nil, st, nil
+	}
+	wal := &campaignWAL{dir: c.WAL + ".outcomes", observer: c.WALObserver, crashAfter: c.CrashAfterWALRecords}
+	if err := os.MkdirAll(wal.dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("dispatch: creating outcome dir: %w", err)
+	}
+	// Coordinator events are rare: fsync each one.
+	opts := journal.Options{SyncEvery: 1}
 	if _, err := os.Stat(c.WAL); err == nil && c.Resume {
-		data, err := os.ReadFile(c.WAL)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dispatch: reading WAL: %w", err)
-		}
-		st, validLen, err := c.recoverWALState(data)
+		wal.fw, err = journal.RecoverFrameLog(c.WAL, opts, func(data []byte) (int64, error) {
+			return c.recoverWALState(st, data)
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		f, err := os.OpenFile(c.WAL, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dispatch: reopening WAL: %w", err)
-		}
-		// Drop the torn tail a dying coordinator may have left, then
-		// append from the intact prefix.
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("dispatch: truncating WAL torn tail: %w", err)
-		}
-		if _, err := f.Seek(validLen, 0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("dispatch: seeking WAL append point: %w", err)
-		}
-		wal := &campaignWAL{
-			fw:         journal.NewFrameWriter(f, journal.Options{SyncEvery: 1}),
-			records:    st.records,
-			observer:   c.WALObserver,
-			crashAfter: c.CrashAfterWALRecords,
-		}
+		wal.records = st.records
 		return wal, st, nil
 	} else if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("dispatch: probing WAL: %w", err)
@@ -257,34 +268,23 @@ func (c *Coordinator) openWAL() (*campaignWAL, *walState, error) {
 	// — a coordinator killed before its first fsynced record; starting
 	// fresh is exactly what resuming that campaign means, and the
 	// fingerprint header catches wrong-path mixups on the next resume).
-	f, err := os.OpenFile(c.WAL, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dispatch: creating WAL: %w", err)
-	}
-	wal := &campaignWAL{
-		fw:         journal.NewFrameWriter(f, journal.Options{SyncEvery: 1}),
-		observer:   c.WALObserver,
-		crashAfter: c.CrashAfterWALRecords,
-	}
-	if err := wal.append(WALRecord{
+	header, err := json.Marshal(WALRecord{
 		Type:        walCampaign,
 		Fingerprint: c.Fingerprint,
 		Apps:        c.Plan.TotalApps,
 		Shards:      c.Plan.Shards,
 		Workers:     c.Plan.Workers,
 		Shard:       -1,
-	}); err != nil {
-		wal.close()
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("dispatch: encoding WAL record: %w", err)
+	}
+	if wal.fw, err = journal.CreateFrameLog(c.WAL, header, opts); err != nil {
 		return nil, nil, err
 	}
-	if err := journal.SyncParentDir(c.WAL); err != nil {
-		wal.close()
-		return nil, nil, err
-	}
-	st := &walState{
-		nextAttempt: make([]int, c.Plan.Shards),
-		sealed:      make(map[int]string),
-		records:     1,
+	wal.records, st.records = 1, 1
+	if wal.observer != nil {
+		wal.observer(1)
 	}
 	return wal, st, nil
 }
@@ -292,22 +292,6 @@ func (c *Coordinator) openWAL() (*campaignWAL, *walState, error) {
 // outcomePath is where shard i's sealed outcome lives.
 func outcomePath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.outcome", i))
-}
-
-// sealOutcome persists one finished shard's outcome and returns the
-// sha256 hex of the sealed file, recorded in the WAL so a restarted
-// coordinator can verify the bytes before trusting them.
-func sealOutcome(dir string, out *ShardOutcome) (string, error) {
-	path := outcomePath(dir, out.Index)
-	if err := WriteShardOutcome(path, out); err != nil {
-		return "", err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", fmt.Errorf("dispatch: rereading sealed outcome: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // reopenSealed re-verifies and decodes a previously sealed shard
@@ -333,124 +317,4 @@ func (c *Coordinator) reopenSealed(dir string, i int, wantSHA string) (*ShardOut
 			path, out.Index, out.Range, i, c.Plan.Range(i))
 	}
 	return out, nil
-}
-
-// executeSupervised is Execute in WAL mode: every shard attempt,
-// takeover, and sealed outcome is journaled before it takes effect, so
-// killing the coordinator at ANY record boundary leaves a resumable
-// campaign that converges to the uninterrupted result.
-func (c *Coordinator) executeSupervised(ctx context.Context) (*CampaignOutcome, error) {
-	dir := c.OutcomeDir
-	if dir == "" {
-		dir = c.WAL + ".outcomes"
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dispatch: creating outcome dir: %w", err)
-	}
-	wal, st, err := c.openWAL()
-	if err != nil {
-		return nil, err
-	}
-	defer wal.close()
-
-	outcomes := make([]*ShardOutcome, c.Plan.Shards)
-	errs := make([]error, c.Plan.Shards)
-	var takeovers atomic.Int64
-	takeovers.Store(int64(st.takeovers))
-	var wg sync.WaitGroup
-	for i := 0; i < c.Plan.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outcomes[i], errs[i] = c.superviseShard(ctx, dir, i, st, wal, &takeovers)
-		}(i)
-	}
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("dispatch: shard %d: %w", i, err)
-		}
-	}
-	res, err := c.mergeOutcomes(outcomes, int(takeovers.Load()))
-	if err != nil {
-		return nil, err
-	}
-	// Recorded after the merge succeeds; a coordinator killed mid-merge
-	// resumes with every shard sealed and re-merges idempotently.
-	if !st.done {
-		if err := wal.append(WALRecord{Type: walDone, Shard: -1}); err != nil {
-			return nil, err
-		}
-	}
-	if err := wal.close(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// superviseShard drives one shard under the WAL: verify-and-reuse a
-// sealed outcome, or (re)launch attempts — journaling each one before
-// it runs and each takeover before the relaunch — until the shard
-// completes and its outcome is sealed.
-func (c *Coordinator) superviseShard(ctx context.Context, dir string, i int, st *walState, wal *campaignWAL, takeovers *atomic.Int64) (*ShardOutcome, error) {
-	attempt := st.nextAttempt[i]
-	if sha, ok := st.sealed[i]; ok {
-		out, err := c.reopenSealed(dir, i, sha)
-		if err == nil {
-			rng := c.Plan.Range(i)
-			c.publish(obs.Event{
-				Type: obs.EvShardDone, App: -1, Shard: i, Lo: rng.Lo, Hi: rng.Hi, Attempt: attempt,
-				Counts: &obs.EventCounts{
-					Apps:        int64(out.Accounting.TotalApps),
-					Completed:   int64(out.Accounting.Completed),
-					Skipped:     int64(out.Accounting.SkippedARMOnly),
-					Failed:      int64(out.Accounting.Failed),
-					Quarantined: int64(out.Accounting.Quarantined),
-					Attempts:    int64(out.Accounting.Attempts),
-					Retried:     int64(out.Accounting.Retried),
-				},
-			})
-			return out, nil
-		}
-		// The seal failed verification (tampered, truncated, lost): the
-		// shard's own journal still holds its history, so demote to a
-		// resumed re-run at the recorded attempt. No budget is charged —
-		// storage damage is not a shard failure.
-		c.publish(obs.Event{Type: obs.EvShardDead, App: -1, Shard: i, Attempt: attempt, Error: err.Error()})
-	}
-	for ; ; attempt++ {
-		// Journal the attempt BEFORE launching it: if we die mid-attempt
-		// the next incarnation re-runs this attempt number with resume
-		// semantics instead of treating the shard as untouched.
-		if err := wal.append(WALRecord{Type: walAttempt, Shard: i, Attempt: attempt}); err != nil {
-			return nil, err
-		}
-		c.supTel().Gauge(obs.MCoordShardAttempts(i)).Set(int64(attempt + 1))
-		out, err := c.runAttempt(ctx, i, attempt)
-		if err == nil {
-			if out == nil {
-				return nil, fmt.Errorf("runner returned no outcome")
-			}
-			sha, err := sealOutcome(dir, out)
-			if err != nil {
-				return nil, err
-			}
-			if err := wal.append(WALRecord{Type: walSealed, Shard: i, Attempt: attempt, OutcomeSHA: sha}); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		if !consumeTakeover(takeovers, c.MaxTakeovers) {
-			return nil, fmt.Errorf("attempt %d failed with no takeover budget left: %w", attempt, err)
-		}
-		if werr := wal.append(WALRecord{Type: walTakeover, Shard: i, Attempt: attempt + 1, Error: err.Error()}); werr != nil {
-			return nil, werr
-		}
-		c.supTel().Counter(obs.MCoordTakeovers).Inc()
-		c.publish(obs.Event{Type: obs.EvShardTakeover, App: -1, Shard: i, Attempt: attempt + 1, Error: err.Error()})
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 )
@@ -32,8 +33,64 @@ type FrameWriter struct {
 	tearNext  bool
 }
 
-// NewFrameWriter wraps an open file positioned at its append point.
-func NewFrameWriter(f *os.File, opts Options) *FrameWriter {
+// CreateFrameLog truncates (or creates) the frame log at path and writes
+// header as its first, immediately-synced frame. The header is then
+// durable in the file; the parent-directory fsync makes the file itself
+// durable, or a crash right here would lose the whole log.
+func CreateFrameLog(path string, header []byte, opts Options) (*FrameWriter, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: creating %s: %w", path, err)
+	}
+	w := newFrameWriter(f, opts)
+	err = w.Append(header)
+	if err == nil {
+		err = w.Sync()
+	}
+	if err == nil {
+		err = SyncParentDir(path)
+	}
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
+// RecoverFrameLog reopens an existing frame log for appending — the
+// restart path. replay decodes the file image with the owner's record
+// schema and returns the byte length of its intact prefix (WalkFrames'
+// validLen); any torn tail a crash mid-append left beyond it is
+// truncated, and the writer is positioned there. An error from replay —
+// interior corruption, a foreign header — aborts the recovery untouched.
+func RecoverFrameLog(path string, opts Options, replay func(data []byte) (validLen int64, err error)) (*FrameWriter, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("journal: reading %s: %w", path, err)
+	}
+	validLen, err := replay(data)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: reopening %s: %w", path, err)
+	}
+	if validLen < int64(len(data)) {
+		if err := f.Truncate(validLen); err != nil {
+			_ = f.Close()
+			return nil, fmt.Errorf("journal: truncating torn tail: %w", err)
+		}
+	}
+	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("journal: seeking to valid end: %w", err)
+	}
+	return newFrameWriter(f, opts), nil
+}
+
+// newFrameWriter wraps an open file positioned at its append point.
+func newFrameWriter(f *os.File, opts Options) *FrameWriter {
 	se := opts.SyncEvery
 	if se <= 0 {
 		se = DefaultSyncEvery

@@ -2,9 +2,43 @@ package journal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
+
+// WriteFileAtomic commits a whole file by the rename discipline every
+// campaign output follows: fill writes the content into a temp sibling,
+// which is fsynced, renamed onto path, and made durable by a
+// parent-directory fsync. A crash at any point leaves either the old
+// file or the new one — never a torn mix — plus at worst a stray
+// "<name>.tmp-*" sibling that no reader looks at.
+func WriteFileAtomic(path string, fill func(w io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	// CreateTemp's 0600 suits scratch files; a campaign output is read by
+	// other tools and users like any file os.Create would have made.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		err = fill(tmp)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	return SyncParentDir(path)
+}
 
 // SyncDir fsyncs a directory. Every writer in the pipeline that commits
 // state by rename — artifact runs, shard outcome files, the resultstore,

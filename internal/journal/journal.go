@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"time"
 )
@@ -225,26 +224,15 @@ type Writer struct {
 // Create truncates (or creates) the journal at path and writes the
 // campaign header as its first, immediately-synced record.
 func Create(path string, hdr Header, opts Options) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	payload, err := json.Marshal(Record{Type: TypeCampaign, Seed: hdr.Seed, Fingerprint: hdr.Fingerprint, Apps: hdr.Apps, ShardLo: hdr.ShardLo, ShardHi: hdr.ShardHi})
 	if err != nil {
-		return nil, fmt.Errorf("journal: creating %s: %w", path, err)
+		return nil, fmt.Errorf("journal: encoding record: %w", err)
 	}
-	w := newWriter(f, opts)
-	if err := w.Append(Record{Type: TypeCampaign, Seed: hdr.Seed, Fingerprint: hdr.Fingerprint, Apps: hdr.Apps, ShardLo: hdr.ShardLo, ShardHi: hdr.ShardHi}); err != nil {
-		_ = f.Close()
+	fw, err := CreateFrameLog(path, payload, opts)
+	if err != nil {
 		return nil, err
 	}
-	if err := w.Sync(); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	// The header is durable in the file; make the file itself durable in
-	// its directory, or a crash right here loses the whole journal.
-	if err := SyncParentDir(path); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	return w, nil
+	return &Writer{fw: fw}, nil
 }
 
 // Recover replays an existing journal, truncates any torn tail left by a
@@ -252,33 +240,19 @@ func Create(path string, hdr Header, opts Options) (*Writer, error) {
 // path. Mid-file corruption is not recoverable and surfaces as a
 // *CorruptError.
 func Recover(path string, opts Options) (*Writer, *Replay, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: reading %s: %w", path, err)
-	}
-	replay, err := ReplayBytes(data)
+	var replay *Replay
+	fw, err := RecoverFrameLog(path, opts, func(data []byte) (int64, error) {
+		r, err := ReplayBytes(data)
+		if err != nil {
+			return 0, err
+		}
+		replay = r
+		return r.ValidLen, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: reopening %s: %w", path, err)
-	}
-	if replay.TornBytes > 0 {
-		if err := f.Truncate(replay.ValidLen); err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(replay.ValidLen, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("journal: seeking to valid end: %w", err)
-	}
-	return newWriter(f, opts), replay, nil
-}
-
-func newWriter(f *os.File, opts Options) *Writer {
-	return &Writer{fw: NewFrameWriter(f, opts)}
+	return &Writer{fw: fw}, replay, nil
 }
 
 // Append frames, checksums, and writes one record, fsyncing when the

@@ -4,9 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 	"sync"
+
+	"libspector/internal/journal"
 )
 
 // EventLog is a lossless bus tap that records the deterministic
@@ -88,15 +89,9 @@ func (l *EventLog) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteFile writes the JSONL log to path (0644, truncating).
+// WriteFile commits the JSONL log to path atomically and durably (temp
+// sibling, fsync, rename, directory fsync): a sealed shard outcome
+// presupposes its event log, so the log must survive the same crashes.
 func (l *EventLog) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := l.WriteJSONL(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
+	return journal.WriteFileAtomic(path, l.WriteJSONL)
 }

@@ -26,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"time"
 
 	"libspector/internal/analysis"
@@ -91,17 +90,17 @@ type Config struct {
 	// clean completion, and is byte-identical whether the campaign ran as
 	// a single process or as any N-shard split of the same seed.
 	ResultStore string
-	// CoordinatorWAL, when set, makes sharded campaigns (RunSharded)
-	// supervised: the coordinator journals shard attempts, takeover
-	// budget, and sealed outcomes to this path, so a killed coordinator
-	// restarted with Resume picks the campaign up — sealed shards are
-	// verified and reused, in-flight shards resume from their own
-	// journals, and the takeover budget is not reset. Sealed outcomes
-	// live next to it at CoordinatorWAL + ".outcomes".
+	// CoordinatorWAL, when set, makes sharded campaigns (RunSharded,
+	// RunShardProcesses) crash-safe: the coordinator journals shard
+	// attempts, takeover budget, and sealed outcomes to this path, so a
+	// killed coordinator restarted with Resume picks the campaign up —
+	// sealed shards are verified and reused, in-flight shards resume from
+	// their own journals, and the takeover budget is not reset. Sealed
+	// outcomes live next to it at CoordinatorWAL + ".outcomes".
 	CoordinatorWAL string
 	// ChaosKillAfterRuns, when > 0, SIGKILLs the process after that many
-	// apps reach a terminal outcome in a shard run — the process-level
-	// chaos hook fleetscan's -chaos-kill mode passes to shard children.
+	// apps reach a terminal outcome — the process-level chaos hook
+	// RunShardProcesses' chaos schedule passes to shard children.
 	// The kill is a real SIGKILL: no flushes, no deferred cleanup, only
 	// what the journal already fsynced survives.
 	ChaosKillAfterRuns int
@@ -254,29 +253,24 @@ func (e *Experiment) emulatorOptions() emulator.Options {
 }
 
 // buildFleetConfig assembles the dispatch configuration for one fleet
-// execution. Whole-corpus runs pass the experiment's own telemetry and
-// attributor with the zero shard range; sharded campaigns pass a
-// per-shard worker slice, a per-shard telemetry registry (so shard
-// snapshots merge back to the single-process one), a per-shard
-// attributor, and the shard's app-index range. The retry clock and fault
-// injector are built fresh per fleet: both are deterministic functions of
-// the seed, so every shard reproduces exactly the single-process behavior
-// for its indices.
-func (e *Experiment) buildFleetConfig(workers int, tel *obs.Telemetry, attr *attribution.Attributor, shard dispatch.ShardRange) (dispatch.Config, error) {
+// execution from its spec. The retry clock and fault injector are built
+// fresh per fleet: both are deterministic functions of the seed, so every
+// shard reproduces exactly the single-process behavior for its indices.
+func (e *Experiment) buildFleetConfig(spec fleetSpec) (dispatch.Config, error) {
 	cfg := dispatch.Config{
-		Workers:         workers,
+		Workers:         spec.workers,
 		Emulator:        e.emulatorOptions(),
 		BaseSeed:        e.cfg.Seed,
 		UseCollector:    e.cfg.UseCollector,
 		UseStore:        e.cfg.UseStore,
 		Detector:        e.detector,
-		Attributor:      attr,
+		Attributor:      spec.attr,
 		ContinueOnError: e.cfg.ContinueOnError,
 		RunTimeout:      e.cfg.RunTimeout,
 		MaxAttempts:     e.cfg.MaxAttempts,
 		RetryBackoff:    e.cfg.RetryBackoff,
-		Telemetry:       tel,
-		Shard:           shard,
+		Telemetry:       spec.tel,
+		Shard:           spec.rng,
 	}
 	if e.cfg.RetryBackoff > 0 {
 		// Retry backoff advances a fleet-owned virtual clock instead of
@@ -352,45 +346,126 @@ func (e *Experiment) campaignHeader(shard dispatch.ShardRange) journal.Header {
 	}
 }
 
-// Run executes the fleet over the whole corpus and builds the analysis
-// dataset. It is not safe to call concurrently with itself.
-func (e *Experiment) Run() error {
-	return e.RunContext(context.Background())
+// runFold is what the two per-worker fold types share: the
+// record-retaining analysis.DatasetBuilder a whole-corpus run finishes
+// into a Dataset, and the sealable analysis.Accumulator a shard ships to
+// its coordinator as an encoded partial.
+type runFold interface {
+	Observe(appIndex int, run *attribution.RunResult) error
 }
 
-// RunContext executes the fleet as a streaming pipeline under the given
-// context, folding results through an analysis.DatasetBuilder as they
-// complete and forwarding every stream event to the optional sinks (live
-// progress, custom persistence). One pass builds both the record set and
-// the figure aggregates — there is no second sweep over retained runs.
-// Cancelling ctx stops the fleet within one in-flight app per worker;
-// whatever completed before the cancellation is still aggregated, so
-// Result, Dataset, and Aggregates hold the partial view alongside the
-// returned error.
-func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) error {
-	cfg, err := e.buildFleetConfig(e.cfg.Workers, e.cfg.Telemetry, e.attributor, dispatch.ShardRange{})
+// fleetSpec is everything that distinguishes one fleet execution of this
+// experiment from another. A whole-corpus run is the shard whose range is
+// the corpus: index -1, the zero range, the experiment's own telemetry
+// and attributor, and the un-suffixed durability paths. A shard carries a
+// per-shard worker slice, telemetry registry (so shard snapshots merge
+// back to the single-process one), attributor, and paths.
+type fleetSpec struct {
+	// index is the shard index stamped on analysis.fold ranking events so
+	// a dashboard can merge per-shard views (-1 = whole corpus).
+	index int
+	rng   dispatch.ShardRange
+	// workers is the resolved worker count (> 0): one fold per worker.
+	workers int
+	tel     *obs.Telemetry
+	attr    *attribution.Attributor
+	// artifactDir and journal are this fleet's own store and log ("" =
+	// off); resume replays the journal instead of truncating it.
+	artifactDir string
+	journal     string
+	resume      bool
+}
+
+// runFleet is the one campaign engine: every fleet execution — whole
+// corpus or one shard of it, fresh or resumed — attaches its artifact
+// store and journal, installs one analysis fold per worker, streams the
+// range through dispatch.Stream, drains the events into the sinks, and
+// closes the journal. Every completed run folds into its worker's own
+// fold on the worker goroutine — the hot path never contends on a shared
+// accumulator — and the caller combines the returned folds (worker-index
+// order) afterwards; records is the flattened attribution record set when
+// the campaign writes a result store.
+//
+// A nil Result means the fleet never started. Otherwise everything
+// returned is valid alongside a non-nil error: after a cancellation or
+// failure it holds whatever completed, so callers can report partial
+// aggregates.
+func runFleet[F runFold](ctx context.Context, e *Experiment, spec fleetSpec, newFold func() (F, error), sinks ...dispatch.Sink) (res *dispatch.Result, folds []F, records *dispatch.RecordSink, err error) {
+	cfg, err := e.buildFleetConfig(spec)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	if e.cfg.ArtifactDir != "" {
-		artifacts, err := attachArtifacts(&cfg, e.cfg.ArtifactDir)
+	if spec.artifactDir != "" {
+		artifacts, err := attachArtifacts(&cfg, spec.artifactDir)
 		if err != nil {
-			return fmt.Errorf("libspector: %w", err)
+			return nil, nil, nil, fmt.Errorf("libspector: %w", err)
 		}
 		sinks = append(sinks, artifacts)
 	}
-	if e.cfg.Journal != "" {
-		hdr := e.campaignHeader(dispatch.ShardRange{})
-		if err := attachJournal(&cfg, e.cfg.Journal, hdr, e.cfg.Resume); err != nil {
-			return err
-		}
-	}
-	var records *dispatch.RecordSink
 	if e.cfg.ResultStore != "" {
 		records = dispatch.NewRecordSink()
 		sinks = append(sinks, records)
 	}
-	folds := e.installWorkerFolds(&cfg)
+	if n := e.cfg.ChaosKillAfterRuns; n > 0 {
+		// The chaos kill hook: die — really die, SIGKILL — after n terminal
+		// outcomes. Unsynced journal frames are lost exactly as a real
+		// crash loses them; the takeover attempt resumes from whatever the
+		// journal fsynced.
+		terminal := 0
+		sinks = append(sinks, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+			if ev.Kind != dispatch.EventSummary {
+				if terminal++; terminal >= n {
+					faults.KillSelf()
+				}
+			}
+			return nil
+		}))
+	}
+
+	// Slot w of folds and foldErrs is owned by worker w's goroutine while
+	// the stream runs; the events channel closes only after every worker
+	// joins, so once Drain returns the slots are quiescent.
+	folds = make([]F, spec.workers)
+	foldErrs := make([]error, spec.workers)
+	for w := range folds {
+		if folds[w], err = newFold(); err != nil {
+			return nil, nil, nil, fmt.Errorf("libspector: %w", err)
+		}
+	}
+	tel := spec.tel
+	// One fleet-wide ranking tracker feeds analysis.fold bus events; inert
+	// (one atomic load per run) when no bus is attached.
+	tracker := newFoldTracker(tel, spec.index)
+	cfg.WorkerFold = func(w int) func(dispatch.RunEvent) {
+		fold := folds[w]
+		// The worker's dispatch root span has already ended when the fold
+		// runs, so the analysis-fold span lands last on the app's trace.
+		return func(ev dispatch.RunEvent) {
+			if ev.Kind != dispatch.EventRun || ev.Run == nil {
+				return
+			}
+			var foldErr error
+			if tel != nil {
+				span := tel.Trace(dispatch.TraceID(ev.AppIndex)).Span(obs.SpanAnalysisFold, tel.Now())
+				foldErr = fold.Observe(ev.AppIndex, ev.Run)
+				span.AttrInt("flows", int64(len(ev.Run.Flows))).End(tel.Now())
+				tel.Counter(obs.MAnalysisFolds).Inc()
+				tel.Counter(obs.MAnalysisFlowsFolded).Add(int64(len(ev.Run.Flows)))
+			} else {
+				foldErr = fold.Observe(ev.AppIndex, ev.Run)
+			}
+			if foldErr != nil && foldErrs[w] == nil {
+				foldErrs[w] = foldErr
+			}
+			tracker.observe(ev.Run)
+		}
+	}
+
+	if spec.journal != "" {
+		if err := attachJournal(&cfg, spec.journal, e.campaignHeader(spec.rng), spec.resume); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	events, err := dispatch.Stream(ctx, e.world, e.world.Resolver, cfg)
 	if err != nil {
 		if cfg.Journal != nil {
@@ -400,25 +475,69 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 				err = fmt.Errorf("%w (journal close: %v)", err, cerr)
 			}
 		}
-		return fmt.Errorf("libspector: fleet run: %w", err)
+		return nil, nil, nil, fmt.Errorf("libspector: fleet run: %w", err)
 	}
-	res, runErr := dispatch.Gather(events, sinks...)
-	e.result = res
+	res, err = dispatch.Drain(events, sinks...)
 	if cfg.Journal != nil {
 		// Close syncs; a journal that cannot reach disk fails the run so
 		// the operator never trusts an unsynced WAL.
-		if cerr := cfg.Journal.Close(); cerr != nil && runErr == nil {
-			runErr = cerr
+		if cerr := cfg.Journal.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
-	// Gather has returned, so every worker has joined: the per-worker
-	// builders are quiescent and safe to merge on this goroutine.
-	builder, foldErr := folds.merge(e.domains)
-	if foldErr != nil && runErr == nil {
-		runErr = foldErr
+	for _, foldErr := range foldErrs {
+		if foldErr != nil && err == nil {
+			err = foldErr
+		}
 	}
-	if builder == nil {
-		return fmt.Errorf("libspector: fleet run: %w", runErr)
+	return res, folds, records, err
+}
+
+// Run executes the fleet over the whole corpus and builds the analysis
+// dataset. It is not safe to call concurrently with itself.
+func (e *Experiment) Run() error {
+	return e.RunContext(context.Background())
+}
+
+// RunContext executes the fleet as a streaming pipeline under the given
+// context, folding results through per-worker analysis.DatasetBuilders as
+// they complete and forwarding every stream event to the optional sinks
+// (live progress, custom persistence). One pass builds both the record
+// set and the figure aggregates — there is no second sweep over retained
+// runs. Cancelling ctx stops the fleet within one in-flight app per
+// worker; whatever completed before the cancellation is still aggregated,
+// so Result, Dataset, and Aggregates hold the partial view alongside the
+// returned error.
+func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) error {
+	// The whole-corpus run is the shard whose range is the corpus, plus
+	// what only it needs: record-retaining folds and the retained runs
+	// behind Result.
+	collect := &dispatch.RunCollector{}
+	res, builders, records, runErr := runFleet(ctx, e, fleetSpec{
+		index:       -1,
+		workers:     e.resolvedWorkers(),
+		tel:         e.cfg.Telemetry,
+		attr:        e.attributor,
+		artifactDir: e.cfg.ArtifactDir,
+		journal:     e.cfg.Journal,
+		resume:      e.cfg.Resume,
+	}, func() (*analysis.DatasetBuilder, error) {
+		return analysis.NewDatasetBuilder(e.domains)
+	}, append(sinks[:len(sinks):len(sinks)], collect)...)
+	if res == nil {
+		return runErr
+	}
+	res.Runs = collect.Runs()
+	e.result = res
+	// Merge the per-worker builders in worker-index order (so the merged
+	// symbol numbering is a deterministic function of which worker folded
+	// which apps). The resolved dataset is invariant under the
+	// partitioning itself — see TestDatasetBuilderMergeMatchesSingleBuilder.
+	builder := builders[0]
+	for _, b := range builders[1:] {
+		if err := builder.MergeFrom(b); err != nil && runErr == nil {
+			runErr = err
+		}
 	}
 
 	// Even after a cancellation or failure, resolve what did complete so
@@ -446,113 +565,8 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 	}
 	// Terminal event only on a clean finish, after durability: a consumer
 	// seeing campaign.done may trust the result store and figures.
-	if res != nil {
-		publishCampaignDone(e.cfg.Telemetry, res.Accounting)
-	}
+	publishCampaignDone(e.cfg.Telemetry, res.Accounting)
 	return nil
-}
-
-// workerFolds holds the per-worker dataset builders the fleet's
-// WorkerFold hook populates. Each slot is owned by exactly one worker
-// goroutine while the stream runs; the events channel closes only after
-// every worker joins, so once Gather returns the slots are quiescent.
-type workerFolds struct {
-	mu    sync.Mutex
-	parts []*workerFold
-}
-
-// workerFold is one worker's private fold state: a builder no other
-// goroutine touches, and the first fold error the worker hit.
-type workerFold struct {
-	builder *analysis.DatasetBuilder
-	err     error
-}
-
-// installWorkerFolds wires per-worker analysis folds into the fleet
-// config. Every completed run folds into its worker's own
-// DatasetBuilder on the worker goroutine — the hot path never contends
-// on a shared accumulator — and merge combines the builders after the
-// stream drains. The fold span and counters match the old shared-sink
-// path: the worker's dispatch root span has already ended when the fold
-// runs, so the analysis-fold span still lands last on the app's trace.
-func (e *Experiment) installWorkerFolds(cfg *dispatch.Config) *workerFolds {
-	wf := &workerFolds{}
-	tel := e.cfg.Telemetry
-	// One campaign-wide ranking tracker feeds analysis.fold bus events;
-	// inert (one atomic load per run) when no bus is attached.
-	tracker := newFoldTracker(tel, -1)
-	cfg.WorkerFold = func(worker int) func(dispatch.RunEvent) {
-		builder, err := analysis.NewDatasetBuilder(e.domains)
-		st := &workerFold{builder: builder, err: err}
-		wf.mu.Lock()
-		for len(wf.parts) <= worker {
-			wf.parts = append(wf.parts, nil)
-		}
-		wf.parts[worker] = st
-		wf.mu.Unlock()
-		if err != nil {
-			return nil
-		}
-		return func(ev dispatch.RunEvent) {
-			if ev.Kind != dispatch.EventRun || ev.Run == nil {
-				return
-			}
-			var foldErr error
-			if tel != nil {
-				span := tel.Trace(dispatch.TraceID(ev.AppIndex)).Span(obs.SpanAnalysisFold, tel.Now())
-				foldErr = st.builder.Consume(ev)
-				span.AttrInt("flows", int64(len(ev.Run.Flows))).End(tel.Now())
-				tel.Counter(obs.MAnalysisFolds).Inc()
-				tel.Counter(obs.MAnalysisFlowsFolded).Add(int64(len(ev.Run.Flows)))
-			} else {
-				foldErr = st.builder.Consume(ev)
-			}
-			if foldErr != nil && st.err == nil {
-				st.err = foldErr
-			}
-			tracker.observe(ev.Run)
-		}
-	}
-	return wf
-}
-
-// merge combines the per-worker builders in worker-index order (so the
-// merged symbol numbering is a deterministic function of which worker
-// folded which apps) and surfaces the first per-worker fold error. The
-// resolved dataset is invariant under the partitioning itself — see
-// TestDatasetBuilderMergeMatchesSingleBuilder.
-func (wf *workerFolds) merge(domains analysis.DomainCategorizer) (*analysis.DatasetBuilder, error) {
-	var base *analysis.DatasetBuilder
-	var firstErr error
-	for _, st := range wf.parts {
-		if st == nil {
-			continue
-		}
-		if st.err != nil && firstErr == nil {
-			firstErr = st.err
-		}
-		if st.builder == nil {
-			continue
-		}
-		if base == nil {
-			base = st.builder
-			continue
-		}
-		if err := base.MergeFrom(st.builder); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if base == nil {
-		// No worker ever started (stream failed before spawn, or every
-		// builder failed to construct): fall back to an empty builder so
-		// callers still get a finishable, empty dataset.
-		b, err := analysis.NewDatasetBuilder(domains)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		base = b
-	}
-	return base, firstErr
 }
 
 // Result returns the raw fleet result (nil before Run).

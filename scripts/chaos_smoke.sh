@@ -28,10 +28,10 @@ work=$(mktemp -d -t chaos-smoke.XXXXXX)
 trap 'rm -rf "$work"' EXIT
 
 echo "chaos-smoke: workdir $work"
-go build -o "$work/fleetscan" ./examples/fleetscan || exit 1
+go build -o "$work/libspector" ./cmd/libspector || exit 1
 
 echo "chaos-smoke: baseline (single process, $APPS apps, seed $SEED)"
-"$work/fleetscan" -apps "$APPS" -workers 8 -seed "$SEED" \
+"$work/libspector" -apps "$APPS" -workers 8 -seed "$SEED" -collector -store \
     -journal "$work/base.journal" -artifacts "$work/base-art" \
     -events-out "$work/base-events.jsonl" >"$work/base.log" 2>&1
 rc=$?
@@ -42,7 +42,7 @@ if [ $rc -ne 0 ]; then
 fi
 
 echo "chaos-smoke: chaos campaign ($SHARDS shards, chaos-seed $CHAOS_SEED, $CHAOS_KILL shard kills + coordinator kill)"
-"$work/fleetscan" -apps "$APPS" -workers 8 -seed "$SEED" -shards "$SHARDS" \
+"$work/libspector" -apps "$APPS" -workers 8 -seed "$SEED" -collector -store -shards "$SHARDS" \
     -journal "$work/chaos.journal" -artifacts "$work/chaos-art" \
     -events-out "$work/chaos-events.jsonl" \
     -chaos-seed "$CHAOS_SEED" -chaos-kill "$CHAOS_KILL" >"$work/chaos.log" 2>&1
@@ -56,7 +56,7 @@ echo "chaos-smoke: first incarnation died as scheduled (exit $rc)"
 
 converged=0
 for i in $(seq 1 "$MAX_RESUMES"); do
-    "$work/fleetscan" -apps "$APPS" -workers 8 -seed "$SEED" -shards "$SHARDS" \
+    "$work/libspector" -apps "$APPS" -workers 8 -seed "$SEED" -collector -store -shards "$SHARDS" \
         -journal "$work/chaos.journal" -artifacts "$work/chaos-art" \
         -events-out "$work/chaos-events.jsonl" -resume >"$work/resume$i.log" 2>&1
     rc=$?

@@ -6,12 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 
 	"libspector/internal/analysis"
 	"libspector/internal/attribution"
 	"libspector/internal/dispatch"
-	"libspector/internal/faults"
 	"libspector/internal/obs"
 	"libspector/internal/resultstore"
 )
@@ -35,9 +33,10 @@ type CampaignResult struct {
 	Shards int
 }
 
-// ShardJournalPath derives shard index's journal path from the campaign
-// journal base path.
-func ShardJournalPath(base string, index int) string {
+// ShardPath derives shard index's own file from a campaign-wide file
+// path: its journal from Config.Journal, its event log from the
+// campaign's events-out path.
+func ShardPath(base string, index int) string {
 	return fmt.Sprintf("%s.shard-%03d", base, index)
 }
 
@@ -48,8 +47,9 @@ func ShardArtifactDir(base string, index int) string {
 }
 
 // resolvedWorkers is the campaign worker budget after defaulting — the
-// same defaulting dispatch.Stream applies, hoisted here so the shard
-// plan can split the budget it would actually have used.
+// same defaulting dispatch.Stream applies, hoisted here so the fleet can
+// size its per-worker folds and the shard plan can split the budget it
+// would actually have used.
 func (e *Experiment) resolvedWorkers() int {
 	if e.cfg.Workers > 0 {
 		return e.cfg.Workers
@@ -60,6 +60,34 @@ func (e *Experiment) resolvedWorkers() int {
 // shardPlan splits this experiment's corpus and worker budget.
 func (e *Experiment) shardPlan(shards int) dispatch.ShardPlan {
 	return dispatch.ShardPlan{TotalApps: e.apps, Shards: shards, Workers: e.resolvedWorkers()}
+}
+
+// coordinator builds the dispatch.Coordinator every sharded campaign of
+// this experiment runs under. In-process shards and shard processes
+// differ only in the runner (and in the liveness probes a process parent
+// adds): plan, takeover budget, bus, and WAL are the campaign's.
+func (e *Experiment) coordinator(shards int, run dispatch.ShardRunner) *dispatch.Coordinator {
+	c := &dispatch.Coordinator{
+		Plan: e.shardPlan(shards),
+		Run:  run,
+		// Shard lifecycle and merge progress stream on the campaign bus.
+		Tel: e.cfg.Telemetry,
+	}
+	if e.cfg.Journal != "" {
+		// Journal replay makes takeover cheap (completed apps are never
+		// redone), and every successful takeover strictly grows the
+		// journaled prefix; one takeover per app bounds even a campaign
+		// where every single run crashes the shard hosting it. Without a
+		// journal a re-launched shard would redo every run, so the budget
+		// stays zero and a shard death fails the campaign.
+		c.MaxTakeovers = e.apps
+	}
+	if e.cfg.CoordinatorWAL != "" {
+		c.WAL = e.cfg.CoordinatorWAL
+		c.Resume = e.cfg.Resume
+		c.Fingerprint = e.cfg.Fingerprint()
+	}
+	return c
 }
 
 // RunSharded executes the campaign as N in-process shards under a
@@ -75,43 +103,22 @@ func (e *Experiment) shardPlan(shards int) dispatch.ShardPlan {
 // liveness probe) is taken over: it is re-launched and resumes from its
 // journal, replaying completed apps from the artifact store, so the
 // campaign result is byte-identical to an uninterrupted run. Takeover
-// replay requires Config.Journal and Config.ArtifactDir to be set.
+// requires Config.Journal and Config.ArtifactDir to be set.
 //
 // Like RunContext, RunSharded finalizes the detector and must not be
 // called twice or concurrently with other runs on the same Experiment.
 func (e *Experiment) RunSharded(ctx context.Context, shards int) (*CampaignResult, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("libspector: campaign needs at least 1 shard, got %d", shards)
-	}
-	coord := &dispatch.Coordinator{
-		Plan: e.shardPlan(shards),
-		Run: func(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-			return e.runShardTask(ctx, task)
-		},
-		// Journal replay makes takeover cheap (completed apps are never
-		// redone), and every successful takeover strictly grows the
-		// journaled prefix; one takeover per app bounds even a campaign
-		// where every single run crashes the shard hosting it.
-		MaxTakeovers: e.apps,
-		// Shard lifecycle and merge progress stream on the campaign bus.
-		Tel: e.cfg.Telemetry,
-	}
-	if e.cfg.CoordinatorWAL != "" {
-		coord.WAL = e.cfg.CoordinatorWAL
-		coord.Resume = e.cfg.Resume
-		coord.Fingerprint = e.cfg.Fingerprint()
-	}
-	out, err := coord.Execute(ctx)
+	out, err := e.coordinator(shards, e.runShardTask).Execute(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("libspector: sharded campaign: %w", err)
 	}
 	return e.finishCampaign(out, shards)
 }
 
-// RunShard executes exactly one shard of an N-shard split — the child
-// process entry point behind fleetscan's -shard-index. The returned
-// outcome carries the shard's encoded partial and is ready for
-// dispatch.WriteShardOutcome. The parent process merges outcomes with
+// RunShard executes exactly one shard of an N-shard split and returns its
+// outcome, carrying the shard's encoded partial and ready for
+// dispatch.WriteShardOutcome — see RunShardChild for the child-process
+// entry point. Outcomes gathered out-of-band merge with
 // MergeShardOutcomes.
 func (e *Experiment) RunShard(ctx context.Context, index, shards int) (*dispatch.ShardOutcome, error) {
 	if shards < 1 || index < 0 || index >= shards {
@@ -130,248 +137,76 @@ func (e *Experiment) RunShard(ctx context.Context, index, shards int) (*dispatch
 // finishing the figures from the decoded partials. Outcomes must be
 // passed in shard order and cover the whole plan.
 func (e *Experiment) MergeShardOutcomes(outcomes []*dispatch.ShardOutcome) (*CampaignResult, error) {
-	out := &dispatch.CampaignOutcome{}
-	merged, err := mergeOutcomeList(outcomes)
+	out, err := dispatch.MergeOutcomes(outcomes)
 	if err != nil {
 		return nil, err
 	}
-	*out = *merged
 	return e.finishCampaign(out, len(outcomes))
 }
 
-// FinishCampaign folds an already-merged coordinator outcome into the
-// campaign result — the process-mode path for callers that ran their own
-// dispatch.Coordinator (fleetscan's supervised parent) and so already
-// hold a CampaignOutcome rather than raw shard outcome files.
-func (e *Experiment) FinishCampaign(out *dispatch.CampaignOutcome, shards int) (*CampaignResult, error) {
-	return e.finishCampaign(out, shards)
-}
-
-// mergeOutcomeList reuses the coordinator's merge for outcomes gathered
-// out-of-band (the process-mode path).
-func mergeOutcomeList(outcomes []*dispatch.ShardOutcome) (*dispatch.CampaignOutcome, error) {
-	c := &dispatch.Coordinator{
-		Plan: dispatch.ShardPlan{TotalApps: totalOf(outcomes), Shards: max(len(outcomes), 1)},
-		Run: func(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-			return outcomes[task.Index], nil
-		},
+// runShardTask is the in-process ShardRunner: runFleet restricted to the
+// task's range with the shard's own telemetry, attributor, journal, and
+// artifact store, its per-worker Accumulators sealed and merged into the
+// shard's encoded partial. A shard has no use for materialized runs, so
+// no RunCollector rides along.
+func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
+	tel := e.shardTelemetry()
+	attr := attribution.NewAttributor(e.domains)
+	attr.SetTelemetry(tel)
+	spec := fleetSpec{index: task.Index, rng: task.Range, workers: task.Workers, tel: tel, attr: attr}
+	if e.cfg.ArtifactDir != "" {
+		spec.artifactDir = ShardArtifactDir(e.cfg.ArtifactDir, task.Index)
 	}
-	return c.Execute(context.Background())
-}
-
-func totalOf(outcomes []*dispatch.ShardOutcome) int {
-	total := 0
-	for _, o := range outcomes {
-		if o != nil {
-			total += o.Range.Len()
+	if e.cfg.Journal != "" {
+		spec.journal = ShardPath(e.cfg.Journal, task.Index)
+		// Resume on takeover, or when the whole campaign is a resume —
+		// unless this shard never got far enough to write a journal.
+		if e.cfg.Resume || task.Attempt > 0 {
+			_, statErr := os.Stat(spec.journal)
+			spec.resume = statErr == nil
 		}
 	}
-	return total
-}
-
-// runShardTask is the in-process ShardRunner: one Stream restricted to
-// the task's range, folded into a sealable analysis partial.
-func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-	shardTel := e.shardTelemetry()
-	attributor := attribution.NewAttributor(e.domains)
-	attributor.SetTelemetry(shardTel)
-
-	cfg, err := e.buildFleetConfig(task.Workers, shardTel, attributor, task.Range)
+	res, accs, records, err := runFleet(ctx, e, spec, func() (*analysis.Accumulator, error) {
+		return analysis.NewAccumulator(e.domains)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var artifactSink dispatch.Sink
-	if e.cfg.ArtifactDir != "" {
-		artifacts, err := attachArtifacts(&cfg, ShardArtifactDir(e.cfg.ArtifactDir, task.Index))
+	fail := func(err error) (*dispatch.ShardOutcome, error) {
+		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
+	}
+	parts := make([]*analysis.Partial, 0, len(accs))
+	for _, acc := range accs {
+		p, err := acc.Seal()
 		if err != nil {
-			return nil, fmt.Errorf("libspector: %w", err)
-		}
-		artifactSink = artifacts
-	}
-	if e.cfg.Journal != "" {
-		path := ShardJournalPath(e.cfg.Journal, task.Index)
-		// Resume on takeover, or when the whole campaign is a resume —
-		// unless this shard never got far enough to write a journal.
-		resume := e.cfg.Resume || task.Attempt > 0
-		if resume {
-			if _, statErr := os.Stat(path); statErr != nil {
-				resume = false
-			}
-		}
-		if err := attachJournal(&cfg, path, e.campaignHeader(task.Range), resume); err != nil {
-			return nil, err
-		}
-	}
-
-	// Per-worker fold state: each shard worker accumulates into a private
-	// Accumulator on its own goroutine (the stream's hot path never
-	// contends on a shared fold), and the accumulators are sealed and
-	// merged into the shard partial after the stream drains. The fold
-	// telemetry matches the old shared-fold drain loop so merged shard
-	// snapshots still reproduce the single-process registry.
-	type shardFold struct {
-		acc *analysis.Accumulator
-		err error
-	}
-	var foldMu sync.Mutex
-	var folds []*shardFold
-	// The shard's analysis.fold ranking events carry its index so the
-	// dashboard can merge per-shard "top libraries so far" views.
-	tracker := newFoldTracker(shardTel, task.Index)
-	cfg.WorkerFold = func(worker int) func(dispatch.RunEvent) {
-		acc, err := analysis.NewAccumulator(e.domains)
-		st := &shardFold{acc: acc, err: err}
-		foldMu.Lock()
-		for len(folds) <= worker {
-			folds = append(folds, nil)
-		}
-		folds[worker] = st
-		foldMu.Unlock()
-		if err != nil {
-			return nil
-		}
-		return func(ev dispatch.RunEvent) {
-			if ev.Kind != dispatch.EventRun || ev.Run == nil {
-				return
-			}
-			var foldErr error
-			if shardTel != nil {
-				span := shardTel.Trace(dispatch.TraceID(ev.AppIndex)).Span(obs.SpanAnalysisFold, shardTel.Now())
-				foldErr = st.acc.Observe(ev.AppIndex, ev.Run)
-				span.AttrInt("flows", int64(len(ev.Run.Flows))).End(shardTel.Now())
-				shardTel.Counter(obs.MAnalysisFolds).Inc()
-				shardTel.Counter(obs.MAnalysisFlowsFolded).Add(int64(len(ev.Run.Flows)))
-			} else {
-				foldErr = st.acc.Observe(ev.AppIndex, ev.Run)
-			}
-			if foldErr != nil && st.err == nil {
-				st.err = foldErr
-			}
-			tracker.observe(ev.Run)
-		}
-	}
-
-	var records *dispatch.RecordSink
-	if e.cfg.ResultStore != "" {
-		records = dispatch.NewRecordSink()
-	}
-
-	events, err := dispatch.Stream(ctx, e.world, e.world.Resolver, cfg)
-	if err != nil {
-		if cfg.Journal != nil {
-			if cerr := cfg.Journal.Close(); cerr != nil {
-				err = fmt.Errorf("%w (journal close: %v)", err, cerr)
-			}
-		}
-		return nil, fmt.Errorf("libspector: shard fleet: %w", err)
-	}
-
-	// Drain the stream directly instead of through Gather: a shard has no
-	// use for materialized runs, only the folded partial (built on the
-	// worker goroutines above) and, when a result store is configured,
-	// the flattened attribution records.
-	var summary *dispatch.StreamSummary
-	var sinkErr error
-	terminal := 0
-	for ev := range events {
-		if artifactSink != nil {
-			if err := artifactSink.Consume(ev); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
-		if records != nil {
-			if err := records.Consume(ev); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-		}
-		switch ev.Kind {
-		case dispatch.EventRun, dispatch.EventSkip, dispatch.EventFailure, dispatch.EventQuarantine:
-			terminal++
-			// The chaos kill hook: die — really die, SIGKILL — after N
-			// terminal outcomes. Unsynced journal frames are lost exactly
-			// as a real crash loses them; the takeover attempt resumes
-			// from whatever the journal fsynced.
-			if e.cfg.ChaosKillAfterRuns > 0 && terminal >= e.cfg.ChaosKillAfterRuns {
-				faults.KillSelf()
-			}
-		case dispatch.EventSummary:
-			summary = ev.Summary
-		}
-	}
-	if cfg.Journal != nil {
-		if cerr := cfg.Journal.Close(); cerr != nil && sinkErr == nil {
-			sinkErr = cerr
-		}
-	}
-	// The events channel closes only after every worker joins, so the
-	// fold slots are quiescent here.
-	parts := make([]*analysis.Partial, 0, len(folds))
-	for _, st := range folds {
-		if st == nil {
-			continue
-		}
-		if st.err != nil && sinkErr == nil {
-			sinkErr = st.err
-		}
-		if st.acc == nil {
-			continue
-		}
-		p, perr := st.acc.Seal()
-		if perr != nil {
-			if sinkErr == nil {
-				sinkErr = perr
-			}
-			continue
-		}
-		parts = append(parts, p)
-	}
-	switch {
-	case summary == nil:
-		return nil, fmt.Errorf("libspector: shard %d stream ended without a summary", task.Index)
-	case summary.Err != nil:
-		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, summary.Err)
-	case sinkErr != nil:
-		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, sinkErr)
-	}
-
-	if len(parts) == 0 {
-		// A shard whose workers never started still owes an (empty)
-		// partial: seal a fresh accumulator.
-		acc, aerr := analysis.NewAccumulator(e.domains)
-		if aerr != nil {
-			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, aerr)
-		}
-		p, perr := acc.Seal()
-		if perr != nil {
-			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, perr)
+			return fail(err)
 		}
 		parts = append(parts, p)
 	}
 	partial, err := analysis.MergePartials(parts...)
 	if err != nil {
-		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
+		return fail(err)
 	}
 	enc, err := partial.Encode()
 	if err != nil {
-		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
+		return fail(err)
 	}
 	var seg []byte
 	if records != nil {
 		// The shard owns a contiguous app-index range, so its sorted
 		// segment concatenates with its siblings (in shard order) into the
 		// globally canonical record order the merged store depends on.
-		seg, err = records.Seal()
-		if err != nil {
-			return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
+		if seg, err = records.Seal(); err != nil {
+			return fail(err)
 		}
 	}
 	return &dispatch.ShardOutcome{
 		Index:       task.Index,
 		Range:       task.Range,
-		Accounting:  summary.Accounting,
-		Failures:    summary.Failures,
-		Quarantined: summary.Quarantined,
-		Snapshot:    shardTel.Metrics().Snapshot(),
+		Accounting:  res.Accounting,
+		Failures:    res.Failures,
+		Quarantined: res.Quarantined,
+		Snapshot:    tel.Metrics().Snapshot(),
 		Partial:     enc,
 		Records:     seg,
 	}, nil
