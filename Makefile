@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test vet race bench loc fuzz chaos verify
+.PHONY: build test vet race bench loc fuzz chaos bench-module verify
 
 build:
 	$(GO) build ./...
@@ -32,25 +32,24 @@ bench:
 	bash benchmark/run.sh
 
 # Non-test Go lines of the campaign engine, its CLIs, and the flag
-# package — the number a simplicity PR's author and reviewer both check.
+# package — the number a simplicity PR's author and reviewer both check —
+# then the whole repo's (benchmark/ excluded), which ROADMAP item 3 is
+# judged on.
 LOC_DIRS = . internal/dispatch internal/journal internal/fleetflags cmd/libspector cmd/libreport examples/fleetscan
 loc:
 	@total=0; for d in $(LOC_DIRS); do n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); total=$$((total+n)); printf '%6d  %s\n' $$n $$d; done; printf '%6d  total\n' $$total
+	@printf '%6d  whole repo, non-test Go, benchmark/ excluded\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
 
-# Fuzz smoke over the wire-format decoders fed by untrusted bytes — the pcap
-# packet decoder, the supervisor UDP report decoder, the journal replay
-# reader, the artifact meta decoder, the shard-partial and shard-outcome
-# decoders that parent processes feed with files written by (possibly
-# crashed) shard children, and the result-store segment decoder. `go test
-# -fuzz` accepts one target per invocation, hence one run each.
+# Fuzz smoke over everything fed by untrusted bytes, two targets (`go
+# test -fuzz` accepts one per invocation): the registered-format harness
+# (internal/codec/formats_test.go — every blob that crosses a process or
+# a crash boundary, one table row each) and the pcap packet decoder, whose
+# input is traffic rather than a format of ours. A short minimize budget
+# keeps the harness exploring instead of shrinking each new input for up
+# to a minute.
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFormats$$' -fuzztime 60s -fuzzminimizetime 2s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s ./internal/pcap
-	$(GO) test -run '^$$' -fuzz FuzzDecodeReport -fuzztime 10s ./internal/xposed
-	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/journal
-	$(GO) test -run '^$$' -fuzz FuzzArtifactMeta -fuzztime 10s ./internal/dispatch
-	$(GO) test -run '^$$' -fuzz FuzzShardOutcome -fuzztime 10s ./internal/dispatch
-	$(GO) test -run '^$$' -fuzz FuzzPartialDecode -fuzztime 10s ./internal/analysis
-	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/resultstore
 
 # Process-level chaos smoke: a 4-shard `cmd/libspector -shards` campaign
 # whose seeded schedule SIGKILLs two shard children and the coordinator
@@ -63,6 +62,13 @@ fuzz:
 chaos:
 	./scripts/chaos_smoke.sh
 
+# The benchmark is its own module, invisible to the root `go test ./...`;
+# building and testing it is also the compile check that the facade and
+# internal APIs it uses are all still there.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Tier-1 verification (see ROADMAP.md) plus vet, the race subset, the
-# decoder fuzz smoke, and the process-level chaos smoke.
-verify: build vet test race fuzz chaos
+# decoder fuzz smoke, the process-level chaos smoke, and the nested
+# benchmark module.
+verify: build vet test race fuzz chaos bench-module

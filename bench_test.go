@@ -22,6 +22,7 @@ import (
 
 	"libspector"
 	"libspector/internal/analysis"
+	"libspector/internal/analysis/analysistest"
 	"libspector/internal/art"
 	"libspector/internal/attribution"
 	"libspector/internal/baseline"
@@ -717,7 +718,7 @@ func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 					b.Fatal(err)
 				}
 				det.Finalize(2)
-				ds, err := analysis.BuildDataset(res.Runs, det, svc)
+				ds, err := analysistest.BuildDataset(res.Runs, det, svc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -803,7 +804,7 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ds, err := analysis.BuildDataset(runs, det, svc)
+			ds, err := analysistest.BuildDataset(runs, det, svc)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -284,7 +284,16 @@ func reanalyze(exp *libspector.Experiment, dir string) (*analysis.Dataset, error
 		return nil, err
 	}
 	exp.Detector().Finalize(2)
-	return analysis.BuildDataset(runs, exp.Detector(), exp.Domains())
+	b, err := analysis.NewDatasetBuilder(exp.Domains())
+	if err != nil {
+		return nil, err
+	}
+	for i, run := range runs {
+		if err := b.Observe(i, run); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish(exp.Detector())
 }
 
 // writeCSVs exports the plottable figure series.

@@ -65,6 +65,21 @@ func testDetector() *libradar.Detector {
 	})
 }
 
+// buildDataset folds runs through a DatasetBuilder, app index = slice
+// position (analysistest.BuildDataset, which this package cannot import).
+func buildDataset(runs []*attribution.RunResult, detector *libradar.Detector, domains DomainCategorizer) (*Dataset, error) {
+	b, err := NewDatasetBuilder(domains)
+	if err != nil {
+		return nil, err
+	}
+	for i, run := range runs {
+		if err := b.Observe(i, run); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish(detector)
+}
+
 func testDataset(t *testing.T) *Dataset {
 	t.Helper()
 	runs := []*attribution.RunResult{
@@ -86,7 +101,7 @@ func testDataset(t *testing.T) *Dataset {
 		"cdn.example.net": corpus.DomCDN,
 		"api.example.com": corpus.DomInfoTech,
 	}
-	ds, err := BuildDataset(runs, testDetector(), cats)
+	ds, err := buildDataset(runs, testDetector(), cats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +137,10 @@ func TestBuildDatasetRecords(t *testing.T) {
 }
 
 func TestBuildDatasetValidation(t *testing.T) {
-	if _, err := BuildDataset(nil, nil, staticCategorizer{}); err == nil {
+	if _, err := buildDataset(nil, nil, staticCategorizer{}); err == nil {
 		t.Error("nil detector should fail")
 	}
-	if _, err := BuildDataset(nil, testDetector(), nil); err == nil {
+	if _, err := buildDataset(nil, testDetector(), nil); err == nil {
 		t.Error("nil categorizer should fail")
 	}
 }
@@ -430,7 +445,7 @@ func TestUnattributedFlowsCounted(t *testing.T) {
 	run := mkRun("sha-x", "com.app.x", "TOOLS",
 		mkFlow("com.vungle.publisher", "ads.example.com", 10, 100, false))
 	run.Flows = append(run.Flows, &attribution.Flow{Domain: "ads.example.com"}) // no report
-	ds, err := BuildDataset([]*attribution.RunResult{run}, testDetector(),
+	ds, err := buildDataset([]*attribution.RunResult{run}, testDetector(),
 		staticCategorizer{"ads.example.com": corpus.DomAdvertisements})
 	if err != nil {
 		t.Fatal(err)

@@ -240,41 +240,6 @@ func (b *DatasetBuilder) Finish(detector *libradar.Detector) (*Dataset, error) {
 	}, nil
 }
 
-// BuildDataset flattens fleet results, resolving library categories via the
-// LibRadar detector and domain categories via the VirusTotal-style service.
-func BuildDataset(runs []*attribution.RunResult, detector *libradar.Detector, domains DomainCategorizer) (*Dataset, error) {
-	if detector == nil {
-		return nil, fmt.Errorf("analysis: nil detector")
-	}
-	b, err := NewDatasetBuilder(domains)
-	if err != nil {
-		return nil, err
-	}
-	// The batch path sees the whole corpus up front: count the attributed
-	// flows once and size the record columns exactly, so the fold loop
-	// never reallocates them (streaming folds can't know and pay amortized
-	// doubling instead).
-	total := 0
-	for _, run := range runs {
-		if run == nil {
-			continue
-		}
-		for i := range run.Flows {
-			if run.Flows[i].Report != nil {
-				total++
-			}
-		}
-	}
-	b.records = make([]FlowRecord, 0, total)
-	b.order = make([]int, 0, total)
-	for i, run := range runs {
-		if err := b.Observe(i, run); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish(detector)
-}
-
 // ---------------------------------------------------------------------------
 // String/category resolution — the edge where symbol IDs become strings.
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"libspector/internal/analysis"
+	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
 	"libspector/internal/baseline"
 	"libspector/internal/corpus"
@@ -64,7 +65,7 @@ func goldenFixture(t *testing.T) (*analysis.Dataset, *analysis.Aggregates) {
 		t.Fatal(err)
 	}
 	detector.Finalize(2)
-	ds, err := analysis.BuildDataset(res.Runs, detector, domains)
+	ds, err := analysistest.BuildDataset(res.Runs, detector, domains)
 	if err != nil {
 		t.Fatal(err)
 	}

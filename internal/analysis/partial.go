@@ -265,8 +265,7 @@ func (p *Partial) Encode() ([]byte, error) {
 		strs := t.Strings()
 		b = binary.AppendUvarint(b, uint64(len(strs)))
 		for _, s := range strs {
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
+			b = codec.AppendString(b, s)
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(c.syms.domainCats)))
@@ -293,7 +292,7 @@ func (p *Partial) Encode() ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(c.fig6)))
 	for i := range c.fig6 {
 		a := &c.fig6[i]
-		b = appendBool(b, a.seen)
+		b = codec.AppendBool(b, a.seen)
 		for _, v := range []int64{a.total, a.ant, a.cl, a.antSent, a.antRcvd, a.clSent, a.clRcvd} {
 			b = binary.AppendVarint(b, v)
 		}
@@ -322,17 +321,10 @@ func (p *Partial) Encode() ([]byte, error) {
 	return codec.AppendSum(b, body), nil
 }
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendBools(b []byte, s []bool) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, v := range s {
-		b = appendBool(b, v)
+		b = codec.AppendBool(b, v)
 	}
 	return b
 }
@@ -340,7 +332,7 @@ func appendBools(b []byte, s []bool) []byte {
 func appendCountVec(b []byte, v *countVec) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v.vals)))
 	for i := range v.vals {
-		b = appendBool(b, v.seen[i])
+		b = codec.AppendBool(b, v.seen[i])
 		b = binary.AppendVarint(b, v.vals[i])
 	}
 	return b
@@ -357,140 +349,52 @@ func appendCountMatrix(b []byte, m *countMatrix) []byte {
 func appendEntityStats(b []byte, e *entityStats) []byte {
 	b = binary.AppendUvarint(b, uint64(len(e.pairs)))
 	for i := range e.pairs {
-		b = appendBool(b, e.seen[i])
+		b = codec.AppendBool(b, e.seen[i])
 		b = binary.AppendVarint(b, e.pairs[i].sent)
 		b = binary.AppendVarint(b, e.pairs[i].rcvd)
 	}
 	return b
 }
 
-// partialDecoder reads the wire format with bounds checks tight enough
-// that hostile input (fuzzing, torn files) fails with ErrCorruptPartial
-// instead of panicking or allocating unbounded memory: every element
-// count is validated against the bytes remaining before allocation.
-type partialDecoder struct {
-	b   []byte
-	pos int
-	err error
-}
+// The section readers below sit on codec.Reader, whose count checks bound
+// every allocation by the bytes remaining: hostile input (fuzzing, torn
+// files) fails with ErrCorruptPartial instead of panicking or allocating
+// unbounded memory. After a failure Length returns 0 and every read a
+// zero value, so the readers need no error checks of their own.
 
-func (d *partialDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorruptPartial}, args...)...)
-	}
-}
-
-func (d *partialDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("bad uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *partialDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// length reads an element count and rejects counts that could not fit in
-// the remaining bytes even at one byte per element.
-func (d *partialDecoder) length() int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.b)-d.pos) {
-		d.fail("length %d exceeds %d remaining bytes", n, len(d.b)-d.pos)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *partialDecoder) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.pos >= len(d.b) {
-		d.fail("truncated at offset %d", d.pos)
-		return false
-	}
-	v := d.b[d.pos]
-	d.pos++
-	if v > 1 {
-		d.fail("bad bool %d at offset %d", v, d.pos-1)
-		return false
-	}
-	return v == 1
-}
-
-func (d *partialDecoder) string() string {
-	n := d.length()
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
-func (d *partialDecoder) bools() []bool {
-	n := d.length()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]bool, n)
+func readBools(d *codec.Reader) []bool {
+	out := make([]bool, d.Length())
 	for i := range out {
-		out[i] = d.bool()
+		out[i] = d.Bool()
 	}
 	return out
 }
 
-func (d *partialDecoder) countVec() countVec {
-	n := d.length()
-	if d.err != nil {
-		return countVec{}
-	}
+func readCountVec(d *codec.Reader) countVec {
+	n := d.Length()
 	v := countVec{vals: make([]int64, n), seen: make([]bool, n)}
 	for i := 0; i < n; i++ {
-		v.seen[i] = d.bool()
-		v.vals[i] = d.varint()
+		v.seen[i] = d.Bool()
+		v.vals[i] = d.Varint()
 	}
 	return v
 }
 
-func (d *partialDecoder) countMatrix() countMatrix {
-	n := d.length()
-	if d.err != nil {
-		return countMatrix{}
-	}
-	m := countMatrix{rows: make([]countVec, n)}
-	for i := 0; i < n; i++ {
-		m.rows[i] = d.countVec()
+func readCountMatrix(d *codec.Reader) countMatrix {
+	m := countMatrix{rows: make([]countVec, d.Length())}
+	for i := range m.rows {
+		m.rows[i] = readCountVec(d)
 	}
 	return m
 }
 
-func (d *partialDecoder) entityStats() entityStats {
-	n := d.length()
-	if d.err != nil {
-		return entityStats{}
-	}
+func readEntityStats(d *codec.Reader) entityStats {
+	n := d.Length()
 	e := entityStats{pairs: make([]pair, n), seen: make([]bool, n)}
 	for i := 0; i < n; i++ {
-		e.seen[i] = d.bool()
-		e.pairs[i].sent = d.varint()
-		e.pairs[i].rcvd = d.varint()
+		e.seen[i] = d.Bool()
+		e.pairs[i].sent = d.Varint()
+		e.pairs[i].rcvd = d.Varint()
 		if e.seen[i] {
 			e.distinct++
 		}
@@ -516,7 +420,7 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &partialDecoder{b: body}
+	d := codec.NewReader(body, ErrCorruptPartial)
 
 	tables := []*symtab.Table{
 		c.syms.apps, c.syms.appCats, c.syms.origins,
@@ -524,19 +428,19 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 	}
 	recorded := make([][]string, len(tables))
 	for ti := range tables {
-		n := d.length()
-		if d.err != nil {
-			return nil, d.err
+		n := d.Length()
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if n < 1 {
 			return nil, fmt.Errorf("%w: table %d is empty (missing pre-interned \"\")", ErrCorruptPartial, ti)
 		}
 		recorded[ti] = make([]string, n)
 		for i := 0; i < n; i++ {
-			recorded[ti][i] = d.string()
+			recorded[ti][i] = d.String()
 		}
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if recorded[ti][0] != "" {
 			return nil, fmt.Errorf("%w: table %d does not start with the empty symbol", ErrCorruptPartial, ti)
@@ -570,17 +474,17 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 			ErrCategorizerMismatch, c.syms.domCats.Len(), len(recorded[5]))
 	}
 
-	nFacts := d.length()
-	if d.err != nil {
-		return nil, d.err
+	nFacts := d.Length()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if nFacts != c.syms.domains.Len() {
 		return nil, fmt.Errorf("%w: %d domain-category facts for %d domains", ErrCorruptPartial, nFacts, c.syms.domains.Len())
 	}
 	for i := 0; i < nFacts; i++ {
-		raw := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+		raw := d.Uvarint()
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if raw >= uint64(len(recorded[5])) {
 			return nil, fmt.Errorf("%w: domain-category fact %d out of range", ErrCorruptPartial, raw)
@@ -592,80 +496,64 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 		}
 	}
 
-	c.runs = int(d.varint())
-	c.flows = int(d.varint())
-	c.unattributed = int(d.varint())
-	c.bytesSent = d.varint()
-	c.bytesReceived = d.varint()
-	c.udpWire = d.varint()
-	c.dnsWire = d.varint()
-	c.tcpWire = d.varint()
+	c.runs = int(d.Varint())
+	c.flows = int(d.Varint())
+	c.unattributed = int(d.Varint())
+	c.bytesSent = d.Varint()
+	c.bytesReceived = d.Varint()
+	c.udpWire = d.Varint()
+	c.dnsWire = d.Varint()
+	c.tcpWire = d.Varint()
 
-	c.perApp = d.entityStats()
-	c.perOrigin = d.entityStats()
-	c.perDomain = d.entityStats()
-	c.fig2NB = d.countMatrix()
-	c.fig2B = d.countVec()
-	c.originBuiltin = d.bools()
-	c.twoBytes = d.countVec()
-	c.twoBuiltin = d.bools()
+	c.perApp = readEntityStats(d)
+	c.perOrigin = readEntityStats(d)
+	c.perDomain = readEntityStats(d)
+	c.fig2NB = readCountMatrix(d)
+	c.fig2B = readCountVec(d)
+	c.originBuiltin = readBools(d)
+	c.twoBytes = readCountVec(d)
+	c.twoBuiltin = readBools(d)
 
-	nFig6 := d.length()
-	if d.err == nil {
-		c.fig6 = make([]antAcc, nFig6)
-		for i := range c.fig6 {
-			a := &c.fig6[i]
-			a.seen = d.bool()
-			a.total = d.varint()
-			a.ant = d.varint()
-			a.cl = d.varint()
-			a.antSent = d.varint()
-			a.antRcvd = d.varint()
-			a.clSent = d.varint()
-			a.clRcvd = d.varint()
-		}
+	c.fig6 = make([]antAcc, d.Length())
+	for i := range c.fig6 {
+		a := &c.fig6[i]
+		a.seen = d.Bool()
+		a.total = d.Varint()
+		a.ant = d.Varint()
+		a.cl = d.Varint()
+		a.antSent = d.Varint()
+		a.antRcvd = d.Varint()
+		a.clSent = d.Varint()
+		a.clRcvd = d.Varint()
 	}
 
-	c.nbOrigin = d.countVec()
-	c.fig9 = d.countMatrix()
-	c.domBytes = d.countVec()
-	c.fig8Bytes = d.countVec()
+	c.nbOrigin = readCountVec(d)
+	c.fig9 = readCountMatrix(d)
+	c.domBytes = readCountVec(d)
+	c.fig8Bytes = readCountVec(d)
 
-	nCats := d.length()
-	if d.err == nil {
-		c.fig8Cats = make([][]symtab.Sym, nCats)
-		for i := range c.fig8Cats {
-			m := d.length()
-			if d.err != nil {
-				break
-			}
-			if m > 0 {
-				c.fig8Cats[i] = make([]symtab.Sym, m)
-				for j := range c.fig8Cats[i] {
-					raw := d.uvarint()
-					if d.err == nil && raw >= uint64(c.syms.appCats.Len()) {
-						d.fail("fig8 category symbol %d out of range", raw)
-					}
-					c.fig8Cats[i][j] = symtab.Sym(raw)
+	c.fig8Cats = make([][]symtab.Sym, d.Length())
+	for i := range c.fig8Cats {
+		if m := d.Length(); m > 0 {
+			c.fig8Cats[i] = make([]symtab.Sym, m)
+			for j := range c.fig8Cats[i] {
+				raw := d.Uvarint()
+				if d.Err() == nil && raw >= uint64(c.syms.appCats.Len()) {
+					d.Failf("fig8 category symbol %d out of range", raw)
 				}
+				c.fig8Cats[i][j] = symtab.Sym(raw)
 			}
 		}
 	}
 
-	nCov := d.length()
-	if d.err == nil {
-		c.coverage = make([]coverageEntry, nCov)
-		for i := range c.coverage {
-			c.coverage[i].appIndex = int(d.varint())
-			c.coverage[i].percent = math.Float64frombits(d.uvarint())
-			c.coverage[i].methods = math.Float64frombits(d.uvarint())
-		}
+	c.coverage = make([]coverageEntry, d.Length())
+	for i := range c.coverage {
+		c.coverage[i].appIndex = int(d.Varint())
+		c.coverage[i].percent = math.Float64frombits(d.Uvarint())
+		c.coverage[i].methods = math.Float64frombits(d.Uvarint())
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after decode", ErrCorruptPartial, len(body)-d.pos)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	if err := validatePartial(c); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"libspector/internal/analysis"
+	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
@@ -65,7 +66,7 @@ func TestStreamingAccumulatorMatchesBatchDataset(t *testing.T) {
 	}
 	detector.Finalize(2)
 
-	ds, err := analysis.BuildDataset(res.Runs, detector, domains)
+	ds, err := analysistest.BuildDataset(res.Runs, detector, domains)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"libspector/internal/analysis"
+	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
 	"libspector/internal/corpus"
 	"libspector/internal/libradar"
@@ -106,7 +107,7 @@ func buildDataset(t *testing.T, flows ...*attribution.Flow) *analysis.Dataset {
 		AppCategory: "TOOLS",
 		Flows:       flows,
 	}
-	ds, err := analysis.BuildDataset([]*attribution.RunResult{run}, detector, unknownDomains{})
+	ds, err := analysistest.BuildDataset([]*attribution.RunResult{run}, detector, unknownDomains{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,696 @@
+package codec_test
+
+// The decoder-hardening harness: every format the campaign writes across
+// a process or a crash boundary registers one row in formats, and the
+// harness asserts once, for all of them, what hostile input must never
+// achieve. FuzzFormats is the single fuzz target (`make fuzz`);
+// TestFormats runs every row's seeds and its parent-written fixture as
+// ordinary tier-1 unit tests.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"libspector/internal/analysis"
+	"libspector/internal/attribution"
+	"libspector/internal/codec"
+	"libspector/internal/corpus"
+	"libspector/internal/dex"
+	"libspector/internal/dispatch"
+	"libspector/internal/journal"
+	"libspector/internal/libradar"
+	"libspector/internal/obs"
+	"libspector/internal/pcap"
+	"libspector/internal/resultstore"
+	"libspector/internal/xposed"
+)
+
+// format is one registered wire format.
+type format struct {
+	name string
+	// typed reports whether a rejection carries the format's error type;
+	// every error decode returns must satisfy it.
+	typed func(error) bool
+	// seeds builds the corpus. A seed marked valid was written by the
+	// production encoder: it must decode and re-encode byte-identically.
+	seeds func(tb testing.TB) []seed
+	// decode is the production decoder; encode is the production encoder
+	// applied to decode's result.
+	decode func(data []byte) (any, error)
+	encode func(tb testing.TB, v any) []byte
+	// canonical formats have exactly one encoding per value, so every
+	// accepted input — not just encoder output — re-encodes identically.
+	canonical bool
+	// strict formats reject an accepted input with its last byte cut off
+	// or with any byte appended. (The record logs tolerate a torn tail,
+	// and JSON tolerates trailing whitespace, by design.)
+	strict bool
+	// concatenated marks a strict format that is a bare sequence of
+	// frames: cut at a frame boundary it is a shorter valid image, so
+	// only the last-byte cut is rejected, not every proper prefix.
+	concatenated bool
+	// check is the format's own post-condition on an accepted input.
+	check func(t *testing.T, data []byte, v any)
+	// magic, for a format that is one codec.Seal frame, lets the fuzzer
+	// past the checksum: it also mutates bare bodies, which the harness
+	// seals before decoding, so the body decoder sees hostile bytes a
+	// random mutation of a sealed image would never deliver.
+	magic string
+	// fixture names a file under testdata/ written by the encoders of
+	// commit 252e5be, before the shared cursor and record-log existed. It
+	// must decode and re-encode to the identical bytes: the guard that a
+	// refactor of the codecs moved no byte on disk or on the wire.
+	// Regenerate a fixture only for a deliberate, documented format bump.
+	fixture string
+}
+
+type seed struct {
+	data  []byte
+	valid bool
+}
+
+func is(sentinels ...error) func(error) bool {
+	return func(err error) bool {
+		for _, s := range sentinels {
+			if errors.Is(err, s) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func prefixed(p string) func(error) bool {
+	return func(err error) bool { return strings.HasPrefix(err.Error(), p) }
+}
+
+// variants is the usual corpus around one valid image: the image, its
+// first half, and the image with a byte appended.
+func variants(valid []byte) []seed {
+	return []seed{
+		{valid, true},
+		{valid[:len(valid)/2], false},
+		{append(valid[:len(valid):len(valid)], 0xFF), false},
+	}
+}
+
+const fixtureSHA = "abababababababababababababababababababababababababababababababab"
+
+var formats = []format{
+	{
+		name:    "journal",
+		typed:   is(journal.ErrCorrupt, journal.ErrNoHeader),
+		fixture: "journal.bin",
+		seeds: func(tb testing.TB) []seed {
+			img := logImage(tb, []journal.Record{
+				{Type: journal.TypeCampaign, Seed: 42, Fingerprint: "fp", Apps: 3},
+				{Type: journal.TypeStarted, App: 0},
+				{Type: journal.TypeCompleted, App: 0, Outcome: journal.OutcomeRun, ArtifactSHA: "sha-0", Attempts: 2, BackoffNS: int64(time.Second), BackoffMS: 1000},
+				{Type: journal.TypeStarted, App: 1},
+				{Type: journal.TypeQuarantined, App: 1, Attempts: 3, Error: "boom"},
+				{Type: journal.TypeStarted, App: 2},
+			})
+			return []seed{{img, true}, {img[:len(img)/2], false}, {nil, false}, {bytes.Repeat([]byte{0xff}, 64), false}}
+		},
+		decode: func(data []byte) (any, error) {
+			r, err := journal.ReplayBytes(data)
+			if err != nil {
+				return nil, err
+			}
+			recs, _ := logRecords[journal.Record](data)
+			return replayedJournal{r, recs}, nil
+		},
+		encode: func(tb testing.TB, v any) []byte { return logImage(tb, v.(replayedJournal).recs) },
+		check: func(t *testing.T, data []byte, v any) {
+			r := v.(replayedJournal).Replay
+			if r.ValidLen < 0 || r.ValidLen > int64(len(data)) || r.TornBytes != int64(len(data))-r.ValidLen {
+				t.Fatalf("valid %d + torn %d bytes do not add up to %d", r.ValidLen, r.TornBytes, len(data))
+			}
+			// Recovery idempotence: the valid prefix replays identically
+			// and cleanly.
+			again, err := journal.ReplayBytes(data[:r.ValidLen])
+			if err != nil {
+				t.Fatalf("valid prefix failed to replay: %v", err)
+			}
+			if again.Records != r.Records || again.TornBytes != 0 {
+				t.Fatalf("prefix replay drifted: %d/%d records, %d torn", again.Records, r.Records, again.TornBytes)
+			}
+		},
+	},
+	{
+		name:    "wal",
+		typed:   is(journal.ErrCorrupt, journal.ErrNoHeader),
+		fixture: "wal.bin",
+		seeds: func(tb testing.TB) []seed {
+			img := logImage(tb, []dispatch.WALRecord{
+				{Type: "campaign", Fingerprint: "fp", Apps: 10, Shards: 2, Workers: 2, Shard: -1},
+				{Type: "attempt", Shard: 0},
+				{Type: "takeover", Shard: 0, Attempt: 1, Error: "killed"},
+				{Type: "attempt", Shard: 0, Attempt: 1},
+				{Type: "sealed", Shard: 0, Attempt: 1, OutcomeSHA: "00ff"},
+				{Type: "done", Shard: -1},
+			})
+			// Interior damage: a flipped payload byte in the second
+			// record, with intact records after it.
+			rotten := bytes.Clone(img)
+			rotten[len(img)/3] ^= 0x40
+			return []seed{{img, true}, {img[:len(img)-3], false}, {rotten, false}, {nil, false}}
+		},
+		decode: func(data []byte) (any, error) { return dispatch.ReplayWAL(data) },
+		encode: func(tb testing.TB, v any) []byte { return logImage(tb, v.([]dispatch.WALRecord)) },
+		check: func(t *testing.T, data []byte, v any) {
+			// The torn tail is dropped, never half-applied: the intact
+			// prefix replays to the same records with nothing torn.
+			_, validLen := logRecords[dispatch.WALRecord](data)
+			again, err := dispatch.ReplayWAL(data[:validLen])
+			if err != nil || len(again) != len(v.([]dispatch.WALRecord)) {
+				t.Fatalf("valid prefix replayed %d records (err %v), whole image %d", len(again), err, len(v.([]dispatch.WALRecord)))
+			}
+		},
+	},
+	{
+		name:    "artifact-meta",
+		typed:   is(dispatch.ErrCorruptArtifact),
+		fixture: "meta.json",
+		seeds: func(tb testing.TB) []seed {
+			valid := savedArtifact(tb, dispatch.RunMeta{
+				Package: "com.example.app", SHA256: fixtureSHA, Events: 500,
+				RecordedAt: time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC),
+			}, nil, "meta.json")
+			return []seed{
+				{valid, true},
+				{[]byte("{}"), false},
+				{nil, false},
+				{[]byte(`{"sha256":"` + strings.Repeat("b", 64) + `","package":"x"}`), false},
+			}
+		},
+		decode: func(data []byte) (any, error) { return dispatch.DecodeMeta(data, fixtureSHA) },
+		encode: func(tb testing.TB, v any) []byte { return savedArtifact(tb, v.(dispatch.RunMeta), nil, "meta.json") },
+		check: func(t *testing.T, _ []byte, v any) {
+			if meta := v.(dispatch.RunMeta); meta.SHA256 != fixtureSHA || meta.Package == "" {
+				t.Fatalf("accepted meta %+v for directory key %s", meta, fixtureSHA)
+			}
+		},
+	},
+	{
+		name:    "shard-outcome",
+		typed:   is(dispatch.ErrCorruptOutcome),
+		strict:  true,
+		magic:   "LSSHRD01",
+		fixture: "outcome.bin",
+		seeds: func(tb testing.TB) []seed {
+			valid, err := dispatch.EncodeShardOutcome(&dispatch.ShardOutcome{
+				Range:    dispatch.ShardRange{Lo: 0, Hi: 2},
+				Snapshot: obs.Snapshot{Counters: map[string]int64{"fleet_apps_total": 2}, Gauges: map[string]int64{}, Histograms: map[string]obs.HistogramSnapshot{}},
+				Partial:  []byte{0xAA},
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return []seed{{valid, true}, {valid[:len(valid)/2], false}, {nil, false}, {[]byte("LSSHRD01"), false}, {[]byte("LSSHRD01{}\x00\x00\x00\x00"), false}}
+		},
+		decode: func(data []byte) (any, error) { return dispatch.DecodeShardOutcome(data) },
+		encode: func(tb testing.TB, v any) []byte {
+			b, err := dispatch.EncodeShardOutcome(v.(*dispatch.ShardOutcome))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return b
+		},
+		check: func(t *testing.T, _ []byte, v any) {
+			if out := v.(*dispatch.ShardOutcome); out.Index < 0 || out.Range.Hi < out.Range.Lo {
+				t.Fatalf("accepted invalid outcome %+v", out)
+			}
+		},
+	},
+	{
+		name:      "partial",
+		typed:     is(analysis.ErrCorruptPartial, analysis.ErrCategorizerMismatch),
+		strict:    true,
+		canonical: true,
+		magic:     "LSPART01",
+		fixture:   "partial.bin",
+		seeds: func(tb testing.TB) []seed {
+			var out []seed
+			rng := rand.New(rand.NewSource(61))
+			for trial := 0; trial < 4; trial++ {
+				enc := randPartial(tb, rng, trial*30, 1+rng.Intn(6))
+				rotten := bytes.Clone(enc)
+				rotten[12] ^= 0xFF
+				out = append(out, seed{enc, true}, seed{enc[:len(enc)/2], false}, seed{rotten, false},
+					seed{append(enc[:len(enc):len(enc)], 0x00), false})
+			}
+			return append(out, seed{nil, false}, seed{[]byte("LSPART01"), false}, seed{[]byte("LSPART01\x00\x00\x00\x00"), false})
+		},
+		decode: func(data []byte) (any, error) { return analysis.DecodePartial(data, partialCats) },
+		encode: func(tb testing.TB, v any) []byte {
+			b, err := v.(*analysis.Partial).Encode()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return b
+		},
+		check: func(t *testing.T, _ []byte, v any) {
+			// An accepted partial must be safe to merge and re-encode.
+			m, err := analysis.MergePartials(v.(*analysis.Partial))
+			if err != nil {
+				t.Fatalf("accepted partial failed to merge: %v", err)
+			}
+			if _, err := m.Encode(); err != nil {
+				t.Fatalf("merged partial failed to encode: %v", err)
+			}
+		},
+	},
+	{
+		// Not canonical: the decoder does not require the symbol table
+		// to be exactly the strings the rows use, in first-use order.
+		name:    "segment",
+		typed:   is(resultstore.ErrCorruptStore),
+		strict:  true,
+		magic:   "LSSEG001",
+		fixture: "segment.bin",
+		seeds: func(tb testing.TB) []seed {
+			valid := mustSegment(tb, storeRecords(5))
+			return []seed{
+				{nil, false}, {[]byte("LSSEG001"), false}, {valid, true}, {valid[:len(valid)-1], false},
+				{append(valid[:len(valid):len(valid)], 0xFF), false}, {mustSegment(tb, nil), true},
+			}
+		},
+		decode: func(data []byte) (any, error) { return resultstore.DecodeSegment(data) },
+		encode: func(tb testing.TB, v any) []byte { return mustSegment(tb, v.([]resultstore.Record)) },
+	},
+	{
+		name:    "store-image",
+		typed:   is(resultstore.ErrCorruptStore),
+		strict:  true,
+		fixture: "store.bin",
+		seeds: func(tb testing.TB) []seed {
+			// 40 apps fill more than one 128-row block, so the index
+			// tiling check has something to tile.
+			valid := storeImage(tb, storeRecords(40))
+			noFooter := valid[:len(valid)-20]
+			return append(variants(valid), seed{noFooter, false}, seed{[]byte("LSSTORE1"), false}, seed{storeImage(tb, nil), true})
+		},
+		decode: func(data []byte) (any, error) {
+			s, err := resultstore.OpenBytes(data)
+			if err != nil {
+				return nil, err
+			}
+			var recs []resultstore.Record
+			err = s.Scan(func(r *resultstore.Record) error { recs = append(recs, *r); return nil })
+			return recs, err
+		},
+		encode: func(tb testing.TB, v any) []byte { return storeImage(tb, v.([]resultstore.Record)) },
+	},
+	{
+		name:         "reports-bin",
+		typed:        is(dispatch.ErrCorruptArtifact),
+		strict:       true,
+		concatenated: true,
+		canonical:    true,
+		fixture:      "reports.bin",
+		seeds: func(tb testing.TB) []seed {
+			valid := dispatch.EncodeReports([][]byte{datagram(tb, 40001, 3), datagram(tb, 40002, 1)})
+			return append(variants(valid), seed{nil, true}, seed{[]byte{0x05, 'L', 'S', 'P', 'R'}, false})
+		},
+		decode: func(data []byte) (any, error) { return dispatch.DecodeReports(data, fixtureSHA) },
+		encode: func(tb testing.TB, v any) []byte {
+			var raws [][]byte
+			for _, rep := range v.([]*xposed.Report) {
+				raw, err := rep.Encode()
+				if err != nil {
+					tb.Fatalf("accepted report does not re-encode: %v", err)
+				}
+				raws = append(raws, raw)
+			}
+			return dispatch.EncodeReports(raws)
+		},
+	},
+	{
+		name:    "sdex",
+		typed:   prefixed("dex: "),
+		strict:  true,
+		fixture: "sdex.bin",
+		seeds: func(tb testing.TB) []seed {
+			f := dex.NewFile(time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
+			if err := f.AddMethod(dex.Method{Class: "com.unity3d.ads.android.cache.b", Name: "doInBackground", Params: []string{"[Ljava/lang/String;"}, Return: "Ljava/lang/Object;"}); err != nil {
+				tb.Fatal(err)
+			}
+			valid, err := f.Encode()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return []seed{{valid, true}, {[]byte("SDEX\x01\x00"), false}, {nil, false}}
+		},
+		decode: func(data []byte) (any, error) { return dex.Decode(data) },
+		encode: func(tb testing.TB, v any) []byte {
+			b, err := v.(*dex.File).Encode()
+			if err != nil {
+				tb.Fatalf("accepted container does not re-encode: %v", err)
+			}
+			return b
+		},
+		// Not canonical (a hostile pool may hold unused or reordered
+		// strings), but re-encoding must reach a fixed point that keeps
+		// every method.
+		check: func(t *testing.T, _ []byte, v any) {
+			f := v.(*dex.File)
+			re, err := f.Encode()
+			if err != nil {
+				t.Fatalf("accepted container does not re-encode: %v", err)
+			}
+			again, err := dex.Decode(re)
+			if err != nil {
+				t.Fatalf("re-encoded container does not decode: %v", err)
+			}
+			if again.MethodCount() != f.MethodCount() {
+				t.Fatalf("method count drifted: %d vs %d", again.MethodCount(), f.MethodCount())
+			}
+		},
+	},
+	{
+		name:      "datagram",
+		typed:     prefixed("xposed: "),
+		strict:    true,
+		canonical: true,
+		fixture:   "datagram.bin",
+		seeds: func(tb testing.TB) []seed {
+			return []seed{{datagram(tb, 40001, 5), true}, {[]byte("LSPR"), false}, {[]byte(strings.Repeat("L", 200)), false}, {nil, false}}
+		},
+		decode: func(data []byte) (any, error) { return xposed.DecodeReport(data) },
+		encode: func(tb testing.TB, v any) []byte {
+			b, err := v.(*xposed.Report).Encode()
+			if err != nil {
+				tb.Fatalf("accepted report does not re-encode: %v", err)
+			}
+			return b
+		},
+	},
+}
+
+// exercise holds one input against one format's row: the decoder must
+// not panic, a rejection must be typed, and an accepted input must pass
+// the format's own check, re-encode byte-identically when the format is
+// canonical, and stop decoding when it is strict and the input is cut
+// or extended. It reports whether the input was accepted.
+func exercise(t *testing.T, f *format, data []byte) (any, bool) {
+	t.Helper()
+	v, err := f.decode(data)
+	if err != nil {
+		if !f.typed(err) {
+			t.Fatalf("%s: rejection is untyped: %v", f.name, err)
+		}
+		return nil, false
+	}
+	if f.check != nil {
+		f.check(t, data, v)
+	}
+	if f.canonical {
+		if re := f.encode(t, v); !bytes.Equal(re, data) {
+			t.Fatalf("%s: decode→encode is not canonical: %d bytes in, %d out", f.name, len(data), len(re))
+		}
+	}
+	if f.strict {
+		mutants := [][]byte{append(data[:len(data):len(data)], 0x00), append(data[:len(data):len(data)], 0xA5)}
+		if len(data) > 0 {
+			mutants = append(mutants, data[:len(data)-1])
+		}
+		for _, m := range mutants {
+			if _, err := f.decode(m); err == nil {
+				t.Fatalf("%s: accepted input still decodes at %d bytes (was %d)", f.name, len(m), len(data))
+			} else if !f.typed(err) {
+				t.Fatalf("%s: rejection is untyped: %v", f.name, err)
+			}
+		}
+	}
+	return v, true
+}
+
+// sealBody is the bit of FuzzFormats' selector that marks the input as a
+// bare body for a row with a magic.
+const sealBody = 0x80
+
+// FuzzFormats is the one fuzz target over every registered format: the
+// first argument selects the row.
+func FuzzFormats(f *testing.F) {
+	for i := range formats {
+		row := &formats[i]
+		for _, s := range row.seeds(f) {
+			f.Add(uint8(i), s.data)
+			if body, err := codec.Open(row.magic, s.data); row.magic != "" && err == nil {
+				f.Add(uint8(i)|sealBody, body)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		row := &formats[int(which&^sealBody)%len(formats)]
+		if which&sealBody != 0 && row.magic != "" {
+			data = codec.Seal(row.magic, data)
+		}
+		exercise(t, row, data)
+	})
+}
+
+// TestFormats runs every row's seeds, and the fixture the parent commit's
+// encoder wrote, through the harness as ordinary unit tests.
+func TestFormats(t *testing.T) {
+	for i := range formats {
+		f := &formats[i]
+		t.Run(f.name, func(t *testing.T) {
+			roundTrips := func(t *testing.T, data []byte) {
+				v, ok := exercise(t, f, data)
+				if !ok {
+					t.Fatal("encoder output rejected")
+				}
+				if re := f.encode(t, v); !bytes.Equal(re, data) {
+					t.Fatalf("encoder output does not round-trip: %d bytes in, %d out", len(data), len(re))
+				}
+				if !f.strict || f.concatenated {
+					return
+				}
+				for n := range data {
+					if _, err := f.decode(data[:n]); err == nil {
+						t.Fatalf("prefix of %d/%d bytes decoded", n, len(data))
+					}
+				}
+			}
+			for j, s := range f.seeds(t) {
+				t.Run(fmt.Sprintf("seed#%d", j), func(t *testing.T) {
+					if s.valid {
+						roundTrips(t, s.data)
+					} else {
+						exercise(t, f, s.data)
+					}
+				})
+			}
+			t.Run("fixture", func(t *testing.T) {
+				data, err := os.ReadFile(filepath.Join("testdata", f.fixture))
+				if err != nil {
+					t.Fatal(err)
+				}
+				roundTrips(t, data)
+			})
+		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Seed builders: each goes through the production encoder.
+
+// logImage writes records through the production record log (first one
+// as the header) and returns the file image.
+func logImage[R journal.LogRecord](tb testing.TB, recs []R) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "log")
+	l, err := journal.CreateLog(path, recs[0], journal.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, rec := range recs[1:] {
+		if err := l.Append(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// logRecords lists the records of an image the log replays, and the
+// byte length of its intact prefix.
+func logRecords[R journal.LogRecord](data []byte) (recs []R, validLen int64) {
+	validLen, _, _ = journal.ReplayLog(data, func(_ int64, _ int, rec R) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, validLen
+}
+
+// replayedJournal is the journal row's decoded form: the folded replay
+// the product uses, plus the records behind it for re-encoding.
+type replayedJournal struct {
+	*journal.Replay
+	recs []journal.Record
+}
+
+// savedArtifact saves one run through the artifact store and returns
+// the named file of its run directory.
+func savedArtifact(tb testing.TB, meta dispatch.RunMeta, rawReports [][]byte, file string) []byte {
+	tb.Helper()
+	store, err := dispatch.NewArtifactStore(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := store.Save(meta, []byte("apk"), []byte("pcap"), rawReports, nil); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(store.Dir(), meta.SHA256, file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// datagram encodes one supervisor report with the given stack depth.
+func datagram(tb testing.TB, srcPort uint16, frames int) []byte {
+	tb.Helper()
+	stack := []string{
+		"java.net.Socket.connect",
+		"com.android.okhttp.internal.Platform.connectSocket",
+		"Lcom/unity3d/ads/android/cache/b;->doInBackground([Ljava/lang/String;)Ljava/lang/Object;",
+		"android.os.AsyncTask$2.call",
+		"java.util.concurrent.FutureTask.run",
+	}
+	raw, err := (&xposed.Report{
+		APKSHA256: fixtureSHA,
+		Tuple: pcap.FourTuple{
+			SrcIP: netip.AddrFrom4([4]byte{10, 0, 2, 15}), SrcPort: srcPort,
+			DstIP: netip.AddrFrom4([4]byte{198, 18, 0, 7}), DstPort: 443,
+		},
+		ConnectedAt: time.Date(2019, 7, 1, 10, 0, 0, 42000, time.UTC),
+		StackTrace:  stack[:frames],
+	}).Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// storeRecords builds a deterministic canonical record set: 1–6 flows
+// for each of apps apps.
+func storeRecords(apps int) []resultstore.Record {
+	origins := []string{"", "com.unity3d", "com.facebook.ads", "com.google.gms", "org.chromium"}
+	domains := []string{"", "ads.example.com", "cdn.example.net", "telemetry.example.org"}
+	rng := rand.New(rand.NewSource(7))
+	var recs []resultstore.Record
+	for a := 0; a < apps; a++ {
+		for f, flows := 0, 1+rng.Intn(6); f < flows; f++ {
+			o := origins[rng.Intn(len(origins))]
+			recs = append(recs, resultstore.Record{
+				AppIndex: a, FlowIndex: f,
+				AppSHA: fmt.Sprintf("sha-%04d", a), AppPkg: fmt.Sprintf("com.app.p%d", a%37),
+				Origin: o, TwoLevel: libradar.TwoLevel(o), Domain: domains[rng.Intn(len(domains))],
+				Attributed: o != "", BuiltinOrigin: o == "com.google.gms",
+				BytesSent: rng.Int63n(100000), BytesReceived: rng.Int63n(1000000),
+				PacketsSent: rng.Int63n(500), PacketsRecv: rng.Int63n(900),
+			})
+		}
+	}
+	return recs
+}
+
+func mustSegment(tb testing.TB, recs []resultstore.Record) []byte {
+	tb.Helper()
+	seg, err := resultstore.EncodeSegment(recs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return seg
+}
+
+// storeImage commits recs as a store file and returns its image.
+func storeImage(tb testing.TB, recs []resultstore.Record) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "store")
+	if err := resultstore.Write(path, recs); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// partialCats is the domain truth every partial seed and the partial
+// fixture were folded against; the decoder cross-checks it.
+var partialCats = staticCategorizer{
+	"ads.example.com": corpus.DomAdvertisements,
+	"cdn.example.net": corpus.DomCDN,
+	"api.example.com": corpus.DomInfoTech,
+	"img.example.org": corpus.DomAnalytics,
+}
+
+type staticCategorizer map[string]corpus.DomainCategory
+
+func (s staticCategorizer) Categorize(domain string) corpus.DomainCategory {
+	if c, ok := s[domain]; ok {
+		return c
+	}
+	return corpus.DomUnknown
+}
+
+// randPartial folds runs randomized single-flow runs, starting at app
+// index base, into an accumulator and returns the sealed, encoded partial.
+func randPartial(tb testing.TB, rng *rand.Rand, base, runs int) []byte {
+	tb.Helper()
+	origins := []string{"com.vungle.publisher", "okhttp3.internal.http", "com.unity3d.player", "com.app.local.net", "org.chromium.net"}
+	domains := []string{"ads.example.com", "cdn.example.net", "api.example.com", "img.example.org", ""}
+	appCats := []corpus.AppCategory{"GAME_PUZZLE", "TOOLS", "SOCIAL"}
+	acc, err := analysis.NewAccumulator(partialCats)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for r := 0; r < runs; r++ {
+		origin := origins[rng.Intn(len(origins))]
+		flow := &attribution.Flow{
+			Tuple: pcap.FourTuple{
+				SrcIP: netip.AddrFrom4([4]byte{10, 0, 2, 15}), SrcPort: 40000,
+				DstIP: netip.AddrFrom4([4]byte{198, 18, 0, 1}), DstPort: 80,
+			},
+			Domain:    domains[rng.Intn(len(domains))],
+			BytesSent: rng.Int63n(10_000), BytesReceived: rng.Int63n(100_000),
+			Report: &xposed.Report{}, OriginLibrary: origin, TwoLevelLibrary: libradar.TwoLevel(origin),
+		}
+		run := &attribution.RunResult{
+			AppSHA: "sha-f", AppPackage: "com.app.fz", AppCategory: appCats[rng.Intn(len(appCats))],
+			Flows:    []*attribution.Flow{flow},
+			Coverage: attribution.Coverage{ExecutedMethods: 10, TotalMethods: 100},
+		}
+		if err := acc.Observe(base+r, run); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	p, err := acc.Seal()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := p.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
+}

@@ -1,6 +1,7 @@
 package dex
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -329,5 +330,48 @@ func TestSignatureTranslator(t *testing.T) {
 	}
 	if _, ok := tr.Translate("java.net.Socket.connect", 2); ok {
 		t.Error("framework method should not resolve in the app dex")
+	}
+}
+
+// TestDecodeStrict pins the decoder's strictness for containers of
+// several shapes: the encoding round-trips, every proper prefix of it is
+// rejected (no field may be short-read), and so is the encoding with one
+// byte appended (nothing may follow the last method).
+func TestDecodeStrict(t *testing.T) {
+	cases := map[string][]Method{
+		"empty":      nil,
+		"one method": {sampleMethod()},
+		"shared pool": {
+			{Class: "a.B", Name: "f", Params: []string{"I", "J", "[B"}, Return: "V"},
+			{Class: "a.B", Name: "g", Params: []string{"I"}, Return: "I"},
+			{Class: "a.C", Name: "f", Return: "V"},
+		},
+	}
+	for name, methods := range cases {
+		f := NewFile(time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
+		for _, m := range methods {
+			if err := f.AddMethod(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		valid, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := Decode(valid)
+		if err != nil {
+			t.Fatalf("%s: valid container rejected: %v", name, err)
+		}
+		if re, err := decoded.Encode(); err != nil || !bytes.Equal(re, valid) {
+			t.Errorf("%s: round trip changed the bytes (err %v)", name, err)
+		}
+		for n := 0; n < len(valid); n++ {
+			if _, err := Decode(valid[:n]); err == nil {
+				t.Errorf("%s: prefix of %d/%d bytes decoded", name, n, len(valid))
+			}
+		}
+		if _, err := Decode(append(valid[:len(valid):len(valid)], 0)); err == nil {
+			t.Errorf("%s: container with a trailing byte decoded", name)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package dex
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"time"
+
+	"libspector/internal/codec"
 )
 
 // Binary container format ("SDEX"), a compact dex-like layout:
@@ -30,6 +32,7 @@ const sdexVersion uint16 = 1
 func (f *File) Encode() ([]byte, error) {
 	pool := make([]string, 0, len(f.methods)*2)
 	poolIdx := make(map[string]uint64, len(f.methods)*2)
+	poolBytes := 0
 	intern := func(s string) uint64 {
 		if i, ok := poolIdx[s]; ok {
 			return i
@@ -37,6 +40,7 @@ func (f *File) Encode() ([]byte, error) {
 		i := uint64(len(pool))
 		pool = append(pool, s)
 		poolIdx[s] = i
+		poolBytes += len(s)
 		return i
 	}
 
@@ -45,7 +49,9 @@ func (f *File) Encode() ([]byte, error) {
 		params           []uint64
 	}
 	encoded := make([]encMethod, 0, len(f.methods))
+	varints := 0
 	for _, m := range f.methods {
+		varints += 4 + len(m.Params)
 		em := encMethod{
 			class:  intern(m.Class),
 			name:   intern(m.Name),
@@ -58,172 +64,88 @@ func (f *File) Encode() ([]byte, error) {
 		encoded = append(encoded, em)
 	}
 
-	var buf bytes.Buffer
-	buf.Write(sdexMagic[:])
-	var scratch [binary.MaxVarintLen64]byte
-	writeU16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(scratch[:2], v)
-		buf.Write(scratch[:2])
-	}
-	writeU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		buf.Write(scratch[:4])
-	}
-	writeI64 := func(v int64) {
-		binary.LittleEndian.PutUint64(scratch[:8], uint64(v))
-		buf.Write(scratch[:8])
-	}
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-
-	writeU16(sdexVersion)
+	// Presized for two-byte varints (exact or over for pools under 16k
+	// strings of under 16k bytes), so the buffer rarely grows.
+	b := make([]byte, 0, 22+poolBytes+2*len(pool)+2*varints)
+	b = append(b, sdexMagic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, sdexVersion)
 	created := int64(0)
 	if !f.Created.IsZero() && !f.Created.Equal(DefaultDexTime) {
 		created = f.Created.Unix()
 	}
-	writeI64(created)
+	b = binary.LittleEndian.AppendUint64(b, uint64(created))
 
-	writeU32(uint32(len(pool)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pool)))
 	for _, s := range pool {
-		writeUvarint(uint64(len(s)))
-		buf.WriteString(s)
+		b = codec.AppendString(b, s)
 	}
-	writeU32(uint32(len(encoded)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(encoded)))
 	for _, em := range encoded {
-		writeUvarint(em.class)
-		writeUvarint(em.name)
-		writeUvarint(em.ret)
-		writeUvarint(uint64(len(em.params)))
+		b = binary.AppendUvarint(b, em.class)
+		b = binary.AppendUvarint(b, em.name)
+		b = binary.AppendUvarint(b, em.ret)
+		b = binary.AppendUvarint(b, uint64(len(em.params)))
 		for _, p := range em.params {
-			writeUvarint(p)
+			b = binary.AppendUvarint(b, p)
 		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// Decode parses an SDEX container produced by Encode.
+// errMalformed is what the cursor's failures (short field, bad varint,
+// oversized count, trailing bytes) wrap, keeping them in the package's
+// "dex: ..." error style.
+var errMalformed = errors.New("dex: malformed container")
+
+// Decode parses an SDEX container produced by Encode. It is strict: a
+// field cut short, a count larger than the bytes left, a pool index out
+// of range, and bytes after the last method all fail.
 func Decode(data []byte) (*File, error) {
-	r := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := r.Read(magic[:]); err != nil {
-		return nil, fmt.Errorf("dex: reading magic: %w", err)
+	r := codec.NewReader(data, errMalformed)
+	if magic := r.Take(len(sdexMagic)); r.Err() == nil && [4]byte(magic) != sdexMagic {
+		return nil, fmt.Errorf("dex: bad magic %q, want %q", magic, sdexMagic[:])
 	}
-	if magic != sdexMagic {
-		return nil, fmt.Errorf("dex: bad magic %q, want %q", magic[:], sdexMagic[:])
-	}
-	var version uint16
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("dex: reading version: %w", err)
-	}
-	if version != sdexVersion {
+	if version := r.Uint16(); r.Err() == nil && version != sdexVersion {
 		return nil, fmt.Errorf("dex: unsupported container version %d", version)
 	}
-	var createdUnix int64
-	if err := binary.Read(r, binary.LittleEndian, &createdUnix); err != nil {
-		return nil, fmt.Errorf("dex: reading timestamp: %w", err)
-	}
 	created := DefaultDexTime
-	if createdUnix != 0 {
+	if createdUnix := int64(r.Uint64()); createdUnix != 0 {
 		created = time.Unix(createdUnix, 0).UTC()
 	}
 
-	var poolLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &poolLen); err != nil {
-		return nil, fmt.Errorf("dex: reading string-pool length: %w", err)
-	}
-	if uint64(poolLen) > uint64(len(data)) {
-		return nil, fmt.Errorf("dex: string-pool length %d exceeds container size %d", poolLen, len(data))
-	}
-	pool := make([]string, poolLen)
+	pool := make([]string, r.Count(uint64(r.Uint32())))
 	for i := range pool {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("dex: reading string %d length: %w", i, err)
-		}
-		if n > uint64(len(data)) {
-			return nil, fmt.Errorf("dex: string %d length %d exceeds container size", i, n)
-		}
-		b := make([]byte, n)
-		if _, err := fullRead(r, b); err != nil {
-			return nil, fmt.Errorf("dex: reading string %d: %w", i, err)
-		}
-		pool[i] = string(b)
+		pool[i] = r.String()
 	}
-
-	var methodCount uint32
-	if err := binary.Read(r, binary.LittleEndian, &methodCount); err != nil {
-		return nil, fmt.Errorf("dex: reading method count: %w", err)
-	}
-	if uint64(methodCount) > uint64(len(data)) {
-		return nil, fmt.Errorf("dex: method count %d exceeds container size", methodCount)
+	lookup := func(what string, i int) string {
+		idx := r.Uvarint()
+		if r.Err() == nil && idx >= uint64(len(pool)) {
+			r.Failf("method %d %s index %d out of pool range %d", i, what, idx, len(pool))
+		}
+		if r.Err() != nil {
+			return ""
+		}
+		return pool[idx]
 	}
 	f := NewFile(created)
-	lookup := func(idx uint64, what string, i uint32) (string, error) {
-		if idx >= uint64(len(pool)) {
-			return "", fmt.Errorf("dex: method %d %s index %d out of pool range %d", i, what, idx, len(pool))
-		}
-		return pool[idx], nil
-	}
-	for i := uint32(0); i < methodCount; i++ {
-		classIdx, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("dex: reading method %d class: %w", i, err)
-		}
-		nameIdx, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("dex: reading method %d name: %w", i, err)
-		}
-		retIdx, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("dex: reading method %d return: %w", i, err)
-		}
-		nParams, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("dex: reading method %d param count: %w", i, err)
-		}
-		if nParams > uint64(len(data)) {
-			return nil, fmt.Errorf("dex: method %d param count %d exceeds container size", i, nParams)
-		}
-		m := Method{}
-		if m.Class, err = lookup(classIdx, "class", i); err != nil {
-			return nil, err
-		}
-		if m.Name, err = lookup(nameIdx, "name", i); err != nil {
-			return nil, err
-		}
-		if m.Return, err = lookup(retIdx, "return", i); err != nil {
-			return nil, err
-		}
-		if nParams > 0 {
+	methodCount := r.Count(uint64(r.Uint32()))
+	for i := 0; i < methodCount; i++ {
+		m := Method{Class: lookup("class", i), Name: lookup("name", i), Return: lookup("return", i)}
+		if nParams := r.Length(); nParams > 0 {
 			m.Params = make([]string, nParams)
 		}
 		for j := range m.Params {
-			pIdx, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("dex: reading method %d param %d: %w", i, j, err)
-			}
-			if m.Params[j], err = lookup(pIdx, "param", i); err != nil {
-				return nil, err
-			}
+			m.Params[j] = lookup("param", i)
+		}
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if err := f.AddMethod(m); err != nil {
 			return nil, fmt.Errorf("dex: decoding method %d: %w", i, err)
 		}
 	}
-	return f, nil
-}
-
-// fullRead reads exactly len(b) bytes.
-func fullRead(r *bytes.Reader, b []byte) (int, error) {
-	total := 0
-	for total < len(b) {
-		n, err := r.Read(b[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
-	return total, nil
+	return f, nil
 }

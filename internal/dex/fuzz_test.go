@@ -1,42 +1,6 @@
 package dex
 
-import (
-	"testing"
-	"time"
-)
-
-// FuzzDecode hardens the SDEX container decoder: no panics, and accepted
-// containers must re-encode and re-decode to the same method count.
-func FuzzDecode(f *testing.F) {
-	file := NewFile(time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
-	if err := file.AddMethod(sampleMethod()); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := file.Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte("SDEX\x01\x00"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded, err := Decode(data)
-		if err != nil {
-			return
-		}
-		re, err := decoded.Encode()
-		if err != nil {
-			t.Fatalf("accepted container does not re-encode: %v", err)
-		}
-		again, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-encoded container does not decode: %v", err)
-		}
-		if again.MethodCount() != decoded.MethodCount() {
-			t.Fatalf("method count drifted: %d vs %d", again.MethodCount(), decoded.MethodCount())
-		}
-	})
-}
+import "testing"
 
 // FuzzParseTypeSignature checks the smali signature parser is total and
 // that parse→render→parse is stable.

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,6 +15,7 @@ import (
 
 	"libspector/internal/apk"
 	"libspector/internal/attribution"
+	"libspector/internal/codec"
 	"libspector/internal/corpus"
 	"libspector/internal/dex"
 	"libspector/internal/faults"
@@ -113,14 +113,7 @@ func (s *ArtifactStore) Save(meta RunMeta, apkBytes, capture []byte, rawReports 
 		return fmt.Errorf("dispatch: writing capture: %w", err)
 	}
 
-	var reports bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	for _, raw := range rawReports {
-		n := binary.PutUvarint(scratch[:], uint64(len(raw)))
-		reports.Write(scratch[:n])
-		reports.Write(raw)
-	}
-	if err := writeFileSync(filepath.Join(runDir, "reports.bin"), reports.Bytes()); err != nil {
+	if err := writeFileSync(filepath.Join(runDir, "reports.bin"), EncodeReports(rawReports)); err != nil {
 		return fmt.Errorf("dispatch: writing reports: %w", err)
 	}
 
@@ -265,9 +258,9 @@ type StoredRun struct {
 	Trace   map[string]struct{}
 }
 
-// decodeMeta parses and validates one stored meta.json against its run
+// DecodeMeta parses and validates one stored meta.json against its run
 // directory key. Content failures wrap ErrCorruptArtifact.
-func decodeMeta(data []byte, sha string) (RunMeta, error) {
+func DecodeMeta(data []byte, sha string) (RunMeta, error) {
 	var meta RunMeta
 	if err := json.Unmarshal(data, &meta); err != nil {
 		return RunMeta{}, corruptf(sha, "parsing meta: %v", err)
@@ -281,24 +274,29 @@ func decodeMeta(data []byte, sha string) (RunMeta, error) {
 	return meta, nil
 }
 
-// decodeReports parses a reports.bin image: length-prefixed supervisor
-// datagrams. Framing or decode failures wrap ErrCorruptArtifact.
-func decodeReports(data []byte, sha string) ([]*xposed.Report, error) {
+// EncodeReports builds a reports.bin image: the run's supervisor
+// datagrams, each length-prefixed.
+func EncodeReports(rawReports [][]byte) []byte {
+	size := 0
+	for _, raw := range rawReports {
+		size += binary.MaxVarintLen16 + len(raw)
+	}
+	b := make([]byte, 0, size)
+	for _, raw := range rawReports {
+		b = codec.AppendString(b, raw)
+	}
+	return b
+}
+
+// DecodeReports parses a reports.bin image. Framing or decode failures
+// wrap ErrCorruptArtifact.
+func DecodeReports(data []byte, sha string) ([]*xposed.Report, error) {
 	var out []*xposed.Report
-	r := bytes.NewReader(data)
-	for r.Len() > 0 {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, corruptf(sha, "reading report length: %v", err)
-		}
-		if n > uint64(r.Len()) {
-			return nil, corruptf(sha, "report length %d exceeds remaining %d bytes", n, r.Len())
-		}
-		raw := make([]byte, n)
-		// io.ReadFull, not Read: a bare Read may return fewer bytes than
-		// requested without error, silently leaving the report truncated.
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, corruptf(sha, "reading report body: %v", err)
+	r := codec.NewReader(data, ErrCorruptArtifact)
+	for r.Remaining() > 0 {
+		raw := r.Bytes()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("%w (reports of %s)", r.Err(), sha)
 		}
 		rep, err := xposed.DecodeReport(raw)
 		if err != nil {
@@ -320,7 +318,7 @@ func (s *ArtifactStore) Load(sha string) (*StoredRun, error) {
 		return nil, fmt.Errorf("dispatch: reading meta: %w", err)
 	}
 	run := &StoredRun{}
-	if run.Meta, err = decodeMeta(metaJSON, sha); err != nil {
+	if run.Meta, err = DecodeMeta(metaJSON, sha); err != nil {
 		return nil, err
 	}
 
@@ -343,7 +341,7 @@ func (s *ArtifactStore) Load(sha string) (*StoredRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: reading reports: %w", err)
 	}
-	if run.Reports, err = decodeReports(reportBytes, sha); err != nil {
+	if run.Reports, err = DecodeReports(reportBytes, sha); err != nil {
 		return nil, err
 	}
 
@@ -382,7 +380,7 @@ func (s *ArtifactStore) Verify(sha string) error {
 	if err != nil {
 		return fmt.Errorf("dispatch: reading meta: %w", err)
 	}
-	if _, err := decodeMeta(metaJSON, sha); err != nil {
+	if _, err := DecodeMeta(metaJSON, sha); err != nil {
 		return err
 	}
 	apkBytes, err := os.ReadFile(filepath.Join(runDir, "app.apk"))
@@ -396,7 +394,7 @@ func (s *ArtifactStore) Verify(sha string) error {
 	if err != nil {
 		return fmt.Errorf("dispatch: reading reports: %w", err)
 	}
-	if _, err := decodeReports(reportBytes, sha); err != nil {
+	if _, err := DecodeReports(reportBytes, sha); err != nil {
 		return err
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"libspector/internal/analysis"
+	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
@@ -53,9 +54,9 @@ func buildFleet(t testing.TB, numApps int, seed uint64) *fleet {
 		t.Fatalf("RunAll: %v", err)
 	}
 	detector.Finalize(2)
-	ds, err := analysis.BuildDataset(res.Runs, detector, vtSvc)
+	ds, err := analysistest.BuildDataset(res.Runs, detector, vtSvc)
 	if err != nil {
-		t.Fatalf("BuildDataset: %v", err)
+		t.Fatalf("building dataset: %v", err)
 	}
 	return &fleet{world: world, detector: detector, vt: vtSvc, result: res, dataset: ds}
 }

@@ -60,8 +60,25 @@ type shardQuarantineFile struct {
 // could mistake for a complete one, and a committed outcome survives the
 // host dying right after.
 func WriteShardOutcome(path string, out *ShardOutcome) error {
+	data, err := EncodeShardOutcome(out)
+	if err != nil {
+		return err
+	}
+	err = journal.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("dispatch: writing shard outcome: %w", err)
+	}
+	return nil
+}
+
+// EncodeShardOutcome is the outcome file's image: the JSON envelope
+// sealed in the "LSSHRD01" CRC frame.
+func EncodeShardOutcome(out *ShardOutcome) ([]byte, error) {
 	if out == nil {
-		return fmt.Errorf("dispatch: nil shard outcome")
+		return nil, fmt.Errorf("dispatch: nil shard outcome")
 	}
 	f := shardOutcomeFile{
 		Index:      out.Index,
@@ -84,17 +101,9 @@ func WriteShardOutcome(path string, out *ShardOutcome) error {
 	}
 	body, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		return fmt.Errorf("dispatch: encoding shard outcome: %w", err)
+		return nil, fmt.Errorf("dispatch: encoding shard outcome: %w", err)
 	}
-	data := codec.Seal(shardOutcomeMagic, body)
-	err = journal.WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("dispatch: writing shard outcome: %w", err)
-	}
-	return nil
+	return codec.Seal(shardOutcomeMagic, body), nil
 }
 
 // ReadShardOutcome loads a shard outcome file written by
@@ -105,16 +114,26 @@ func ReadShardOutcome(path string) (*ShardOutcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: reading shard outcome: %w", err)
 	}
+	out, err := DecodeShardOutcome(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return out, nil
+}
+
+// DecodeShardOutcome reverses EncodeShardOutcome. Every failure wraps
+// ErrCorruptOutcome.
+func DecodeShardOutcome(data []byte) (*ShardOutcome, error) {
 	body, err := codec.Open(shardOutcomeMagic, data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptOutcome, path, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptOutcome, err)
 	}
 	var f shardOutcomeFile
 	if err := json.Unmarshal(body, &f); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptOutcome, path, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptOutcome, err)
 	}
 	if f.Index < 0 || f.Lo < 0 || f.Hi < f.Lo {
-		return nil, fmt.Errorf("%w: %s: shard %d claims range [%d,%d)", ErrCorruptOutcome, path, f.Index, f.Lo, f.Hi)
+		return nil, fmt.Errorf("%w: shard %d claims range [%d,%d)", ErrCorruptOutcome, f.Index, f.Lo, f.Hi)
 	}
 	out := &ShardOutcome{
 		Index:      f.Index,

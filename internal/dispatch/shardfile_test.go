@@ -77,59 +77,6 @@ func TestReadShardOutcomeRejectsDamage(t *testing.T) {
 	}
 }
 
-// FuzzShardOutcome drives ReadShardOutcome with arbitrary bytes: it must
-// either succeed or fail with a typed error, never panic.
-func FuzzShardOutcome(f *testing.F) {
-	dir, err := os.MkdirTemp("", "fuzz-shardfile-*")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { _ = os.RemoveAll(dir) })
-	seedPath := filepath.Join(dir, "seed.out")
-	if err := WriteShardOutcome(seedPath, &ShardOutcome{
-		Range:    ShardRange{Lo: 0, Hi: 2},
-		Snapshot: coordSnapshot(2),
-		Partial:  []byte{0xAA},
-	}); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add([]byte{})
-	f.Add([]byte("LSSHRD01"))
-	f.Add([]byte("LSSHRD01{}\x00\x00\x00\x00"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "in.out")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err := ReadShardOutcome(p)
-		if err != nil {
-			if !errors.Is(err, ErrCorruptOutcome) {
-				t.Fatalf("untyped error %v", err)
-			}
-			return
-		}
-		// Accepted outcomes must satisfy the structural invariants the
-		// coordinator relies on.
-		if out.Index < 0 || out.Range.Hi < out.Range.Lo {
-			t.Fatalf("accepted invalid outcome %+v", out)
-		}
-		// Strictness: an accepted input plus a trailing byte must fail.
-		if err := os.WriteFile(p, append(append([]byte(nil), data...), 0x5A), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadShardOutcome(p); err == nil {
-			t.Fatal("accepted trailing byte")
-		}
-	})
-}
-
 // TestRecordSinkFlattensRuns checks the sink turns run events into
 // canonical records and refuses events after Seal.
 func TestRecordSinkFlattensRuns(t *testing.T) {

@@ -8,7 +8,7 @@ package dispatch
 // campaign consumed — in process memory. Kill the coordinator and that
 // knowledge died with it: a restart would redo finished shards and hand
 // the campaign a fresh takeover budget. The WAL fixes both. It is a
-// CRC-framed record log (the same frame layer as the run journal,
+// record log (journal.Log, the mechanism under the run journal too,
 // fsynced per record — coordinator events are rare, so batching buys
 // nothing and costs durability) holding five record types:
 //
@@ -35,7 +35,6 @@ package dispatch
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -71,19 +70,24 @@ type WALRecord struct {
 	OutcomeSHA string `json:"outcome_sha,omitempty"`
 }
 
+// IsHeader marks the campaign record as the WAL's header
+// (journal.LogRecord).
+func (r WALRecord) IsHeader() bool { return r.Type == walCampaign }
+
 // errWALCrash is the injected coordinator death: CrashAfterWALRecords
 // makes every append past the boundary fail with it, so the durable
 // prefix is exactly the configured record count.
 var errWALCrash = errors.New("dispatch: injected coordinator crash at WAL record boundary")
 
 // campaignWAL serializes appends from concurrent shard supervisors onto
-// one frame writer and tracks the record count for the observer/crash
-// hooks. A nil *campaignWAL is the unsupervised campaign's log: appends,
+// one record log (journal.Log owns framing, replay, and recovery; this
+// file owns only the WAL's schema) and tracks the record count for the
+// observer/crash hooks. A nil *campaignWAL is the unsupervised campaign's log: appends,
 // seals, and close are no-ops, so the coordinator runs one loop whether
 // or not anything is journaled.
 type campaignWAL struct {
-	mu sync.Mutex
-	fw *journal.FrameWriter
+	mu  sync.Mutex
+	log *journal.Log[WALRecord]
 	// dir is where sealed shard outcomes are persisted.
 	dir        string
 	records    int
@@ -95,16 +99,12 @@ func (w *campaignWAL) append(rec WALRecord) error {
 	if w == nil {
 		return nil
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("dispatch: encoding WAL record: %w", err)
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.crashAfter > 0 && w.records >= w.crashAfter {
 		return errWALCrash
 	}
-	if err := w.fw.Append(payload); err != nil {
+	if err := w.log.Append(rec); err != nil {
 		return fmt.Errorf("dispatch: appending WAL record: %w", err)
 	}
 	w.records++
@@ -137,7 +137,7 @@ func (w *campaignWAL) close() error {
 	if w == nil {
 		return nil
 	}
-	return w.fw.Close()
+	return w.log.Close()
 }
 
 // walState is what a recovered WAL says about the campaign.
@@ -159,55 +159,38 @@ type walState struct {
 }
 
 // ReplayWAL decodes a coordinator WAL image. Exported for libreport and
-// the chaos tests; the returned records are in append order. Torn tails
-// are tolerated exactly like the run journal's; interior corruption
-// returns *journal.CorruptError.
+// the chaos tests; the returned records are in append order, campaign
+// header first. Torn tails are tolerated exactly like the run journal's;
+// interior corruption returns *journal.CorruptError and a missing header
+// journal.ErrNoHeader.
 func ReplayWAL(data []byte) ([]WALRecord, error) {
-	recs, _, err := replayWAL(data)
-	return recs, err
-}
-
-// replayWAL is ReplayWAL plus the byte length of the intact prefix (the
-// truncation point for reopening).
-func replayWAL(data []byte) (recs []WALRecord, validLen int64, err error) {
-	validLen, _, err = journal.WalkFrames(data, func(off int64, index int, payload []byte) error {
-		var rec WALRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return &journal.CorruptError{Offset: off, Record: index, Reason: fmt.Sprintf("undecodable WAL payload: %v", err)}
-		}
+	var recs []WALRecord
+	_, _, err := journal.ReplayLog(data, func(_ int64, _ int, rec WALRecord) error {
 		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return recs, validLen, nil
+	return recs, nil
 }
 
-// recoverWALState folds a WAL image into a fresh walState, verifying the
-// header against this coordinator's plan, and returns the byte length of
-// the intact prefix.
-func (c *Coordinator) recoverWALState(st *walState, data []byte) (int64, error) {
-	recs, validLen, err := replayWAL(data)
-	if err != nil {
-		return 0, err
-	}
-	if len(recs) == 0 {
-		return 0, fmt.Errorf("dispatch: WAL %s holds no campaign record", c.WAL)
-	}
-	st.records = len(recs)
-	if hdr := recs[0]; hdr.Type != walCampaign {
-		return 0, fmt.Errorf("dispatch: WAL does not start with a campaign record (got %q)", hdr.Type)
-	} else if hdr.Fingerprint != c.Fingerprint || hdr.Apps != c.Plan.TotalApps || hdr.Shards != c.Plan.Shards || hdr.Workers != c.Plan.Workers {
-		return 0, fmt.Errorf("dispatch: WAL belongs to a different campaign (fingerprint %s, %d apps / %d shards / %d workers; want %s, %d/%d/%d)",
-			hdr.Fingerprint, hdr.Apps, hdr.Shards, hdr.Workers,
-			c.Fingerprint, c.Plan.TotalApps, c.Plan.Shards, c.Plan.Workers)
-	}
-	for n, rec := range recs[1:] {
+// foldWAL is the coordinator's replay fold: it verifies the header
+// against this coordinator's plan — before the recovery truncates
+// anything — and applies every later record to st.
+func (c *Coordinator) foldWAL(st *walState) func(off int64, index int, rec WALRecord) error {
+	return func(_ int64, index int, rec WALRecord) error {
+		st.records = index + 1
 		if (rec.Type == walAttempt || rec.Type == walSealed) && (rec.Shard < 0 || rec.Shard >= c.Plan.Shards) {
-			return 0, fmt.Errorf("dispatch: WAL %s record for shard %d outside plan of %d", rec.Type, rec.Shard, c.Plan.Shards)
+			return fmt.Errorf("dispatch: WAL %s record for shard %d outside plan of %d", rec.Type, rec.Shard, c.Plan.Shards)
 		}
 		switch rec.Type {
+		case walCampaign:
+			if rec.Fingerprint != c.Fingerprint || rec.Apps != c.Plan.TotalApps || rec.Shards != c.Plan.Shards || rec.Workers != c.Plan.Workers {
+				return fmt.Errorf("dispatch: WAL belongs to a different campaign (fingerprint %s, %d apps / %d shards / %d workers; want %s, %d/%d/%d)",
+					rec.Fingerprint, rec.Apps, rec.Shards, rec.Workers,
+					c.Fingerprint, c.Plan.TotalApps, c.Plan.Shards, c.Plan.Workers)
+			}
 		case walAttempt:
 			st.nextAttempt[rec.Shard] = rec.Attempt
 		case walTakeover:
@@ -225,10 +208,10 @@ func (c *Coordinator) recoverWALState(st *walState, data []byte) (int64, error) 
 		case walDone:
 			st.done = true
 		default:
-			return 0, fmt.Errorf("dispatch: WAL record %d has unknown type %q", n+1, rec.Type)
+			return fmt.Errorf("dispatch: WAL record %d has unknown type %q", index, rec.Type)
 		}
+		return nil
 	}
-	return validLen, nil
 }
 
 // openWAL opens the campaign's supervision log and the state it implies.
@@ -253,10 +236,7 @@ func (c *Coordinator) openWAL() (*campaignWAL, *walState, error) {
 	// Coordinator events are rare: fsync each one.
 	opts := journal.Options{SyncEvery: 1}
 	if _, err := os.Stat(c.WAL); err == nil && c.Resume {
-		wal.fw, err = journal.RecoverFrameLog(c.WAL, opts, func(data []byte) (int64, error) {
-			return c.recoverWALState(st, data)
-		})
-		if err != nil {
+		if wal.log, _, _, err = journal.RecoverLog(c.WAL, opts, c.foldWAL(st)); err != nil {
 			return nil, nil, err
 		}
 		wal.records = st.records
@@ -268,18 +248,16 @@ func (c *Coordinator) openWAL() (*campaignWAL, *walState, error) {
 	// — a coordinator killed before its first fsynced record; starting
 	// fresh is exactly what resuming that campaign means, and the
 	// fingerprint header catches wrong-path mixups on the next resume).
-	header, err := json.Marshal(WALRecord{
+	var err error
+	wal.log, err = journal.CreateLog(c.WAL, WALRecord{
 		Type:        walCampaign,
 		Fingerprint: c.Fingerprint,
 		Apps:        c.Plan.TotalApps,
 		Shards:      c.Plan.Shards,
 		Workers:     c.Plan.Workers,
 		Shard:       -1,
-	})
+	}, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("dispatch: encoding WAL record: %w", err)
-	}
-	if wal.fw, err = journal.CreateFrameLog(c.WAL, header, opts); err != nil {
 		return nil, nil, err
 	}
 	wal.records, st.records = 1, 1
@@ -308,9 +286,9 @@ func (c *Coordinator) reopenSealed(dir string, i int, wantSHA string) (*ShardOut
 	if got := hex.EncodeToString(sum[:]); got != wantSHA {
 		return nil, fmt.Errorf("dispatch: sealed outcome for shard %d has sha %s, WAL recorded %s", i, got, wantSHA)
 	}
-	out, err := ReadShardOutcome(path)
+	out, err := DecodeShardOutcome(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if out.Index != i || out.Range != c.Plan.Range(i) {
 		return nil, fmt.Errorf("dispatch: sealed outcome at %s describes shard %d range %+v, want shard %d range %+v",

@@ -1,29 +1,26 @@
 package journal
 
-// The generic CRC-framed log layer. Two record schemas ride on it: the
-// per-shard run journal (Writer, this package) and the coordinator's
-// campaign WAL (internal/dispatch). Both need exactly the same
-// durability discipline — length+CRC32C framing, batched fsync, a
+// The byte layer under Log: length+CRC32C framing, batched fsync, a
 // writer that latches broken after the first write error, torn-tail
-// tolerance on read, typed corruption on interior damage — so the
-// mechanics live here once and the schemas stay with their owners.
+// tolerance on read, typed corruption on interior damage. Only log.go
+// calls it; record schemas sit on Log.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
+
+	"libspector/internal/codec"
 )
 
-// FrameWriter appends CRC32C-framed payloads to a file:
+// frameWriter appends CRC32C-framed payloads to a file:
 // [length uint32][crc32c uint32][payload], little-endian, checksummed
 // over the payload. It batches fsyncs (Options.SyncEvery) and refuses
 // further appends after the first write error — a durability log that
 // silently drops records is worse than none. Safe for concurrent use.
-type FrameWriter struct {
+type frameWriter struct {
 	mu        sync.Mutex
 	f         *os.File
 	buf       *bufio.Writer
@@ -33,74 +30,18 @@ type FrameWriter struct {
 	tearNext  bool
 }
 
-// CreateFrameLog truncates (or creates) the frame log at path and writes
-// header as its first, immediately-synced frame. The header is then
-// durable in the file; the parent-directory fsync makes the file itself
-// durable, or a crash right here would lose the whole log.
-func CreateFrameLog(path string, header []byte, opts Options) (*FrameWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: creating %s: %w", path, err)
-	}
-	w := newFrameWriter(f, opts)
-	err = w.Append(header)
-	if err == nil {
-		err = w.Sync()
-	}
-	if err == nil {
-		err = SyncParentDir(path)
-	}
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	return w, nil
-}
-
-// RecoverFrameLog reopens an existing frame log for appending — the
-// restart path. replay decodes the file image with the owner's record
-// schema and returns the byte length of its intact prefix (WalkFrames'
-// validLen); any torn tail a crash mid-append left beyond it is
-// truncated, and the writer is positioned there. An error from replay —
-// interior corruption, a foreign header — aborts the recovery untouched.
-func RecoverFrameLog(path string, opts Options, replay func(data []byte) (validLen int64, err error)) (*FrameWriter, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("journal: reading %s: %w", path, err)
-	}
-	validLen, err := replay(data)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: reopening %s: %w", path, err)
-	}
-	if validLen < int64(len(data)) {
-		if err := f.Truncate(validLen); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("journal: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: seeking to valid end: %w", err)
-	}
-	return newFrameWriter(f, opts), nil
-}
-
 // newFrameWriter wraps an open file positioned at its append point.
-func newFrameWriter(f *os.File, opts Options) *FrameWriter {
+func newFrameWriter(f *os.File, opts Options) *frameWriter {
 	se := opts.SyncEvery
 	if se <= 0 {
 		se = DefaultSyncEvery
 	}
-	return &FrameWriter{f: f, buf: bufio.NewWriter(f), syncEvery: se}
+	return &frameWriter{f: f, buf: bufio.NewWriter(f), syncEvery: se}
 }
 
 // Append frames, checksums, and writes one payload, fsyncing when the
 // batch budget is spent.
-func (w *FrameWriter) Append(payload []byte) error {
+func (w *frameWriter) Append(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
@@ -111,7 +52,7 @@ func (w *FrameWriter) Append(payload []byte) error {
 	}
 	var frame [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(frame[4:8], codec.Sum(payload))
 	if w.tearNext {
 		// Injected crash mid-write: flush a partial frame — the header
 		// plus roughly half the payload — straight to disk, then fail as
@@ -141,7 +82,7 @@ func (w *FrameWriter) Append(payload []byte) error {
 }
 
 // Sync flushes buffered frames and fsyncs the file.
-func (w *FrameWriter) Sync() error {
+func (w *frameWriter) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
@@ -150,7 +91,7 @@ func (w *FrameWriter) Sync() error {
 	return w.syncLocked()
 }
 
-func (w *FrameWriter) syncLocked() error {
+func (w *frameWriter) syncLocked() error {
 	if err := w.buf.Flush(); err != nil {
 		w.broken = fmt.Errorf("journal: flushing: %w", err)
 		return w.broken
@@ -166,7 +107,7 @@ func (w *FrameWriter) syncLocked() error {
 // InjectTear arms the crash-fault hook: the next Append writes a
 // deliberately torn frame, fails with ErrTornWrite, and breaks the
 // writer — the deterministic stand-in for a process killed mid-write.
-func (w *FrameWriter) InjectTear() {
+func (w *frameWriter) InjectTear() {
 	w.mu.Lock()
 	w.tearNext = true
 	w.mu.Unlock()
@@ -174,7 +115,7 @@ func (w *FrameWriter) InjectTear() {
 
 // Close syncs and releases the file. A broken writer still closes the
 // descriptor.
-func (w *FrameWriter) Close() error {
+func (w *frameWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var syncErr error
@@ -188,14 +129,14 @@ func (w *FrameWriter) Close() error {
 	return closeErr
 }
 
-// WalkFrames scans a frame-log image, invoking fn for each intact frame
+// walkFrames scans a frame-log image, invoking fn for each intact frame
 // with its byte offset, zero-based index, and payload. It returns the
 // byte offset after the last intact frame (the truncation point for
 // recovery) and the size of the dropped torn tail. A frame cut short by
 // a crash mid-write is tolerated as the tail; a damaged frame with
 // valid bytes after it is interior corruption and returns a
 // *CorruptError, as does any error from fn (which propagates verbatim).
-func WalkFrames(data []byte, fn func(off int64, index int, payload []byte) error) (validLen, tornBytes int64, err error) {
+func walkFrames(data []byte, fn func(off int64, index int, payload []byte) error) (validLen, tornBytes int64, err error) {
 	var off int64
 	index := 0
 	total := int64(len(data))
@@ -223,7 +164,7 @@ func WalkFrames(data []byte, fn func(off int64, index int, payload []byte) error
 			break
 		}
 		payload := data[off+frameHeaderSize : end]
-		if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
+		if got := codec.Sum(payload); got != wantCRC {
 			if end == total {
 				// The final record's checksum fails: a write torn inside
 				// the payload's final sectors. Recoverable.

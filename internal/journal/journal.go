@@ -21,15 +21,15 @@
 //     error: the journal's history itself is damaged and silently
 //     dropping interior records would fabricate campaign state.
 //
-// The package is dependency-free (standard library only) so every layer
-// can import it without cycles.
+// That discipline is held once, by the generic record log (Log, log.go),
+// which the run journal and the coordinator WAL both instantiate. The
+// package imports only the standard library and internal/codec (for the
+// shared CRC32C), so every layer can import it without cycles.
 package journal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"time"
 )
@@ -65,9 +65,6 @@ func (e *CorruptError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrCorrupt) hold.
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
-
-// castagnoli is the CRC32C table shared by writer and reader.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // frameHeaderSize is the per-record framing overhead: length + crc32c.
 const frameHeaderSize = 8
@@ -213,58 +210,53 @@ type Options struct {
 // progress, large enough that the journal never bounds fleet throughput.
 const DefaultSyncEvery = 16
 
+// IsHeader marks the campaign record as the journal's header
+// (LogRecord).
+func (r Record) IsHeader() bool { return r.Type == TypeCampaign }
+
 // Writer appends records to a journal file. It is safe for concurrent
-// use by the fleet's workers. The framing, fsync batching, broken-latch,
-// and tear-injection mechanics live in FrameWriter; Writer owns only the
-// record schema.
+// use by the fleet's workers. Framing, fsync batching, the broken-latch,
+// tear injection, and recovery are Log's (Append, Sync, InjectTear, and
+// Close are its methods); Writer owns only the record schema.
 type Writer struct {
-	fw *FrameWriter
+	*Log[Record]
 }
 
 // Create truncates (or creates) the journal at path and writes the
 // campaign header as its first, immediately-synced record.
 func Create(path string, hdr Header, opts Options) (*Writer, error) {
-	payload, err := json.Marshal(Record{Type: TypeCampaign, Seed: hdr.Seed, Fingerprint: hdr.Fingerprint, Apps: hdr.Apps, ShardLo: hdr.ShardLo, ShardHi: hdr.ShardHi})
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding record: %w", err)
-	}
-	fw, err := CreateFrameLog(path, payload, opts)
+	l, err := CreateLog(path, Record{Type: TypeCampaign, Seed: hdr.Seed, Fingerprint: hdr.Fingerprint, Apps: hdr.Apps, ShardLo: hdr.ShardLo, ShardHi: hdr.ShardHi}, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{fw: fw}, nil
+	return &Writer{l}, nil
 }
 
 // Recover replays an existing journal, truncates any torn tail left by a
 // crash mid-append, and reopens the file for appending — the restart
-// path. Mid-file corruption is not recoverable and surfaces as a
-// *CorruptError.
+// path for callers that own the file whatever its header says. Mid-file
+// corruption is not recoverable and surfaces as a *CorruptError.
 func Recover(path string, opts Options) (*Writer, *Replay, error) {
-	var replay *Replay
-	fw, err := RecoverFrameLog(path, opts, func(data []byte) (int64, error) {
-		r, err := ReplayBytes(data)
-		if err != nil {
-			return 0, err
-		}
-		replay = r
-		return r.ValidLen, nil
-	})
+	return recoverJournal(path, opts, nil)
+}
+
+// Resume is Recover for a campaign that knows its identity: the
+// journal's header is matched against want before anything is
+// truncated, so a journal recorded under another seed or configuration
+// is refused with ErrFingerprintMismatch and left byte-for-byte as it
+// was found.
+func Resume(path string, want Header, opts Options) (*Writer, *Replay, error) {
+	return recoverJournal(path, opts, &want)
+}
+
+func recoverJournal(path string, opts Options, want *Header) (*Writer, *Replay, error) {
+	r := newReplay()
+	l, validLen, tornBytes, err := RecoverLog(path, opts, r.fold(want))
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Writer{fw: fw}, replay, nil
-}
-
-// Append frames, checksums, and writes one record, fsyncing when the
-// batch budget is spent. A Writer that has seen a write error refuses
-// further appends: a durability log that silently drops records is worse
-// than none.
-func (w *Writer) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: encoding record: %w", err)
-	}
-	return w.fw.Append(payload)
+	r.ValidLen, r.TornBytes = validLen, tornBytes
+	return &Writer{l}, r, nil
 }
 
 // RunStarted records an app handed to a worker.
@@ -305,19 +297,6 @@ func (w *Writer) RunQuarantined(app, attempts int, backoff time.Duration, backof
 		Attempts: attempts, BackoffNS: int64(backoff), BackoffMS: backoffMS, Error: errText,
 	})
 }
-
-// Sync flushes buffered records and fsyncs the file.
-func (w *Writer) Sync() error { return w.fw.Sync() }
-
-// InjectTear arms the crash-fault hook: the next Append writes a
-// deliberately torn frame (header plus half the payload), fails with
-// ErrTornWrite, and breaks the writer — the deterministic stand-in for a
-// process killed mid-write.
-func (w *Writer) InjectTear() { w.fw.InjectTear() }
-
-// Close syncs and releases the file. A broken writer still closes the
-// descriptor.
-func (w *Writer) Close() error { return w.fw.Close() }
 
 // AppOutcome is the replayed terminal state of one app.
 type AppOutcome struct {
@@ -387,81 +366,65 @@ func Read(path string) (*Replay, error) {
 // ReplayBytes replays a journal image from memory (the fuzz and test
 // entry point backing Read).
 func ReplayBytes(data []byte) (*Replay, error) {
-	r := &Replay{
+	r := newReplay()
+	var err error
+	if r.ValidLen, r.TornBytes, err = ReplayLog(data, r.fold(nil)); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func newReplay() *Replay {
+	return &Replay{
 		Outcomes: make(map[int]AppOutcome),
 		InFlight: make(map[int]bool),
 		Retries:  make(map[int][]RetryInfo),
 	}
-	sawHeader := false
-	validLen, tornBytes, err := WalkFrames(data, func(off int64, index int, payload []byte) error {
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			// The checksum held, so these exact bytes were appended:
-			// an undecodable payload is corruption (or a version skew),
-			// never a tear.
-			return &CorruptError{Offset: off, Record: index, Reason: fmt.Sprintf("undecodable payload: %v", err)}
-		}
-		if err := r.apply(rec, off, sawHeader); err != nil {
-			return err
-		}
-		sawHeader = true
-		r.Records++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !sawHeader {
-		return nil, ErrNoHeader
-	}
-	r.ValidLen = validLen
-	r.TornBytes = tornBytes
-	return r, nil
 }
 
-// apply folds one record into the replay state.
-func (r *Replay) apply(rec Record, off int64, sawHeader bool) error {
-	if !sawHeader {
-		if rec.Type != TypeCampaign {
-			return ErrNoHeader
+// fold is the journal's ReplayLog fold: it applies one record to the
+// replay state. The header (record 0) must match want when that is set.
+func (r *Replay) fold(want *Header) func(off int64, index int, rec Record) error {
+	return func(off int64, index int, rec Record) error {
+		r.Records++
+		switch rec.Type {
+		case TypeCampaign:
+			r.Header = Header{Seed: rec.Seed, Fingerprint: rec.Fingerprint, Apps: rec.Apps, ShardLo: rec.ShardLo, ShardHi: rec.ShardHi}
+			if want != nil {
+				return r.Header.Match(*want)
+			}
+		case TypeStarted:
+			if _, done := r.Outcomes[rec.App]; !done {
+				r.InFlight[rec.App] = true
+			} else {
+				// A restart requeued an app with a stale terminal record;
+				// the newer started supersedes it until its own terminal
+				// record lands.
+				delete(r.Outcomes, rec.App)
+				r.InFlight[rec.App] = true
+			}
+			// A fresh attempt sequence: retry records from a superseded
+			// generation would double the replayed history.
+			delete(r.Retries, rec.App)
+		case TypeRetry:
+			r.Retries[rec.App] = append(r.Retries[rec.App], RetryInfo{Attempt: rec.Attempts, Error: rec.Error})
+		case TypeCompleted:
+			r.Outcomes[rec.App] = AppOutcome{
+				Outcome: rec.Outcome, ArtifactSHA: rec.ArtifactSHA,
+				Attempts: rec.Attempts, Backoff: time.Duration(rec.BackoffNS), BackoffMS: rec.BackoffMS,
+				Error: rec.Error, Meters: rec.Meters,
+			}
+			delete(r.InFlight, rec.App)
+		case TypeQuarantined:
+			r.Outcomes[rec.App] = AppOutcome{
+				Quarantined: true,
+				Attempts:    rec.Attempts, Backoff: time.Duration(rec.BackoffNS), BackoffMS: rec.BackoffMS,
+				Error: rec.Error,
+			}
+			delete(r.InFlight, rec.App)
+		default:
+			return &CorruptError{Offset: off, Record: index, Reason: fmt.Sprintf("unknown record type %q", rec.Type)}
 		}
-		r.Header = Header{Seed: rec.Seed, Fingerprint: rec.Fingerprint, Apps: rec.Apps, ShardLo: rec.ShardLo, ShardHi: rec.ShardHi}
 		return nil
 	}
-	switch rec.Type {
-	case TypeCampaign:
-		return &CorruptError{Offset: off, Record: r.Records, Reason: "duplicate campaign header"}
-	case TypeStarted:
-		if _, done := r.Outcomes[rec.App]; !done {
-			r.InFlight[rec.App] = true
-		} else {
-			// A restart requeued an app with a stale terminal record;
-			// the newer started supersedes it until its own terminal
-			// record lands.
-			delete(r.Outcomes, rec.App)
-			r.InFlight[rec.App] = true
-		}
-		// A fresh attempt sequence: retry records from a superseded
-		// generation would double the replayed history.
-		delete(r.Retries, rec.App)
-	case TypeRetry:
-		r.Retries[rec.App] = append(r.Retries[rec.App], RetryInfo{Attempt: rec.Attempts, Error: rec.Error})
-	case TypeCompleted:
-		r.Outcomes[rec.App] = AppOutcome{
-			Outcome: rec.Outcome, ArtifactSHA: rec.ArtifactSHA,
-			Attempts: rec.Attempts, Backoff: time.Duration(rec.BackoffNS), BackoffMS: rec.BackoffMS,
-			Error: rec.Error, Meters: rec.Meters,
-		}
-		delete(r.InFlight, rec.App)
-	case TypeQuarantined:
-		r.Outcomes[rec.App] = AppOutcome{
-			Quarantined: true,
-			Attempts:    rec.Attempts, Backoff: time.Duration(rec.BackoffNS), BackoffMS: rec.BackoffMS,
-			Error: rec.Error,
-		}
-		delete(r.InFlight, rec.App)
-	default:
-		return &CorruptError{Offset: off, Record: r.Records, Reason: fmt.Sprintf("unknown record type %q", rec.Type)}
-	}
-	return nil
 }

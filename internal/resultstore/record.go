@@ -17,6 +17,7 @@
 package resultstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -108,23 +109,22 @@ func appendSegmentBody(b []byte, recs []Record) ([]byte, error) {
 		syms.Intern(r.Domain)
 	}
 
-	b = appendUvarint(b, uint64(len(recs)))
+	b = binary.AppendUvarint(b, uint64(len(recs)))
 	strs := syms.Strings()
-	b = appendUvarint(b, uint64(len(strs)))
+	b = binary.AppendUvarint(b, uint64(len(strs)))
 	for _, s := range strs {
-		b = appendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
+		b = codec.AppendString(b, s)
 	}
 
 	// Columnar layout: one column at a time over all rows, so runs of
 	// equal symbols and small deltas varint-compress well.
 	prev := 0
 	for i := range recs {
-		b = appendUvarint(b, uint64(recs[i].AppIndex-prev)) // sorted ⇒ non-negative deltas
+		b = binary.AppendUvarint(b, uint64(recs[i].AppIndex-prev)) // sorted ⇒ non-negative deltas
 		prev = recs[i].AppIndex
 	}
 	for i := range recs {
-		b = appendUvarint(b, uint64(recs[i].FlowIndex))
+		b = binary.AppendUvarint(b, uint64(recs[i].FlowIndex))
 	}
 	for _, col := range []func(*Record) string{
 		func(r *Record) string { return r.AppSHA },
@@ -135,7 +135,7 @@ func appendSegmentBody(b []byte, recs []Record) ([]byte, error) {
 	} {
 		for i := range recs {
 			sym, _ := syms.Lookup(col(&recs[i]))
-			b = appendUvarint(b, uint64(sym))
+			b = binary.AppendUvarint(b, uint64(sym))
 		}
 	}
 	for i := range recs {
@@ -159,7 +159,7 @@ func appendSegmentBody(b []byte, recs []Record) ([]byte, error) {
 			if v < 0 {
 				return nil, fmt.Errorf("resultstore: negative counter %d at row %d", v, i)
 			}
-			b = appendUvarint(b, uint64(v))
+			b = binary.AppendUvarint(b, uint64(v))
 		}
 	}
 	return b, nil
@@ -176,22 +176,22 @@ func DecodeSegment(data []byte) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: segment: %v", ErrCorruptStore, err)
 	}
-	d := &segDecoder{b: body}
+	d := codec.NewReader(body, ErrCorruptStore)
 
-	nRecs := d.length()
-	nSyms := d.length()
-	if d.err != nil {
-		return nil, d.err
+	nRecs := d.Length()
+	nSyms := d.Length()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if nSyms < 1 {
 		return nil, fmt.Errorf("%w: segment symbol table is empty (missing pre-interned \"\")", ErrCorruptStore)
 	}
 	strs := make([]string, nSyms)
 	for i := range strs {
-		strs[i] = d.string()
+		strs[i] = d.String()
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	if strs[0] != "" {
 		return nil, fmt.Errorf("%w: segment symbol table does not start with the empty symbol", ErrCorruptStore)
@@ -200,11 +200,11 @@ func DecodeSegment(data []byte) ([]Record, error) {
 	recs := make([]Record, nRecs)
 	app := uint64(0)
 	for i := range recs {
-		app += d.uvarint()
+		app += d.Uvarint()
 		recs[i].AppIndex = int(app)
 	}
 	for i := range recs {
-		recs[i].FlowIndex = int(d.uvarint())
+		recs[i].FlowIndex = int(d.Uvarint())
 	}
 	for _, col := range []func(*Record, string){
 		func(r *Record, s string) { r.AppSHA = s },
@@ -214,9 +214,9 @@ func DecodeSegment(data []byte) ([]Record, error) {
 		func(r *Record, s string) { r.Domain = s },
 	} {
 		for i := range recs {
-			sym := d.uvarint()
-			if d.err != nil {
-				return nil, d.err
+			sym := d.Uvarint()
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			if sym >= uint64(len(strs)) {
 				return nil, fmt.Errorf("%w: symbol %d out of range (table holds %d)", ErrCorruptStore, sym, len(strs))
@@ -225,9 +225,9 @@ func DecodeSegment(data []byte) ([]Record, error) {
 		}
 	}
 	for i := range recs {
-		flags := d.byte()
-		if d.err != nil {
-			return nil, d.err
+		flags := d.Byte()
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if flags&^(flagAttributed|flagBuiltin) != 0 {
 			return nil, fmt.Errorf("%w: unknown flag bits %02x at row %d", ErrCorruptStore, flags, i)
@@ -242,14 +242,11 @@ func DecodeSegment(data []byte) ([]Record, error) {
 		func(r *Record, v int64) { r.PacketsRecv = v },
 	} {
 		for i := range recs {
-			col(&recs[i], int64(d.uvarint()))
+			col(&recs[i], int64(d.Uvarint()))
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after segment decode", ErrCorruptStore, len(body)-d.pos)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	for i := 1; i < len(recs); i++ {
 		if !recs[i-1].less(&recs[i]) {
@@ -257,65 +254,4 @@ func DecodeSegment(data []byte) ([]Record, error) {
 		}
 	}
 	return recs, nil
-}
-
-// segDecoder mirrors the partial decoder's hardened reading discipline:
-// every element count is validated against the bytes remaining before
-// allocation so hostile input fails typed instead of panicking or
-// allocating unbounded memory.
-type segDecoder struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (d *segDecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorruptStore}, args...)...)
-	}
-}
-
-func (d *segDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := uvarint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail("bad uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *segDecoder) length() int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.b)-d.pos) {
-		d.fail("length %d exceeds %d remaining bytes", n, len(d.b)-d.pos)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *segDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.b) {
-		d.fail("truncated at offset %d", d.pos)
-		return 0
-	}
-	v := d.b[d.pos]
-	d.pos++
-	return v
-}
-
-func (d *segDecoder) string() string {
-	n := d.length()
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[d.pos : d.pos+n])
-	d.pos += n
-	return s
 }

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -87,7 +88,7 @@ func OpenBytes(data []byte) (*Store, error) {
 	if _, err := codec.Open(footerMagic, footer); err != nil {
 		return nil, fmt.Errorf("%w: footer: %v", ErrCorruptStore, err)
 	}
-	idxOff := int(leUint64(footer[len(footerMagic):]))
+	idxOff := int(binary.LittleEndian.Uint64(footer[len(footerMagic):]))
 	if idxOff < len(fileMagic) || idxOff > len(data)-footerSize {
 		return nil, fmt.Errorf("%w: index offset %d outside file", ErrCorruptStore, idxOff)
 	}
@@ -96,27 +97,27 @@ func OpenBytes(data []byte) (*Store, error) {
 		return nil, fmt.Errorf("%w: index: %v", ErrCorruptStore, err)
 	}
 
-	d := &segDecoder{b: idxBody}
-	nBlocks := d.length()
-	if d.err != nil {
-		return nil, d.err
+	d := codec.NewReader(idxBody, ErrCorruptStore)
+	nBlocks := d.Length()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	s := &Store{data: data, blocks: make([]blockMeta, 0, nBlocks)}
 	next := len(fileMagic)
 	prevMax := -1
 	for i := 0; i < nBlocks; i++ {
 		m := blockMeta{
-			off:    int(d.uvarint()),
-			len:    int(d.uvarint()),
-			rows:   int(d.uvarint()),
-			minApp: int(d.uvarint()),
-			maxApp: int(d.uvarint()),
+			off:    int(d.Uvarint()),
+			len:    int(d.Uvarint()),
+			rows:   int(d.Uvarint()),
+			minApp: int(d.Uvarint()),
+			maxApp: int(d.Uvarint()),
 		}
-		m.shas = bloom{bits: d.bytes()}
-		m.origins = bloom{bits: d.bytes()}
-		m.domains = bloom{bits: d.bytes()}
-		if d.err != nil {
-			return nil, d.err
+		m.shas = bloom{bits: d.Bytes()}
+		m.origins = bloom{bits: d.Bytes()}
+		m.domains = bloom{bits: d.Bytes()}
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if m.off != next || m.len <= 0 || m.off+m.len > idxOff {
 			return nil, fmt.Errorf("%w: block %d at [%d,%d) does not tile the data region (expected offset %d, index at %d)",
@@ -134,30 +135,13 @@ func OpenBytes(data []byte) (*Store, error) {
 		s.records += m.rows
 		s.blocks = append(s.blocks, m)
 	}
-	if d.pos != len(idxBody) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after index decode", ErrCorruptStore, len(idxBody)-d.pos)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	if next != idxOff {
 		return nil, fmt.Errorf("%w: %d unindexed bytes between last block and index", ErrCorruptStore, idxOff-next)
 	}
 	return s, nil
-}
-
-// bytes reads a length-prefixed byte slice (used for bloom bits).
-func (d *segDecoder) bytes() []byte {
-	n := d.length()
-	if d.err != nil {
-		return nil
-	}
-	b := d.b[d.pos : d.pos+n]
-	d.pos += n
-	return b
-}
-
-func leUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // Records is the total row count, from the verified index.
@@ -206,10 +190,10 @@ func (s *Store) Verify() error {
 type GroupDim int
 
 const (
-	GroupNone GroupDim = iota
-	GroupApp            // group by app sha
-	GroupOrigin         // group by origin library
-	GroupDomain         // group by domain
+	GroupNone   GroupDim = iota
+	GroupApp             // group by app sha
+	GroupOrigin          // group by origin library
+	GroupDomain          // group by domain
 )
 
 // Query is a conjunctive point/filter query. Empty string fields are
@@ -383,26 +367,23 @@ func buildImage(recs []Record) ([]byte, error) {
 	idxOff := len(b)
 	b = append(b, indexMagic...)
 	idxBody := len(b)
-	b = appendUvarint(b, uint64(len(metas)))
+	b = binary.AppendUvarint(b, uint64(len(metas)))
 	for i := range metas {
 		m := &metas[i]
-		b = appendUvarint(b, uint64(m.off))
-		b = appendUvarint(b, uint64(m.len))
-		b = appendUvarint(b, uint64(m.rows))
-		b = appendUvarint(b, uint64(m.minApp))
-		b = appendUvarint(b, uint64(m.maxApp))
+		b = binary.AppendUvarint(b, uint64(m.off))
+		b = binary.AppendUvarint(b, uint64(m.len))
+		b = binary.AppendUvarint(b, uint64(m.rows))
+		b = binary.AppendUvarint(b, uint64(m.minApp))
+		b = binary.AppendUvarint(b, uint64(m.maxApp))
 		for _, f := range []bloom{m.shas, m.origins, m.domains} {
-			b = appendUvarint(b, uint64(len(f.bits)))
-			b = append(b, f.bits...)
+			b = codec.AppendString(b, f.bits)
 		}
 	}
 	b = codec.AppendSum(b, idxBody)
 
 	b = append(b, footerMagic...)
 	footBody := len(b)
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(uint64(idxOff)>>(8*i)))
-	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(idxOff))
 	return codec.AppendSum(b, footBody), nil
 }
 

@@ -7,13 +7,14 @@
 package xposed
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/netip"
 	"time"
 
+	"libspector/internal/codec"
 	"libspector/internal/pcap"
 )
 
@@ -59,114 +60,68 @@ func (r *Report) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("xposed: stack trace of %d frames exceeds limit %d", len(r.StackTrace), maxReasonableFrames)
 	}
 
-	var buf bytes.Buffer
-	buf.Write(reportMagic[:])
-	var scratch [binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint16(scratch[:2], reportVersion)
-	buf.Write(scratch[:2])
-	buf.Write(sha)
+	// 58 fixed bytes, then the frame count and per-frame length varints.
+	size := 58 + binary.MaxVarintLen16*(1+len(r.StackTrace))
+	for _, frame := range r.StackTrace {
+		size += len(frame)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, reportMagic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, reportVersion)
+	b = append(b, sha...)
 	src := r.Tuple.SrcIP.As4()
 	dst := r.Tuple.DstIP.As4()
-	buf.Write(src[:])
-	binary.LittleEndian.PutUint16(scratch[:2], r.Tuple.SrcPort)
-	buf.Write(scratch[:2])
-	buf.Write(dst[:])
-	binary.LittleEndian.PutUint16(scratch[:2], r.Tuple.DstPort)
-	buf.Write(scratch[:2])
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(r.ConnectedAt.UnixNano()))
-	buf.Write(scratch[:8])
+	b = append(b, src[:]...)
+	b = binary.LittleEndian.AppendUint16(b, r.Tuple.SrcPort)
+	b = append(b, dst[:]...)
+	b = binary.LittleEndian.AppendUint16(b, r.Tuple.DstPort)
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.ConnectedAt.UnixNano()))
 
-	n := binary.PutUvarint(scratch[:], uint64(len(r.StackTrace)))
-	buf.Write(scratch[:n])
+	b = binary.AppendUvarint(b, uint64(len(r.StackTrace)))
 	for _, frame := range r.StackTrace {
-		n := binary.PutUvarint(scratch[:], uint64(len(frame)))
-		buf.Write(scratch[:n])
-		buf.WriteString(frame)
+		b = codec.AppendString(b, frame)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// DecodeReport parses a datagram payload back into a Report.
+// errMalformed is what the cursor's failures (short field, bad varint,
+// oversized count, trailing bytes) wrap, keeping them in the package's
+// "xposed: ..." error style.
+var errMalformed = errors.New("xposed: malformed report")
+
+// DecodeReport parses a datagram payload back into a Report. It is
+// strict: a field cut short and bytes after the last frame both fail, so
+// a datagram decodes only if it is exactly what Encode emitted.
 func DecodeReport(data []byte) (*Report, error) {
-	r := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := r.Read(magic[:]); err != nil {
-		return nil, fmt.Errorf("xposed: reading report magic: %w", err)
+	r := codec.NewReader(data, errMalformed)
+	if magic := r.Take(len(reportMagic)); r.Err() == nil && [4]byte(magic) != reportMagic {
+		return nil, fmt.Errorf("xposed: bad report magic %q", magic)
 	}
-	if magic != reportMagic {
-		return nil, fmt.Errorf("xposed: bad report magic %q", magic[:])
-	}
-	var version uint16
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("xposed: reading report version: %w", err)
-	}
-	if version != reportVersion {
+	if version := r.Uint16(); r.Err() == nil && version != reportVersion {
 		return nil, fmt.Errorf("xposed: unsupported report version %d", version)
 	}
-	var sha [32]byte
-	if _, err := r.Read(sha[:]); err != nil {
-		return nil, fmt.Errorf("xposed: reading apk sha: %w", err)
-	}
-	rep := &Report{APKSHA256: hex.EncodeToString(sha[:])}
-
+	rep := &Report{APKSHA256: hex.EncodeToString(r.Take(32))}
 	var srcIP, dstIP [4]byte
-	var srcPort, dstPort uint16
-	if _, err := r.Read(srcIP[:]); err != nil {
-		return nil, fmt.Errorf("xposed: reading src ip: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &srcPort); err != nil {
-		return nil, fmt.Errorf("xposed: reading src port: %w", err)
-	}
-	if _, err := r.Read(dstIP[:]); err != nil {
-		return nil, fmt.Errorf("xposed: reading dst ip: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &dstPort); err != nil {
-		return nil, fmt.Errorf("xposed: reading dst port: %w", err)
-	}
+	copy(srcIP[:], r.Take(4))
+	srcPort := r.Uint16()
+	copy(dstIP[:], r.Take(4))
+	dstPort := r.Uint16()
 	rep.Tuple = pcap.FourTuple{
 		SrcIP: netip.AddrFrom4(srcIP), SrcPort: srcPort,
 		DstIP: netip.AddrFrom4(dstIP), DstPort: dstPort,
 	}
-	var nanos uint64
-	if err := binary.Read(r, binary.LittleEndian, &nanos); err != nil {
-		return nil, fmt.Errorf("xposed: reading timestamp: %w", err)
-	}
-	rep.ConnectedAt = time.Unix(0, int64(nanos)).UTC()
+	rep.ConnectedAt = time.Unix(0, int64(r.Uint64())).UTC()
 
-	frameCount, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("xposed: reading frame count: %w", err)
-	}
-	if frameCount == 0 || frameCount > maxReasonableFrames {
+	frameCount := r.Length()
+	if r.Err() == nil && (frameCount == 0 || frameCount > maxReasonableFrames) {
 		return nil, fmt.Errorf("xposed: implausible frame count %d", frameCount)
 	}
 	rep.StackTrace = make([]string, frameCount)
 	for i := range rep.StackTrace {
-		flen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("xposed: reading frame %d length: %w", i, err)
-		}
-		if flen > uint64(len(data)) {
-			return nil, fmt.Errorf("xposed: frame %d length %d exceeds datagram size", i, flen)
-		}
-		b := make([]byte, flen)
-		if _, err := readFull(r, b); err != nil {
-			return nil, fmt.Errorf("xposed: reading frame %d: %w", i, err)
-		}
-		rep.StackTrace[i] = string(b)
+		rep.StackTrace[i] = r.String()
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return rep, nil
-}
-
-// readFull reads exactly len(b) bytes from a bytes.Reader.
-func readFull(r *bytes.Reader, b []byte) (int, error) {
-	total := 0
-	for total < len(b) {
-		n, err := r.Read(b[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -337,3 +337,35 @@ func TestReportSurvivesWirePacket(t *testing.T) {
 		t.Error("sha corrupted through the wire")
 	}
 }
+
+// TestDecodeReportStrict pins the datagram decoder's strictness: a valid
+// encoding round-trips, every proper prefix of it is rejected (no field
+// may be short-read), and so is the encoding with one byte appended
+// (nothing may follow the last frame).
+func TestDecodeReportStrict(t *testing.T) {
+	oneFrame := sampleReport()
+	oneFrame.StackTrace = oneFrame.StackTrace[:1]
+	emptyFrame := sampleReport()
+	emptyFrame.StackTrace = []string{"java.net.Socket.connect", ""}
+	for name, rep := range map[string]*Report{"sample": sampleReport(), "one frame": oneFrame, "empty last frame": emptyFrame} {
+		valid, err := rep.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeReport(valid)
+		if err != nil {
+			t.Fatalf("%s: valid report rejected: %v", name, err)
+		}
+		if re, err := decoded.Encode(); err != nil || !bytes.Equal(re, valid) {
+			t.Errorf("%s: round trip changed the bytes (err %v)", name, err)
+		}
+		for n := 0; n < len(valid); n++ {
+			if _, err := DecodeReport(valid[:n]); err == nil {
+				t.Errorf("%s: prefix of %d/%d bytes decoded", name, n, len(valid))
+			}
+		}
+		if _, err := DecodeReport(append(valid[:len(valid):len(valid)], 0)); err == nil {
+			t.Errorf("%s: report with a trailing byte decoded", name)
+		}
+	}
+}

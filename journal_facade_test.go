@@ -1,6 +1,7 @@
 package libspector_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -138,5 +139,55 @@ func TestExperimentJournalResume(t *testing.T) {
 	}
 	if err := refused.Run(); !errors.Is(err, journal.ErrFingerprintMismatch) {
 		t.Errorf("seed mismatch not refused: %v", err)
+	}
+}
+
+// TestRefusedResumeLeavesForeignJournalUntouched: resuming against a
+// journal some other campaign wrote must be refused before recovery
+// rewrites anything — the torn tail that journal carries is its owner's
+// to truncate, not ours.
+func TestRefusedResumeLeavesForeignJournalUntouched(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "foreign.wal")
+	w, err := journal.Create(path, journal.Header{Seed: 1, Fingerprint: "someone-else", Apps: 10}, journal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunStarted(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Half a frame header: what a crash mid-append leaves behind.
+	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := smallConfig(61, 10)
+	cfg.Journal, cfg.Resume = path, true
+	exp, err := libspector.NewExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Run(); !errors.Is(err, journal.ErrFingerprintMismatch) {
+		t.Fatalf("foreign journal not refused: %v", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused resume rewrote the foreign journal: %d bytes before, %d after", len(before), len(after))
 	}
 }

@@ -313,15 +313,12 @@ func attachArtifacts(cfg *dispatch.Config, dir string) (*dispatch.ArtifactStore,
 // it into the fleet config, verifying campaign identity on resume.
 func attachJournal(cfg *dispatch.Config, path string, hdr journal.Header, resume bool) error {
 	if resume {
-		w, replay, err := journal.Recover(path, journal.Options{})
+		// Resume matches the header before it truncates a torn tail: a
+		// journal recorded under another seed or config is refused
+		// untouched.
+		w, replay, err := journal.Resume(path, hdr, journal.Options{})
 		if err != nil {
-			return fmt.Errorf("libspector: recovering journal: %w", err)
-		}
-		if err := replay.Header.Match(hdr); err != nil {
-			if cerr := w.Close(); cerr != nil {
-				return fmt.Errorf("libspector: refusing resume: %w (journal close: %v)", err, cerr)
-			}
-			return fmt.Errorf("libspector: refusing resume: %w", err)
+			return fmt.Errorf("libspector: resuming journal: %w", err)
 		}
 		cfg.Journal, cfg.Resume = w, replay
 		return nil
