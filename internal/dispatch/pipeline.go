@@ -280,16 +280,6 @@ func (fc *fleetClock) Advance(d time.Duration) {
 	fc.mu.Unlock()
 }
 
-// Now reads the virtual clock.
-func (fc *fleetClock) Now() time.Time {
-	if fc == nil {
-		return time.Time{}
-	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.c.Now()
-}
-
 // collectorDrainBudget bounds how long one attempt waits for the
 // collector to drain its datagrams: virtual time when the fleet has a
 // virtual clock, wall time otherwise. A package variable so tests can
@@ -315,10 +305,16 @@ type runEnv struct {
 	client    *Client
 	clk       *fleetClock
 	tel       *obs.Telemetry
-	// meters is the worker's local accumulator for the per-event hot-path
-	// series; runOne flushes it into tel at the end of every attempt, so
-	// post-drain registry snapshots match the direct atomics path exactly.
+	// meters is the worker's local accumulator: the one place an attempt
+	// charges the emulator, nets and xposed series. runOne snapshots it
+	// into the attempt's delta and apply flushes it into tel at the end of
+	// every attempt, so post-drain registry snapshots match the direct
+	// atomics path exactly.
 	meters *obs.Meters
+	// app is the app the attempt last run got past the ABI filter (nil
+	// when it did not get that far), kept for apply's detector
+	// observation.
+	app *synth.App
 	// fold is the worker's Config.WorkerFold observer (nil when unset):
 	// completed EventRuns fold into worker-private analysis state before
 	// they are emitted.
@@ -367,13 +363,13 @@ func (env *runEnv) flushCollector(i, attempt int) error {
 // resume: the collector may hold the dead campaign's datagrams for this
 // apk, which must be forgotten exactly like a failed attempt's. parent,
 // when non-nil, is the run's dispatch span; the stages hang their child
-// spans off it.
-func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, parent *obs.Span) (*attribution.RunResult, *RunEvidence, *journal.RunMeters, bool, error) {
+// spans off it. The returned meters are what the attempt charged, on
+// every exit path — a failed attempt's telemetry is journaled like a
+// completed run's.
+func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, parent *obs.Span) (_ *attribution.RunResult, _ *RunEvidence, meters *journal.RunMeters, _ bool, _ error) {
 	source, resolver, cfg, store, collector, client := env.source, env.resolver, env.cfg, env.store, env.collector, env.client
-	// Merge barrier: whatever this attempt accumulated in the worker-local
-	// meters lands in the registry on every exit path (success, skip, or
-	// failure), exactly as the direct atomics path would have recorded it.
-	defer env.meters.Flush(env.tel)
+	env.app = nil
+	defer func() { meters = env.attemptMeters() }()
 	app, err := source.GenerateApp(i)
 	if err != nil {
 		return nil, nil, nil, false, fmt.Errorf("generating app: %w", err)
@@ -406,14 +402,7 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, pa
 	if !pack.SupportsX86() {
 		return nil, nil, nil, true, nil
 	}
-	if cfg.Detector != nil && attempt == 1 {
-		// Observe only on the first attempt: ObserveApp accumulates
-		// per-app prefix counts, and a retried app must not be counted
-		// twice.
-		if err := cfg.Detector.ObserveApp(pack.Manifest.Package, app.Program.Dex.Packages()); err != nil {
-			return nil, nil, nil, false, err
-		}
-	}
+	env.app = app
 
 	opts := cfg.Emulator
 	opts.Seed = cfg.BaseSeed + uint64(i)*2654435761
@@ -553,27 +542,7 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, pa
 	attrSpan.AttrInt("flows", int64(len(run.Flows))).
 		AttrInt("matched", int64(run.Join.MatchedFlows)).
 		End(env.tel.Now())
-	// The meters mirror exactly what this run charged to the registry
-	// (emulator, nets, xposed, collector series), so a journal replay of
-	// this run can restore the telemetry a dead process took with it.
-	meters := &journal.RunMeters{
-		Runs:         1,
-		Events:       int64(arts.EventsInjected),
-		VirtualMS:    arts.VirtualDuration.Milliseconds(),
-		TCPWireBytes: arts.NetStats.TCPWireBytes,
-		UDPWireBytes: arts.NetStats.UDPWireBytes,
-		DNSWireBytes: arts.NetStats.DNSWireBytes,
-		Packets:      arts.NetStats.PacketCount,
-		CaptureBytes: int64(len(arts.CaptureBytes)),
-		BlockedConns: arts.BlockedConnections,
-		DroppedGrams: arts.DroppedDatagrams,
-		ReportsSent:  int64(arts.ReportsSent),
-		HookErrors:   int64(arts.HookErrors),
-	}
-	if collector != nil {
-		meters.CollectorReceived = int64(len(reports))
-	}
-	return run, evidence, meters, false, nil
+	return run, evidence, nil, false, nil
 }
 
 // RunOne exercises a single app of the corpus outside the fleet and

@@ -10,237 +10,92 @@ import (
 	"libspector/internal/journal"
 	"libspector/internal/nets"
 	"libspector/internal/obs"
+	"libspector/internal/synth"
 )
 
 // Resume: replaying journaled outcomes back into a restarted stream.
 //
 // A resumed campaign must end byte-identical to an uninterrupted same-seed
-// run, so a replayed app follows the live path everywhere the live path
-// has observable effects — the detector sees the same ObserveApp calls,
-// the accounting ledger and obs counters fold the same attempts/backoff,
-// and completed runs re-enter the stream as EventRun with results
-// reconstructed from their stored evidence (the same offline analysis the
-// live run performed, over the same bytes). The one thing a replay never
-// does is trust silently: the stored apk is re-hashed against the
-// journal-recorded sha, and any missing or corrupt evidence demotes the
-// replay to a live requeued run.
+// run. A replayed app therefore walks the same lifecycle as a live one —
+// its journaled transitions go through the same apply (lifecycle.go) — and
+// this file holds only what is replay's own: rebuilding a completed run's
+// result from its stored evidence (the same offline analysis the live run
+// performed, over the same bytes), and never trusting silently — the
+// stored apk is re-hashed against the journal-recorded sha, and any
+// missing or corrupt evidence demotes the replay to a live requeued run.
 
-// replayApp folds one journaled terminal outcome back into the stream
-// without re-running the app.
+// replayApp reads one app's journaled transitions — its retries, then its
+// terminal outcome — back into the stream without re-running the app.
 func (f *fleetRun) replayApp(env *runEnv, i int, rec journal.AppOutcome, retries []journal.RetryInfo) {
-	root := f.tel.Trace(TraceID(i)).Span(obs.SpanDispatch, f.tel.Now())
-	root.AttrInt("app", int64(i)).Attr("resume", "replay")
-	finish := func(outcome string) {
-		root.Attr("outcome", outcome).AttrInt("attempts", int64(rec.Attempts)).End(f.tel.Now())
-	}
-	if rec.Outcome == journal.OutcomeRun {
-		run, err := f.reconstructRun(env, i, rec)
+	last := transition{attempt: rec.Attempts, backoff: rec.Backoff, backoffMS: rec.BackoffMS, meters: rec.Meters}
+	env.app = nil
+	switch {
+	case rec.Outcome == journal.OutcomeRun:
+		app, run, err := f.reconstructRun(env, i, rec)
 		if err != nil {
 			// The journal says done but the evidence doesn't back it up:
 			// requeue the run live rather than fabricate a result. The
 			// requeued run re-saves fresh evidence over the damaged entry
-			// — and publishes its own lifecycle events, so none are
-			// republished here.
-			root.Attr("outcome", "requeue").Attr("reason", err.Error()).End(f.tel.Now())
+			// and walks its own lifecycle, so none of the journaled one is
+			// applied.
+			now := f.tel.Now()
+			f.tel.Trace(TraceID(i)).Span(obs.SpanDispatch, now).AttrInt("app", int64(i)).
+				Attr("resume", "replay").Attr("outcome", "requeue").Attr("reason", err.Error()).End(now)
 			f.tel.Counter(obs.MResumeRequeued).Inc()
 			f.runApp(env, i, true)
 			return
 		}
-		f.republishLifecycle(i, retries)
-		f.foldReplayed(i, rec)
-		f.restoreMeters(rec.Meters)
-		f.mu.Lock()
-		f.completed++
-		if rec.Attempts > 1 {
-			f.retried++
-		}
-		f.mu.Unlock()
-		f.tel.Counter(obs.MFleetCompleted).Inc()
-		if rec.Attempts > 1 {
-			f.tel.Counter(obs.MFleetRetries).Inc()
-		}
-		if bus := f.tel.Bus(); bus.Active() {
-			bev := obs.Event{
-				Type: obs.EvRunCompleted, TS: f.tel.Now(), App: i, Shard: -1,
-				Attempt: rec.Attempts, Package: run.AppPackage,
-				Flows: int64(len(run.Flows)),
-			}
-			if rec.Meters != nil {
-				bev.VirtualMS = rec.Meters.VirtualMS
-				bev.TCPBytes = rec.Meters.TCPWireBytes
-				bev.UDPBytes = rec.Meters.UDPWireBytes
-				bev.DNSBytes = rec.Meters.DNSWireBytes
-				bev.DroppedDatagrams = rec.Meters.DroppedGrams
-			}
-			bus.Publish(bev)
-		}
-		finish("run")
-		ev := RunEvent{Kind: EventRun, AppIndex: i, Run: run}
-		if env.fold != nil {
-			env.fold(ev)
-		}
-		f.emit(ev)
-		return
-	}
-	// Non-run outcomes replay without touching the store, but still feed
-	// the detector exactly as their live first attempt did.
-	if rec.Outcome == journal.OutcomeFailed || rec.Quarantined {
-		f.observeReplayed(env, i)
-	}
-	f.republishLifecycle(i, retries)
-	f.foldReplayed(i, rec)
-	switch {
+		last.kind, last.run, env.app = outcomeRun, run, app
 	case rec.Outcome == journal.OutcomeSkip:
-		f.mu.Lock()
-		f.skipped++
-		f.mu.Unlock()
-		f.tel.Counter(obs.MFleetSkipped).Inc()
-		if bus := f.tel.Bus(); bus.Active() {
-			bus.Publish(obs.Event{Type: obs.EvRunSkipped, TS: f.tel.Now(), App: i, Shard: -1, Attempt: rec.Attempts})
-		}
-		finish("skip")
-		f.emit(RunEvent{Kind: EventSkip, AppIndex: i})
-	case rec.Quarantined:
-		q := QuarantinedApp{AppIndex: i, Attempts: rec.Attempts, LastErr: errors.New(rec.Error)}
-		f.mu.Lock()
-		f.quarantined = append(f.quarantined, q)
-		f.mu.Unlock()
-		f.tel.Counter(obs.MFleetQuarantined).Inc()
-		if bus := f.tel.Bus(); bus.Active() {
-			bus.Publish(obs.Event{Type: obs.EvRunQuarantined, TS: f.tel.Now(), App: i, Shard: -1, Attempt: rec.Attempts, Error: rec.Error})
-		}
-		finish("quarantine")
-		f.emit(RunEvent{Kind: EventQuarantine, AppIndex: i, Err: q.LastErr, Quarantine: &q})
+		last.kind = outcomeSkip
 	default:
-		// A replayed failure is historical: it never aborts the stream,
-		// even in fail-fast mode — the operator chose to resume past it.
-		err := errors.New(rec.Error)
-		f.mu.Lock()
-		f.failures = append(f.failures, RunFailure{AppIndex: i, Err: err, Attempts: rec.Attempts})
-		f.mu.Unlock()
-		f.tel.Counter(obs.MFleetFailed).Inc()
-		if bus := f.tel.Bus(); bus.Active() {
-			bus.Publish(obs.Event{Type: obs.EvRunFailed, TS: f.tel.Now(), App: i, Shard: -1, Attempt: rec.Attempts, Error: rec.Error})
+		last.kind, last.err = outcomeFailed, errors.New(rec.Error)
+		if rec.Quarantined {
+			last.kind = outcomeQuarantined
 		}
-		finish("failure")
-		f.emit(RunEvent{Kind: EventFailure, AppIndex: i, Err: err})
+		// Failed and quarantined apps were observed by the detector on
+		// their live first attempt too. Generation failures are tolerated:
+		// if the app cannot be generated now, it could not have been
+		// observed then either.
+		if f.cfg.Detector != nil {
+			if app, err := env.source.GenerateApp(i); err == nil && app.APK.SupportsX86() {
+				env.app = app
+			}
+		}
 	}
-}
-
-// republishLifecycle re-emits the logged lifecycle prefix — run.started
-// and every journaled run.retry — exactly as the original incarnation
-// published it, so a resumed campaign's event log stays byte-identical
-// to the uninterrupted run's. The terminal event follows at each
-// outcome's own publish site with its outcome-specific payload.
-func (f *fleetRun) republishLifecycle(i int, retries []journal.RetryInfo) {
-	bus := f.tel.Bus()
-	if !bus.Active() {
-		return
-	}
-	bus.Publish(obs.Event{Type: obs.EvRunStarted, TS: f.tel.Now(), App: i, Shard: -1})
+	a := f.begin(env, i, true, false)
 	for _, r := range retries {
-		bus.Publish(obs.Event{Type: obs.EvRunRetry, TS: f.tel.Now(), App: i, Shard: -1, Attempt: r.Attempt, Error: r.Error})
+		chargeMeters(env.meters, r.Meters)
+		a.apply(transition{kind: outcomeRetry, attempt: r.Attempt, err: errors.New(r.Error), meters: r.Meters})
 	}
-}
-
-// foldReplayed charges one journaled outcome's retry accounting to the
-// fleet ledger and metrics, so resumed totals match an uninterrupted run.
-func (f *fleetRun) foldReplayed(i int, rec journal.AppOutcome) {
-	f.mu.Lock()
-	f.attempts += rec.Attempts
-	f.backoff += rec.Backoff
-	f.mu.Unlock()
-	f.tel.Counter(obs.MFleetAttempts).Add(int64(rec.Attempts))
-	f.tel.Counter(obs.MFleetBackoffMS).Add(rec.BackoffMS)
-	f.tel.Counter(obs.MResumeReplayed).Inc()
-	if bus := f.tel.Bus(); bus.Active() {
-		bus.Publish(obs.Event{Type: obs.EvRunReplayed, TS: f.tel.Now(), App: i, Shard: -1, Attempt: rec.Attempts})
-	}
-}
-
-// restoreMeters folds a replayed run's journaled telemetry deltas back
-// into the registry — the emulator, nets, xposed, and collector series a
-// replay cannot re-derive from the stored evidence (reconstructRun
-// restores the attribution series by re-running the offline analysis).
-// Journals written before metering carry no deltas; their replays keep
-// the old behavior.
-func (f *fleetRun) restoreMeters(m *journal.RunMeters) {
-	if m == nil {
-		return
-	}
-	f.tel.Counter(obs.MEmulatorRuns).Add(m.Runs)
-	f.tel.Counter(obs.MEmulatorEvents).Add(m.Events)
-	f.tel.Histogram(obs.MRunVirtualMS, obs.DurationBucketsMS).Observe(m.VirtualMS)
-	f.tel.Counter(obs.MNetsTCPBytes).Add(m.TCPWireBytes)
-	f.tel.Counter(obs.MNetsUDPBytes).Add(m.UDPWireBytes)
-	f.tel.Counter(obs.MNetsDNSBytes).Add(m.DNSWireBytes)
-	f.tel.Counter(obs.MNetsPackets).Add(m.Packets)
-	f.tel.Counter(obs.MNetsCaptureBytes).Add(m.CaptureBytes)
-	if m.BlockedConns != 0 {
-		f.tel.Counter(obs.MNetsBlockedConns).Add(m.BlockedConns)
-	}
-	if m.DroppedGrams != 0 {
-		f.tel.Counter(obs.MNetsDroppedGrams).Add(m.DroppedGrams)
-	}
-	if m.ReportsSent != 0 {
-		// Created lazily on the live path (one Inc per report), so a
-		// zero-report replay must not invent the series.
-		f.tel.Counter(obs.MXposedReports).Add(m.ReportsSent)
-	}
-	if m.HookErrors != 0 {
-		f.tel.Counter(obs.MXposedHookErrors).Add(m.HookErrors)
-	}
-	if f.collector != nil {
-		f.tel.Counter(obs.MCollectorReceived).Add(m.CollectorReceived)
-	}
-}
-
-// observeReplayed feeds the detector the replayed app's package prefixes,
-// mirroring the live first attempt (which observes after the ABI filter
-// and before the emulator run — so failed and quarantined apps were
-// observed too). Generation failures are tolerated: if the app cannot be
-// generated now, it could not have been observed then either.
-func (f *fleetRun) observeReplayed(env *runEnv, i int) {
-	if f.cfg.Detector == nil {
-		return
-	}
-	app, err := env.source.GenerateApp(i)
-	if err != nil || !app.APK.SupportsX86() {
-		return
-	}
-	_ = f.cfg.Detector.ObserveApp(app.APK.Manifest.Package, app.Program.Dex.Packages())
+	chargeMeters(env.meters, last.meters)
+	a.apply(last)
 }
 
 // reconstructRun rebuilds a completed run's attribution result from the
 // artifact store: regenerate the app (the corpus is deterministic),
 // cross-check the journal-recorded sha against both the regenerated apk
-// and the stored evidence, feed the detector, and re-run the same offline
-// analysis over the stored bytes. Any integrity failure is returned for
-// the caller to requeue.
-func (f *fleetRun) reconstructRun(env *runEnv, i int, rec journal.AppOutcome) (*attribution.RunResult, error) {
-	cfg := f.cfg
+// and the stored evidence, and re-run the same offline analysis over the
+// stored bytes. Any integrity failure is returned for the caller to
+// requeue.
+func (f *fleetRun) reconstructRun(env *runEnv, i int, rec journal.AppOutcome) (*synth.App, *attribution.RunResult, error) {
 	app, err := env.source.GenerateApp(i)
 	if err != nil {
-		return nil, fmt.Errorf("regenerating app: %w", err)
+		return nil, nil, fmt.Errorf("regenerating app: %w", err)
 	}
 	if rec.ArtifactSHA == "" {
-		return nil, fmt.Errorf("journaled run has no artifact sha")
+		return nil, nil, fmt.Errorf("journaled run has no artifact sha")
 	}
 	if rec.ArtifactSHA != app.SHA256 {
-		return nil, fmt.Errorf("journaled sha %s does not match regenerated apk %s", rec.ArtifactSHA, app.SHA256)
+		return nil, nil, fmt.Errorf("journaled sha %s does not match regenerated apk %s", rec.ArtifactSHA, app.SHA256)
 	}
-	stored, err := cfg.Artifacts.Load(rec.ArtifactSHA)
+	stored, err := f.cfg.Artifacts.Load(rec.ArtifactSHA)
 	if err != nil {
-		return nil, fmt.Errorf("loading evidence: %w", err)
+		return nil, nil, fmt.Errorf("loading evidence: %w", err)
 	}
 	pack := app.APK
-	if cfg.Detector != nil {
-		if err := cfg.Detector.ObserveApp(pack.Manifest.Package, app.Program.Dex.Packages()); err != nil {
-			return nil, err
-		}
-	}
 	attrSpan := f.tel.Trace(TraceID(i)).Span(obs.SpanAttribution, f.tel.Now())
-	run, err := cfg.Attributor.AnalyzeRun(attribution.RunInput{
+	run, err := f.cfg.Attributor.AnalyzeRun(attribution.RunInput{
 		AppSHA:        app.SHA256,
 		AppPackage:    pack.Manifest.Package,
 		AppCategory:   pack.Manifest.Category,
@@ -254,8 +109,8 @@ func (f *fleetRun) reconstructRun(env *runEnv, i int, rec journal.AppOutcome) (*
 	})
 	if err != nil {
 		attrSpan.Attr("outcome", "error").End(f.tel.Now())
-		return nil, fmt.Errorf("reattributing stored evidence: %w", err)
+		return nil, nil, fmt.Errorf("reattributing stored evidence: %w", err)
 	}
 	attrSpan.AttrInt("flows", int64(len(run.Flows))).End(f.tel.Now())
-	return run, nil
+	return app, run, nil
 }

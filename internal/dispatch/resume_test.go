@@ -1,8 +1,10 @@
 package dispatch_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"libspector/internal/dispatch"
 	"libspector/internal/faults"
 	"libspector/internal/journal"
+	"libspector/internal/obs"
 )
 
 // journaledCampaign bundles everything one durable fleet run needs.
@@ -52,6 +55,9 @@ func (c *journaledCampaign) config(t *testing.T, w *journal.Writer, rep *journal
 		Faults:          inj,
 		Journal:         w,
 		Resume:          rep,
+		// Fresh per run: a resumed campaign's registry must end where the
+		// uninterrupted one's did, so neither may inherit the other's.
+		Telemetry: obs.NewVirtual(nil),
 	}
 	if rep != nil {
 		cfg.Artifacts = c.store
@@ -59,10 +65,28 @@ func (c *journaledCampaign) config(t *testing.T, w *journal.Writer, rep *journal
 	return cfg
 }
 
+// runSnapshots holds each run's final metrics snapshot, keyed by the
+// Result it returned, for sameOutcome to compare.
+var runSnapshots = map[*dispatch.Result][]byte{}
+
 func (c *journaledCampaign) run(t *testing.T, w *journal.Writer, rep *journal.Replay, inj *faults.Injector) (*dispatch.Result, error) {
 	t.Helper()
 	world := smallWorld(t, c.seed, c.apps)
-	return dispatch.RunAll(world, world.Resolver, c.config(t, w, rep, inj), c.store)
+	cfg := c.config(t, w, rep, inj)
+	res, err := dispatch.RunAll(world, world.Resolver, cfg, c.store)
+	if res != nil {
+		// The two resume series describe the resume itself, not the
+		// campaign; shard merge strips them the same way.
+		snap := cfg.Telemetry.Metrics().Snapshot()
+		delete(snap.Counters, obs.MResumeReplayed)
+		delete(snap.Counters, obs.MResumeRequeued)
+		data, jerr := json.MarshalIndent(snap, "", "  ")
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		runSnapshots[res] = data
+	}
+	return res, err
 }
 
 func (c *journaledCampaign) header() journal.Header {
@@ -76,6 +100,14 @@ func (c *journaledCampaign) header() journal.Header {
 // recorded text, so pointer identity never holds).
 func sameOutcome(t *testing.T, base, got *dispatch.Result) {
 	t.Helper()
+	// Telemetry identity: whatever each attempt charged — completed,
+	// retried, failed or quarantined, live or replayed from the journal —
+	// the registries end byte-identical.
+	if b, g := runSnapshots[base], runSnapshots[got]; b == nil || g == nil {
+		t.Errorf("missing metrics snapshot (base %t, resumed %t)", b != nil, g != nil)
+	} else if !bytes.Equal(b, g) {
+		t.Errorf("resumed metrics snapshot differs from uninterrupted baseline:\nbase:\n%s\nresumed:\n%s", b, g)
+	}
 	if !reflect.DeepEqual(base.Runs, got.Runs) {
 		t.Errorf("resumed runs differ from uninterrupted baseline (%d vs %d runs)", len(got.Runs), len(base.Runs))
 	}

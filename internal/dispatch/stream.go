@@ -573,240 +573,58 @@ func (f *fleetRun) noteJournalFailure() {
 	f.mu.Unlock()
 }
 
-// crashFault fires the journal crash classes on a run that just
-// completed: JournalCrash records the completion durably, then dies
-// before the event (and therefore its evidence) reaches any sink — the
-// journal says done, the store disagrees. JournalTear dies mid-append,
-// leaving a torn frame for recovery to truncate. Both abort the stream
-// the way a killed process would; returns true when the run was consumed
-// by a crash.
-func (f *fleetRun) crashFault(i, attempts int, sha string, backoff time.Duration, backoffMS int64, meters *journal.RunMeters, requeued bool) bool {
-	if f.cfg.Journal == nil || f.cfg.Faults == nil {
-		return false
-	}
-	// A requeued run is the takeover of a crash that already fired: the
-	// host that died is gone, and the healthy host re-running the app
-	// must be allowed to commit — otherwise a crash-faulted app could
-	// never converge, no matter how many takeovers the budget grants.
-	if requeued {
-		return false
-	}
-	// Attempt 1 on purpose: the crash models the host dying after the
-	// run, not a retryable run fault, so it must not evaporate just
-	// because the run itself needed a retry.
-	plan := f.cfg.Faults.For(i, 1)
-	switch plan.Class {
-	case faults.JournalCrash:
-		// The fault's contract is "commit durably, then die": the record
-		// must actually reach the disk before the injected death, or
-		// resume would correctly requeue the app and the test would be
-		// proving nothing. A failed append or fsync here is therefore a
-		// real durability failure riding under the injection — surface it
-		// in the ledger and the abort error instead of discarding it.
-		err := f.cfg.Journal.RunCompletedMetered(i, journal.OutcomeRun, sha, attempts, backoff, backoffMS, "", meters)
-		if err == nil {
-			err = f.cfg.Journal.Sync()
-		}
-		if err != nil {
-			f.noteJournalFailure()
-			f.abort(i, fmt.Errorf("dispatch: app %d: journal-crash commit failed: %w", i, err))
-			return true
-		}
-		f.abort(i, fmt.Errorf("dispatch: app %d: journal-crash %w after commit", i, faults.ErrInjected))
-		return true
-	case faults.JournalTear:
-		f.cfg.Journal.InjectTear()
-		err := f.cfg.Journal.RunCompleted(i, journal.OutcomeRun, sha, attempts, backoff, backoffMS, "")
-		f.abort(i, fmt.Errorf("dispatch: app %d: journal-tear %w: %v", i, faults.ErrInjected, err))
-		return true
-	}
-	return false
-}
-
 // runApp drives one app through its attempt budget: run, and on failure
 // retry with exponential backoff until the budget is spent. Exhausting the
 // budget quarantines the app in ContinueOnError mode (the fleet keeps
 // going, the app is reported with its attempt count and last error) and
-// aborts the stream otherwise. With a journal configured, the app's
-// lifecycle is recorded durably: started before the first attempt, its
-// terminal outcome — with the retry accounting it consumed — after the
-// collector drain. requeued marks a run handed back by resume.
+// aborts the stream otherwise. Each attempt's end is one transition;
+// apply journals it — with a journal configured the app's lifecycle is
+// recorded durably, started before the first attempt, every outcome after
+// the collector drain — and performs the rest of its bookkeeping.
+// requeued marks a run handed back by resume.
 func (f *fleetRun) runApp(env *runEnv, i int, requeued bool) {
 	maxAttempts := f.cfg.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
-	if f.cfg.Journal != nil {
-		if !f.journalAppend(f.cfg.Journal.RunStarted(i)) {
-			return
-		}
-	}
-	// Run-lifecycle bus events carry App but never a shard index: the
-	// same app lands in different shards at different shard counts, and
-	// the JSONL event log must stay byte-identical across them.
-	if bus := f.tel.Bus(); bus.Active() {
-		bus.Publish(obs.Event{Type: obs.EvRunStarted, TS: f.tel.Now(), App: i, Shard: -1})
-	}
-	// The app's dispatch root span covers every attempt, the backoff
-	// between them, and the stage children runOne hangs off it. Host-side
-	// timestamps come from the telemetry time source (a fixed epoch in
-	// deterministic mode), so the trace serializes byte-identically under
-	// a virtual clock.
-	root := f.tel.Trace(TraceID(i)).Span(obs.SpanDispatch, f.tel.Now())
-	root.AttrInt("app", int64(i))
-	finish := func(outcome string, attempts int) {
-		root.Attr("outcome", outcome).AttrInt("attempts", int64(attempts)).End(f.tel.Now())
-	}
-	var lastErr error
-	attemptsUsed := 0
-	// Per-app backoff tallies mirror the fleet totals so the journal can
-	// replicate exactly what this app charged (BackoffMS carries the
-	// per-wait millisecond truncation the live metrics counter applies).
-	var appBackoff time.Duration
-	var appBackoffMS int64
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		ctx, cancel := f.attemptCtx()
-		run, evidence, meters, skip, err := env.runOne(ctx, i, attempt, requeued, root)
-		cancel()
-		attemptsUsed = attempt
-		f.mu.Lock()
-		f.attempts++
-		f.mu.Unlock()
-		f.tel.Counter(obs.MFleetAttempts).Inc()
-		switch {
-		case err == nil && skip:
-			if f.cfg.Journal != nil {
-				if !f.journalAppend(f.cfg.Journal.RunCompleted(i, journal.OutcomeSkip, "", attemptsUsed, appBackoff, appBackoffMS, "")) {
-					return
-				}
-			}
-			f.mu.Lock()
-			f.skipped++
-			f.mu.Unlock()
-			f.tel.Counter(obs.MFleetSkipped).Inc()
-			if bus := f.tel.Bus(); bus.Active() {
-				bus.Publish(obs.Event{Type: obs.EvRunSkipped, TS: f.tel.Now(), App: i, Shard: -1, Attempt: attemptsUsed})
-			}
-			finish("skip", attemptsUsed)
-			f.emit(RunEvent{Kind: EventSkip, AppIndex: i})
-			return
-		case err == nil:
-			if f.crashFault(i, attemptsUsed, run.AppSHA, appBackoff, appBackoffMS, meters, requeued) {
-				return
-			}
-			if f.cfg.Journal != nil {
-				if !f.journalAppend(f.cfg.Journal.RunCompletedMetered(i, journal.OutcomeRun, run.AppSHA, attemptsUsed, appBackoff, appBackoffMS, "", meters)) {
-					return
-				}
-			}
-			f.mu.Lock()
-			f.completed++
-			if attempt > 1 {
-				f.retried++
-			}
-			f.mu.Unlock()
-			f.tel.Counter(obs.MFleetCompleted).Inc()
-			if attempt > 1 {
-				f.tel.Counter(obs.MFleetRetries).Inc()
-			}
-			if bus := f.tel.Bus(); bus.Active() {
-				bev := obs.Event{
-					Type: obs.EvRunCompleted, TS: f.tel.Now(), App: i, Shard: -1,
-					Attempt: attemptsUsed, Package: run.AppPackage,
-					Flows: int64(len(run.Flows)),
-				}
-				if meters != nil {
-					bev.VirtualMS = meters.VirtualMS
-					bev.TCPBytes = meters.TCPWireBytes
-					bev.UDPBytes = meters.UDPWireBytes
-					bev.DNSBytes = meters.DNSWireBytes
-					bev.DroppedDatagrams = meters.DroppedGrams
-				}
-				bus.Publish(bev)
-			}
-			finish("run", attemptsUsed)
-			ev := RunEvent{Kind: EventRun, AppIndex: i, Run: run, Evidence: evidence}
-			if env.fold != nil {
-				env.fold(ev)
-			}
-			f.emit(ev)
-			return
-		}
-		lastErr = err
-		if f.ctx.Err() != nil {
-			// The fleet is being cancelled: the attempt failed because (or
-			// regardless) of it, and retrying against a dead context would
-			// only burn the budget on context errors.
-			break
-		}
-		if attempt < maxAttempts {
-			if f.cfg.Journal != nil {
-				// The retry record exists for event-log fidelity: replay
-				// republishes run.retry with the original attempt's error
-				// text, which nothing else persists.
-				if !f.journalAppend(f.cfg.Journal.RunRetry(i, attempt, lastErr.Error())) {
-					return
-				}
-			}
-			if bus := f.tel.Bus(); bus.Active() {
-				bus.Publish(obs.Event{Type: obs.EvRunRetry, TS: f.tel.Now(), App: i, Shard: -1, Attempt: attempt, Error: lastErr.Error()})
-			}
-			d, ms, ok := f.backoffWait(attempt)
-			appBackoff += d
-			appBackoffMS += ms
-			if !ok {
-				break
-			}
-		}
-	}
-	// Budget exhausted (or cancelled mid-retry). Quarantine is meaningful
-	// only when the fleet keeps running and actually retried; a
-	// single-attempt or fail-fast fleet reports plain failures, preserving
-	// the original semantics.
-	//
-	// A failure observed while the fleet is being cancelled is the
-	// shutdown's artifact, not the app's history: journaling it as a
-	// terminal outcome would make every resume replay a "context
-	// canceled" failure forever. Skip the terminal record — the started
-	// record leaves the app in-flight, so resume re-runs it.
-	interrupted := f.ctx.Err() != nil
+	// Quarantine is meaningful only when the fleet keeps running and
+	// actually retries; a single-attempt or fail-fast fleet reports plain
+	// failures.
+	exhausted := outcomeFailed
 	if f.cfg.ContinueOnError && maxAttempts > 1 {
-		if f.cfg.Journal != nil && !interrupted {
-			// Persisted so poison apps stay quarantined across restarts
-			// instead of burning the resumed fleet's budget again.
-			if !f.journalAppend(f.cfg.Journal.RunQuarantined(i, attemptsUsed, appBackoff, appBackoffMS, lastErr.Error())) {
-				return
-			}
-		}
-		q := QuarantinedApp{AppIndex: i, Attempts: attemptsUsed, LastErr: lastErr}
-		f.mu.Lock()
-		f.quarantined = append(f.quarantined, q)
-		f.mu.Unlock()
-		f.tel.Counter(obs.MFleetQuarantined).Inc()
-		if bus := f.tel.Bus(); bus.Active() {
-			bus.Publish(obs.Event{Type: obs.EvRunQuarantined, TS: f.tel.Now(), App: i, Shard: -1, Attempt: attemptsUsed, Error: lastErr.Error()})
-		}
-		finish("quarantine", attemptsUsed)
-		f.emit(RunEvent{Kind: EventQuarantine, AppIndex: i, Err: lastErr, Quarantine: &q})
+		exhausted = outcomeQuarantined
+	}
+	a := f.begin(env, i, false, requeued)
+	if a == nil {
 		return
 	}
-	if f.cfg.Journal != nil && !interrupted {
-		if !f.journalAppend(f.cfg.Journal.RunCompleted(i, journal.OutcomeFailed, "", attemptsUsed, appBackoff, appBackoffMS, lastErr.Error())) {
+	for attempt := 1; ; attempt++ {
+		ctx, cancel := f.attemptCtx()
+		run, evidence, meters, skip, err := env.runOne(ctx, i, attempt, requeued, a.root)
+		cancel()
+		tr := transition{kind: exhausted, attempt: attempt, err: err, meters: meters, run: run, evidence: evidence}
+		switch {
+		case err == nil && skip:
+			tr.kind = outcomeSkip
+		case err == nil:
+			tr.kind = outcomeRun
+		case attempt < maxAttempts && f.ctx.Err() == nil:
+			// Once the fleet is being cancelled the attempt failed because
+			// (or regardless) of it, and retrying against a dead context
+			// would only burn the budget on context errors.
+			tr.kind = outcomeRetry
+			tr.backoff, tr.backoffMS = f.retryBackoff(attempt)
+		}
+		if !a.apply(tr) || tr.kind != outcomeRetry {
+			return
+		}
+		if !f.wait(tr.backoff) {
+			// The fleet stopped mid-backoff: the attempt just retried was
+			// the app's last.
+			a.apply(transition{kind: exhausted, attempt: attempt, err: err})
 			return
 		}
 	}
-	f.mu.Lock()
-	f.failures = append(f.failures, RunFailure{AppIndex: i, Err: lastErr, Attempts: attemptsUsed})
-	f.mu.Unlock()
-	f.tel.Counter(obs.MFleetFailed).Inc()
-	if bus := f.tel.Bus(); bus.Active() {
-		bus.Publish(obs.Event{Type: obs.EvRunFailed, TS: f.tel.Now(), App: i, Shard: -1, Attempt: attemptsUsed, Error: lastErr.Error()})
-	}
-	finish("failure", attemptsUsed)
-	if !f.cfg.ContinueOnError {
-		f.abort(i, fmt.Errorf("dispatch: app %d: %w", i, lastErr))
-	}
-	f.emit(RunEvent{Kind: EventFailure, AppIndex: i, Err: lastErr})
 }
 
 // attemptCtx derives one attempt's context, applying the per-run deadline
@@ -818,39 +636,38 @@ func (f *fleetRun) attemptCtx() (context.Context, context.CancelFunc) {
 	return context.WithCancel(f.ctx)
 }
 
-// backoffWait charges the delay before the next attempt: RetryBackoff
-// doubled per completed attempt. With a virtual retry clock configured the
-// wait is advanced on the clock (serialized — nets.Clock is not safe for
-// concurrent use) instead of slept, so deterministic experiments never
-// block on wall time. Returns the charged duration and the milliseconds
-// charged to the metrics counter (the journal replicates both), and false
-// when the fleet was cancelled while waiting.
-func (f *fleetRun) backoffWait(attempt int) (time.Duration, int64, bool) {
+// retryBackoff is the delay before the attempt after the given one:
+// RetryBackoff doubled per completed attempt, and the milliseconds of it
+// the metrics counter is charged (truncated per wait; the journal
+// replicates both).
+func (f *fleetRun) retryBackoff(attempt int) (time.Duration, int64) {
 	if f.cfg.RetryBackoff <= 0 {
-		return 0, 0, f.ctx.Err() == nil && !f.stopped()
+		return 0, 0
 	}
 	shift := attempt - 1
 	if shift > 16 {
 		shift = 16
 	}
 	d := f.cfg.RetryBackoff << shift
-	f.mu.Lock()
-	f.backoff += d
-	f.mu.Unlock()
-	ms := d.Milliseconds()
-	f.tel.Counter(obs.MFleetBackoffMS).Add(ms)
+	return d, d.Milliseconds()
+}
+
+// wait sits out a retry backoff. With a virtual retry clock configured
+// the wait is advanced on the clock (serialized — nets.Clock is not safe
+// for concurrent use) instead of slept, so deterministic experiments never
+// block on wall time. Returns false when the fleet was cancelled or
+// stopped meanwhile.
+func (f *fleetRun) wait(d time.Duration) bool {
 	if f.clk != nil {
 		f.clk.Advance(d)
-		return d, ms, f.ctx.Err() == nil && !f.stopped()
+	} else if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-f.ctx.Done():
+		case <-f.stop:
+		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return d, ms, !f.stopped()
-	case <-f.ctx.Done():
-		return d, ms, false
-	case <-f.stop:
-		return d, ms, false
-	}
+	return f.ctx.Err() == nil && !f.stopped()
 }

@@ -88,15 +88,16 @@ type Options struct {
 	// as hook errors.
 	HookFaultReports int
 
-	// Telemetry, when set, receives the run's metrics (internal/obs):
-	// event/report counters, wire-byte totals, and the virtual-duration
-	// histogram. Nil disables instrumentation.
+	// Telemetry, when set, receives the run's metrics (internal/obs) —
+	// run, event and report counters, wire-byte totals, the
+	// virtual-duration histogram — and turns on the stage spans. Nil
+	// disables instrumentation.
 	Telemetry *obs.Telemetry
-	// Meters, when set, receives the run's per-event series (supervisor
-	// reports, hook errors, blocked connections, dropped datagrams) into
-	// worker-local cells instead of the shared registry; the dispatcher
-	// flushes them at run completion. The end-of-run batched folds below
-	// still go through Telemetry directly.
+	// Meters is where the run charges every one of those series:
+	// worker-local cells the caller reads (the dispatcher journals them
+	// as the attempt's delta) and flushes. When nil the run keeps a
+	// private set and flushes it into Telemetry itself on every exit
+	// path.
 	Meters *obs.Meters
 	// Span, when set, is the run's dispatch span; the emulator hangs the
 	// per-stage child spans (emulator-boot, monkey-run,
@@ -265,7 +266,12 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		opts.StartTime = time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC)
 	}
 
-	opts.Telemetry.Counter(obs.MEmulatorRuns).Inc()
+	meters := opts.Meters
+	if meters == nil {
+		meters = obs.NewMeters()
+		defer meters.Flush(opts.Telemetry)
+	}
+	meters.Counter(obs.MEmulatorRuns).Inc()
 	// The boot span covers image composition: network stack, runtime,
 	// instrumentation, and the app launch. Like every stage span below it
 	// is timed on the run's own virtual clock, so a same-seed run always
@@ -285,8 +291,7 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		Clock:         clock,
 		Capture:       capture,
 		PacketLatency: opts.PacketLatency,
-		Telemetry:     opts.Telemetry,
-		Meters:        opts.Meters,
+		Meters:        meters,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("emulator: building network stack: %w", err)
@@ -317,14 +322,12 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		if err != nil {
 			return nil, fmt.Errorf("emulator: %w", err)
 		}
-		framework.SetTelemetry(opts.Telemetry)
-		framework.SetMeters(opts.Meters)
+		framework.SetMeters(meters)
 		supervisor, err := xposed.NewSupervisor(install.APKSHA256, install.Program.Dex, stack)
 		if err != nil {
 			return nil, fmt.Errorf("emulator: %w", err)
 		}
-		supervisor.SetTelemetry(opts.Telemetry)
-		supervisor.SetMeters(opts.Meters)
+		supervisor.SetMeters(meters)
 		supervisor.FailFirstReports(opts.HookFaultReports)
 		framework.Register(supervisor)
 		framework.Bind(stack)
@@ -416,7 +419,7 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		}
 		artifacts.CaptureBytes = capBytes
 	}
-	if tel := opts.Telemetry; tel != nil {
+	if opts.Telemetry != nil {
 		// Supervision and capture span the whole exercised interval; both
 		// are reconstructed here because their activity interleaves with
 		// the monkey loop rather than following it.
@@ -431,18 +434,16 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 			AttrInt("capture_bytes", int64(len(artifacts.CaptureBytes))).
 			AttrInt("packets", artifacts.NetStats.PacketCount).
 			End(clock.Now())
-
-		tel.Counter(obs.MEmulatorEvents).Add(int64(artifacts.EventsInjected))
-		tel.Histogram(obs.MRunVirtualMS, obs.DurationBucketsMS).
-			Observe(artifacts.VirtualDuration.Milliseconds())
-		// Wire-byte totals fold in once per run from the stack's counters
-		// (the packet path itself stays uninstrumented).
-		tel.Counter(obs.MNetsTCPBytes).Add(artifacts.NetStats.TCPWireBytes)
-		tel.Counter(obs.MNetsUDPBytes).Add(artifacts.NetStats.UDPWireBytes)
-		tel.Counter(obs.MNetsDNSBytes).Add(artifacts.NetStats.DNSWireBytes)
-		tel.Counter(obs.MNetsPackets).Add(artifacts.NetStats.PacketCount)
-		tel.Counter(obs.MNetsCaptureBytes).Add(int64(len(artifacts.CaptureBytes)))
 	}
+	meters.Counter(obs.MEmulatorEvents).Add(int64(artifacts.EventsInjected))
+	meters.Histogram(obs.MRunVirtualMS, obs.DurationBucketsMS).Add(artifacts.VirtualDuration.Milliseconds())
+	// Wire-byte totals fold in once per run from the stack's counters
+	// (the packet path itself stays uninstrumented).
+	meters.Counter(obs.MNetsTCPBytes).Add(artifacts.NetStats.TCPWireBytes)
+	meters.Counter(obs.MNetsUDPBytes).Add(artifacts.NetStats.UDPWireBytes)
+	meters.Counter(obs.MNetsDNSBytes).Add(artifacts.NetStats.DNSWireBytes)
+	meters.Counter(obs.MNetsPackets).Add(artifacts.NetStats.PacketCount)
+	meters.Counter(obs.MNetsCaptureBytes).Add(int64(len(artifacts.CaptureBytes)))
 	return artifacts, nil
 }
 

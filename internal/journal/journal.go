@@ -161,20 +161,23 @@ type Record struct {
 	BackoffMS int64 `json:"backoff_ms,omitempty"`
 	// Error is the final attempt's error text (failed/quarantined).
 	Error string `json:"error,omitempty"`
-	// Meters replicate the run's per-run telemetry deltas (OutcomeRun
-	// records) so a resumed or taken-over campaign's metrics snapshot
-	// folds to the same totals as an uninterrupted one. Absent on
-	// pre-metering journals and on skip/failed records.
+	// Meters is the telemetry delta of the one attempt this record ends
+	// — a retry, completed, or quarantined record each carry their own
+	// attempt's — so a resumed or taken-over campaign's metrics snapshot
+	// folds to the same totals as an uninterrupted one. Absent when the
+	// attempt charged nothing (a skip) and on journals written before
+	// failed attempts were metered, whose replays restore only what was
+	// recorded.
 	Meters *RunMeters `json:"meters,omitempty"`
 }
 
-// RunMeters is the per-run telemetry delta a completed run charged to the
-// campaign registry: everything a journal replay cannot re-derive from
-// the stored evidence alone. All fields are additive int64 counts, so
-// replaying them is commutative like every other fold in the pipeline.
+// RunMeters is the telemetry delta one attempt charged to the campaign
+// registry: everything a journal replay cannot re-derive from the stored
+// evidence alone. All fields are additive int64 counts, so replaying
+// them is commutative like every other fold in the pipeline.
 type RunMeters struct {
-	// Runs is the emulator run count this record covers (1 for a
-	// single-attempt completion).
+	// Runs is the emulator run count this record covers (1 for an
+	// attempt that reached the emulator).
 	Runs int64 `json:"runs,omitempty"`
 	// Events is the number of monkey events injected.
 	Events int64 `json:"events,omitempty"`
@@ -192,8 +195,9 @@ type RunMeters struct {
 	// Supervisor report accounting.
 	ReportsSent int64 `json:"reports_sent,omitempty"`
 	HookErrors  int64 `json:"hook_errors,omitempty"`
-	// CollectorReceived is how many of this run's datagrams the collector
-	// server received (0 when the campaign runs without a collector).
+	// CollectorReceived is how many datagrams the attempt put on the wire
+	// toward the collector server — reports sent minus those the wire
+	// dropped (0 when the campaign runs without a collector).
 	CollectorReceived int64 `json:"collector_received,omitempty"`
 }
 
@@ -264,13 +268,6 @@ func (w *Writer) RunStarted(app int) error {
 	return w.Append(Record{Type: TypeStarted, App: app})
 }
 
-// RunRetry records one failed attempt (1-based) that the fleet is about
-// to retry, with its error text, so replay can reconstruct the run's
-// retry history verbatim.
-func (w *Writer) RunRetry(app, attempt int, errText string) error {
-	return w.Append(Record{Type: TypeRetry, App: app, Attempts: attempt, Error: errText})
-}
-
 // RunCompleted records a finished run: its outcome, the artifact sha
 // backing it (OutcomeRun), and the retry accounting it consumed.
 func (w *Writer) RunCompleted(app int, outcome Outcome, artifactSHA string, attempts int, backoff time.Duration, backoffMS int64, errText string) error {
@@ -313,16 +310,17 @@ type AppOutcome struct {
 	BackoffMS int64
 	// Error is the recorded failure text (failed/quarantined).
 	Error string
-	// Meters are the run's recorded telemetry deltas (nil on journals
-	// written before metering or on non-run outcomes).
+	// Meters is the final attempt's recorded telemetry delta (nil when
+	// it charged nothing or the journal predates its metering).
 	Meters *RunMeters
 }
 
-// RetryInfo is one replayed retry record: a failed attempt (1-based)
-// and its error text.
+// RetryInfo is one replayed retry record: a failed attempt (1-based),
+// its error text, and the telemetry delta it charged.
 type RetryInfo struct {
 	Attempt int
 	Error   string
+	Meters  *RunMeters
 }
 
 // Replay is the reconstructed campaign state after reading a journal.
@@ -407,7 +405,7 @@ func (r *Replay) fold(want *Header) func(off int64, index int, rec Record) error
 			// generation would double the replayed history.
 			delete(r.Retries, rec.App)
 		case TypeRetry:
-			r.Retries[rec.App] = append(r.Retries[rec.App], RetryInfo{Attempt: rec.Attempts, Error: rec.Error})
+			r.Retries[rec.App] = append(r.Retries[rec.App], RetryInfo{Attempt: rec.Attempts, Error: rec.Error, Meters: rec.Meters})
 		case TypeCompleted:
 			r.Outcomes[rec.App] = AppOutcome{
 				Outcome: rec.Outcome, ArtifactSHA: rec.ArtifactSHA,
@@ -419,7 +417,7 @@ func (r *Replay) fold(want *Header) func(off int64, index int, rec Record) error
 			r.Outcomes[rec.App] = AppOutcome{
 				Quarantined: true,
 				Attempts:    rec.Attempts, Backoff: time.Duration(rec.BackoffNS), BackoffMS: rec.BackoffMS,
-				Error: rec.Error,
+				Error: rec.Error, Meters: rec.Meters,
 			}
 			delete(r.InFlight, rec.App)
 		default:

@@ -56,17 +56,13 @@ type Config struct {
 	PacketLatency time.Duration
 	// MSS is the TCP maximum segment size (DefaultMSS when zero).
 	MSS int
-	// Telemetry, when set, receives the stack's loss/veto series live
-	// (internal/obs): supervisor datagrams dropped on the wire and
-	// policy-blocked dials. Cumulative wire-byte counters are folded in
-	// by the emulator from Stats at run end instead, so the stack's hot
-	// packet path stays free of per-packet counter traffic.
-	Telemetry *obs.Telemetry
-	// Meters, when set, receives the same loss/veto series into
-	// worker-local cells instead of the shared registry; the dispatcher
-	// flushes them at run completion. Takes precedence over Telemetry
-	// for the per-event series so the hot path never touches shared
-	// atomics.
+	// Meters, when set, receives the stack's loss/veto series
+	// (internal/obs) — supervisor datagrams dropped on the wire and
+	// policy-blocked dials — in the run's meter cells, which their owner
+	// flushes at run completion, so the hot path never touches shared
+	// atomics. Cumulative wire-byte counters are folded in by the
+	// emulator from Stats at run end instead, keeping the packet path
+	// free of per-packet counter traffic.
 	Meters *obs.Meters
 }
 
@@ -326,11 +322,7 @@ func (s *Stack) dialAddr(domain string, addr netip.Addr, port uint16) (*Conn, er
 	if s.connectVeto != nil {
 		if err := s.connectVeto(domain, port); err != nil {
 			s.blockedConnections++
-			if s.cfg.Meters != nil {
-				s.cfg.Meters.Counter(obs.MNetsBlockedConns).Inc()
-			} else {
-				s.cfg.Telemetry.Counter(obs.MNetsBlockedConns).Inc()
-			}
+			s.cfg.Meters.Counter(obs.MNetsBlockedConns).Inc()
 			return nil, fmt.Errorf("nets: dial %s:%d: %w: %w", domain, port, ErrBlocked, err)
 		}
 	}
@@ -382,11 +374,7 @@ func (s *Stack) SendSupervisorReport(payload []byte) error {
 		// Lost on the wire: the capture has the egress record, the
 		// collector never sees the payload, and the sender cannot tell.
 		s.droppedDatagrams++
-		if s.cfg.Meters != nil {
-			s.cfg.Meters.Counter(obs.MNetsDroppedGrams).Inc()
-		} else {
-			s.cfg.Telemetry.Counter(obs.MNetsDroppedGrams).Inc()
-		}
+		s.cfg.Meters.Counter(obs.MNetsDroppedGrams).Inc()
 		return nil
 	}
 	if s.udpSink != nil {

@@ -14,16 +14,19 @@ package obs
 // Determinism contract: several hot-path series (xposed reports, hook
 // errors, blocked connections, dropped datagrams) are registered lazily
 // — they must not appear in a snapshot unless at least one event
-// occurred (resume replay depends on this; see dispatch.restoreMeters).
-// Flush therefore skips zero-valued cells entirely instead of
-// registering an empty series, which keeps Meters-path snapshots
-// byte-identical to the direct atomics path.
+// occurred (resume replay charges a journaled attempt through these same
+// cells, so it inherits the rule). Flush therefore skips zero-valued
+// cells entirely instead of registering an empty series, which keeps
+// Meters-path snapshots byte-identical to the direct atomics path.
 
-// LocalCounter is one worker-local counter cell: a plain int64, no
-// atomics, owned by a single goroutine. Nil cells are inert, matching
-// the registry's nil-safe Counter so call sites need no guards.
+// LocalCounter is one worker-local cell: a plain int64, no atomics,
+// owned by a single goroutine. Nil cells are inert, matching the
+// registry's nil-safe Counter so call sites need no guards.
 type LocalCounter struct {
 	n int64
+	// bounds is non-nil on a histogram cell (Meters.Histogram): Flush
+	// observes n once instead of adding it to a counter.
+	bounds []int64
 }
 
 // Add increments the cell by n (negative and zero n are ignored,
@@ -62,13 +65,19 @@ func NewMeters() *Meters {
 
 // Counter returns the cell for name, creating it on first use. Nil-safe:
 // a nil Meters yields a nil (inert) cell.
-func (m *Meters) Counter(name string) *LocalCounter {
+func (m *Meters) Counter(name string) *LocalCounter { return m.Histogram(name, nil) }
+
+// Histogram returns the cell for a histogram series (nil bounds: a
+// counter). What the owner adds between two flushes is one observation
+// — the run's virtual duration, say — so a flush that finds the cell at
+// zero observes nothing.
+func (m *Meters) Histogram(name string, bounds []int64) *LocalCounter {
 	if m == nil {
 		return nil
 	}
 	c := m.cells[name]
 	if c == nil {
-		c = &LocalCounter{}
+		c = &LocalCounter{bounds: bounds}
 		m.cells[name] = c
 		m.order = append(m.order, name)
 	}
@@ -89,7 +98,11 @@ func (m *Meters) Flush(tel *Telemetry) {
 		if c.n == 0 {
 			continue
 		}
-		tel.Counter(name).Add(c.n)
+		if c.bounds != nil {
+			tel.Histogram(name, c.bounds).Observe(c.n)
+		} else {
+			tel.Counter(name).Add(c.n)
+		}
 		c.n = 0
 	}
 }

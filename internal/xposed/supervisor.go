@@ -28,7 +28,6 @@ type Framework struct {
 	thread  *art.Thread
 	// hookErrs collects module failures; hooks must never break the app.
 	hookErrs []error
-	tel      *obs.Telemetry
 	meters   *obs.Meters
 }
 
@@ -41,13 +40,9 @@ func NewFramework(thread *art.Thread) (*Framework, error) {
 	return &Framework{thread: thread}, nil
 }
 
-// SetTelemetry routes hook-error counts into a metrics registry. Call
-// before Bind; nil disables the mirror.
-func (f *Framework) SetTelemetry(tel *obs.Telemetry) { f.tel = tel }
-
-// SetMeters routes hook-error counts into worker-local cells flushed by
-// the dispatcher at run completion; takes precedence over SetTelemetry
-// so hooks never touch shared atomics. Call before Bind.
+// SetMeters routes hook-error counts into the run's meter cells, which
+// their owner flushes at run completion, so hooks never touch shared
+// atomics. Call before Bind; nil disables the count.
 func (f *Framework) SetMeters(m *obs.Meters) { f.meters = m }
 
 // Register installs a module.
@@ -64,11 +59,7 @@ func (f *Framework) Bind(stack *nets.Stack) {
 				// A module failure must not break the app's connection;
 				// record it for the experiment log instead.
 				f.hookErrs = append(f.hookErrs, fmt.Errorf("xposed: module %s: %w", m.Name(), err))
-				if f.meters != nil {
-					f.meters.Counter(obs.MXposedHookErrors).Inc()
-				} else {
-					f.tel.Counter(obs.MXposedHookErrors).Inc()
-				}
+				f.meters.Counter(obs.MXposedHookErrors).Inc()
 			}
 		}
 	})
@@ -90,7 +81,6 @@ type Supervisor struct {
 	apkSHA256  string
 	translator *dex.SignatureTranslator
 	stack      *nets.Stack
-	tel        *obs.Telemetry
 	meters     *obs.Meters
 
 	reportsSent int64
@@ -127,13 +117,9 @@ func (s *Supervisor) Name() string { return "libspector-socket-supervisor" }
 // ReportsSent reports how many UDP reports have been emitted.
 func (s *Supervisor) ReportsSent() int64 { return s.reportsSent }
 
-// SetTelemetry routes the sent-report count into a metrics registry.
-// nil disables the mirror.
-func (s *Supervisor) SetTelemetry(tel *obs.Telemetry) { s.tel = tel }
-
-// SetMeters routes the sent-report count into worker-local cells flushed
-// by the dispatcher at run completion; takes precedence over
-// SetTelemetry so the per-report path never touches shared atomics.
+// SetMeters routes the sent-report count into the run's meter cells, so
+// the per-report path never touches shared atomics. Nil disables the
+// count.
 func (s *Supervisor) SetMeters(m *obs.Meters) { s.meters = m }
 
 // FailFirstReports injects supervisor hook faults: the first n report
@@ -175,10 +161,6 @@ func (s *Supervisor) OnSocketConnected(conn *nets.Conn, stackTrace []art.Frame) 
 		return fmt.Errorf("xposed: sending report for %s: %w", conn.Tuple(), err)
 	}
 	s.reportsSent++
-	if s.meters != nil {
-		s.meters.Counter(obs.MXposedReports).Inc()
-	} else {
-		s.tel.Counter(obs.MXposedReports).Inc()
-	}
+	s.meters.Counter(obs.MXposedReports).Inc()
 	return nil
 }

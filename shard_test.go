@@ -225,6 +225,45 @@ func TestShardKillAndTakeover(t *testing.T) {
 	}
 }
 
+// TestResumeSnapshotUnderRunFaults pins replay's telemetry exactness under
+// run faults: a journaled, artifact-backed campaign whose apps fail,
+// retry, and (second case) quarantine is resumed over its complete
+// journal — every app replays, none runs — and must reproduce the
+// uninterrupted run's figures, ledger, rosters and metrics snapshot. The
+// failed attempts' emulator/nets/xposed/collector charges exist only in
+// the journal's per-attempt meters, so a replay that restores less than
+// each attempt charged shows up as a snapshot diff. The two resume series
+// describe the resume itself and are stripped, as shard merge does.
+func TestResumeSnapshotUnderRunFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		poison float64
+	}{{"transient", 0}, {"poison", 0.5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := faultyConfig(73, 36)
+			cfg.FaultPoisonRate = tc.poison
+			cfg.Journal = filepath.Join(t.TempDir(), "campaign.journal")
+			cfg.ArtifactDir = t.TempDir()
+			base := baselineRun(t, cfg)
+			if tc.poison > 0 && string(base.quarantined) == "[]" {
+				t.Fatal("poison case quarantined no app — it covers nothing the transient case does not")
+			}
+
+			cfg.Telemetry = obs.NewVirtual(nil)
+			cfg.Resume = true
+			resumed := baselineRun(t, cfg)
+			snap := cfg.Telemetry.Metrics().Snapshot()
+			if snap.Counters[obs.MResumeReplayed] != int64(cfg.Apps) {
+				t.Fatalf("resume replayed %d of %d apps — the journal was not complete", snap.Counters[obs.MResumeReplayed], cfg.Apps)
+			}
+			delete(snap.Counters, obs.MResumeReplayed)
+			delete(snap.Counters, obs.MResumeRequeued)
+			resumed.snapshot = mustJSON(t, snap)
+			diffCampaigns(t, "resumed", base, resumed)
+		})
+	}
+}
+
 // TestMergeShardOutcomesProcessMode drives the separate-process seam
 // in-process: run each shard independently (as fleetscan children would),
 // round-trip every outcome through the WriteShardOutcome/ReadShardOutcome
