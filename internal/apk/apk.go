@@ -225,17 +225,38 @@ func Decode(data []byte) (*APK, error) {
 	return a, nil
 }
 
+// maxEntryBytes bounds the declared uncompressed size of an entry Decode
+// reads, so a forged size cannot make it allocate without limit. The
+// largest entry Encode writes is classes.dex of an app at the
+// generator's 400 000-method clamp. An SDEX method is at most seven pool
+// references (class, name, return, param count, three params), each a
+// varint of at most three bytes, since the pool stays under 2^21
+// strings: 21 bytes. At worst each method also brings a fresh method name
+// (under 32 bytes) and a quarter of a fresh class name (under 128 bytes,
+// four or more methods per class) into the pool: 21 + 33 + 33 = 87 bytes
+// per method, 400 000 × 87 B ≈ 33 MiB (generated apps measure about 11
+// bytes per method). 64 MiB leaves room for twice the bound; the manifest
+// is a few hundred bytes.
+const maxEntryBytes = 64 << 20
+
 func readZipEntry(zf *zip.File) ([]byte, error) {
+	if zf.UncompressedSize64 > maxEntryBytes {
+		return nil, fmt.Errorf("apk: zip entry %s declares %d bytes, over the %d-byte limit", zf.Name, zf.UncompressedSize64, maxEntryBytes)
+	}
 	rc, err := zf.Open()
 	if err != nil {
 		return nil, fmt.Errorf("apk: opening zip entry %s: %w", zf.Name, err)
 	}
 	defer func() { _ = rc.Close() }()
-	content, err := io.ReadAll(rc)
-	if err != nil {
+	size := int64(zf.UncompressedSize64)
+	var buf bytes.Buffer
+	buf.Grow(int(size) + bytes.MinRead)
+	// One byte past the declared size, so the last read reaches the
+	// archive/zip EOF where it checks the entry's size and CRC.
+	if _, err := buf.ReadFrom(io.LimitReader(rc, size+1)); err != nil {
 		return nil, fmt.Errorf("apk: reading zip entry %s: %w", zf.Name, err)
 	}
-	return content, nil
+	return buf.Bytes(), nil
 }
 
 // Checksum returns the hex-encoded sha256 of the encoded package, the

@@ -3,7 +3,10 @@ package apk
 import (
 	"archive/zip"
 	"bytes"
+	"compress/flate"
 	"encoding/json"
+	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -185,6 +188,56 @@ func TestDecodeRejectsBitFlip(t *testing.T) {
 		if !detected {
 			t.Error("no corruption detected across the sweep")
 		}
+	}
+}
+
+// zeros reads as an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) { clear(p); return len(p), nil }
+
+// A decompression bomb: a ~300 KB apk whose classes.dex inflates to 256
+// MiB of zeros. Decode must refuse it on the declared size, before
+// inflating anything — the unbounded read allocated over a GiB.
+func TestDecodeRejectsZipBomb(t *testing.T) {
+	manifestJSON, err := json.Marshal(sampleAPK(t).Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	zw.RegisterCompressor(zip.Deflate, func(w io.Writer) (io.WriteCloser, error) {
+		return flate.NewWriter(w, flate.BestSpeed)
+	})
+	for _, e := range []struct {
+		name    string
+		content io.Reader
+	}{
+		{ManifestTag, bytes.NewReader(manifestJSON)},
+		{"classes.dex", io.LimitReader(zeros{}, 256<<20)},
+	} {
+		w, err := zw.Create(e.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(w, e.content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bomb := buf.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Decode(bomb)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 256 MiB classes.dex should be rejected")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("rejecting a %d-byte bomb allocated %d bytes, want under 4 MiB", len(bomb), alloc)
 	}
 }
 

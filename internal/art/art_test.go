@@ -309,6 +309,32 @@ func TestRuntimeOnCreateRunsOncePerActivity(t *testing.T) {
 	}
 }
 
+// The profiler is handed the signatures the dex file rendered once, so
+// re-firing a handler whose methods were all seen, with no net ops,
+// allocates nothing — the monkey's common case.
+func TestRepeatDispatchAllocatesNothing(t *testing.T) {
+	prog, _ := buildTestProgram(t, 1)
+	profiler, err := NewProfiler(ProfilerUnique, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(prog, profiler, &recordingPerformer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.DispatchEvent(0, 1); err != nil { // onCreate, then onClick
+		t.Fatal(err)
+	}
+	var derr error
+	allocs := testing.AllocsPerRun(100, func() { derr = rt.DispatchEvent(0, 1) })
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if allocs != 0 {
+		t.Errorf("repeat DispatchEvent allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestRuntimeIndexModulo(t *testing.T) {
 	prog, _ := buildTestProgram(t, 1)
 	profiler, err := NewProfiler(ProfilerUnique, 0)

@@ -109,11 +109,11 @@ func (rt *Runtime) runHandler(ai, hi int) error {
 	// Record every method the handler invokes. Repeated dispatches
 	// re-record; the profiler mode decides what is kept (§II-B1).
 	for _, idx := range h.MethodIdxs {
-		m, err := rt.program.Dex.MethodAt(idx)
+		sig, err := rt.program.Dex.SignatureAt(idx)
 		if err != nil {
 			return fmt.Errorf("art: handler %s/%s: %w", act.Name, h.Name, err)
 		}
-		rt.profiler.OnMethodEntry(m.TypeSignature())
+		rt.profiler.OnMethodEntry(sig)
 	}
 
 	for oi := range h.NetOps {
@@ -148,11 +148,12 @@ func (rt *Runtime) runNetOp(op *NetOp) error {
 		pushed++
 	}
 	for _, idx := range op.ChainIdxs {
-		m, err := rt.program.Dex.MethodAt(idx)
+		sig, err := rt.program.Dex.SignatureAt(idx)
 		if err != nil {
 			return err
 		}
-		rt.profiler.OnMethodEntry(m.TypeSignature())
+		rt.profiler.OnMethodEntry(sig)
+		m, _ := rt.program.Dex.MethodAt(idx) // in range: SignatureAt accepted idx
 		rt.thread.Push(frameForMethod(m))
 		pushed++
 	}

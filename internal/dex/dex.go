@@ -3,6 +3,7 @@ package dex
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -15,28 +16,47 @@ type File struct {
 	Created time.Time
 
 	methods []Method
+	// sigs[i] is methods[i].TypeSignature(), rendered once by AddMethod.
+	// Every reader of a signature (SignatureAt, the disassembly, the
+	// translator, the ART profiler) shares these strings.
+	sigs []string
 	// bySig indexes methods by full type signature for O(1) lookups.
 	bySig map[string]int
-	// byQualified indexes method indices by dotted qualified name; a
-	// qualified name maps to several indices when the method is overloaded.
-	byQualified map[string][]int
+	// byQualified indexes overloads by (class, method name); next chains
+	// the variants in definition order, -1 ending the chain.
+	byQualified map[qualKey]overloads
+	next        []int
 }
+
+// qualKey is a dotted qualified name split into its class and method
+// name, so neither indexing nor lookup has to join them.
+type qualKey struct{ class, name string }
+
+// overloads are the first and last method index of one qualified name.
+type overloads struct{ first, last int }
 
 // DefaultDexTime is the default dex timestamp (January 1, 1980 UTC) that
 // build toolchains emit when reproducible builds strip real dates.
 var DefaultDexTime = time.Date(1980, time.January, 1, 0, 0, 0, 0, time.UTC)
 
 // NewFile creates an empty dex file with the given creation time.
-func NewFile(created time.Time) *File {
+func NewFile(created time.Time) *File { return newFile(created, 0) }
+
+// newFile creates an empty dex file with room for n methods.
+func newFile(created time.Time, n int) *File {
 	return &File{
 		Created:     created,
-		bySig:       make(map[string]int),
-		byQualified: make(map[string][]int),
+		methods:     make([]Method, 0, n),
+		sigs:        make([]string, 0, n),
+		bySig:       make(map[string]int, n),
+		byQualified: make(map[qualKey]overloads, n),
+		next:        make([]int, 0, n),
 	}
 }
 
-// AddMethod appends a method definition. Duplicate type signatures are
-// rejected: a dex file defines each signature at most once.
+// AddMethod appends a method definition and renders its type signature,
+// the only time it is rendered. Duplicate type signatures are rejected: a
+// dex file defines each signature at most once.
 func (f *File) AddMethod(m Method) error {
 	sig := m.TypeSignature()
 	if _, dup := f.bySig[sig]; dup {
@@ -44,9 +64,18 @@ func (f *File) AddMethod(m Method) error {
 	}
 	idx := len(f.methods)
 	f.methods = append(f.methods, m)
+	f.sigs = append(f.sigs, sig)
 	f.bySig[sig] = idx
-	qn := m.QualifiedName()
-	f.byQualified[qn] = append(f.byQualified[qn], idx)
+	f.next = append(f.next, -1)
+	key := qualKey{m.Class, m.Name}
+	o, ok := f.byQualified[key]
+	if ok {
+		f.next[o.last] = idx
+	} else {
+		o.first = idx
+	}
+	o.last = idx
+	f.byQualified[key] = o
 	return nil
 }
 
@@ -62,10 +91,26 @@ func (f *File) Methods() []Method {
 
 // MethodAt returns the i-th method definition.
 func (f *File) MethodAt(i int) (Method, error) {
-	if i < 0 || i >= len(f.methods) {
-		return Method{}, fmt.Errorf("dex: method index %d out of range [0,%d)", i, len(f.methods))
+	if err := f.checkIndex(i); err != nil {
+		return Method{}, err
 	}
 	return f.methods[i], nil
+}
+
+// SignatureAt returns the type signature of the i-th method definition,
+// as AddMethod rendered it.
+func (f *File) SignatureAt(i int) (string, error) {
+	if err := f.checkIndex(i); err != nil {
+		return "", err
+	}
+	return f.sigs[i], nil
+}
+
+func (f *File) checkIndex(i int) error {
+	if i < 0 || i >= len(f.methods) {
+		return fmt.Errorf("dex: method index %d out of range [0,%d)", i, len(f.methods))
+	}
+	return nil
 }
 
 // LookupSignature returns the method with the given full type signature.
@@ -78,17 +123,29 @@ func (f *File) LookupSignature(sig string) (Method, bool) {
 }
 
 // LookupQualified returns all overloaded variants sharing the dotted
-// qualified name (class + method name).
+// qualified name (class + method name), in definition order.
 func (f *File) LookupQualified(qualified string) []Method {
-	idxs := f.byQualified[qualified]
-	if len(idxs) == 0 {
+	first, ok := f.firstOverload(qualified)
+	if !ok {
 		return nil
 	}
-	out := make([]Method, 0, len(idxs))
-	for _, i := range idxs {
+	var out []Method
+	for i := first; i >= 0; i = f.next[i] {
 		out = append(out, f.methods[i])
 	}
 	return out
+}
+
+// firstOverload returns the index of the first method whose qualified
+// name is qualified. The name splits at its last '.': method names never
+// contain one, class names do.
+func (f *File) firstOverload(qualified string) (int, bool) {
+	dot := strings.LastIndexByte(qualified, '.')
+	if dot < 0 {
+		return 0, false
+	}
+	o, ok := f.byQualified[qualKey{qualified[:dot], qualified[dot+1:]}]
+	return o.first, ok
 }
 
 // Classes returns the sorted set of distinct class names defined in the

@@ -2,7 +2,10 @@ package dex
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -258,11 +261,49 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		for _, file := range []*File{f, decoded} {
+			if err := checkRenderedOnce(file); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+		}
 		return reflect.DeepEqual(decoded.Methods(), f.Methods())
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkRenderedOnce holds every reader of a file's stored signatures to
+// what rendering each method afresh gives: SignatureAt, the disassembly's
+// sorted list, and its membership test.
+func checkRenderedOnce(f *File) error {
+	rendered := make([]string, 0, f.MethodCount())
+	for i := 0; i < f.MethodCount(); i++ {
+		m, _ := f.MethodAt(i)
+		sig, err := f.SignatureAt(i)
+		if err != nil || sig != m.TypeSignature() {
+			return fmt.Errorf("SignatureAt(%d) = %q, %v; want %q", i, sig, err, m.TypeSignature())
+		}
+		rendered = append(rendered, sig)
+	}
+	sort.Strings(rendered)
+	d := DisassembleFile(f)
+	if !reflect.DeepEqual(d.Signatures, rendered) || d.MethodCount != len(rendered) {
+		return fmt.Errorf("disassembly %d/%v, want sorted renderings %v", d.MethodCount, d.Signatures, rendered)
+	}
+	for _, sig := range rendered {
+		if !d.Contains(sig) {
+			return fmt.Errorf("disassembly misses %q", sig)
+		}
+	}
+	if d.Contains("Lnot/a/Member;->f()V") {
+		return fmt.Errorf("disassembly contains a non-member")
+	}
+	if _, err := f.SignatureAt(f.MethodCount()); err == nil {
+		return fmt.Errorf("SignatureAt past the end should fail")
+	}
+	return nil
 }
 
 func TestDisassemble(t *testing.T) {
@@ -314,22 +355,65 @@ func TestSignatureTranslator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := NewSignatureTranslator(f)
-	sig, ok := tr.Translate("com.x.C.load", 2)
-	if !ok || sig != overloads[2].TypeSignature() {
-		t.Errorf("Translate arity 2 = %q, %v", sig, ok)
+	// Another class's method in between: the overloads' chain must skip it.
+	if err := f.AddMethod(Method{Class: "com.x.D", Name: "load", Params: []string{"I"}, Return: "V"}); err != nil {
+		t.Fatal(err)
 	}
-	sig, ok = tr.Translate("com.x.C.load", -1)
-	if !ok || sig != overloads[0].TypeSignature() {
-		t.Errorf("Translate arity -1 = %q, %v", sig, ok)
+	if err := f.AddMethod(Method{Class: "com.x.C", Name: "load", Params: []string{"I", "I", "I"}, Return: "V"}); err != nil {
+		t.Fatal(err)
 	}
-	// Arity mismatch falls back to the first variant.
-	sig, ok = tr.Translate("com.x.C.load", 9)
-	if !ok || sig != overloads[0].TypeSignature() {
-		t.Errorf("Translate arity 9 = %q, %v", sig, ok)
+	data, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := tr.Translate("java.net.Socket.connect", 2); ok {
-		t.Error("framework method should not resolve in the app dex")
+	decoded, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, file := range map[string]*File{"built": f, "decoded": decoded} {
+		tr := NewSignatureTranslator(file)
+		sig, ok := tr.Translate("com.x.C.load", 2)
+		if !ok || sig != overloads[2].TypeSignature() {
+			t.Errorf("%s: Translate arity 2 = %q, %v", name, sig, ok)
+		}
+		sig, ok = tr.Translate("com.x.C.load", 3)
+		if !ok || sig != "Lcom/x/C;->load(III)V" {
+			t.Errorf("%s: Translate arity 3 = %q, %v", name, sig, ok)
+		}
+		sig, ok = tr.Translate("com.x.C.load", -1)
+		if !ok || sig != overloads[0].TypeSignature() {
+			t.Errorf("%s: Translate arity -1 = %q, %v", name, sig, ok)
+		}
+		// Arity mismatch falls back to the first variant.
+		sig, ok = tr.Translate("com.x.C.load", 9)
+		if !ok || sig != overloads[0].TypeSignature() {
+			t.Errorf("%s: Translate arity 9 = %q, %v", name, sig, ok)
+		}
+		for _, unknown := range []string{"java.net.Socket.connect", "com.x.C.lo", "load", ""} {
+			if _, ok := tr.Translate(unknown, 2); ok {
+				t.Errorf("%s: %q should not resolve in the app dex", name, unknown)
+			}
+		}
+		if got := len(file.LookupQualified("com.x.C.load")); got != 4 {
+			t.Errorf("%s: LookupQualified found %d overloads, want 4", name, got)
+		}
+	}
+}
+
+// The render-once property: disassembling a file reads the signatures
+// AddMethod stored, so its allocation count does not grow with methods.
+func TestDisassembleAllocsIndependentOfMethods(t *testing.T) {
+	allocs := func(n int) float64 {
+		f := NewFile(time.Time{})
+		for i := 0; i < n; i++ {
+			if err := f.AddMethod(Method{Class: "a.b.C" + strconv.Itoa(i%7), Name: "m" + strconv.Itoa(i), Return: "V"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() { DisassembleFile(f) })
+	}
+	if small, large := allocs(10), allocs(1000); small != large || small > 3 {
+		t.Errorf("DisassembleFile allocates %.0f for 10 methods and %.0f for 1000, want the same small constant", small, large)
 	}
 }
 

@@ -2,20 +2,22 @@ package dex
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Disassembly is the output of disassembling a dex container: the complete
 // method-signature set of the file, the role dexlib2 plays in the paper
 // (§III-B: "we use the dexlib2 library to extract all the method signatures
-// contained in a particular apk").
+// contained in a particular apk"). It is a view over the File: the
+// signatures are the ones AddMethod rendered, and membership is the File's
+// own signature index.
 type Disassembly struct {
 	// Signatures is the sorted list of all smali type signatures.
 	Signatures []string
-	// SignatureSet is the same content as a membership set.
-	SignatureSet map[string]struct{}
 	// MethodCount is the total number of method definitions.
 	MethodCount int
+
+	file *File
 }
 
 // Disassemble decodes the SDEX container and extracts its full
@@ -30,24 +32,14 @@ func Disassemble(container []byte) (*Disassembly, error) {
 
 // DisassembleFile extracts the signature set from an in-memory dex file.
 func DisassembleFile(f *File) *Disassembly {
-	methods := f.Methods()
-	d := &Disassembly{
-		Signatures:   make([]string, 0, len(methods)),
-		SignatureSet: make(map[string]struct{}, len(methods)),
-		MethodCount:  len(methods),
-	}
-	for _, m := range methods {
-		sig := m.TypeSignature()
-		d.Signatures = append(d.Signatures, sig)
-		d.SignatureSet[sig] = struct{}{}
-	}
-	sort.Strings(d.Signatures)
-	return d
+	sigs := slices.Clone(f.sigs)
+	slices.Sort(sigs)
+	return &Disassembly{Signatures: sigs, MethodCount: f.MethodCount(), file: f}
 }
 
 // Contains reports whether the signature set includes sig.
 func (d *Disassembly) Contains(sig string) bool {
-	_, ok := d.SignatureSet[sig]
+	_, ok := d.file.bySig[sig]
 	return ok
 }
 
@@ -71,19 +63,19 @@ func NewSignatureTranslator(f *File) *SignatureTranslator {
 // present in the app's dex) are reported via ok=false; the supervisor then
 // falls back to the qualified name itself.
 func (t *SignatureTranslator) Translate(qualified string, arity int) (string, bool) {
-	variants := t.file.LookupQualified(qualified)
-	if len(variants) == 0 {
+	f := t.file
+	first, ok := f.firstOverload(qualified)
+	if !ok {
 		return "", false
 	}
-	if arity < 0 {
-		return variants[0].TypeSignature(), true
-	}
-	for _, v := range variants {
-		if len(v.Params) == arity {
-			return v.TypeSignature(), true
+	if arity >= 0 {
+		for i := first; i >= 0; i = f.next[i] {
+			if len(f.methods[i].Params) == arity {
+				return f.sigs[i], true
+			}
 		}
 	}
-	// Arity mismatch: fall back to the first variant, still a signature of
-	// the right qualified name.
-	return variants[0].TypeSignature(), true
+	// Negative arity or no variant of that arity: the first variant, still
+	// a signature of the right qualified name.
+	return f.sigs[first], true
 }

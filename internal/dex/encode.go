@@ -44,24 +44,19 @@ func (f *File) Encode() ([]byte, error) {
 		return i
 	}
 
-	type encMethod struct {
-		class, name, ret uint64
-		params           []uint64
-	}
-	encoded := make([]encMethod, 0, len(f.methods))
 	varints := 0
 	for _, m := range f.methods {
 		varints += 4 + len(m.Params)
-		em := encMethod{
-			class:  intern(m.Class),
-			name:   intern(m.Name),
-			ret:    intern(m.Return),
-			params: make([]uint64, 0, len(m.Params)),
-		}
+	}
+	// refs are every method's pool indices in wire order (class, name,
+	// return, params), one flat slice for the whole file: all its varints
+	// but the param counts.
+	refs := make([]uint64, 0, varints-len(f.methods))
+	for _, m := range f.methods {
+		refs = append(refs, intern(m.Class), intern(m.Name), intern(m.Return))
 		for _, p := range m.Params {
-			em.params = append(em.params, intern(p))
+			refs = append(refs, intern(p))
 		}
-		encoded = append(encoded, em)
 	}
 
 	// Presized for two-byte varints (exact or over for pools under 16k
@@ -79,15 +74,16 @@ func (f *File) Encode() ([]byte, error) {
 	for _, s := range pool {
 		b = codec.AppendString(b, s)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(encoded)))
-	for _, em := range encoded {
-		b = binary.AppendUvarint(b, em.class)
-		b = binary.AppendUvarint(b, em.name)
-		b = binary.AppendUvarint(b, em.ret)
-		b = binary.AppendUvarint(b, uint64(len(em.params)))
-		for _, p := range em.params {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.methods)))
+	for _, m := range f.methods {
+		b = binary.AppendUvarint(b, refs[0])
+		b = binary.AppendUvarint(b, refs[1])
+		b = binary.AppendUvarint(b, refs[2])
+		b = binary.AppendUvarint(b, uint64(len(m.Params)))
+		for _, p := range refs[3 : 3+len(m.Params)] {
 			b = binary.AppendUvarint(b, p)
 		}
+		refs = refs[3+len(m.Params):]
 	}
 	return b, nil
 }
@@ -96,6 +92,13 @@ func (f *File) Encode() ([]byte, error) {
 // oversized count, trailing bytes) wrap, keeping them in the package's
 // "dex: ..." error style.
 var errMalformed = errors.New("dex: malformed container")
+
+// maxPresizedMethods caps the room Decode reserves from the method count.
+// The Reader already bounds the count by the bytes left, but a method
+// takes four input bytes and ~200 bytes of File, so a forged count alone
+// could reserve 50× the container; past the cap the File grows as it
+// fills.
+const maxPresizedMethods = 1 << 16
 
 // Decode parses an SDEX container produced by Encode. It is strict: a
 // field cut short, a count larger than the bytes left, a pool index out
@@ -127,8 +130,8 @@ func Decode(data []byte) (*File, error) {
 		}
 		return pool[idx]
 	}
-	f := NewFile(created)
 	methodCount := r.Count(uint64(r.Uint32()))
+	f := newFile(created, min(methodCount, maxPresizedMethods))
 	for i := 0; i < methodCount; i++ {
 		m := Method{Class: lookup("class", i), Name: lookup("name", i), Return: lookup("return", i)}
 		if nParams := r.Length(); nParams > 0 {

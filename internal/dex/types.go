@@ -29,6 +29,23 @@ func DescriptorForClass(dotted string) string {
 	return "L" + strings.ReplaceAll(dotted, ".", "/") + ";"
 }
 
+// writeDescriptor writes DescriptorForClass(dotted) straight into b, so
+// rendering a signature builds no intermediate string.
+func writeDescriptor(b *strings.Builder, dotted string) {
+	b.WriteByte('L')
+	for {
+		i := strings.IndexByte(dotted, '.')
+		if i < 0 {
+			break
+		}
+		b.WriteString(dotted[:i])
+		b.WriteByte('/')
+		dotted = dotted[i+1:]
+	}
+	b.WriteString(dotted)
+	b.WriteByte(';')
+}
+
 // ClassForDescriptor converts a class descriptor back to dotted form. It
 // returns an error for non-class descriptors.
 func ClassForDescriptor(desc string) (string, error) {
@@ -75,10 +92,19 @@ func (m Method) Package() string {
 //
 // The type signature is the unique identifier attribution operates on; it
 // distinguishes overloaded variants of a method within one class.
+//
+// It is the one renderer: File.AddMethod calls it once per method and
+// keeps the result (File.SignatureAt), so it should not be called again
+// for a method already in a file. The length is computed exactly, so the
+// rendering is a single allocation.
 func (m Method) TypeSignature() string {
+	n := len("L;->()") + len(m.Class) + len(m.Name) + len(m.Return)
+	for _, p := range m.Params {
+		n += len(p)
+	}
 	var b strings.Builder
-	b.Grow(len(m.Class) + len(m.Name) + 16)
-	b.WriteString(DescriptorForClass(m.Class))
+	b.Grow(n)
+	writeDescriptor(&b, m.Class)
 	b.WriteString("->")
 	b.WriteString(m.Name)
 	b.WriteByte('(')

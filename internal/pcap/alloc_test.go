@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"time"
 )
@@ -62,5 +63,27 @@ func TestDecodeAllocsPerPacketIsZero(t *testing.T) {
 	perPacket := (large - small) / 128
 	if perPacket > 0.01 {
 		t.Fatalf("decode allocates %.3f allocs/packet (runs: %0.f vs %0.f), want 0", perPacket, small, large)
+	}
+}
+
+// The writer half of the same contract: once the global header is out,
+// appending a packet record allocates nothing, whatever the packet count.
+func TestEncodeAllocsPerPacketIsZero(t *testing.T) {
+	raw, err := EncodeTCP(testTuple(), FlagACK, 1, 0, []byte("0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Packet{Timestamp: time.Date(2019, 7, 1, 12, 0, 0, 0, time.UTC), Data: raw}
+	w := NewWriter(io.Discard)
+	if err := w.WritePacket(p); err != nil {
+		t.Fatal(err)
+	}
+	var werr error
+	perPacket := testing.AllocsPerRun(1000, func() { werr = w.WritePacket(p) })
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if perPacket != 0 {
+		t.Fatalf("WritePacket allocates %.3f allocs/packet, want 0", perPacket)
 	}
 }

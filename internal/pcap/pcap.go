@@ -37,6 +37,10 @@ type Writer struct {
 	w           *bufio.Writer
 	wroteHeader bool
 	snapLen     uint32
+	// rec is the writer-owned record-header scratch buffer, the mirror of
+	// Reader.rec: a local array would escape through bufio.Writer.Write
+	// and cost one heap allocation per captured packet.
+	rec [recordHeaderLen]byte
 }
 
 // NewWriter creates a pcap writer targeting w.
@@ -69,13 +73,13 @@ func (pw *Writer) WritePacket(p Packet) error {
 	if uint32(len(p.Data)) > pw.snapLen {
 		return fmt.Errorf("pcap: packet of %d bytes exceeds snap length %d", len(p.Data), pw.snapLen)
 	}
-	var rec [16]byte
+	rec := pw.rec[:]
 	ts := p.Timestamp
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(ts.Unix()))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(ts.Nanosecond()/1000))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(p.Data)))
 	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(p.Data)))
-	if _, err := pw.w.Write(rec[:]); err != nil {
+	if _, err := pw.w.Write(rec); err != nil {
 		return fmt.Errorf("pcap: writing record header: %w", err)
 	}
 	if _, err := pw.w.Write(p.Data); err != nil {

@@ -147,11 +147,30 @@ func (g *codeGen) className(obfuscated bool, seq int) string {
 	return name
 }
 
+// readableMethodNames[v*len(methodNouns)+n] is methodVerbs[v] +
+// methodNouns[n]; obfuscatedMethodNames are the single letters a–f. The
+// tables let methodName return a name without building it.
+var (
+	readableMethodNames   = joinAll(methodVerbs, methodNouns)
+	obfuscatedMethodNames = []string{"a", "b", "c", "d", "e", "f"}
+)
+
+func joinAll(prefixes, suffixes []string) []string {
+	out := make([]string, 0, len(prefixes)*len(suffixes))
+	for _, p := range prefixes {
+		for _, s := range suffixes {
+			out = append(out, p+s)
+		}
+	}
+	return out
+}
+
 func (g *codeGen) methodName(obfuscated bool) string {
 	if obfuscated {
-		return string(rune('a' + g.rng.Intn(6)))
+		return obfuscatedMethodNames[g.rng.Intn(len(obfuscatedMethodNames))]
 	}
-	return methodVerbs[g.rng.Intn(len(methodVerbs))] + methodNouns[g.rng.Intn(len(methodNouns))]
+	verb := g.rng.Intn(len(methodVerbs))
+	return readableMethodNames[verb*len(methodNouns)+g.rng.Intn(len(methodNouns))]
 }
 
 func (g *codeGen) params() []string {
