@@ -41,16 +41,19 @@ loc:
 	@total=0; for d in $(LOC_DIRS); do n=$$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); total=$$((total+n)); printf '%6d  %s\n' $$n $$d; done; printf '%6d  total\n' $$total
 	@printf '%6d  whole repo, non-test Go, benchmark/ excluded\n' $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)
 
-# Fuzz smoke over everything fed by untrusted bytes, two targets (`go
+# Fuzz smoke over everything fed by untrusted bytes, three targets (`go
 # test -fuzz` accepts one per invocation): the registered-format harness
 # (internal/codec/formats_test.go — every blob that crosses a process or
-# a crash boundary, one table row each) and the pcap packet decoder, whose
-# input is traffic rather than a format of ours. A short minimize budget
-# keeps the harness exploring instead of shrinking each new input for up
-# to a minute.
+# a crash boundary, one table row each), the pcap packet decoder, whose
+# input is traffic rather than a format of ours, and the pcap file reader
+# (stored capture.pcap files reach it through resume, audit and libdump),
+# held to an allocation ceiling proportional to its input. A short
+# minimize budget keeps the harness exploring instead of shrinking each
+# new input for up to a minute.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFormats$$' -fuzztime 60s -fuzzminimizetime 2s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/pcap
 
 # Process-level chaos smoke: a 4-shard `cmd/libspector -shards` campaign
 # whose seeded schedule SIGKILLs two shard children and the coordinator

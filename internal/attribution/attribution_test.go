@@ -159,8 +159,7 @@ func TestFrameClass(t *testing.T) {
 // buildCapture writes a small capture with a DNS exchange and one TCP flow.
 func buildCapture(t *testing.T, tuple pcap.FourTuple, domain string, reqPayload []byte, respBytes int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := pcap.NewWriter(&buf)
+	w := pcap.NewWriter(nil)
 	ts := time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 	write := func(raw []byte) {
 		ts = ts.Add(time.Millisecond)
@@ -211,10 +210,7 @@ func buildCapture(t *testing.T, tuple pcap.FourTuple, domain string, reqPayload 
 	}
 	emit(tuple, pcap.FlagFIN|pcap.FlagACK, nil)
 	emit(tuple.Reverse(), pcap.FlagFIN|pcap.FlagACK, nil)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 func TestParseCaptureFlowReconstruction(t *testing.T) {
@@ -258,8 +254,7 @@ func TestParseCaptureFlowReconstruction(t *testing.T) {
 }
 
 func TestParseCaptureExcludesSupervisorTraffic(t *testing.T) {
-	var buf bytes.Buffer
-	w := pcap.NewWriter(&buf)
+	w := pcap.NewWriter(nil)
 	supTuple := pcap.FourTuple{SrcIP: localAddr, SrcPort: 39001, DstIP: collectorAddr, DstPort: nets.DefaultCollectorPort}
 	raw, err := pcap.EncodeUDP(supTuple, []byte("LSPR-payload"))
 	if err != nil {
@@ -268,10 +263,7 @@ func TestParseCaptureExcludesSupervisorTraffic(t *testing.T) {
 	if err := w.WritePacket(pcap.Packet{Timestamp: time.Now(), Data: raw}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := ParseCapture(bytes.NewReader(buf.Bytes()), localAddr, collectorAddr, nets.DefaultCollectorPort)
+	sum, err := ParseCapture(bytes.NewReader(w.Bytes()), localAddr, collectorAddr, nets.DefaultCollectorPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,8 +435,7 @@ func TestBuiltinFlowWithoutDomain(t *testing.T) {
 	})
 	// Capture without a DNS exchange: the flow has no domain, so the
 	// pseudo-library falls back to *-Unknown.
-	var buf bytes.Buffer
-	w := pcap.NewWriter(&buf)
+	w := pcap.NewWriter(nil)
 	ts := time.Date(2019, 7, 1, 0, 0, 0, 0, time.UTC)
 	raw, err := pcap.EncodeTCP(rep.Tuple, pcap.FlagSYN, 0, 0, nil)
 	if err != nil {
@@ -453,10 +444,7 @@ func TestBuiltinFlowWithoutDomain(t *testing.T) {
 	if err := w.WritePacket(pcap.Packet{Timestamp: ts, Data: raw}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := ParseCapture(bytes.NewReader(buf.Bytes()), localAddr, collectorAddr, nets.DefaultCollectorPort)
+	sum, err := ParseCapture(bytes.NewReader(w.Bytes()), localAddr, collectorAddr, nets.DefaultCollectorPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,8 +494,7 @@ func TestTopOfStackBuiltinOnly(t *testing.T) {
 }
 
 func TestParseCaptureRejectsCorruptPackets(t *testing.T) {
-	var buf bytes.Buffer
-	w := pcap.NewWriter(&buf)
+	w := pcap.NewWriter(nil)
 	// A packet whose declared IPv4 total length disagrees with the capture
 	// length (simulating corruption).
 	raw, err := pcap.EncodeTCP(reportWith(nil).Tuple, pcap.FlagSYN, 0, 0, []byte("abc"))
@@ -517,10 +504,7 @@ func TestParseCaptureRejectsCorruptPackets(t *testing.T) {
 	if err := w.WritePacket(pcap.Packet{Timestamp: time.Now(), Data: raw[:len(raw)-1]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseCapture(bytes.NewReader(buf.Bytes()), localAddr, collectorAddr, nets.DefaultCollectorPort); err == nil {
+	if _, err := ParseCapture(bytes.NewReader(w.Bytes()), localAddr, collectorAddr, nets.DefaultCollectorPort); err == nil {
 		t.Error("corrupt packet should fail capture parsing")
 	}
 	// A non-pcap stream fails immediately.

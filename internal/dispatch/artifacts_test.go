@@ -2,6 +2,8 @@ package dispatch_test
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"strings"
@@ -262,5 +264,67 @@ func TestArtifactStoreSameSeedByteIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s differs between same-seed runs", rel)
 		}
+	}
+}
+
+// Evidence is borrowed, never recycled under a sink: with two workers
+// passing their capture buffers through Drain's free list, the capture
+// must not change while any sink of its event still runs, and every saved
+// capture.pcap must hold the bytes the sinks saw.
+func TestEvidenceCaptureNotRecycledUnderSinks(t *testing.T) {
+	world := smallWorld(t, 57, 16)
+	store, err := dispatch.NewArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := dispatch.Stream(context.Background(), world, world.Resolver, dispatch.Config{
+		Workers:      2,
+		Emulator:     shortOpts(57),
+		BaseSeed:     57,
+		Attributor:   newAttributor(t, 57, world),
+		EmitEvidence: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := make(map[string][sha256.Size]byte) // by apk sha
+	uses := make(map[*byte]int)                // by capture buffer
+	var current [sha256.Size]byte
+	first := dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+		if ev.Kind == dispatch.EventRun {
+			current = sha256.Sum256(ev.Evidence.Capture)
+			sums[ev.Evidence.Meta.SHA256] = current
+			uses[&ev.Evidence.Capture[0]]++
+		}
+		return nil
+	})
+	last := dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+		if ev.Kind == dispatch.EventRun && sha256.Sum256(ev.Evidence.Capture) != current {
+			t.Errorf("app %d: capture changed while the event's sinks ran", ev.AppIndex)
+		}
+		return nil
+	})
+	res, err := dispatch.Drain(events, first, store, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sums) != res.Accounting.Completed || len(sums) == 0 {
+		t.Fatalf("hashed %d captures for %d completed runs", len(sums), res.Accounting.Completed)
+	}
+	for sha, want := range sums {
+		saved, err := os.ReadFile(filepath.Join(store.Dir(), sha, "capture.pcap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sha256.Sum256(saved) != want {
+			t.Errorf("%s: saved capture.pcap differs from the capture its sinks consumed", sha)
+		}
+	}
+	reused := false
+	for _, n := range uses {
+		reused = reused || n > 1
+	}
+	if !reused {
+		t.Fatalf("%d runs used %d distinct capture buffers: none came back for reuse", len(sums), len(uses))
 	}
 }

@@ -288,6 +288,11 @@ func (a *appRun) apply(tr transition) bool {
 		if env.fold != nil {
 			env.fold(ev)
 		}
+		if tr.evidence != nil {
+			// The capture buffer goes with the event: Drain returns it to
+			// the free list once every sink has consumed it.
+			tr.evidence.recycle, env.capture = env.spare, nil
+		}
 	case outcomeQuarantined:
 		ev.Quarantine = &QuarantinedApp{AppIndex: a.i, Attempts: tr.attempt, LastErr: tr.err}
 	case outcomeFailed:

@@ -319,6 +319,13 @@ type runEnv struct {
 	// completed EventRuns fold into worker-private analysis state before
 	// they are emitted.
 	fold func(RunEvent)
+	// capture is the worker's capture buffer: every attempt's emulator
+	// run appends its pcap from capture[:0], and the buffer keeps the
+	// capacity of the largest capture so far. It leaves the worker only
+	// as emitted evidence (apply); nil until the next attempt takes one
+	// from spare, the fleet's free list, or starts fresh.
+	capture []byte
+	spare   chan []byte
 }
 
 // flushCollector erects a datagram barrier before a retry or requeue
@@ -430,10 +437,23 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, pa
 	if cfg.Faults != nil {
 		applyFaultPlan(&opts, cfg.Faults.For(i, attempt))
 	}
+	if env.capture == nil {
+		select {
+		case env.capture = <-env.spare:
+		default:
+		}
+	}
+	opts.Capture = env.capture
 	arts, err := emulator.RunContext(ctx, emulator.Installation{Program: app.Program, APKSHA256: sha}, resolver, opts)
 	if err != nil {
 		return nil, nil, nil, false, fmt.Errorf("emulator run: %w", err)
 	}
+	// Keep the buffer the capture grew into. Nothing this attempt returns
+	// aliases it except the evidence, which carries it away only when the
+	// run's event is emitted; attribution reads the capture through a
+	// copy, so after a failed or diskless attempt the next one can
+	// overwrite it.
+	env.capture = arts.CaptureBytes[:0]
 	if arts.HookErrors > 0 {
 		return nil, nil, nil, false, fmt.Errorf("emulator run had %d hook errors", arts.HookErrors)
 	}

@@ -61,12 +61,37 @@ func (k EventKind) String() string {
 // RunEvidence bundles one run's raw artifacts for persistence sinks. It is
 // attached to EventRun events only when Config.EmitEvidence is set, so the
 // common analysis-only path never pays for carrying apk bytes downstream.
+//
+// Its byte slices are borrowed: a sink may read them only until its
+// Consume returns, and must copy whatever it keeps. Capture is the
+// emitting worker's capture buffer, which Drain hands back to the fleet
+// once every sink has consumed the event; the next run on any worker may
+// then overwrite it.
 type RunEvidence struct {
 	Meta       RunMeta
 	APK        []byte
 	Capture    []byte
 	RawReports [][]byte
 	Trace      map[string]struct{}
+
+	// recycle is the free list of the fleet that lent Capture; nil when
+	// nothing is lent (evidence built outside a fleet, or already
+	// released).
+	recycle chan<- []byte
+}
+
+// release hands Capture's buffer back to the fleet that lent it. A full
+// free list drops the buffer. Capture is cleared, so a sink that kept the
+// evidence past Consume reads nothing rather than another run's bytes.
+func (e *RunEvidence) release() {
+	if e.recycle == nil {
+		return
+	}
+	select {
+	case e.recycle <- e.Capture[:0]:
+	default:
+	}
+	e.Capture, e.recycle = nil, nil
 }
 
 // StreamSummary carries the fleet-level counters; it arrives exactly once,
@@ -123,7 +148,9 @@ type RunEvent struct {
 // persistence, incremental aggregation (analysis.Accumulator,
 // analysis.DatasetBuilder). Sinks are invoked sequentially from the
 // consuming goroutine, in event order — a Sink may therefore use
-// single-goroutine state such as a symtab.Table without locking.
+// single-goroutine state such as a symtab.Table without locking. An
+// event's Evidence bytes are borrowed until Consume returns (see
+// RunEvidence): a sink that needs them later copies them.
 type Sink interface {
 	Consume(ev RunEvent) error
 }
@@ -205,7 +232,11 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 		tel:       cfg.Telemetry,
 		// One buffered slot per worker is the backpressure budget.
 		events: make(chan RunEvent, workers),
-		stop:   make(chan struct{}),
+		// At most 2·workers+1 capture buffers are ever out of the free
+		// list — one held by each worker, one per buffered event, one in
+		// Drain's hands — so 2·workers slots drop almost none of them.
+		spare: make(chan []byte, 2*workers),
+		stop:  make(chan struct{}),
 	}
 	f.tel.Gauge(obs.MFleetWorkers).Set(int64(workers))
 	f.tel.Gauge(obs.MFleetWorkersBusy)
@@ -260,9 +291,11 @@ func (c *RunCollector) Runs() []*attribution.RunResult {
 }
 
 // Drain consumes a stream to its end, forwarding every event to the sinks
-// in order, and returns the closing summary as a Result without Runs. On
-// error the returned Result still holds whatever the summary reported, so
-// callers can account for a partial fleet after a cancellation.
+// in order, and returns the closing summary as a Result without Runs. Once
+// every sink has consumed an event, Drain hands the event's capture buffer
+// back to the fleet for reuse. On error the returned Result still holds
+// whatever the summary reported, so callers can account for a partial
+// fleet after a cancellation.
 func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 	var summary *StreamSummary
 	var sinkErr error
@@ -274,6 +307,9 @@ func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 			if err := s.Consume(ev); err != nil && sinkErr == nil {
 				sinkErr = err
 			}
+		}
+		if ev.Evidence != nil {
+			ev.Evidence.release()
 		}
 		if ev.Kind == EventSummary {
 			summary = ev.Summary
@@ -321,6 +357,9 @@ type fleetRun struct {
 	collector *Collector
 	store     *Store
 	events    chan RunEvent
+	// spare is the free list of capture buffers Drain hands back from
+	// emitted evidence; a worker without a buffer takes one from it.
+	spare chan []byte
 
 	// stop is closed on the first stream-fatal error so the feeder stops
 	// handing out jobs without waiting for the caller's context.
@@ -504,10 +543,19 @@ func (f *fleetRun) worker(w int, jobs <-chan job) {
 		clk:       f.clk,
 		tel:       f.tel,
 		meters:    obs.NewMeters(),
+		spare:     f.spare,
 	}
 	if f.cfg.WorkerFold != nil {
 		env.fold = f.cfg.WorkerFold(w)
 	}
+	// Land every datagram this worker sent before the fleet closes the
+	// collector: an attempt that failed for good has no flush barrier of
+	// its own, and reports still in flight at Close would be missing from
+	// the live collector_datagrams_received_total that the journal's
+	// per-attempt meters (and so a resume) charge in full. Index -1 keeps
+	// the token apart from every app's. A barrier that never lands only
+	// leaves the count as short as it would have been without it.
+	defer func() { _ = env.flushCollector(-1, w) }()
 	busy := f.tel.Gauge(obs.MFleetWorkersBusy)
 	total := f.tel.Gauge(obs.MFleetWorkers)
 	for j := range jobs {

@@ -6,11 +6,9 @@
 package emulator
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"libspector/internal/art"
@@ -49,9 +47,11 @@ type Options struct {
 	ProfilerMode art.ProfilerMode
 	// ProfilerCapacity applies to the bounded mode.
 	ProfilerCapacity int
-	// Capture receives the pcap stream; nil uses an in-memory buffer
-	// returned in the artifacts.
-	Capture io.Writer
+	// Capture is scratch space the run appends its pcap into, from
+	// Capture[:0]; Artifacts.CaptureBytes aliases it (or the buffer it
+	// grew into). Passing the previous run's CaptureBytes reuses its
+	// capacity. Nil starts a fresh buffer.
+	Capture []byte
 	// ReportSink optionally forwards supervisor datagrams to an external
 	// collector (e.g. the dispatch package's UDP collector).
 	ReportSink func(payload []byte) error
@@ -78,8 +78,7 @@ type Options struct {
 	// emulator only a per-run deadline can reclaim.
 	StallAfterEvents int
 	// TruncateCaptureTail removes that many trailing bytes from the
-	// in-memory capture, leaving the torn pcap a crashed worker writes.
-	// It applies only when no external Capture writer is set.
+	// capture, leaving the torn pcap a crashed worker writes.
 	TruncateCaptureTail int
 	// DropDatagramEvery loses every Nth supervisor datagram on the wire
 	// (1 = all of them); detected by the sent-vs-delivered gap.
@@ -120,8 +119,8 @@ func DefaultOptions(seed uint64) Options {
 
 // Artifacts is everything one run produces for offline analysis.
 type Artifacts struct {
-	// CaptureBytes holds the pcap when no external capture writer was
-	// given.
+	// CaptureBytes holds the pcap, in Options.Capture's backing array
+	// when it had the room.
 	CaptureBytes []byte
 	// Reports are the decoded supervisor reports (empty when not
 	// instrumented).
@@ -278,14 +277,8 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 	// serializes the same trace.
 	boot := opts.Span.Child(obs.SpanEmulatorBoot, opts.StartTime)
 
-	var captureBuf *bytes.Buffer
-	captureTarget := opts.Capture
-	if captureTarget == nil {
-		captureBuf = &bytes.Buffer{}
-		captureTarget = captureBuf
-	}
 	clock := nets.NewClock(opts.StartTime)
-	capture := newCaptureWriter(captureTarget)
+	capture := pcap.NewWriter(opts.Capture)
 	stack, err := nets.NewStack(nets.Config{
 		Resolver:      resolver,
 		Clock:         clock,
@@ -391,9 +384,6 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		artifacts.EventsInjected++
 	}
 	monkeySpan.AttrInt("events", int64(artifacts.EventsInjected)).End(clock.Now())
-	if err := capture.Flush(); err != nil {
-		return nil, fmt.Errorf("emulator: flushing capture: %w", err)
-	}
 
 	artifacts.Trace = profiler.UniqueMethods()
 	artifacts.NetStats = stack.Stats()
@@ -409,15 +399,9 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 	if enforcer != nil {
 		artifacts.Violations = enforcer.Violations()
 	}
-	if captureBuf != nil {
-		capBytes := captureBuf.Bytes()
-		if cut := opts.TruncateCaptureTail; cut > 0 {
-			if cut > len(capBytes) {
-				cut = len(capBytes)
-			}
-			capBytes = capBytes[:len(capBytes)-cut]
-		}
-		artifacts.CaptureBytes = capBytes
+	artifacts.CaptureBytes = capture.Bytes()
+	if cut := min(opts.TruncateCaptureTail, len(artifacts.CaptureBytes)); cut > 0 {
+		artifacts.CaptureBytes = artifacts.CaptureBytes[:len(artifacts.CaptureBytes)-cut]
 	}
 	if opts.Telemetry != nil {
 		// Supervision and capture span the whole exercised interval; both
@@ -446,6 +430,3 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 	meters.Counter(obs.MNetsCaptureBytes).Add(int64(len(artifacts.CaptureBytes)))
 	return artifacts, nil
 }
-
-// newCaptureWriter wraps the target in a pcap writer.
-func newCaptureWriter(w io.Writer) *pcap.Writer { return pcap.NewWriter(w) }

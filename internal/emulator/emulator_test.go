@@ -2,6 +2,9 @@ package emulator
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 	"time"
 
@@ -238,23 +241,68 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestExternalCaptureWriter(t *testing.T) {
+// A run handed the previous run's capture as scratch writes a
+// byte-identical capture into that same buffer, and allocates nothing for
+// it: the whole run allocates less than a quarter of the capture's size.
+func TestCaptureBufferReuse(t *testing.T) {
 	app, world := testApp(t, 28)
-	var external bytes.Buffer
-	opts := shortOptions(28)
-	opts.Capture = &external
-	arts, err := Run(Installation{Program: app.Program, APKSHA256: app.SHA256}, world.Resolver, opts)
+	first, err := Run(Installation{Program: app.Program, APKSHA256: app.SHA256}, world.Resolver, shortOptions(28))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arts.CaptureBytes) != 0 {
-		t.Error("in-memory capture should be empty when an external writer is given")
+	want := append([]byte(nil), first.CaptureBytes...)
+	// Regenerate the app so runtime state (RunLimit counters) is fresh.
+	app2, err := world.GenerateApp(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if external.Len() == 0 {
-		t.Fatal("external capture is empty")
+	opts := shortOptions(28)
+	opts.Capture = first.CaptureBytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := Run(Installation{Program: app2.Program, APKSHA256: app2.SHA256}, world.Resolver, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := attribution.ParseCapture(bytes.NewReader(external.Bytes()),
+	if !bytes.Equal(second.CaptureBytes, want) {
+		t.Fatal("capture written into a reused buffer differs from the fresh one")
+	}
+	if &second.CaptureBytes[0] != &first.CaptureBytes[0] {
+		t.Fatal("second capture does not alias the buffer it was given")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(want)/4); got >= limit {
+		t.Fatalf("run into a reused %d-byte buffer allocated %d bytes, want < %d", len(want), got, limit)
+	}
+	if _, err := attribution.ParseCapture(bytes.NewReader(second.CaptureBytes),
 		nets.DefaultLocalAddr, nets.DefaultCollectorAddr, nets.DefaultCollectorPort); err != nil {
-		t.Errorf("external capture does not parse: %v", err)
+		t.Errorf("reused-buffer capture does not parse: %v", err)
+	}
+}
+
+// The capture bytes of a fixed-seed run, clean and torn, are pinned:
+// attribution never verifies checksums, so a wrong checksum kernel or a
+// writer that moves a byte would pass every figure and store golden. The
+// shas were computed with the 16-bit checksum loop and the bufio writer.
+func TestCaptureBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cut  int
+		size int
+		sha  string
+	}{
+		{0, 2646857, "4f7cb00d8739356cec7dc88f961ce9061534f5ed9c7a9cd00e21c7cedc5b8011"},
+		{7, 2646850, "b1bbc1072e4b0f0e452a1ccff5aa9e6fb25de0e742d713f5e99a1fe485c88bf3"},
+	} {
+		app, world := testApp(t, 29)
+		opts := shortOptions(29)
+		opts.TruncateCaptureTail = tc.cut
+		arts, err := Run(Installation{Program: app.Program, APKSHA256: app.SHA256}, world.Resolver, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(arts.CaptureBytes)
+		if got := hex.EncodeToString(sum[:]); len(arts.CaptureBytes) != tc.size || got != tc.sha {
+			t.Errorf("cut %d: capture of %d bytes, sha %s; want %d bytes, sha %s", tc.cut, len(arts.CaptureBytes), got, tc.size, tc.sha)
+		}
 	}
 }

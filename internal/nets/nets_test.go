@@ -27,11 +27,11 @@ func testResolver(t *testing.T) *StaticResolver {
 	return r
 }
 
-func newTestStack(t *testing.T, capture *bytes.Buffer) *Stack {
+func newTestStack(t *testing.T, capture bool) *Stack {
 	t.Helper()
 	cfg := Config{Resolver: testResolver(t), Clock: testClock()}
-	if capture != nil {
-		cfg.Capture = pcap.NewWriter(capture)
+	if capture {
+		cfg.Capture = pcap.NewWriter(nil)
 	}
 	s, err := NewStack(cfg)
 	if err != nil {
@@ -92,10 +92,10 @@ func TestStackConfigValidation(t *testing.T) {
 	}
 }
 
-// parseCapture decodes all packets from a capture buffer.
-func parseCapture(t *testing.T, buf *bytes.Buffer) []pcap.Segment {
+// parseCapture decodes all packets the stack has captured.
+func parseCapture(t *testing.T, s *Stack) []pcap.Segment {
 	t.Helper()
-	r, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := pcap.NewReader(bytes.NewReader(s.capture.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,7 @@ func parseCapture(t *testing.T, buf *bytes.Buffer) []pcap.Segment {
 }
 
 func TestDialEmitsDNSAndHandshake(t *testing.T) {
-	var buf bytes.Buffer
-	s := newTestStack(t, &buf)
+	s := newTestStack(t, true)
 	conn, err := s.Dial("ads.example.com", 80)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +126,7 @@ func TestDialEmitsDNSAndHandshake(t *testing.T) {
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Force capture flush by sending nothing more; the writer is flushed
-	// through the stack's capture on demand in emulator, here manually:
-	segs := parseCapture(t, flushStack(t, s, &buf))
+	segs := parseCapture(t, s)
 	// Expect: DNS query, DNS response, SYN, SYN-ACK, ACK, FIN-ACK,
 	// FIN-ACK, ACK = 8 packets.
 	if len(segs) != 8 {
@@ -154,20 +151,8 @@ func TestDialEmitsDNSAndHandshake(t *testing.T) {
 	}
 }
 
-// flushStack flushes the stack's capture writer and returns the buffer.
-func flushStack(t *testing.T, s *Stack, buf *bytes.Buffer) *bytes.Buffer {
-	t.Helper()
-	if s.capture != nil {
-		if err := s.capture.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf
-}
-
 func TestConnByteAccounting(t *testing.T) {
-	var buf bytes.Buffer
-	s := newTestStack(t, &buf)
+	s := newTestStack(t, true)
 	conn, err := s.Dial("cdn.example.net", 443)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +175,7 @@ func TestConnByteAccounting(t *testing.T) {
 		t.Errorf("ReceivedPayload = %d", conn.ReceivedPayload())
 	}
 
-	segs := parseCapture(t, flushStack(t, s, &buf))
+	segs := parseCapture(t, s)
 	var inPayload, outPayload int64
 	var inPackets, outPackets int
 	local := s.LocalAddr()
@@ -226,7 +211,7 @@ func TestConnByteAccounting(t *testing.T) {
 }
 
 func TestConnClosedSemantics(t *testing.T) {
-	s := newTestStack(t, nil)
+	s := newTestStack(t, false)
 	conn, err := s.Dial("ads.example.com", 80)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +234,7 @@ func TestConnClosedSemantics(t *testing.T) {
 }
 
 func TestConnAddressAccessors(t *testing.T) {
-	s := newTestStack(t, nil)
+	s := newTestStack(t, false)
 	conn, err := s.Dial("ads.example.com", 8080)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +253,7 @@ func TestConnAddressAccessors(t *testing.T) {
 }
 
 func TestEphemeralPortsDistinct(t *testing.T) {
-	s := newTestStack(t, nil)
+	s := newTestStack(t, false)
 	seen := make(map[uint16]bool)
 	for i := 0; i < 50; i++ {
 		conn, err := s.Dial("ads.example.com", 80)
@@ -284,7 +269,7 @@ func TestEphemeralPortsDistinct(t *testing.T) {
 }
 
 func TestConnectObserverPostHookSemantics(t *testing.T) {
-	s := newTestStack(t, nil)
+	s := newTestStack(t, false)
 	var observed []pcap.FourTuple
 	s.OnConnect(func(c *Conn) { observed = append(observed, c.Tuple()) })
 	conn, err := s.Dial("ads.example.com", 80)
@@ -297,7 +282,7 @@ func TestConnectObserverPostHookSemantics(t *testing.T) {
 }
 
 func TestInstrumentationDelayCharged(t *testing.T) {
-	s := newTestStack(t, nil)
+	s := newTestStack(t, false)
 	s.OnConnect(func(*Conn) {})
 	s.SetInstrumentationDelay(500 * time.Microsecond)
 	before := s.Clock().Now()
@@ -309,7 +294,7 @@ func TestInstrumentationDelayCharged(t *testing.T) {
 	}
 
 	// Without observers no delay is charged.
-	s2 := newTestStack(t, nil)
+	s2 := newTestStack(t, false)
 	s2.SetInstrumentationDelay(500 * time.Microsecond)
 	before = s2.Clock().Now()
 	if _, err := s2.Dial("ads.example.com", 80); err != nil {
@@ -321,8 +306,7 @@ func TestInstrumentationDelayCharged(t *testing.T) {
 }
 
 func TestSupervisorReportPath(t *testing.T) {
-	var buf bytes.Buffer
-	s := newTestStack(t, &buf)
+	s := newTestStack(t, true)
 	var forwarded [][]byte
 	s.SetUDPSink(func(p []byte) error {
 		forwarded = append(forwarded, append([]byte(nil), p...))
@@ -335,7 +319,7 @@ func TestSupervisorReportPath(t *testing.T) {
 	if len(forwarded) != 1 || !bytes.Equal(forwarded[0], payload) {
 		t.Error("sink did not receive the payload")
 	}
-	segs := parseCapture(t, flushStack(t, s, &buf))
+	segs := parseCapture(t, s)
 	if len(segs) != 1 || segs[0].Protocol != pcap.ProtoUDP {
 		t.Fatalf("capture = %d packets", len(segs))
 	}
@@ -349,7 +333,7 @@ func TestSupervisorReportPath(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	s := newTestStack(t, nil)
+	s := newTestStack(t, false)
 	conn, err := s.Dial("ads.example.com", 80)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +358,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestDialErrors(t *testing.T) {
-	s := newTestStack(t, nil)
+	s := newTestStack(t, false)
 	if _, err := s.Dial("nxdomain.example", 80); err == nil {
 		t.Error("NXDOMAIN dial should fail")
 	}
@@ -384,8 +368,7 @@ func TestDialErrors(t *testing.T) {
 }
 
 func TestDialAddrSkipsDNS(t *testing.T) {
-	var buf bytes.Buffer
-	s := newTestStack(t, &buf)
+	s := newTestStack(t, true)
 	conn, err := s.DialAddr(netip.AddrFrom4([4]byte{198, 18, 9, 9}), 80)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +376,7 @@ func TestDialAddrSkipsDNS(t *testing.T) {
 	if conn.Domain() != "" {
 		t.Error("direct dial should have no domain")
 	}
-	segs := parseCapture(t, flushStack(t, s, &buf))
+	segs := parseCapture(t, s)
 	for _, seg := range segs {
 		if seg.Protocol == pcap.ProtoUDP {
 			t.Error("direct dial must not emit DNS traffic")
@@ -442,12 +425,11 @@ func TestParseHTTPRequestErrors(t *testing.T) {
 }
 
 func TestExchangeUDP(t *testing.T) {
-	var buf bytes.Buffer
-	s := newTestStack(t, &buf)
+	s := newTestStack(t, true)
 	if err := s.ExchangeUDP("ads.example.com", 123, 48, 48); err != nil {
 		t.Fatal(err)
 	}
-	segs := parseCapture(t, flushStack(t, s, &buf))
+	segs := parseCapture(t, s)
 	// DNS query + response, then the NTP-style request + response.
 	if len(segs) != 4 {
 		t.Fatalf("capture = %d packets, want 4", len(segs))

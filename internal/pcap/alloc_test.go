@@ -2,7 +2,8 @@ package pcap
 
 import (
 	"bytes"
-	"io"
+	"math/bits"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -11,8 +12,7 @@ import (
 // Packet's Data buffer reaches steady state after the first record.
 func encodeAllocCapture(t *testing.T, n int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	base := time.Date(2019, 7, 1, 12, 0, 0, 0, time.UTC)
 	payload := []byte("0123456789abcdef")
 	for i := 0; i < n; i++ {
@@ -24,10 +24,7 @@ func encodeAllocCapture(t *testing.T, n int) []byte {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 // decodeAllocsPerRun measures the allocations of one full pass over a
@@ -74,7 +71,9 @@ func TestEncodeAllocsPerPacketIsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Packet{Timestamp: time.Date(2019, 7, 1, 12, 0, 0, 0, time.UTC), Data: raw}
-	w := NewWriter(io.Discard)
+	// Pre-sized past everything the run appends, so the measurement sees
+	// the per-record path, never the buffer's growth.
+	w := NewWriter(make([]byte, 0, 1<<20))
 	if err := w.WritePacket(p); err != nil {
 		t.Fatal(err)
 	}
@@ -85,5 +84,43 @@ func TestEncodeAllocsPerPacketIsZero(t *testing.T) {
 	}
 	if perPacket != 0 {
 		t.Fatalf("WritePacket allocates %.3f allocs/packet, want 0", perPacket)
+	}
+}
+
+// A fresh writer grows by doubling: a capture that grows the buffer to N
+// bytes has allocated at most 2N + 64 KiB in total (64 KiB, 128 KiB, …,
+// N), in O(log N) objects. Growing the way append does (~1.25× per step)
+// allocates about five times N and fails here.
+func TestWriterGrowthDoubles(t *testing.T) {
+	raw, err := EncodeTCP(testTuple(), FlagACK, 1, 0, make([]byte, 1400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Packet{Timestamp: time.Date(2019, 7, 1, 12, 0, 0, 0, time.UTC), Data: raw}
+	const packets = 3000 // ~4.3 MiB of records
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := NewWriter(nil)
+	buffers := 1
+	for i := 0; i < packets; i++ {
+		c := cap(w.Bytes())
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+		if cap(w.Bytes()) != c {
+			buffers++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := cap(w.Bytes())
+	if l := len(w.Bytes()); n > 2*l {
+		t.Fatalf("capture of %d bytes sits in a %d-byte buffer, more than doubled", l, n)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*n+minWriterCap); got > limit {
+		t.Fatalf("growing to %d bytes allocated %d bytes, want at most %d", n, got, limit)
+	}
+	// 64 KiB, 128 KiB, …, N: log2(N / 64 KiB) + 1 buffers.
+	if want := bits.Len(uint(n / minWriterCap)); buffers > want {
+		t.Fatalf("growing to %d bytes took %d buffers, want %d", n, buffers, want)
 	}
 }

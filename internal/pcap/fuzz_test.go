@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -88,11 +89,21 @@ func FuzzDecodeDNS(f *testing.F) {
 	})
 }
 
+// Reading a capture of n bytes may allocate at most readAllocPerByte·n +
+// readAllocBase bytes. The per-byte factor covers ReadAll's packet slice
+// (48 bytes per packet, one packet per ≥ 16-byte record, grown by
+// append) plus each packet's data; the base covers the bufio buffer and
+// reader state, with slack for the fuzzing engine's own allocations.
+const (
+	readAllocPerByte = 32
+	readAllocBase    = 64 << 10
+)
+
 // FuzzReader hardens the pcap file reader against truncated and corrupted
-// captures.
+// captures: errors are fine, panics and allocations out of proportion to
+// the input are not.
 func FuzzReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	raw, err := EncodeTCP(testTuple(), FlagSYN, 0, 0, nil)
 	if err != nil {
 		f.Fatal(err)
@@ -100,18 +111,20 @@ func FuzzReader(f *testing.F) {
 	if err := w.WritePacket(Packet{Timestamp: time.Unix(1, 0), Data: raw}); err != nil {
 		f.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:20])
+	capture := w.Bytes()
+	f.Add(capture)
+	f.Add(capture[:20])
 	f.Add([]byte{})
+	f.Add(forgedCapture(1 << 30))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if r, err := NewReader(bytes.NewReader(data)); err == nil {
+			_, _ = r.ReadAll()
 		}
-		// Drain; errors are fine, panics and unbounded allocations are not.
-		_, _ = r.ReadAll()
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(readAllocPerByte*len(data)+readAllocBase); got > limit {
+			t.Fatalf("reading a %d-byte capture allocated %d bytes, limit %d", len(data), got, limit)
+		}
 	})
 }

@@ -3,6 +3,7 @@ package pcap
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -85,18 +86,40 @@ type Segment struct {
 }
 
 // ipChecksum computes the RFC 1071 Internet checksum.
-func ipChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+func ipChecksum(b []byte) uint16 { return checksum(0, b) }
+
+// checksum is the Internet checksum of b, with initial (a partial sum of
+// 16-bit words, such as a pseudo-header's) already added. It sums b as
+// big-endian 64-bit words with end-around carry and folds the result to
+// 16 bits: ones-complement addition is associative and commutative, and
+// 2^16 ≡ 1 modulo 0xffff, so the fold equals the 16-bit word sum
+// (RFC 1071 §2), four words per add. A trailing partial word is padded
+// with zero bytes on the right, as the 16-bit loop pads an odd last byte.
+func checksum(initial uint64, b []byte) uint16 {
+	sum, carry := initial, uint64(0)
+	for ; len(b) >= 32; b = b[32:] {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for ; len(b) >= 8; b = b[8:] {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+	var tail uint64
+	for i, c := range b {
+		tail |= uint64(c) << (56 - 8*i)
 	}
-	return ^uint16(sum)
+	sum, carry = bits.Add64(sum, tail, carry)
+	// End-around carry: the add can carry once more only by wrapping sum
+	// to zero, after which the last increment cannot.
+	sum, carry = bits.Add64(sum, carry, 0)
+	sum += carry
+	folded := sum>>32 + sum&0xffffffff
+	for folded>>16 != 0 {
+		folded = folded>>16 + folded&0xffff
+	}
+	return ^uint16(folded)
 }
 
 // EncodeTCP builds a raw IPv4+TCP packet.
@@ -182,21 +205,10 @@ func encodeIPv4Into(buf []byte, t FourTuple, proto uint8, fillTransport func([]b
 func transportChecksum(t FourTuple, proto uint8, segment []byte) uint16 {
 	src := t.SrcIP.As4()
 	dst := t.DstIP.As4()
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(src[0:2])) + uint32(binary.BigEndian.Uint16(src[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(dst[0:2])) + uint32(binary.BigEndian.Uint16(dst[2:4]))
-	sum += uint32(proto)
-	sum += uint32(uint16(len(segment)))
-	for i := 0; i+1 < len(segment); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(segment[i : i+2]))
-	}
-	if len(segment)%2 == 1 {
-		sum += uint32(segment[len(segment)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
+	pseudo := uint64(binary.BigEndian.Uint16(src[0:2])) + uint64(binary.BigEndian.Uint16(src[2:4])) +
+		uint64(binary.BigEndian.Uint16(dst[0:2])) + uint64(binary.BigEndian.Uint16(dst[2:4])) +
+		uint64(proto) + uint64(uint16(len(segment)))
+	return checksum(pseudo, segment)
 }
 
 // DecodeSegment parses a raw IPv4 packet into a Segment. The payload is

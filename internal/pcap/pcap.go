@@ -10,6 +10,7 @@ package pcap
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -25,6 +26,13 @@ const (
 	DefaultSnapLen = 262144
 )
 
+// ErrCorruptCapture marks a record header no valid capture of this
+// format can hold: a length beyond the snap length or beyond the largest
+// IPv4 packet, or a truncated packet. The reader refuses it before
+// allocating for it. A record longer than what is left of a source of
+// known size fails as io.ErrUnexpectedEOF, also before allocating.
+var ErrCorruptCapture = errors.New("pcap: corrupt capture")
+
 // Packet is one captured packet: a timestamp plus raw bytes starting at the
 // IPv4 header.
 type Packet struct {
@@ -32,75 +40,71 @@ type Packet struct {
 	Data      []byte
 }
 
-// Writer streams packets into a pcap file.
+// Writer appends a pcap file — the global header, then one record per
+// packet — to a byte slice it owns, so every captured byte is written
+// once, straight into its final place. A writer handed the previous
+// capture's buffer reuses its capacity and allocates nothing for the
+// bytes.
 type Writer struct {
-	w           *bufio.Writer
-	wroteHeader bool
-	snapLen     uint32
-	// rec is the writer-owned record-header scratch buffer, the mirror of
-	// Reader.rec: a local array would escape through bufio.Writer.Write
-	// and cost one heap allocation per captured packet.
-	rec [recordHeaderLen]byte
+	buf []byte
 }
 
-// NewWriter creates a pcap writer targeting w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w), snapLen: DefaultSnapLen}
-}
+// minWriterCap is the capacity floor of a writer's first allocation:
+// below it a capture would regrow through a ladder of small buffers
+// that the next run's reuse never needs.
+const minWriterCap = 64 << 10
 
-func (pw *Writer) writeHeader() error {
-	var hdr [24]byte
+// NewWriter starts a capture in dst's backing array, appending after
+// dst[:0]; nil starts in a fresh buffer. The global header is written at
+// once, so Bytes is a valid (empty) capture from the start.
+func NewWriter(dst []byte) *Writer {
+	pw := &Writer{buf: dst[:0]}
+	hdr := pw.grow(globalHeaderLen)
 	binary.LittleEndian.PutUint32(hdr[0:4], magicNumber)
 	binary.LittleEndian.PutUint16(hdr[4:6], versionMajor)
 	binary.LittleEndian.PutUint16(hdr[6:8], versionMinor)
 	// thiszone (hdr[8:12]) and sigfigs (hdr[12:16]) stay zero.
-	binary.LittleEndian.PutUint32(hdr[16:20], pw.snapLen)
+	binary.LittleEndian.PutUint32(hdr[16:20], DefaultSnapLen)
 	binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeRaw)
-	if _, err := pw.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("pcap: writing global header: %w", err)
-	}
-	pw.wroteHeader = true
-	return nil
+	return pw
 }
 
-// WritePacket appends one packet record.
+// grow extends the capture by n bytes and returns them for the caller to
+// fill. When the capacity runs out it doubles — max(2·cap, need), never
+// below minWriterCap — rather than following append's ~1.25× policy: a
+// run that cannot reuse a buffer then allocates at most about twice its
+// final capacity in O(log n) objects, where 1.25× growth allocates five
+// times it.
+func (pw *Writer) grow(n int) []byte {
+	l := len(pw.buf)
+	if need := l + n; need > cap(pw.buf) {
+		nb := make([]byte, l, max(2*cap(pw.buf), need, minWriterCap))
+		copy(nb, pw.buf)
+		pw.buf = nb
+	}
+	pw.buf = pw.buf[:l+n]
+	return pw.buf[l:]
+}
+
+// WritePacket appends one packet record. It refuses a packet the Reader
+// would: one larger than an IPv4 packet can be.
 func (pw *Writer) WritePacket(p Packet) error {
-	if !pw.wroteHeader {
-		if err := pw.writeHeader(); err != nil {
-			return err
-		}
+	if len(p.Data) > maxPacketLen {
+		return fmt.Errorf("pcap: packet of %d bytes exceeds the IPv4 maximum %d", len(p.Data), maxPacketLen)
 	}
-	if uint32(len(p.Data)) > pw.snapLen {
-		return fmt.Errorf("pcap: packet of %d bytes exceeds snap length %d", len(p.Data), pw.snapLen)
-	}
-	rec := pw.rec[:]
+	rec := pw.grow(recordHeaderLen + len(p.Data))
 	ts := p.Timestamp
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(ts.Unix()))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(ts.Nanosecond()/1000))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(p.Data)))
 	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(p.Data)))
-	if _, err := pw.w.Write(rec); err != nil {
-		return fmt.Errorf("pcap: writing record header: %w", err)
-	}
-	if _, err := pw.w.Write(p.Data); err != nil {
-		return fmt.Errorf("pcap: writing packet data: %w", err)
-	}
+	copy(rec[recordHeaderLen:], p.Data)
 	return nil
 }
 
-// Flush writes buffered data through to the underlying writer. An empty
-// capture still produces a valid pcap file (header only).
-func (pw *Writer) Flush() error {
-	if !pw.wroteHeader {
-		if err := pw.writeHeader(); err != nil {
-			return err
-		}
-	}
-	if err := pw.w.Flush(); err != nil {
-		return fmt.Errorf("pcap: flushing: %w", err)
-	}
-	return nil
-}
+// Bytes returns the capture written so far. It aliases the writer's
+// buffer, whose capacity a later NewWriter can reuse.
+func (pw *Writer) Bytes() []byte { return pw.buf }
 
 // Reader iterates packets out of a pcap file. It is the large-capture
 // path: packets stream one at a time (NextInto reuses the caller's
@@ -111,11 +115,11 @@ type Reader struct {
 	order   binary.ByteOrder
 	snapLen uint32
 	link    uint32
-	// sizeHint is the source's byte count after the global header when
-	// the source exposed Len() (bytes.Reader and friends), else -1. The
-	// pcap global header carries no packet count, so this stream length
-	// is the only sizing signal available to ReadAll.
-	sizeHint int
+	// left is the number of source bytes not yet consumed when the source
+	// exposed Len() (bytes.Reader and friends), else -1. It bounds the
+	// record a header may declare, and — the pcap global header carries
+	// no packet count — it is the only sizing signal ReadAll has.
+	left int
 	// rec is the reader-owned record-header scratch buffer. A local
 	// array would escape through the io.ReadFull interface call and cost
 	// one heap allocation per packet on the NextInto hot path.
@@ -124,16 +128,16 @@ type Reader struct {
 
 // NewReader parses the global header and prepares packet iteration.
 func NewReader(r io.Reader) (*Reader, error) {
-	sizeHint := -1
+	left := -1
 	if l, ok := r.(interface{ Len() int }); ok {
-		sizeHint = l.Len() - globalHeaderLen
+		left = l.Len() - globalHeaderLen
 	}
 	br := bufio.NewReader(r)
 	var hdr [24]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
-	pr := &Reader{r: br, sizeHint: sizeHint}
+	pr := &Reader{r: br, left: left}
 	switch binary.LittleEndian.Uint32(hdr[0:4]) {
 	case magicNumber:
 		pr.order = binary.LittleEndian
@@ -172,10 +176,13 @@ func (pr *Reader) Next() (Packet, error) {
 // the file header. minPacketLen is the smallest raw-IPv4 packet this
 // package emits (an IPv4+UDP header with no payload) — together they
 // bound how many packets a capture of a known byte size can hold.
+// maxPacketLen is the largest: the reader accepts only LINKTYPE_RAW, and
+// an IPv4 packet's total length is a 16-bit field.
 const (
 	globalHeaderLen = 24
 	recordHeaderLen = 16
 	minPacketLen    = ipv4HeaderLen + udpHeaderLen
+	maxPacketLen    = 65535
 )
 
 // NextInto decodes the next packet into p, reusing p.Data's capacity,
@@ -193,11 +200,25 @@ func (pr *Reader) NextInto(p *Packet) error {
 	usec := pr.order.Uint32(pr.rec[4:8])
 	capLen := pr.order.Uint32(pr.rec[8:12])
 	origLen := pr.order.Uint32(pr.rec[12:16])
+	// Every length check runs before the buffer below is sized: a forged
+	// header must not make the reader allocate what it declares.
 	if capLen > pr.snapLen {
-		return fmt.Errorf("pcap: captured length %d exceeds snap length %d", capLen, pr.snapLen)
+		return fmt.Errorf("%w: captured length %d exceeds snap length %d", ErrCorruptCapture, capLen, pr.snapLen)
+	}
+	if capLen > maxPacketLen {
+		return fmt.Errorf("%w: captured length %d exceeds the IPv4 maximum %d", ErrCorruptCapture, capLen, maxPacketLen)
 	}
 	if capLen != origLen {
-		return fmt.Errorf("pcap: truncated packet (captured %d of %d bytes)", capLen, origLen)
+		return fmt.Errorf("%w: truncated packet (captured %d of %d bytes)", ErrCorruptCapture, capLen, origLen)
+	}
+	if pr.left >= 0 {
+		pr.left -= recordHeaderLen
+		if int(capLen) > pr.left {
+			// The capture ends inside this record: the error the read below
+			// would return, without sizing a buffer for the missing bytes.
+			return fmt.Errorf("pcap: reading packet data: %w", io.ErrUnexpectedEOF)
+		}
+		pr.left -= int(capLen)
 	}
 	if uint32(cap(p.Data)) < capLen {
 		p.Data = make([]byte, capLen)
@@ -225,8 +246,8 @@ const readAllPresizeCap = 1 << 20
 // streaming Reader instead of materializing every packet.
 func (pr *Reader) ReadAll() ([]Packet, error) {
 	var out []Packet
-	if pr.sizeHint > 0 {
-		est := pr.sizeHint / (recordHeaderLen + minPacketLen)
+	if pr.left > 0 {
+		est := pr.left / (recordHeaderLen + minPacketLen)
 		if est > readAllPresizeCap {
 			est = readAllPresizeCap
 		}

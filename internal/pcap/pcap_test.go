@@ -2,8 +2,11 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net/netip"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,8 +22,7 @@ func testTuple() FourTuple {
 }
 
 func TestWriterReaderRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(nil)
 	base := time.Date(2019, 7, 1, 12, 0, 0, 123456000, time.UTC)
 	var packets []Packet
 	for i := 0; i < 5; i++ {
@@ -34,10 +36,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +59,62 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestEmptyCaptureIsValid(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(NewWriter(nil).Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("empty capture Next() = %v, want EOF", err)
+	}
+}
+
+// forgedCapture is a 40-byte pcap: a global header whose snap length is
+// 0xffffffff, then one record header declaring recLen bytes of packet
+// that the file does not hold.
+func forgedCapture(recLen uint32) []byte {
+	b := NewWriter(nil).Bytes()
+	binary.LittleEndian.PutUint32(b[16:20], 0xffffffff)
+	var rec [recordHeaderLen]byte
+	binary.LittleEndian.PutUint32(rec[8:12], recLen)
+	binary.LittleEndian.PutUint32(rec[12:16], recLen)
+	return append(b, rec[:]...)
+}
+
+// A forged record length must fail typed before the reader sizes a
+// buffer for it: whatever the snap length says, no raw IPv4 packet
+// exceeds 65 535 bytes, and a source of known length cannot hold a record
+// longer than what is left of it.
+func TestReaderRejectsForgedRecordLength(t *testing.T) {
+	sized := func(b []byte) io.Reader { return bytes.NewReader(b) }
+	cases := []struct {
+		name   string
+		recLen uint32
+		src    func([]byte) io.Reader
+		want   error
+	}{
+		{"1GiB, sized source", 1 << 30, sized, ErrCorruptCapture},
+		{"4GiB-1, sized source", 0xffffffff, sized, ErrCorruptCapture},
+		{"1GiB, unsized source", 1 << 30, func(b []byte) io.Reader { return io.MultiReader(bytes.NewReader(b)) }, ErrCorruptCapture},
+		// Within the IPv4 bound, so only the bytes-left check refuses it.
+		{"60000, sized source", 60000, sized, io.ErrUnexpectedEOF},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewReader(tc.src(forgedCapture(tc.recLen)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = r.NextInto(&Packet{})
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("NextInto = %v, want %v", err, tc.want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("rejecting the record allocated %d bytes, want < 1 MiB", got)
+			}
+		})
 	}
 }
 
@@ -300,7 +344,7 @@ func TestDNSNameRoundTripProperty(t *testing.T) {
 }
 
 func TestWriterRejectsOversnapPacket(t *testing.T) {
-	w := NewWriter(&bytes.Buffer{})
+	w := NewWriter(nil)
 	err := w.WritePacket(Packet{Timestamp: time.Now(), Data: make([]byte, DefaultSnapLen+1)})
 	if err == nil {
 		t.Error("packet above snap length should be rejected")
