@@ -19,10 +19,12 @@ test:
 # campaign journal share state across worker goroutines; the obs registry is
 # hammered concurrently by every instrumentation site, and the analysis
 # accumulator/merge path folds shard partials produced by concurrent shards.
+# A generated dex file's arenas are read by disassembly, the ART profiler
+# and libradar at once (internal/synth's concurrent-reader test).
 # The root run covers the shard coordinator and outcome-merge paths
 # end-to-end. Keep all of them race-clean.
 race:
-	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/...
+	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/... ./internal/dex/... ./internal/synth/...
 	$(GO) test -race -run 'TestShardCountInvarianceHonest|TestMergeShardOutcomesProcessMode|TestResultStoreShardInvariance|TestEventLogShardCountInvariance|TestResumeSnapshotUnderRunFaults' .
 
 # The repo's benchmark (BENCHMARK.json): six end-to-end campaign workloads
@@ -41,19 +43,21 @@ loc:
 	@total=0; for d in $(LOC_DIRS); do n=$$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); total=$$((total+n)); printf '%6d  %s\n' $$n $$d; done; printf '%6d  total\n' $$total
 	@printf '%6d  whole repo, non-test Go, benchmark/ excluded\n' $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)
 
-# Fuzz smoke over everything fed by untrusted bytes, three targets (`go
+# Fuzz smoke over everything fed by untrusted bytes, four targets (`go
 # test -fuzz` accepts one per invocation): the registered-format harness
 # (internal/codec/formats_test.go — every blob that crosses a process or
 # a crash boundary, one table row each), the pcap packet decoder, whose
-# input is traffic rather than a format of ours, and the pcap file reader
-# (stored capture.pcap files reach it through resume, audit and libdump),
-# held to an allocation ceiling proportional to its input. A short
-# minimize budget keeps the harness exploring instead of shrinking each
-# new input for up to a minute.
+# input is traffic rather than a format of ours, the pcap file reader
+# (stored capture.pcap files reach it through resume, audit and libdump)
+# and the SDEX decoder (every apk the store verifies reaches it), the
+# last two held to an allocation ceiling proportional to their input. A
+# short minimize budget keeps the harness and the SDEX target exploring
+# instead of shrinking each new input for up to a minute.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFormats$$' -fuzztime 60s -fuzzminimizetime 2s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s ./internal/pcap
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/dex
 
 # Process-level chaos smoke: a 4-shard `cmd/libspector -shards` campaign
 # whose seeded schedule SIGKILLs two shard children and the coordinator

@@ -5,10 +5,16 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // File is a parsed dex file: an ordered set of method definitions plus the
 // creation timestamp that AndroZoo exposes as the "dex date" (§III-A).
+//
+// A File owns its methods' storage: every signature is rendered into one
+// append-only byte arena and every parameter list is copied into one
+// []string arena, so building or decoding a file allocates per chunk, not
+// per method.
 type File struct {
 	// Created is the dex creation timestamp. The zero value encodes the
 	// "default dex time stamp" (01-01-1980) the paper special-cases during
@@ -16,10 +22,19 @@ type File struct {
 	Created time.Time
 
 	methods []Method
-	// sigs[i] is methods[i].TypeSignature(), rendered once by AddMethod.
-	// Every reader of a signature (SignatureAt, the disassembly, the
-	// translator, the ART profiler) shares these strings.
-	sigs []string
+	// sigs[i] is methods[i].TypeSignature(), rendered once by AddMethod
+	// into sigArena. Every reader of a signature (SignatureAt, the
+	// disassembly, the translator, the ART profiler) shares these strings.
+	// They point into the arena through unsafe.String, which is sound
+	// because committed arena bytes are never written again and a chunk
+	// stays live as long as any string into it does.
+	sigs     []string
+	sigArena arena[byte]
+	// paramArena backs every stored method's Params.
+	paramArena arena[string]
+	// expect is the number of methods the file was sized for; the arenas
+	// size later chunks by it.
+	expect int
 	// bySig indexes methods by full type signature for O(1) lookups.
 	bySig map[string]int
 	// byQualified indexes overloads by (class, method name); next chains
@@ -39,33 +54,67 @@ type overloads struct{ first, last int }
 // build toolchains emit when reproducible builds strip real dates.
 var DefaultDexTime = time.Date(1980, time.January, 1, 0, 0, 0, 0, time.UTC)
 
-// NewFile creates an empty dex file with the given creation time.
-func NewFile(created time.Time) *File { return newFile(created, 0) }
+// sigBytesPerMethod is the signature length the byte arena's first chunk
+// assumes; generated apps average 63–75 bytes. The parameter arena's first
+// chunk assumes 1.5 parameters per method, the generator's mean. Later
+// chunks follow the measured averages.
+const sigBytesPerMethod = 64
 
-// newFile creates an empty dex file with room for n methods.
-func newFile(created time.Time, n int) *File {
-	return &File{
+// NewFile creates an empty dex file with the given creation time.
+func NewFile(created time.Time) *File { return NewFileSized(created, 0) }
+
+// NewFileSized creates an empty dex file sized for n methods: the method
+// list, both indexes and the first chunk of each arena are allocated once,
+// up front.
+func NewFileSized(created time.Time, n int) *File { return newFile(created, n, n) }
+
+// newFile creates an empty dex file sized for n methods that expects to
+// hold expect.
+func newFile(created time.Time, n, expect int) *File {
+	f := &File{
 		Created:     created,
 		methods:     make([]Method, 0, n),
 		sigs:        make([]string, 0, n),
+		expect:      expect,
 		bySig:       make(map[string]int, n),
 		byQualified: make(map[qualKey]overloads, n),
 		next:        make([]int, 0, n),
 	}
+	if n > 0 {
+		f.sigArena.chunk = make([]byte, 0, n*sigBytesPerMethod)
+		f.paramArena.chunk = make([]string, 0, n+n/2)
+	}
+	return f
 }
 
 // AddMethod appends a method definition and renders its type signature,
 // the only time it is rendered. Duplicate type signatures are rejected: a
-// dex file defines each signature at most once.
+// dex file defines each signature at most once, and a rejected method
+// leaves the file as it was.
+//
+// The file keeps its own copy of m.Params, so the caller may reuse the
+// slice. The Params of a method read back from the file alias the file's
+// arena and must not be modified.
 func (f *File) AddMethod(m Method) error {
-	sig := m.TypeSignature()
-	if _, dup := f.bySig[sig]; dup {
-		return fmt.Errorf("dex: duplicate method signature %s", sig)
-	}
+	// Render into the arena's free tail; the bytes are committed only
+	// once the signature is known to be new.
 	idx := len(f.methods)
+	f.sigArena.reserve(signatureLen(m), idx, f.expect)
+	rendered := appendSignature(f.sigArena.free()[:0], m)
+	if _, dup := f.bySig[string(rendered)]; dup {
+		return fmt.Errorf("dex: duplicate method signature %s", rendered)
+	}
+	sig := f.sigArena.take(len(rendered))
+	if len(m.Params) > 0 {
+		f.paramArena.reserve(len(m.Params), idx, f.expect)
+		copy(f.paramArena.free(), m.Params)
+		m.Params = f.paramArena.take(len(m.Params))
+	} else {
+		m.Params = nil
+	}
 	f.methods = append(f.methods, m)
-	f.sigs = append(f.sigs, sig)
-	f.bySig[sig] = idx
+	f.sigs = append(f.sigs, unsafe.String(unsafe.SliceData(sig), len(sig)))
+	f.bySig[f.sigs[idx]] = idx
 	f.next = append(f.next, -1)
 	key := qualKey{m.Class, m.Name}
 	o, ok := f.byQualified[key]

@@ -94,15 +94,24 @@ func (f *File) Encode() ([]byte, error) {
 var errMalformed = errors.New("dex: malformed container")
 
 // maxPresizedMethods caps the room Decode reserves from the method count.
-// The Reader already bounds the count by the bytes left, but a method
-// takes four input bytes and ~200 bytes of File, so a forged count alone
-// could reserve 50× the container; past the cap the File grows as it
-// fills.
+// A method takes at least four input bytes (three pool references and a
+// parameter count) and ~300 bytes of File, arenas included, so Decode
+// presizes for no more methods than the bytes left could hold, and past
+// the cap the File grows as it fills.
 const maxPresizedMethods = 1 << 16
+
+// maxSignatureExpansion bounds the signature bytes a container may render
+// per byte of its own. A pool string is stored once but may be referenced
+// by every method, so without a bound a few kilobytes (one long string
+// used as the parameter of thousands of methods) render gigabytes of
+// signatures. Generated apps render about 7 bytes per container byte, and
+// a long class name shared by many short methods about 30.
+const maxSignatureExpansion = 64
 
 // Decode parses an SDEX container produced by Encode. It is strict: a
 // field cut short, a count larger than the bytes left, a pool index out
-// of range, and bytes after the last method all fail.
+// of range, signatures expanding past maxSignatureExpansion, and bytes
+// after the last method all fail.
 func Decode(data []byte) (*File, error) {
 	r := codec.NewReader(data, errMalformed)
 	if magic := r.Take(len(sdexMagic)); r.Err() == nil && [4]byte(magic) != sdexMagic {
@@ -131,14 +140,20 @@ func Decode(data []byte) (*File, error) {
 		return pool[idx]
 	}
 	methodCount := r.Count(uint64(r.Uint32()))
-	f := newFile(created, min(methodCount, maxPresizedMethods))
+	f := newFile(created, min(methodCount, r.Remaining()/4, maxPresizedMethods), methodCount)
+	sigBudget := maxSignatureExpansion * len(data)
+	// params is scratch for every method's parameter list: AddMethod
+	// copies it into the file's arena.
+	var params []string
 	for i := 0; i < methodCount; i++ {
 		m := Method{Class: lookup("class", i), Name: lookup("name", i), Return: lookup("return", i)}
-		if nParams := r.Length(); nParams > 0 {
-			m.Params = make([]string, nParams)
+		params = params[:0]
+		for j := r.Length(); j > 0; j-- {
+			params = append(params, lookup("param", i))
 		}
-		for j := range m.Params {
-			m.Params[j] = lookup("param", i)
+		m.Params = params
+		if sigBudget -= signatureLen(m); r.Err() == nil && sigBudget < 0 {
+			r.Failf("method %d: signatures exceed %d bytes per container byte", i, maxSignatureExpansion)
 		}
 		if r.Err() != nil {
 			return nil, r.Err()

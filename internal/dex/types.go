@@ -8,6 +8,7 @@ package dex
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Primitive type descriptors in Dalvik/JVM descriptor syntax.
@@ -29,21 +30,21 @@ func DescriptorForClass(dotted string) string {
 	return "L" + strings.ReplaceAll(dotted, ".", "/") + ";"
 }
 
-// writeDescriptor writes DescriptorForClass(dotted) straight into b, so
-// rendering a signature builds no intermediate string.
-func writeDescriptor(b *strings.Builder, dotted string) {
-	b.WriteByte('L')
+// appendDescriptor appends DescriptorForClass(dotted) to b, so rendering a
+// signature builds no intermediate string.
+func appendDescriptor(b []byte, dotted string) []byte {
+	b = append(b, 'L')
 	for {
 		i := strings.IndexByte(dotted, '.')
 		if i < 0 {
 			break
 		}
-		b.WriteString(dotted[:i])
-		b.WriteByte('/')
+		b = append(b, dotted[:i]...)
+		b = append(b, '/')
 		dotted = dotted[i+1:]
 	}
-	b.WriteString(dotted)
-	b.WriteByte(';')
+	b = append(b, dotted...)
+	return append(b, ';')
 }
 
 // ClassForDescriptor converts a class descriptor back to dotted form. It
@@ -93,27 +94,35 @@ func (m Method) Package() string {
 // The type signature is the unique identifier attribution operates on; it
 // distinguishes overloaded variants of a method within one class.
 //
-// It is the one renderer: File.AddMethod calls it once per method and
-// keeps the result (File.SignatureAt), so it should not be called again
-// for a method already in a file. The length is computed exactly, so the
-// rendering is a single allocation.
+// File.AddMethod renders each method once into its arena and keeps the
+// result (File.SignatureAt), so this should not be called again for a
+// method already in a file. It is a single allocation.
 func (m Method) TypeSignature() string {
+	b := appendSignature(make([]byte, 0, signatureLen(m)), m)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// appendSignature is the one signature renderer: it appends m's type
+// signature to b, which grows by exactly signatureLen(m).
+func appendSignature(b []byte, m Method) []byte {
+	b = appendDescriptor(b, m.Class)
+	b = append(b, "->"...)
+	b = append(b, m.Name...)
+	b = append(b, '(')
+	for _, p := range m.Params {
+		b = append(b, p...)
+	}
+	b = append(b, ')')
+	return append(b, m.Return...)
+}
+
+// signatureLen is the length of m's type signature.
+func signatureLen(m Method) int {
 	n := len("L;->()") + len(m.Class) + len(m.Name) + len(m.Return)
 	for _, p := range m.Params {
 		n += len(p)
 	}
-	var b strings.Builder
-	b.Grow(n)
-	writeDescriptor(&b, m.Class)
-	b.WriteString("->")
-	b.WriteString(m.Name)
-	b.WriteByte('(')
-	for _, p := range m.Params {
-		b.WriteString(p)
-	}
-	b.WriteByte(')')
-	b.WriteString(m.Return)
-	return b.String()
+	return n
 }
 
 // ParseTypeSignature parses a smali-convention type signature back into a

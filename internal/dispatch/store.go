@@ -15,7 +15,8 @@ import (
 )
 
 // StoreEntry is one apk version in the database, with the AndroZoo
-// metadata the selection policy of §III-A uses.
+// metadata the selection policy of §III-A uses. Encoded is what Put
+// validates; the store keeps the rest, not the bytes.
 type StoreEntry struct {
 	Package    string
 	Encoded    []byte
@@ -26,6 +27,8 @@ type StoreEntry struct {
 
 // Store is the apk database server. Multiple versions of a package may
 // coexist (AndroZoo keeps several); Select applies the paper's policy.
+// A version is identified by its sha256, and the store holds its
+// metadata only, so its heap does not grow with apk size.
 type Store struct {
 	mu      sync.RWMutex
 	entries map[string][]StoreEntry
@@ -36,14 +39,22 @@ func NewStore() *Store {
 	return &Store{entries: make(map[string][]StoreEntry)}
 }
 
-// Put validates and adds one apk version. The encoded bytes are decoded to
-// verify integrity and the checksum is recomputed server-side.
+// Put validates and adds one apk version. The checksum is recomputed
+// server-side and the encoded bytes are fully decoded to verify
+// integrity; then the entry is kept without them. Putting a version whose
+// sha256 is already stored (a retried or requeued app) validates it again
+// and changes nothing.
 func (s *Store) Put(e StoreEntry) error {
 	if e.Package == "" {
 		return fmt.Errorf("dispatch: store entry has empty package")
 	}
 	if len(e.Encoded) == 0 {
 		return fmt.Errorf("dispatch: store entry %s has no apk bytes", e.Package)
+	}
+	if sum := apk.Checksum(e.Encoded); e.SHA256 != "" && e.SHA256 != sum {
+		return fmt.Errorf("dispatch: store entry %s checksum mismatch", e.Package)
+	} else if e.SHA256 == "" {
+		e.SHA256 = sum
 	}
 	decoded, err := apk.Decode(e.Encoded)
 	if err != nil {
@@ -53,20 +64,24 @@ func (s *Store) Put(e StoreEntry) error {
 		return fmt.Errorf("dispatch: store entry package %s does not match manifest %s",
 			e.Package, decoded.Manifest.Package)
 	}
-	if sum := apk.Checksum(e.Encoded); e.SHA256 != "" && e.SHA256 != sum {
-		return fmt.Errorf("dispatch: store entry %s checksum mismatch", e.Package)
-	} else if e.SHA256 == "" {
-		e.SHA256 = sum
-	}
+	e.Encoded = nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries[e.Package] = append(s.entries[e.Package], e)
+	versions := s.entries[e.Package]
+	for _, v := range versions {
+		if v.SHA256 == e.SHA256 {
+			return nil
+		}
+	}
+	s.entries[e.Package] = append(versions, e)
 	return nil
 }
 
-// Select returns the apk version to analyze for a package, per §III-A:
-// the latest dex timestamp wins; among versions with the default (1980)
-// dex timestamp, the most recent VirusTotal scan wins.
+// Select returns the metadata of the apk version to analyze for a
+// package, per §III-A: the latest dex timestamp wins; among versions with
+// the default (1980) dex timestamp, the most recent VirusTotal scan wins.
+// The store does not keep apk bytes, so the entry's Encoded is nil; the
+// caller identifies the version by SHA256.
 func (s *Store) Select(pkg string) (StoreEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -115,7 +130,8 @@ func (s *Store) Packages() []string {
 	return out
 }
 
-// VersionCount reports how many versions of a package are stored.
+// VersionCount reports how many distinct versions of a package are
+// stored.
 func (s *Store) VersionCount(pkg string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -165,6 +165,10 @@ func (f SinkFunc) Consume(ev RunEvent) error { return f(ev) }
 // tests can inject dial failures.
 var dialCollector = NewClient
 
+// newStore creates a fleet's apk store; a package variable so a test can
+// inspect the store a campaign used.
+var newStore = NewStore
+
 // Stream exercises every app in the source across the worker fleet and
 // returns a bounded channel of per-app events in completion order, closed
 // after a final EventSummary. The caller must drain the channel until it
@@ -218,7 +222,7 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 	}
 	var store *Store
 	if cfg.UseStore {
-		store = NewStore()
+		store = newStore()
 	}
 
 	f := &fleetRun{

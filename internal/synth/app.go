@@ -69,9 +69,12 @@ var subPackages = []string{
 type codeGen struct {
 	d   *dex.File
 	rng *sim.Rand
+	// params is scratch for each method's parameter list: AddMethod
+	// copies it into the file.
+	params []string
 }
 
-// genPackage creates approximately count methods under the base package
+// genPackage creates count methods (at least one) under the base package
 // (spread over subpackages and classes) and returns their dex indices.
 func (g *codeGen) genPackage(base string, count int) ([]int, error) {
 	if count < 1 {
@@ -113,7 +116,7 @@ func (g *codeGen) genPackage(base string, count int) ([]int, error) {
 			method := dex.Method{
 				Class:  fq,
 				Name:   name,
-				Params: g.params(),
+				Params: g.genParams(),
 				Return: descriptorPool[g.rng.Intn(len(descriptorPool))],
 			}
 			if err := g.d.AddMethod(method); err != nil {
@@ -173,17 +176,14 @@ func (g *codeGen) methodName(obfuscated bool) string {
 	return readableMethodNames[verb*len(methodNouns)+g.rng.Intn(len(methodNouns))]
 }
 
-func (g *codeGen) params() []string {
-	n := g.rng.Intn(4)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
+// genParams draws a parameter list into g.params and returns it.
+func (g *codeGen) genParams() []string {
+	g.params = g.params[:0]
+	for n := g.rng.Intn(4); n > 0; n-- {
 		// Index 0 of the pool is V (void), not valid as a parameter.
-		out[i] = descriptorPool[1+g.rng.Intn(len(descriptorPool)-1)]
+		g.params = append(g.params, descriptorPool[1+g.rng.Intn(len(descriptorPool)-1)])
 	}
-	return out
+	return g.params
 }
 
 // GenerateApp deterministically generates app #idx of the corpus.
@@ -272,18 +272,19 @@ func (w *World) GenerateApp(idx int) (*App, error) {
 	// Method budget and code generation.
 	meanMethods := float64(paperMeanMethods) * w.cfg.MethodScale
 	total := int(sim.ClampInt64(int64(rng.LogNormal(math.Log(meanMethods), methodLogSigma)), 80, 400000))
-	d := dex.NewFile(time.Date(2016+rng.Intn(3), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC))
-	gen := &codeGen{d: d, rng: rng.Split("code")}
+	created := time.Date(2016+rng.Intn(3), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)
+	// Split draws from rng, so it stays ahead of the share draws: the
+	// corpus bytes depend on that order.
+	codeRng := rng.Split("code")
 
+	// genPackage emits exactly the count it is asked for, so the shares
+	// below are the file's method count and it is sized once.
 	firstPartyCount := int(float64(total) * 0.35)
 	if firstPartyCount < 20 {
 		firstPartyCount = 20
 	}
-	firstParty, err := gen.genPackage(pkg, firstPartyCount)
-	if err != nil {
-		return nil, err
-	}
-	libPools := make(map[int][]int, len(libIdxs))
+	shares := make([]int, len(libIdxs))
+	methods := firstPartyCount
 	if len(libIdxs) > 0 {
 		remaining := total - firstPartyCount
 		if remaining < 10*len(libIdxs) {
@@ -295,17 +296,24 @@ func (w *World) GenerateApp(idx int) (*App, error) {
 			weights[i] = rng.LogNormal(0, 0.5)
 			wSum += weights[i]
 		}
-		for i, li := range libIdxs {
-			share := int(float64(remaining) * weights[i] / wSum)
-			if share < 10 {
-				share = 10
-			}
-			pool, err := gen.genPackage(w.Libraries[li].Prefix, share)
-			if err != nil {
-				return nil, err
-			}
-			libPools[li] = pool
+		for i := range shares {
+			shares[i] = max(int(float64(remaining)*weights[i]/wSum), 10)
+			methods += shares[i]
 		}
+	}
+	d := dex.NewFileSized(created, methods)
+	gen := &codeGen{d: d, rng: codeRng}
+	firstParty, err := gen.genPackage(pkg, firstPartyCount)
+	if err != nil {
+		return nil, err
+	}
+	libPools := make(map[int][]int, len(libIdxs))
+	for i, li := range libIdxs {
+		pool, err := gen.genPackage(w.Libraries[li].Prefix, shares[i])
+		if err != nil {
+			return nil, err
+		}
+		libPools[li] = pool
 	}
 
 	// Activities and handlers.

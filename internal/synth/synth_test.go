@@ -331,3 +331,32 @@ func TestNumApps(t *testing.T) {
 		t.Errorf("NumApps = %d", w.NumApps())
 	}
 }
+
+// Generation allocates per file and per class, not per method: signatures
+// and parameter lists go into the dex file's arenas, sized from the
+// method budget. What is left is about 0.35 allocations per method, mostly
+// the class names (a class holds 4–15 methods); a signature and a
+// parameter slice allocated per method would add ~2 per method.
+func TestGenerateAppAllocsPerMethod(t *testing.T) {
+	cfg := smallConfig(42, 16)
+	cfg.MethodScale = 0.1
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 4, 8} {
+		app, err := w.GenerateApp(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		methods := app.Program.Dex.MethodCount()
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := w.GenerateApp(i); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(methods/2 + 1024); allocs > limit {
+			t.Errorf("app %d: GenerateApp allocates %.0f for %d methods, over %.0f", i, allocs, methods, limit)
+		}
+	}
+}
