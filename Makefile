@@ -20,9 +20,13 @@ test:
 # hammered concurrently by every instrumentation site, and the analysis
 # accumulator/merge path folds shard partials produced by concurrent shards.
 # A generated dex file's arenas are read by disassembly, the ART profiler
-# and libradar at once (internal/synth's concurrent-reader test).
+# and libradar at once (internal/synth's concurrent-reader test). The
+# collector's barrier waiter map is shared by its receive loop and every
+# worker (TestBarrierConcurrentClients hammers it).
 # The root run covers the shard coordinator and outcome-merge paths
-# end-to-end. Keep all of them race-clean.
+# end-to-end; TestResumeSnapshotUnderRunFaults checks that every
+# attempt's datagrams land before the collector closes. Keep all of them
+# race-clean.
 race:
 	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/... ./internal/dex/... ./internal/synth/...
 	$(GO) test -race -run 'TestShardCountInvarianceHonest|TestMergeShardOutcomesProcessMode|TestResultStoreShardInvariance|TestEventLogShardCountInvariance|TestResumeSnapshotUnderRunFaults' .

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"libspector/internal/obs"
 	"libspector/internal/xposed"
@@ -30,10 +31,12 @@ type Collector struct {
 	cMalformed *obs.Counter
 	cDropped   *obs.Counter
 
-	mu        sync.Mutex
-	bySHA     map[string][]*xposed.Report
-	seen      map[string]map[[sha256.Size]byte]struct{}
-	syncs     map[string]struct{}
+	mu    sync.Mutex
+	bySHA map[string][]*xposed.Report
+	seen  map[string]map[[sha256.Size]byte]struct{}
+	// waiters holds one channel per barrier still waiting for its token;
+	// the receive loop closes and removes it when the token lands.
+	waiters   map[string]chan struct{}
 	total     int
 	malformed int
 	dropped   int
@@ -62,13 +65,23 @@ func (c *Collector) publishTotals() {
 	})
 }
 
-// syncMagic prefixes flush-barrier datagrams: a worker about to reset an
-// apk's report group sends one on the same socket it streamed reports
-// through, then waits for the token to land. Loopback preserves
-// per-socket datagram order, so seeing the token proves every report the
-// dead attempt sent has already been received. Sync frames are control
-// traffic: they touch no report groups and no datagram counters.
+// syncMagic prefixes barrier datagrams: a worker ending an attempt sends
+// one on the same socket it streamed reports through, then waits for the
+// token to land. Loopback preserves per-socket datagram order, so the
+// token landing proves every report the attempt sent has been received.
+// Sync frames are control traffic: they touch no report groups and no
+// datagram counters.
 const syncMagic = "LSSYNC01"
+
+// collectorDrainBudget bounds how long a barrier waits for its token, in
+// wall time: datagrams arrive in real time whatever clock the fleet
+// keeps. A package variable so tests can exercise the timeout without a
+// five-second stall.
+var collectorDrainBudget = 5 * time.Second
+
+// barrierResend is how often a waiting barrier re-sends its token, in
+// case the token datagram itself was lost.
+const barrierResend = 20 * time.Millisecond
 
 // NewCollector starts a collector on an ephemeral loopback port. tel,
 // when non-nil, receives the datagram counter series live.
@@ -91,7 +104,7 @@ func NewCollector(tel *obs.Telemetry) (*Collector, error) {
 		cDropped:   tel.Counter(obs.MCollectorDropped),
 		bySHA:      make(map[string][]*xposed.Report),
 		seen:       make(map[string]map[[sha256.Size]byte]struct{}),
-		syncs:      make(map[string]struct{}),
+		waiters:    make(map[string]chan struct{}),
 	}
 	c.wg.Add(1)
 	go c.receiveLoop()
@@ -116,14 +129,20 @@ func (c *Collector) receiveLoop() {
 			c.cDropped.Inc()
 			continue
 		}
-		payload := make([]byte, n)
-		copy(payload, buf[:n])
-		if len(payload) >= len(syncMagic) && string(payload[:len(syncMagic)]) == syncMagic {
+		if n >= len(syncMagic) && string(buf[:len(syncMagic)]) == syncMagic {
+			// A token nobody waits for (a re-sent duplicate, or one whose
+			// barrier gave up) leaves no state behind.
+			token := string(buf[len(syncMagic):n])
 			c.mu.Lock()
-			c.syncs[string(payload[len(syncMagic):])] = struct{}{}
+			if landed, ok := c.waiters[token]; ok {
+				close(landed)
+				delete(c.waiters, token)
+			}
 			c.mu.Unlock()
 			continue
 		}
+		payload := make([]byte, n)
+		copy(payload, buf[:n])
 		report, err := xposed.DecodeReport(payload)
 		if err != nil {
 			c.cMalformed.Inc()
@@ -171,8 +190,9 @@ func (c *Collector) Addr() *net.UDPAddr {
 }
 
 // Forget discards the reports grouped under an apk checksum. Retry
-// attempts call it so a failed attempt's datagrams don't pollute the
-// retried run's attribution input; the wire totals stay cumulative.
+// attempts call it so a failed attempt's datagrams — all landed, since
+// the attempt ended with a Barrier — don't pollute the retried run's
+// attribution input; the wire totals stay cumulative.
 func (c *Collector) Forget(sha string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -180,12 +200,35 @@ func (c *Collector) Forget(sha string) {
 	delete(c.seen, sha)
 }
 
-// SyncSeen reports whether a flush-barrier token has arrived.
-func (c *Collector) SyncSeen(token string) bool {
+// Barrier sends a sync token on client's socket and waits until the
+// collector receives it, re-sending on a slow ticker. Once it returns nil,
+// every datagram client sent before the call has landed, since loopback
+// keeps per-socket order. token must be unique among concurrent barriers.
+// It gives up after collectorDrainBudget, leaving no waiter behind.
+func (c *Collector) Barrier(client *Client, token string) error {
+	landed := make(chan struct{})
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.syncs[token]
-	return ok
+	c.waiters[token] = landed
+	c.mu.Unlock()
+	payload := append([]byte(syncMagic), token...)
+	resend := time.NewTicker(barrierResend)
+	defer resend.Stop()
+	deadline := time.Now().Add(collectorDrainBudget)
+	for {
+		// A failed send is retried on the next tick like a lost token.
+		_ = client.Send(payload)
+		select {
+		case <-landed:
+			return nil
+		case <-resend.C:
+		}
+		if time.Now().After(deadline) {
+			c.mu.Lock()
+			delete(c.waiters, token)
+			c.mu.Unlock()
+			return fmt.Errorf("collector barrier %s never landed within %v", token, collectorDrainBudget)
+		}
+	}
 }
 
 // ReportsFor returns the reports received for an apk checksum.

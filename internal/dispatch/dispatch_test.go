@@ -183,16 +183,13 @@ func TestCollectorReceivesAndGroupsReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		total, malformed, dropped := c.Totals()
-		if total == 6 && malformed == 1 && dropped == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("collector totals = %d/%d/%d, want 6/1/0", total, malformed, dropped)
-		}
-		time.Sleep(time.Millisecond)
+	// Once a barrier lands, every datagram sent before it has: the test
+	// reads the collector once, without polling.
+	if err := c.Barrier(client, "sent"); err != nil {
+		t.Fatal(err)
+	}
+	if total, malformed, dropped := c.Totals(); total != 6 || malformed != 1 || dropped != 0 {
+		t.Fatalf("collector totals = %d/%d/%d, want 6/1/0", total, malformed, dropped)
 	}
 	got := c.ReportsFor(report.APKSHA256)
 	if len(got) != 5 {
@@ -213,12 +210,11 @@ func TestCollectorReceivesAndGroupsReports(t *testing.T) {
 	if err := client.Send(first); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for len(c.ReportsFor(report.APKSHA256)) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("resend after Forget grouped %d reports, want 1", len(c.ReportsFor(report.APKSHA256)))
-		}
-		time.Sleep(time.Millisecond)
+	if err := c.Barrier(client, "resent"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.ReportsFor(report.APKSHA256)); n != 1 {
+		t.Fatalf("resend after Forget grouped %d reports, want 1", n)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"libspector/internal/nets"
 	"libspector/internal/obs"
 	"libspector/internal/synth"
+	"libspector/internal/xposed"
 )
 
 // AppSource supplies the corpus to analyze. synth.World implements it.
@@ -73,8 +74,10 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Clock, when set, absorbs retry backoff by advancing this virtual
 	// clock instead of sleeping, so deterministic experiments (and tests)
-	// never wait on wall time. The clock is owned by the fleet — do not
-	// share it with an emulator run. Nil backs off in real time.
+	// never wait on wall time. Backoff is all it absorbs: collector
+	// barriers wait in wall time, since datagrams arrive in real time. The
+	// clock is owned by the fleet — do not share it with an emulator run.
+	// Nil backs off in real time.
 	Clock *nets.Clock
 	// Faults injects deterministic run faults (internal/faults); nil
 	// disables injection.
@@ -256,8 +259,8 @@ func applyFaultPlan(opts *emulator.Options, plan faults.Plan) {
 
 // fleetClock serializes access to the fleet's shared virtual clock:
 // nets.Clock itself is not safe for concurrent use, and every worker
-// charges retry backoff and collector-drain waits to the same clock. A
-// nil *fleetClock means no virtual clock is configured.
+// charges retry backoff to the same clock. A nil *fleetClock means no
+// virtual clock is configured.
 type fleetClock struct {
 	mu sync.Mutex
 	c  *nets.Clock
@@ -280,22 +283,9 @@ func (fc *fleetClock) Advance(d time.Duration) {
 	fc.mu.Unlock()
 }
 
-// collectorDrainBudget bounds how long one attempt waits for the
-// collector to drain its datagrams: virtual time when the fleet has a
-// virtual clock, wall time otherwise. A package variable so tests can
-// exercise the timeout without a five-second stall.
-var collectorDrainBudget = 5 * time.Second
-
-// collectorDrainPoll is the interval between drain checks. Polls always
-// sleep wall time (datagrams arrive in real time regardless of the
-// virtual clock), but with a virtual clock configured each poll is also
-// charged to it, keeping the timeout budget machine-independent.
-const collectorDrainPoll = time.Millisecond
-
 // runEnv bundles the per-worker execution state one app run needs:
-// configuration, the worker's collector client, the fleet's shared
-// virtual clock, and telemetry. The zero extras (nil clk/tel/collector)
-// give the standalone RunOne path.
+// configuration, the worker's collector client, and telemetry. The zero
+// extras (nil tel/collector) give the standalone RunOne path.
 type runEnv struct {
 	source    AppSource
 	resolver  nets.Resolver
@@ -303,7 +293,6 @@ type runEnv struct {
 	store     *Store
 	collector *Collector
 	client    *Client
-	clk       *fleetClock
 	tel       *obs.Telemetry
 	// meters is the worker's local accumulator: the one place an attempt
 	// charges the emulator, nets and xposed series. runOne snapshots it
@@ -328,52 +317,16 @@ type runEnv struct {
 	spare   chan []byte
 }
 
-// flushCollector erects a datagram barrier before a retry or requeue
-// resets an apk's report group: it sends a sync token on the worker's own
-// collector socket and waits for it to arrive. Loopback delivers a
-// socket's datagrams in send order, so once the token lands, every report
-// the previous attempt sent is in the collector and the reset clears all
-// of it — no straggler can leak into the new attempt's input. The wait is
-// wall-clock and unmetered (control traffic, like the receive loop
-// itself); it resolves in microseconds on loopback.
-func (env *runEnv) flushCollector(i, attempt int) error {
-	if env.client == nil || env.collector == nil {
-		return nil
-	}
-	token := fmt.Sprintf("%d/%d", i, attempt)
-	payload := append([]byte(syncMagic), token...)
-	deadline := time.Now().Add(collectorDrainBudget)
-	for {
-		if err := env.client.Send(payload); err != nil {
-			return fmt.Errorf("collector flush barrier: %w", err)
-		}
-		// Re-send periodically in case the token datagram itself is lost;
-		// duplicate tokens are idempotent.
-		for k := 0; k < 50; k++ {
-			if env.collector.SyncSeen(token) {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("collector flush barrier for app %d attempt %d never landed", i, attempt)
-			}
-			time.Sleep(collectorDrainPoll)
-		}
-	}
-}
-
 // runOne executes the full per-app worker job: pull the apk, filter by
 // ABI, feed the LibRadar pass, exercise in the emulator, and run offline
 // attribution. The returned evidence is non-nil only when
 // cfg.EmitEvidence is set. attempt is 1-based; retries re-enter with the
 // same index and a higher attempt so fault injection can distinguish
-// transient from poison faults. requeued marks a run handed back by
-// resume: the collector may hold the dead campaign's datagrams for this
-// apk, which must be forgotten exactly like a failed attempt's. parent,
-// when non-nil, is the run's dispatch span; the stages hang their child
-// spans off it. The returned meters are what the attempt charged, on
-// every exit path — a failed attempt's telemetry is journaled like a
-// completed run's.
-func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, parent *obs.Span) (_ *attribution.RunResult, _ *RunEvidence, meters *journal.RunMeters, _ bool, _ error) {
+// transient from poison faults. parent, when non-nil, is the run's
+// dispatch span; the stages hang their child spans off it. The returned
+// meters are what the attempt charged, on every exit path — a failed
+// attempt's telemetry is journaled like a completed run's.
+func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span) (_ *attribution.RunResult, _ *RunEvidence, meters *journal.RunMeters, _ bool, _ error) {
 	source, resolver, cfg, store, collector, client := env.source, env.resolver, env.cfg, env.store, env.collector, env.client
 	env.app = nil
 	defer func() { meters = env.attemptMeters() }()
@@ -419,19 +372,11 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, pa
 	if client != nil {
 		opts.ReportSink = client.Send
 	}
-	if collector != nil && (attempt > 1 || requeued) {
-		// Drop the failed attempt's datagrams — or, for a run requeued by
-		// resume, whatever the interrupted campaign left behind — so they
-		// don't pollute this attempt's attribution input. The flush
-		// barrier first forces every datagram the dead attempt put on the
-		// wire to land: without it, a straggler arriving after the reset
-		// joins this attempt's group, and a fault-mutated straggler is not
-		// byte-identical to any resent report, so the drain would fail on
-		// residue that a rerun may or may not reproduce — a retry count
-		// that depends on loopback timing.
-		if err := env.flushCollector(i, attempt); err != nil {
-			return nil, nil, nil, false, err
-		}
+	if collector != nil && attempt > 1 {
+		// Drop the failed attempt's datagrams so they don't pollute this
+		// attempt's attribution input. That attempt ended with a barrier,
+		// so every datagram it put on the wire has landed and the reset
+		// clears all of it: no straggler can join this attempt's group.
 		collector.Forget(sha)
 	}
 	if cfg.Faults != nil {
@@ -446,23 +391,33 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, pa
 	opts.Capture = env.capture
 	arts, err := emulator.RunContext(ctx, emulator.Installation{Program: app.Program, APKSHA256: sha}, resolver, opts)
 	if err != nil {
-		return nil, nil, nil, false, fmt.Errorf("emulator run: %w", err)
+		err = fmt.Errorf("emulator run: %w", err)
+	} else {
+		// Keep the buffer the capture grew into. Nothing this attempt
+		// returns aliases it except the evidence, which carries it away
+		// only when the run's event is emitted; attribution reads the
+		// capture through a copy, so after a failed or diskless attempt
+		// the next one can overwrite it.
+		env.capture = arts.CaptureBytes[:0]
+		if arts.HookErrors > 0 {
+			err = fmt.Errorf("emulator run had %d hook errors", arts.HookErrors)
+		} else if delivered := len(arts.RawReports); delivered < arts.ReportsSent {
+			// Sequence-gap detection: the supervisor numbers its datagrams,
+			// so in-flight loss shows up as delivered < sent instead of
+			// silently shrinking the attribution input.
+			err = fmt.Errorf("run lost %d supervisor datagrams (%d sent, %d delivered)",
+				arts.ReportsSent-delivered, arts.ReportsSent, delivered)
+		}
 	}
-	// Keep the buffer the capture grew into. Nothing this attempt returns
-	// aliases it except the evidence, which carries it away only when the
-	// run's event is emitted; attribution reads the capture through a
-	// copy, so after a failed or diskless attempt the next one can
-	// overwrite it.
-	env.capture = arts.CaptureBytes[:0]
-	if arts.HookErrors > 0 {
-		return nil, nil, nil, false, fmt.Errorf("emulator run had %d hook errors", arts.HookErrors)
+
+	var reports []*xposed.Report
+	if collector != nil {
+		reports, err = env.drain(parent, i, attempt, pack.Manifest.Package, sha, arts, err)
+	} else if err == nil {
+		reports = arts.Reports
 	}
-	if delivered := len(arts.RawReports); delivered < arts.ReportsSent {
-		// Sequence-gap detection: the supervisor numbers its datagrams, so
-		// in-flight loss shows up as delivered < sent instead of silently
-		// shrinking the attribution input.
-		return nil, nil, nil, false, fmt.Errorf("run lost %d supervisor datagrams (%d sent, %d delivered)",
-			arts.ReportsSent-delivered, arts.ReportsSent, delivered)
+	if err != nil {
+		return nil, nil, nil, false, err
 	}
 
 	var evidence *RunEvidence
@@ -482,64 +437,6 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, pa
 			RawReports: arts.RawReports,
 			Trace:      arts.Trace,
 		}
-	}
-
-	reports := arts.Reports
-	if collector != nil {
-		// Wait for the collector to drain this app's datagrams; UDP on
-		// loopback is reliable but asynchronous. The deadline budget is
-		// charged to the fleet's virtual clock when one is configured —
-		// each poll advances it by the poll interval and the timeout
-		// triggers after a fixed number of charged polls — so the wait's
-		// accounting is machine-independent, matching the determinism
-		// discipline of retry backoff. Without a virtual clock the budget
-		// is plain wall time.
-		drain := parent.Child(obs.SpanDrain, env.tel.Now())
-		var waited time.Duration
-		wallDeadline := time.Now().Add(collectorDrainBudget)
-		for {
-			got := collector.ReportsFor(sha)
-			if len(got) == len(arts.RawReports) {
-				reports = got
-				break
-			}
-			if len(got) > len(arts.RawReports) {
-				// The collector dedupes payloads per apk, so an overshoot
-				// means residue that is NOT byte-identical to this run's
-				// reports — a determinism violation. Fail the attempt loudly
-				// instead of attributing from a polluted report set.
-				drain.Attr("outcome", "overshoot").End(env.tel.Now())
-				return nil, nil, nil, false, fmt.Errorf("collector holds %d reports for %s, run sent %d (non-identical attempt residue)",
-					len(got), pack.Manifest.Package, len(arts.RawReports))
-			}
-			if env.clk != nil {
-				env.clk.Advance(collectorDrainPoll)
-				waited += collectorDrainPoll
-			}
-			if !env.tel.Virtual() {
-				// Poll counts depend on real datagram arrival timing, so
-				// the series is wall-only: a deterministic snapshot never
-				// contains it.
-				env.tel.Counter(obs.MFleetDrainPolls).Inc()
-			}
-			timedOut := waited > collectorDrainBudget
-			if env.clk == nil {
-				timedOut = time.Now().After(wallDeadline)
-			}
-			if timedOut {
-				env.tel.Counter(obs.MFleetDrainTimeouts).Inc()
-				drain.Attr("outcome", "timeout").End(env.tel.Now())
-				return nil, nil, nil, false, fmt.Errorf("collector received %d of %d reports for %s",
-					len(got), len(arts.RawReports), pack.Manifest.Package)
-			}
-			select {
-			case <-ctx.Done():
-				drain.Attr("outcome", "cancelled").End(env.tel.Now())
-				return nil, nil, nil, false, ctx.Err()
-			case <-time.After(collectorDrainPoll):
-			}
-		}
-		drain.AttrInt("reports", int64(len(reports))).End(env.tel.Now())
 	}
 
 	attrSpan := parent.Child(obs.SpanAttribution, env.tel.Now())
@@ -565,6 +462,46 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, requeued bool, pa
 	return run, evidence, nil, false, nil
 }
 
+// drain ends an attempt that reached the emulator with its one collector
+// barrier, on every exit path. Once the token lands, everything the
+// attempt sent is in the collector: a failed attempt (runErr) keeps its
+// own error, and its retry can Forget all of it; a good attempt's group
+// is complete, so one read returns it — fewer reports than the run sent
+// is loss, more is residue. The wait is wall time (datagrams arrive in
+// real time) and resolves in microseconds on loopback.
+func (env *runEnv) drain(parent *obs.Span, i, attempt int, pkg, sha string, arts *emulator.Artifacts, runErr error) ([]*xposed.Report, error) {
+	var span *obs.Span
+	if runErr == nil {
+		span = parent.Child(obs.SpanDrain, env.tel.Now())
+	}
+	if err := env.collector.Barrier(env.client, fmt.Sprintf("%d/%d", i, attempt)); err != nil {
+		env.tel.Counter(obs.MFleetDrainTimeouts).Inc()
+		if runErr == nil {
+			span.Attr("outcome", "timeout").End(env.tel.Now())
+			return nil, err
+		}
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	got, sent := env.collector.ReportsFor(sha), len(arts.RawReports)
+	switch {
+	case len(got) < sent:
+		span.Attr("outcome", "loss").End(env.tel.Now())
+		return nil, fmt.Errorf("collector lost %d of %d reports for %s", sent-len(got), sent, pkg)
+	case len(got) > sent:
+		// The collector dedupes payloads per apk, so an overshoot means
+		// residue that is NOT byte-identical to this run's reports — a
+		// determinism violation. Fail the attempt loudly instead of
+		// attributing from a polluted report set.
+		span.Attr("outcome", "overshoot").End(env.tel.Now())
+		return nil, fmt.Errorf("collector holds %d reports for %s, run sent %d (non-identical attempt residue)",
+			len(got), pkg, sent)
+	}
+	span.AttrInt("reports", int64(sent)).End(env.tel.Now())
+	return got, nil
+}
+
 // RunOne exercises a single app of the corpus outside the fleet and
 // returns its attribution result. ARM-only apps (excluded by the §III-A
 // filter) yield an error.
@@ -573,7 +510,7 @@ func RunOne(source AppSource, resolver nets.Resolver, cfg Config, index int) (*a
 		return nil, fmt.Errorf("dispatch: config needs an attributor")
 	}
 	env := &runEnv{source: source, resolver: resolver, cfg: cfg, tel: cfg.Telemetry}
-	run, _, _, skipped, err := env.runOne(context.Background(), index, 1, false, nil)
+	run, _, _, skipped, err := env.runOne(context.Background(), index, 1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: app %d: %w", index, err)
 	}

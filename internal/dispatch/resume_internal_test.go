@@ -3,7 +3,6 @@ package dispatch
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -14,106 +13,7 @@ import (
 	"libspector/internal/obs"
 	"libspector/internal/synth"
 	"libspector/internal/vtclient"
-	"libspector/internal/xposed"
 )
-
-// TestRequeuedRunForgetsStaleCollectorState: a run requeued by resume may
-// find the collector still holding the dead campaign's datagrams for its
-// apk. The requeue flag must clear them exactly like a retry clears a
-// failed attempt's — otherwise the replayed app joins a stale report set
-// and the drain overshoots.
-func TestRequeuedRunForgetsStaleCollectorState(t *testing.T) {
-	cfg := synth.DefaultConfig()
-	cfg.Seed = 191
-	cfg.NumApps = 8
-	world, err := synth.NewWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := -1
-	for i := 0; i < cfg.NumApps; i++ {
-		app, err := world.GenerateApp(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if app.APK.SupportsX86() {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		t.Fatal("no x86 app in the corpus")
-	}
-	app, err := world.GenerateApp(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sha := app.SHA256
-
-	collector, err := NewCollector(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = collector.Close() }()
-	client, err := dialCollector(collector.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-
-	// plant simulates pre-crash residue: grouped reports whose payloads
-	// are guaranteed distinct from anything this run resends. Far more
-	// entries than one run's report count, so a non-forgetting drain sees
-	// the overshoot immediately instead of racing datagram arrival.
-	plant := func() {
-		const stale = 1 << 10
-		reports := make([]*xposed.Report, stale)
-		seen := make(map[[sha256.Size]byte]struct{}, stale)
-		for k := 0; k < stale; k++ {
-			reports[k] = &xposed.Report{APKSHA256: sha}
-			var key [sha256.Size]byte
-			key[0], key[1] = byte(k), byte(k>>8)
-			seen[key] = struct{}{}
-		}
-		collector.mu.Lock()
-		collector.bySHA[sha] = reports
-		collector.seen[sha] = seen
-		collector.mu.Unlock()
-	}
-
-	svc, err := vtclient.NewService(vtclient.NewOracle(191, world.DomainTruth()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := emulator.DefaultOptions(191)
-	opts.Monkey.Events = 120
-	env := &runEnv{
-		source:   world,
-		resolver: world.Resolver,
-		cfg: Config{
-			Emulator:   opts,
-			BaseSeed:   191,
-			Attributor: attribution.NewAttributor(svc),
-		},
-		collector: collector,
-		client:    client,
-	}
-
-	plant()
-	if _, _, _, _, err := env.runOne(context.Background(), idx, 1, false, nil); err == nil {
-		t.Fatal("stale collector residue went undetected without the requeue flag")
-	}
-
-	collector.Forget(sha)
-	plant()
-	run, _, _, skip, err := env.runOne(context.Background(), idx, 1, true, nil)
-	if err != nil {
-		t.Fatalf("requeued run failed despite Forget: %v", err)
-	}
-	if skip || run == nil {
-		t.Fatalf("requeued run skipped or empty (skip=%v)", skip)
-	}
-}
 
 // TestRequeuedReplayObservesAppOnce: a journaled run whose stored
 // evidence loads cleanly but fails re-attribution (here a capture torn
@@ -171,7 +71,7 @@ func TestRequeuedReplayObservesAppOnce(t *testing.T) {
 	// with the capture cut mid-record. The detector joins afterwards, so
 	// it sees the resumed fleet only.
 	env := &runEnv{source: world, resolver: world.Resolver, cfg: fleet}
-	_, evidence, _, _, err := env.runOne(context.Background(), idx, 1, false, nil)
+	_, evidence, _, _, err := env.runOne(context.Background(), idx, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"libspector/internal/emulator"
 	"libspector/internal/faults"
 	"libspector/internal/nets"
+	"libspector/internal/obs"
 	"libspector/internal/synth"
 	"libspector/internal/vtclient"
 )
@@ -73,10 +74,16 @@ func TestStoreRetainedHeapIndependentOfApkBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Two collections before each reading: archive/zip pools a ~1 MB
+		// flate writer in a sync.Pool, and one GC only moves it to the
+		// pool's victim cache, where the first reading would still count
+		// it and the second would not.
 		var with, without runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&with)
 		runtime.KeepAlive(s)
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&without)
 		return int64(with.HeapAlloc) - int64(without.HeapAlloc), apkBytes
@@ -92,12 +99,19 @@ func TestStoreRetainedHeapIndependentOfApkBytes(t *testing.T) {
 
 // TestFaultedCampaignStoresEachAppOnce runs a campaign where 20% of apps
 // fault once and are retried: every retry puts its apk again, and the
-// store must still hold exactly one version per package.
+// store must still hold exactly one version per package. Every attempt
+// also ended with a collector barrier, and none may leave state behind.
 func TestFaultedCampaignStoresEachAppOnce(t *testing.T) {
 	var store *Store
-	orig := newStore
+	var collector *Collector
+	origStore, origCollector := newStore, newCollector
 	newStore = func() *Store { store = NewStore(); return store }
-	defer func() { newStore = orig }()
+	newCollector = func(tel *obs.Telemetry) (*Collector, error) {
+		var err error
+		collector, err = NewCollector(tel)
+		return collector, err
+	}
+	defer func() { newStore, newCollector = origStore, origCollector }()
 
 	const seed, apps = 61, 40
 	cfg := synth.DefaultConfig()
@@ -151,5 +165,8 @@ func TestFaultedCampaignStoresEachAppOnce(t *testing.T) {
 		if n := store.VersionCount(pkg); n != 1 {
 			t.Errorf("%s: VersionCount = %d, want 1", pkg, n)
 		}
+	}
+	if n := pendingBarriers(collector); n != 0 {
+		t.Errorf("collector holds %d barrier entries after the campaign", n)
 	}
 }

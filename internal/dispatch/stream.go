@@ -165,9 +165,9 @@ func (f SinkFunc) Consume(ev RunEvent) error { return f(ev) }
 // tests can inject dial failures.
 var dialCollector = NewClient
 
-// newStore creates a fleet's apk store; a package variable so a test can
-// inspect the store a campaign used.
-var newStore = NewStore
+// newCollector and newStore create a fleet's collector and apk store;
+// package variables so a test can inspect the ones a campaign used.
+var newCollector, newStore = NewCollector, NewStore
 
 // Stream exercises every app in the source across the worker fleet and
 // returns a bounded channel of per-app events in completion order, closed
@@ -215,7 +215,7 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 	var collector *Collector
 	if cfg.UseCollector {
 		var err error
-		collector, err = NewCollector(cfg.Telemetry)
+		collector, err = newCollector(cfg.Telemetry)
 		if err != nil {
 			return nil, err
 		}
@@ -371,8 +371,8 @@ type fleetRun struct {
 	stopOnce sync.Once
 
 	// clk wraps cfg.Clock behind a mutex: the virtual clock absorbs
-	// retry backoff and collector-drain waits from every worker. Nil
-	// when no virtual clock is configured.
+	// retry backoff from every worker. Nil when no virtual clock is
+	// configured.
 	clk *fleetClock
 	// tel is the fleet's telemetry (nil-safe when unset).
 	tel *obs.Telemetry
@@ -427,8 +427,7 @@ func (f *fleetRun) emit(ev RunEvent) {
 
 // job is one unit of worker work: an app index, plus — when resuming —
 // either its journaled terminal outcome (replay instead of re-running) or
-// a requeue marker (the crash caught it in flight; run it live and clear
-// any stale collector state first).
+// a requeue marker (the crash caught it in flight; run it live).
 type job struct {
 	idx      int
 	rec      *journal.AppOutcome
@@ -544,7 +543,6 @@ func (f *fleetRun) worker(w int, jobs <-chan job) {
 		store:     f.store,
 		collector: f.collector,
 		client:    client,
-		clk:       f.clk,
 		tel:       f.tel,
 		meters:    obs.NewMeters(),
 		spare:     f.spare,
@@ -552,14 +550,6 @@ func (f *fleetRun) worker(w int, jobs <-chan job) {
 	if f.cfg.WorkerFold != nil {
 		env.fold = f.cfg.WorkerFold(w)
 	}
-	// Land every datagram this worker sent before the fleet closes the
-	// collector: an attempt that failed for good has no flush barrier of
-	// its own, and reports still in flight at Close would be missing from
-	// the live collector_datagrams_received_total that the journal's
-	// per-attempt meters (and so a resume) charge in full. Index -1 keeps
-	// the token apart from every app's. A barrier that never lands only
-	// leaves the count as short as it would have been without it.
-	defer func() { _ = env.flushCollector(-1, w) }()
 	busy := f.tel.Gauge(obs.MFleetWorkersBusy)
 	total := f.tel.Gauge(obs.MFleetWorkers)
 	for j := range jobs {
@@ -652,7 +642,7 @@ func (f *fleetRun) runApp(env *runEnv, i int, requeued bool) {
 	}
 	for attempt := 1; ; attempt++ {
 		ctx, cancel := f.attemptCtx()
-		run, evidence, meters, skip, err := env.runOne(ctx, i, attempt, requeued, a.root)
+		run, evidence, meters, skip, err := env.runOne(ctx, i, attempt, a.root)
 		cancel()
 		tr := transition{kind: exhausted, attempt: attempt, err: err, meters: meters, run: run, evidence: evidence}
 		switch {

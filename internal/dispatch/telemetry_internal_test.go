@@ -76,9 +76,6 @@ func TestFleetTelemetrySeries(t *testing.T) {
 		t.Errorf("clean fleet recorded %d drain timeouts", c[obs.MFleetDrainTimeouts])
 	}
 	// Wall-only series must not exist in a virtual-clock snapshot.
-	if _, ok := c[obs.MFleetDrainPolls]; ok {
-		t.Errorf("virtual snapshot contains wall-only series %s", obs.MFleetDrainPolls)
-	}
 	if _, ok := snap.Histograms[obs.MAttribWallUS]; ok {
 		t.Errorf("virtual snapshot contains wall-only series %s", obs.MAttribWallUS)
 	}
@@ -103,14 +100,12 @@ func TestFleetTelemetrySeries(t *testing.T) {
 	}
 }
 
-// TestDrainTimeoutChargesVirtualBudget exercises the satellite fix for the
-// collector-drain deadline: with a fleet virtual clock the timeout budget
-// is charged in poll-sized virtual steps, so a run whose supervisor
-// datagrams never reach the collector times out after a machine-independent
-// number of polls instead of a wall-clock wait, and the timeout series
-// records it. Loss between worker and collector is injected by pointing
-// the worker clients at a black-hole socket.
-func TestDrainTimeoutChargesVirtualBudget(t *testing.T) {
+// TestDrainBarrierTimeoutIsWallBudget: a worker whose datagrams never
+// reach the collector (its client points at a black-hole socket) cannot
+// land its barrier, so every attempt fails with the barrier timeout after
+// the wall budget, the timeout series counts each one, and the fleet's
+// virtual clock moves by retry backoff alone.
+func TestDrainBarrierTimeoutIsWallBudget(t *testing.T) {
 	origBudget := collectorDrainBudget
 	collectorDrainBudget = 25 * time.Millisecond
 	defer func() { collectorDrainBudget = origBudget }()
@@ -140,6 +135,7 @@ func TestDrainTimeoutChargesVirtualBudget(t *testing.T) {
 		Attributor:      attributor,
 		UseCollector:    true,
 		ContinueOnError: true,
+		MaxAttempts:     2,
 		RetryBackoff:    time.Second,
 		Clock:           clock,
 		Telemetry:       tel,
@@ -147,20 +143,20 @@ func TestDrainTimeoutChargesVirtualBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ContinueOnError fleet aborted: %v", err)
 	}
-	snap := tel.Metrics().Snapshot()
-	timeouts := snap.Counters[obs.MFleetDrainTimeouts]
-	if len(res.Failures) == 0 {
-		t.Fatal("black-holed collector produced no failures")
+	if len(res.Quarantined) == 0 {
+		t.Fatal("black-holed collector quarantined no app")
 	}
-	if timeouts != int64(len(res.Failures)) {
-		t.Errorf("drain timeouts = %d, failures = %d", timeouts, len(res.Failures))
+	for _, q := range res.Quarantined {
+		if !strings.Contains(q.LastErr.Error(), "never landed") {
+			t.Errorf("app %d: last error %q, want the barrier timeout", q.AppIndex, q.LastErr)
+		}
 	}
-	// Each timed-out attempt advanced the fleet clock past the whole
-	// budget in poll steps; the clock must have moved at least that far.
-	if moved := clock.Now().Sub(start); moved < collectorDrainBudget {
-		t.Errorf("fleet clock advanced %v, want at least the %v drain budget", moved, collectorDrainBudget)
+	acct := res.Accounting
+	timeouts := tel.Metrics().Snapshot().Counters[obs.MFleetDrainTimeouts]
+	if failed := int64(acct.Attempts - acct.SkippedARMOnly); timeouts != failed || failed != int64(2*len(res.Quarantined)) {
+		t.Errorf("drain timeouts = %d, failed attempts = %d, quarantined apps = %d", timeouts, failed, len(res.Quarantined))
 	}
-	if _, ok := snap.Counters[obs.MFleetDrainPolls]; ok {
-		t.Errorf("virtual snapshot contains wall-only series %s", obs.MFleetDrainPolls)
+	if moved := clock.Now().Sub(start); moved != acct.Backoff || moved != time.Duration(len(res.Quarantined))*time.Second {
+		t.Errorf("fleet clock advanced %v, want exactly the %v of retry backoff", moved, acct.Backoff)
 	}
 }

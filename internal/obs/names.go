@@ -16,7 +16,6 @@ const (
 	MFleetBackoffMS     = "fleet_retry_backoff_ms_total"
 	MFleetWorkers       = "fleet_workers"
 	MFleetWorkersBusy   = "fleet_workers_busy"
-	MFleetDrainPolls    = "fleet_collector_drain_polls_total"
 	MFleetDrainTimeouts = "fleet_collector_drain_timeouts_total"
 
 	// Campaign durability series: outcomes replayed from the journal on

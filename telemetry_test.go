@@ -67,9 +67,6 @@ func TestTelemetryByteDeterminism(t *testing.T) {
 	if snap.Counters[obs.MFleetApps] != 12 {
 		t.Errorf("%s = %d, want 12", obs.MFleetApps, snap.Counters[obs.MFleetApps])
 	}
-	if _, ok := snap.Counters[obs.MFleetDrainPolls]; ok {
-		t.Errorf("wall-only series %s leaked into a virtual snapshot", obs.MFleetDrainPolls)
-	}
 	if _, ok := snap.Histograms[obs.MAttribWallUS]; ok {
 		t.Errorf("wall-only series %s leaked into a virtual snapshot", obs.MAttribWallUS)
 	}
