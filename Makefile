@@ -52,7 +52,7 @@ loc:
 # (internal/codec/formats_test.go — every blob that crosses a process or
 # a crash boundary, one table row each), the pcap packet decoder, whose
 # input is traffic rather than a format of ours, the pcap file reader
-# (stored capture.pcap files reach it through resume, audit and libdump)
+# (stored capture.pcap files reach it through resume, audit and `libspector dump`)
 # and the SDEX decoder (every apk the store verifies reaches it), the
 # last two held to an allocation ceiling proportional to their input. A
 # short minimize budget keeps the harness and the SDEX target exploring

@@ -349,6 +349,10 @@ func BenchmarkOfflineAnalysisPerApp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	reports, err := xposed.DecodeReports(arts.RawReports)
+	if err != nil {
+		b.Fatal(err)
+	}
 	svc, err := vtclient.NewService(vtclient.NewOracle(62, world.DomainTruth()))
 	if err != nil {
 		b.Fatal(err)
@@ -363,7 +367,7 @@ func BenchmarkOfflineAnalysisPerApp(b *testing.B) {
 			AppPackage:    app.APK.Manifest.Package,
 			AppCategory:   app.APK.Manifest.Category,
 			Capture:       bytes.NewReader(arts.CaptureBytes),
-			Reports:       arts.Reports,
+			Reports:       reports,
 			Trace:         arts.Trace,
 			Disassembly:   disasm,
 			LocalAddr:     nets.DefaultLocalAddr,
@@ -632,7 +636,7 @@ func BenchmarkFleetRun(b *testing.B) {
 // UDP collector and apk store, and streaming aggregation — with
 // telemetry enabled, i.e. the exact per-shard configuration a sharded
 // campaign runs. BenchmarkFleetRun above stays the bare-dispatch
-// contrast: no facade, no collector, no telemetry.
+// contrast: no facade, no telemetry.
 func BenchmarkFleetThroughput(b *testing.B) {
 	const apps = 12
 	for i := 0; i < b.N; i++ {
@@ -641,8 +645,6 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		cfg.Apps = apps
 		cfg.Workers = 4
 		cfg.MonkeyEvents = 120
-		cfg.UseCollector = true
-		cfg.UseStore = true
 		cfg.Telemetry = obs.NewVirtual(nil)
 		exp, err := libspector.NewExperiment(cfg)
 		if err != nil {

@@ -1,11 +1,3 @@
-// Command libdump is a tcpdump-lite for captures produced by this
-// repository: it prints the packets, reconstructed flows, and DNS
-// resolutions of a pcap file — e.g. one persisted under an artifact
-// directory by `libspector -artifacts`.
-//
-// Usage:
-//
-//	libdump -pcap artifacts/<sha>/capture.pcap [-mode flows|packets|dns]
 package main
 
 import (
@@ -20,15 +12,12 @@ import (
 	"libspector/internal/pcap"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "libdump:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("libdump", flag.ContinueOnError)
+// runDump implements "libspector dump", a tcpdump-lite for captures
+// produced by this repository: it prints the packets, reconstructed flows,
+// and DNS resolutions of a pcap file — e.g. one persisted under an
+// artifact directory by -artifacts.
+func runDump(args []string) error {
+	fs := flag.NewFlagSet("libspector dump", flag.ContinueOnError)
 	var (
 		path = fs.String("pcap", "", "capture file to inspect")
 		mode = fs.String("mode", "flows", "output mode: flows, packets, dns")

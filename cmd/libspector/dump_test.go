@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,21 +41,22 @@ func writeTestCapture(t *testing.T) string {
 func TestDumpModes(t *testing.T) {
 	path := writeTestCapture(t)
 	for _, mode := range []string{"flows", "packets", "dns"} {
-		if err := run([]string{"-pcap", path, "-mode", mode, "-n", "5"}); err != nil {
+		if err := run(context.Background(), []string{"dump", "-pcap", path, "-mode", mode, "-n", "5"}); err != nil {
 			t.Errorf("mode %s: %v", mode, err)
 		}
 	}
 }
 
 func TestDumpValidation(t *testing.T) {
-	if err := run(nil); err == nil {
+	ctx := context.Background()
+	if err := run(ctx, []string{"dump"}); err == nil {
 		t.Error("missing -pcap should fail")
 	}
-	if err := run([]string{"-pcap", "/nonexistent.pcap"}); err == nil {
+	if err := run(ctx, []string{"dump", "-pcap", "/nonexistent.pcap"}); err == nil {
 		t.Error("missing file should fail")
 	}
 	path := writeTestCapture(t)
-	if err := run([]string{"-pcap", path, "-mode", "bogus"}); err == nil {
+	if err := run(ctx, []string{"dump", "-pcap", path, "-mode", "bogus"}); err == nil {
 		t.Error("unknown mode should fail")
 	}
 }

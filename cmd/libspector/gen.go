@@ -1,13 +1,3 @@
-// Command libgen materializes a synthetic apk corpus on disk: one .apk
-// file per app (the real zip container this repository's apk package
-// encodes) plus an index.json with the AndroZoo-style metadata the store
-// selection policy consumes. It can also verify a previously generated
-// corpus directory.
-//
-// Usage:
-//
-//	libgen -out corpus/ -apps 100 [-seed 42]
-//	libgen -verify corpus/
 package main
 
 import (
@@ -16,9 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"libspector/internal/apk"
@@ -38,19 +26,14 @@ type indexEntry struct {
 	X86        bool               `json:"x86_compatible"`
 }
 
-func main() {
-	// SIGINT/SIGTERM stop generation/verification at the next app; a
-	// partial corpus still gets a consistent index.json.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "libgen:", err)
-		os.Exit(1)
-	}
-}
-
-func run(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("libgen", flag.ContinueOnError)
+// runGen implements "libspector gen": materialize the synthetic apk
+// corpus on disk — one .apk file per app (the real zip container the apk
+// package encodes) plus an index.json with the AndroZoo-style metadata
+// the store selection policy consumes — or verify a previously generated
+// corpus directory. A cancelled ctx stops at the next app; a partial
+// corpus still gets a consistent index.json.
+func runGen(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("libspector gen", flag.ContinueOnError)
 	var (
 		out    = fs.String("out", "", "output directory for the generated corpus")
 		verify = fs.String("verify", "", "verify a previously generated corpus directory")

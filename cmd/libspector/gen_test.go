@@ -9,7 +9,7 @@ import (
 
 func TestGenerateAndVerify(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), []string{"-out", dir, "-apps", "5", "-seed", "3"}); err != nil {
+	if err := run(context.Background(), []string{"gen", "-out", dir, "-apps", "5", "-seed", "3"}); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -20,14 +20,14 @@ func TestGenerateAndVerify(t *testing.T) {
 	if len(entries) != 6 {
 		t.Fatalf("generated %d files, want 6", len(entries))
 	}
-	if err := run(context.Background(), []string{"-verify", dir}); err != nil {
+	if err := run(context.Background(), []string{"gen", "-verify", dir}); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 }
 
 func TestVerifyDetectsTampering(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), []string{"-out", dir, "-apps", "2", "-seed", "3"}); err != nil {
+	if err := run(context.Background(), []string{"gen", "-out", dir, "-apps", "2", "-seed", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -49,16 +49,16 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		}
 		break
 	}
-	if err := run(context.Background(), []string{"-verify", dir}); err == nil {
+	if err := run(context.Background(), []string{"gen", "-verify", dir}); err == nil {
 		t.Error("tampered corpus should fail verification")
 	}
 }
 
-func TestRunFlagValidation(t *testing.T) {
-	if err := run(context.Background(), nil); err == nil {
+func TestGenFlagValidation(t *testing.T) {
+	if err := run(context.Background(), []string{"gen"}); err == nil {
 		t.Error("no flags should fail")
 	}
-	if err := run(context.Background(), []string{"-verify", "/nonexistent-dir-xyz"}); err == nil {
+	if err := run(context.Background(), []string{"gen", "-verify", "/nonexistent-dir-xyz"}); err == nil {
 		t.Error("missing dir should fail")
 	}
 }

@@ -5,15 +5,21 @@
 //
 // Usage:
 //
-//	libspector [-apps N] [-seed S] [-workers W] [-events E] [-collector] [-store]
+//	libspector [-apps N] [-seed S] [-workers W] [-events E]
 //	           [-journal campaign.wal] [-resume]
 //	           [-metrics-addr :8321] [-trace-out traces.jsonl] [-events-out events.jsonl]
 //	libspector -shards N [-journal campaign.wal -artifacts DIR] [-probe-base-port P]
 //	libspector audit -artifacts DIR [-journal campaign.wal]
+//	libspector dump -pcap DIR/<sha>/capture.pcap [-mode flows|packets|dns] [-n N]
+//	libspector gen -out corpus/ [-apps 100] [-seed 42]
+//	libspector gen -verify corpus/
 //
-// The campaign flags are declared in internal/fleetflags. With -shards N
-// the campaign runs as N child processes of this binary under the
-// supervising coordinator (libspector.RunShardProcesses).
+// The campaign flags are declared in internal/fleetflags. Every campaign
+// routes its supervisor reports through the UDP collector and its apks
+// through the database server. With -shards N the campaign runs as N
+// child processes of this binary under the supervising coordinator
+// (libspector.RunShardProcesses). The audit, dump and gen subcommands
+// work on a campaign's stored evidence, its captures and its corpus.
 package main
 
 import (
@@ -118,8 +124,15 @@ func main() {
 }
 
 func run(ctx context.Context, args []string) error {
-	if len(args) > 0 && args[0] == "audit" {
-		return runAudit(args[1:])
+	if len(args) > 0 {
+		switch args[0] {
+		case "audit":
+			return runAudit(args[1:])
+		case "dump":
+			return runDump(args[1:])
+		case "gen":
+			return runGen(ctx, args[1:])
+		}
 	}
 	fs := flag.NewFlagSet("libspector", flag.ContinueOnError)
 	flags := fleetflags.New(fs).Corpus(300, 0).World().Durability().Faults().Ops().ShardFlags().Supervision()

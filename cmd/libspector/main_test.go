@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 )
 
@@ -15,8 +18,7 @@ func TestFullPipelineSmallCorpus(t *testing.T) {
 	}
 	artifacts := t.TempDir()
 	err := run(context.Background(), []string{
-		"-apps", "10", "-seed", "9", "-events", "150",
-		"-collector", "-store", "-artifacts", artifacts,
+		"-apps", "10", "-seed", "9", "-events", "150", "-artifacts", artifacts,
 	})
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
@@ -36,6 +38,51 @@ func TestFullPipelineSmallCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFlaglessCampaignUsesCollector: a campaign given no transport flags
+// still ships every supervisor report over UDP, so its telemetry snapshot
+// counts the datagrams the collector received.
+func TestFlaglessCampaignUsesCollector(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet-backed CLI test skipped in -short mode")
+	}
+	out := captureStdout(t, func() error {
+		return run(context.Background(), []string{"-apps", "6", "-seed", "9", "-events", "60"})
+	})
+	m := regexp.MustCompile(`(?m)^\s*collector_datagrams_received_total\s+(\d+)$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no collector_datagrams_received_total line in the output:\n%s", out)
+	}
+	if n, _ := strconv.Atoi(m[1]); n == 0 {
+		t.Error("a flagless campaign's collector received no datagrams")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	runErr := fn()
+	os.Stdout = orig
+	_ = w.Close()
+	out := <-read
+	_ = r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
 }
 
 func TestBadFlagRejected(t *testing.T) {
@@ -129,7 +176,7 @@ func TestProcessModeEventLogMatchesSingleProcess(t *testing.T) {
 	}
 	t.Setenv("LIBSPECTOR_TEST_AS_CLI", "1")
 	dir := t.TempDir()
-	base := []string{"-apps", "12", "-seed", "9", "-events", "120", "-workers", "4", "-collector", "-store"}
+	base := []string{"-apps", "12", "-seed", "9", "-events", "120", "-workers", "4"}
 	one, two := filepath.Join(dir, "one.jsonl"), filepath.Join(dir, "two.jsonl")
 	if err := run(context.Background(), append(base, "-events-out", one)); err != nil {
 		t.Fatalf("-shards 1: %v", err)

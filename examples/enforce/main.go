@@ -18,6 +18,7 @@ import (
 	"libspector/internal/emulator"
 	"libspector/internal/nets"
 	"libspector/internal/synth"
+	"libspector/internal/xposed"
 )
 
 func main() {
@@ -77,8 +78,12 @@ func run() error {
 		if err != nil {
 			return nil, nil, err
 		}
+		reports, err := xposed.DecodeReports(arts.RawReports)
+		if err != nil {
+			return nil, nil, err
+		}
 		attr := attribution.NewAttributor(nil)
-		if _, err := attr.Attribute(sum, arts.Reports, app.SHA256); err != nil {
+		if _, err := attr.Attribute(sum, reports, app.SHA256); err != nil {
 			return nil, nil, err
 		}
 		byOrigin := make(map[string]int64)

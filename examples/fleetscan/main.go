@@ -70,8 +70,6 @@ func run(ctx context.Context) error {
 		return err
 	}
 	defer flags.Close()
-	cfg.UseCollector = true // real UDP collection server
-	cfg.UseStore = true     // database-server round trip per apk
 	if cfg.FaultRate > 0 {
 		// A faulted fleet must keep going and retry; otherwise the first
 		// injected fault would abort the whole scan.

@@ -12,6 +12,7 @@ import (
 	"libspector/internal/emulator"
 	"libspector/internal/nets"
 	"libspector/internal/synth"
+	"libspector/internal/xposed"
 )
 
 func TestPolicyValidation(t *testing.T) {
@@ -149,8 +150,12 @@ func TestEnforcedRunSuppressesAnTTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reports, err := xposed.DecodeReports(arts.RawReports)
+		if err != nil {
+			t.Fatal(err)
+		}
 		attr := attribution.NewAttributor(nil)
-		if _, err := attr.Attribute(sum, arts.Reports, app.SHA256); err != nil {
+		if _, err := attr.Attribute(sum, reports, app.SHA256); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range sum.Flows {

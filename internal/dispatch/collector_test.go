@@ -38,6 +38,14 @@ func pendingBarriers(c *Collector) int {
 	return len(c.waiters)
 }
 
+// reportGroups is how many apks the collector still holds reports, or
+// dedupe memory, for.
+func reportGroups(c *Collector) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return max(len(c.bySHA), len(c.seen))
+}
+
 // TestBarrierTokensLeaveNoState: the collector keeps a token only while a
 // barrier waits for it. A token nobody waits for is dropped on arrival, a
 // landed barrier's entry is gone when it returns, and a barrier that times
@@ -200,6 +208,7 @@ func TestDrainLossFailsFast(t *testing.T) {
 		source:    world,
 		resolver:  world.Resolver,
 		cfg:       Config{Emulator: opts, BaseSeed: 191, Attributor: attributor},
+		store:     NewStore(),
 		collector: collector,
 		client:    client,
 		meters:    obs.NewMeters(),

@@ -134,20 +134,19 @@ func TestFaultTransientRecoveryMatchesCleanRun(t *testing.T) {
 	}
 }
 
-// TestFaultRetryDoesNotPolluteCollector guards the collector reset on
-// retry: a failed attempt leaves its datagrams in the collector, and
-// without Forget the retried run would attribute from a polluted report
-// set (surfacing as unmatched reports). Through the real UDP collector, a
-// transient-faulted fleet must match a clean collector fleet exactly.
+// TestFaultRetryDoesNotPolluteCollector guards the collector reset
+// between attempts: a failed attempt puts datagrams in the collector, and
+// unless its drain forgets them the retried run would attribute from a
+// polluted report set (surfacing as unmatched reports). A transient-faulted
+// fleet must match a clean fleet exactly.
 func TestFaultRetryDoesNotPolluteCollector(t *testing.T) {
 	const apps = 8
 	world := smallWorld(t, 107, apps)
 	base := dispatch.Config{
-		Workers:      3,
-		Emulator:     shortOpts(107),
-		BaseSeed:     107,
-		Attributor:   newAttributor(t, 107, world),
-		UseCollector: true,
+		Workers:    3,
+		Emulator:   shortOpts(107),
+		BaseSeed:   107,
+		Attributor: newAttributor(t, 107, world),
 	}
 	clean, err := dispatch.RunAll(world, world.Resolver, base)
 	if err != nil {

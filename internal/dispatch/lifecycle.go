@@ -107,12 +107,10 @@ func (env *runEnv) attemptMeters() *journal.RunMeters {
 	for _, row := range runMeterRows {
 		*row.field(&d) = env.meters.Histogram(row.series, row.bounds).Value()
 	}
-	if env.collector != nil {
-		// The one series the worker does not charge live — the collector's
-		// receive loop does. The attempt's share of it is the datagrams it
-		// put on the wire.
-		d.CollectorReceived = d.ReportsSent - d.DroppedGrams
-	}
+	// The one series the worker does not charge live — the collector's
+	// receive loop does. The attempt's share of it is the datagrams it put
+	// on the wire.
+	d.CollectorReceived = d.ReportsSent - d.DroppedGrams
 	if d == (journal.RunMeters{}) {
 		return nil
 	}

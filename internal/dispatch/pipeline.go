@@ -36,13 +36,6 @@ type Config struct {
 	Emulator emulator.Options
 	// BaseSeed differentiates per-app monkey streams.
 	BaseSeed uint64
-	// UseCollector routes supervisor reports through a real loopback UDP
-	// collector instead of in-process delivery, and attributes from the
-	// collector's copy.
-	UseCollector bool
-	// UseStore round-trips every apk through the database server (put,
-	// §III-A select, decode) before running it.
-	UseStore bool
 	// Detector receives per-app package observations for the LibRadar
 	// detection pass; may be nil.
 	Detector *libradar.Detector
@@ -201,7 +194,7 @@ type Result struct {
 	// Accounting is the corpus-coverage ledger for the run.
 	Accounting Accounting
 	// CollectorReports / CollectorMalformed / CollectorDropped are the
-	// collector's datagram totals when UseCollector is set.
+	// collector's datagram totals.
 	CollectorReports   int
 	CollectorMalformed int
 	CollectorDropped   int
@@ -284,8 +277,8 @@ func (fc *fleetClock) Advance(d time.Duration) {
 }
 
 // runEnv bundles the per-worker execution state one app run needs:
-// configuration, the worker's collector client, and telemetry. The zero
-// extras (nil tel/collector) give the standalone RunOne path.
+// configuration, the fleet's apk store and collector, the worker's
+// collector client, and telemetry.
 type runEnv struct {
 	source    AppSource
 	resolver  nets.Resolver
@@ -317,17 +310,18 @@ type runEnv struct {
 	spare   chan []byte
 }
 
-// runOne executes the full per-app worker job: pull the apk, filter by
-// ABI, feed the LibRadar pass, exercise in the emulator, and run offline
-// attribution. The returned evidence is non-nil only when
-// cfg.EmitEvidence is set. attempt is 1-based; retries re-enter with the
-// same index and a higher attempt so fault injection can distinguish
-// transient from poison faults. parent, when non-nil, is the run's
+// runOne executes the full per-app worker job: pull the apk through the
+// store, filter by ABI, exercise in the emulator with every report sent
+// to the collector, and run offline attribution over the collector's
+// copy. The returned evidence is non-nil only when cfg.EmitEvidence is
+// set. attempt is 1-based; retries re-enter with the same index and a
+// higher attempt so fault injection can distinguish transient from poison
+// faults. parent, when non-nil, is the run's
 // dispatch span; the stages hang their child spans off it. The returned
 // meters are what the attempt charged, on every exit path — a failed
 // attempt's telemetry is journaled like a completed run's.
 func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span) (_ *attribution.RunResult, _ *RunEvidence, meters *journal.RunMeters, _ bool, _ error) {
-	source, resolver, cfg, store, collector, client := env.source, env.resolver, env.cfg, env.store, env.collector, env.client
+	source, resolver, cfg, store := env.source, env.resolver, env.cfg, env.store
 	env.app = nil
 	defer func() { meters = env.attemptMeters() }()
 	app, err := source.GenerateApp(i)
@@ -337,26 +331,24 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 	encoded := app.Encoded
 	sha := app.SHA256
 	pack := app.APK
-	if store != nil {
-		// Round-trip through the database server: put, select (§III-A),
-		// decode, and verify integrity.
-		entry := StoreEntry{
-			Package:    pack.Manifest.Package,
-			Encoded:    encoded,
-			SHA256:     sha,
-			DexDate:    pack.DexDate,
-			VTScanDate: pack.VTScanDate,
-		}
-		if err := store.Put(entry); err != nil {
-			return nil, nil, nil, false, err
-		}
-		selected, err := store.Select(pack.Manifest.Package)
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		if selected.SHA256 != sha {
-			return nil, nil, nil, false, fmt.Errorf("store selected unexpected version of %s", pack.Manifest.Package)
-		}
+	// Round-trip through the database server: put, select (§III-A),
+	// decode, and verify integrity.
+	entry := StoreEntry{
+		Package:    pack.Manifest.Package,
+		Encoded:    encoded,
+		SHA256:     sha,
+		DexDate:    pack.DexDate,
+		VTScanDate: pack.VTScanDate,
+	}
+	if err := store.Put(entry); err != nil {
+		return nil, nil, nil, false, err
+	}
+	selected, err := store.Select(pack.Manifest.Package)
+	if err != nil {
+		return nil, nil, nil, false, err
+	}
+	if selected.SHA256 != sha {
+		return nil, nil, nil, false, fmt.Errorf("store selected unexpected version of %s", pack.Manifest.Package)
 	}
 	// ABI filter (§III-A): Libspector supports x86-compatible apps only.
 	if !pack.SupportsX86() {
@@ -369,16 +361,7 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 	opts.Telemetry = env.tel
 	opts.Meters = env.meters
 	opts.Span = parent
-	if client != nil {
-		opts.ReportSink = client.Send
-	}
-	if collector != nil && attempt > 1 {
-		// Drop the failed attempt's datagrams so they don't pollute this
-		// attempt's attribution input. That attempt ended with a barrier,
-		// so every datagram it put on the wire has landed and the reset
-		// clears all of it: no straggler can join this attempt's group.
-		collector.Forget(sha)
-	}
+	opts.ReportSink = env.client.Send
 	if cfg.Faults != nil {
 		applyFaultPlan(&opts, cfg.Faults.For(i, attempt))
 	}
@@ -410,12 +393,7 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 		}
 	}
 
-	var reports []*xposed.Report
-	if collector != nil {
-		reports, err = env.drain(parent, i, attempt, pack.Manifest.Package, sha, arts, err)
-	} else if err == nil {
-		reports = arts.Reports
-	}
+	reports, err := env.drain(parent, i, attempt, pack.Manifest.Package, sha, arts, err)
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
@@ -465,11 +443,15 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 // drain ends an attempt that reached the emulator with its one collector
 // barrier, on every exit path. Once the token lands, everything the
 // attempt sent is in the collector: a failed attempt (runErr) keeps its
-// own error, and its retry can Forget all of it; a good attempt's group
-// is complete, so one read returns it — fewer reports than the run sent
-// is loss, more is residue. The wait is wall time (datagrams arrive in
-// real time) and resolves in microseconds on loopback.
+// own error; a good attempt's group is complete, so one read returns it —
+// fewer reports than the run sent is loss (a malformed report is counted
+// by the collector and never grouped), more is residue. Either way the
+// group is then forgotten, so the collector holds no app's reports past
+// its attempt and a retry starts from an empty group. The wait is wall
+// time (datagrams arrive in real time) and resolves in microseconds on
+// loopback.
 func (env *runEnv) drain(parent *obs.Span, i, attempt int, pkg, sha string, arts *emulator.Artifacts, runErr error) ([]*xposed.Report, error) {
+	defer env.collector.Forget(sha)
 	var span *obs.Span
 	if runErr == nil {
 		span = parent.Child(obs.SpanDrain, env.tel.Now())
@@ -502,20 +484,17 @@ func (env *runEnv) drain(parent *obs.Span, i, attempt int, pkg, sha string, arts
 	return got, nil
 }
 
-// RunOne exercises a single app of the corpus outside the fleet and
-// returns its attribution result. ARM-only apps (excluded by the §III-A
-// filter) yield an error.
+// RunOne exercises a single app of the corpus as a one-app, one-worker
+// fleet and returns its attribution result. ARM-only apps (excluded by
+// the §III-A filter) yield an error.
 func RunOne(source AppSource, resolver nets.Resolver, cfg Config, index int) (*attribution.RunResult, error) {
-	if cfg.Attributor == nil {
-		return nil, fmt.Errorf("dispatch: config needs an attributor")
-	}
-	env := &runEnv{source: source, resolver: resolver, cfg: cfg, tel: cfg.Telemetry}
-	run, _, _, skipped, err := env.runOne(context.Background(), index, 1, nil)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: app %d: %w", index, err)
-	}
-	if skipped {
+	cfg.Workers, cfg.Shard, cfg.ContinueOnError = 1, ShardRange{Lo: index, Hi: index + 1}, false
+	res, err := RunAll(source, resolver, cfg)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(res.Runs) == 0:
 		return nil, fmt.Errorf("dispatch: app %d ships only ARM native libraries (excluded by the ABI filter)", index)
 	}
-	return run, nil
+	return res.Runs[0], nil
 }

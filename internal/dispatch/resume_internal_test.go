@@ -70,7 +70,8 @@ func TestRequeuedReplayObservesAppOnce(t *testing.T) {
 	// The evidence the dead campaign left: everything a real run saves,
 	// with the capture cut mid-record. The detector joins afterwards, so
 	// it sees the resumed fleet only.
-	env := &runEnv{source: world, resolver: world.Resolver, cfg: fleet}
+	collector, client := newTestCollector(t)
+	env := &runEnv{source: world, resolver: world.Resolver, cfg: fleet, store: NewStore(), collector: collector, client: client}
 	_, evidence, _, _, err := env.runOne(context.Background(), idx, 1, nil)
 	if err != nil {
 		t.Fatal(err)

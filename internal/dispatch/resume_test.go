@@ -36,16 +36,10 @@ func (c *journaledCampaign) config(t *testing.T, w *journal.Writer, rep *journal
 	if workers == 0 {
 		workers = 3
 	}
-	// No collector: its UDP drain can time out under host load, retrying
-	// an app nondeterministically — fine for a real campaign (retries
-	// absorb it), fatal for a byte-identity comparison. The in-process
-	// report path is deterministic; collector interplay with resume is
-	// covered by TestRequeuedRunForgetsStaleCollectorState.
 	cfg := dispatch.Config{
 		Workers:         workers,
 		Emulator:        shortOpts(c.seed),
 		BaseSeed:        c.seed,
-		UseStore:        true,
 		Attributor:      newAttributor(t, c.seed, world),
 		EmitEvidence:    true,
 		ContinueOnError: true,

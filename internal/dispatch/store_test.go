@@ -100,7 +100,9 @@ func TestStoreRetainedHeapIndependentOfApkBytes(t *testing.T) {
 // TestFaultedCampaignStoresEachAppOnce runs a campaign where 20% of apps
 // fault once and are retried: every retry puts its apk again, and the
 // store must still hold exactly one version per package. Every attempt
-// also ended with a collector barrier, and none may leave state behind.
+// also ended with a collector barrier and a drain that forgets the app's
+// group, and none may leave state behind: the collector's memory does not
+// grow with the corpus.
 func TestFaultedCampaignStoresEachAppOnce(t *testing.T) {
 	var store *Store
 	var collector *Collector
@@ -138,8 +140,6 @@ func TestFaultedCampaignStoresEachAppOnce(t *testing.T) {
 		Workers:         2,
 		Emulator:        opts,
 		BaseSeed:        seed,
-		UseStore:        true,
-		UseCollector:    true,
 		Attributor:      attribution.NewAttributor(svc),
 		Faults:          inj,
 		MaxAttempts:     3,
@@ -168,5 +168,8 @@ func TestFaultedCampaignStoresEachAppOnce(t *testing.T) {
 	}
 	if n := pendingBarriers(collector); n != 0 {
 		t.Errorf("collector holds %d barrier entries after the campaign", n)
+	}
+	if n := reportGroups(collector); n != 0 {
+		t.Errorf("collector holds report groups for %d apks after the campaign", n)
 	}
 }

@@ -111,7 +111,7 @@ type StreamSummary struct {
 	// completed, skipped, quarantined, failed, or not run.
 	Accounting Accounting
 	// CollectorReports / CollectorMalformed / CollectorDropped are the
-	// collector's datagram totals when Config.UseCollector is set.
+	// collector's datagram totals.
 	CollectorReports   int
 	CollectorMalformed int
 	CollectorDropped   int
@@ -212,17 +212,12 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 		return nil, err
 	}
 
-	var collector *Collector
-	if cfg.UseCollector {
-		var err error
-		collector, err = newCollector(cfg.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var store *Store
-	if cfg.UseStore {
-		store = newStore()
+	// One collector and one apk store per fleet: every report reaches
+	// attribution over UDP (§II-A), every apk through the database server
+	// (§III-A).
+	collector, err := newCollector(cfg.Telemetry)
+	if err != nil {
+		return nil, err
 	}
 
 	f := &fleetRun{
@@ -231,7 +226,7 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 		source:    source,
 		resolver:  resolver,
 		collector: collector,
-		store:     store,
+		store:     newStore(),
 		clk:       newFleetClock(cfg.Clock),
 		tel:       cfg.Telemetry,
 		// One buffered slot per worker is the backpressure budget.
@@ -439,9 +434,7 @@ func (f *fleetRun) run(workers, lo, hi int) {
 	numApps := hi - lo
 	start := time.Now()
 	defer close(f.events)
-	if f.collector != nil {
-		defer func() { _ = f.collector.Close() }()
-	}
+	defer func() { _ = f.collector.Close() }()
 
 	jobs := make(chan job)
 	var wg sync.WaitGroup
@@ -506,9 +499,7 @@ feed:
 	if sum.Err == nil {
 		sum.Err = f.ctx.Err()
 	}
-	if f.collector != nil {
-		sum.CollectorReports, sum.CollectorMalformed, sum.CollectorDropped = f.collector.Totals()
-	}
+	sum.CollectorReports, sum.CollectorMalformed, sum.CollectorDropped = f.collector.Totals()
 	// fleet.summary is deterministic but topology-bound (it carries the
 	// resolved shard range), so it streams without entering the JSONL log.
 	if bus := f.tel.Bus(); bus.Active() {
@@ -526,16 +517,12 @@ feed:
 // stream as one structured failure instead of silently consuming — and
 // thereby poisoning — every remaining job.
 func (f *fleetRun) worker(w int, jobs <-chan job) {
-	var client *Client
-	if f.collector != nil {
-		var err error
-		client, err = dialCollector(f.collector.Addr())
-		if err != nil {
-			f.abort(-1, fmt.Errorf("dispatch: worker failed to dial collector: %w", err))
-			return
-		}
-		defer func() { _ = client.Close() }()
+	client, err := dialCollector(f.collector.Addr())
+	if err != nil {
+		f.abort(-1, fmt.Errorf("dispatch: worker failed to dial collector: %w", err))
+		return
 	}
+	defer func() { _ = client.Close() }()
 	env := &runEnv{
 		source:    f.source,
 		resolver:  f.resolver,

@@ -39,11 +39,10 @@ func TestWorkerDialFailureAbortsStream(t *testing.T) {
 	opts.Monkey.Events = 120
 
 	events, err := Stream(context.Background(), world, world.Resolver, Config{
-		Workers:      2,
-		Emulator:     opts,
-		BaseSeed:     71,
-		UseCollector: true,
-		Attributor:   attribution.NewAttributor(svc),
+		Workers:    2,
+		Emulator:   opts,
+		BaseSeed:   71,
+		Attributor: attribution.NewAttributor(svc),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,12 +45,11 @@ func TestFleetTelemetrySeries(t *testing.T) {
 	opts := emulator.DefaultOptions(83)
 	opts.Monkey.Events = 120
 	res, err := RunAll(world, world.Resolver, Config{
-		Workers:      3,
-		Emulator:     opts,
-		BaseSeed:     83,
-		Attributor:   attributor,
-		UseCollector: true,
-		Telemetry:    tel,
+		Workers:    3,
+		Emulator:   opts,
+		BaseSeed:   83,
+		Attributor: attributor,
+		Telemetry:  tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +132,6 @@ func TestDrainBarrierTimeoutIsWallBudget(t *testing.T) {
 		Emulator:        opts,
 		BaseSeed:        97,
 		Attributor:      attributor,
-		UseCollector:    true,
 		ContinueOnError: true,
 		MaxAttempts:     2,
 		RetryBackoff:    time.Second,

@@ -122,10 +122,9 @@ type Artifacts struct {
 	// CaptureBytes holds the pcap, in Options.Capture's backing array
 	// when it had the room.
 	CaptureBytes []byte
-	// Reports are the decoded supervisor reports (empty when not
-	// instrumented).
-	Reports []*xposed.Report
-	// RawReports are the datagram payloads as sent on the wire.
+	// RawReports are the supervisor's datagram payloads as sent on the
+	// wire (empty when not instrumented); xposed.DecodeReports decodes
+	// them.
 	RawReports [][]byte
 	// Trace is the Method Monitor's unique-method signature set.
 	Trace map[string]struct{}
@@ -335,11 +334,6 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		stack.SetUDPSink(func(payload []byte) error {
 			raw := append([]byte(nil), payload...)
 			artifacts.RawReports = append(artifacts.RawReports, raw)
-			report, err := xposed.DecodeReport(raw)
-			if err != nil {
-				return fmt.Errorf("emulator: decoding own report: %w", err)
-			}
-			artifacts.Reports = append(artifacts.Reports, report)
 			if opts.ReportSink != nil {
 				return opts.ReportSink(raw)
 			}

@@ -55,8 +55,8 @@ func TestRunProducesAllArtifacts(t *testing.T) {
 	if len(arts.CaptureBytes) == 0 {
 		t.Fatal("no capture produced")
 	}
-	if len(arts.Reports) == 0 || len(arts.RawReports) != len(arts.Reports) {
-		t.Fatalf("reports = %d raw = %d", len(arts.Reports), len(arts.RawReports))
+	if len(arts.RawReports) == 0 {
+		t.Fatal("no supervisor reports")
 	}
 	if len(arts.Trace) == 0 {
 		t.Error("empty method trace")
@@ -69,14 +69,11 @@ func TestRunProducesAllArtifacts(t *testing.T) {
 	if arts.VirtualDuration < time.Minute {
 		t.Errorf("virtual duration %v below the throttle floor", arts.VirtualDuration)
 	}
-	// Raw reports decode to the decoded reports.
+	// Every raw report decodes and carries the app's checksum.
 	for i, raw := range arts.RawReports {
 		rep, err := xposed.DecodeReport(raw)
 		if err != nil {
 			t.Fatalf("raw report %d: %v", i, err)
-		}
-		if rep.Tuple != arts.Reports[i].Tuple {
-			t.Errorf("raw/decoded tuple mismatch at %d", i)
 		}
 		if rep.APKSHA256 != app.SHA256 {
 			t.Errorf("report %d carries wrong checksum", i)
@@ -95,11 +92,15 @@ func TestRunCaptureJoinsWithReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One flow per report, every report matches a flow.
-	if len(sum.Flows) != len(arts.Reports) {
-		t.Errorf("flows = %d, reports = %d", len(sum.Flows), len(arts.Reports))
+	reports, err := xposed.DecodeReports(arts.RawReports)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, rep := range arts.Reports {
+	// One flow per report, every report matches a flow.
+	if len(sum.Flows) != len(reports) {
+		t.Errorf("flows = %d, reports = %d", len(sum.Flows), len(reports))
+	}
+	for _, rep := range reports {
 		if _, ok := sum.FlowByTuple(rep.Tuple); !ok {
 			t.Errorf("report tuple %v has no flow", rep.Tuple)
 		}
@@ -110,9 +111,9 @@ func TestRunCaptureJoinsWithReports(t *testing.T) {
 			t.Errorf("flow %v lacks a domain", f.Tuple)
 		}
 	}
-	if sum.SupervisorPackets != len(arts.Reports) {
+	if sum.SupervisorPackets != len(reports) {
 		t.Errorf("capture holds %d supervisor datagrams for %d reports",
-			sum.SupervisorPackets, len(arts.Reports))
+			sum.SupervisorPackets, len(reports))
 	}
 }
 
@@ -124,7 +125,7 @@ func TestRunUninstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arts.Reports) != 0 || len(arts.RawReports) != 0 {
+	if len(arts.RawReports) != 0 {
 		t.Error("uninstrumented run must not produce reports")
 	}
 	sum, err := attribution.ParseCapture(bytes.NewReader(arts.CaptureBytes),
@@ -158,10 +159,10 @@ func TestInstrumentationDelayShowsInVirtualTime(t *testing.T) {
 		t.Errorf("instrumented %v should exceed uninstrumented %v",
 			instr.VirtualDuration, plain.VirtualDuration)
 	}
-	wantDelta := time.Duration(len(instr.Reports)) * DefaultInstrumentationDelay
+	wantDelta := time.Duration(len(instr.RawReports)) * DefaultInstrumentationDelay
 	if got := instr.VirtualDuration - plain.VirtualDuration; got != wantDelta {
 		t.Errorf("delay delta = %v, want %v (%d connects × 0.5 ms)",
-			got, wantDelta, len(instr.Reports))
+			got, wantDelta, len(instr.RawReports))
 	}
 }
 
@@ -183,7 +184,7 @@ func TestRunDeterminism(t *testing.T) {
 	if !bytes.Equal(a.CaptureBytes, b.CaptureBytes) {
 		t.Error("captures differ across identical runs")
 	}
-	if len(a.Reports) != len(b.Reports) {
+	if len(a.RawReports) != len(b.RawReports) {
 		t.Error("report counts differ across identical runs")
 	}
 	// The method traces must be identical sets: a regression here usually

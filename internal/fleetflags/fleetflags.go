@@ -66,14 +66,12 @@ func (f *Flags) Corpus(apps, workers int) *Flags {
 	return f
 }
 
-// World registers the monkey schedule, the transport toggles, and the
-// synthetic-world scales — everything else Config.Fingerprint covers.
+// World registers the monkey schedule and the synthetic-world scales —
+// everything else Config.Fingerprint covers.
 func (f *Flags) World() *Flags {
 	c := &f.cfg
 	f.fs.IntVar(&c.MonkeyEvents, "events", c.MonkeyEvents, "monkey events per app")
 	f.fs.IntVar(&f.throttleMS, "throttle", f.throttleMS, "monkey throttle between events (ms, virtual)")
-	f.fs.BoolVar(&c.UseCollector, "collector", false, "route supervisor reports through a real UDP collector")
-	f.fs.BoolVar(&c.UseStore, "store", false, "round-trip apks through the database server")
 	f.fs.Float64Var(&c.DomainScale, "domain-scale", c.DomainScale, "fraction of the paper's 14,140-domain universe")
 	f.fs.Float64Var(&c.MethodScale, "method-scale", c.MethodScale, "fraction of the paper's 49,138 mean methods per apk")
 	f.fs.Float64Var(&c.VolumeScale, "volume-scale", c.VolumeScale, "traffic volume scale (1.0 = paper's ~1.23 MB/app)")

@@ -53,7 +53,7 @@ func TestChildArgvRoundTrip(t *testing.T) {
 			"-fault-classes", "emulator-abort,hook-fault"},
 		"durability": {"-shards", "4", "-journal", "c.wal", "-artifacts", "evidence", "-resume",
 			"-coordinator-wal", "c.coord"},
-		"scales": {"-shards", "4", "-apps", "40", "-seed", "7", "-workers", "8", "-collector", "-store",
+		"scales": {"-shards", "4", "-apps", "40", "-seed", "7", "-workers", "8",
 			"-domain-scale", "0.1", "-method-scale", "0.05", "-volume-scale", "2", "-throttle", "250"},
 		"events and supervision": {"-shards", "4", "-journal", "c.wal", "-events", "120", "-events-out", "ev.jsonl",
 			"-trace-out", "t.jsonl", "-metrics-addr", "127.0.0.1:9000", "-probe-base-port", "9100",

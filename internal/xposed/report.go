@@ -125,3 +125,17 @@ func DecodeReport(data []byte) (*Report, error) {
 	}
 	return rep, nil
 }
+
+// DecodeReports decodes a run's datagram payloads in order, for callers
+// that attribute one emulator run without a collector in between.
+func DecodeReports(raw [][]byte) ([]*Report, error) {
+	out := make([]*Report, len(raw))
+	for i, payload := range raw {
+		rep, err := DecodeReport(payload)
+		if err != nil {
+			return nil, fmt.Errorf("report %d: %w", i, err)
+		}
+		out[i] = rep
+	}
+	return out, nil
+}

@@ -12,18 +12,28 @@ import (
 	"libspector/internal/journal"
 )
 
+// DefaultConfig's fingerprints from when the collector and the apk store
+// were switches: with both on (the one pipeline today), and with both off.
+const (
+	collectorStoreFingerprint = "5b07e63966b925231e64f162bd44399f"
+	flaglessFingerprint       = "6167a27d5bb7be8cddeff78ba439e97b"
+)
+
 // TestConfigFingerprint: the fingerprint must move with every field that
 // shapes results and stay put for operational knobs, so a crashed faulted
-// campaign can be resumed with the injector off.
+// campaign can be resumed with the injector off. It is pinned to the
+// value campaigns run with the collector and store switched on recorded,
+// so their journals still resume.
 func TestConfigFingerprint(t *testing.T) {
+	if got := libspector.DefaultConfig().Fingerprint(); got != collectorStoreFingerprint {
+		t.Errorf("DefaultConfig fingerprint = %s, want %s", got, collectorStoreFingerprint)
+	}
 	base := smallConfig(61, 10)
 	shape := []func(*libspector.Config){
 		func(c *libspector.Config) { c.Seed++ },
 		func(c *libspector.Config) { c.Apps++ },
 		func(c *libspector.Config) { c.MonkeyEvents++ },
 		func(c *libspector.Config) { c.Throttle++ },
-		func(c *libspector.Config) { c.UseCollector = true },
-		func(c *libspector.Config) { c.UseStore = true },
 		func(c *libspector.Config) { c.DomainScale = 0.5 },
 	}
 	for i, mutate := range shape {
@@ -145,49 +155,60 @@ func TestExperimentJournalResume(t *testing.T) {
 // TestRefusedResumeLeavesForeignJournalUntouched: resuming against a
 // journal some other campaign wrote must be refused before recovery
 // rewrites anything — the torn tail that journal carries is its owner's
-// to truncate, not ours.
+// to truncate, not ours. A campaign that ran without the collector and
+// store, when they were switches, is such another campaign.
 func TestRefusedResumeLeavesForeignJournalUntouched(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "foreign.wal")
-	w, err := journal.Create(path, journal.Header{Seed: 1, Fingerprint: "someone-else", Apps: 10}, journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RunStarted(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Half a frame header: what a crash mid-append leaves behind.
-	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for name, tc := range map[string]struct {
+		hdr journal.Header
+		cfg libspector.Config
+	}{
+		"foreign":  {journal.Header{Seed: 1, Fingerprint: "someone-else", Apps: 10}, smallConfig(61, 10)},
+		"flagless": {journal.Header{Seed: 42, Fingerprint: flaglessFingerprint, Apps: 500}, libspector.DefaultConfig()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "foreign.wal")
+			w, err := journal.Create(path, tc.hdr, journal.Options{SyncEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.RunStarted(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Half a frame header: what a crash mid-append leaves behind.
+			if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg := smallConfig(61, 10)
-	cfg.Journal, cfg.Resume = path, true
-	exp, err := libspector.NewExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Run(); !errors.Is(err, journal.ErrFingerprintMismatch) {
-		t.Fatalf("foreign journal not refused: %v", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatalf("refused resume rewrote the foreign journal: %d bytes before, %d after", len(before), len(after))
+			cfg := tc.cfg
+			cfg.Journal, cfg.Resume = path, true
+			exp, err := libspector.NewExperiment(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := exp.Run(); !errors.Is(err, journal.ErrFingerprintMismatch) {
+				t.Fatalf("foreign journal not refused: %v", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("refused resume rewrote the foreign journal: %d bytes before, %d after", len(before), len(after))
+			}
+		})
 	}
 }

@@ -58,12 +58,9 @@ type Config struct {
 	// events at 500 ms).
 	MonkeyEvents int
 	Throttle     time.Duration
-	// UseCollector routes supervisor reports over a real loopback UDP
-	// collector server.
-	UseCollector bool
-	// UseStore round-trips apks through the database server with the
-	// §III-A version-selection policy.
-	UseStore bool
+	// Deprecated: ignored. Every campaign routes its supervisor reports
+	// through the UDP collector and its apks through the database server.
+	UseCollector, UseStore bool
 	// DomainScale, MethodScale, VolumeScale scale the synthetic world
 	// (see synth.Config).
 	DomainScale float64
@@ -139,17 +136,18 @@ type Config struct {
 }
 
 // Fingerprint hashes every config field that shapes results — seed,
-// corpus size, monkey schedule, transport toggles, world scales — into a
-// short hex digest recorded in the journal header. Operational knobs that
-// cannot change outcomes under the deterministic substrate (worker count,
-// retry policy, fault injection, telemetry) are deliberately excluded:
-// a crashed faulted campaign is typically resumed with the fault injector
-// off, and that resume must be accepted.
+// corpus size, monkey schedule, world scales — into a short hex digest
+// recorded in the journal header. Operational knobs that cannot change
+// outcomes under the deterministic substrate (worker count, retry policy,
+// fault injection, telemetry) are deliberately excluded: a crashed
+// faulted campaign is typically resumed with the fault injector off, and
+// that resume must be accepted. It still hashes "collector=true
+// store=true", from when both were switches: journals of campaigns that
+// ran with both on resume, and those that ran without them are refused.
 func (c Config) Fingerprint() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "seed=%d apps=%d events=%d throttle=%d collector=%t store=%t domain=%g method=%g volume=%g",
-		c.Seed, c.Apps, c.MonkeyEvents, c.Throttle, c.UseCollector, c.UseStore,
-		c.DomainScale, c.MethodScale, c.VolumeScale)
+	fmt.Fprintf(h, "seed=%d apps=%d events=%d throttle=%d collector=true store=true domain=%g method=%g volume=%g",
+		c.Seed, c.Apps, c.MonkeyEvents, c.Throttle, c.DomainScale, c.MethodScale, c.VolumeScale)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -261,8 +259,6 @@ func (e *Experiment) buildFleetConfig(spec fleetSpec) (dispatch.Config, error) {
 		Workers:         spec.workers,
 		Emulator:        e.emulatorOptions(),
 		BaseSeed:        e.cfg.Seed,
-		UseCollector:    e.cfg.UseCollector,
-		UseStore:        e.cfg.UseStore,
 		Detector:        e.detector,
 		Attributor:      spec.attr,
 		ContinueOnError: e.cfg.ContinueOnError,
@@ -577,9 +573,9 @@ func (e *Experiment) Dataset() *analysis.Dataset { return e.dataset }
 // after a cancellation they cover the completed prefix of the fleet.
 func (e *Experiment) Aggregates() *analysis.Aggregates { return e.aggregates }
 
-// RunSingleApp exercises one app of the corpus and returns its attribution
-// result without touching the experiment's aggregate state — the
-// quickstart path for inspecting a single app.
+// RunSingleApp exercises one app of the corpus as a one-app fleet and
+// returns its attribution result without touching the experiment's
+// aggregate state — the quickstart path for inspecting a single app.
 func (e *Experiment) RunSingleApp(index int) (*attribution.RunResult, error) {
 	res, err := dispatch.RunOne(e.world, e.world.Resolver, dispatch.Config{
 		Emulator:   e.emulatorOptions(),

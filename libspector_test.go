@@ -113,15 +113,13 @@ func TestExperimentDeterminism(t *testing.T) {
 	}
 }
 
-// TestExperimentWithAllOptions drives the facade with the collector, the
-// apk store, and artifact persistence all enabled.
+// TestExperimentWithAllOptions drives the facade with artifact persistence
+// on top of the collector and the apk store every campaign runs.
 func TestExperimentWithAllOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("option-matrix fleet run skipped in -short mode")
 	}
 	cfg := smallConfig(53, 12)
-	cfg.UseCollector = true
-	cfg.UseStore = true
 	cfg.ArtifactDir = t.TempDir()
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {

@@ -30,8 +30,6 @@ func campaignConfig(seed uint64, apps int) libspector.Config {
 	cfg.Apps = apps
 	cfg.Workers = 8
 	cfg.MonkeyEvents = 120
-	cfg.UseCollector = true
-	cfg.UseStore = true
 	cfg.Telemetry = obs.NewVirtual(nil)
 	return cfg
 }

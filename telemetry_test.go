@@ -18,7 +18,6 @@ func telemetryRun(t *testing.T, seed uint64, apps int) (snapshot, traces []byte)
 	tel := obs.NewVirtual(nil)
 	cfg := smallConfig(seed, apps)
 	cfg.Workers = 4
-	cfg.UseCollector = true
 	cfg.RetryBackoff = 250 * time.Millisecond // activates the fleet virtual clock
 	cfg.MaxAttempts = 2
 	cfg.Telemetry = tel
