@@ -47,21 +47,18 @@ loc:
 	@total=0; for d in $(LOC_DIRS); do n=$$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l); total=$$((total+n)); printf '%6d  %s\n' $$n $$d; done; printf '%6d  total\n' $$total
 	@printf '%6d  whole repo, non-test Go, benchmark/ excluded\n' $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)
 
-# Fuzz smoke over everything fed by untrusted bytes, four targets (`go
+# Fuzz smoke over everything fed by untrusted bytes, two targets (`go
 # test -fuzz` accepts one per invocation): the registered-format harness
 # (internal/codec/formats_test.go — every blob that crosses a process or
-# a crash boundary, one table row each), the pcap packet decoder, whose
-# input is traffic rather than a format of ours, the pcap file reader
-# (stored capture.pcap files reach it through resume, audit and `libspector dump`)
-# and the SDEX decoder (every apk the store verifies reaches it), the
-# last two held to an allocation ceiling proportional to their input. A
-# short minimize budget keeps the harness and the SDEX target exploring
-# instead of shrinking each new input for up to a minute.
+# a crash boundary, stored capture.pcap files and SDEX containers
+# included, one table row each, the readers of the last two held to an
+# allocation ceiling proportional to their input) and the pcap packet
+# decoder, whose input is traffic rather than a format of ours. A short
+# minimize budget keeps the harness exploring instead of shrinking each
+# new input for up to a minute.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFormats$$' -fuzztime 60s -fuzzminimizetime 2s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s ./internal/pcap
-	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s ./internal/pcap
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/dex
 
 # Process-level chaos smoke: a 4-shard `cmd/libspector -shards` campaign
 # whose seeded schedule SIGKILLs two shard children and the coordinator

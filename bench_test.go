@@ -29,6 +29,7 @@ import (
 	"libspector/internal/corpus"
 	"libspector/internal/dex"
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
 	"libspector/internal/journal"
 	"libspector/internal/libradar"
@@ -41,10 +42,12 @@ import (
 	"libspector/internal/xposed"
 )
 
-// benchState is the shared experiment all figure benches aggregate over.
+// benchState is the shared experiment all figure benches aggregate over,
+// plus the supervisor reports its flows matched.
 type benchState struct {
-	exp *libspector.Experiment
-	ds  *analysis.Dataset
+	exp     *libspector.Experiment
+	ds      *analysis.Dataset
+	reports []*xposed.Report
 }
 
 var (
@@ -66,11 +69,23 @@ func sharedExperiment(b *testing.B) *benchState {
 			benchErr = err
 			return
 		}
-		if err := exp.Run(); err != nil {
+		// The experiment keeps no runs, so the matched reports are
+		// gathered as the runs stream past.
+		var reports []*xposed.Report
+		if err := exp.RunContext(context.Background(), dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+			if ev.Kind == dispatch.EventRun {
+				for _, f := range ev.Run.Flows {
+					if f.Report != nil {
+						reports = append(reports, f.Report)
+					}
+				}
+			}
+			return nil
+		})); err != nil {
 			benchErr = err
 			return
 		}
-		bench = benchState{exp: exp, ds: exp.Dataset()}
+		bench = benchState{exp: exp, ds: exp.Dataset(), reports: reports}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -449,8 +464,7 @@ func BenchmarkEventBudgetSweep(b *testing.B) {
 // without the §III-C built-in frame filtering: without it, framework
 // packages swallow the attribution.
 func BenchmarkAblationBuiltinFilter(b *testing.B) {
-	st := sharedExperiment(b)
-	reports := collectReports(st)
+	reports := sharedExperiment(b).reports
 	if len(reports) == 0 {
 		b.Fatal("no reports")
 	}
@@ -485,8 +499,7 @@ func BenchmarkAblationBuiltinFilter(b *testing.B) {
 // (the paper's design) with naive top-of-stack attribution: the latter
 // credits HTTP-client libraries instead of the business-logic library.
 func BenchmarkAblationTopOfStack(b *testing.B) {
-	st := sharedExperiment(b)
-	reports := collectReports(st)
+	reports := sharedExperiment(b).reports
 	first := attribution.NewAttributor(nil)
 	top := attribution.NewAttributor(nil)
 	top.TopOfStack = true
@@ -508,20 +521,6 @@ func BenchmarkAblationTopOfStack(b *testing.B) {
 		}
 	}
 	b.ReportMetric(100*float64(disagreements)/float64(len(reports)), "disagreement-%")
-}
-
-// collectReports gathers all matched supervisor reports of the shared
-// experiment.
-func collectReports(st *benchState) []*xposed.Report {
-	var out []*xposed.Report
-	for _, run := range st.exp.Result().Runs {
-		for _, f := range run.Flows {
-			if f.Report != nil {
-				out = append(out, f.Report)
-			}
-		}
-	}
-	return out
 }
 
 // BenchmarkAblationProfilerMode compares the stock bounded trace buffer
@@ -617,7 +616,7 @@ func BenchmarkFleetRun(b *testing.B) {
 		}
 		opts := emulator.DefaultOptions(65)
 		opts.Monkey.Events = 200
-		res, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
+		res, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 			Emulator:   opts,
 			BaseSeed:   65,
 			Attributor: attribution.NewAttributor(svc),
@@ -625,7 +624,7 @@ func BenchmarkFleetRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Runs) == 0 {
+		if res.Accounting.Completed == 0 {
 			b.Fatal("no runs")
 		}
 	}
@@ -715,16 +714,16 @@ func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			world, svc, det, cfg := setup(b)
 			bytesRetained = retained(func() interface{} {
-				res, err := dispatch.RunAll(world, world.Resolver, cfg)
+				res, runs, err := dispatchtest.Run(world, world.Resolver, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				det.Finalize(2)
-				ds, err := analysistest.BuildDataset(res.Runs, det, svc)
+				ds, err := analysistest.BuildDataset(runs, det, svc)
 				if err != nil {
 					b.Fatal(err)
 				}
-				return []interface{}{res, ds}
+				return []interface{}{res, runs, ds}
 			})
 		}
 		b.ReportMetric(bytesRetained/1e6, "retained-MB")
@@ -742,8 +741,8 @@ func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Fold events directly — no Gather, so each RunResult is
-				// unreachable as soon as the accumulator has folded it.
+				// Fold events directly — nothing keeps a RunResult, so each
+				// is unreachable as soon as the accumulator has folded it.
 				for ev := range events {
 					if ev.Kind != dispatch.EventRun {
 						continue
@@ -790,7 +789,7 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 	}
 	opts := emulator.DefaultOptions(cfg.Seed)
 	opts.Monkey.Events = 120
-	res, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
+	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Emulator:   opts,
 		BaseSeed:   cfg.Seed,
 		Detector:   det,
@@ -800,7 +799,6 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	det.Finalize(2)
-	runs := res.Runs
 
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()

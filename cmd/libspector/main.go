@@ -179,11 +179,11 @@ func run(ctx context.Context, args []string) error {
 		// Interrupted mid-fleet: the streaming accumulator already holds
 		// everything that completed, so report the partial view.
 		fmt.Printf("Interrupted after %s — reporting partial aggregates over %d completed runs.\n",
-			time.Since(start).Round(time.Millisecond), len(exp.Result().Runs))
+			time.Since(start).Round(time.Millisecond), exp.Result().Accounting.Completed)
 	} else {
-		res := exp.Result()
+		acct := exp.Result().Accounting
 		fmt.Printf("Fleet done in %s: %d runs, %d ARM-only apps skipped.\n",
-			time.Since(start).Round(time.Millisecond), len(res.Runs), res.SkippedARMOnly)
+			time.Since(start).Round(time.Millisecond), acct.Completed, acct.SkippedARMOnly)
 	}
 	res := exp.Result()
 	fleetflags.PrintDegraded(res.Accounting, res.Failures, res.Quarantined)

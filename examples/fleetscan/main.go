@@ -7,7 +7,7 @@
 // It is the streaming API in miniature: a progress sink prints per-app
 // events as workers complete them, Ctrl-C reports whatever finished before
 // the interrupt instead of discarding the run, and the summary ends with
-// the per-run join health. (Sharded, supervised, and chaos campaigns are
+// the campaign's join health. (Sharded, supervised, and chaos campaigns are
 // cmd/libspector -shards N.)
 //
 //	go run ./examples/fleetscan [-apps 40] [-workers 4]
@@ -100,12 +100,11 @@ func run(ctx context.Context) error {
 	// Fleet counts, collector datagram totals, and attribution joins all
 	// come from the telemetry snapshot; only derived analysis figures keep
 	// bespoke lines below.
+	snap := flags.Tel.Metrics().Snapshot()
 	fmt.Println()
-	fmt.Println(obs.Render(flags.Tel.Metrics().Snapshot()))
+	fmt.Println(obs.Render(snap))
 	fleetflags.PrintDegraded(res.Accounting, res.Failures, res.Quarantined)
 
-	// Aggregates come from the streaming accumulator — no per-flow records
-	// were retained to produce them.
 	ag := exp.Aggregates()
 	totals := ag.ComputeTotals()
 	fmt.Printf("  traffic:             %.2f MB over %d flows to %d domains\n",
@@ -115,15 +114,10 @@ func run(ctx context.Context) error {
 	fmt.Printf("  advertisement share:  %.1f%% of bytes (paper: 28.3%%)\n",
 		100*ag.Fig2CategoryTransfer().LegendShare[corpus.LibAdvertisement])
 
-	// Per-run join health: in a correct pipeline every flow matches a
-	// supervisor report and checksums all verify.
-	var unmatchedFlows, unmatchedReports, mismatches int
-	for _, run := range res.Runs {
-		unmatchedFlows += run.Join.UnmatchedFlows
-		unmatchedReports += run.Join.UnmatchedReports
-		mismatches += run.Join.ChecksumMismatch
-	}
+	// Join health: in a correct pipeline every flow matches a supervisor
+	// report and checksums all verify.
 	fmt.Printf("  join health: %d unmatched flows, %d unmatched reports, %d checksum mismatches\n",
-		unmatchedFlows, unmatchedReports, mismatches)
+		snap.Counters[obs.MAttribUnmatchedFlows], snap.Counters[obs.MAttribUnmatchedReports],
+		snap.Counters[obs.MAttribChecksumMismatch])
 	return flags.WriteOutputs()
 }

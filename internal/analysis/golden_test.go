@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -14,6 +13,7 @@ import (
 	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
 	"libspector/internal/libradar"
 	"libspector/internal/report"
@@ -50,22 +50,18 @@ func goldenFixture(t *testing.T) (*analysis.Dataset, *analysis.Aggregates) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := dispatch.Stream(context.Background(), world, world.Resolver, dispatch.Config{
+	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Workers:    4,
 		Emulator:   opts,
 		BaseSeed:   cfg.Seed,
 		Detector:   detector,
 		Attributor: attribution.NewAttributor(domains),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dispatch.Gather(events, acc)
+	}, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	detector.Finalize(2)
-	ds, err := analysistest.BuildDataset(res.Runs, detector, domains)
+	ds, err := analysistest.BuildDataset(runs, detector, domains)
 	if err != nil {
 		t.Fatal(err)
 	}

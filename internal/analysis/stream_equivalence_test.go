@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"libspector/internal/attribution"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
 	"libspector/internal/libradar"
 	"libspector/internal/report"
@@ -48,25 +48,21 @@ func TestStreamingAccumulatorMatchesBatchDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := dispatch.Stream(context.Background(), world, world.Resolver, dispatch.Config{
+	// One fleet run feeds both paths: the accumulator folds events as they
+	// stream past while the test keeps every run for the batch Dataset.
+	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Workers:    4,
 		Emulator:   opts,
 		BaseSeed:   seed,
 		Detector:   detector,
 		Attributor: attribution.NewAttributor(domains),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One fleet run feeds both paths: the accumulator folds events as they
-	// stream past while Gather materializes the batch Result.
-	res, err := dispatch.Gather(events, acc)
+	}, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	detector.Finalize(2)
 
-	ds, err := analysistest.BuildDataset(res.Runs, detector, domains)
+	ds, err := analysistest.BuildDataset(runs, detector, domains)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +71,8 @@ func TestStreamingAccumulatorMatchesBatchDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if ag.Runs != len(res.Runs) {
-		t.Errorf("aggregates folded %d runs, batch holds %d", ag.Runs, len(res.Runs))
+	if ag.Runs != len(runs) {
+		t.Errorf("aggregates folded %d runs, batch holds %d", ag.Runs, len(runs))
 	}
 	if ag.UnattributedFlows != ds.UnattributedFlows {
 		t.Errorf("unattributed flows: streaming %d, batch %d", ag.UnattributedFlows, ds.UnattributedFlows)

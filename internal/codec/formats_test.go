@@ -9,12 +9,14 @@ package codec_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -69,7 +71,13 @@ type format struct {
 	// must decode and re-encode to the identical bytes: the guard that a
 	// refactor of the codecs moved no byte on disk or on the wire.
 	// Regenerate a fixture only for a deliberate, documented format bump.
+	// Empty for pcap, whose layout libpcap fixes, not our encoder.
 	fixture string
+	// allocPerByte and allocBase, when set, bound what decoding an n-byte
+	// input may allocate: allocPerByte·n + allocBase bytes. A forged count
+	// or length must fail before it sizes anything; the base covers the
+	// fuzzing engine's own allocations.
+	allocPerByte, allocBase uint64
 }
 
 type seed struct {
@@ -348,9 +356,22 @@ var formats = []format{
 			if err != nil {
 				tb.Fatal(err)
 			}
-			return []seed{{valid, true}, {[]byte("SDEX\x01\x00"), false}, {nil, false}}
+			return []seed{
+				{valid, true}, {[]byte("SDEX\x01\x00"), false}, {nil, false},
+				// A method count the bytes left just cover, though they
+				// decode as duplicate methods after the first.
+				{append(sdexContainer(1<<14, []string{"a.B", "f", "V"}, [][]uint64{{0, 1, 2}}), make([]byte, 1<<14)...), false},
+				{amplifiedContainer(), false},
+			}
 		},
-		decode: func(data []byte) (any, error) { return dex.Decode(data) },
+		// A method takes at least four container bytes and ~300 bytes of
+		// File (method, signature header, index entries and the first
+		// arena chunks' share), and its signature at most 64 bytes
+		// (dex's maxSignatureExpansion) per container byte, in arena
+		// chunks that at most double.
+		allocPerByte: 4 * 64,
+		allocBase:    1 << 20,
+		decode:       func(data []byte) (any, error) { return dex.Decode(data) },
 		encode: func(tb testing.TB, v any) []byte {
 			b, err := v.(*dex.File).Encode()
 			if err != nil {
@@ -359,10 +380,16 @@ var formats = []format{
 			return b
 		},
 		// Not canonical (a hostile pool may hold unused or reordered
-		// strings), but re-encoding must reach a fixed point that keeps
-		// every method.
+		// strings), but every method renders its own signature, and
+		// re-encoding must reach a fixed point that keeps every method.
 		check: func(t *testing.T, _ []byte, v any) {
 			f := v.(*dex.File)
+			for i := 0; i < f.MethodCount(); i++ {
+				m, _ := f.MethodAt(i)
+				if sig, err := f.SignatureAt(i); err != nil || sig != m.TypeSignature() {
+					t.Fatalf("SignatureAt(%d) = %q, %v; want %q", i, sig, err, m.TypeSignature())
+				}
+			}
 			re, err := f.Encode()
 			if err != nil {
 				t.Fatalf("accepted container does not re-encode: %v", err)
@@ -394,16 +421,65 @@ var formats = []format{
 			return b
 		},
 	},
+	{
+		// A stored capture.pcap, read back by resume, audit and
+		// `libspector dump`. Not canonical (either byte order, any snap
+		// length), and cut at a record boundary it is a shorter capture.
+		name:         "pcap",
+		typed:        prefixed("pcap: "),
+		strict:       true,
+		concatenated: true,
+		seeds: func(tb testing.TB) []seed {
+			raw, err := pcap.EncodeTCP(datagramTuple, pcap.FlagSYN, 0, 0, nil)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			w := pcap.NewWriter(nil)
+			if err := w.WritePacket(pcap.Packet{Timestamp: time.Unix(1, 0), Data: raw}); err != nil {
+				tb.Fatal(err)
+			}
+			valid := w.Bytes()
+			return []seed{{valid, true}, {valid[:20], false}, {nil, false}, {forgedCapture(1 << 30), false}}
+		},
+		// ReadAll's packet slice takes 48 bytes per packet, one packet per
+		// ≥ 16-byte record, plus each packet's data; the base also covers
+		// the bufio buffer and reader state.
+		allocPerByte: 32,
+		allocBase:    64 << 10,
+		decode: func(data []byte) (any, error) {
+			r, err := pcap.NewReader(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			return r.ReadAll()
+		},
+		encode: func(tb testing.TB, v any) []byte {
+			w := pcap.NewWriter(nil)
+			for _, p := range v.([]pcap.Packet) {
+				if err := w.WritePacket(p); err != nil {
+					tb.Fatalf("accepted packet does not re-encode: %v", err)
+				}
+			}
+			return w.Bytes()
+		},
+	},
 }
 
 // exercise holds one input against one format's row: the decoder must
-// not panic, a rejection must be typed, and an accepted input must pass
-// the format's own check, re-encode byte-identically when the format is
-// canonical, and stop decoding when it is strict and the input is cut
-// or extended. It reports whether the input was accepted.
+// not panic or allocate past the row's ceiling, a rejection must be typed,
+// and an accepted input must pass the format's own check, re-encode
+// byte-identically when the format is canonical, and stop decoding when
+// it is strict and the input is cut or extended. It reports whether the
+// input was accepted.
 func exercise(t *testing.T, f *format, data []byte) (any, bool) {
 	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	v, err := f.decode(data)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, f.allocPerByte*uint64(len(data))+f.allocBase; f.allocBase > 0 && got > limit {
+		t.Fatalf("%s: decoding %d bytes allocated %d, limit %d", f.name, len(data), got, limit)
+	}
 	if err != nil {
 		if !f.typed(err) {
 			t.Fatalf("%s: rejection is untyped: %v", f.name, err)
@@ -491,6 +567,9 @@ func TestFormats(t *testing.T) {
 					}
 				})
 			}
+			if f.fixture == "" {
+				return
+			}
 			t.Run("fixture", func(t *testing.T) {
 				data, err := os.ReadFile(filepath.Join("testdata", f.fixture))
 				if err != nil {
@@ -564,6 +643,12 @@ func savedArtifact(tb testing.TB, meta dispatch.RunMeta, rawReports [][]byte, fi
 	return data
 }
 
+// datagramTuple is the connection every seed datagram and packet reports.
+var datagramTuple = pcap.FourTuple{
+	SrcIP: netip.AddrFrom4([4]byte{10, 0, 2, 15}), SrcPort: 40001,
+	DstIP: netip.AddrFrom4([4]byte{198, 18, 0, 7}), DstPort: 443,
+}
+
 // datagram encodes one supervisor report with the given stack depth.
 func datagram(tb testing.TB, srcPort uint16, frames int) []byte {
 	tb.Helper()
@@ -577,8 +662,8 @@ func datagram(tb testing.TB, srcPort uint16, frames int) []byte {
 	raw, err := (&xposed.Report{
 		APKSHA256: fixtureSHA,
 		Tuple: pcap.FourTuple{
-			SrcIP: netip.AddrFrom4([4]byte{10, 0, 2, 15}), SrcPort: srcPort,
-			DstIP: netip.AddrFrom4([4]byte{198, 18, 0, 7}), DstPort: 443,
+			SrcIP: datagramTuple.SrcIP, SrcPort: srcPort,
+			DstIP: datagramTuple.DstIP, DstPort: datagramTuple.DstPort,
 		},
 		ConnectedAt: time.Date(2019, 7, 1, 10, 0, 0, 42000, time.UTC),
 		StackTrace:  stack[:frames],
@@ -587,6 +672,54 @@ func datagram(tb testing.TB, srcPort uint16, frames int) []byte {
 		tb.Fatal(err)
 	}
 	return raw
+}
+
+// sdexContainer hand-assembles an SDEX container: the pool, then each
+// method as its wire references (class, name, return, params...).
+func sdexContainer(count uint32, pool []string, methods [][]uint64) []byte {
+	b := append([]byte("SDEX"), 1, 0)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(pool)))
+	for _, s := range pool {
+		b = codec.AppendString(b, s)
+	}
+	b = binary.LittleEndian.AppendUint32(b, count)
+	for _, refs := range methods {
+		b = binary.AppendUvarint(b, refs[0])
+		b = binary.AppendUvarint(b, refs[1])
+		b = binary.AppendUvarint(b, refs[2])
+		b = binary.AppendUvarint(b, uint64(len(refs)-3))
+		for _, r := range refs[3:] {
+			b = binary.AppendUvarint(b, r)
+		}
+	}
+	return b
+}
+
+// amplifiedContainer is a few kilobytes whose methods each take one long
+// pool string as a thousand parameters: megabytes of signatures apiece.
+func amplifiedContainer() []byte {
+	pool := []string{"a.B", "V", "L" + strings.Repeat("x", 4000) + ";"}
+	var methods [][]uint64
+	for i := 0; i < 16; i++ {
+		refs := []uint64{0, 1, 1}
+		for j := 0; j < 1000+i; j++ {
+			refs = append(refs, 2)
+		}
+		methods = append(methods, refs)
+	}
+	return sdexContainer(uint32(len(methods)), pool, methods)
+}
+
+// forgedCapture is a pcap global header whose snap length is 0xffffffff,
+// then one record header declaring recLen bytes the file does not hold.
+func forgedCapture(recLen uint32) []byte {
+	b := bytes.Clone(pcap.NewWriter(nil).Bytes())
+	binary.LittleEndian.PutUint32(b[16:20], 0xffffffff)
+	rec := make([]byte, 16)
+	binary.LittleEndian.PutUint32(rec[8:12], recLen)
+	binary.LittleEndian.PutUint32(rec[12:16], recLen)
+	return append(b, rec...)
 }
 
 // storeRecords builds a deterministic canonical record set: 1–6 flows

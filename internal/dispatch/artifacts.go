@@ -180,7 +180,7 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // Consume implements Sink: every completed run with attached evidence
-// (Config.EmitEvidence) is persisted as it streams past, making the store a
+// (Config.Artifacts set) is persisted as it streams past, making the store a
 // plain stream consumer instead of a dispatcher special case.
 func (s *ArtifactStore) Consume(ev RunEvent) error {
 	if ev.Kind != EventRun || ev.Evidence == nil {

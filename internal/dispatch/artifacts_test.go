@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 )
 
 func TestArtifactStoreRoundTrip(t *testing.T) {
@@ -20,11 +21,11 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	attr := newAttributor(t, 51, world)
-	res, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
-		Emulator:     shortOpts(51),
-		BaseSeed:     51,
-		Attributor:   attr,
-		EmitEvidence: true,
+	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
+		Emulator:   shortOpts(51),
+		BaseSeed:   51,
+		Attributor: attr,
+		Artifacts:  store,
 	}, store)
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +38,8 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 	if len(incomplete) != 0 {
 		t.Fatalf("clean store reports incomplete entries: %v", incomplete)
 	}
-	if len(shas) != len(res.Runs) {
-		t.Fatalf("stored %d runs, executed %d", len(shas), len(res.Runs))
+	if len(shas) != len(runs) {
+		t.Fatalf("stored %d runs, executed %d", len(shas), len(runs))
 	}
 
 	// Load one run back and verify integrity.
@@ -58,11 +59,11 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replayed) != len(res.Runs) {
-		t.Fatalf("replayed %d runs, want %d", len(replayed), len(res.Runs))
+	if len(replayed) != len(runs) {
+		t.Fatalf("replayed %d runs, want %d", len(replayed), len(runs))
 	}
 	bySHA := make(map[string]int64)
-	for _, run := range res.Runs {
+	for _, run := range runs {
 		for _, f := range run.Flows {
 			bySHA[run.AppSHA] += f.TotalBytes()
 		}
@@ -219,12 +220,12 @@ func TestArtifactStoreSameSeedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
-			Workers:      2,
-			Emulator:     shortOpts(109),
-			BaseSeed:     109,
-			Attributor:   newAttributor(t, 109, world),
-			EmitEvidence: true,
+		if _, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
+			Workers:    2,
+			Emulator:   shortOpts(109),
+			BaseSeed:   109,
+			Attributor: newAttributor(t, 109, world),
+			Artifacts:  store,
 		}, store); err != nil {
 			t.Fatal(err)
 		}
@@ -278,11 +279,11 @@ func TestEvidenceCaptureNotRecycledUnderSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	events, err := dispatch.Stream(context.Background(), world, world.Resolver, dispatch.Config{
-		Workers:      2,
-		Emulator:     shortOpts(57),
-		BaseSeed:     57,
-		Attributor:   newAttributor(t, 57, world),
-		EmitEvidence: true,
+		Workers:    2,
+		Emulator:   shortOpts(57),
+		BaseSeed:   57,
+		Attributor: newAttributor(t, 57, world),
+		Artifacts:  store,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/faults"
 )
 
@@ -20,11 +21,11 @@ func populatedStore(t *testing.T, seed uint64, apps int) (*dispatch.ArtifactStor
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
-		Emulator:     shortOpts(seed),
-		BaseSeed:     seed,
-		Attributor:   newAttributor(t, seed, world),
-		EmitEvidence: true,
+	if _, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
+		Emulator:   shortOpts(seed),
+		BaseSeed:   seed,
+		Attributor: newAttributor(t, seed, world),
+		Artifacts:  store,
 	}, store); err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +178,11 @@ func TestArtifactFlipFaultDetectedByAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.SetFaults(inj)
-	if _, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
-		Emulator:     shortOpts(139),
-		BaseSeed:     139,
-		Attributor:   newAttributor(t, 139, world),
-		EmitEvidence: true,
+	if _, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
+		Emulator:   shortOpts(139),
+		BaseSeed:   139,
+		Attributor: newAttributor(t, 139, world),
+		Artifacts:  store,
 	}, store); err != nil {
 		t.Fatal(err)
 	}

@@ -8,24 +8,15 @@ import (
 	"libspector/internal/attribution"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
 	"libspector/internal/libradar"
 	"libspector/internal/synth"
 	"libspector/internal/vtclient"
 )
 
-// fleet bundles the artifacts of an end-to-end run shared by the
-// calibration and integration tests.
-type fleet struct {
-	world    *synth.World
-	detector *libradar.Detector
-	vt       *vtclient.Service
-	result   *dispatch.Result
-	dataset  *analysis.Dataset
-}
-
 // buildFleet runs a fleet end-to-end and returns the analysis dataset.
-func buildFleet(t testing.TB, numApps int, seed uint64) *fleet {
+func buildFleet(t testing.TB, numApps int, seed uint64) *analysis.Dataset {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Seed = seed
@@ -44,21 +35,21 @@ func buildFleet(t testing.TB, numApps int, seed uint64) *fleet {
 	if err != nil {
 		t.Fatalf("vtclient.NewService: %v", err)
 	}
-	res, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
+	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Emulator:   emulator.DefaultOptions(seed),
 		BaseSeed:   seed,
 		Detector:   detector,
 		Attributor: attribution.NewAttributor(vtSvc),
 	})
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("fleet: %v", err)
 	}
 	detector.Finalize(2)
-	ds, err := analysistest.BuildDataset(res.Runs, detector, vtSvc)
+	ds, err := analysistest.BuildDataset(runs, detector, vtSvc)
 	if err != nil {
 		t.Fatalf("building dataset: %v", err)
 	}
-	return &fleet{world: world, detector: detector, vt: vtSvc, result: res, dataset: ds}
+	return ds
 }
 
 // within asserts that got lies in [lo, hi].
@@ -77,8 +68,7 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration fleet run skipped in -short mode")
 	}
-	fl := buildFleet(t, 150, 7)
-	ds := fl.dataset
+	ds := buildFleet(t, 150, 7)
 
 	totals := ds.ComputeTotals()
 	if totals.DistinctApps < 130 {

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/faults"
-	"libspector/internal/nets"
 )
 
 // newInjector builds an injector or fails the test.
@@ -21,11 +21,6 @@ func newInjector(t testing.TB, cfg faults.Config) *faults.Injector {
 		t.Fatal(err)
 	}
 	return inj
-}
-
-// retryClock gives fleets a virtual backoff clock so no test sleeps.
-func retryClock() *nets.Clock {
-	return nets.NewClock(time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC))
 }
 
 // TestFaultClassesQuarantinePoisonApps drives each fault class through the
@@ -45,13 +40,12 @@ func TestFaultClassesQuarantinePoisonApps(t *testing.T) {
 				ContinueOnError: true,
 				MaxAttempts:     2,
 				RetryBackoff:    time.Second,
-				Clock:           retryClock(),
 				RunTimeout:      time.Second,
 				Faults: newInjector(t, faults.Config{
 					Seed: 73, Rate: 1, PoisonRate: 1, Classes: []faults.Class{class},
 				}),
 			}
-			res, err := dispatch.RunAll(world, world.Resolver, cfg)
+			res, _, err := dispatchtest.Run(world, world.Resolver, cfg)
 			if err != nil {
 				t.Fatalf("poisoned ContinueOnError fleet aborted: %v", err)
 			}
@@ -100,7 +94,7 @@ func TestFaultTransientRecoveryMatchesCleanRun(t *testing.T) {
 		BaseSeed:   79,
 		Attributor: newAttributor(t, 79, world),
 	}
-	clean, err := dispatch.RunAll(world, world.Resolver, base)
+	_, clean, err := dispatchtest.Run(world, world.Resolver, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +103,9 @@ func TestFaultTransientRecoveryMatchesCleanRun(t *testing.T) {
 	faulty.ContinueOnError = true
 	faulty.MaxAttempts = 2
 	faulty.RetryBackoff = 250 * time.Millisecond
-	faulty.Clock = retryClock()
 	faulty.RunTimeout = 2 * time.Second
 	faulty.Faults = newInjector(t, faults.Config{Seed: 79, Rate: 1, PoisonRate: 0})
-	res, err := dispatch.RunAll(world, world.Resolver, faulty)
+	res, runs, err := dispatchtest.Run(world, world.Resolver, faulty)
 	if err != nil {
 		t.Fatalf("transient-fault fleet failed: %v", err)
 	}
@@ -126,10 +119,10 @@ func TestFaultTransientRecoveryMatchesCleanRun(t *testing.T) {
 	if acct.Coverage() != 1 {
 		t.Fatalf("coverage = %v, want 1", acct.Coverage())
 	}
-	if len(res.Runs) != len(clean.Runs) {
-		t.Fatalf("faulted fleet completed %d runs, clean %d", len(res.Runs), len(clean.Runs))
+	if len(runs) != len(clean) {
+		t.Fatalf("faulted fleet completed %d runs, clean %d", len(runs), len(clean))
 	}
-	if !reflect.DeepEqual(res.Runs, clean.Runs) {
+	if !reflect.DeepEqual(runs, clean) {
 		t.Error("retried results differ from the never-faulted fleet")
 	}
 }
@@ -148,7 +141,7 @@ func TestFaultRetryDoesNotPolluteCollector(t *testing.T) {
 		BaseSeed:   107,
 		Attributor: newAttributor(t, 107, world),
 	}
-	clean, err := dispatch.RunAll(world, world.Resolver, base)
+	_, clean, err := dispatchtest.Run(world, world.Resolver, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +150,13 @@ func TestFaultRetryDoesNotPolluteCollector(t *testing.T) {
 	faulty.ContinueOnError = true
 	faulty.MaxAttempts = 3
 	faulty.RetryBackoff = 250 * time.Millisecond
-	faulty.Clock = retryClock()
 	// Abort and truncate both ship datagrams before the attempt fails, so
 	// every retry starts with attempt-1 residue in the collector.
 	faulty.Faults = newInjector(t, faults.Config{
 		Seed: 107, Rate: 1, PoisonRate: 0,
 		Classes: []faults.Class{faults.EmulatorAbort, faults.CaptureTruncate},
 	})
-	res, err := dispatch.RunAll(world, world.Resolver, faulty)
+	res, runs, err := dispatchtest.Run(world, world.Resolver, faulty)
 	if err != nil {
 		t.Fatalf("transient-fault collector fleet failed: %v", err)
 	}
@@ -175,12 +167,12 @@ func TestFaultRetryDoesNotPolluteCollector(t *testing.T) {
 	if acct.Retried == 0 {
 		t.Fatal("no app recovered through a retry")
 	}
-	for _, run := range res.Runs {
+	for _, run := range runs {
 		if run.Join.UnmatchedReports != 0 || run.Join.ChecksumMismatch != 0 {
 			t.Errorf("%s: retried run joined against polluted reports: %+v", run.AppPackage, run.Join)
 		}
 	}
-	if !reflect.DeepEqual(res.Runs, clean.Runs) {
+	if !reflect.DeepEqual(runs, clean) {
 		t.Error("retried collector results differ from the never-faulted fleet")
 	}
 }
@@ -205,7 +197,6 @@ func TestFaultAccountingNoSilentLoss(t *testing.T) {
 		ContinueOnError: true,
 		MaxAttempts:     3,
 		RetryBackoff:    time.Second,
-		Clock:           retryClock(),
 		// Stall faults are excluded so no attempt depends on a real-time
 		// deadline: under -race on a loaded machine a tight RunTimeout
 		// would spuriously kill legitimate runs and skew the ledger. The
@@ -215,12 +206,8 @@ func TestFaultAccountingNoSilentLoss(t *testing.T) {
 			Classes: []faults.Class{faults.EmulatorAbort, faults.CaptureTruncate, faults.DatagramDrop, faults.HookFault},
 		}),
 	}
-	events, err := dispatch.Stream(context.Background(), world, world.Resolver, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	outcomes := make(map[int]dispatch.EventKind)
-	res, err := dispatch.Gather(events, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+	res, _, err := dispatchtest.Run(world, world.Resolver, cfg, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
 		if ev.Kind == dispatch.EventSummary {
 			return nil
 		}
@@ -260,7 +247,8 @@ func TestFaultAccountingNoSilentLoss(t *testing.T) {
 }
 
 // TestFaultBackoffDeterministicOnVirtualClock: the backoff total is charged
-// to the virtual clock and must be identical across same-seed fleets.
+// to the ledger, never slept, and must be identical across same-seed
+// fleets.
 func TestFaultBackoffDeterministicOnVirtualClock(t *testing.T) {
 	run := func() dispatch.Accounting {
 		world := smallWorld(t, 89, 6)
@@ -272,14 +260,13 @@ func TestFaultBackoffDeterministicOnVirtualClock(t *testing.T) {
 			ContinueOnError: true,
 			MaxAttempts:     2,
 			RetryBackoff:    time.Second,
-			Clock:           retryClock(),
 			Faults: newInjector(t, faults.Config{
 				Seed: 89, Rate: 1, PoisonRate: 0,
 				Classes: []faults.Class{faults.EmulatorAbort},
 			}),
 		}
 		start := time.Now()
-		res, err := dispatch.RunAll(world, world.Resolver, cfg)
+		res, _, err := dispatchtest.Run(world, world.Resolver, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,54 +300,12 @@ func TestStreamRejectsStallFaultsWithoutTimeout(t *testing.T) {
 	}
 }
 
-// TestCancelMidRetryStopsPromptly cancels a fleet whose every app is stuck
-// in a long real-time retry backoff; the stream must close promptly with
-// the context error instead of sleeping out the backoff. Run under -race
-// via `make race`.
-func TestCancelMidRetryStopsPromptly(t *testing.T) {
-	const apps = 8
-	world := smallWorld(t, 101, apps)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events, err := dispatch.Stream(ctx, world, world.Resolver, dispatch.Config{
-		Workers:         4,
-		Emulator:        shortOpts(101),
-		BaseSeed:        101,
-		Attributor:      newAttributor(t, 101, world),
-		ContinueOnError: true,
-		MaxAttempts:     3,
-		RetryBackoff:    time.Minute, // real time: only cancellation can end the wait
-		Faults: newInjector(t, faults.Config{
-			Seed: 101, Rate: 1, PoisonRate: 1,
-			Classes: []faults.Class{faults.EmulatorAbort},
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, summary := drain(t, events)
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("cancelled fleet took %s to close", elapsed)
-	}
-	if summary == nil {
-		t.Fatal("cancelled stream closed without a summary")
-	}
-	if !errors.Is(summary.Err, context.Canceled) {
-		t.Fatalf("summary error = %v, want context.Canceled", summary.Err)
-	}
-}
-
 // TestRunTimeoutFailsSingleAttemptStall: without retries or
 // ContinueOnError, a stalled run is reclaimed by the deadline and surfaces
 // as an ordinary fail-fast fleet error.
 func TestRunTimeoutFailsSingleAttemptStall(t *testing.T) {
 	world := smallWorld(t, 103, 4)
-	_, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
+	_, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Workers:    2,
 		Emulator:   shortOpts(103),
 		BaseSeed:   103,

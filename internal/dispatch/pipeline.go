@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"libspector/internal/attribution"
@@ -41,11 +40,6 @@ type Config struct {
 	Detector *libradar.Detector
 	// Attributor performs per-run offline analysis. Required.
 	Attributor *attribution.Attributor
-	// EmitEvidence attaches each run's raw evidence (apk, capture,
-	// reports, trace) to its EventRun so persistence sinks such as
-	// ArtifactStore can save it (§II-B3). Off by default: evidence is by
-	// far the heaviest part of an event.
-	EmitEvidence bool
 	// ContinueOnError keeps the fleet running when individual app runs
 	// fail (a large-scale necessity: the paper's 25,000-app campaign
 	// cannot abort on one bad apk). Failures are reported in
@@ -62,16 +56,10 @@ type Config struct {
 	// apps that exhaust the budget instead of listing them as failures.
 	MaxAttempts int
 	// RetryBackoff is the base delay between attempts, doubled on each
-	// retry (attempt n waits RetryBackoff << (n-1)). Zero retries
-	// immediately.
+	// retry (attempt n waits RetryBackoff << (n-1)). The delay is charged
+	// to Accounting.Backoff, the journal and the backoff counter, never
+	// slept, so same-seed campaigns stay deterministic and fast.
 	RetryBackoff time.Duration
-	// Clock, when set, absorbs retry backoff by advancing this virtual
-	// clock instead of sleeping, so deterministic experiments (and tests)
-	// never wait on wall time. Backoff is all it absorbs: collector
-	// barriers wait in wall time, since datagrams arrive in real time. The
-	// clock is owned by the fleet — do not share it with an emulator run.
-	// Nil backs off in real time.
-	Clock *nets.Clock
 	// Faults injects deterministic run faults (internal/faults); nil
 	// disables injection.
 	Faults *faults.Injector
@@ -99,10 +87,12 @@ type Config struct {
 	// seeds, fault plans, trace IDs, and journal keys are unchanged — so
 	// a shard reproduces exactly the single-process runs for its range.
 	Shard ShardRange
-	// Artifacts is the store completed runs are reconstructed from on
-	// resume. Required when Resume records any completed run; runs whose
-	// evidence is missing or corrupt (ErrCorruptArtifact) are requeued
-	// live rather than trusted.
+	// Artifacts is the campaign's evidence store. When set, each EventRun
+	// carries its run's raw evidence (apk, capture, reports, trace) for
+	// the store, as a Drain sink, to save (§II-B3). Completed runs are
+	// reconstructed from it on resume: it is required when Resume records
+	// any, and runs whose evidence is missing or corrupt
+	// (ErrCorruptArtifact) are requeued live rather than trusted.
 	Artifacts *ArtifactStore
 	// WorkerFold, when set, is called once per worker goroutine at
 	// worker start with the worker's index (0..Workers-1); the returned
@@ -112,7 +102,7 @@ type Config struct {
 	// per-worker analysis-fold seam: each worker folds into private,
 	// unsynchronized state, and the caller merges the per-worker states
 	// after the stream drains. The events channel closes only after
-	// every worker has joined, so reading the folded states once Gather
+	// every worker has joined, so reading the folded states once Drain
 	// returns is race-free.
 	WorkerFold func(worker int) func(RunEvent)
 }
@@ -160,8 +150,7 @@ type Accounting struct {
 	// Retried counts apps that completed only after at least one failed
 	// attempt — losses a single-attempt fleet would have suffered.
 	Retried int
-	// Backoff is the total retry backoff charged (virtual time when
-	// Config.Clock is set, wall time otherwise).
+	// Backoff is the total retry backoff charged, none of it slept.
 	Backoff time.Duration
 	// JournalSyncFailures counts journal append/fsync failures the fleet
 	// observed. Each one is stream-fatal, but the ledger records that the
@@ -182,10 +171,11 @@ func (a Accounting) Coverage() float64 {
 	return float64(a.Completed) / float64(denom)
 }
 
-// Result aggregates a fleet run.
+// Result is a fleet run's ledger: it arrives exactly once, on the
+// closing EventSummary, and is what Drain returns. It keeps no runs —
+// those stream past the sinks — so its size is independent of the corpus
+// but for the failure and quarantine rosters.
 type Result struct {
-	Runs           []*attribution.RunResult
-	SkippedARMOnly int
 	// Failures holds per-app errors when ContinueOnError is set.
 	Failures []RunFailure
 	// Quarantined lists apps that exhausted the retry budget
@@ -200,22 +190,6 @@ type Result struct {
 	CollectorDropped   int
 	// Elapsed is the wall-clock duration of the fleet run.
 	Elapsed time.Duration
-}
-
-// RunAll exercises every app in the source across the worker fleet and
-// returns the per-run attribution results in app-index order. It is a thin
-// batch wrapper over Stream+Gather; optional sinks observe events as they
-// complete.
-func RunAll(source AppSource, resolver nets.Resolver, cfg Config, sinks ...Sink) (*Result, error) {
-	events, err := Stream(context.Background(), source, resolver, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := Gather(events, sinks...)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // applyFaultPlan maps a fault plan onto the emulator's hook points. Every
@@ -248,32 +222,6 @@ func applyFaultPlan(opts *emulator.Options, plan faults.Plan) {
 	case faults.HookFault:
 		opts.HookFaultReports = 1 + int(plan.Param%4)
 	}
-}
-
-// fleetClock serializes access to the fleet's shared virtual clock:
-// nets.Clock itself is not safe for concurrent use, and every worker
-// charges retry backoff to the same clock. A nil *fleetClock means no
-// virtual clock is configured.
-type fleetClock struct {
-	mu sync.Mutex
-	c  *nets.Clock
-}
-
-func newFleetClock(c *nets.Clock) *fleetClock {
-	if c == nil {
-		return nil
-	}
-	return &fleetClock{c: c}
-}
-
-// Advance charges d to the virtual clock.
-func (fc *fleetClock) Advance(d time.Duration) {
-	if fc == nil {
-		return
-	}
-	fc.mu.Lock()
-	fc.c.Advance(d)
-	fc.mu.Unlock()
 }
 
 // runEnv bundles the per-worker execution state one app run needs:
@@ -313,7 +261,7 @@ type runEnv struct {
 // runOne executes the full per-app worker job: pull the apk through the
 // store, filter by ABI, exercise in the emulator with every report sent
 // to the collector, and run offline attribution over the collector's
-// copy. The returned evidence is non-nil only when cfg.EmitEvidence is
+// copy. The returned evidence is non-nil only when cfg.Artifacts is
 // set. attempt is 1-based; retries re-enter with the same index and a
 // higher attempt so fault injection can distinguish transient from poison
 // faults. parent, when non-nil, is the run's
@@ -399,7 +347,7 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 	}
 
 	var evidence *RunEvidence
-	if cfg.EmitEvidence {
+	if cfg.Artifacts != nil {
 		evidence = &RunEvidence{
 			Meta: RunMeta{
 				Package:  pack.Manifest.Package,
@@ -482,19 +430,4 @@ func (env *runEnv) drain(parent *obs.Span, i, attempt int, pkg, sha string, arts
 	}
 	span.AttrInt("reports", int64(sent)).End(env.tel.Now())
 	return got, nil
-}
-
-// RunOne exercises a single app of the corpus as a one-app, one-worker
-// fleet and returns its attribution result. ARM-only apps (excluded by
-// the §III-A filter) yield an error.
-func RunOne(source AppSource, resolver nets.Resolver, cfg Config, index int) (*attribution.RunResult, error) {
-	cfg.Workers, cfg.Shard, cfg.ContinueOnError = 1, ShardRange{Lo: index, Hi: index + 1}, false
-	res, err := RunAll(source, resolver, cfg)
-	switch {
-	case err != nil:
-		return nil, err
-	case len(res.Runs) == 0:
-		return nil, fmt.Errorf("dispatch: app %d ships only ARM native libraries (excluded by the ABI filter)", index)
-	}
-	return res.Runs[0], nil
 }

@@ -1,12 +1,14 @@
 package dispatch_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"libspector/internal/attribution"
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
 	"libspector/internal/synth"
 	"libspector/internal/vtclient"
@@ -40,9 +42,9 @@ func newAttributor(t testing.TB, seed uint64, world *synth.World) *attribution.A
 	return attribution.NewAttributor(svc)
 }
 
-func TestRunAllBasic(t *testing.T) {
+func TestFleetBasic(t *testing.T) {
 	world := smallWorld(t, 31, 12)
-	res, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
+	res, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Emulator:   shortOpts(31),
 		BaseSeed:   31,
 		Attributor: newAttributor(t, 31, world),
@@ -50,10 +52,10 @@ func TestRunAllBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs)+res.SkippedARMOnly != 12 {
-		t.Errorf("runs %d + skipped %d != 12", len(res.Runs), res.SkippedARMOnly)
+	if acct := res.Accounting; len(runs) != acct.Completed || acct.Completed+acct.SkippedARMOnly != 12 {
+		t.Errorf("%d runs, %d completed + %d skipped != 12", len(runs), acct.Completed, acct.SkippedARMOnly)
 	}
-	for _, run := range res.Runs {
+	for _, run := range runs {
 		if run.AppSHA == "" || run.AppPackage == "" {
 			t.Error("run missing identity")
 		}
@@ -66,10 +68,10 @@ func TestRunAllBasic(t *testing.T) {
 	}
 }
 
-func TestRunAllDeterminism(t *testing.T) {
+func TestFleetDeterminism(t *testing.T) {
 	run := func() []string {
 		world := smallWorld(t, 33, 8)
-		res, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
+		_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 			Workers:    4,
 			Emulator:   shortOpts(33),
 			BaseSeed:   33,
@@ -78,8 +80,8 @@ func TestRunAllDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shas := make([]string, 0, len(res.Runs))
-		for _, r := range res.Runs {
+		shas := make([]string, 0, len(runs))
+		for _, r := range runs {
 			shas = append(shas, r.AppSHA)
 		}
 		return shas
@@ -95,11 +97,11 @@ func TestRunAllDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllCollectorTotals: every report of a clean fleet reaches
+// TestFleetCollectorTotals: every report of a clean fleet reaches
 // attribution through the real UDP collector, none of them malformed.
-func TestRunAllCollectorTotals(t *testing.T) {
+func TestFleetCollectorTotals(t *testing.T) {
 	world := smallWorld(t, 35, 8)
-	res, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{
+	res, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Emulator:   shortOpts(35),
 		BaseSeed:   35,
 		Attributor: newAttributor(t, 35, world),
@@ -115,40 +117,17 @@ func TestRunAllCollectorTotals(t *testing.T) {
 	}
 }
 
-func TestRunAllValidation(t *testing.T) {
+func TestStreamValidation(t *testing.T) {
 	world := smallWorld(t, 36, 2)
-	if _, err := dispatch.RunAll(nil, world.Resolver, dispatch.Config{Attributor: newAttributor(t, 36, world)}); err == nil {
+	ctx := context.Background()
+	if _, err := dispatch.Stream(ctx, nil, world.Resolver, dispatch.Config{Attributor: newAttributor(t, 36, world)}); err == nil {
 		t.Error("nil source should fail")
 	}
-	if _, err := dispatch.RunAll(world, nil, dispatch.Config{Attributor: newAttributor(t, 36, world)}); err == nil {
+	if _, err := dispatch.Stream(ctx, world, nil, dispatch.Config{Attributor: newAttributor(t, 36, world)}); err == nil {
 		t.Error("nil resolver should fail")
 	}
-	if _, err := dispatch.RunAll(world, world.Resolver, dispatch.Config{}); err == nil {
+	if _, err := dispatch.Stream(ctx, world, world.Resolver, dispatch.Config{}); err == nil {
 		t.Error("missing attributor should fail")
-	}
-}
-
-func TestRunOneSingleApp(t *testing.T) {
-	world := smallWorld(t, 37, 6)
-	cfg := dispatch.Config{
-		Emulator:   shortOpts(37),
-		BaseSeed:   37,
-		Attributor: newAttributor(t, 37, world),
-	}
-	var ran bool
-	for i := 0; i < 6; i++ {
-		run, err := dispatch.RunOne(world, world.Resolver, cfg, i)
-		if err != nil {
-			// ARM-only apps are rejected with a descriptive error.
-			continue
-		}
-		ran = true
-		if run.AppPackage == "" || len(run.Flows) == 0 {
-			t.Errorf("app %d: empty run result", i)
-		}
-	}
-	if !ran {
-		t.Error("no app ran successfully")
 	}
 }
 
@@ -167,7 +146,7 @@ func (f *failingSource) GenerateApp(i int) (*synth.App, error) {
 
 var errFailInjected = fmt.Errorf("injected generation failure")
 
-func TestRunAllContinueOnError(t *testing.T) {
+func TestFleetContinueOnError(t *testing.T) {
 	world := smallWorld(t, 39, 6)
 	src := &failingSource{World: world, failIdx: 2}
 	cfg := dispatch.Config{
@@ -176,7 +155,7 @@ func TestRunAllContinueOnError(t *testing.T) {
 		Attributor:      newAttributor(t, 39, world),
 		ContinueOnError: true,
 	}
-	res, err := dispatch.RunAll(src, world.Resolver, cfg)
+	res, _, err := dispatchtest.Run(src, world.Resolver, cfg)
 	if err != nil {
 		t.Fatalf("ContinueOnError fleet aborted: %v", err)
 	}
@@ -186,13 +165,13 @@ func TestRunAllContinueOnError(t *testing.T) {
 	if !errors.Is(res.Failures[0].Err, errFailInjected) {
 		t.Errorf("failure cause = %v", res.Failures[0].Err)
 	}
-	if len(res.Runs)+res.SkippedARMOnly != 5 {
-		t.Errorf("runs %d + skipped %d != 5", len(res.Runs), res.SkippedARMOnly)
+	if acct := res.Accounting; acct.Completed+acct.SkippedARMOnly != 5 {
+		t.Errorf("completed %d + skipped %d != 5", acct.Completed, acct.SkippedARMOnly)
 	}
 
 	// Without ContinueOnError the same failure aborts the fleet.
 	cfg.ContinueOnError = false
-	if _, err := dispatch.RunAll(src, world.Resolver, cfg); err == nil {
+	if _, _, err := dispatchtest.Run(src, world.Resolver, cfg); err == nil {
 		t.Error("strict mode should abort on failure")
 	}
 }

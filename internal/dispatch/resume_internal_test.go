@@ -54,14 +54,13 @@ func TestRequeuedReplayObservesAppOnce(t *testing.T) {
 	}
 	detector := libradar.NewDetector(nil)
 	fleet := Config{
-		Workers:      1,
-		Emulator:     opts,
-		BaseSeed:     193,
-		Attributor:   attribution.NewAttributor(svc),
-		EmitEvidence: true,
-		Artifacts:    store,
-		Telemetry:    obs.NewVirtual(nil),
-		Shard:        ShardRange{Lo: idx, Hi: idx + 1},
+		Workers:    1,
+		Emulator:   opts,
+		BaseSeed:   193,
+		Attributor: attribution.NewAttributor(svc),
+		Artifacts:  store,
+		Telemetry:  obs.NewVirtual(nil),
+		Shard:      ShardRange{Lo: idx, Hi: idx + 1},
 		Resume: &journal.Replay{Outcomes: map[int]journal.AppOutcome{
 			idx: {Outcome: journal.OutcomeRun, ArtifactSHA: app.SHA256, Attempts: 1},
 		}},
@@ -82,7 +81,7 @@ func TestRequeuedReplayObservesAppOnce(t *testing.T) {
 	}
 
 	fleet.Detector = detector
-	res, err := RunAll(world, world.Resolver, fleet, store)
+	res, err := drainFleet(world, world.Resolver, fleet, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +92,8 @@ func TestRequeuedReplayObservesAppOnce(t *testing.T) {
 	if !strings.Contains(trace.String(), "reattributing stored evidence") {
 		t.Fatalf("the requeue was not a post-load re-attribution error:\n%s", trace.String())
 	}
-	if len(res.Runs) != 1 {
-		t.Fatalf("resumed fleet completed %d runs, want 1", len(res.Runs))
+	if res.Accounting.Completed != 1 {
+		t.Fatalf("resumed fleet completed %d runs, want 1", res.Accounting.Completed)
 	}
 	if got := fleet.Telemetry.Metrics().Snapshot().Counters[obs.MResumeRequeued]; got != 1 {
 		t.Fatalf("%s = %d: the replay was not demoted to a live run", obs.MResumeRequeued, got)

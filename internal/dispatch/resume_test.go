@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"libspector/internal/attribution"
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/faults"
 	"libspector/internal/journal"
 	"libspector/internal/obs"
@@ -41,11 +43,10 @@ func (c *journaledCampaign) config(t *testing.T, w *journal.Writer, rep *journal
 		Emulator:        shortOpts(c.seed),
 		BaseSeed:        c.seed,
 		Attributor:      newAttributor(t, c.seed, world),
-		EmitEvidence:    true,
+		Artifacts:       c.store,
 		ContinueOnError: true,
 		MaxAttempts:     3,
 		RetryBackoff:    time.Second,
-		Clock:           retryClock(),
 		Faults:          inj,
 		Journal:         w,
 		Resume:          rep,
@@ -53,21 +54,25 @@ func (c *journaledCampaign) config(t *testing.T, w *journal.Writer, rep *journal
 		// uninterrupted one's did, so neither may inherit the other's.
 		Telemetry: obs.NewVirtual(nil),
 	}
-	if rep != nil {
-		cfg.Artifacts = c.store
-	}
 	return cfg
 }
 
-// runSnapshots holds each run's final metrics snapshot, keyed by the
-// Result it returned, for sameOutcome to compare.
-var runSnapshots = map[*dispatch.Result][]byte{}
+// campaignRecord is what sameOutcome compares beyond a Result: the
+// campaign's final metrics snapshot and its completed runs.
+type campaignRecord struct {
+	snapshot []byte
+	runs     []*attribution.RunResult
+}
+
+// campaignRecords holds each campaign's record, keyed by the Result it
+// returned.
+var campaignRecords = map[*dispatch.Result]campaignRecord{}
 
 func (c *journaledCampaign) run(t *testing.T, w *journal.Writer, rep *journal.Replay, inj *faults.Injector) (*dispatch.Result, error) {
 	t.Helper()
 	world := smallWorld(t, c.seed, c.apps)
 	cfg := c.config(t, w, rep, inj)
-	res, err := dispatch.RunAll(world, world.Resolver, cfg, c.store)
+	res, runs, err := dispatchtest.Run(world, world.Resolver, cfg, c.store)
 	if res != nil {
 		// The two resume series describe the resume itself, not the
 		// campaign; shard merge strips them the same way.
@@ -78,7 +83,7 @@ func (c *journaledCampaign) run(t *testing.T, w *journal.Writer, rep *journal.Re
 		if jerr != nil {
 			t.Fatal(jerr)
 		}
-		runSnapshots[res] = data
+		campaignRecords[res] = campaignRecord{data, runs}
 	}
 	return res, err
 }
@@ -97,19 +102,17 @@ func sameOutcome(t *testing.T, base, got *dispatch.Result) {
 	// Telemetry identity: whatever each attempt charged — completed,
 	// retried, failed or quarantined, live or replayed from the journal —
 	// the registries end byte-identical.
-	if b, g := runSnapshots[base], runSnapshots[got]; b == nil || g == nil {
-		t.Errorf("missing metrics snapshot (base %t, resumed %t)", b != nil, g != nil)
-	} else if !bytes.Equal(b, g) {
-		t.Errorf("resumed metrics snapshot differs from uninterrupted baseline:\nbase:\n%s\nresumed:\n%s", b, g)
+	rb, rg := campaignRecords[base], campaignRecords[got]
+	if rb.snapshot == nil || rg.snapshot == nil {
+		t.Errorf("missing metrics snapshot (base %t, resumed %t)", rb.snapshot != nil, rg.snapshot != nil)
+	} else if !bytes.Equal(rb.snapshot, rg.snapshot) {
+		t.Errorf("resumed metrics snapshot differs from uninterrupted baseline:\nbase:\n%s\nresumed:\n%s", rb.snapshot, rg.snapshot)
 	}
-	if !reflect.DeepEqual(base.Runs, got.Runs) {
-		t.Errorf("resumed runs differ from uninterrupted baseline (%d vs %d runs)", len(got.Runs), len(base.Runs))
+	if !reflect.DeepEqual(rb.runs, rg.runs) {
+		t.Errorf("resumed runs differ from uninterrupted baseline (%d vs %d runs)", len(rg.runs), len(rb.runs))
 	}
 	if base.Accounting != got.Accounting {
 		t.Errorf("accounting differs:\nbase    %+v\nresumed %+v", base.Accounting, got.Accounting)
-	}
-	if base.SkippedARMOnly != got.SkippedARMOnly {
-		t.Errorf("skips differ: base %d, resumed %d", base.SkippedARMOnly, got.SkippedARMOnly)
 	}
 	if len(base.Failures) != len(got.Failures) {
 		t.Fatalf("failures differ: base %d, resumed %d", len(base.Failures), len(got.Failures))
@@ -549,7 +552,7 @@ func TestCancelledCampaignResumesClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs int
-	_, runErr := dispatch.Gather(events, killStore, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+	_, runErr := dispatch.Drain(events, killStore, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
 		if ev.Kind == dispatch.EventRun {
 			if runs++; runs == 3 {
 				cancel()

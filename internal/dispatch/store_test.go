@@ -9,7 +9,6 @@ import (
 	"libspector/internal/attribution"
 	"libspector/internal/emulator"
 	"libspector/internal/faults"
-	"libspector/internal/nets"
 	"libspector/internal/obs"
 	"libspector/internal/synth"
 	"libspector/internal/vtclient"
@@ -144,7 +143,6 @@ func TestFaultedCampaignStoresEachAppOnce(t *testing.T) {
 		Faults:          inj,
 		MaxAttempts:     3,
 		RetryBackoff:    time.Second,
-		Clock:           nets.NewClock(time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC)),
 		ContinueOnError: true,
 	})
 	if err != nil {

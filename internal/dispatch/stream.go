@@ -59,7 +59,7 @@ func (k EventKind) String() string {
 }
 
 // RunEvidence bundles one run's raw artifacts for persistence sinks. It is
-// attached to EventRun events only when Config.EmitEvidence is set, so the
+// attached to EventRun events only when Config.Artifacts is set, so the
 // common analysis-only path never pays for carrying apk bytes downstream.
 //
 // Its byte slices are borrowed: a sink may read them only until its
@@ -94,54 +94,27 @@ func (e *RunEvidence) release() {
 	e.Capture, e.recycle = nil, nil
 }
 
-// StreamSummary carries the fleet-level counters; it arrives exactly once,
-// as the payload of the closing EventSummary.
-type StreamSummary struct {
-	// Completed counts successfully attributed runs.
-	Completed int
-	// SkippedARMOnly counts apps excluded by the ABI filter.
-	SkippedARMOnly int
-	// Failures lists per-app errors, sorted by app index for deterministic
-	// reporting regardless of worker interleaving.
-	Failures []RunFailure
-	// Quarantined lists apps that exhausted the retry budget
-	// (ContinueOnError with MaxAttempts > 1), sorted by app index.
-	Quarantined []QuarantinedApp
-	// Accounting is the corpus-coverage ledger: every app accounted for as
-	// completed, skipped, quarantined, failed, or not run.
-	Accounting Accounting
-	// CollectorReports / CollectorMalformed / CollectorDropped are the
-	// collector's datagram totals.
-	CollectorReports   int
-	CollectorMalformed int
-	CollectorDropped   int
-	// Elapsed is the wall-clock duration of the fleet run.
-	Elapsed time.Duration
-	// Err is the stream-fatal error: the context's error after a
-	// cancellation, the first (lowest-index) app error in fail-fast mode,
-	// or an infrastructure failure such as a worker failing to dial the
-	// collector. Nil after a clean drain.
-	Err error
-}
-
-// RunEvent is one per-app outcome, emitted in completion order. Exactly one
-// of Run/Err/Summary is set, according to Kind; AppIndex is valid for
-// per-app kinds (and -1 on the summary).
+// RunEvent is one per-app outcome, emitted in completion order, or the
+// closing summary. Run, Err and Summary are set according to Kind;
+// AppIndex is valid for per-app kinds (and -1 on the summary).
 type RunEvent struct {
 	Kind     EventKind
 	AppIndex int
 	// Run is the attribution result (EventRun).
 	Run *attribution.RunResult
-	// Evidence carries the raw run artifacts when Config.EmitEvidence is
-	// set (EventRun).
+	// Evidence carries the raw run artifacts when Config.Artifacts is set
+	// (EventRun).
 	Evidence *RunEvidence
 	// Err is the per-app failure (EventFailure, EventQuarantine — the
-	// final attempt's error).
+	// final attempt's error) or, on the summary, the stream-fatal error:
+	// the context's error after a cancellation, the first (lowest-index)
+	// app error in fail-fast mode, or an infrastructure failure such as a
+	// worker failing to dial the collector. Nil after a clean run.
 	Err error
 	// Quarantine carries the quarantine record (EventQuarantine).
 	Quarantine *QuarantinedApp
-	// Summary closes the stream (EventSummary).
-	Summary *StreamSummary
+	// Summary is the fleet's Result; it closes the stream (EventSummary).
+	Summary *Result
 }
 
 // Sink consumes stream events: live progress printers, artifact
@@ -172,7 +145,7 @@ var newCollector, newStore = NewCollector, NewStore
 // Stream exercises every app in the source across the worker fleet and
 // returns a bounded channel of per-app events in completion order, closed
 // after a final EventSummary. The caller must drain the channel until it
-// closes (Gather does this); cancelling ctx stops the fleet promptly —
+// closes (Drain does this); cancelling ctx stops the fleet promptly —
 // each worker finishes at most its one in-flight app — after which the
 // remaining buffered events and the summary are still delivered to a
 // draining consumer.
@@ -227,7 +200,6 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 		resolver:  resolver,
 		collector: collector,
 		store:     newStore(),
-		clk:       newFleetClock(cfg.Clock),
 		tel:       cfg.Telemetry,
 		// One buffered slot per worker is the backpressure budget.
 		events: make(chan RunEvent, workers),
@@ -258,45 +230,14 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 	return f.events, nil
 }
 
-// RunCollector is the Sink that retains every completed run — what turns
-// Drain's ledger-only Result into the batch shape. A campaign that only
-// needs folded aggregates (a shard) leaves it out and never holds more
-// than the in-flight runs.
-type RunCollector struct {
-	runs []indexedRun
-}
-
-type indexedRun struct {
-	idx int
-	run *attribution.RunResult
-}
-
-// Consume implements Sink.
-func (c *RunCollector) Consume(ev RunEvent) error {
-	if ev.Kind == EventRun {
-		c.runs = append(c.runs, indexedRun{ev.AppIndex, ev.Run})
-	}
-	return nil
-}
-
-// Runs returns the retained runs in app-index order.
-func (c *RunCollector) Runs() []*attribution.RunResult {
-	sort.Slice(c.runs, func(i, j int) bool { return c.runs[i].idx < c.runs[j].idx })
-	var out []*attribution.RunResult
-	for _, r := range c.runs {
-		out = append(out, r.run)
-	}
-	return out
-}
-
 // Drain consumes a stream to its end, forwarding every event to the sinks
-// in order, and returns the closing summary as a Result without Runs. Once
-// every sink has consumed an event, Drain hands the event's capture buffer
-// back to the fleet for reuse. On error the returned Result still holds
+// in order, and returns the Result the closing summary carries. Once every
+// sink has consumed an event, Drain hands the event's capture buffer back
+// to the fleet for reuse. On error the returned Result still holds
 // whatever the summary reported, so callers can account for a partial
 // fleet after a cancellation.
 func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
-	var summary *StreamSummary
+	var summary *RunEvent
 	var sinkErr error
 	for ev := range events {
 		for _, s := range sinks {
@@ -311,40 +252,16 @@ func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 			ev.Evidence.release()
 		}
 		if ev.Kind == EventSummary {
-			summary = ev.Summary
+			summary = &ev
 		}
-	}
-	res := &Result{}
-	if summary != nil {
-		res.SkippedARMOnly = summary.SkippedARMOnly
-		res.Failures = summary.Failures
-		res.Quarantined = summary.Quarantined
-		res.Accounting = summary.Accounting
-		res.CollectorReports = summary.CollectorReports
-		res.CollectorMalformed = summary.CollectorMalformed
-		res.CollectorDropped = summary.CollectorDropped
-		res.Elapsed = summary.Elapsed
 	}
 	switch {
 	case summary == nil:
-		return res, fmt.Errorf("dispatch: stream cancelled before its summary was delivered")
+		return &Result{}, fmt.Errorf("dispatch: stream cancelled before its summary was delivered")
 	case summary.Err != nil:
-		return res, summary.Err
-	case sinkErr != nil:
-		return res, sinkErr
+		return summary.Summary, summary.Err
 	}
-	return res, nil
-}
-
-// Gather is Drain plus a RunCollector: it materializes the batch Result
-// with runs in app-index order — the bridge from the streaming API back
-// to the original batch shape. On error the returned Result still holds
-// whatever completed before the stream ended.
-func Gather(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
-	collect := &RunCollector{}
-	res, err := Drain(events, append(sinks[:len(sinks):len(sinks)], collect)...)
-	res.Runs = collect.Runs()
-	return res, err
+	return summary.Summary, sinkErr
 }
 
 // fleetRun is the shared state of one streaming fleet execution.
@@ -365,10 +282,6 @@ type fleetRun struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// clk wraps cfg.Clock behind a mutex: the virtual clock absorbs
-	// retry backoff from every worker. Nil when no virtual clock is
-	// configured.
-	clk *fleetClock
 	// tel is the fleet's telemetry (nil-safe when unset).
 	tel *obs.Telemetry
 
@@ -484,22 +397,20 @@ feed:
 	if acct.NotRun < 0 {
 		acct.NotRun = 0
 	}
-	sum := &StreamSummary{
-		Completed:      f.completed,
-		SkippedARMOnly: f.skipped,
-		Failures:       f.failures,
-		Quarantined:    f.quarantined,
-		Accounting:     acct,
-		Elapsed:        time.Since(start),
-		Err:            f.fatal,
+	res := &Result{
+		Failures:    f.failures,
+		Quarantined: f.quarantined,
+		Accounting:  acct,
+		Elapsed:     time.Since(start),
 	}
+	fatal := f.fatal
 	f.mu.Unlock()
-	sort.Slice(sum.Failures, func(i, j int) bool { return sum.Failures[i].AppIndex < sum.Failures[j].AppIndex })
-	sort.Slice(sum.Quarantined, func(i, j int) bool { return sum.Quarantined[i].AppIndex < sum.Quarantined[j].AppIndex })
-	if sum.Err == nil {
-		sum.Err = f.ctx.Err()
+	sort.Slice(res.Failures, func(i, j int) bool { return res.Failures[i].AppIndex < res.Failures[j].AppIndex })
+	sort.Slice(res.Quarantined, func(i, j int) bool { return res.Quarantined[i].AppIndex < res.Quarantined[j].AppIndex })
+	if fatal == nil {
+		fatal = f.ctx.Err()
 	}
-	sum.CollectorReports, sum.CollectorMalformed, sum.CollectorDropped = f.collector.Totals()
+	res.CollectorReports, res.CollectorMalformed, res.CollectorDropped = f.collector.Totals()
 	// fleet.summary is deterministic but topology-bound (it carries the
 	// resolved shard range), so it streams without entering the JSONL log.
 	if bus := f.tel.Bus(); bus.Active() {
@@ -509,7 +420,7 @@ feed:
 			Counts: acct.EventCounts(),
 		})
 	}
-	f.emit(RunEvent{Kind: EventSummary, AppIndex: -1, Summary: sum})
+	f.emit(RunEvent{Kind: EventSummary, AppIndex: -1, Summary: res, Err: fatal})
 }
 
 // worker pulls app indices until the jobs channel closes or the stream
@@ -647,9 +558,9 @@ func (f *fleetRun) runApp(env *runEnv, i int, requeued bool) {
 		if !a.apply(tr) || tr.kind != outcomeRetry {
 			return
 		}
-		if !f.wait(tr.backoff) {
-			// The fleet stopped mid-backoff: the attempt just retried was
-			// the app's last.
+		// The backoff was charged, not slept; a fleet stopped meanwhile
+		// makes the attempt just retried the app's last.
+		if f.ctx.Err() != nil || f.stopped() {
 			a.apply(transition{kind: exhausted, attempt: attempt, err: err})
 			return
 		}
@@ -679,24 +590,4 @@ func (f *fleetRun) retryBackoff(attempt int) (time.Duration, int64) {
 	}
 	d := f.cfg.RetryBackoff << shift
 	return d, d.Milliseconds()
-}
-
-// wait sits out a retry backoff. With a virtual retry clock configured
-// the wait is advanced on the clock (serialized — nets.Clock is not safe
-// for concurrent use) instead of slept, so deterministic experiments never
-// block on wall time. Returns false when the fleet was cancelled or
-// stopped meanwhile.
-func (f *fleetRun) wait(d time.Duration) bool {
-	if f.clk != nil {
-		f.clk.Advance(d)
-	} else if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-f.ctx.Done():
-		case <-f.stop:
-		}
-	}
-	return f.ctx.Err() == nil && !f.stopped()
 }

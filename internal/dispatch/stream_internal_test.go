@@ -15,8 +15,7 @@ import (
 
 // TestWorkerDialFailureAbortsStream injects a collector-dial failure and
 // checks it surfaces as one structured stream error instead of silently
-// consuming the job queue and marking every remaining app failed (the old
-// RunAll behaviour).
+// consuming the job queue and marking every remaining app failed.
 func TestWorkerDialFailureAbortsStream(t *testing.T) {
 	orig := dialCollector
 	dialCollector = func(*net.UDPAddr) (*Client, error) {
@@ -47,7 +46,7 @@ func TestWorkerDialFailureAbortsStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Gather(events)
+	res, err := Drain(events)
 	if err == nil {
 		t.Fatal("dial failure did not surface")
 	}
@@ -58,7 +57,7 @@ func TestWorkerDialFailureAbortsStream(t *testing.T) {
 	if len(res.Failures) != 0 {
 		t.Errorf("dial failure poisoned %d apps: %+v", len(res.Failures), res.Failures)
 	}
-	if len(res.Runs) != 0 {
-		t.Errorf("%d runs completed without a collector connection", len(res.Runs))
+	if res.Accounting.Completed != 0 {
+		t.Errorf("%d runs completed without a collector connection", res.Accounting.Completed)
 	}
 }

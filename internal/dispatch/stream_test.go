@@ -6,21 +6,22 @@ import (
 	"testing"
 
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/synth"
 )
 
 // drain collects every event until the stream closes, returning the per-app
-// events and the summary.
-func drain(t *testing.T, events <-chan dispatch.RunEvent) ([]dispatch.RunEvent, *dispatch.StreamSummary) {
+// events and the closing summary event.
+func drain(t *testing.T, events <-chan dispatch.RunEvent) ([]dispatch.RunEvent, *dispatch.RunEvent) {
 	t.Helper()
 	var perApp []dispatch.RunEvent
-	var summary *dispatch.StreamSummary
+	var summary *dispatch.RunEvent
 	for ev := range events {
 		if ev.Kind == dispatch.EventSummary {
 			if summary != nil {
 				t.Fatal("stream emitted two summaries")
 			}
-			summary = ev.Summary
+			summary = &ev
 			continue
 		}
 		if summary != nil {
@@ -62,10 +63,10 @@ func TestStreamEmitsEveryAppOnceThenSummary(t *testing.T) {
 			t.Errorf("app %d: run event without run", ev.AppIndex)
 		}
 	}
-	if summary.Completed+summary.SkippedARMOnly != 10 {
-		t.Errorf("summary %d completed + %d skipped != 10", summary.Completed, summary.SkippedARMOnly)
+	if acct := summary.Summary.Accounting; acct.Completed+acct.SkippedARMOnly != 10 {
+		t.Errorf("summary %d completed + %d skipped != 10", acct.Completed, acct.SkippedARMOnly)
 	}
-	if summary.Elapsed <= 0 {
+	if summary.Summary.Elapsed <= 0 {
 		t.Error("summary has no elapsed time")
 	}
 }
@@ -89,10 +90,10 @@ func TestStreamCancelStopsPromptly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var perApp int
-	var summary *dispatch.StreamSummary
+	var summary *dispatch.RunEvent
 	for ev := range events {
 		if ev.Kind == dispatch.EventSummary {
-			summary = ev.Summary
+			summary = &ev
 			continue
 		}
 		perApp++
@@ -128,14 +129,14 @@ func TestStreamFailFastCancelsRemaining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, gatherErr := dispatch.Gather(events)
-	if gatherErr == nil {
+	res, drainErr := dispatch.Drain(events)
+	if drainErr == nil {
 		t.Fatal("fail-fast stream reported no error")
 	}
-	if !errors.Is(gatherErr, errFailInjected) {
-		t.Errorf("error = %v, want the injected failure", gatherErr)
+	if !errors.Is(drainErr, errFailInjected) {
+		t.Errorf("error = %v, want the injected failure", drainErr)
 	}
-	if total := len(res.Runs) + res.SkippedARMOnly; total >= apps-1 {
+	if total := res.Accounting.Completed + res.Accounting.SkippedARMOnly; total >= apps-1 {
 		t.Errorf("fail-fast fleet still visited %d of %d apps", total, apps)
 	}
 }
@@ -159,7 +160,7 @@ func TestStreamContinueOnErrorDeterministicFailures(t *testing.T) {
 	fleet := func() []int {
 		world := smallWorld(t, 67, 8)
 		src := &multiFailSource{World: world, fail: map[int]bool{2: true, 5: true}}
-		res, err := dispatch.RunAll(src, world.Resolver, dispatch.Config{
+		res, _, err := dispatchtest.Run(src, world.Resolver, dispatch.Config{
 			Workers:         4,
 			Emulator:        shortOpts(67),
 			BaseSeed:        67,
@@ -192,8 +193,9 @@ func TestStreamContinueOnErrorDeterministicFailures(t *testing.T) {
 	}
 }
 
-// TestGatherForwardsToSinks checks sink fan-out and sink-error reporting.
-func TestGatherForwardsToSinks(t *testing.T) {
+// TestDrainForwardsToSinks checks sink fan-out, the summary's Result, and
+// sink-error reporting.
+func TestDrainForwardsToSinks(t *testing.T) {
 	world := smallWorld(t, 69, 6)
 	cfg := dispatch.Config{
 		Emulator:   shortOpts(69),
@@ -201,36 +203,43 @@ func TestGatherForwardsToSinks(t *testing.T) {
 		Attributor: newAttributor(t, 69, world),
 	}
 	var kinds []dispatch.EventKind
+	var summary *dispatch.Result
 	events, err := dispatch.Stream(context.Background(), world, world.Resolver, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dispatch.Gather(events, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+	res, err := dispatch.Drain(events, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
 		kinds = append(kinds, ev.Kind)
+		if ev.Kind == dispatch.EventSummary {
+			summary = ev.Summary
+		}
 		return nil
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kinds) != len(res.Runs)+res.SkippedARMOnly+1 {
+	if acct := res.Accounting; len(kinds) != acct.Completed+acct.SkippedARMOnly+1 {
 		t.Errorf("sink saw %d events for %d runs + %d skips + summary",
-			len(kinds), len(res.Runs), res.SkippedARMOnly)
+			len(kinds), acct.Completed, acct.SkippedARMOnly)
 	}
 	if kinds[len(kinds)-1] != dispatch.EventSummary {
 		t.Error("sink did not see the summary last")
 	}
+	if summary != res {
+		t.Error("Drain did not return the Result the summary event carried")
+	}
 
-	// A sink error surfaces from Gather without abandoning the drain.
+	// A sink error surfaces from Drain without abandoning the drain.
 	sinkErr := errors.New("sink rejected event")
 	events, err = dispatch.Stream(context.Background(), world, world.Resolver, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = dispatch.Gather(events, dispatch.SinkFunc(func(dispatch.RunEvent) error { return sinkErr }))
+	res, err = dispatch.Drain(events, dispatch.SinkFunc(func(dispatch.RunEvent) error { return sinkErr }))
 	if !errors.Is(err, sinkErr) {
-		t.Errorf("gather error = %v, want the sink error", err)
+		t.Errorf("drain error = %v, want the sink error", err)
 	}
-	if res == nil || len(res.Runs)+res.SkippedARMOnly != 6 {
-		t.Error("gather abandoned the drain on a sink error")
+	if res == nil || res.Accounting.Completed+res.Accounting.SkippedARMOnly != 6 {
+		t.Error("drain abandoned the stream on a sink error")
 	}
 }

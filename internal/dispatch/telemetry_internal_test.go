@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -34,6 +35,17 @@ func telemetryWorld(t *testing.T, seed uint64, apps int) (*synth.World, *attribu
 	return world, attribution.NewAttributor(svc)
 }
 
+// drainFleet streams the source through a fleet and drains it into the
+// sinks: the whole campaign, for in-package tests that read only its
+// Result.
+func drainFleet(source AppSource, resolver nets.Resolver, cfg Config, sinks ...Sink) (*Result, error) {
+	events, err := Stream(context.Background(), source, resolver, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Drain(events, sinks...)
+}
+
 // TestFleetTelemetrySeries runs a clean collector-backed fleet under a
 // virtual telemetry clock and checks the core series: outcome counters
 // reconcile with the result, collector totals mirror the supervisor's send
@@ -44,7 +56,7 @@ func TestFleetTelemetrySeries(t *testing.T) {
 	tel := obs.NewVirtual(nil)
 	opts := emulator.DefaultOptions(83)
 	opts.Monkey.Events = 120
-	res, err := RunAll(world, world.Resolver, Config{
+	res, err := drainFleet(world, world.Resolver, Config{
 		Workers:    3,
 		Emulator:   opts,
 		BaseSeed:   83,
@@ -62,8 +74,8 @@ func TestFleetTelemetrySeries(t *testing.T) {
 	if got := c[obs.MFleetCompleted] + c[obs.MFleetSkipped]; got != apps {
 		t.Errorf("completed %d + skipped %d != %d apps", c[obs.MFleetCompleted], c[obs.MFleetSkipped], apps)
 	}
-	if c[obs.MFleetCompleted] != int64(len(res.Runs)) {
-		t.Errorf("completed counter %d, result has %d runs", c[obs.MFleetCompleted], len(res.Runs))
+	if c[obs.MFleetCompleted] != int64(res.Accounting.Completed) {
+		t.Errorf("completed counter %d, ledger has %d runs", c[obs.MFleetCompleted], res.Accounting.Completed)
 	}
 	if c[obs.MCollectorReceived] != int64(res.CollectorReports) {
 		t.Errorf("collector counter %d, result totals %d", c[obs.MCollectorReceived], res.CollectorReports)
@@ -102,8 +114,8 @@ func TestFleetTelemetrySeries(t *testing.T) {
 // TestDrainBarrierTimeoutIsWallBudget: a worker whose datagrams never
 // reach the collector (its client points at a black-hole socket) cannot
 // land its barrier, so every attempt fails with the barrier timeout after
-// the wall budget, the timeout series counts each one, and the fleet's
-// virtual clock moves by retry backoff alone.
+// the wall budget, the timeout series counts each one, and the ledger
+// charges exactly the retry backoff, none of it slept.
 func TestDrainBarrierTimeoutIsWallBudget(t *testing.T) {
 	origBudget := collectorDrainBudget
 	collectorDrainBudget = 25 * time.Millisecond
@@ -125,9 +137,7 @@ func TestDrainBarrierTimeoutIsWallBudget(t *testing.T) {
 	tel := obs.NewVirtual(nil)
 	opts := emulator.DefaultOptions(97)
 	opts.Monkey.Events = 120
-	clock := nets.NewClock(time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC))
-	start := clock.Now()
-	res, err := RunAll(world, world.Resolver, Config{
+	res, err := drainFleet(world, world.Resolver, Config{
 		Workers:         2,
 		Emulator:        opts,
 		BaseSeed:        97,
@@ -135,7 +145,6 @@ func TestDrainBarrierTimeoutIsWallBudget(t *testing.T) {
 		ContinueOnError: true,
 		MaxAttempts:     2,
 		RetryBackoff:    time.Second,
-		Clock:           clock,
 		Telemetry:       tel,
 	})
 	if err != nil {
@@ -154,7 +163,7 @@ func TestDrainBarrierTimeoutIsWallBudget(t *testing.T) {
 	if failed := int64(acct.Attempts - acct.SkippedARMOnly); timeouts != failed || failed != int64(2*len(res.Quarantined)) {
 		t.Errorf("drain timeouts = %d, failed attempts = %d, quarantined apps = %d", timeouts, failed, len(res.Quarantined))
 	}
-	if moved := clock.Now().Sub(start); moved != acct.Backoff || moved != time.Duration(len(res.Quarantined))*time.Second {
-		t.Errorf("fleet clock advanced %v, want exactly the %v of retry backoff", moved, acct.Backoff)
+	if want := time.Duration(len(res.Quarantined)) * time.Second; acct.Backoff != want {
+		t.Errorf("ledger charged %v of backoff, want exactly the %v of one retry per quarantined app", acct.Backoff, want)
 	}
 }

@@ -93,7 +93,7 @@ func (f *Flags) Faults() *Flags {
 	f.fs.BoolVar(&c.ContinueOnError, "continue-on-error", false, "keep the fleet running past individual app failures")
 	f.fs.DurationVar(&c.RunTimeout, "run-timeout", 0, "per-run attempt deadline (0 = none)")
 	f.fs.IntVar(&c.MaxAttempts, "max-attempts", 1, "run attempts per app before giving up (retries with backoff)")
-	f.fs.DurationVar(&c.RetryBackoff, "retry-backoff", 0, "base backoff between attempts, doubled per retry (charged to a virtual clock)")
+	f.fs.DurationVar(&c.RetryBackoff, "retry-backoff", 0, "base backoff between attempts, doubled per retry (charged to the retry ledger, never slept)")
 	f.fs.Float64Var(&c.FaultRate, "fault-rate", 0, "fraction of apps hit by an injected fault on their first attempt [0,1]")
 	f.fs.Float64Var(&c.FaultPoisonRate, "fault-poison", 0, "fraction of faulted apps whose fault repeats on every attempt [0,1]")
 	f.fs.StringVar(&f.faultClasses, "fault-classes", "", "comma-separated fault classes to inject (default all): emulator-abort,stall-run,capture-truncate,datagram-drop,hook-fault; opt-in crash classes: journal-crash,journal-tear,artifact-flip")

@@ -2,9 +2,7 @@ package pcap
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // FuzzDecodeSegment hardens the IPv4/TCP/UDP decoder.
@@ -85,46 +83,6 @@ func FuzzDecodeDNS(f *testing.F) {
 		}
 		if _, err := EncodeDNS(msg); err != nil {
 			t.Fatalf("accepted DNS message does not re-encode: %v", err)
-		}
-	})
-}
-
-// Reading a capture of n bytes may allocate at most readAllocPerByte·n +
-// readAllocBase bytes. The per-byte factor covers ReadAll's packet slice
-// (48 bytes per packet, one packet per ≥ 16-byte record, grown by
-// append) plus each packet's data; the base covers the bufio buffer and
-// reader state, with slack for the fuzzing engine's own allocations.
-const (
-	readAllocPerByte = 32
-	readAllocBase    = 64 << 10
-)
-
-// FuzzReader hardens the pcap file reader against truncated and corrupted
-// captures: errors are fine, panics and allocations out of proportion to
-// the input are not.
-func FuzzReader(f *testing.F) {
-	w := NewWriter(nil)
-	raw, err := EncodeTCP(testTuple(), FlagSYN, 0, 0, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := w.WritePacket(Packet{Timestamp: time.Unix(1, 0), Data: raw}); err != nil {
-		f.Fatal(err)
-	}
-	capture := w.Bytes()
-	f.Add(capture)
-	f.Add(capture[:20])
-	f.Add([]byte{})
-	f.Add(forgedCapture(1 << 30))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if r, err := NewReader(bytes.NewReader(data)); err == nil {
-			_, _ = r.ReadAll()
-		}
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(readAllocPerByte*len(data)+readAllocBase); got > limit {
-			t.Fatalf("reading a %d-byte capture allocated %d bytes, limit %d", len(data), got, limit)
 		}
 	})
 }

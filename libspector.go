@@ -36,7 +36,6 @@ import (
 	"libspector/internal/journal"
 	"libspector/internal/libradar"
 	"libspector/internal/monkey"
-	"libspector/internal/nets"
 	"libspector/internal/obs"
 	"libspector/internal/resultstore"
 	"libspector/internal/synth"
@@ -112,8 +111,8 @@ type Config struct {
 	// apps that exhaust the budget.
 	MaxAttempts int
 	// RetryBackoff is the base delay between attempts, doubled per retry.
-	// Backoff is charged to a fleet-owned virtual clock, so same-seed
-	// experiments stay deterministic and never sleep on wall time.
+	// Backoff is charged to the degradation ledger, never slept, so
+	// same-seed experiments stay deterministic and fast.
 	RetryBackoff time.Duration
 	// FaultRate, when positive, enables the internal/faults injector: that
 	// fraction of apps suffer a deterministic, seed-derived fault on their
@@ -251,9 +250,9 @@ func (e *Experiment) emulatorOptions() emulator.Options {
 }
 
 // buildFleetConfig assembles the dispatch configuration for one fleet
-// execution from its spec. The retry clock and fault injector are built
-// fresh per fleet: both are deterministic functions of the seed, so every
-// shard reproduces exactly the single-process behavior for its indices.
+// execution from its spec. The fault injector is built fresh per fleet: it
+// is a deterministic function of the seed, so every shard reproduces
+// exactly the single-process behavior for its indices.
 func (e *Experiment) buildFleetConfig(spec fleetSpec) (dispatch.Config, error) {
 	cfg := dispatch.Config{
 		Workers:         spec.workers,
@@ -267,11 +266,6 @@ func (e *Experiment) buildFleetConfig(spec fleetSpec) (dispatch.Config, error) {
 		RetryBackoff:    e.cfg.RetryBackoff,
 		Telemetry:       spec.tel,
 		Shard:           spec.rng,
-	}
-	if e.cfg.RetryBackoff > 0 {
-		// Retry backoff advances a fleet-owned virtual clock instead of
-		// sleeping, keeping same-seed experiments deterministic and fast.
-		cfg.Clock = nets.NewClock(time.Unix(0, 0).UTC())
 	}
 	if e.cfg.FaultRate > 0 {
 		inj, err := faults.New(faults.Config{
@@ -296,7 +290,6 @@ func attachArtifacts(cfg *dispatch.Config, dir string) (*dispatch.ArtifactStore,
 	if err != nil {
 		return nil, err
 	}
-	cfg.EmitEvidence = true
 	cfg.Artifacts = artifacts
 	if cfg.Faults != nil {
 		// Lets the artifact-flip crash class damage stored evidence.
@@ -496,16 +489,14 @@ func (e *Experiment) Run() error {
 // context, folding results through per-worker analysis.DatasetBuilders as
 // they complete and forwarding every stream event to the optional sinks
 // (live progress, custom persistence). One pass builds both the record
-// set and the figure aggregates — there is no second sweep over retained
-// runs. Cancelling ctx stops the fleet within one in-flight app per
+// set and the figure aggregates, and no run outlives its fold: the
+// experiment retains records and aggregates, never RunResults. Cancelling ctx stops the fleet within one in-flight app per
 // worker; whatever completed before the cancellation is still aggregated,
 // so Result, Dataset, and Aggregates hold the partial view alongside the
 // returned error.
 func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) error {
 	// The whole-corpus run is the shard whose range is the corpus, plus
-	// what only it needs: record-retaining folds and the retained runs
-	// behind Result.
-	collect := &dispatch.RunCollector{}
+	// what only it needs: record-retaining folds.
 	res, builders, records, runErr := runFleet(ctx, e, fleetSpec{
 		index:       -1,
 		workers:     e.resolvedWorkers(),
@@ -516,11 +507,10 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 		resume:      e.cfg.Resume,
 	}, func() (*analysis.DatasetBuilder, error) {
 		return analysis.NewDatasetBuilder(e.domains)
-	}, append(sinks[:len(sinks):len(sinks)], collect)...)
+	}, sinks...)
 	if res == nil {
 		return runErr
 	}
-	res.Runs = collect.Runs()
 	e.result = res
 	// Merge the per-worker builders in worker-index order (so the merged
 	// symbol numbering is a deterministic function of which worker folded
@@ -573,18 +563,34 @@ func (e *Experiment) Dataset() *analysis.Dataset { return e.dataset }
 // after a cancellation they cover the completed prefix of the fleet.
 func (e *Experiment) Aggregates() *analysis.Aggregates { return e.aggregates }
 
-// RunSingleApp exercises one app of the corpus as a one-app fleet and
-// returns its attribution result without touching the experiment's
-// aggregate state — the quickstart path for inspecting a single app.
+// RunSingleApp exercises one app of the corpus as a one-app, one-worker
+// fleet and returns its attribution result without touching the
+// experiment's aggregate state — the quickstart path for inspecting a
+// single app. ARM-only apps (excluded by the §III-A filter) yield an
+// error.
 func (e *Experiment) RunSingleApp(index int) (*attribution.RunResult, error) {
-	res, err := dispatch.RunOne(e.world, e.world.Resolver, dispatch.Config{
+	var run *attribution.RunResult
+	events, err := dispatch.Stream(context.Background(), e.world, e.world.Resolver, dispatch.Config{
+		Workers:    1,
 		Emulator:   e.emulatorOptions(),
 		BaseSeed:   e.cfg.Seed,
 		Attributor: e.attributor,
 		Telemetry:  e.cfg.Telemetry,
-	}, index)
+		Shard:      dispatch.ShardRange{Lo: index, Hi: index + 1},
+	})
+	if err == nil {
+		_, err = dispatch.Drain(events, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+			if ev.Kind == dispatch.EventRun {
+				run = ev.Run
+			}
+			return nil
+		}))
+	}
+	if err == nil && run == nil {
+		err = fmt.Errorf("dispatch: app %d ships only ARM native libraries (excluded by the ABI filter)", index)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("libspector: running app %d: %w", index, err)
 	}
-	return res, nil
+	return run, nil
 }

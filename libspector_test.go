@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -144,8 +145,8 @@ func TestExperimentWithAllOptions(t *testing.T) {
 	if len(incomplete) != 0 {
 		t.Errorf("store reports incomplete entries: %v", incomplete)
 	}
-	if len(shas) != len(res.Runs) {
-		t.Errorf("persisted %d artifacts for %d runs", len(shas), len(res.Runs))
+	if len(shas) != res.Accounting.Completed {
+		t.Errorf("persisted %d artifacts for %d runs", len(shas), res.Accounting.Completed)
 	}
 }
 
@@ -175,15 +176,56 @@ func TestExperimentRunContextCancelled(t *testing.T) {
 	if res == nil || ds == nil || ag == nil {
 		t.Fatal("cancelled run must still expose partial result/dataset/aggregates")
 	}
-	if done := len(res.Runs) + res.SkippedARMOnly; done >= apps {
+	if done := res.Accounting.Completed + res.Accounting.SkippedARMOnly; done >= apps {
 		t.Errorf("cancellation did not stop the fleet: %d of %d apps visited", done, apps)
 	}
-	if ag.Runs != len(res.Runs) {
-		t.Errorf("aggregates folded %d runs, result holds %d", ag.Runs, len(res.Runs))
+	if ag.Runs != res.Accounting.Completed {
+		t.Errorf("aggregates folded %d runs, ledger counts %d", ag.Runs, res.Accounting.Completed)
 	}
 	// The partial aggregates still agree with the batch view of the prefix.
 	if got, want := ag.ComputeTotals(), ds.ComputeTotals(); got != want {
 		t.Errorf("partial totals diverge: streaming %+v, batch %+v", got, want)
+	}
+}
+
+// TestExperimentRetainedHeapIndependentOfRuns: a finished Experiment keeps
+// its Dataset's records and aggregates, never the RunResults that produced
+// them, so its retained heap grows by at most 16 KiB per app from 64 to
+// 256 apps. Keeping every run (flows and payload snippets) costs about
+// 60 KiB per app.
+func TestExperimentRetainedHeapIndependentOfRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two whole campaigns skipped in -short mode")
+	}
+	// retained is the heap a finished experiment alone holds: live heap
+	// with it, less live heap after it is dropped. Two collections before
+	// each reading, so a sync.Pool's victim cache is empty by the second.
+	retained := func(apps int) int64 {
+		cfg := smallConfig(42, apps)
+		cfg.Workers = 2
+		exp, err := libspector.NewExperiment(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := exp.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var with, without runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&with)
+		runtime.KeepAlive(exp)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&without)
+		return int64(with.HeapAlloc) - int64(without.HeapAlloc)
+	}
+	small, large := retained(64), retained(256)
+	t.Logf("retained heap: %d KiB at 64 apps, %d KiB at 256", small>>10, large>>10)
+	const perApp = 16 << 10
+	if grew := large - small; grew > (256-64)*perApp {
+		t.Errorf("experiment retains %d bytes at 256 apps and %d at 64: %d KiB per extra app, over %d",
+			large, small, grew/(256-64)>>10, perApp>>10)
 	}
 }
 
@@ -290,8 +332,8 @@ func TestExperimentWithFaultInjection(t *testing.T) {
 	if acct.Quarantined != 0 || acct.Failed != 0 || acct.NotRun != 0 {
 		t.Fatalf("transient faults should all recover: %+v", acct)
 	}
-	if len(res.Runs) != len(clean.Result().Runs) {
-		t.Fatalf("faulted fleet completed %d runs, clean %d", len(res.Runs), len(clean.Result().Runs))
+	if got, want := acct.Completed, clean.Result().Accounting.Completed; got != want {
+		t.Fatalf("faulted fleet completed %d runs, clean %d", got, want)
 	}
 	a, b := clean.Dataset().ComputeTotals(), exp.Dataset().ComputeTotals()
 	if a != b {

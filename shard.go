@@ -147,8 +147,7 @@ func (e *Experiment) MergeShardOutcomes(outcomes []*dispatch.ShardOutcome) (*Cam
 // runShardTask is the in-process ShardRunner: runFleet restricted to the
 // task's range with the shard's own telemetry, attributor, journal, and
 // artifact store, its per-worker Accumulators sealed and merged into the
-// shard's encoded partial. A shard has no use for materialized runs, so
-// no RunCollector rides along.
+// shard's encoded partial.
 func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
 	tel := e.shardTelemetry()
 	attr := attribution.NewAttributor(e.domains)
