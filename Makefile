@@ -25,11 +25,12 @@ test:
 # worker (TestBarrierConcurrentClients hammers it).
 # The root run covers the shard coordinator and outcome-merge paths
 # end-to-end; TestResumeSnapshotUnderRunFaults checks that every
-# attempt's datagrams land before the collector closes. Keep all of them
-# race-clean.
+# attempt's datagrams land before the collector closes;
+# TestRunContextSlowSinkAfterCancel exercises the emit/drain handoff of a
+# cancelled stream under a slow sink. Keep all of them race-clean.
 race:
 	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/... ./internal/dex/... ./internal/synth/...
-	$(GO) test -race -run 'TestShardCountInvarianceHonest|TestMergeShardOutcomesProcessMode|TestResultStoreShardInvariance|TestEventLogShardCountInvariance|TestResumeSnapshotUnderRunFaults' .
+	$(GO) test -race -run 'TestShardCountInvarianceHonest|TestMergeShardOutcomesProcessMode|TestResultStoreShardInvariance|TestEventLogShardCountInvariance|TestResumeSnapshotUnderRunFaults|TestRunContextSlowSinkAfterCancel' .
 
 # The repo's benchmark (BENCHMARK.json): six end-to-end campaign workloads
 # with a per-layer table, each run in its own process. bench_test.go stays

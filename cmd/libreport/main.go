@@ -263,23 +263,14 @@ func reanalyze(exp *libspector.Experiment, dir string) (*analysis.Dataset, error
 	if err != nil {
 		return nil, err
 	}
-	shas, incomplete, err := store.List()
+	_, incomplete, err := store.List()
 	if err != nil {
 		return nil, err
 	}
 	if len(incomplete) > 0 {
 		fmt.Fprintf(os.Stderr, "libreport: skipping %d incomplete artifact entries: %v\n", len(incomplete), incomplete)
 	}
-	for _, sha := range shas {
-		stored, err := store.Load(sha)
-		if err != nil {
-			return nil, err
-		}
-		if err := exp.Detector().ObserveApp(stored.Meta.Package, stored.APK.Dex.Packages()); err != nil {
-			return nil, err
-		}
-	}
-	runs, err := store.Reanalyze(exp.Attributor())
+	runs, err := store.Reanalyze(exp.Attributor(), exp.Detector())
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,7 @@ package libspector
 import (
 	"sort"
 	"strings"
-	"sync"
 
-	"libspector/internal/attribution"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
 	"libspector/internal/obs"
@@ -25,14 +23,11 @@ const (
 
 // foldTracker accumulates per-library and per-origin-class byte totals
 // across the campaign's folds and periodically publishes an
-// analysis.fold event ("top libraries so far"). It is shared by all of
-// a fleet's workers; observe takes its own lock, but only after the
-// Active gate, so the hot path never touches it when nobody listens.
+// analysis.fold event ("top libraries so far"). It is a Drain sink, so
+// it runs on the draining goroutine only and needs no lock.
 type foldTracker struct {
-	tel   *obs.Telemetry
-	shard int
-
-	mu      sync.Mutex
+	tel     *obs.Telemetry
+	shard   int
 	libs    map[string]int64
 	classes map[string]int64
 	runs    int
@@ -47,18 +42,14 @@ func newFoldTracker(tel *obs.Telemetry, shard int) *foldTracker {
 	}
 }
 
-// observe folds one completed run's flow volumes and publishes a
-// ranking snapshot every foldPublishEvery runs.
-func (t *foldTracker) observe(run *attribution.RunResult) {
-	if t == nil {
-		return
-	}
+// Consume implements dispatch.Sink: it folds one completed run's flow
+// volumes and publishes a ranking snapshot every foldPublishEvery runs.
+func (t *foldTracker) Consume(ev dispatch.RunEvent) error {
 	bus := t.tel.Bus()
-	if !bus.Active() {
-		return
+	if ev.Kind != dispatch.EventRun || ev.Run == nil || !bus.Active() {
+		return nil
 	}
-	t.mu.Lock()
-	for _, fl := range run.Flows {
+	for _, fl := range ev.Run.Flows {
 		name := fl.OriginLibrary
 		if name == "" {
 			continue
@@ -69,20 +60,13 @@ func (t *foldTracker) observe(run *attribution.RunResult) {
 			t.libs[name] += fl.TotalBytes()
 		}
 	}
-	t.runs++
-	publish := t.runs%foldPublishEvery == 0
-	var libs, classes []obs.LibBytes
-	if publish {
-		libs = rankedLibBytes(t.libs, foldTopN)
-		classes = rankedLibBytes(t.classes, 0)
-	}
-	t.mu.Unlock()
-	if publish {
+	if t.runs++; t.runs%foldPublishEvery == 0 {
 		bus.Publish(obs.Event{
 			Type: obs.EvAnalysisFold, TS: t.tel.Now(), App: -1, Shard: t.shard,
-			Libraries: libs, Classes: classes,
+			Libraries: rankedLibBytes(t.libs, foldTopN), Classes: rankedLibBytes(t.classes, 0),
 		})
 	}
+	return nil
 }
 
 // rankedLibBytes sorts a byte-total map descending (name ascending on

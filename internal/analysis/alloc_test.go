@@ -1,7 +1,11 @@
 package analysis
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
+
+	"libspector/internal/attribution"
 )
 
 // The fold-per-run allocation pin: once an accumulator's symbol tables
@@ -72,4 +76,40 @@ func TestDatasetFoldAllocsPerRunStaysPinned(t *testing.T) {
 	if perRun > 4.0 {
 		t.Fatalf("batch fold allocates %.2f allocs/run, want <= 4", perRun)
 	}
+}
+
+// mergeTestRuns builds a deterministic corpus of runs with HTTP context
+// on some flows, so the batch builder's strings-table interning (user
+// agents, hosts, content types, app packages) is exercised, not just the
+// core fold.
+func mergeTestRuns(n int) []*attribution.RunResult {
+	rng := rand.New(rand.NewSource(67))
+	uas := []string{"okhttp/3.12.0", "Dalvik/2.1.0", ""}
+	hosts := []string{"api.example.com", "cdn.example.net", ""}
+	ctypes := []string{"application/json", "image/png", ""}
+	runs := make([]*attribution.RunResult, 0, n)
+	for r := 0; r < n; r++ {
+		nFlows := 1 + rng.Intn(5)
+		flows := make([]*attribution.Flow, 0, nFlows)
+		for f := 0; f < nFlows; f++ {
+			builtin := rng.Intn(6) == 0
+			origin := mergeOrigins[rng.Intn(len(mergeOrigins))]
+			if builtin {
+				origin = "*-Advertisement"
+			}
+			fl := mkFlow(origin, mergeDomains[rng.Intn(len(mergeDomains))],
+				rng.Int63n(10_000), rng.Int63n(100_000), builtin)
+			fl.UserAgent = uas[rng.Intn(len(uas))]
+			fl.HTTPHost = hosts[rng.Intn(len(hosts))]
+			fl.ContentType = ctypes[rng.Intn(len(ctypes))]
+			flows = append(flows, fl)
+		}
+		run := mkRun(fmt.Sprintf("sha-%03d", r), fmt.Sprintf("com.app.x%d", r),
+			mergeAppCats[rng.Intn(len(mergeAppCats))], flows...)
+		run.UDPWireBytes = rng.Int63n(5000)
+		run.DNSWireBytes = rng.Int63n(5000)
+		run.TCPWireBytes = rng.Int63n(50_000)
+		runs = append(runs, run)
+	}
+	return runs
 }

@@ -12,7 +12,6 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
 
 	"libspector/internal/attribution"
@@ -107,8 +106,7 @@ type DatasetBuilder struct {
 	// fields share one strings table, so the table's own last-hit memo
 	// thrashes when a flow carries all three; these keep each column's
 	// repeat hits (a run's flows usually share one user agent) to a
-	// string compare. They stay valid across MergeFrom: merging into
-	// this builder only appends to its strings table.
+	// string compare.
 	lastUA, lastHost, lastCType      string
 	lastUASym, lastHostSym, lastCSym symtab.Sym
 }
@@ -168,49 +166,6 @@ func (b *DatasetBuilder) Observe(appIndex int, run *attribution.RunResult) error
 		b.records = append(b.records, *rec)
 		b.order = append(b.order, appIndex)
 	})
-}
-
-// MergeFrom folds another builder's unfinished state into this one:
-// the columnar cores merge exactly like shard partials, and src's
-// materialized records and app→package map are translated through the
-// resulting symbol remaps. src must not be used afterwards. Record
-// order within each app is preserved (src's records append in their
-// original order and Finish sorts stably by app index), so per-worker
-// builders merged in any worker order finish byte-identical to one
-// builder fed the whole stream.
-func (b *DatasetBuilder) MergeFrom(src *DatasetBuilder) error {
-	if b == nil || src == nil {
-		return fmt.Errorf("analysis: nil dataset builder in merge")
-	}
-	if b.core.finished || src.core.finished {
-		return fmt.Errorf("analysis: cannot merge finished dataset builders")
-	}
-	r := mergeInto(b.core, src.core)
-	for i, pkg := range src.appPkg {
-		if pkg == symtab.None {
-			continue
-		}
-		j := int(r.apps[i])
-		for len(b.appPkg) <= j {
-			b.appPkg = append(b.appPkg, symtab.None)
-		}
-		b.appPkg[j] = r.strings[pkg]
-	}
-	// None is 0 in every table and every remap carries 0→0, so absent
-	// HTTP-context symbols translate to themselves without guards.
-	for _, rec := range src.records {
-		rec.App = r.apps[rec.App]
-		rec.AppCat = r.appCats[rec.AppCat]
-		rec.Origin = r.origins[rec.Origin]
-		rec.TwoLevel = r.twoLevels[rec.TwoLevel]
-		rec.Domain = r.domains[rec.Domain]
-		rec.UserAgent = r.strings[rec.UserAgent]
-		rec.HTTPHost = r.strings[rec.HTTPHost]
-		rec.ContentType = r.strings[rec.ContentType]
-		b.records = append(b.records, rec)
-	}
-	b.order = append(b.order, src.order...)
-	return nil
 }
 
 // Finish freezes the aggregates and returns the Dataset. Records are

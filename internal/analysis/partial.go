@@ -87,38 +87,20 @@ func MergePartials(parts ...*Partial) (*Partial, error) {
 	return &Partial{core: dst}, nil
 }
 
-// coreRemaps carries the dense old→new symbol translations one mergeInto
-// produced, one per table. Callers holding symbol references outside the
-// core — the DatasetBuilder's materialized records and app→package map —
-// translate them through these after the merge.
-type coreRemaps struct {
-	apps      symtab.Remap
-	appCats   symtab.Remap
-	origins   symtab.Remap
-	twoLevels symtab.Remap
-	domains   symtab.Remap
-	domCats   symtab.Remap
-	strings   symtab.Remap
-}
-
 // mergeInto folds src into dst. The symbol tables are unified first — the
 // on-intern hooks rebuild dst's fact columns for strings dst has not seen
 // — and every symbol-indexed column is then re-folded through the dense
-// old→new remaps, which are returned for callers that hold symbol
-// references of their own. All folded quantities are commutative int64
-// sums, so the result is independent of merge order up to symbol
-// numbering, which finish erases by sorting.
-func mergeInto(dst, src *core) coreRemaps {
-	r := coreRemaps{
-		apps:      dst.syms.apps.MergeFrom(src.syms.apps),
-		appCats:   dst.syms.appCats.MergeFrom(src.syms.appCats),
-		origins:   dst.syms.origins.MergeFrom(src.syms.origins),
-		twoLevels: dst.syms.twoLevels.MergeFrom(src.syms.twoLevels),
-		domains:   dst.syms.domains.MergeFrom(src.syms.domains),
-		domCats:   dst.syms.domCats.MergeFrom(src.syms.domCats),
-		strings:   dst.syms.strings.MergeFrom(src.syms.strings),
-	}
-	appR, catR, orgR, twoR, domR, dcR := r.apps, r.appCats, r.origins, r.twoLevels, r.domains, r.domCats
+// old→new remaps. All folded quantities are commutative int64 sums, so
+// the result is independent of merge order up to symbol numbering, which
+// finish erases by sorting. The strings table holds only a
+// DatasetBuilder's record strings, so a partial's is always empty.
+func mergeInto(dst, src *core) {
+	appR := dst.syms.apps.MergeFrom(src.syms.apps)
+	catR := dst.syms.appCats.MergeFrom(src.syms.appCats)
+	orgR := dst.syms.origins.MergeFrom(src.syms.origins)
+	twoR := dst.syms.twoLevels.MergeFrom(src.syms.twoLevels)
+	domR := dst.syms.domains.MergeFrom(src.syms.domains)
+	dcR := dst.syms.domCats.MergeFrom(src.syms.domCats)
 
 	dst.runs += src.runs
 	dst.flows += src.flows
@@ -185,7 +167,6 @@ func mergeInto(dst, src *core) coreRemaps {
 	}
 
 	dst.coverage = append(dst.coverage, src.coverage...)
-	return r
 }
 
 // mergeEntityStats re-folds a per-entity column through a remap. Using

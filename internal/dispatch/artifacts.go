@@ -20,6 +20,7 @@ import (
 	"libspector/internal/dex"
 	"libspector/internal/faults"
 	"libspector/internal/journal"
+	"libspector/internal/libradar"
 	"libspector/internal/nets"
 	"libspector/internal/xposed"
 )
@@ -464,8 +465,10 @@ func (s *ArtifactStore) flipStoredBit(sha string, param uint64) error {
 }
 
 // Reanalyze runs the offline analysis over every stored run — the "later
-// evaluation" half of the paper's pipeline, decoupled from execution.
-func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor) ([]*attribution.RunResult, error) {
+// evaluation" half of the paper's pipeline, decoupled from execution. In
+// the same pass it feeds each stored apk to detector's LibRadar
+// observation (nil skips it), so one load serves both.
+func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor, detector *libradar.Detector) ([]*attribution.RunResult, error) {
 	if attributor == nil {
 		return nil, fmt.Errorf("dispatch: nil attributor")
 	}
@@ -478,6 +481,11 @@ func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor) ([]*attrib
 		stored, err := s.Load(sha)
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: loading %s: %w", sha, err)
+		}
+		if detector != nil {
+			if err := detector.ObserveApp(stored.Meta.Package, stored.APK.Dex.Packages()); err != nil {
+				return nil, err
+			}
 		}
 		run, err := attributor.AnalyzeRun(attribution.RunInput{
 			AppSHA:        stored.Meta.SHA256,

@@ -55,7 +55,7 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 	}
 
 	// Re-analysis from disk must reproduce the live results exactly.
-	replayed, err := store.Reanalyze(newAttributor(t, 51, world))
+	replayed, err := store.Reanalyze(newAttributor(t, 51, world), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestArtifactStoreValidation(t *testing.T) {
 	if _, err := store.Load("doesnotexist"); err == nil {
 		t.Error("loading a missing run should fail")
 	}
-	if _, err := store.Reanalyze(nil); err == nil {
+	if _, err := store.Reanalyze(nil, nil); err == nil {
 		t.Error("nil attributor should fail")
 	}
 	shas, incomplete, err := store.List()
@@ -199,7 +199,7 @@ func TestArtifactStoreListReportsIncomplete(t *testing.T) {
 		t.Errorf("incomplete = %v, want the torn dir and the temp dir", incomplete)
 	}
 	world := smallWorld(t, 107, 1)
-	runs, err := store.Reanalyze(newAttributor(t, 107, world))
+	runs, err := store.Reanalyze(newAttributor(t, 107, world), nil)
 	// The single complete entry holds fake bytes, so Reanalyze fails on it —
 	// but it must fail on the COMPLETE entry, not the incomplete ones.
 	if err == nil {

@@ -173,7 +173,7 @@ func (f *fleetRun) begin(env *runEnv, i int, replay, requeued bool) *appRun {
 
 // apply performs every side effect of one transition, in the order
 // observe, journal, charge, publish, and — for a terminal outcome — close
-// the span, fold, emit. Live and replay differ only where they truly do:
+// the span and emit. Live and replay differ only where they truly do:
 // live journals the transition and replay does not; replay counts and
 // announces itself (fleet_resume_replayed_total, run.replayed); a
 // replayed failure never aborts the stream; an interrupted live failure
@@ -283,9 +283,6 @@ func (a *appRun) apply(tr transition) bool {
 	ev := RunEvent{Kind: names.stream, AppIndex: a.i, Run: tr.run, Evidence: tr.evidence, Err: tr.err}
 	switch tr.kind {
 	case outcomeRun:
-		if env.fold != nil {
-			env.fold(ev)
-		}
 		if tr.evidence != nil {
 			// The capture buffer goes with the event: Drain returns it to
 			// the free list once every sink has consumed it.

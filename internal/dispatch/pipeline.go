@@ -94,17 +94,6 @@ type Config struct {
 	// any, and runs whose evidence is missing or corrupt
 	// (ErrCorruptArtifact) are requeued live rather than trusted.
 	Artifacts *ArtifactStore
-	// WorkerFold, when set, is called once per worker goroutine at
-	// worker start with the worker's index (0..Workers-1); the returned
-	// observer (nil to opt out for that worker) receives every completed
-	// EventRun the worker produces — live and replayed — on the worker's
-	// own goroutine, before the event is emitted downstream. This is the
-	// per-worker analysis-fold seam: each worker folds into private,
-	// unsynchronized state, and the caller merges the per-worker states
-	// after the stream drains. The events channel closes only after
-	// every worker has joined, so reading the folded states once Drain
-	// returns is race-free.
-	WorkerFold func(worker int) func(RunEvent)
 }
 
 // RunFailure records one failed app run in ContinueOnError mode.
@@ -245,10 +234,6 @@ type runEnv struct {
 	// when it did not get that far), kept for apply's detector
 	// observation.
 	app *synth.App
-	// fold is the worker's Config.WorkerFold observer (nil when unset):
-	// completed EventRuns fold into worker-private analysis state before
-	// they are emitted.
-	fold func(RunEvent)
 	// capture is the worker's capture buffer: every attempt's emulator
 	// run appends its pcap from capture[:0], and the buffer keeps the
 	// capacity of the largest capture so far. It leaves the worker only

@@ -146,9 +146,9 @@ var newCollector, newStore = NewCollector, NewStore
 // returns a bounded channel of per-app events in completion order, closed
 // after a final EventSummary. The caller must drain the channel until it
 // closes (Drain does this); cancelling ctx stops the fleet promptly —
-// each worker finishes at most its one in-flight app — after which the
-// remaining buffered events and the summary are still delivered to a
-// draining consumer.
+// each worker finishes at most its one in-flight app — and every event
+// of the cancelled stream, the in-flight apps' outcomes and the summary
+// included, is still delivered, however slowly the consumer drains.
 func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg Config) (<-chan RunEvent, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -231,13 +231,13 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 }
 
 // Drain consumes a stream to its end, forwarding every event to the sinks
-// in order, and returns the Result the closing summary carries. Once every
-// sink has consumed an event, Drain hands the event's capture buffer back
-// to the fleet for reuse. On error the returned Result still holds
-// whatever the summary reported, so callers can account for a partial
-// fleet after a cancellation.
+// in order, and returns the Result the closing summary — always the
+// stream's last event — carries. Once every sink has consumed an event,
+// Drain hands the event's capture buffer back to the fleet for reuse. On
+// error the returned Result still holds whatever the summary reported, so
+// callers can account for a partial fleet after a cancellation.
 func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
-	var summary *RunEvent
+	var last RunEvent
 	var sinkErr error
 	for ev := range events {
 		for _, s := range sinks {
@@ -251,17 +251,12 @@ func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 		if ev.Evidence != nil {
 			ev.Evidence.release()
 		}
-		if ev.Kind == EventSummary {
-			summary = &ev
-		}
+		last = ev
 	}
-	switch {
-	case summary == nil:
-		return &Result{}, fmt.Errorf("dispatch: stream cancelled before its summary was delivered")
-	case summary.Err != nil:
-		return summary.Summary, summary.Err
+	if last.Err != nil {
+		return last.Summary, last.Err
 	}
-	return summary.Summary, sinkErr
+	return last.Summary, sinkErr
 }
 
 // fleetRun is the shared state of one streaming fleet execution.
@@ -318,19 +313,12 @@ func (f *fleetRun) stopped() bool {
 	}
 }
 
-// emit delivers one event, giving up only when the caller's context is
-// cancelled and the consumer has stopped draining.
+// emit delivers one event. It blocks until the consumer takes it, even
+// on a cancelled stream: Stream's contract is that the consumer drains to
+// close, so every terminal outcome and the summary reach every sink, and
+// the summary's ledger counts exactly the events the sinks saw.
 func (f *fleetRun) emit(ev RunEvent) {
-	select {
-	case f.events <- ev:
-	case <-f.ctx.Done():
-		// The consumer may still be draining the cancelled stream for
-		// partial results; give the event one bounded chance to land.
-		select {
-		case f.events <- ev:
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
+	f.events <- ev
 }
 
 // job is one unit of worker work: an app index, plus — when resuming —
@@ -353,10 +341,10 @@ func (f *fleetRun) run(workers, lo, hi int) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			f.worker(w, jobs)
-		}(w)
+			f.worker(jobs)
+		}()
 	}
 feed:
 	for i := lo; i < hi; i++ {
@@ -427,7 +415,7 @@ feed:
 // stops. A collector-dial failure is an infrastructure fault: it aborts the
 // stream as one structured failure instead of silently consuming — and
 // thereby poisoning — every remaining job.
-func (f *fleetRun) worker(w int, jobs <-chan job) {
+func (f *fleetRun) worker(jobs <-chan job) {
 	client, err := dialCollector(f.collector.Addr())
 	if err != nil {
 		f.abort(-1, fmt.Errorf("dispatch: worker failed to dial collector: %w", err))
@@ -444,9 +432,6 @@ func (f *fleetRun) worker(w int, jobs <-chan job) {
 		tel:       f.tel,
 		meters:    obs.NewMeters(),
 		spare:     f.spare,
-	}
-	if f.cfg.WorkerFold != nil {
-		env.fold = f.cfg.WorkerFold(w)
 	}
 	busy := f.tel.Gauge(obs.MFleetWorkersBusy)
 	total := f.tel.Gauge(obs.MFleetWorkers)

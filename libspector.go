@@ -332,14 +332,6 @@ func (e *Experiment) campaignHeader(shard dispatch.ShardRange) journal.Header {
 	}
 }
 
-// runFold is what the two per-worker fold types share: the
-// record-retaining analysis.DatasetBuilder a whole-corpus run finishes
-// into a Dataset, and the sealable analysis.Accumulator a shard ships to
-// its coordinator as an encoded partial.
-type runFold interface {
-	Observe(appIndex int, run *attribution.RunResult) error
-}
-
 // fleetSpec is everything that distinguishes one fleet execution of this
 // experiment from another. A whole-corpus run is the shard whose range is
 // the corpus: index -1, the zero range, the experiment's own telemetry
@@ -351,7 +343,7 @@ type fleetSpec struct {
 	// a dashboard can merge per-shard views (-1 = whole corpus).
 	index int
 	rng   dispatch.ShardRange
-	// workers is the resolved worker count (> 0): one fold per worker.
+	// workers is the resolved worker count (> 0) the fleet runs with.
 	workers int
 	tel     *obs.Telemetry
 	attr    *attribution.Attributor
@@ -364,27 +356,45 @@ type fleetSpec struct {
 
 // runFleet is the one campaign engine: every fleet execution — whole
 // corpus or one shard of it, fresh or resumed — attaches its artifact
-// store and journal, installs one analysis fold per worker, streams the
-// range through dispatch.Stream, drains the events into the sinks, and
-// closes the journal. Every completed run folds into its worker's own
-// fold on the worker goroutine — the hot path never contends on a shared
-// accumulator — and the caller combines the returned folds (worker-index
-// order) afterwards; records is the flattened attribution record set when
-// the campaign writes a result store.
+// store and journal, streams the range through dispatch.Stream, drains
+// the events into the sinks, and closes the journal. fold is the
+// fleet's analysis fold — the record-retaining analysis.DatasetBuilder a
+// whole-corpus run finishes into a Dataset, or the sealable
+// analysis.Accumulator a shard ships to its coordinator — and the first
+// sink: every completed run folds into it exactly once, on the draining
+// goroutine, under an analysis.fold span, and a fold error surfaces as
+// a sink error. records is the flattened attribution record set when the
+// campaign writes a result store.
 //
 // A nil Result means the fleet never started. Otherwise everything
 // returned is valid alongside a non-nil error: after a cancellation or
 // failure it holds whatever completed, so callers can report partial
 // aggregates.
-func runFleet[F runFold](ctx context.Context, e *Experiment, spec fleetSpec, newFold func() (F, error), sinks ...dispatch.Sink) (res *dispatch.Result, folds []F, records *dispatch.RecordSink, err error) {
+func runFleet(ctx context.Context, e *Experiment, spec fleetSpec, fold dispatch.Sink, sinks ...dispatch.Sink) (res *dispatch.Result, records *dispatch.RecordSink, err error) {
 	cfg, err := e.buildFleetConfig(spec)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	tel := spec.tel
+	// The worker's dispatch root span has ended before the event is
+	// emitted, so the analysis-fold span lands last on the app's trace.
+	// The ranking tracker after it is inert (one atomic load per run)
+	// when no bus is attached.
+	sinks = append([]dispatch.Sink{dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+		if ev.Kind != dispatch.EventRun || ev.Run == nil || tel == nil {
+			return fold.Consume(ev)
+		}
+		span := tel.Trace(dispatch.TraceID(ev.AppIndex)).Span(obs.SpanAnalysisFold, tel.Now())
+		err := fold.Consume(ev)
+		span.AttrInt("flows", int64(len(ev.Run.Flows))).End(tel.Now())
+		tel.Counter(obs.MAnalysisFolds).Inc()
+		tel.Counter(obs.MAnalysisFlowsFolded).Add(int64(len(ev.Run.Flows)))
+		return err
+	}), newFoldTracker(tel, spec.index)}, sinks...)
 	if spec.artifactDir != "" {
 		artifacts, err := attachArtifacts(&cfg, spec.artifactDir)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("libspector: %w", err)
+			return nil, nil, fmt.Errorf("libspector: %w", err)
 		}
 		sinks = append(sinks, artifacts)
 	}
@@ -408,48 +418,9 @@ func runFleet[F runFold](ctx context.Context, e *Experiment, spec fleetSpec, new
 		}))
 	}
 
-	// Slot w of folds and foldErrs is owned by worker w's goroutine while
-	// the stream runs; the events channel closes only after every worker
-	// joins, so once Drain returns the slots are quiescent.
-	folds = make([]F, spec.workers)
-	foldErrs := make([]error, spec.workers)
-	for w := range folds {
-		if folds[w], err = newFold(); err != nil {
-			return nil, nil, nil, fmt.Errorf("libspector: %w", err)
-		}
-	}
-	tel := spec.tel
-	// One fleet-wide ranking tracker feeds analysis.fold bus events; inert
-	// (one atomic load per run) when no bus is attached.
-	tracker := newFoldTracker(tel, spec.index)
-	cfg.WorkerFold = func(w int) func(dispatch.RunEvent) {
-		fold := folds[w]
-		// The worker's dispatch root span has already ended when the fold
-		// runs, so the analysis-fold span lands last on the app's trace.
-		return func(ev dispatch.RunEvent) {
-			if ev.Kind != dispatch.EventRun || ev.Run == nil {
-				return
-			}
-			var foldErr error
-			if tel != nil {
-				span := tel.Trace(dispatch.TraceID(ev.AppIndex)).Span(obs.SpanAnalysisFold, tel.Now())
-				foldErr = fold.Observe(ev.AppIndex, ev.Run)
-				span.AttrInt("flows", int64(len(ev.Run.Flows))).End(tel.Now())
-				tel.Counter(obs.MAnalysisFolds).Inc()
-				tel.Counter(obs.MAnalysisFlowsFolded).Add(int64(len(ev.Run.Flows)))
-			} else {
-				foldErr = fold.Observe(ev.AppIndex, ev.Run)
-			}
-			if foldErr != nil && foldErrs[w] == nil {
-				foldErrs[w] = foldErr
-			}
-			tracker.observe(ev.Run)
-		}
-	}
-
 	if spec.journal != "" {
 		if err := attachJournal(&cfg, spec.journal, e.campaignHeader(spec.rng), spec.resume); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	events, err := dispatch.Stream(ctx, e.world, e.world.Resolver, cfg)
@@ -461,7 +432,7 @@ func runFleet[F runFold](ctx context.Context, e *Experiment, spec fleetSpec, new
 				err = fmt.Errorf("%w (journal close: %v)", err, cerr)
 			}
 		}
-		return nil, nil, nil, fmt.Errorf("libspector: fleet run: %w", err)
+		return nil, nil, fmt.Errorf("libspector: fleet run: %w", err)
 	}
 	res, err = dispatch.Drain(events, sinks...)
 	if cfg.Journal != nil {
@@ -471,12 +442,7 @@ func runFleet[F runFold](ctx context.Context, e *Experiment, spec fleetSpec, new
 			err = cerr
 		}
 	}
-	for _, foldErr := range foldErrs {
-		if foldErr != nil && err == nil {
-			err = foldErr
-		}
-	}
-	return res, folds, records, err
+	return res, records, err
 }
 
 // Run executes the fleet over the whole corpus and builds the analysis
@@ -486,18 +452,23 @@ func (e *Experiment) Run() error {
 }
 
 // RunContext executes the fleet as a streaming pipeline under the given
-// context, folding results through per-worker analysis.DatasetBuilders as
-// they complete and forwarding every stream event to the optional sinks
+// context, folding results through one analysis.DatasetBuilder as they
+// are drained and forwarding every stream event to the optional sinks
 // (live progress, custom persistence). One pass builds both the record
 // set and the figure aggregates, and no run outlives its fold: the
-// experiment retains records and aggregates, never RunResults. Cancelling ctx stops the fleet within one in-flight app per
-// worker; whatever completed before the cancellation is still aggregated,
-// so Result, Dataset, and Aggregates hold the partial view alongside the
-// returned error.
+// experiment retains records and aggregates, never RunResults.
+// Cancelling ctx stops the fleet within one in-flight app per worker;
+// every run that completed, in-flight ones included, still reaches the
+// fold and the sinks, so Result, Dataset, and Aggregates hold the same
+// partial view alongside the returned error.
 func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) error {
+	builder, err := analysis.NewDatasetBuilder(e.domains)
+	if err != nil {
+		return fmt.Errorf("libspector: %w", err)
+	}
 	// The whole-corpus run is the shard whose range is the corpus, plus
-	// what only it needs: record-retaining folds.
-	res, builders, records, runErr := runFleet(ctx, e, fleetSpec{
+	// what only it needs: a record-retaining fold.
+	res, records, runErr := runFleet(ctx, e, fleetSpec{
 		index:       -1,
 		workers:     e.resolvedWorkers(),
 		tel:         e.cfg.Telemetry,
@@ -505,23 +476,11 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 		artifactDir: e.cfg.ArtifactDir,
 		journal:     e.cfg.Journal,
 		resume:      e.cfg.Resume,
-	}, func() (*analysis.DatasetBuilder, error) {
-		return analysis.NewDatasetBuilder(e.domains)
-	}, sinks...)
+	}, builder, sinks...)
 	if res == nil {
 		return runErr
 	}
 	e.result = res
-	// Merge the per-worker builders in worker-index order (so the merged
-	// symbol numbering is a deterministic function of which worker folded
-	// which apps). The resolved dataset is invariant under the
-	// partitioning itself — see TestDatasetBuilderMergeMatchesSingleBuilder.
-	builder := builders[0]
-	for _, b := range builders[1:] {
-		if err := builder.MergeFrom(b); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
 
 	// Even after a cancellation or failure, resolve what did complete so
 	// callers can report partial aggregates.

@@ -188,6 +188,46 @@ func TestExperimentRunContextCancelled(t *testing.T) {
 	}
 }
 
+// TestRunContextSlowSinkAfterCancel: a cancelled stream still delivers
+// every event, however slowly the consumer drains. The sink takes 300 ms
+// over every per-app event and cancels at the end of the first, so both
+// workers and the buffer are backed up behind it when the fleet stops;
+// the ledger, the sink and the fold must still agree on every completed
+// run.
+func TestRunContextSlowSinkAfterCancel(t *testing.T) {
+	cfg := smallConfig(59, 40)
+	cfg.Workers = 2
+	exp, err := libspector.NewExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	perApp, runs := 0, 0
+	err = exp.RunContext(ctx, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+		if ev.Kind == dispatch.EventSummary {
+			return nil
+		}
+		time.Sleep(300 * time.Millisecond)
+		if perApp++; perApp == 1 {
+			cancel()
+		}
+		if ev.Kind == dispatch.EventRun {
+			runs++
+		}
+		return nil
+	}))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext error = %v, want context.Canceled", err)
+	}
+	if got := exp.Result().Accounting.Completed; got != runs {
+		t.Errorf("ledger counts %d completed runs, the sink saw %d", got, runs)
+	}
+	if got := exp.Aggregates().Runs; got != runs {
+		t.Errorf("aggregates folded %d runs, the sink saw %d", got, runs)
+	}
+}
+
 // TestExperimentRetainedHeapIndependentOfRuns: a finished Experiment keeps
 // its Dataset's records and aggregates, never the RunResults that produced
 // them, so its retained heap grows by at most 16 KiB per app from 64 to

@@ -47,9 +47,8 @@ func ShardArtifactDir(base string, index int) string {
 }
 
 // resolvedWorkers is the campaign worker budget after defaulting — the
-// same defaulting dispatch.Stream applies, hoisted here so the fleet can
-// size its per-worker folds and the shard plan can split the budget it
-// would actually have used.
+// same defaulting dispatch.Stream applies, hoisted here so the shard plan
+// splits the budget a single-process run would actually have used.
 func (e *Experiment) resolvedWorkers() int {
 	if e.cfg.Workers > 0 {
 		return e.cfg.Workers
@@ -146,7 +145,7 @@ func (e *Experiment) MergeShardOutcomes(outcomes []*dispatch.ShardOutcome) (*Cam
 
 // runShardTask is the in-process ShardRunner: runFleet restricted to the
 // task's range with the shard's own telemetry, attributor, journal, and
-// artifact store, its per-worker Accumulators sealed and merged into the
+// artifact store, folding into one Accumulator that is sealed into the
 // shard's encoded partial.
 func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
 	tel := e.shardTelemetry()
@@ -165,24 +164,18 @@ func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) 
 			spec.resume = statErr == nil
 		}
 	}
-	res, accs, records, err := runFleet(ctx, e, spec, func() (*analysis.Accumulator, error) {
-		return analysis.NewAccumulator(e.domains)
-	})
+	acc, err := analysis.NewAccumulator(e.domains)
+	if err != nil {
+		return nil, fmt.Errorf("libspector: %w", err)
+	}
+	res, records, err := runFleet(ctx, e, spec, acc)
 	if err != nil {
 		return nil, err
 	}
 	fail := func(err error) (*dispatch.ShardOutcome, error) {
 		return nil, fmt.Errorf("libspector: shard %d: %w", task.Index, err)
 	}
-	parts := make([]*analysis.Partial, 0, len(accs))
-	for _, acc := range accs {
-		p, err := acc.Seal()
-		if err != nil {
-			return fail(err)
-		}
-		parts = append(parts, p)
-	}
-	partial, err := analysis.MergePartials(parts...)
+	partial, err := acc.Seal()
 	if err != nil {
 		return fail(err)
 	}
