@@ -20,8 +20,9 @@ test:
 # hammered concurrently by every instrumentation site, and the analysis
 # accumulator/merge path folds shard partials produced by concurrent shards.
 # A generated dex file's arenas are read by disassembly, the ART profiler
-# and libradar at once (internal/synth's concurrent-reader test). The
-# collector's barrier waiter map is shared by its receive loop and every
+# and libradar at once (internal/synth's concurrent-reader test). Workers
+# Put concurrently through apk.Check's and dex.Check's reused scratch
+# (TestCheckConcurrent). The collector's barrier waiter map is shared by its receive loop and every
 # worker (TestBarrierConcurrentClients hammers it).
 # The root run covers the shard coordinator and outcome-merge paths
 # end-to-end; TestResumeSnapshotUnderRunFaults checks that every
@@ -29,7 +30,7 @@ test:
 # TestRunContextSlowSinkAfterCancel exercises the emit/drain handoff of a
 # cancelled stream under a slow sink. Keep all of them race-clean.
 race:
-	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/... ./internal/dex/... ./internal/synth/...
+	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/... ./internal/dex/... ./internal/synth/... ./internal/apk/...
 	$(GO) test -race -run 'TestShardCountInvarianceHonest|TestMergeShardOutcomesProcessMode|TestResultStoreShardInvariance|TestEventLogShardCountInvariance|TestResumeSnapshotUnderRunFaults|TestRunContextSlowSinkAfterCancel' .
 
 # The repo's benchmark (BENCHMARK.json): six end-to-end campaign workloads
@@ -51,9 +52,10 @@ loc:
 # Fuzz smoke over everything fed by untrusted bytes, two targets (`go
 # test -fuzz` accepts one per invocation): the registered-format harness
 # (internal/codec/formats_test.go — every blob that crosses a process or
-# a crash boundary, stored capture.pcap files and SDEX containers
-# included, one table row each, the readers of the last two held to an
-# allocation ceiling proportional to their input) and the pcap packet
+# a crash boundary, stored capture.pcap files, SDEX containers and apks
+# included, one table row each, the readers of the last three held to an
+# allocation ceiling proportional to their input, and the SDEX and apk
+# checkers held to their decoders' verdicts) and the pcap packet
 # decoder, whose input is traffic rather than a format of ours. A short
 # minimize budget keeps the harness exploring instead of shrinking each
 # new input for up to a minute.

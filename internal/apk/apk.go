@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -76,20 +77,29 @@ type APK struct {
 
 // Validate checks package invariants.
 func (a *APK) Validate() error {
-	if err := a.Manifest.Validate(); err != nil {
-		return err
-	}
 	if a.Dex == nil {
+		if err := a.Manifest.Validate(); err != nil {
+			return err
+		}
 		return fmt.Errorf("apk: %s has no dex file", a.Manifest.Package)
 	}
-	if a.Dex.MethodCount() == 0 {
-		return fmt.Errorf("apk: %s has an empty dex file", a.Manifest.Package)
+	return validate(a.Manifest, a.Dex.MethodCount(), a.NativeABIs)
+}
+
+// validate is the package invariants over their parts, for a package
+// whose dex defines methods methods: Validate and Check share it.
+func validate(m Manifest, methods int, abis []string) error {
+	if err := m.Validate(); err != nil {
+		return err
 	}
-	for _, abi := range a.NativeABIs {
+	if methods == 0 {
+		return fmt.Errorf("apk: %s has an empty dex file", m.Package)
+	}
+	for _, abi := range abis {
 		switch abi {
 		case ABIX86, ABIX8664, ABIArmeabi, ABIArm64:
 		default:
-			return fmt.Errorf("apk: %s bundles unknown ABI %q", a.Manifest.Package, abi)
+			return fmt.Errorf("apk: %s bundles unknown ABI %q", m.Package, abi)
 		}
 	}
 	return nil
@@ -171,58 +181,121 @@ func (a *APK) dexDateOrDefault() time.Time {
 	return a.DexDate
 }
 
-// Decode parses a zip-encoded package produced by Encode.
+// Decode parses a zip-encoded package produced by Encode. It rejects
+// exactly what Check rejects.
 func Decode(data []byte) (*APK, error) {
+	a := &APK{}
+	var err error
+	a.Manifest, a.NativeABIs, err = walk(data, new([]byte), func(content []byte) (int, error) {
+		df, err := dex.Decode(content)
+		if err != nil {
+			return 0, err
+		}
+		a.Dex, a.DexDate = df, df.Created
+		return df.MethodCount(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Check validates a zip-encoded package with every check Decode makes
+// and returns its manifest, but builds no dex.File: the dex is checked by
+// dex.Check, and the entries are inflated into a reused buffer. The apk
+// store runs it on every apk it is given (§III-A).
+func Check(data []byte) (Manifest, error) {
+	var buf []byte
+	select {
+	case buf = <-idleEntryBufs:
+	default:
+	}
+	m, _, err := walk(data, &buf, dex.Check)
+	if cap(buf) <= maxIdleEntryBytes {
+		select {
+		case idleEntryBufs <- buf[:0]:
+		default:
+		}
+	}
+	if err != nil {
+		return Manifest{}, err
+	}
+	return m, nil
+}
+
+// idleEntryBufs holds Check's entry buffers between calls, one for each
+// processor that may be checking at once; unlike a sync.Pool it is not
+// emptied at every GC.
+var idleEntryBufs = make(chan []byte, runtime.GOMAXPROCS(0))
+
+// maxIdleEntryBytes is the largest entry buffer Check keeps for the next
+// apk, far above a generated app's (about 11 bytes per method).
+const maxIdleEntryBytes = 8 << 20
+
+// walk is the one reader of an encoded package: Decode and Check both run
+// it, so they accept and reject the same bytes. It reads every entry
+// under maxEntryBytes with archive/zip's size and CRC checks, parses the
+// manifest, hands the classes.dex bytes to readDex (which reports its
+// method count), collects the native ABIs, sorted, and applies validate.
+// Entries are read into *buf, which grows as needed, so the dex bytes
+// readDex gets are valid only during the call.
+func walk(data []byte, buf *[]byte, readDex func([]byte) (int, error)) (Manifest, []string, error) {
+	var m Manifest
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
-		return nil, fmt.Errorf("apk: opening zip container: %w", err)
+		return m, nil, fmt.Errorf("apk: opening zip container: %w", err)
 	}
-	a := &APK{}
+	read := func(zf *zip.File) ([]byte, error) {
+		content, err := readZipEntry(zf, (*buf)[:0], maxInflation*len(data))
+		if err == nil {
+			*buf = content
+		}
+		return content, err
+	}
+	var abis []string
+	methods := 0
 	sawManifest, sawDex := false, false
 	for _, zf := range zr.File {
 		switch {
 		case zf.Name == ManifestTag:
-			content, err := readZipEntry(zf)
+			content, err := read(zf)
 			if err != nil {
-				return nil, err
+				return m, nil, err
 			}
-			if err := json.Unmarshal(content, &a.Manifest); err != nil {
-				return nil, fmt.Errorf("apk: parsing manifest: %w", err)
+			if err := json.Unmarshal(content, &m); err != nil {
+				return m, nil, fmt.Errorf("apk: parsing manifest: %w", err)
 			}
 			sawManifest = true
 		case zf.Name == "classes.dex":
-			content, err := readZipEntry(zf)
+			content, err := read(zf)
 			if err != nil {
-				return nil, err
+				return m, nil, err
 			}
-			df, err := dex.Decode(content)
-			if err != nil {
-				return nil, fmt.Errorf("apk: parsing classes.dex: %w", err)
+			if methods, err = readDex(content); err != nil {
+				return m, nil, fmt.Errorf("apk: parsing classes.dex: %w", err)
 			}
-			a.Dex = df
-			a.DexDate = df.Created
 			sawDex = true
 		case strings.HasPrefix(zf.Name, "lib/"):
 			parts := strings.Split(zf.Name, "/")
 			if len(parts) != 3 {
-				return nil, fmt.Errorf("apk: malformed native library path %q", zf.Name)
+				return m, nil, fmt.Errorf("apk: malformed native library path %q", zf.Name)
 			}
-			a.NativeABIs = append(a.NativeABIs, parts[1])
+			abis = append(abis, parts[1])
 		default:
-			return nil, fmt.Errorf("apk: unexpected container entry %q", zf.Name)
+			return m, nil, fmt.Errorf("apk: unexpected container entry %q", zf.Name)
 		}
 	}
 	if !sawManifest {
-		return nil, fmt.Errorf("apk: container lacks %s", ManifestTag)
+		return m, nil, fmt.Errorf("apk: container lacks %s", ManifestTag)
 	}
 	if !sawDex {
-		return nil, fmt.Errorf("apk: container lacks classes.dex")
+		return m, nil, fmt.Errorf("apk: container lacks classes.dex")
 	}
-	sort.Strings(a.NativeABIs)
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("apk: decode: %w", err)
+	sort.Strings(abis)
+	if err := validate(m, methods, abis); err != nil {
+		return m, nil, fmt.Errorf("apk: decode: %w", err)
 	}
-	return a, nil
+	return m, abis, nil
 }
 
 // maxEntryBytes bounds the declared uncompressed size of an entry Decode
@@ -239,7 +312,17 @@ func Decode(data []byte) (*APK, error) {
 // is a few hundred bytes.
 const maxEntryBytes = 64 << 20
 
-func readZipEntry(zf *zip.File) ([]byte, error) {
+// maxInflation is deflate's largest expansion: a 258-byte match costs at
+// least two bits, so no entry inflates past 1032 bytes per byte it takes
+// in the container.
+const maxInflation = 1032
+
+// readZipEntry reads one entry, appending it to dst (which may be nil),
+// and returns the result. The declared size is refused past
+// maxEntryBytes, and it presizes the buffer no further than limit, what
+// the container's bytes could inflate to: a forged size costs nothing
+// the input does not hold.
+func readZipEntry(zf *zip.File, dst []byte, limit int) ([]byte, error) {
 	if zf.UncompressedSize64 > maxEntryBytes {
 		return nil, fmt.Errorf("apk: zip entry %s declares %d bytes, over the %d-byte limit", zf.Name, zf.UncompressedSize64, maxEntryBytes)
 	}
@@ -249,8 +332,8 @@ func readZipEntry(zf *zip.File) ([]byte, error) {
 	}
 	defer func() { _ = rc.Close() }()
 	size := int64(zf.UncompressedSize64)
-	var buf bytes.Buffer
-	buf.Grow(int(size) + bytes.MinRead)
+	buf := bytes.NewBuffer(dst)
+	buf.Grow(min(int(size), limit) + bytes.MinRead)
 	// One byte past the declared size, so the last read reaches the
 	// archive/zip EOF where it checks the entry's size and CRC.
 	if _, err := buf.ReadFrom(io.LimitReader(rc, size+1)); err != nil {

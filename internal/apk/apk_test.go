@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/json"
+	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,12 +156,25 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// readers are the two entry points over encoded bytes, Decode and the
+// store's Check. They share one walk and must reject the same inputs, so
+// every rejection test runs each case through both.
+var readers = []struct {
+	name string
+	read func([]byte) error
+}{
+	{"Decode", func(b []byte) error { _, err := Decode(b); return err }},
+	{"Check", func(b []byte) error { _, err := Check(b); return err }},
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("definitely not a zip")); err == nil {
-		t.Error("Decode of non-zip should fail")
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Error("Decode of nil should fail")
+	for _, r := range readers {
+		if err := r.read([]byte("definitely not a zip")); err == nil {
+			t.Errorf("%s of non-zip should fail", r.name)
+		}
+		if err := r.read(nil); err == nil {
+			t.Errorf("%s of nil should fail", r.name)
+		}
 	}
 }
 
@@ -169,24 +184,26 @@ func TestDecodeRejectsBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the middle of the container (deflate stream): the
-	// zip CRC must catch it.
-	corrupted := append([]byte(nil), data...)
-	corrupted[len(corrupted)/2] ^= 0xff
-	if _, err := Decode(corrupted); err == nil {
-		// A flip may land in padding; try a sweep to be sure at least one
-		// position is detected.
-		detected := false
-		for off := 30; off < len(data)-30; off += 7 {
-			c := append([]byte(nil), data...)
-			c[off] ^= 0xff
-			if _, err := Decode(c); err != nil {
-				detected = true
-				break
+	for _, r := range readers {
+		// Flip a byte in the middle of the container (deflate stream):
+		// the zip CRC must catch it.
+		corrupted := append([]byte(nil), data...)
+		corrupted[len(corrupted)/2] ^= 0xff
+		if err := r.read(corrupted); err == nil {
+			// A flip may land in padding; try a sweep to be sure at least
+			// one position is detected.
+			detected := false
+			for off := 30; off < len(data)-30; off += 7 {
+				c := append([]byte(nil), data...)
+				c[off] ^= 0xff
+				if err := r.read(c); err != nil {
+					detected = true
+					break
+				}
 			}
-		}
-		if !detected {
-			t.Error("no corruption detected across the sweep")
+			if !detected {
+				t.Errorf("%s: no corruption detected across the sweep", r.name)
+			}
 		}
 	}
 }
@@ -197,8 +214,8 @@ type zeros struct{}
 func (zeros) Read(p []byte) (int, error) { clear(p); return len(p), nil }
 
 // A decompression bomb: a ~300 KB apk whose classes.dex inflates to 256
-// MiB of zeros. Decode must refuse it on the declared size, before
-// inflating anything — the unbounded read allocated over a GiB.
+// MiB of zeros. Decode and Check must refuse it on the declared size,
+// before inflating anything — the unbounded read allocated over a GiB.
 func TestDecodeRejectsZipBomb(t *testing.T) {
 	manifestJSON, err := json.Marshal(sampleAPK(t).Manifest)
 	if err != nil {
@@ -229,15 +246,17 @@ func TestDecodeRejectsZipBomb(t *testing.T) {
 	}
 	bomb := buf.Bytes()
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = Decode(bomb)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a 256 MiB classes.dex should be rejected")
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
-		t.Errorf("rejecting a %d-byte bomb allocated %d bytes, want under 4 MiB", len(bomb), alloc)
+	for _, r := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := r.read(bomb)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a 256 MiB classes.dex should be rejected", r.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("%s: rejecting a %d-byte bomb allocated %d bytes, want under 4 MiB", r.name, len(bomb), alloc)
+		}
 	}
 }
 
@@ -297,9 +316,76 @@ func TestDecodeRejectsStructuralProblems(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(build(tc.entries)); err == nil {
-				t.Errorf("%s should fail to decode", tc.name)
+			data := build(tc.entries)
+			for _, r := range readers {
+				if err := r.read(data); err == nil {
+					t.Errorf("%s: %s should fail", r.name, tc.name)
+				}
 			}
 		})
 	}
+}
+
+// Check returns the manifest Decode parses, from the same bytes, and
+// fails with Decode's error where Decode fails.
+func TestCheckAgreesWithDecode(t *testing.T) {
+	a := sampleAPK(t)
+	data, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Check(data)
+	if err != nil || m != a.Manifest {
+		t.Fatalf("Check = %+v, %v; want %+v", m, err, a.Manifest)
+	}
+	for off := 0; off < len(data); off += 3 {
+		c := bytes.Clone(data)
+		c[off] ^= 0x5a
+		decoded, decErr := Decode(c)
+		m, checkErr := Check(c)
+		switch {
+		case (decErr == nil) != (checkErr == nil):
+			t.Fatalf("flip at %d: Decode err %v, Check err %v", off, decErr, checkErr)
+		case decErr != nil && decErr.Error() != checkErr.Error():
+			t.Fatalf("flip at %d: Decode says %q, Check %q", off, decErr, checkErr)
+		case decErr == nil && decoded.Manifest != m:
+			t.Fatalf("flip at %d: Decode manifest %+v, Check %+v", off, decoded.Manifest, m)
+		}
+	}
+}
+
+// Workers run Check concurrently through its reused buffers; each must
+// see only its own apk.
+func TestCheckConcurrent(t *testing.T) {
+	var encoded [][]byte
+	var want []Manifest
+	for i := 0; i < 4; i++ {
+		a := sampleAPK(t)
+		a.Manifest.Package = fmt.Sprintf("com.example.app%d", i)
+		for j := 0; j < 50*i; j++ {
+			if err := a.Dex.AddMethod(dex.Method{Class: "com.example.C", Name: fmt.Sprintf("m%d", j), Return: "V"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := a.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded, want = append(encoded, data), append(want, a.Manifest)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				i := (w + n) % len(encoded)
+				if m, err := Check(encoded[i]); err != nil || m != want[i] {
+					t.Errorf("worker %d: Check(apk %d) = %+v, %v; want %+v", w, i, m, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

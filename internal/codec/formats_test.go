@@ -8,10 +8,12 @@ package codec_test
 // ordinary tier-1 unit tests.
 
 import (
+	"archive/zip"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -22,6 +24,7 @@ import (
 	"time"
 
 	"libspector/internal/analysis"
+	"libspector/internal/apk"
 	"libspector/internal/attribution"
 	"libspector/internal/codec"
 	"libspector/internal/corpus"
@@ -32,6 +35,7 @@ import (
 	"libspector/internal/obs"
 	"libspector/internal/pcap"
 	"libspector/internal/resultstore"
+	"libspector/internal/synth"
 	"libspector/internal/xposed"
 )
 
@@ -67,17 +71,24 @@ type format struct {
 	// random mutation of a sealed image would never deliver.
 	magic string
 	// fixture names a file under testdata/ written by the encoders of
-	// commit 252e5be, before the shared cursor and record-log existed. It
-	// must decode and re-encode to the identical bytes: the guard that a
-	// refactor of the codecs moved no byte on disk or on the wire.
-	// Regenerate a fixture only for a deliberate, documented format bump.
-	// Empty for pcap, whose layout libpcap fixes, not our encoder.
+	// commit 252e5be, before the shared cursor and record-log existed
+	// (apk.bin, added with its row, is app 0 of a seed-42 world at
+	// MethodScale 0.002). It must decode and re-encode to the identical
+	// bytes: the guard that a refactor of the codecs moved no byte on disk
+	// or on the wire. Regenerate a fixture only for a deliberate,
+	// documented format bump. Empty for pcap, whose layout libpcap fixes,
+	// not our encoder.
 	fixture string
 	// allocPerByte and allocBase, when set, bound what decoding an n-byte
 	// input may allocate: allocPerByte·n + allocBase bytes. A forged count
 	// or length must fail before it sizes anything; the base covers the
 	// fuzzing engine's own allocations.
 	allocPerByte, allocBase uint64
+	// agree, when set, is a second production reader of the format that
+	// must reach decode's verdict on every input: accept and reject the
+	// same bytes with the same error, and agree on what it reads. It gets
+	// decode's result and error and reports a disagreement.
+	agree func(data []byte, v any, err error) error
 }
 
 type seed struct {
@@ -372,6 +383,17 @@ var formats = []format{
 		allocPerByte: 4 * 64,
 		allocBase:    1 << 20,
 		decode:       func(data []byte) (any, error) { return dex.Decode(data) },
+		// The apk store's check: the same walk, no File.
+		agree: func(data []byte, v any, err error) error {
+			n, checkErr := dex.Check(data)
+			if err := sameVerdict(err, checkErr); err != nil || checkErr != nil {
+				return err
+			}
+			if f := v.(*dex.File); n != f.MethodCount() {
+				return fmt.Errorf("Check counts %d methods, Decode %d", n, f.MethodCount())
+			}
+			return nil
+		},
 		encode: func(tb testing.TB, v any) []byte {
 			b, err := v.(*dex.File).Encode()
 			if err != nil {
@@ -463,11 +485,73 @@ var formats = []format{
 			return w.Bytes()
 		},
 	},
+	{
+		// An encoded apk, as the apk store and the artifact store check
+		// it. Not canonical and not strict: zip admits many encodings of
+		// one package, and archive/zip reads past trailing bytes.
+		name:    "apk",
+		typed:   prefixed("apk: "),
+		fixture: "apk.bin",
+		seeds: func(tb testing.TB) []seed {
+			valid := generatedAPK(tb)
+			manifest := `{"package":"com.a","version_code":1,"category":"TOOLS","main_activity":"com.a.M"}`
+			return append(variants(valid), seed{nil, false}, seed{forgedEntrySize(tb, valid, "classes.dex", 60<<20), false},
+				// Sound zips around a dex that fails: junk, and two
+				// methods with one signature.
+				seed{zipped(tb, "AndroidManifest.json", manifest, "classes.dex", "SDEX junk"), false},
+				seed{zipped(tb, "AndroidManifest.json", manifest, "classes.dex",
+					string(sdexContainer(2, []string{"a.B", "f", "V"}, [][]uint64{{0, 1, 2}, {0, 1, 2}}))), false})
+		},
+		// An entry inflates at most apk's maxInflation (1032) bytes per
+		// container byte, into a buffer presized no further; the dex then
+		// decodes at the sdex row's 4·64 bytes per dex byte, charged here
+		// at four dex bytes per apk byte (generated apks deflate about
+		// 2:1). A valid dex that deflates far better and also amplifies
+		// is bounded by maxEntryBytes and maxSignatureExpansion instead;
+		// what this row catches is a forged size presizing from nothing.
+		allocPerByte: 1032 + 4*4*64,
+		allocBase:    1 << 20,
+		decode:       func(data []byte) (any, error) { return apk.Decode(data) },
+		encode: func(tb testing.TB, v any) []byte {
+			b, err := v.(*apk.APK).Encode()
+			if err != nil {
+				tb.Fatalf("accepted apk does not re-encode: %v", err)
+			}
+			return b
+		},
+		// The apk store's and the artifact loader's check: the same
+		// walk, dex.Check in place of dex.Decode.
+		agree: func(data []byte, v any, err error) error {
+			m, checkErr := apk.Check(data)
+			if err := sameVerdict(err, checkErr); err != nil || checkErr != nil {
+				return err
+			}
+			if a := v.(*apk.APK); m != a.Manifest {
+				return fmt.Errorf("Check reads manifest %+v, Decode %+v", m, a.Manifest)
+			}
+			return nil
+		},
+		check: func(t *testing.T, _ []byte, v any) {
+			a := v.(*apk.APK)
+			re, err := a.Encode()
+			if err != nil {
+				t.Fatalf("accepted apk does not re-encode: %v", err)
+			}
+			again, err := apk.Decode(re)
+			if err != nil {
+				t.Fatalf("re-encoded apk does not decode: %v", err)
+			}
+			if again.Manifest != a.Manifest || again.Dex.MethodCount() != a.Dex.MethodCount() {
+				t.Fatalf("re-encoding drifted: %+v/%d methods vs %+v/%d", again.Manifest, again.Dex.MethodCount(), a.Manifest, a.Dex.MethodCount())
+			}
+		},
+	},
 }
 
 // exercise holds one input against one format's row: the decoder must
-// not panic or allocate past the row's ceiling, a rejection must be typed,
-// and an accepted input must pass the format's own check, re-encode
+// not panic or allocate past the row's ceiling, a second reader must
+// agree with it, a rejection must be typed, and an accepted input must
+// pass the format's own check, re-encode
 // byte-identically when the format is canonical, and stop decoding when
 // it is strict and the input is cut or extended. It reports whether the
 // input was accepted.
@@ -479,6 +563,11 @@ func exercise(t *testing.T, f *format, data []byte) (any, bool) {
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, f.allocPerByte*uint64(len(data))+f.allocBase; f.allocBase > 0 && got > limit {
 		t.Fatalf("%s: decoding %d bytes allocated %d, limit %d", f.name, len(data), got, limit)
+	}
+	if f.agree != nil {
+		if disagree := f.agree(data, v, err); disagree != nil {
+			t.Fatalf("%s: readers disagree: %v", f.name, disagree)
+		}
 	}
 	if err != nil {
 		if !f.typed(err) {
@@ -709,6 +798,77 @@ func amplifiedContainer() []byte {
 		methods = append(methods, refs)
 	}
 	return sdexContainer(uint32(len(methods)), pool, methods)
+}
+
+// sameVerdict reports whether two readers' errors over one input differ:
+// one accepting what the other rejects, or different reasons.
+func sameVerdict(want, got error) error {
+	switch {
+	case (want == nil) != (got == nil):
+		return fmt.Errorf("decode err %v, check err %v", want, got)
+	case want != nil && want.Error() != got.Error():
+		return fmt.Errorf("decode says %q, check %q", want, got)
+	}
+	return nil
+}
+
+// generatedAPK is the apk row's fixture app, encoded by the generator:
+// app 0 of a seed-42 world at MethodScale 0.002 (~300 methods).
+func generatedAPK(tb testing.TB) []byte {
+	tb.Helper()
+	cfg := synth.DefaultConfig()
+	cfg.NumApps = 4
+	cfg.MethodScale = 0.002
+	w, err := synth.NewWorld(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	app, err := w.GenerateApp(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return app.Encoded
+}
+
+// zipped builds a zip of the given name, content pairs.
+func zipped(tb testing.TB, nameContent ...string) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for i := 0; i+1 < len(nameContent); i += 2 {
+		w, err := zw.Create(nameContent[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := io.WriteString(w, nameContent[i+1]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// forgedEntrySize rewrites the uncompressed size the zip central
+// directory declares for entry name: a size the container does not hold.
+func forgedEntrySize(tb testing.TB, zipped []byte, name string, size uint32) []byte {
+	tb.Helper()
+	b := bytes.Clone(zipped)
+	for i := bytes.Index(b, []byte("PK\x01\x02")); i >= 0 && i+46 <= len(b); {
+		nameLen := int(binary.LittleEndian.Uint16(b[i+28:]))
+		if string(b[i+46:i+46+nameLen]) == name {
+			binary.LittleEndian.PutUint32(b[i+24:], size)
+			return b
+		}
+		next := bytes.Index(b[i+4:], []byte("PK\x01\x02"))
+		if next < 0 {
+			break
+		}
+		i += 4 + next
+	}
+	tb.Fatalf("no central directory entry %s", name)
+	return nil
 }
 
 // forgedCapture is a pcap global header whose snap length is 0xffffffff,

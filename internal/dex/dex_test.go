@@ -289,8 +289,8 @@ func checkRenderedOnce(f *File) error {
 	}
 	sort.Strings(rendered)
 	d := DisassembleFile(f)
-	if !reflect.DeepEqual(d.Signatures, rendered) || d.MethodCount != len(rendered) {
-		return fmt.Errorf("disassembly %d/%v, want sorted renderings %v", d.MethodCount, d.Signatures, rendered)
+	if !reflect.DeepEqual(d.Signatures(), rendered) || d.MethodCount != len(rendered) {
+		return fmt.Errorf("disassembly %d/%v, want sorted renderings %v", d.MethodCount, d.Signatures(), rendered)
 	}
 	for _, sig := range rendered {
 		if !d.Contains(sig) {
@@ -323,8 +323,9 @@ func TestDisassemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.MethodCount != 2 || len(d.Signatures) != 2 {
-		t.Errorf("disassembly has %d/%d entries, want 2", d.MethodCount, len(d.Signatures))
+	sigs := d.Signatures()
+	if d.MethodCount != 2 || len(sigs) != 2 {
+		t.Errorf("disassembly has %d/%d entries, want 2", d.MethodCount, len(sigs))
 	}
 	if !d.Contains(m1.TypeSignature()) || !d.Contains(m2.TypeSignature()) {
 		t.Error("disassembly missing signatures")
@@ -333,8 +334,8 @@ func TestDisassemble(t *testing.T) {
 		t.Error("disassembly contains a signature it should not")
 	}
 	// Signatures are sorted.
-	for i := 1; i < len(d.Signatures); i++ {
-		if d.Signatures[i-1] > d.Signatures[i] {
+	for i := 1; i < len(sigs); i++ {
+		if sigs[i-1] > sigs[i] {
 			t.Error("signatures not sorted")
 		}
 	}

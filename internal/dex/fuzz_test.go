@@ -1,7 +1,10 @@
 package dex
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -119,6 +122,9 @@ func FuzzDecode(f *testing.F) {
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(decodeAllocPerByte*len(data)+decodeAllocBase); got > limit {
 			t.Fatalf("decoding a %d-byte container allocated %d bytes, limit %d", len(data), got, limit)
 		}
+		if err := agree(data, file, err); err != nil {
+			t.Fatal(err)
+		}
 		if err != nil {
 			return
 		}
@@ -126,4 +132,64 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// agree reports how Check's verdict on data differs from Decode's (file,
+// decodeErr): it must accept and reject the same containers, with the
+// same error, and count the same methods.
+func agree(data []byte, file *File, decodeErr error) error {
+	n, err := Check(data)
+	switch {
+	case (err == nil) != (decodeErr == nil):
+		return fmt.Errorf("Check err %v, Decode err %v", err, decodeErr)
+	case err != nil && err.Error() != decodeErr.Error():
+		return fmt.Errorf("Check says %q, Decode %q", err, decodeErr)
+	case err == nil && n != file.MethodCount():
+		return fmt.Errorf("Check counts %d methods, Decode %d", n, file.MethodCount())
+	}
+	return nil
+}
+
+// Check and Decode share one walk: over random mutations of the fixture
+// (byte flips, cuts, appended tails, small pool references) and a few
+// hand-built containers (amplified, duplicate method, empty) they must
+// agree on every input.
+func TestCheckAgreesWithDecode(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "codec", "testdata", "sdex.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	accepted := 0
+	for i := 0; i < 20000; i++ {
+		data := bytes.Clone(fixture)
+		switch rng.Intn(4) {
+		case 0:
+			data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
+		case 1:
+			data = data[:rng.Intn(len(data))]
+		case 2:
+			data = append(data, data[rng.Intn(len(data)):]...)
+		default:
+			for j := 0; j < 1+rng.Intn(4); j++ {
+				data[rng.Intn(len(data))] = byte(rng.Intn(4))
+			}
+		}
+		file, err := Decode(data)
+		if err == nil {
+			accepted++
+		}
+		if err := agree(data, file, err); err != nil {
+			t.Fatalf("mutation %d: %v", i, err)
+		}
+	}
+	for _, data := range [][]byte{fixture, amplifiedContainer(), sdexContainer(2, []string{"a.B", "f", "V"}, [][]uint64{{0, 1, 2}, {0, 1, 2}}), {}} {
+		file, err := Decode(data)
+		if err := agree(data, file, err); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if accepted == 0 {
+		t.Error("no mutation was accepted; the agreement on accepted inputs went unchecked")
+	}
 }

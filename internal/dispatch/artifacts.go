@@ -252,8 +252,11 @@ func (s *ArtifactStore) List() (complete, incomplete []string, err error) {
 
 // StoredRun is one run loaded back from disk.
 type StoredRun struct {
-	Meta    RunMeta
-	APK     *apk.APK
+	Meta RunMeta
+	// APK is the stored apk's bytes, verified by Load: they hash to the
+	// run's directory key and pass apk.Check. A reader that needs the
+	// program decodes them itself (Reanalyze).
+	APK     []byte
 	Capture []byte
 	Reports []*xposed.Report
 	Trace   map[string]struct{}
@@ -309,9 +312,10 @@ func DecodeReports(data []byte, sha string) ([]*xposed.Report, error) {
 }
 
 // Load reads one run's artifacts back, verifying the on-disk apk's
-// sha256 against its directory key. Content-integrity failures wrap the
-// typed ErrCorruptArtifact so callers never mistake bit rot for an I/O
-// hiccup — and never analyze silently wrong evidence.
+// sha256 against its directory key and its content with apk.Check, which
+// builds no program. Content-integrity failures wrap the typed
+// ErrCorruptArtifact so callers never mistake bit rot for an I/O hiccup —
+// and never analyze silently wrong evidence.
 func (s *ArtifactStore) Load(sha string) (*StoredRun, error) {
 	runDir := filepath.Join(s.dir, sha)
 	metaJSON, err := os.ReadFile(filepath.Join(runDir, "meta.json"))
@@ -330,9 +334,10 @@ func (s *ArtifactStore) Load(sha string) (*StoredRun, error) {
 	if got := apk.Checksum(apkBytes); got != sha {
 		return nil, corruptf(sha, "stored apk checksum %s does not match directory key", got)
 	}
-	if run.APK, err = apk.Decode(apkBytes); err != nil {
+	if _, err := apk.Check(apkBytes); err != nil {
 		return nil, corruptf(sha, "decoding stored apk: %v", err)
 	}
+	run.APK = apkBytes
 
 	if run.Capture, err = os.ReadFile(filepath.Join(runDir, "capture.pcap")); err != nil {
 		return nil, fmt.Errorf("dispatch: reading capture: %w", err)
@@ -465,9 +470,10 @@ func (s *ArtifactStore) flipStoredBit(sha string, param uint64) error {
 }
 
 // Reanalyze runs the offline analysis over every stored run — the "later
-// evaluation" half of the paper's pipeline, decoupled from execution. In
-// the same pass it feeds each stored apk to detector's LibRadar
-// observation (nil skips it), so one load serves both.
+// evaluation" half of the paper's pipeline, decoupled from execution. It
+// is the one reader of a stored apk's program, so it decodes each apk
+// Load verified; in the same pass it feeds the apk to detector's LibRadar
+// observation (nil skips it), so one load and one decode serve both.
 func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor, detector *libradar.Detector) ([]*attribution.RunResult, error) {
 	if attributor == nil {
 		return nil, fmt.Errorf("dispatch: nil attributor")
@@ -482,8 +488,12 @@ func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor, detector *
 		if err != nil {
 			return nil, fmt.Errorf("dispatch: loading %s: %w", sha, err)
 		}
+		pack, err := apk.Decode(stored.APK)
+		if err != nil {
+			return nil, corruptf(sha, "decoding stored apk: %v", err)
+		}
 		if detector != nil {
-			if err := detector.ObserveApp(stored.Meta.Package, stored.APK.Dex.Packages()); err != nil {
+			if err := detector.ObserveApp(stored.Meta.Package, pack.Dex.Packages()); err != nil {
 				return nil, err
 			}
 		}
@@ -494,7 +504,7 @@ func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor, detector *
 			Capture:       bytes.NewReader(stored.Capture),
 			Reports:       stored.Reports,
 			Trace:         stored.Trace,
-			Disassembly:   dex.DisassembleFile(stored.APK.Dex),
+			Disassembly:   dex.DisassembleFile(pack.Dex),
 			LocalAddr:     nets.DefaultLocalAddr,
 			CollectorAddr: nets.DefaultCollectorAddr,
 			CollectorPort: nets.DefaultCollectorPort,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"libspector/internal/apk"
 	"libspector/internal/dispatch"
 	"libspector/internal/dispatch/dispatchtest"
 )
@@ -47,7 +48,7 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored.Meta.SHA256 != shas[0] || stored.APK == nil || len(stored.Capture) == 0 {
+	if stored.Meta.SHA256 != shas[0] || apk.Checksum(stored.APK) != shas[0] || len(stored.Capture) == 0 {
 		t.Error("stored run incomplete")
 	}
 	if len(stored.Reports) == 0 || len(stored.Trace) == 0 {

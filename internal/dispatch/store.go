@@ -16,7 +16,7 @@ import (
 
 // StoreEntry is one apk version in the database, with the AndroZoo
 // metadata the selection policy of §III-A uses. Encoded is what Put
-// validates; the store keeps the rest, not the bytes.
+// checks; the store keeps the rest, not the bytes.
 type StoreEntry struct {
 	Package    string
 	Encoded    []byte
@@ -40,10 +40,12 @@ func NewStore() *Store {
 }
 
 // Put validates and adds one apk version. The checksum is recomputed
-// server-side and the encoded bytes are fully decoded to verify
-// integrity; then the entry is kept without them. Putting a version whose
-// sha256 is already stored (a retried or requeued app) validates it again
-// and changes nothing.
+// server-side, the encoded bytes pass every check apk.Decode makes
+// (apk.Check: the zip, the manifest, the dex, the ABIs) without a dex.File
+// being built, and the manifest must name the entry's package; then the
+// entry is kept without the bytes. Putting a version whose sha256 is
+// already stored (a retried or requeued app) checks it again and changes
+// nothing.
 func (s *Store) Put(e StoreEntry) error {
 	if e.Package == "" {
 		return fmt.Errorf("dispatch: store entry has empty package")
@@ -56,13 +58,13 @@ func (s *Store) Put(e StoreEntry) error {
 	} else if e.SHA256 == "" {
 		e.SHA256 = sum
 	}
-	decoded, err := apk.Decode(e.Encoded)
+	manifest, err := apk.Check(e.Encoded)
 	if err != nil {
 		return fmt.Errorf("dispatch: store entry %s does not decode: %w", e.Package, err)
 	}
-	if decoded.Manifest.Package != e.Package {
+	if manifest.Package != e.Package {
 		return fmt.Errorf("dispatch: store entry package %s does not match manifest %s",
-			e.Package, decoded.Manifest.Package)
+			e.Package, manifest.Package)
 	}
 	e.Encoded = nil
 	s.mu.Lock()
@@ -80,8 +82,9 @@ func (s *Store) Put(e StoreEntry) error {
 // Select returns the metadata of the apk version to analyze for a
 // package, per §III-A: the latest dex timestamp wins; among versions with
 // the default (1980) dex timestamp, the most recent VirusTotal scan wins.
-// The store does not keep apk bytes, so the entry's Encoded is nil; the
-// caller identifies the version by SHA256.
+// The store keeps neither the apk bytes nor anything decoded from them, so
+// the entry's Encoded is nil; the caller identifies the version by SHA256
+// and runs the program it already holds.
 func (s *Store) Select(pkg string) (StoreEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

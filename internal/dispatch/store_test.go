@@ -1,12 +1,21 @@
 package dispatch
 
 import (
+	"archive/zip"
+	"bytes"
+	"compress/flate"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"libspector/internal/apk"
 	"libspector/internal/attribution"
+	"libspector/internal/dex"
 	"libspector/internal/emulator"
 	"libspector/internal/faults"
 	"libspector/internal/obs"
@@ -44,6 +53,102 @@ func TestStorePutIsIdempotentPerSHA(t *testing.T) {
 		t.Error("checksum mismatch on a stored version should fail")
 	}
 }
+
+// Put runs every §III-A check on the bytes it is given: the server-side
+// checksum, the manifest's package, and everything apk.Decode rejects —
+// an undecodable or invalid dex, an unknown ABI, a missing entry, an
+// entry too large to inflate. Each case is refused with the reason in its
+// error, and nothing is stored.
+func TestStorePutRejects(t *testing.T) {
+	valid, _ := encodeTestAPK(t, "com.app", 1, time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
+	manifest, err := json.Marshal(apk.Manifest{Package: "com.app", VersionCode: 1, Category: "TOOLS", MainActivity: "com.app.Main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyDex, err := dex.NewFile(time.Time{}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneMethod := dex.NewFile(time.Time{})
+	if err := oneMethod.AddMethod(dex.Method{Class: "com.app.Main", Name: "onCreate", Return: "V"}); err != nil {
+		t.Fatal(err)
+	}
+	goodDex, err := oneMethod.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two methods with the same three pool references.
+	dupDex := append([]byte("SDEX\x01\x00"), make([]byte, 8)...)
+	dupDex = binary.LittleEndian.AppendUint32(dupDex, 3)
+	for _, str := range []string{"com.app.Main", "f", "V"} {
+		dupDex = append(append(dupDex, byte(len(str))), str...)
+	}
+	dupDex = binary.LittleEndian.AppendUint32(dupDex, 2)
+	dupDex = append(dupDex, 0, 1, 2, 0, 0, 1, 2, 0)
+
+	type entry struct {
+		name    string
+		content io.Reader
+	}
+	container := func(entries ...entry) []byte {
+		var buf bytes.Buffer
+		zw := zip.NewWriter(&buf)
+		zw.RegisterCompressor(zip.Deflate, func(w io.Writer) (io.WriteCloser, error) {
+			return flate.NewWriter(w, flate.BestSpeed)
+		})
+		for _, e := range entries {
+			w, err := zw.Create(e.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.Copy(w, e.content); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	withDex := func(d []byte, more ...entry) []byte {
+		return container(append([]entry{{apk.ManifestTag, bytes.NewReader(manifest)}, {"classes.dex", bytes.NewReader(d)}}, more...)...)
+	}
+	if err := NewStore().Put(StoreEntry{Package: "com.app", Encoded: withDex(goodDex)}); err != nil {
+		t.Fatalf("the cases' well-formed container is rejected: %v", err)
+	}
+
+	cases := []struct {
+		name  string
+		entry StoreEntry
+		want  string
+	}{
+		{"checksum mismatch", StoreEntry{Package: "com.app", Encoded: valid.Encoded, SHA256: strings.Repeat("0", 64)}, "checksum mismatch"},
+		{"package mismatch", StoreEntry{Package: "com.other", Encoded: valid.Encoded}, "does not match manifest com.app"},
+		{"undecodable dex", StoreEntry{Package: "com.app", Encoded: withDex([]byte("junk"))}, "parsing classes.dex"},
+		{"duplicate signature", StoreEntry{Package: "com.app", Encoded: withDex(dupDex)}, "duplicate method signature"},
+		{"empty dex", StoreEntry{Package: "com.app", Encoded: withDex(emptyDex)}, "empty dex file"},
+		{"unknown abi", StoreEntry{Package: "com.app", Encoded: withDex(goodDex, entry{"lib/mips/libapp.so", strings.NewReader("stub")})}, "unknown ABI"},
+		{"missing manifest", StoreEntry{Package: "com.app", Encoded: container(entry{"classes.dex", bytes.NewReader(goodDex)})}, "lacks AndroidManifest.json"},
+		{"zip bomb", StoreEntry{Package: "com.app", Encoded: container(entry{apk.ManifestTag, bytes.NewReader(manifest)}, entry{"classes.dex", io.LimitReader(zeros{}, 65<<20)})}, "over the"},
+	}
+	s := NewStore()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := s.Put(tc.entry)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Put = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	if pkgs := s.Packages(); len(pkgs) != 0 {
+		t.Errorf("rejected puts stored %v", pkgs)
+	}
+}
+
+// zeros reads as an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) { clear(p); return len(p), nil }
 
 // The store keeps metadata, not apk bytes, so what it retains after a
 // corpus is put does not grow with the apks: 512 apps retain at most a

@@ -34,7 +34,7 @@ func TestGeneratedFileConcurrentReaders(t *testing.T) {
 	readers := []func() error{
 		func() error {
 			d := dex.DisassembleFile(f)
-			for _, sig := range d.Signatures {
+			for _, sig := range d.Signatures() {
 				if !d.Contains(sig) {
 					t.Errorf("disassembly misses its own signature %q", sig)
 				}
