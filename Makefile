@@ -22,7 +22,8 @@ test:
 # A generated dex file's arenas are read by disassembly, the ART profiler
 # and libradar at once (internal/synth's concurrent-reader test). Workers
 # Put concurrently through apk.Check's and dex.Check's reused scratch
-# (TestCheckConcurrent). The collector's barrier waiter map is shared by its receive loop and every
+# (TestCheckConcurrent) and generate apps through apk.Encode's
+# (TestEncodeConcurrent). The collector's barrier waiter map is shared by its receive loop and every
 # worker (TestBarrierConcurrentClients hammers it).
 # The root run covers the shard coordinator and outcome-merge paths
 # end-to-end; TestResumeSnapshotUnderRunFaults checks that every

@@ -9,6 +9,7 @@ package apk
 import (
 	"archive/zip"
 	"bytes"
+	"compress/flate"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -121,13 +122,23 @@ func (a *APK) SupportsX86() bool {
 }
 
 // Encode serializes the package as a zip archive with the real-apk layout:
-// AndroidManifest.json, classes.dex, and lib/<abi>/libapp.so entries.
+// AndroidManifest.json, classes.dex, and lib/<abi>/libapp.so entries. The
+// compressor, the archive and the dex bytes are an encoder's scratch,
+// kept from one Encode to the next; the result is an exact-size copy.
 func (a *APK) Encode() ([]byte, error) {
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("apk: encode: %w", err)
 	}
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
+	var e *encoder
+	select {
+	case e = <-idleEncoders:
+	default:
+		e = newEncoder()
+	}
+	defer e.release()
+	e.out.Reset()
+	zw := zip.NewWriter(&e.out)
+	zw.RegisterCompressor(zip.Deflate, e.compressor)
 
 	writeEntry := func(name string, content []byte) error {
 		// Fixed timestamps keep the encoding canonical so sha256 checksums
@@ -151,11 +162,8 @@ func (a *APK) Encode() ([]byte, error) {
 	if err := writeEntry(ManifestTag, manifestJSON); err != nil {
 		return nil, err
 	}
-	dexBytes, err := a.Dex.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("apk: encoding dex: %w", err)
-	}
-	if err := writeEntry("classes.dex", dexBytes); err != nil {
+	e.dex = a.Dex.AppendEncode(e.dex[:0])
+	if err := writeEntry("classes.dex", e.dex); err != nil {
 		return nil, err
 	}
 	abis := make([]string, len(a.NativeABIs))
@@ -171,7 +179,51 @@ func (a *APK) Encode() ([]byte, error) {
 	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("apk: finalizing zip: %w", err)
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(e.out.Bytes()), nil
+}
+
+// encoder is Encode's scratch: one deflate compressor, reset for every
+// entry, the archive being written and the dex bytes being compressed.
+type encoder struct {
+	fw  *flate.Writer
+	out bytes.Buffer
+	dex []byte
+}
+
+// encodeLevel is the deflate level archive/zip's own compressor uses;
+// any other level changes every apk's bytes and so its sha256.
+const encodeLevel = 5
+
+func newEncoder() *encoder {
+	fw, err := flate.NewWriter(io.Discard, encodeLevel)
+	if err != nil {
+		panic(err) // encodeLevel is valid
+	}
+	return &encoder{fw: fw}
+}
+
+// compressor hands the zip writer the encoder's deflate compressor,
+// reset onto the entry's writer; the entry's close flushes it.
+func (e *encoder) compressor(w io.Writer) (io.WriteCloser, error) {
+	e.fw.Reset(w)
+	return e.fw, nil
+}
+
+// idleEncoders holds encoders between Encodes, one for each processor
+// that may be encoding at once; a sync.Pool would be emptied at every GC
+// and rebuild the compressor's ~790 KiB of tables.
+var idleEncoders = make(chan *encoder, runtime.GOMAXPROCS(0))
+
+// release keeps the encoder for the next Encode unless its buffers grew
+// past maxIdleEntryBytes.
+func (e *encoder) release() {
+	if e.out.Cap() > maxIdleEntryBytes || cap(e.dex) > maxIdleEntryBytes {
+		return
+	}
+	select {
+	case idleEncoders <- e:
+	default:
+	}
 }
 
 func (a *APK) dexDateOrDefault() time.Time {

@@ -1,7 +1,9 @@
 package dex
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -35,20 +37,22 @@ type File struct {
 	// expect is the number of methods the file was sized for; the arenas
 	// size later chunks by it.
 	expect int
-	// bySig indexes methods by full type signature for O(1) lookups.
-	bySig map[string]int
-	// byQualified indexes overloads by (class, method name); next chains
-	// the variants in definition order, -1 ending the chain.
-	byQualified map[qualKey]overloads
-	next        []int
+	// bySig indexes methods by full type signature: AddMethod's duplicate
+	// check, Contains and LookupSignature are O(1) each, so even a hostile
+	// container decodes in linear time.
+	bySig map[string]int32
+	// byQualified indexes overloads by their signature's prefix through
+	// its first '(' ("La/b;->m("), a substring of the arena; next chains
+	// the methods of one prefix in definition order, -1 ending the chain.
+	// Classes that render alike ("a.b" and "a/b") share a chain, so a
+	// lookup keeps only the entries of its own class and name.
+	byQualified map[string]overloads
+	next        []int32
 }
 
-// qualKey is a dotted qualified name split into its class and method
-// name, so neither indexing nor lookup has to join them.
-type qualKey struct{ class, name string }
-
-// overloads are the first and last method index of one qualified name.
-type overloads struct{ first, last int }
+// overloads are the first and last method index of one qualified-index
+// chain.
+type overloads struct{ first, last int32 }
 
 // DefaultDexTime is the default dex timestamp (January 1, 1980 UTC) that
 // build toolchains emit when reproducible builds strip real dates.
@@ -76,9 +80,9 @@ func newFile(created time.Time, n, expect int) *File {
 		methods:     make([]Method, 0, n),
 		sigs:        make([]string, 0, n),
 		expect:      expect,
-		bySig:       make(map[string]int, n),
-		byQualified: make(map[qualKey]overloads, n),
-		next:        make([]int, 0, n),
+		bySig:       make(map[string]int32, n),
+		byQualified: make(map[string]overloads, n),
+		next:        make([]int32, 0, n),
 	}
 	if n > 0 {
 		f.sigArena.chunk = make([]byte, 0, n*sigBytesPerMethod)
@@ -99,6 +103,9 @@ func (f *File) AddMethod(m Method) error {
 	// Render into the arena's free tail; the bytes are committed only
 	// once the signature is known to be new.
 	idx := len(f.methods)
+	if idx >= math.MaxInt32 {
+		return fmt.Errorf("dex: a file holds at most %d methods", math.MaxInt32)
+	}
 	f.sigArena.reserve(signatureLen(m), idx, f.expect)
 	rendered := appendSignature(f.sigArena.free()[:0], m)
 	if _, dup := f.bySig[string(rendered)]; dup {
@@ -114,16 +121,17 @@ func (f *File) AddMethod(m Method) error {
 	}
 	f.methods = append(f.methods, m)
 	f.sigs = append(f.sigs, unsafe.String(unsafe.SliceData(sig), len(sig)))
-	f.bySig[f.sigs[idx]] = idx
+	s := f.sigs[idx]
+	f.bySig[s] = int32(idx)
 	f.next = append(f.next, -1)
-	key := qualKey{m.Class, m.Name}
+	key := s[:strings.IndexByte(s, '(')+1]
 	o, ok := f.byQualified[key]
 	if ok {
-		f.next[o.last] = idx
+		f.next[o.last] = int32(idx)
 	} else {
-		o.first = idx
+		o.first = int32(idx)
 	}
-	o.last = idx
+	o.last = int32(idx)
 	f.byQualified[key] = o
 	return nil
 }
@@ -174,27 +182,53 @@ func (f *File) LookupSignature(sig string) (Method, bool) {
 // LookupQualified returns all overloaded variants sharing the dotted
 // qualified name (class + method name), in definition order.
 func (f *File) LookupQualified(qualified string) []Method {
-	first, ok := f.firstOverload(qualified)
-	if !ok {
-		return nil
-	}
+	class, name, i := f.firstOverload(qualified)
 	var out []Method
-	for i := first; i >= 0; i = f.next[i] {
+	for ; i >= 0; i = f.nextOverload(f.next[i], class, name) {
 		out = append(out, f.methods[i])
 	}
 	return out
 }
 
-// firstOverload returns the index of the first method whose qualified
-// name is qualified. The name splits at its last '.': method names never
-// contain one, class names do.
-func (f *File) firstOverload(qualified string) (int, bool) {
+// maxStackKey bounds the qualified-index key firstOverload renders on the
+// stack; a longer key (class and method name past ~250 bytes together)
+// allocates.
+const maxStackKey = 256
+
+// firstOverload splits qualified into its class and method name and
+// returns them with the index of the first method of that name, or -1.
+// The name splits at its last '.': method names never contain one, class
+// names do.
+func (f *File) firstOverload(qualified string) (class, name string, i int32) {
 	dot := strings.LastIndexByte(qualified, '.')
 	if dot < 0 {
-		return 0, false
+		return "", "", -1
 	}
-	o, ok := f.byQualified[qualKey{qualified[:dot], qualified[dot+1:]}]
-	return o.first, ok
+	class, name = qualified[:dot], qualified[dot+1:]
+	// The key is what AddMethod cut from the signature: the rendering of
+	// class and name through its first '('.
+	var buf [maxStackKey]byte
+	key := appendDescriptor(buf[:0], class)
+	key = append(key, "->"...)
+	key = append(key, name...)
+	key = append(key, '(')
+	key = key[:bytes.IndexByte(key, '(')+1]
+	o, ok := f.byQualified[string(key)]
+	if !ok {
+		return class, name, -1
+	}
+	return class, name, f.nextOverload(o.first, class, name)
+}
+
+// nextOverload returns the first index from i on along its
+// qualified-index chain whose method has exactly class and name, or -1.
+func (f *File) nextOverload(i int32, class, name string) int32 {
+	for ; i >= 0; i = f.next[i] {
+		if m := &f.methods[i]; m.Class == class && m.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Classes returns the sorted set of distinct class names defined in the

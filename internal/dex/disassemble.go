@@ -69,12 +69,12 @@ func NewSignatureTranslator(f *File) *SignatureTranslator {
 // falls back to the qualified name itself.
 func (t *SignatureTranslator) Translate(qualified string, arity int) (string, bool) {
 	f := t.file
-	first, ok := f.firstOverload(qualified)
-	if !ok {
+	class, name, first := f.firstOverload(qualified)
+	if first < 0 {
 		return "", false
 	}
 	if arity >= 0 {
-		for i := first; i >= 0; i = f.next[i] {
+		for i := first; i >= 0; i = f.nextOverload(f.next[i], class, name) {
 			if len(f.methods[i].Params) == arity {
 				return f.sigs[i], true
 			}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -30,20 +32,34 @@ var sdexMagic = [4]byte{'S', 'D', 'E', 'X'}
 const sdexVersion uint16 = 1
 
 // Encode serializes the file into the SDEX container format.
-func (f *File) Encode() ([]byte, error) {
-	// Generated pools hold 13–19% as many strings as the file has
-	// methods; a quarter covers them without a regrowth, and a pool past
-	// it grows.
-	pool := make([]string, 0, len(f.methods)/4)
-	poolIdx := make(map[string]uint64, len(f.methods)/4)
+func (f *File) Encode() ([]byte, error) { return f.AppendEncode(nil), nil }
+
+// AppendEncode appends the file's SDEX encoding to dst and returns the
+// result. Its string pool, pool index and reference list are scratch
+// kept from one encode to the next, so encoding a file like the last
+// one allocates nothing beyond what dst has to grow by.
+func (f *File) AppendEncode(dst []byte) []byte {
+	var e *encodeScratch
+	select {
+	case e = <-idleEncoders:
+	default:
+		// Generated pools hold 13–19% as many strings as the file has
+		// methods; a quarter covers them without a regrowth, and a pool
+		// past it grows.
+		e = &encodeScratch{
+			pool:  make([]string, 0, len(f.methods)/4),
+			index: make(map[string]uint32, len(f.methods)/4),
+		}
+	}
+	defer e.release()
 	poolBytes := 0
-	intern := func(s string) uint64 {
-		if i, ok := poolIdx[s]; ok {
+	intern := func(s string) uint32 {
+		if i, ok := e.index[s]; ok {
 			return i
 		}
-		i := uint64(len(pool))
-		pool = append(pool, s)
-		poolIdx[s] = i
+		i := uint32(len(e.pool))
+		e.pool = append(e.pool, s)
+		e.index[s] = i
 		poolBytes += len(s)
 		return i
 	}
@@ -55,17 +71,18 @@ func (f *File) Encode() ([]byte, error) {
 	// refs are every method's pool indices in wire order (class, name,
 	// return, params), one flat slice for the whole file: all its varints
 	// but the param counts.
-	refs := make([]uint64, 0, varints-len(f.methods))
+	refs := slices.Grow(e.refs[:0], varints-len(f.methods))
 	for _, m := range f.methods {
 		refs = append(refs, intern(m.Class), intern(m.Name), intern(m.Return))
 		for _, p := range m.Params {
 			refs = append(refs, intern(p))
 		}
 	}
+	e.refs = refs
 
 	// Presized for two-byte varints (exact or over for pools under 16k
 	// strings of under 16k bytes), so the buffer rarely grows.
-	b := make([]byte, 0, 22+poolBytes+2*len(pool)+2*varints)
+	b := slices.Grow(dst, 22+poolBytes+2*len(e.pool)+2*varints)
 	b = append(b, sdexMagic[:]...)
 	b = binary.LittleEndian.AppendUint16(b, sdexVersion)
 	created := int64(0)
@@ -74,22 +91,52 @@ func (f *File) Encode() ([]byte, error) {
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(created))
 
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(pool)))
-	for _, s := range pool {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.pool)))
+	for _, s := range e.pool {
 		b = codec.AppendString(b, s)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.methods)))
 	for _, m := range f.methods {
-		b = binary.AppendUvarint(b, refs[0])
-		b = binary.AppendUvarint(b, refs[1])
-		b = binary.AppendUvarint(b, refs[2])
+		b = binary.AppendUvarint(b, uint64(refs[0]))
+		b = binary.AppendUvarint(b, uint64(refs[1]))
+		b = binary.AppendUvarint(b, uint64(refs[2]))
 		b = binary.AppendUvarint(b, uint64(len(m.Params)))
 		for _, p := range refs[3 : 3+len(m.Params)] {
-			b = binary.AppendUvarint(b, p)
+			b = binary.AppendUvarint(b, uint64(p))
 		}
 		refs = refs[3+len(m.Params):]
 	}
-	return b, nil
+	return b
+}
+
+// encodeScratch is AppendEncode's working set: the string pool in
+// interning order, each pool string's index (a pool index fits the
+// format's uint32 pool count) and the flat reference list.
+type encodeScratch struct {
+	pool  []string
+	index map[string]uint32
+	refs  []uint32
+}
+
+// idleEncoders holds encode scratch between encodes, one for each
+// processor that may be encoding at once; like idleCheckers, it is not
+// emptied at every GC as a sync.Pool would be.
+var idleEncoders = make(chan *encodeScratch, runtime.GOMAXPROCS(0))
+
+// release keeps the scratch for the next encode unless it grew past
+// Check's limits. The pool and index are cleared first, so an idle
+// scratch holds no string of the file it encoded.
+func (e *encodeScratch) release() {
+	if len(e.pool) > maxIdleMethods || cap(e.refs) > 4*maxIdleMethods {
+		return
+	}
+	clear(e.pool)
+	e.pool = e.pool[:0]
+	clear(e.index)
+	select {
+	case idleEncoders <- e:
+	default:
+	}
 }
 
 // errMalformed is what the cursor's failures (short field, bad varint,

@@ -73,6 +73,16 @@ func TestGeneratedFileConcurrentReaders(t *testing.T) {
 				if _, ok := f.LookupSignature(sig); !ok {
 					t.Errorf("LookupSignature(%q) missed", sig)
 				}
+				found := false
+				for _, o := range f.LookupQualified(m.QualifiedName()) {
+					if o.QualifiedName() != m.QualifiedName() {
+						t.Errorf("LookupQualified(%s) returned %s", m.QualifiedName(), o.QualifiedName())
+					}
+					found = found || o.TypeSignature() == sig
+				}
+				if !found {
+					t.Errorf("LookupQualified(%s) misses %q", m.QualifiedName(), sig)
+				}
 			}
 			return nil
 		},

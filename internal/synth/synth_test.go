@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -357,6 +358,41 @@ func TestGenerateAppAllocsPerMethod(t *testing.T) {
 		})
 		if limit := float64(methods/2 + 1024); allocs > limit {
 			t.Errorf("app %d: GenerateApp allocates %.0f for %d methods, over %.0f", i, allocs, methods, limit)
+		}
+	}
+}
+
+// Generation's bytes per method, the apk encoded: mostly the dex file's
+// method list, arenas and two indexes, and the encoded apk. The apk
+// encoder and its string pool are reused from one app to the next, so
+// they add nothing. These apps measure 310–355 bytes per method; a fresh
+// compressor and string pool per app and the wider (class, name) index
+// made 475–525.
+func TestGenerateAppBytesPerMethod(t *testing.T) {
+	cfg := smallConfig(42, 16)
+	cfg.MethodScale = 0.1
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 4, 8} {
+		app, err := w.GenerateApp(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		methods := app.Program.Dex.MethodCount()
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			if _, err := w.GenerateApp(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perMethod := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(methods)
+		if limit := 400.0; perMethod > limit {
+			t.Errorf("app %d: GenerateApp allocates %.0f bytes per method for %d methods, over %.0f", i, perMethod, methods, limit)
 		}
 	}
 }
