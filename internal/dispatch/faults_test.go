@@ -81,52 +81,6 @@ func TestFaultClassesQuarantinePoisonApps(t *testing.T) {
 	}
 }
 
-// TestFaultTransientRecoveryMatchesCleanRun is the core retry guarantee:
-// with transient faults on every app (rate 1, poison 0) and one retry, the
-// fleet must complete every analyzable app and produce results identical to
-// a fleet that never faulted — retries may not perturb determinism.
-func TestFaultTransientRecoveryMatchesCleanRun(t *testing.T) {
-	const apps = 8
-	world := smallWorld(t, 79, apps)
-	base := dispatch.Config{
-		Workers:    3,
-		Emulator:   shortOpts(79),
-		BaseSeed:   79,
-		Attributor: newAttributor(t, 79, world),
-	}
-	_, clean, err := dispatchtest.Run(world, world.Resolver, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faulty := base
-	faulty.ContinueOnError = true
-	faulty.MaxAttempts = 2
-	faulty.RetryBackoff = 250 * time.Millisecond
-	faulty.RunTimeout = 2 * time.Second
-	faulty.Faults = newInjector(t, faults.Config{Seed: 79, Rate: 1, PoisonRate: 0})
-	res, runs, err := dispatchtest.Run(world, world.Resolver, faulty)
-	if err != nil {
-		t.Fatalf("transient-fault fleet failed: %v", err)
-	}
-	acct := res.Accounting
-	if acct.Quarantined != 0 || acct.Failed != 0 || acct.NotRun != 0 {
-		t.Fatalf("transient faults should all recover: %+v", acct)
-	}
-	if acct.Retried == 0 {
-		t.Fatal("no app recovered through a retry")
-	}
-	if acct.Coverage() != 1 {
-		t.Fatalf("coverage = %v, want 1", acct.Coverage())
-	}
-	if len(runs) != len(clean) {
-		t.Fatalf("faulted fleet completed %d runs, clean %d", len(runs), len(clean))
-	}
-	if !reflect.DeepEqual(runs, clean) {
-		t.Error("retried results differ from the never-faulted fleet")
-	}
-}
-
 // TestFaultRetryDoesNotPolluteCollector guards the collector reset
 // between attempts: a failed attempt puts datagrams in the collector, and
 // unless its drain forgets them the retried run would attribute from a
@@ -174,75 +128,6 @@ func TestFaultRetryDoesNotPolluteCollector(t *testing.T) {
 	}
 	if !reflect.DeepEqual(runs, clean) {
 		t.Error("retried collector results differ from the never-faulted fleet")
-	}
-}
-
-// TestFaultAccountingNoSilentLoss is the acceptance scenario: a sizable
-// corpus at a 20% fault rate with retries must account for every single
-// app — completed, ABI-skipped, or quarantined — with nothing lost and
-// nothing left unexplained.
-func TestFaultAccountingNoSilentLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("500-app fault campaign skipped in -short mode")
-	}
-	const apps = 500
-	world := smallWorld(t, 83, apps)
-	cfg := dispatch.Config{
-		// More workers than cores: stalled attempts spend their RunTimeout
-		// blocked, so overlapping them keeps the test's wall clock down.
-		Workers:         8,
-		Emulator:        shortOpts(83),
-		BaseSeed:        83,
-		Attributor:      newAttributor(t, 83, world),
-		ContinueOnError: true,
-		MaxAttempts:     3,
-		RetryBackoff:    time.Second,
-		// Stall faults are excluded so no attempt depends on a real-time
-		// deadline: under -race on a loaded machine a tight RunTimeout
-		// would spuriously kill legitimate runs and skew the ledger. The
-		// stall/timeout path has its own table-driven coverage above.
-		Faults: newInjector(t, faults.Config{
-			Seed: 83, Rate: 0.2, PoisonRate: 0.25,
-			Classes: []faults.Class{faults.EmulatorAbort, faults.CaptureTruncate, faults.DatagramDrop, faults.HookFault},
-		}),
-	}
-	outcomes := make(map[int]dispatch.EventKind)
-	res, _, err := dispatchtest.Run(world, world.Resolver, cfg, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
-		if ev.Kind == dispatch.EventSummary {
-			return nil
-		}
-		if prev, dup := outcomes[ev.AppIndex]; dup {
-			t.Errorf("app %d reported twice: %v then %v", ev.AppIndex, prev, ev.Kind)
-		}
-		outcomes[ev.AppIndex] = ev.Kind
-		return nil
-	}))
-	if err != nil {
-		t.Fatalf("degraded fleet aborted: %v", err)
-	}
-	if len(outcomes) != apps {
-		t.Fatalf("only %d of %d apps produced an outcome event", len(outcomes), apps)
-	}
-	acct := res.Accounting
-	if got := acct.Completed + acct.SkippedARMOnly + acct.Quarantined + acct.Failed + acct.NotRun; got != apps {
-		t.Fatalf("ledger sums to %d, want %d: %+v", got, apps, acct)
-	}
-	if acct.Failed != 0 || acct.NotRun != 0 {
-		t.Fatalf("uncancelled ContinueOnError fleet reports %d failed, %d not run", acct.Failed, acct.NotRun)
-	}
-	if acct.Quarantined == 0 || acct.Retried == 0 {
-		t.Fatalf("20%% fault rate produced no quarantines (%d) or retries (%d)", acct.Quarantined, acct.Retried)
-	}
-	for _, q := range res.Quarantined {
-		if q.Attempts != 3 || q.LastErr == nil {
-			t.Errorf("quarantine record incomplete: %+v", q)
-		}
-		if outcomes[q.AppIndex] != dispatch.EventQuarantine {
-			t.Errorf("app %d quarantined in summary but streamed as %v", q.AppIndex, outcomes[q.AppIndex])
-		}
-	}
-	if cov := acct.Coverage(); cov <= 0.8 || cov >= 1 {
-		t.Errorf("coverage %v outside the expected degraded band", cov)
 	}
 }
 

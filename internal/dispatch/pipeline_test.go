@@ -68,35 +68,6 @@ func TestFleetBasic(t *testing.T) {
 	}
 }
 
-func TestFleetDeterminism(t *testing.T) {
-	run := func() []string {
-		world := smallWorld(t, 33, 8)
-		_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
-			Workers:    4,
-			Emulator:   shortOpts(33),
-			BaseSeed:   33,
-			Attributor: newAttributor(t, 33, world),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shas := make([]string, 0, len(runs))
-		for _, r := range runs {
-			shas = append(shas, r.AppSHA)
-		}
-		return shas
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("run counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("run %d sha differs across identical fleets", i)
-		}
-	}
-}
-
 // TestFleetCollectorTotals: every report of a clean fleet reaches
 // attribution through the real UDP collector, none of them malformed.
 func TestFleetCollectorTotals(t *testing.T) {

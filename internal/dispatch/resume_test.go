@@ -2,14 +2,11 @@ package dispatch_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -294,114 +291,6 @@ func TestResumeAtEveryRecordBoundaryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestJournalCrashFaultResumesClean drives the journal-crash class end to
-// end: the campaign dies between the journal append and the evidence
-// commit, and the resumed campaign — crash faults disabled, as an
-// operator would — requeues the orphaned runs and converges to the clean
-// baseline.
-func TestJournalCrashFaultResumesClean(t *testing.T) {
-	baseStore, err := dispatch.NewArtifactStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &journaledCampaign{seed: 163, apps: 8, store: baseStore}
-	base, err := c.run(t, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	crashStore, err := dispatch.NewArtifactStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed := &journaledCampaign{seed: 163, apps: 8, store: crashStore}
-	path := filepath.Join(t.TempDir(), "crash.journal")
-	w, err := journal.Create(path, crashed.header(), journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := newInjector(t, faults.Config{Seed: 163, Rate: 1,
-		Classes: []faults.Class{faults.JournalCrash}})
-	_, err = crashed.run(t, w, nil, inj)
-	if !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("crash fault did not kill the campaign: %v", err)
-	}
-	_ = w.Close()
-
-	rw, rep, err := journal.Recover(path, journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The journal claims completions whose evidence never reached the
-	// store — resume must requeue them, not fabricate results.
-	orphans := 0
-	for _, rec := range rep.Outcomes {
-		if rec.Outcome == journal.OutcomeRun {
-			orphans++
-		}
-	}
-	if orphans == 0 {
-		t.Fatal("crash fault journaled no orphaned completions")
-	}
-	res, err := crashed.run(t, rw, rep, nil)
-	if err != nil {
-		t.Fatalf("resume after journal-crash failed: %v", err)
-	}
-	_ = rw.Close()
-	sameOutcome(t, base, res)
-}
-
-// TestJournalTearFaultResumesClean drives the torn-write class: the
-// campaign dies mid-append, recovery truncates the torn frame, and the
-// interrupted app — started but never terminally recorded — is requeued.
-func TestJournalTearFaultResumesClean(t *testing.T) {
-	baseStore, err := dispatch.NewArtifactStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &journaledCampaign{seed: 167, apps: 8, store: baseStore}
-	base, err := c.run(t, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tornStore, err := dispatch.NewArtifactStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := &journaledCampaign{seed: 167, apps: 8, store: tornStore}
-	path := filepath.Join(t.TempDir(), "torn.journal")
-	w, err := journal.Create(path, torn.header(), journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := newInjector(t, faults.Config{Seed: 167, Rate: 1,
-		Classes: []faults.Class{faults.JournalTear}})
-	_, err = torn.run(t, w, nil, inj)
-	if !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("tear fault did not kill the campaign: %v", err)
-	}
-	_ = w.Close()
-
-	rep0, err := journal.Read(path)
-	if err != nil {
-		t.Fatalf("torn journal must replay (torn tail is recoverable): %v", err)
-	}
-	if rep0.TornBytes == 0 {
-		t.Fatal("tear fault left no torn tail")
-	}
-	rw, rep, err := journal.Recover(path, journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := torn.run(t, rw, rep, nil)
-	if err != nil {
-		t.Fatalf("resume after torn write failed: %v", err)
-	}
-	_ = rw.Close()
-	sameOutcome(t, base, res)
-}
-
 // TestResumeRequeuesCorruptEvidence is the acceptance path: a bit flipped
 // in stored evidence after the campaign is caught by the audit, and a
 // resume re-runs exactly that app — repairing the store — instead of
@@ -459,134 +348,4 @@ func TestResumeRequeuesCorruptEvidence(t *testing.T) {
 	if !report.Clean() {
 		t.Errorf("resume left the store damaged: %+v", report)
 	}
-}
-
-// TestResume500AppKillByteIdentical kills a 500-app campaign at an
-// arbitrary record boundary and asserts the resumed campaign matches the
-// uninterrupted baseline — the paper-scale durability guarantee.
-func TestResume500AppKillByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("500-app resume campaign skipped in -short")
-	}
-	store, err := dispatch.NewArtifactStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &journaledCampaign{seed: 179, apps: 500, workers: 8, store: store}
-	inj := newInjector(t, faults.Config{Seed: 179, Rate: 0.2, PoisonRate: 0.2,
-		Classes: []faults.Class{faults.EmulatorAbort, faults.HookFault}})
-
-	dir := t.TempDir()
-	basePath := filepath.Join(dir, "base.journal")
-	w, err := journal.Create(basePath, c.header(), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := c.run(t, w, nil, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundaries := recordBoundaries(data)
-	// An arbitrary mid-campaign kill point: roughly two thirds through the
-	// record stream, cutting through in-flight and completed apps alike.
-	cut := boundaries[2*len(boundaries)/3]
-	path := filepath.Join(dir, "killed.journal")
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rw, rep, err := journal.Recover(path, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.run(t, rw, rep, inj)
-	if err != nil {
-		t.Fatalf("500-app resume failed: %v", err)
-	}
-	_ = rw.Close()
-	sameOutcome(t, base, res)
-	if len(rep.Outcomes) == 0 {
-		t.Error("kill point replayed no outcomes — sweep degenerated to a full re-run")
-	}
-}
-
-// TestCancelledCampaignResumesClean: a SIGINT-style cancellation makes
-// every in-flight attempt fail with a context error. Those failures are
-// the shutdown's artifact, not the apps' history — journaling them as
-// terminal outcomes would make every resume replay a "context canceled"
-// failure forever. The killed apps must stay in-flight in the journal,
-// and the resumed campaign must land byte-identical to an uninterrupted
-// same-seed run.
-func TestCancelledCampaignResumesClean(t *testing.T) {
-	baseStore, err := dispatch.NewArtifactStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &journaledCampaign{seed: 197, apps: 12, store: baseStore}
-	base, err := c.run(t, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	killStore, err := dispatch.NewArtifactStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	killed := &journaledCampaign{seed: 197, apps: 12, store: killStore}
-	path := filepath.Join(t.TempDir(), "cancel.journal")
-	w, err := journal.Create(path, killed.header(), journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	world := smallWorld(t, killed.seed, killed.apps)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events, err := dispatch.Stream(ctx, world, world.Resolver, killed.config(t, w, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs int
-	_, runErr := dispatch.Drain(events, killStore, dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
-		if ev.Kind == dispatch.EventRun {
-			if runs++; runs == 3 {
-				cancel()
-			}
-		}
-		return nil
-	}))
-	if runErr == nil {
-		t.Fatal("cancelled campaign reported success")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// No terminal record may have been fabricated from the cancellation.
-	rw, rep, err := journal.Recover(path, journal.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for app, rec := range rep.Outcomes {
-		if strings.Contains(rec.Error, "context canceled") {
-			t.Errorf("app %d journaled the shutdown as its outcome: %q", app, rec.Error)
-		}
-	}
-	if len(rep.Outcomes) >= killed.apps {
-		t.Fatalf("cancellation left no work to resume (%d outcomes)", len(rep.Outcomes))
-	}
-
-	resumed, err := killed.run(t, rw, rep, nil)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sameOutcome(t, base, resumed)
 }

@@ -98,22 +98,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestExperimentDeterminism(t *testing.T) {
-	run := func() int64 {
-		exp, err := libspector.NewExperiment(smallConfig(47, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := exp.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return exp.Dataset().ComputeTotals().TotalBytes()
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("experiments with identical configs differ: %d vs %d bytes", a, b)
-	}
-}
-
 // TestExperimentWithAllOptions drives the facade with artifact persistence
 // on top of the collector and the apk store every campaign runs.
 func TestExperimentWithAllOptions(t *testing.T) {

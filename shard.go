@@ -134,8 +134,21 @@ func (e *Experiment) RunShard(ctx context.Context, index, shards int) (*dispatch
 // MergeShardOutcomes merges shard outcomes collected from separate
 // processes (dispatch.ReadShardOutcome) into the campaign result,
 // finishing the figures from the decoded partials. Outcomes must be
-// passed in shard order and cover the whole plan.
+// passed in shard order and cover the whole plan: outcome i must be
+// shard i with the range this experiment's len(outcomes)-shard plan
+// gives it, so a missing, repeated or reordered file is refused rather
+// than merged into a campaign over the wrong apps.
 func (e *Experiment) MergeShardOutcomes(outcomes []*dispatch.ShardOutcome) (*CampaignResult, error) {
+	plan := e.shardPlan(len(outcomes))
+	for i, o := range outcomes {
+		if o == nil {
+			continue // MergeOutcomes names the missing shard
+		}
+		if want := plan.Range(i); o.Index != i || o.Range != want {
+			return nil, fmt.Errorf("libspector: outcome %d is shard %d over apps [%d, %d), want shard %d over [%d, %d) of a %d-shard plan",
+				i, o.Index, o.Range.Lo, o.Range.Hi, i, want.Lo, want.Hi, len(outcomes))
+		}
+	}
 	out, err := dispatch.MergeOutcomes(outcomes)
 	if err != nil {
 		return nil, err
