@@ -56,19 +56,22 @@ loc:
 	@printf '%6d  whole repo, non-test Go, benchmark/ excluded\n' $$(git ls-files '*.go' | grep -v -e _test.go -e '^benchmark/' | xargs cat | wc -l)
 	@printf '%6d  whole repo, test Go, benchmark/ included\n' $$(git ls-files '*_test.go' | xargs cat | wc -l)
 
-# Fuzz smoke over everything fed by untrusted bytes, two targets (`go
+# Fuzz smoke over everything fed by untrusted bytes, three targets (`go
 # test -fuzz` accepts one per invocation): the registered-format harness
 # (internal/codec/formats_test.go — every blob that crosses a process or
 # a crash boundary, stored capture.pcap files, SDEX containers and apks
 # included, one table row each, the readers of the last three held to an
 # allocation ceiling proportional to their input, and the SDEX and apk
-# checkers held to their decoders' verdicts) and the pcap packet
-# decoder, whose input is traffic rather than a format of ours. A short
+# checkers held to their decoders' verdicts, and the pcap row's in-place
+# and streaming readers to each other's), the pcap packet decoder, and
+# the HTTP head parsers, held to their bufio.Scanner references — the
+# last two read traffic rather than a format of ours. A short
 # minimize budget keeps the harness exploring instead of shrinking each
 # new input for up to a minute.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFormats$$' -fuzztime 60s -fuzzminimizetime 2s ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz FuzzHTTPHead -fuzztime 10s ./internal/nets
 
 # Process-level chaos smoke: a 4-shard `cmd/libspector -shards` campaign
 # whose seeded schedule SIGKILLs two shard children and the coordinator

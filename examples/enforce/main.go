@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -17,6 +16,7 @@ import (
 	"libspector/internal/borderpatrol"
 	"libspector/internal/emulator"
 	"libspector/internal/nets"
+	"libspector/internal/pcap"
 	"libspector/internal/synth"
 	"libspector/internal/xposed"
 )
@@ -73,7 +73,7 @@ func run() error {
 		if err != nil {
 			return nil, nil, err
 		}
-		sum, err := attribution.ParseCapture(bytes.NewReader(arts.CaptureBytes),
+		sum, err := attribution.ParseCapture(pcap.InPlace(arts.CaptureBytes),
 			nets.DefaultLocalAddr, nets.DefaultCollectorAddr, nets.DefaultCollectorPort)
 		if err != nil {
 			return nil, nil, err

@@ -78,8 +78,11 @@ func (f *Flow) Attributed() bool { return f.Report != nil }
 // CaptureSummary is the parsed form of one emulator run's pcap.
 type CaptureSummary struct {
 	Flows []*Flow
-	// flowByTuple indexes flows by their app→server tuple.
+	// flowByTuple indexes flows by their app→server tuple, and last is
+	// the flow of the previous TCP packet, checked before the map: a
+	// transfer's segments and ACKs arrive back to back.
 	flowByTuple map[pcap.FourTuple]*Flow
+	last        *Flow
 
 	// DNSQueries counts DNS question datagrams.
 	DNSQueries int
@@ -106,7 +109,8 @@ func (c *CaptureSummary) FlowByTuple(t pcap.FourTuple) (*Flow, bool) {
 // ParseCapture reads a pcap stream and reconstructs flows, DNS
 // associations, and traffic counters. localAddr identifies the emulated
 // device; collectorAddr/collectorPort identify supervisor report traffic
-// to exclude.
+// to exclude. Handed a pcap.InPlace view, it reads the capture in place;
+// the summary never aliases the capture's bytes either way.
 func ParseCapture(r io.Reader, localAddr netip.Addr, collectorAddr netip.Addr, collectorPort uint16) (*CaptureSummary, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
@@ -116,13 +120,21 @@ func ParseCapture(r io.Reader, localAddr netip.Addr, collectorAddr netip.Addr, c
 		flowByTuple:     make(map[pcap.FourTuple]*Flow),
 		ResolvedDomains: make(map[netip.Addr]string),
 	}
-	// Pooled zero-copy decode: one arena packet and one segment struct
-	// are reused for the whole capture, and the segment payload lazily
-	// aliases the packet buffer. Everything retained past an iteration
-	// (payload snippets, DNS names) is copied by the consume paths, so
-	// the buffer reuse is invisible outside this loop.
-	pkt := pcap.AcquirePacket()
-	defer pcap.ReleasePacket(pkt)
+	// Zero-copy decode: one packet and one segment struct are reused for
+	// the whole capture, and the segment payload lazily aliases the
+	// packet's bytes — the capture itself when reading in place, else one
+	// pooled buffer. Everything retained past an iteration (payload
+	// snippets, DNS names) is copied by the consume paths, so neither the
+	// buffer reuse nor the capture is visible outside this loop. A packet
+	// read in place has no buffer of its own to pool, and must not be
+	// released into the pool.
+	var pkt *pcap.Packet
+	if pr.InPlace() {
+		pkt = new(pcap.Packet)
+	} else {
+		pkt = pcap.AcquirePacket()
+		defer pcap.ReleasePacket(pkt)
+	}
 	var seg pcap.Segment
 	for {
 		err := pr.NextInto(pkt)
@@ -186,11 +198,15 @@ func (c *CaptureSummary) consumeTCP(seg pcap.Segment, ts time.Time, localAddr ne
 	if !outbound {
 		appTuple = seg.Tuple.Reverse()
 	}
-	f, ok := c.flowByTuple[appTuple]
-	if !ok {
-		f = &Flow{Tuple: appTuple, FirstSeen: ts}
-		c.flowByTuple[appTuple] = f
-		c.Flows = append(c.Flows, f)
+	f := c.last
+	if f == nil || f.Tuple != appTuple {
+		var ok bool
+		if f, ok = c.flowByTuple[appTuple]; !ok {
+			f = &Flow{Tuple: appTuple, FirstSeen: ts}
+			c.flowByTuple[appTuple] = f
+			c.Flows = append(c.Flows, f)
+		}
+		c.last = f
 	}
 	f.LastSeen = ts
 	if outbound {

@@ -463,26 +463,42 @@ var formats = []format{
 			valid := w.Bytes()
 			return []seed{{valid, true}, {valid[:20], false}, {nil, false}, {forgedCapture(1 << 30), false}}
 		},
-		// ReadAll's packet slice takes 48 bytes per packet, one packet per
-		// ≥ 16-byte record, plus each packet's data; the base also covers
-		// the bufio buffer and reader state.
+		// Decoding reads the capture twice, in place (resume, audit) and
+		// streaming (`libspector dump`), under one ceiling: each ReadAll's
+		// packet slice takes 48 bytes per packet, one packet per ≥ 16-byte
+		// record, plus, streaming, each packet's data; the base also
+		// covers the bufio buffer and reader state.
 		allocPerByte: 32,
 		allocBase:    64 << 10,
 		decode: func(data []byte) (any, error) {
-			r, err := pcap.NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			return r.ReadAll()
+			var both readCaptures
+			both.inPlace, both.err = readCapture(pcap.InPlace(data))
+			both.streamed, both.streamErr = readCapture(bytes.NewReader(data))
+			return both, both.err
 		},
 		encode: func(tb testing.TB, v any) []byte {
 			w := pcap.NewWriter(nil)
-			for _, p := range v.([]pcap.Packet) {
+			for _, p := range v.(readCaptures).inPlace {
 				if err := w.WritePacket(p); err != nil {
 					tb.Fatalf("accepted packet does not re-encode: %v", err)
 				}
 			}
 			return w.Bytes()
+		},
+		agree: func(data []byte, v any, err error) error {
+			both := v.(readCaptures)
+			if fmt.Sprint(both.streamErr) != fmt.Sprint(err) {
+				return fmt.Errorf("in place: %v; streaming: %v", err, both.streamErr)
+			}
+			if len(both.streamed) != len(both.inPlace) {
+				return fmt.Errorf("in place read %d packets, streaming %d", len(both.inPlace), len(both.streamed))
+			}
+			for i, p := range both.inPlace {
+				if q := both.streamed[i]; !p.Timestamp.Equal(q.Timestamp) || !bytes.Equal(p.Data, q.Data) {
+					return fmt.Errorf("packet %d differs", i)
+				}
+			}
+			return nil
 		},
 	},
 	{
@@ -869,6 +885,22 @@ func forgedEntrySize(tb testing.TB, zipped []byte, name string, size uint32) []b
 	}
 	tb.Fatalf("no central directory entry %s", name)
 	return nil
+}
+
+// readCaptures is the pcap row's decoded form: what the in-place and the
+// streaming reader read of one input, and their errors.
+type readCaptures struct {
+	inPlace, streamed []pcap.Packet
+	err, streamErr    error
+}
+
+// readCapture reads every packet of a capture source.
+func readCapture(src io.Reader) ([]pcap.Packet, error) {
+	r, err := pcap.NewReader(src)
+	if err != nil {
+		return nil, err
+	}
+	return r.ReadAll()
 }
 
 // forgedCapture is a pcap global header whose snap length is 0xffffffff,

@@ -22,6 +22,7 @@ import (
 	"libspector/internal/journal"
 	"libspector/internal/libradar"
 	"libspector/internal/nets"
+	"libspector/internal/pcap"
 	"libspector/internal/xposed"
 )
 
@@ -501,7 +502,7 @@ func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor, detector *
 			AppSHA:        stored.Meta.SHA256,
 			AppPackage:    stored.Meta.Package,
 			AppCategory:   stored.Meta.Category,
-			Capture:       bytes.NewReader(stored.Capture),
+			Capture:       pcap.InPlace(stored.Capture),
 			Reports:       stored.Reports,
 			Trace:         stored.Trace,
 			Disassembly:   dex.DisassembleFile(pack.Dex),

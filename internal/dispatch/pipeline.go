@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"libspector/internal/libradar"
 	"libspector/internal/nets"
 	"libspector/internal/obs"
+	"libspector/internal/pcap"
 	"libspector/internal/synth"
 	"libspector/internal/xposed"
 )
@@ -309,11 +309,11 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 	if err != nil {
 		err = fmt.Errorf("emulator run: %w", err)
 	} else {
-		// Keep the buffer the capture grew into. Nothing this attempt
-		// returns aliases it except the evidence, which carries it away
-		// only when the run's event is emitted; attribution reads the
-		// capture through a copy, so after a failed or diskless attempt
-		// the next one can overwrite it.
+		// Keep the buffer the capture grew into. Attribution reads it in
+		// place, but the RunResult it returns never aliases it; the
+		// evidence alone does, and carries it away only when the run's
+		// event is emitted. So after a failed or diskless attempt the
+		// next one can overwrite it.
 		env.capture = arts.CaptureBytes[:0]
 		if arts.HookErrors > 0 {
 			err = fmt.Errorf("emulator run had %d hook errors", arts.HookErrors)
@@ -355,7 +355,7 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 		AppSHA:        sha,
 		AppPackage:    pack.Manifest.Package,
 		AppCategory:   pack.Manifest.Category,
-		Capture:       bytes.NewReader(arts.CaptureBytes),
+		Capture:       pcap.InPlace(arts.CaptureBytes),
 		Reports:       reports,
 		Trace:         arts.Trace,
 		Disassembly:   dex.DisassembleFile(app.Program.Dex),

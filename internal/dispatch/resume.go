@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -10,6 +9,7 @@ import (
 	"libspector/internal/journal"
 	"libspector/internal/nets"
 	"libspector/internal/obs"
+	"libspector/internal/pcap"
 	"libspector/internal/synth"
 )
 
@@ -99,7 +99,7 @@ func (f *fleetRun) reconstructRun(env *runEnv, i int, rec journal.AppOutcome) (*
 		AppSHA:        app.SHA256,
 		AppPackage:    pack.Manifest.Package,
 		AppCategory:   pack.Manifest.Category,
-		Capture:       bytes.NewReader(stored.Capture),
+		Capture:       pcap.InPlace(stored.Capture),
 		Reports:       stored.Reports,
 		Trace:         stored.Trace,
 		Disassembly:   dex.DisassembleFile(app.Program.Dex),

@@ -162,6 +162,9 @@ type Artifacts struct {
 // baselines cannot inspect.
 type netPerformer struct {
 	stack *nets.Stack
+	// scratch holds the payload being sent or received; the stack copies
+	// it into the capture, so one buffer serves the whole run.
+	scratch []byte
 }
 
 var _ art.NetworkPerformer = (*netPerformer)(nil)
@@ -179,20 +182,19 @@ func (p *netPerformer) Perform(_ *art.Thread, action art.NetworkAction) error {
 		}
 		return err
 	}
-	var request []byte
 	if action.Port == 443 {
-		request = tlsLikePayload(action.RequestBytes)
+		p.scratch = appendTLSLike(p.scratch[:0], action.RequestBytes)
 	} else {
 		body := 0
 		if action.HTTPMethod == "POST" {
 			body = action.RequestBytes
 		}
-		request = nets.BuildHTTPRequest(action.HTTPMethod, action.Domain, action.Path, action.UserAgent, nil, body)
-		if pad := action.RequestBytes - len(request); pad > 0 && body == 0 {
-			request = append(request, tlsLikePayload(pad)...)
+		p.scratch = nets.AppendHTTPRequest(p.scratch[:0], action.HTTPMethod, action.Domain, action.Path, action.UserAgent, nil, body)
+		if pad := action.RequestBytes - len(p.scratch); pad > 0 && body == 0 {
+			p.scratch = appendTLSLike(p.scratch, pad)
 		}
 	}
-	if err := conn.Send(request); err != nil {
+	if err := conn.Send(p.scratch); err != nil {
 		return err
 	}
 	if action.Port == 443 {
@@ -204,11 +206,11 @@ func (p *netPerformer) Perform(_ *art.Thread, action art.NetworkAction) error {
 	// Plain-HTTP responses carry a status line and headers ahead of the
 	// body, as real servers send them; the Content-Type is what
 	// content-based classifiers inspect.
-	header := nets.BuildHTTPResponseHeader(action.ContentType, action.ResponseBytes)
-	if err := conn.Receive(header); err != nil {
+	p.scratch = nets.AppendHTTPResponseHeader(p.scratch[:0], action.ContentType, action.ResponseBytes)
+	if err := conn.Receive(p.scratch); err != nil {
 		return err
 	}
-	body := action.ResponseBytes - int64(len(header))
+	body := action.ResponseBytes - int64(len(p.scratch))
 	if body < 0 {
 		body = 0
 	}
@@ -218,15 +220,15 @@ func (p *netPerformer) Perform(_ *art.Thread, action art.NetworkAction) error {
 	return conn.Close()
 }
 
-// tlsLikePayload builds an opaque payload resembling a TLS record.
-func tlsLikePayload(n int) []byte {
+// appendTLSLike appends an opaque n-byte payload resembling a TLS record
+// (at least 8 bytes).
+func appendTLSLike(b []byte, n int) []byte {
 	if n < 8 {
 		n = 8
 	}
-	b := make([]byte, n)
-	b[0], b[1], b[2] = 0x16, 0x03, 0x01
+	b = append(b, 0x16, 0x03, 0x01)
 	for i := 3; i < n; i++ {
-		b[i] = byte(i * 31)
+		b = append(b, byte(i*31))
 	}
 	return b
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"libspector/internal/attribution"
 	"libspector/internal/monkey"
 	"libspector/internal/nets"
+	"libspector/internal/pcap"
 	"libspector/internal/synth"
 	"libspector/internal/xposed"
 )
@@ -305,5 +308,115 @@ func TestCaptureBytesPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); len(arts.CaptureBytes) != tc.size || got != tc.sha {
 			t.Errorf("cut %d: capture of %d bytes, sha %s; want %d bytes, sha %s", tc.cut, len(arts.CaptureBytes), got, tc.size, tc.sha)
 		}
+	}
+}
+
+// The in-place and streaming pcap readers agree on every cut of a real
+// capture, packet for packet and then on the error text where the cut
+// tears a record — the text the CaptureTruncate fault class journals.
+// The capture is pinned like TestCaptureBytesPinned's, at a traffic
+// volume small enough to read every prefix in full.
+func TestCaptureReadersAgreeAtEveryCut(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Seed = 29
+	cfg.NumApps = 4
+	cfg.ARMOnlyRate = 0
+	cfg.VolumeScale = 0.05
+	world, err := synth.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := world.GenerateApp(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := shortOptions(29)
+	opts.Monkey.Events = 4
+	arts, err := Run(Installation{Program: app.Program, APKSHA256: app.SHA256}, world.Resolver, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := arts.CaptureBytes
+	sum := sha256.Sum256(capture)
+	const size, sha = 86857, "35f0e7194e1bb23b901718bcb4dddec38236bb1ec53e50e8978f312385d44a6d"
+	if got := hex.EncodeToString(sum[:]); len(capture) != size || got != sha {
+		t.Fatalf("capture of %d bytes, sha %s; want %d bytes, sha %s", len(capture), got, size, sha)
+	}
+	var inPlace, streamed pcap.Packet
+	for n := 0; n <= len(capture); n++ {
+		cut := capture[:n]
+		a, errA := pcap.NewReader(pcap.InPlace(cut))
+		b, errB := pcap.NewReader(bytes.NewReader(cut))
+		for k := 0; errA == nil && errB == nil; k++ {
+			errA, errB = a.NextInto(&inPlace), b.NextInto(&streamed)
+			if errA == nil && errB == nil && (!inPlace.Timestamp.Equal(streamed.Timestamp) || !bytes.Equal(inPlace.Data, streamed.Data)) {
+				t.Fatalf("cut %d: packet %d differs between the readers", n, k)
+			}
+		}
+		if fmt.Sprint(errA) != fmt.Sprint(errB) {
+			t.Fatalf("cut %d: in place %v, streaming %v", n, errA, errB)
+		}
+	}
+}
+
+// AnalyzeRun reads a capture in place, yet the RunResult it returns never
+// aliases the capture: a dispatch worker overwrites that buffer with its
+// next attempt's capture while the result is still being folded.
+func TestAnalyzeRunResultOutlivesCapture(t *testing.T) {
+	app, world := testApp(t, 29)
+	arts, err := Run(Installation{Program: app.Program, APKSHA256: app.SHA256}, world.Resolver, shortOptions(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := xposed.DecodeReports(arts.RawReports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := attribution.NewAttributor(nil).AnalyzeRun(attribution.RunInput{
+		AppSHA:        app.SHA256,
+		Capture:       pcap.InPlace(arts.CaptureBytes),
+		Reports:       reports,
+		Trace:         arts.Trace,
+		LocalAddr:     nets.DefaultLocalAddr,
+		CollectorAddr: nets.DefaultCollectorAddr,
+		CollectorPort: nets.DefaultCollectorPort,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every kind of string and byte the capture feeds must be present,
+	// or the overwrite below proves nothing about it.
+	var domains, hosts, types, payloads int
+	for _, f := range res.Flows {
+		if f.Domain != "" {
+			domains++
+		}
+		if f.HTTPHost != "" && f.UserAgent != "" {
+			hosts++
+		}
+		if f.ContentType != "" {
+			types++
+		}
+		if len(f.FirstClientPayload) > 0 && len(f.FirstServerPayload) > 0 {
+			payloads++
+		}
+	}
+	if domains == 0 || hosts == 0 || types == 0 || payloads == 0 {
+		t.Fatalf("run too thin to check: %d flows, %d with domains, %d with HTTP hosts, %d with content types, %d with payloads",
+			len(res.Flows), domains, hosts, types, payloads)
+	}
+	before, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range arts.CaptureBytes {
+		arts.CaptureBytes[i] = 0xAA
+	}
+	after, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("overwriting the capture changed the RunResult read from it")
 	}
 }

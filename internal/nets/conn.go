@@ -48,8 +48,9 @@ func (c *Conn) ReceivedPayload() int64 { return c.rcvdPayload }
 // Closed reports whether Close has completed.
 func (c *Conn) Closed() bool { return c.closed }
 
-// emit encodes and records one TCP packet on the connection.
-func (c *Conn) emit(t pcap.FourTuple, flags uint8, payload []byte) error {
+// emit records one TCP packet on the connection, encoded straight into
+// its capture record; sum is the payload's partial checksum.
+func (c *Conn) emit(t pcap.FourTuple, flags uint8, payload []byte, sum pcap.Sum) error {
 	outbound := t.SrcIP == c.stack.cfg.LocalAddr
 	var seq, ack uint32
 	if outbound {
@@ -57,12 +58,16 @@ func (c *Conn) emit(t pcap.FourTuple, flags uint8, payload []byte) error {
 	} else {
 		seq, ack = c.peerSeq, c.seq
 	}
-	raw, err := c.stack.encodeTCP(t, flags, seq, ack, payload)
+	n, err := pcap.TCPLen(t, len(payload))
 	if err != nil {
 		return fmt.Errorf("nets: encoding TCP packet on %s: %w", c.tuple, err)
 	}
-	if err := c.stack.record(raw, pcap.ProtoTCP, false); err != nil {
+	pkt, err := c.stack.record(n, pcap.ProtoTCP, false)
+	if err != nil {
 		return err
+	}
+	if pkt != nil {
+		pcap.PutTCP(pkt, t, flags, seq, ack, payload, sum)
 	}
 	advance := uint32(len(payload))
 	if flags&(pcap.FlagSYN|pcap.FlagFIN) != 0 {
@@ -105,6 +110,7 @@ func (c *Conn) ReceiveN(n int64) error {
 	}
 	if c.stack.filler == nil {
 		c.stack.filler = fillerSegment(c.stack.mss)
+		c.stack.fillerSum = pcap.SumOf(c.stack.filler)
 	}
 	buf := c.stack.filler
 	segIdx := 0
@@ -113,8 +119,11 @@ func (c *Conn) ReceiveN(n int64) error {
 		if chunk > n {
 			chunk = n
 		}
-		dir := c.tuple.Reverse()
-		if err := c.emit(dir, pcap.FlagACK|pcap.FlagPSH, buf[:chunk]); err != nil {
+		sum := c.stack.fillerSum
+		if chunk < int64(len(buf)) {
+			sum = pcap.SumOf(buf[:chunk])
+		}
+		if err := c.emit(c.tuple.Reverse(), pcap.FlagACK|pcap.FlagPSH, buf[:chunk], sum); err != nil {
 			return err
 		}
 		c.rcvdPayload += chunk
@@ -123,7 +132,7 @@ func (c *Conn) ReceiveN(n int64) error {
 		// Stretch ACK: acknowledge every fourth segment and the last one
 		// (LRO-style coalescing on the emulated NIC).
 		if segIdx%ackSpacing == 0 || n == 0 {
-			if err := c.emit(c.tuple, pcap.FlagACK, nil); err != nil {
+			if err := c.emit(c.tuple, pcap.FlagACK, nil, 0); err != nil {
 				return err
 			}
 		}
@@ -142,7 +151,8 @@ func (c *Conn) transfer(payload []byte, outbound bool) error {
 		if !outbound {
 			dataDir, ackDir = ackDir, dataDir
 		}
-		if err := c.emit(dataDir, pcap.FlagACK|pcap.FlagPSH, payload[off:end]); err != nil {
+		seg := payload[off:end]
+		if err := c.emit(dataDir, pcap.FlagACK|pcap.FlagPSH, seg, pcap.SumOf(seg)); err != nil {
 			return err
 		}
 		if outbound {
@@ -153,7 +163,7 @@ func (c *Conn) transfer(payload []byte, outbound bool) error {
 		segIdx++
 		last := end == len(payload)
 		if segIdx%ackSpacing == 0 || last {
-			if err := c.emit(ackDir, pcap.FlagACK, nil); err != nil {
+			if err := c.emit(ackDir, pcap.FlagACK, nil, 0); err != nil {
 				return err
 			}
 		}
@@ -168,13 +178,13 @@ func (c *Conn) Close() error {
 	if c.closed {
 		return nil
 	}
-	if err := c.emit(c.tuple, pcap.FlagFIN|pcap.FlagACK, nil); err != nil {
+	if err := c.emit(c.tuple, pcap.FlagFIN|pcap.FlagACK, nil, 0); err != nil {
 		return err
 	}
-	if err := c.emit(c.tuple.Reverse(), pcap.FlagFIN|pcap.FlagACK, nil); err != nil {
+	if err := c.emit(c.tuple.Reverse(), pcap.FlagFIN|pcap.FlagACK, nil, 0); err != nil {
 		return err
 	}
-	if err := c.emit(c.tuple, pcap.FlagACK, nil); err != nil {
+	if err := c.emit(c.tuple, pcap.FlagACK, nil, 0); err != nil {
 		return err
 	}
 	c.closed = true

@@ -106,30 +106,14 @@ type Stack struct {
 	dnsWireBytes int64
 	packetCount  int64
 
-	// encBuf is the reused packet-encode scratch for every emit path.
-	// Safe because record copies the bytes into the capture before the
-	// next encode; the Stack is single-goroutine like its port counters.
-	encBuf []byte
-	// filler is the cached ReceiveN payload pattern (one MSS).
-	filler []byte
-}
-
-// encodeTCP encodes a TCP packet into the stack's scratch buffer.
-func (s *Stack) encodeTCP(t pcap.FourTuple, flags uint8, seq, ack uint32, payload []byte) ([]byte, error) {
-	raw, err := pcap.EncodeTCPInto(s.encBuf, t, flags, seq, ack, payload)
-	if err == nil {
-		s.encBuf = raw
-	}
-	return raw, err
-}
-
-// encodeUDP encodes a UDP packet into the stack's scratch buffer.
-func (s *Stack) encodeUDP(t pcap.FourTuple, payload []byte) ([]byte, error) {
-	raw, err := pcap.EncodeUDPInto(s.encBuf, t, payload)
-	if err == nil {
-		s.encBuf = raw
-	}
-	return raw, err
+	// scratch holds a DNS message or a UDP exchange payload until its
+	// datagram is recorded; the Stack is single-goroutine like its port
+	// counters.
+	scratch []byte
+	// filler is the cached ReceiveN payload pattern (one MSS), and
+	// fillerSum its partial checksum.
+	filler    []byte
+	fillerSum pcap.Sum
 }
 
 // NewStack creates a network stack. Resolver and Clock are required.
@@ -234,26 +218,44 @@ func (s *Stack) allocPort() uint16 {
 	return p
 }
 
-// record timestamps a raw packet, writes it to the capture, charges
-// latency, and updates counters.
-func (s *Stack) record(raw []byte, proto uint8, isDNS bool) error {
+// record charges latency and counts one packet of n wire bytes, then
+// reserves its capture record, stamped with the advanced clock, and
+// returns the packet bytes for the caller to encode into — nil when the
+// stack captures nothing.
+func (s *Stack) record(n int, proto uint8, isDNS bool) ([]byte, error) {
 	s.clock.Advance(s.cfg.PacketLatency)
 	s.packetCount++
 	switch proto {
 	case pcap.ProtoTCP:
-		s.tcpWireBytes += int64(len(raw))
+		s.tcpWireBytes += int64(n)
 	case pcap.ProtoUDP:
-		s.udpWireBytes += int64(len(raw))
+		s.udpWireBytes += int64(n)
 		if isDNS {
-			s.dnsWireBytes += int64(len(raw))
+			s.dnsWireBytes += int64(n)
 		}
 	}
 	if s.capture == nil {
-		return nil
+		return nil, nil
 	}
-	if err := s.capture.WritePacket(pcap.Packet{Timestamp: s.clock.Now(), Data: raw}); err != nil {
-		return fmt.Errorf("nets: recording packet: %w", err)
+	pkt, err := s.capture.Reserve(s.clock.Now(), n)
+	if err != nil {
+		return nil, fmt.Errorf("nets: recording packet: %w", err)
 	}
+	return pkt, nil
+}
+
+// emitUDP records one UDP datagram, encoded straight into its capture
+// record. The caller names the datagram in the error.
+func (s *Stack) emitUDP(t pcap.FourTuple, payload []byte, isDNS bool) error {
+	n, err := pcap.UDPLen(t, len(payload))
+	if err != nil {
+		return err
+	}
+	pkt, err := s.record(n, pcap.ProtoUDP, isDNS)
+	if err != nil || pkt == nil {
+		return err
+	}
+	pcap.PutUDP(pkt, t, payload, pcap.SumOf(payload))
 	return nil
 }
 
@@ -267,16 +269,13 @@ func (s *Stack) resolve(name string) (netip.Addr, error) {
 		SrcIP: s.cfg.LocalAddr, SrcPort: srcPort,
 		DstIP: s.cfg.DNSServer, DstPort: pcap.DNSPort,
 	}
-	query, err := pcap.EncodeDNS(pcap.DNSMessage{ID: id, Name: name})
+	var err error
+	s.scratch, err = pcap.AppendDNS(s.scratch[:0], pcap.DNSMessage{ID: id, Name: name})
 	if err != nil {
 		return netip.Addr{}, fmt.Errorf("nets: building DNS query for %s: %w", name, err)
 	}
-	raw, err := s.encodeUDP(queryTuple, query)
-	if err != nil {
+	if err := s.emitUDP(queryTuple, s.scratch, true); err != nil {
 		return netip.Addr{}, fmt.Errorf("nets: encoding DNS query for %s: %w", name, err)
-	}
-	if err := s.record(raw, pcap.ProtoUDP, true); err != nil {
-		return netip.Addr{}, err
 	}
 
 	addr, err := s.resolver.Resolve(name)
@@ -284,16 +283,12 @@ func (s *Stack) resolve(name string) (netip.Addr, error) {
 		return netip.Addr{}, err
 	}
 
-	resp, err := pcap.EncodeDNS(pcap.DNSMessage{ID: id, Response: true, Name: name, Answer: addr, TTL: 300})
+	s.scratch, err = pcap.AppendDNS(s.scratch[:0], pcap.DNSMessage{ID: id, Response: true, Name: name, Answer: addr, TTL: 300})
 	if err != nil {
 		return netip.Addr{}, fmt.Errorf("nets: building DNS response for %s: %w", name, err)
 	}
-	raw, err = s.encodeUDP(queryTuple.Reverse(), resp)
-	if err != nil {
+	if err := s.emitUDP(queryTuple.Reverse(), s.scratch, true); err != nil {
 		return netip.Addr{}, fmt.Errorf("nets: encoding DNS response for %s: %w", name, err)
-	}
-	if err := s.record(raw, pcap.ProtoUDP, true); err != nil {
-		return netip.Addr{}, err
 	}
 	return addr, nil
 }
@@ -333,13 +328,13 @@ func (s *Stack) dialAddr(domain string, addr netip.Addr, port uint16) (*Conn, er
 	c := &Conn{stack: s, tuple: tuple, domain: domain, seq: 1, peerSeq: 1}
 
 	// Three-way handshake.
-	if err := c.emit(tuple, pcap.FlagSYN, nil); err != nil {
+	if err := c.emit(tuple, pcap.FlagSYN, nil, 0); err != nil {
 		return nil, err
 	}
-	if err := c.emit(tuple.Reverse(), pcap.FlagSYN|pcap.FlagACK, nil); err != nil {
+	if err := c.emit(tuple.Reverse(), pcap.FlagSYN|pcap.FlagACK, nil, 0); err != nil {
 		return nil, err
 	}
-	if err := c.emit(tuple, pcap.FlagACK, nil); err != nil {
+	if err := c.emit(tuple, pcap.FlagACK, nil, 0); err != nil {
 		return nil, err
 	}
 
@@ -361,12 +356,8 @@ func (s *Stack) SendSupervisorReport(payload []byte) error {
 		SrcIP: s.cfg.LocalAddr, SrcPort: s.allocPort(),
 		DstIP: s.cfg.CollectorAddr, DstPort: s.cfg.CollectorPort,
 	}
-	raw, err := s.encodeUDP(tuple, payload)
-	if err != nil {
+	if err := s.emitUDP(tuple, payload, false); err != nil {
 		return fmt.Errorf("nets: encoding supervisor report: %w", err)
-	}
-	if err := s.record(raw, pcap.ProtoUDP, false); err != nil {
-		return err
 	}
 	idx := s.supervisorSent
 	s.supervisorSent++
@@ -410,29 +401,23 @@ func (s *Stack) ExchangeUDP(domain string, port uint16, reqLen, respLen int) err
 		SrcIP: s.cfg.LocalAddr, SrcPort: s.allocPort(),
 		DstIP: addr, DstPort: port,
 	}
-	req := make([]byte, reqLen)
-	for i := range req {
-		req[i] = byte(i * 13)
-	}
-	raw, err := s.encodeUDP(tuple, req)
-	if err != nil {
+	s.scratch = appendPattern(s.scratch[:0], reqLen, 13)
+	if err := s.emitUDP(tuple, s.scratch, false); err != nil {
 		return fmt.Errorf("nets: encoding UDP request: %w", err)
 	}
-	if err := s.record(raw, pcap.ProtoUDP, false); err != nil {
-		return err
-	}
 	if respLen > 0 {
-		resp := make([]byte, respLen)
-		for i := range resp {
-			resp[i] = byte(i * 7)
-		}
-		raw, err := s.encodeUDP(tuple.Reverse(), resp)
-		if err != nil {
+		s.scratch = appendPattern(s.scratch[:0], respLen, 7)
+		if err := s.emitUDP(tuple.Reverse(), s.scratch, false); err != nil {
 			return fmt.Errorf("nets: encoding UDP response: %w", err)
-		}
-		if err := s.record(raw, pcap.ProtoUDP, false); err != nil {
-			return err
 		}
 	}
 	return nil
+}
+
+// appendPattern appends n bytes of the exchange filler byte(i*step).
+func appendPattern(b []byte, n, step int) []byte {
+	for i := 0; i < n; i++ {
+		b = append(b, byte(i*step))
+	}
+	return b
 }

@@ -52,8 +52,18 @@ func FuzzChecksum(f *testing.F) {
 	f.Fuzz(func(t *testing.T, initial uint32, data []byte) {
 		// The kernel's callers start from at most a pseudo-header sum.
 		initial %= pseudoInitials[2] + 1
-		if got, want := checksum(uint64(initial), data), refChecksum(initial, data); got != want {
+		want := refChecksum(initial, data)
+		if got := checksum(uint64(initial), data); got != want {
 			t.Fatalf("len %d, initial %#x: kernel %#04x, reference %#04x", len(data), initial, got, want)
+		}
+		// Partial sums of the runs either side of any even offset combine
+		// to the checksum of the whole, as transportChecksum combines a
+		// header's with a payload's.
+		for at := 0; at <= len(data); at += 2 {
+			head, tail := partialSum(uint64(initial), data[:at]), partialSum(0, data[at:])
+			if got := fold(addSums(head, tail)); got != want {
+				t.Fatalf("len %d, initial %#x, split at %d: combined %#04x, reference %#04x", len(data), initial, at, got, want)
+			}
 		}
 	})
 }

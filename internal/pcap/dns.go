@@ -32,17 +32,14 @@ type DNSMessage struct {
 }
 
 // EncodeDNS serializes the message in RFC 1035 wire format.
-func EncodeDNS(m DNSMessage) ([]byte, error) {
-	name, err := encodeDNSName(m.Name)
-	if err != nil {
-		return nil, err
-	}
-	size := dnsHeaderSize + len(name) + 4
-	if m.Response {
-		size += len(name) + 10 + 4
-	}
-	b := make([]byte, 0, size)
-	var hdr [dnsHeaderSize]byte
+func EncodeDNS(m DNSMessage) ([]byte, error) { return AppendDNS(nil, m) }
+
+// AppendDNS appends the message in RFC 1035 wire format to dst. On error
+// it returns dst unchanged.
+func AppendDNS(dst []byte, m DNSMessage) ([]byte, error) {
+	start := len(dst)
+	b := append(dst, make([]byte, dnsHeaderSize)...)
+	hdr := b[start:]
 	binary.BigEndian.PutUint16(hdr[0:2], m.ID)
 	flags := uint16(dnsFlagRD)
 	if m.Response {
@@ -53,16 +50,20 @@ func EncodeDNS(m DNSMessage) ([]byte, error) {
 	if m.Response {
 		binary.BigEndian.PutUint16(hdr[6:8], 1) // ANCOUNT
 	}
-	b = append(b, hdr[:]...)
 
 	// Question section.
-	b = append(b, name...)
+	nameAt := len(b)
+	b, err := appendDNSName(b, m.Name)
+	if err != nil {
+		return dst, err
+	}
+	name := b[nameAt:]
 	b = binary.BigEndian.AppendUint16(b, dnsTypeA)
 	b = binary.BigEndian.AppendUint16(b, dnsClassIN)
 
 	if m.Response {
 		if !m.Answer.Is4() {
-			return nil, fmt.Errorf("pcap: DNS answer for %s is not an IPv4 address", m.Name)
+			return dst, fmt.Errorf("pcap: DNS answer for %s is not an IPv4 address", m.Name)
 		}
 		b = append(b, name...)
 		b = binary.BigEndian.AppendUint16(b, dnsTypeA)
@@ -76,7 +77,8 @@ func EncodeDNS(m DNSMessage) ([]byte, error) {
 }
 
 // DecodeDNS parses a message produced by EncodeDNS (no compression
-// pointers; the simulated resolver never emits them).
+// pointers; the simulated resolver never emits them). The question name
+// is the one string it allocates; the answer name is checked, not built.
 func DecodeDNS(data []byte) (DNSMessage, error) {
 	if len(data) < dnsHeaderSize {
 		return DNSMessage{}, fmt.Errorf("pcap: DNS message of %d bytes shorter than header", len(data))
@@ -89,17 +91,17 @@ func DecodeDNS(data []byte) (DNSMessage, error) {
 	if qd != 1 {
 		return DNSMessage{}, fmt.Errorf("pcap: DNS message has %d questions, want 1", qd)
 	}
-	name, off, err := decodeDNSName(data, dnsHeaderSize)
+	off, n, err := walkDNSName(data, dnsHeaderSize)
 	if err != nil {
 		return DNSMessage{}, err
 	}
-	m.Name = name
+	m.Name = dnsName(data[dnsHeaderSize:off], n)
 	off += 4 // QTYPE + QCLASS
 	if m.Response {
 		if an != 1 {
 			return DNSMessage{}, fmt.Errorf("pcap: DNS response has %d answers, want 1", an)
 		}
-		_, off, err = decodeDNSName(data, off)
+		off, _, err = walkDNSName(data, off)
 		if err != nil {
 			return DNSMessage{}, fmt.Errorf("pcap: DNS answer name: %w", err)
 		}
@@ -116,30 +118,37 @@ func DecodeDNS(data []byte) (DNSMessage, error) {
 	return m, nil
 }
 
-func encodeDNSName(name string) ([]byte, error) {
+// appendDNSName appends name as a sequence of length-prefixed labels and
+// the root label. A single trailing dot is allowed; empty names and
+// labels, and labels over 63 bytes, are refused.
+func appendDNSName(b []byte, name string) ([]byte, error) {
 	if name == "" {
-		return nil, fmt.Errorf("pcap: empty DNS name")
+		return b, fmt.Errorf("pcap: empty DNS name")
 	}
-	labels := strings.Split(strings.TrimSuffix(name, "."), ".")
-	out := make([]byte, 0, len(name)+2)
-	for _, l := range labels {
+	rest := strings.TrimSuffix(name, ".")
+	for {
+		l, tail, more := strings.Cut(rest, ".")
 		if l == "" {
-			return nil, fmt.Errorf("pcap: DNS name %q has an empty label", name)
+			return b, fmt.Errorf("pcap: DNS name %q has an empty label", name)
 		}
 		if len(l) > 63 {
-			return nil, fmt.Errorf("pcap: DNS label %q exceeds 63 bytes", l)
+			return b, fmt.Errorf("pcap: DNS label %q exceeds 63 bytes", l)
 		}
-		out = append(out, byte(len(l)))
-		out = append(out, l...)
+		b = append(b, byte(len(l)))
+		b = append(b, l...)
+		if !more {
+			return append(b, 0), nil
+		}
+		rest = tail
 	}
-	return append(out, 0), nil
 }
 
-func decodeDNSName(data []byte, off int) (string, int, error) {
-	var labels []string
+// walkDNSName checks the name starting at data[off] and returns the
+// offset just past it and the length of its dotted form.
+func walkDNSName(data []byte, off int) (end, n int, err error) {
 	for {
 		if off >= len(data) {
-			return "", 0, fmt.Errorf("pcap: DNS name runs past message end")
+			return 0, 0, fmt.Errorf("pcap: DNS name runs past message end")
 		}
 		l := int(data[off])
 		off++
@@ -147,16 +156,32 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 			break
 		}
 		if l > 63 {
-			return "", 0, fmt.Errorf("pcap: unsupported DNS label length %d (compression not emitted)", l)
+			return 0, 0, fmt.Errorf("pcap: unsupported DNS label length %d (compression not emitted)", l)
 		}
 		if off+l > len(data) {
-			return "", 0, fmt.Errorf("pcap: DNS label runs past message end")
+			return 0, 0, fmt.Errorf("pcap: DNS label runs past message end")
 		}
-		labels = append(labels, string(data[off:off+l]))
+		n += 1 + l
 		off += l
 	}
-	if len(labels) == 0 {
-		return "", 0, fmt.Errorf("pcap: empty DNS name")
+	if n == 0 {
+		return 0, 0, fmt.Errorf("pcap: empty DNS name")
 	}
-	return strings.Join(labels, "."), off, nil
+	return off, n - 1, nil
+}
+
+// dnsName renders the labels walkDNSName checked as a dotted name of n
+// bytes, in one allocation.
+func dnsName(labels []byte, n int) string {
+	var sb strings.Builder
+	sb.Grow(n)
+	for labels[0] != 0 {
+		if sb.Len() > 0 {
+			sb.WriteByte('.')
+		}
+		l := int(labels[0])
+		sb.Write(labels[1 : 1+l])
+		labels = labels[1+l:]
+	}
+	return sb.String()
 }

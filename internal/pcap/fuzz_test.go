@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -62,8 +63,9 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDNS hardens the DNS message decoder, checking accepted
-// messages re-encode.
+// FuzzDecodeDNS hardens the DNS message decoder, checking it reads what
+// the reference decoder reads and fails where it fails, with the same
+// text, and that accepted messages re-encode.
 func FuzzDecodeDNS(f *testing.F) {
 	q, err := EncodeDNS(DNSMessage{ID: 1, Name: "ads.example.com"})
 	if err != nil {
@@ -78,6 +80,10 @@ func FuzzDecodeDNS(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeDNS(data)
+		want, wantErr := refDecodeDNS(data)
+		if msg != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("DecodeDNS = %+v, %v; reference %+v, %v", msg, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}

@@ -89,13 +89,20 @@ type Segment struct {
 func ipChecksum(b []byte) uint16 { return checksum(0, b) }
 
 // checksum is the Internet checksum of b, with initial (a partial sum of
-// 16-bit words, such as a pseudo-header's) already added. It sums b as
-// big-endian 64-bit words with end-around carry and folds the result to
-// 16 bits: ones-complement addition is associative and commutative, and
-// 2^16 ≡ 1 modulo 0xffff, so the fold equals the 16-bit word sum
-// (RFC 1071 §2), four words per add. A trailing partial word is padded
-// with zero bytes on the right, as the 16-bit loop pads an odd last byte.
-func checksum(initial uint64, b []byte) uint16 {
+// 16-bit words, such as a pseudo-header's) already added.
+func checksum(initial uint64, b []byte) uint16 { return fold(partialSum(initial, b)) }
+
+// partialSum adds b, taken as big-endian 16-bit words, to the partial sum
+// initial, and returns the partial sum unfolded. It sums b as big-endian
+// 64-bit words with end-around carry: ones-complement addition is
+// associative and commutative, and 2^16 ≡ 1 modulo 0xffff, so folding
+// the result equals the 16-bit word sum (RFC 1071 §2), four words per
+// add. A trailing partial word is padded with zero bytes on the right, as
+// the 16-bit loop pads an odd last byte. The result is zero only when
+// every word is, and otherwise the one value in [1, 2^64-1] congruent to
+// the word sum modulo 2^64-1, so the sums of a byte string's runs, split
+// at even offsets, combine (addSums) to exactly the sum of the whole.
+func partialSum(initial uint64, b []byte) uint64 {
 	sum, carry := initial, uint64(0)
 	for ; len(b) >= 32; b = b[32:] {
 		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
@@ -114,7 +121,17 @@ func checksum(initial uint64, b []byte) uint16 {
 	// End-around carry: the add can carry once more only by wrapping sum
 	// to zero, after which the last increment cannot.
 	sum, carry = bits.Add64(sum, carry, 0)
-	sum += carry
+	return sum + carry
+}
+
+// addSums is the ones-complement sum of two partial sums.
+func addSums(a, b uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	return s + carry
+}
+
+// fold reduces a partial sum to the 16-bit Internet checksum.
+func fold(sum uint64) uint16 {
 	folded := sum>>32 + sum&0xffffffff
 	for folded>>16 != 0 {
 		folded = folded>>16 + folded&0xffff
@@ -122,70 +139,87 @@ func checksum(initial uint64, b []byte) uint16 {
 	return ^uint16(folded)
 }
 
-// EncodeTCP builds a raw IPv4+TCP packet.
+// Sum is a payload's partial Internet checksum (SumOf). PutTCP and
+// PutUDP take it instead of summing the payload themselves, so a payload
+// sent many times is summed once.
+type Sum uint64
+
+// SumOf returns b's partial checksum.
+func SumOf(b []byte) Sum { return Sum(partialSum(0, b)) }
+
+// EncodeTCP builds a raw IPv4+TCP packet in a fresh buffer.
 func EncodeTCP(t FourTuple, flags uint8, seq, ack uint32, payload []byte) ([]byte, error) {
-	return EncodeTCPInto(nil, t, flags, seq, ack, payload)
+	n, err := TCPLen(t, len(payload))
+	if err != nil {
+		return nil, err
+	}
+	pkt := make([]byte, n)
+	PutTCP(pkt, t, flags, seq, ack, payload, SumOf(payload))
+	return pkt, nil
 }
 
-// EncodeTCPInto builds a raw IPv4+TCP packet reusing buf's capacity when
-// it suffices (a fresh buffer is allocated otherwise). The returned slice
-// aliases buf in the reuse case; callers that retain packets must copy.
-func EncodeTCPInto(buf []byte, t FourTuple, flags uint8, seq, ack uint32, payload []byte) ([]byte, error) {
-	return encodeIPv4Into(buf, t, ProtoTCP, func(b []byte) {
-		binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
-		binary.BigEndian.PutUint16(b[2:4], t.DstPort)
-		binary.BigEndian.PutUint32(b[4:8], seq)
-		binary.BigEndian.PutUint32(b[8:12], ack)
-		b[12] = (tcpHeaderLen / 4) << 4 // data offset
-		b[13] = flags
-		binary.BigEndian.PutUint16(b[14:16], 65535) // window
-		copy(b[tcpHeaderLen:], payload)
-		// TCP checksum over pseudo-header + segment.
-		cs := transportChecksum(t, ProtoTCP, b)
-		binary.BigEndian.PutUint16(b[16:18], cs)
-	}, tcpHeaderLen, len(payload))
-}
-
-// EncodeUDP builds a raw IPv4+UDP packet.
+// EncodeUDP builds a raw IPv4+UDP packet in a fresh buffer.
 func EncodeUDP(t FourTuple, payload []byte) ([]byte, error) {
-	return EncodeUDPInto(nil, t, payload)
+	n, err := UDPLen(t, len(payload))
+	if err != nil {
+		return nil, err
+	}
+	pkt := make([]byte, n)
+	PutUDP(pkt, t, payload, SumOf(payload))
+	return pkt, nil
 }
 
-// EncodeUDPInto builds a raw IPv4+UDP packet reusing buf's capacity, with
-// the same aliasing contract as EncodeTCPInto.
-func EncodeUDPInto(buf []byte, t FourTuple, payload []byte) ([]byte, error) {
-	return encodeIPv4Into(buf, t, ProtoUDP, func(b []byte) {
-		binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
-		binary.BigEndian.PutUint16(b[2:4], t.DstPort)
-		binary.BigEndian.PutUint16(b[4:6], uint16(udpHeaderLen+len(payload)))
-		copy(b[udpHeaderLen:], payload)
-		cs := transportChecksum(t, ProtoUDP, b)
-		binary.BigEndian.PutUint16(b[6:8], cs)
-	}, udpHeaderLen, len(payload))
-}
+// TCPLen returns the length of the IPv4+TCP packet carrying n payload
+// bytes over t, or the error encoding that packet fails with.
+func TCPLen(t FourTuple, n int) (int, error) { return packetLen(t, tcpHeaderLen, n) }
 
-func encodeIPv4Into(buf []byte, t FourTuple, proto uint8, fillTransport func([]byte), transportHdrLen, payloadLen int) ([]byte, error) {
+// UDPLen is TCPLen for an IPv4+UDP packet.
+func UDPLen(t FourTuple, n int) (int, error) { return packetLen(t, udpHeaderLen, n) }
+
+func packetLen(t FourTuple, transportHdrLen, payloadLen int) (int, error) {
 	if !t.SrcIP.Is4() || !t.DstIP.Is4() {
-		return nil, fmt.Errorf("pcap: non-IPv4 address in tuple %s", t)
+		return 0, fmt.Errorf("pcap: non-IPv4 address in tuple %s", t)
 	}
 	total := ipv4HeaderLen + transportHdrLen + payloadLen
 	if total > 65535 {
-		return nil, fmt.Errorf("pcap: packet of %d bytes exceeds IPv4 maximum", total)
+		return 0, fmt.Errorf("pcap: packet of %d bytes exceeds IPv4 maximum", total)
 	}
-	var pkt []byte
-	if cap(buf) >= total {
-		// The header region must start zeroed (reserved fields, checksum
-		// slots); the payload region is fully overwritten by fillTransport.
-		pkt = buf[:total]
-		hdr := pkt[:ipv4HeaderLen+transportHdrLen]
-		for i := range hdr {
-			hdr[i] = 0
-		}
-	} else {
-		pkt = make([]byte, total)
-	}
+	return total, nil
+}
+
+// PutTCP encodes a raw IPv4+TCP packet into pkt, which must be
+// TCPLen(t, len(payload)) bytes long; sum is SumOf(payload). Every byte
+// of pkt is written, so it may hold anything before.
+func PutTCP(pkt []byte, t FourTuple, flags uint8, seq, ack uint32, payload []byte, sum Sum) {
+	b := putIPv4(pkt, t, ProtoTCP, tcpHeaderLen)
+	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
+	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
+	binary.BigEndian.PutUint32(b[4:8], seq)
+	binary.BigEndian.PutUint32(b[8:12], ack)
+	b[12] = (tcpHeaderLen / 4) << 4 // data offset
+	b[13] = flags
+	binary.BigEndian.PutUint16(b[14:16], 65535) // window
+	copy(b[tcpHeaderLen:], payload)
+	binary.BigEndian.PutUint16(b[16:18], transportChecksum(t, ProtoTCP, b, tcpHeaderLen, sum))
+}
+
+// PutUDP is PutTCP for a raw IPv4+UDP packet of UDPLen(t, len(payload))
+// bytes.
+func PutUDP(pkt []byte, t FourTuple, payload []byte, sum Sum) {
+	b := putIPv4(pkt, t, ProtoUDP, udpHeaderLen)
+	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
+	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
+	binary.BigEndian.PutUint16(b[4:6], uint16(udpHeaderLen+len(payload)))
+	copy(b[udpHeaderLen:], payload)
+	binary.BigEndian.PutUint16(b[6:8], transportChecksum(t, ProtoUDP, b, udpHeaderLen, sum))
+}
+
+// putIPv4 writes the IPv4 header of pkt, zeroes the transport header
+// after it (reserved fields, checksum slot), and returns the segment.
+func putIPv4(pkt []byte, t FourTuple, proto uint8, transportHdrLen int) []byte {
+	clear(pkt[:ipv4HeaderLen+transportHdrLen])
 	pkt[0] = 0x45 // version 4, IHL 5
-	binary.BigEndian.PutUint16(pkt[2:4], uint16(total))
+	binary.BigEndian.PutUint16(pkt[2:4], uint16(len(pkt)))
 	pkt[8] = 64 // TTL
 	pkt[9] = proto
 	src := t.SrcIP.As4()
@@ -193,22 +227,21 @@ func encodeIPv4Into(buf []byte, t FourTuple, proto uint8, fillTransport func([]b
 	copy(pkt[12:16], src[:])
 	copy(pkt[16:20], dst[:])
 	binary.BigEndian.PutUint16(pkt[10:12], ipChecksum(pkt[:ipv4HeaderLen]))
-	fillTransport(pkt[ipv4HeaderLen:])
-	return pkt, nil
+	return pkt[ipv4HeaderLen:]
 }
 
-// transportChecksum folds the IPv4 pseudo-header and the segment into one
-// ones-complement sum without materializing the pseudo-header buffer (the
-// old copy doubled every packet's memory traffic on the emit hot path).
-// Addition is commutative and the segment starts at an even pseudo-header
-// offset, so the sum is bit-identical to checksumming the concatenation.
-func transportChecksum(t FourTuple, proto uint8, segment []byte) uint16 {
+// transportChecksum folds the IPv4 pseudo-header, the segment's header
+// and the payload's partial sum into one ones-complement sum, without
+// materializing the pseudo-header or summing the payload again. The
+// payload starts at an even offset of the pseudo-header and segment, so
+// the sum is bit-identical to checksumming the concatenation.
+func transportChecksum(t FourTuple, proto uint8, segment []byte, hdrLen int, payload Sum) uint16 {
 	src := t.SrcIP.As4()
 	dst := t.DstIP.As4()
 	pseudo := uint64(binary.BigEndian.Uint16(src[0:2])) + uint64(binary.BigEndian.Uint16(src[2:4])) +
 		uint64(binary.BigEndian.Uint16(dst[0:2])) + uint64(binary.BigEndian.Uint16(dst[2:4])) +
 		uint64(proto) + uint64(uint16(len(segment)))
-	return checksum(pseudo, segment)
+	return fold(addSums(partialSum(pseudo, segment[:hdrLen]), uint64(payload)))
 }
 
 // DecodeSegment parses a raw IPv4 packet into a Segment. The payload is

@@ -86,19 +86,30 @@ func (pw *Writer) grow(n int) []byte {
 	return pw.buf[l:]
 }
 
-// WritePacket appends one packet record. It refuses a packet the Reader
-// would: one larger than an IPv4 packet can be.
-func (pw *Writer) WritePacket(p Packet) error {
-	if len(p.Data) > maxPacketLen {
-		return fmt.Errorf("pcap: packet of %d bytes exceeds the IPv4 maximum %d", len(p.Data), maxPacketLen)
+// Reserve appends the record of an n-byte packet stamped ts and returns
+// the packet's bytes for the caller to fill, so a packet is encoded
+// straight into its place in the capture. The bytes are valid until the
+// next write. It refuses a packet the Reader would: one larger than an
+// IPv4 packet can be.
+func (pw *Writer) Reserve(ts time.Time, n int) ([]byte, error) {
+	if n > maxPacketLen {
+		return nil, fmt.Errorf("pcap: packet of %d bytes exceeds the IPv4 maximum %d", n, maxPacketLen)
 	}
-	rec := pw.grow(recordHeaderLen + len(p.Data))
-	ts := p.Timestamp
+	rec := pw.grow(recordHeaderLen + n)
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(ts.Unix()))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(ts.Nanosecond()/1000))
-	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(p.Data)))
-	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(p.Data)))
-	copy(rec[recordHeaderLen:], p.Data)
+	binary.LittleEndian.PutUint32(rec[8:12], uint32(n))
+	binary.LittleEndian.PutUint32(rec[12:16], uint32(n))
+	return rec[recordHeaderLen:], nil
+}
+
+// WritePacket appends one packet record, copying p.Data into it.
+func (pw *Writer) WritePacket(p Packet) error {
+	b, err := pw.Reserve(p.Timestamp, len(p.Data))
+	if err != nil {
+		return err
+	}
+	copy(b, p.Data)
 	return nil
 }
 
@@ -106,19 +117,57 @@ func (pw *Writer) WritePacket(p Packet) error {
 // buffer, whose capacity a later NewWriter can reuse.
 func (pw *Writer) Bytes() []byte { return pw.buf }
 
-// Reader iterates packets out of a pcap file. It is the large-capture
-// path: packets stream one at a time (NextInto reuses the caller's
-// buffer), so memory stays O(largest packet) regardless of capture
-// size. ReadAll is a convenience for captures known to fit in memory.
+// View is a capture held in memory, as a source for NewReader to read in
+// place: the packets it returns alias the capture's bytes instead of
+// being copied out of it. Read it through NewReader, or as a plain
+// io.Reader like bytes.Reader. The bytes must not change while a packet
+// read from them is in use.
+type View struct {
+	data []byte
+	off  int
+}
+
+// InPlace wraps a capture held in memory. The view reads data; it does
+// not own it.
+func InPlace(data []byte) *View { return &View{data: data} }
+
+// Read implements io.Reader.
+func (v *View) Read(p []byte) (int, error) {
+	if v.off >= len(v.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, v.data[v.off:])
+	v.off += n
+	return n, nil
+}
+
+// take consumes and returns the bytes not yet read.
+func (v *View) take() []byte {
+	b := v.data[v.off:]
+	v.off = len(v.data)
+	return b
+}
+
+// Reader iterates packets out of a pcap file. It has two modes with one
+// record-header check, so they accept and reject the same bytes with the
+// same errors. Over a View it reads in place: a slice cursor walks the
+// capture and each packet's Data aliases it. Over any other source it
+// streams: packets are read one at a time (NextInto reuses the caller's
+// buffer), so memory stays O(largest packet) regardless of capture size.
+// ReadAll is a convenience for captures known to fit in memory.
 type Reader struct {
-	r       *bufio.Reader
+	// r is the streaming source; nil when reading in place.
+	r *bufio.Reader
+	// data is the unread rest of an in-place capture.
+	data    []byte
 	order   binary.ByteOrder
 	snapLen uint32
 	link    uint32
-	// left is the number of source bytes not yet consumed when the source
-	// exposed Len() (bytes.Reader and friends), else -1. It bounds the
-	// record a header may declare, and — the pcap global header carries
-	// no packet count — it is the only sizing signal ReadAll has.
+	// left is the number of source bytes not yet consumed when the size
+	// of the source is known (a View, or a source exposing Len() like
+	// bytes.Reader), else -1. It bounds the record a header may declare,
+	// and — the pcap global header carries no packet count — it is the
+	// only sizing signal ReadAll has.
 	left int
 	// rec is the reader-owned record-header scratch buffer. A local
 	// array would escape through the io.ReadFull interface call and cost
@@ -126,18 +175,33 @@ type Reader struct {
 	rec [recordHeaderLen]byte
 }
 
-// NewReader parses the global header and prepares packet iteration.
+// NewReader parses the global header and prepares packet iteration. A
+// *View source is read in place; any other is streamed.
 func NewReader(r io.Reader) (*Reader, error) {
-	left := -1
-	if l, ok := r.(interface{ Len() int }); ok {
-		left = l.Len() - globalHeaderLen
+	pr := &Reader{left: -1}
+	var hdr []byte
+	if v, ok := r.(*View); ok {
+		pr.data = v.take()
+		if len(pr.data) < globalHeaderLen {
+			// What io.ReadFull reports for a short stream.
+			short := io.ErrUnexpectedEOF
+			if len(pr.data) == 0 {
+				short = io.EOF
+			}
+			return nil, fmt.Errorf("pcap: reading global header: %w", short)
+		}
+		hdr, pr.data = pr.data[:globalHeaderLen], pr.data[globalHeaderLen:]
+		pr.left = len(pr.data)
+	} else {
+		if l, ok := r.(interface{ Len() int }); ok {
+			pr.left = l.Len() - globalHeaderLen
+		}
+		pr.r = bufio.NewReader(r)
+		hdr = make([]byte, globalHeaderLen)
+		if _, err := io.ReadFull(pr.r, hdr); err != nil {
+			return nil, fmt.Errorf("pcap: reading global header: %w", err)
+		}
 	}
-	br := bufio.NewReader(r)
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("pcap: reading global header: %w", err)
-	}
-	pr := &Reader{r: br, left: left}
 	switch binary.LittleEndian.Uint32(hdr[0:4]) {
 	case magicNumber:
 		pr.order = binary.LittleEndian
@@ -161,9 +225,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return pr, nil
 }
 
-// Next returns the next packet, or io.EOF at end of capture. Each call
-// allocates a fresh Data buffer, so callers may retain packets freely;
-// hot decode loops should prefer NextInto with a pooled packet.
+// InPlace reports whether the reader reads its capture in place, so that
+// the packets it fills alias the capture.
+func (pr *Reader) InPlace() bool { return pr.r == nil }
+
+// Next returns the next packet, or io.EOF at end of capture. A streaming
+// reader allocates a fresh Data buffer per call, and an in-place one
+// aliases the capture, so callers may retain packets freely; hot decode
+// loops over a streaming reader should prefer NextInto with a pooled
+// packet.
 func (pr *Reader) Next() (Packet, error) {
 	var p Packet
 	if err := pr.NextInto(&p); err != nil {
@@ -185,42 +255,46 @@ const (
 	maxPacketLen    = 65535
 )
 
-// NextInto decodes the next packet into p, reusing p.Data's capacity,
-// or returns io.EOF at end of capture. The previous contents of p are
-// overwritten; anything aliasing the old p.Data (lazy Segment payload
-// slices included) must be consumed or copied before the next call.
+// NextInto decodes the next packet into p, or returns io.EOF at end of
+// capture. The previous contents of p are overwritten. A streaming
+// reader reuses p.Data's capacity, so anything aliasing the old p.Data
+// (lazy Segment payload slices included) must be consumed or copied
+// before the next call. An in-place reader points p.Data into the
+// capture, capacity capped at the packet, and leaves the old buffer
+// alone; such a packet must not go back to the packet pool, whose next
+// streaming fill would write into the capture.
 func (pr *Reader) NextInto(p *Packet) error {
-	if _, err := io.ReadFull(pr.r, pr.rec[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
+	var hdr []byte
+	if pr.r == nil {
+		if len(pr.data) < recordHeaderLen {
+			if len(pr.data) == 0 {
+				return io.EOF
+			}
+			return fmt.Errorf("pcap: reading record header: %w", io.ErrUnexpectedEOF)
 		}
-		return fmt.Errorf("pcap: reading record header: %w", err)
-	}
-	sec := pr.order.Uint32(pr.rec[0:4])
-	usec := pr.order.Uint32(pr.rec[4:8])
-	capLen := pr.order.Uint32(pr.rec[8:12])
-	origLen := pr.order.Uint32(pr.rec[12:16])
-	// Every length check runs before the buffer below is sized: a forged
-	// header must not make the reader allocate what it declares.
-	if capLen > pr.snapLen {
-		return fmt.Errorf("%w: captured length %d exceeds snap length %d", ErrCorruptCapture, capLen, pr.snapLen)
-	}
-	if capLen > maxPacketLen {
-		return fmt.Errorf("%w: captured length %d exceeds the IPv4 maximum %d", ErrCorruptCapture, capLen, maxPacketLen)
-	}
-	if capLen != origLen {
-		return fmt.Errorf("%w: truncated packet (captured %d of %d bytes)", ErrCorruptCapture, capLen, origLen)
-	}
-	if pr.left >= 0 {
-		pr.left -= recordHeaderLen
-		if int(capLen) > pr.left {
-			// The capture ends inside this record: the error the read below
-			// would return, without sizing a buffer for the missing bytes.
-			return fmt.Errorf("pcap: reading packet data: %w", io.ErrUnexpectedEOF)
+		hdr = pr.data[:recordHeaderLen]
+	} else {
+		if _, err := io.ReadFull(pr.r, pr.rec[:]); err != nil {
+			if err == io.EOF {
+				return io.EOF
+			}
+			return fmt.Errorf("pcap: reading record header: %w", err)
 		}
-		pr.left -= int(capLen)
+		hdr = pr.rec[:]
 	}
-	if uint32(cap(p.Data)) < capLen {
+	capLen, err := pr.record(hdr)
+	if err != nil {
+		return err
+	}
+	ts := time.Unix(int64(pr.order.Uint32(hdr[0:4])), int64(pr.order.Uint32(hdr[4:8]))*1000).UTC()
+	if pr.r == nil {
+		end := recordHeaderLen + capLen
+		p.Data = pr.data[recordHeaderLen:end:end]
+		pr.data = pr.data[end:]
+		p.Timestamp = ts
+		return nil
+	}
+	if cap(p.Data) < capLen {
 		p.Data = make([]byte, capLen)
 	} else {
 		p.Data = p.Data[:capLen]
@@ -228,16 +302,44 @@ func (pr *Reader) NextInto(p *Packet) error {
 	if _, err := io.ReadFull(pr.r, p.Data); err != nil {
 		return fmt.Errorf("pcap: reading packet data: %w", err)
 	}
-	p.Timestamp = time.Unix(int64(sec), int64(usec)*1000).UTC()
+	p.Timestamp = ts
 	return nil
+}
+
+// record checks a record header and returns the length of the packet
+// that follows it. Every length check runs before the packet is sized
+// or sliced: a forged header must not make the reader allocate what it
+// declares.
+func (pr *Reader) record(hdr []byte) (int, error) {
+	capLen := pr.order.Uint32(hdr[8:12])
+	origLen := pr.order.Uint32(hdr[12:16])
+	if capLen > pr.snapLen {
+		return 0, fmt.Errorf("%w: captured length %d exceeds snap length %d", ErrCorruptCapture, capLen, pr.snapLen)
+	}
+	if capLen > maxPacketLen {
+		return 0, fmt.Errorf("%w: captured length %d exceeds the IPv4 maximum %d", ErrCorruptCapture, capLen, maxPacketLen)
+	}
+	if capLen != origLen {
+		return 0, fmt.Errorf("%w: truncated packet (captured %d of %d bytes)", ErrCorruptCapture, capLen, origLen)
+	}
+	if pr.left >= 0 {
+		pr.left -= recordHeaderLen
+		if int(capLen) > pr.left {
+			// The capture ends inside this record: the error the read
+			// would return, without sizing a buffer for the missing bytes.
+			return 0, fmt.Errorf("pcap: reading packet data: %w", io.ErrUnexpectedEOF)
+		}
+		pr.left -= int(capLen)
+	}
+	return int(capLen), nil
 }
 
 // readAllPresizeCap bounds the up-front ReadAll allocation (entries, not
 // bytes) so a pathological size hint cannot reserve unbounded memory.
 const readAllPresizeCap = 1 << 20
 
-// ReadAll drains the remaining packets into memory. When the source
-// exposed its byte length (bytes.Reader, bytes.Buffer, strings.Reader),
+// ReadAll drains the remaining packets into memory. When the size of the
+// source is known (a View, bytes.Reader, bytes.Buffer, strings.Reader),
 // the result slice is pre-sized from it — the pcap global header has no
 // packet-count field, so the stream length bound (every record is at
 // least a record header plus a minimum packet) is the best available —

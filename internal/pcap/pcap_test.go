@@ -58,6 +58,30 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// Read as a plain io.Reader, a View yields its bytes like bytes.Reader;
+// handed to NewReader it is consumed whole, read in place.
+func TestViewReadsLikeBytesReader(t *testing.T) {
+	capture := encodeAllocCapture(t, 3)
+	got, err := io.ReadAll(InPlace(capture))
+	if err != nil || !bytes.Equal(got, capture) {
+		t.Fatalf("io.ReadAll(InPlace) = %d bytes, %v; want the %d-byte capture", len(got), err, len(capture))
+	}
+	v := InPlace(capture)
+	r, err := NewReader(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.InPlace() {
+		t.Fatal("a View is not read in place")
+	}
+	if n, err := v.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("the view still yields %d bytes (%v) after NewReader took it", n, err)
+	}
+	if r, err := NewReader(bytes.NewReader(capture)); err != nil || r.InPlace() {
+		t.Fatalf("a bytes.Reader is read in place (err %v)", err)
+	}
+}
+
 func TestEmptyCaptureIsValid(t *testing.T) {
 	r, err := NewReader(bytes.NewReader(NewWriter(nil).Bytes()))
 	if err != nil {
