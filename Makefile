@@ -23,7 +23,8 @@ test:
 # and libradar at once (internal/synth's concurrent-reader test). Workers
 # Put concurrently through apk.Check's and dex.Check's reused scratch
 # (TestCheckConcurrent) and generate apps through apk.Encode's
-# (TestEncodeConcurrent). The collector's barrier waiter map is shared by its receive loop and every
+# (TestEncodeConcurrent) and into dex files released through one idle
+# list (TestGenerateAppReleaseConcurrent). The collector's barrier waiter map is shared by its receive loop and every
 # worker (TestBarrierConcurrentClients hammers it).
 # The root run is the determinism harness (TestDeterminism: every pinned
 # row — shard coordinator, outcome-file merge, takeover, process-mode
@@ -31,11 +32,12 @@ test:
 # TestResumeSnapshotUnderRunFaults, its named rows for store merge and
 # the journal resume of faulted attempts) and
 # TestRunContextSlowSinkAfterCancel, which exercises the emit/drain
-# handoff of a cancelled stream under a slow sink. Keep all of them
-# race-clean.
+# handoff of a cancelled stream under a slow sink, and
+# TestReleasedFilesPoisoned, whose poisoned dex files would race with any
+# reader that outlived their release. Keep all of them race-clean.
 race:
 	$(GO) test -race ./internal/dispatch/... ./internal/nets/... ./internal/faults/... ./internal/obs/... ./internal/journal/... ./internal/analysis/... ./internal/resultstore/... ./internal/dex/... ./internal/synth/... ./internal/apk/...
-	$(GO) test -race -run 'TestDeterminism|TestResultStoreShardInvariance|TestResumeSnapshotUnderRunFaults|TestRunContextSlowSinkAfterCancel' .
+	$(GO) test -race -run 'TestDeterminism|TestResultStoreShardInvariance|TestResumeSnapshotUnderRunFaults|TestRunContextSlowSinkAfterCancel|TestReleasedFilesPoisoned' .
 
 # The repo's benchmark (BENCHMARK.json): six end-to-end campaign workloads
 # with a per-layer table, each run in its own process. bench_test.go stays

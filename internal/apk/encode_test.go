@@ -6,12 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"libspector/internal/apk"
 	"libspector/internal/synth"
 )
 
 // generatedApps returns n apps of the seed-42 world at MethodScale 0.1,
 // a few thousand to tens of thousands of methods each.
-func generatedApps(t *testing.T, n int) []*synth.App {
+func generatedApps(t testing.TB, n int) []*synth.App {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Seed = 42
@@ -82,6 +83,23 @@ func TestEncodeAllocs(t *testing.T) {
 		perEncode := (after.TotalAlloc - before.TotalAlloc) / runs
 		if limit := uint64(len(app.Encoded) + slack); perEncode > limit {
 			t.Errorf("app %d: Encode allocates %d bytes for a %d-byte apk, over %d", i, perEncode, len(app.Encoded), limit)
+		}
+	}
+}
+
+// BenchmarkCheck times the apk store's validation of one generated apk
+// (apk.Check, dex.Check within it). Each iteration takes the next of 16
+// apps of the seed-42 world at MethodScale 0.1; a multiple of 16
+// iterations (-benchtime 64x) weighs every app alike.
+//
+//	go test -run '^$' -bench Check -benchmem -benchtime 64x ./internal/apk
+func BenchmarkCheck(b *testing.B) {
+	apps := generatedApps(b, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := apk.Check(apps[i%len(apps)].Encoded); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"unsafe"
 )
 
 // ProfilerMode selects how the method-trace listener stores invocations.
@@ -88,11 +89,21 @@ func (p *Profiler) OnMethodEntry(signature string) {
 }
 
 // UniqueMethods returns the set of method signatures observed at least
-// once (subject to bounded-mode data loss).
+// once (subject to bounded-mode data loss). Its keys are copies, all in
+// one block the set owns: the signatures the profiler observed are
+// usually the dex file's own, which the file's release hands to another
+// app while the set may still be on its way to the artifact store.
 func (p *Profiler) UniqueMethods() map[string]struct{} {
-	out := make(map[string]struct{}, len(p.unique))
-	for s := range p.unique {
-		out[s] = struct{}{}
+	n := 0
+	for _, s := range p.order {
+		n += len(s)
+	}
+	block := make([]byte, 0, n)
+	out := make(map[string]struct{}, len(p.order))
+	for _, s := range p.order {
+		block = append(block, s...)
+		key := block[len(block)-len(s):]
+		out[unsafe.String(unsafe.SliceData(key), len(key))] = struct{}{}
 	}
 	return out
 }

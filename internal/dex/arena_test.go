@@ -42,9 +42,15 @@ func TestAddMethodCopiesParams(t *testing.T) {
 
 // A rejected duplicate consumes nothing: the method count, every stored
 // signature, both lookups and the arenas' committed lengths are as they
-// were, and the next distinct method is added normally.
+// were, and the next distinct method is added normally. So on a fresh
+// file, and on a reset one that held the same signatures before.
 func TestRejectedDuplicateLeavesFileUnchanged(t *testing.T) {
-	f := NewFileSized(time.Time{}, 4)
+	for name, f := range map[string]*File{"fresh": NewFileSized(time.Time{}, 4), "reset": usedFile(4)} {
+		t.Run(name, func(t *testing.T) { rejectedDuplicateLeavesFileUnchanged(t, f) })
+	}
+}
+
+func rejectedDuplicateLeavesFileUnchanged(t *testing.T, f *File) {
 	for i := 0; i < 40; i++ {
 		m := Method{Class: "com.example.Lib", Name: "m" + strconv.Itoa(i), Params: []string{"I", "Ljava/lang/String;"}, Return: "V"}
 		if err := f.AddMethod(m); err != nil {
@@ -90,6 +96,33 @@ func TestRejectedDuplicateLeavesFileUnchanged(t *testing.T) {
 		if got, _ := f.SignatureAt(i); got != want {
 			t.Fatalf("SignatureAt(%d) changed to %q after later adds, want %q", i, got, want)
 		}
+	}
+}
+
+// A class holding "->" can render another class's signature: "a;->b".c
+// and "a".("b;->c") are both "La;->b;->c()V". The second is a duplicate
+// found off its own class chain; rejecting it must still leave the
+// first indexed under its signature and its class.
+func TestRejectedDuplicateAcrossClassRenders(t *testing.T) {
+	f := NewFile(time.Time{})
+	first := Method{Class: "a;->b", Name: "c", Return: "V"}
+	if err := f.AddMethod(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddMethod(Method{Class: "x", Name: "y", Return: "V"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddMethod(Method{Class: "a", Name: "b;->c", Return: "V"}); err == nil {
+		t.Fatal("a second method rendering La;->b;->c()V was accepted")
+	}
+	if m, ok := f.LookupSignature("La;->b;->c()V"); !ok || m.Class != first.Class {
+		t.Fatalf("LookupSignature after the rejection = %+v, %v; want the first method", m, ok)
+	}
+	if got := f.LookupQualified("a;->b.c"); len(got) != 1 || got[0].Class != first.Class {
+		t.Fatalf("LookupQualified(a;->b.c) = %+v", got)
+	}
+	if err := f.AddMethod(Method{Class: "a", Name: "d", Return: "V"}); err != nil || f.MethodCount() != 3 {
+		t.Fatalf("add after the rejection: %v, %d methods", err, f.MethodCount())
 	}
 }
 

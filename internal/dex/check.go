@@ -12,7 +12,8 @@ import (
 // how many methods it defines. It runs Decode's walk, so it rejects
 // exactly what Decode rejects, duplicate signatures included, but it
 // keeps no method, index or arena: each signature is rendered into one
-// scratch buffer, and a set over that buffer finds duplicates. Both are
+// scratch buffer, a method of the previous method's class copying its
+// descriptor, and a set over that buffer finds duplicates. Both are
 // reused from one Check to the next, so checking a container like the
 // last one allocates little beyond its string pool's headers.
 func Check(data []byte) (methods int, err error) {
@@ -37,6 +38,11 @@ type checker struct {
 	// the old one stays as it was.
 	sigs []byte
 	seen map[string]struct{}
+	// class is the last method's class and desc the offset in sigs of its
+	// rendered descriptor, which the next method of the class copies; -1
+	// before the first method.
+	class string
+	desc  int
 }
 
 // idleCheckers holds checkers between Checks, one for each processor
@@ -45,8 +51,9 @@ type checker struct {
 // scratch as large as the container's signatures.
 var idleCheckers = make(chan *checker, runtime.GOMAXPROCS(0))
 
-// A checker that held more than this many signature bytes or methods
-// (far past a generated app) is dropped instead of kept.
+// A checker, an encode scratch or a released File that held more than
+// this many signature bytes or methods (far past a generated app) is
+// dropped instead of kept.
 const (
 	maxIdleSigBytes = 16 << 20
 	maxIdleMethods  = 1 << 18
@@ -59,16 +66,27 @@ func (c *checker) start(_ time.Time, _, presize int) {
 	if c.seen == nil {
 		c.seen = make(map[string]struct{}, presize)
 	}
+	c.desc = -1
 }
 
 func (c *checker) method(m Method) error {
 	n := len(c.sigs)
-	c.sigs = appendSignature(c.sigs, m)
+	if c.desc >= 0 && m.Class == c.class {
+		c.sigs = append(c.sigs, c.sigs[c.desc:c.desc+len("L;")+len(m.Class)]...)
+	} else {
+		c.sigs = appendDescriptor(c.sigs, m.Class)
+	}
+	c.class, c.desc = m.Class, n
+	c.sigs = appendMember(c.sigs, m)
 	sig := c.sigs[n:]
-	if _, dup := c.seen[string(sig)]; dup {
+	// One probe: insert and see whether the set grew. A duplicate's
+	// insert replaces the original key with its equal; the check fails
+	// and release clears the set either way.
+	before := len(c.seen)
+	c.seen[unsafe.String(unsafe.SliceData(sig), len(sig))] = struct{}{}
+	if len(c.seen) == before {
 		return fmt.Errorf("dex: duplicate method signature %s", sig)
 	}
-	c.seen[unsafe.String(unsafe.SliceData(sig), len(sig))] = struct{}{}
 	return nil
 }
 
@@ -78,6 +96,7 @@ func (c *checker) release() {
 	}
 	clear(c.seen)
 	c.sigs = c.sigs[:0]
+	c.class = ""
 	select {
 	case idleCheckers <- c:
 	default:

@@ -1,7 +1,6 @@
 package dex
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -28,8 +27,9 @@ type File struct {
 	// into sigArena. Every reader of a signature (SignatureAt, the
 	// disassembly, the translator, the ART profiler) shares these strings.
 	// They point into the arena through unsafe.String, which is sound
-	// because committed arena bytes are never written again and a chunk
-	// stays live as long as any string into it does.
+	// because committed arena bytes are never written again until Reset
+	// (or Release) and a chunk stays live as long as any string into it
+	// does.
 	sigs     []string
 	sigArena arena[byte]
 	// paramArena backs every stored method's Params.
@@ -41,17 +41,21 @@ type File struct {
 	// check, Contains and LookupSignature are O(1) each, so even a hostile
 	// container decodes in linear time.
 	bySig map[string]int32
-	// byQualified indexes overloads by their signature's prefix through
-	// its first '(' ("La/b;->m("), a substring of the arena; next chains
-	// the methods of one prefix in definition order, -1 ending the chain.
-	// Classes that render alike ("a.b" and "a/b") share a chain, so a
-	// lookup keeps only the entries of its own class and name.
-	byQualified map[string]overloads
-	next        []int32
+	// byClass indexes methods by their class descriptor ("La/b;"), the
+	// prefix of their signatures and a substring of the arena. Its value
+	// is the class's slot in classes: the first and last method of a
+	// chain that next links in definition order, -1 ending it. Classes
+	// that render alike ("a.b" and "a/b") share a chain, so a lookup keeps
+	// only the entries of its own class and name. AddMethod touches the
+	// map once per run of same-class methods; cur is the slot of the run
+	// the last method added belongs to.
+	byClass map[string]int32
+	classes []overloads
+	next    []int32
+	cur     int32
 }
 
-// overloads are the first and last method index of one qualified-index
-// chain.
+// overloads are the first and last method index of one class chain.
 type overloads struct{ first, last int32 }
 
 // DefaultDexTime is the default dex timestamp (January 1, 1980 UTC) that
@@ -76,25 +80,62 @@ func NewFileSized(created time.Time, n int) *File { return newFile(created, n, n
 // hold expect.
 func newFile(created time.Time, n, expect int) *File {
 	f := &File{
-		Created:     created,
-		methods:     make([]Method, 0, n),
-		sigs:        make([]string, 0, n),
-		expect:      expect,
-		bySig:       make(map[string]int32, n),
-		byQualified: make(map[string]overloads, n),
-		next:        make([]int32, 0, n),
+		Created: created,
+		methods: make([]Method, 0, n),
+		sigs:    make([]string, 0, n),
+		expect:  expect,
+		bySig:   make(map[string]int32, n),
+		byClass: make(map[string]int32),
+		next:    make([]int32, 0, n),
 	}
 	if n > 0 {
-		f.sigArena.chunk = make([]byte, 0, n*sigBytesPerMethod)
-		f.paramArena.chunk = make([]string, 0, n+n/2)
+		f.sigArena.grow(n * sigBytesPerMethod)
+		f.paramArena.grow(n + n/2)
 	}
 	return f
 }
 
+// Reset empties the file for reuse as a file created at created and
+// sized for n methods. It keeps the method list, the chains and both
+// indexes (cleared), and each arena's largest chunk; what is too small
+// for n is replaced with room for twice as much, or for n if that is
+// more, so a run of files of varying size reallocates only on a new
+// maximum. The doubling stops at what Release keeps. Every method,
+// signature and parameter list read from the file before is released:
+// the caller must hold none of them, since the next AddMethod writes
+// over their bytes.
+func (f *File) Reset(created time.Time, n int) { f.reset(created, n, maxIdleMethods) }
+
+// reset is Reset with the doubling stopped at room for limit methods.
+func (f *File) reset(created time.Time, n, limit int) {
+	f.Created, f.expect = created, n
+	f.methods = emptied(f.methods, n, limit)
+	f.sigs = emptied(f.sigs, n, limit)
+	f.next = emptied(f.next, n, limit)
+	f.classes = f.classes[:0]
+	clear(f.bySig)
+	clear(f.byClass)
+	f.sigArena.reset(n*sigBytesPerMethod, limit*sigBytesPerMethod)
+	f.paramArena.reset(n+n/2, limit+limit/2)
+}
+
+// emptied returns s emptied with room for n elements: s itself, its
+// elements zeroed so it holds no reference of the file it served, when it
+// has the room, and otherwise a fresh slice of twice its capacity, but
+// not past limit, nor short of n.
+func emptied[T any](s []T, n, limit int) []T {
+	if n <= cap(s) {
+		clear(s)
+		return s[:0]
+	}
+	return make([]T, 0, max(n, min(2*cap(s), limit)))
+}
+
 // AddMethod appends a method definition and renders its type signature,
-// the only time it is rendered. Duplicate type signatures are rejected: a
-// dex file defines each signature at most once, and a rejected method
-// leaves the file as it was.
+// the only time it is rendered: a method of the previous method's class
+// copies that method's rendered descriptor. Duplicate type signatures are
+// rejected: a dex file defines each signature at most once, and a
+// rejected method leaves the file as it was.
 //
 // The file keeps its own copy of m.Params, so the caller may reuse the
 // slice. The Params of a method read back from the file alias the file's
@@ -107,11 +148,27 @@ func (f *File) AddMethod(m Method) error {
 		return fmt.Errorf("dex: a file holds at most %d methods", math.MaxInt32)
 	}
 	f.sigArena.reserve(signatureLen(m), idx, f.expect)
-	rendered := appendSignature(f.sigArena.free()[:0], m)
-	if _, dup := f.bySig[string(rendered)]; dup {
+	desc := len("L;") + len(m.Class)
+	rendered := f.sigArena.free()[:0]
+	sameClass := idx > 0 && m.Class == f.methods[idx-1].Class
+	if sameClass {
+		rendered = append(rendered, f.sigs[idx-1][:desc]...)
+	} else {
+		rendered = appendDescriptor(rendered, m.Class)
+	}
+	rendered = appendMember(rendered, m)
+	s := unsafe.String(unsafe.SliceData(rendered), len(rendered))
+	// One probe: insert the signature and see whether the set grew.
+	before := len(f.bySig)
+	f.bySig[s] = int32(idx)
+	if len(f.bySig) == before {
+		// The insert replaced the original's key with the uncommitted
+		// rendering and its index with idx; put both back.
+		orig := f.indexOf(s, desc)
+		f.bySig[f.sigs[orig]] = orig
 		return fmt.Errorf("dex: duplicate method signature %s", rendered)
 	}
-	sig := f.sigArena.take(len(rendered))
+	f.sigArena.take(len(rendered))
 	if len(m.Params) > 0 {
 		f.paramArena.reserve(len(m.Params), idx, f.expect)
 		copy(f.paramArena.free(), m.Params)
@@ -120,20 +177,47 @@ func (f *File) AddMethod(m Method) error {
 		m.Params = nil
 	}
 	f.methods = append(f.methods, m)
-	f.sigs = append(f.sigs, unsafe.String(unsafe.SliceData(sig), len(sig)))
-	s := f.sigs[idx]
-	f.bySig[s] = int32(idx)
+	f.sigs = append(f.sigs, s)
 	f.next = append(f.next, -1)
-	key := s[:strings.IndexByte(s, '(')+1]
-	o, ok := f.byQualified[key]
-	if ok {
-		f.next[o.last] = int32(idx)
-	} else {
-		o.first = int32(idx)
+	if !sameClass {
+		// The first method of a class run: join the class's chain, or
+		// open one.
+		k, ok := f.byClass[s[:desc]]
+		if !ok {
+			k = int32(len(f.classes))
+			f.byClass[s[:desc]] = k
+			f.classes = append(f.classes, overloads{first: int32(idx), last: -1})
+		}
+		f.cur = k
 	}
-	o.last = int32(idx)
-	f.byQualified[key] = o
+	c := &f.classes[f.cur]
+	if c.last >= 0 {
+		f.next[c.last] = int32(idx)
+	}
+	c.last = int32(idx)
 	return nil
+}
+
+// indexOf returns the index of the stored method whose signature is sig,
+// which must be stored; desc is the length of the class descriptor sig
+// was rendered with. It walks the chain of that descriptor, and the whole
+// file only when a class holding "->" rendered sig with another
+// descriptor. AddMethod calls it for a rejected duplicate alone, which
+// ends a decode and in generation lies on the class just written, so it
+// does not make either superlinear.
+func (f *File) indexOf(sig string, desc int) int32 {
+	if k, ok := f.byClass[sig[:desc]]; ok {
+		for i := f.classes[k].first; i >= 0; i = f.next[i] {
+			if f.sigs[i] == sig {
+				return i
+			}
+		}
+	}
+	for i := len(f.sigs) - 1; ; i-- {
+		if f.sigs[i] == sig {
+			return int32(i)
+		}
+	}
 }
 
 // MethodCount reports the number of method definitions.
@@ -190,38 +274,30 @@ func (f *File) LookupQualified(qualified string) []Method {
 	return out
 }
 
-// maxStackKey bounds the qualified-index key firstOverload renders on the
-// stack; a longer key (class and method name past ~250 bytes together)
-// allocates.
+// maxStackKey bounds the class descriptor firstOverload renders on the
+// stack; a longer one (a class name past ~250 bytes) allocates.
 const maxStackKey = 256
 
 // firstOverload splits qualified into its class and method name and
-// returns them with the index of the first method of that name, or -1.
-// The name splits at its last '.': method names never contain one, class
-// names do.
+// returns them with the index of the first method of that class and name,
+// or -1. The name splits at its last '.': method names never contain one,
+// class names do.
 func (f *File) firstOverload(qualified string) (class, name string, i int32) {
 	dot := strings.LastIndexByte(qualified, '.')
 	if dot < 0 {
 		return "", "", -1
 	}
 	class, name = qualified[:dot], qualified[dot+1:]
-	// The key is what AddMethod cut from the signature: the rendering of
-	// class and name through its first '('.
 	var buf [maxStackKey]byte
-	key := appendDescriptor(buf[:0], class)
-	key = append(key, "->"...)
-	key = append(key, name...)
-	key = append(key, '(')
-	key = key[:bytes.IndexByte(key, '(')+1]
-	o, ok := f.byQualified[string(key)]
+	k, ok := f.byClass[string(appendDescriptor(buf[:0], class))]
 	if !ok {
 		return class, name, -1
 	}
-	return class, name, f.nextOverload(o.first, class, name)
+	return class, name, f.nextOverload(f.classes[k].first, class, name)
 }
 
-// nextOverload returns the first index from i on along its
-// qualified-index chain whose method has exactly class and name, or -1.
+// nextOverload returns the first index from i on along its class chain
+// whose method has exactly class and name, or -1.
 func (f *File) nextOverload(i int32, class, name string) int32 {
 	for ; i >= 0; i = f.next[i] {
 		if m := &f.methods[i]; m.Class == class && m.Name == name {

@@ -10,11 +10,12 @@ import (
 )
 
 // Classes whose descriptors render alike ("a.b" and "a/b" are both
-// "La/b;") and names holding a '(' share a qualified-index key; every
-// lookup must still answer for exactly the class and name it was asked
-// about, on a built and on a decoded file.
+// "La/b;") share a qualified-index chain, and names may hold a '(';
+// every lookup must still answer for exactly the class and name it was
+// asked about, on a built, a decoded and a reset file.
 func TestTranslateCollidingRenders(t *testing.T) {
 	f := NewFile(time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC))
+	reset := usedFile(0)
 	for _, m := range []Method{
 		{Class: "a.b", Name: "m", Return: "V"},
 		{Class: "a/b", Name: "m", Params: []string{"I"}, Return: "V"},
@@ -26,6 +27,9 @@ func TestTranslateCollidingRenders(t *testing.T) {
 		{Class: "d(g", Name: "f", Params: []string{"Z"}, Return: "V"},
 	} {
 		if err := f.AddMethod(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := reset.AddMethod(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +75,7 @@ func TestTranslateCollidingRenders(t *testing.T) {
 		"d.f":    nil,
 		"":       nil,
 	}
-	for name, file := range map[string]*File{"built": f, "decoded": decoded} {
+	for name, file := range map[string]*File{"built": f, "decoded": decoded, "reset": reset} {
 		tr := NewSignatureTranslator(file)
 		for _, tc := range translations {
 			if got, ok := tr.Translate(tc.qualified, tc.arity); !ok || got != tc.want {

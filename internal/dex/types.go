@@ -105,7 +105,13 @@ func (m Method) TypeSignature() string {
 // appendSignature is the one signature renderer: it appends m's type
 // signature to b, which grows by exactly signatureLen(m).
 func appendSignature(b []byte, m Method) []byte {
-	b = appendDescriptor(b, m.Class)
+	return appendMember(appendDescriptor(b, m.Class), m)
+}
+
+// appendMember appends what follows the class descriptor in m's type
+// signature ("->name(params)return"), for a renderer that already has
+// the descriptor: the one the previous method of the class rendered.
+func appendMember(b []byte, m Method) []byte {
 	b = append(b, "->"...)
 	b = append(b, m.Name...)
 	b = append(b, '(')

@@ -19,6 +19,9 @@ import (
 )
 
 // AppSource supplies the corpus to analyze. synth.World implements it.
+// A worker releases every app it is handed (synth.App.Release) once the
+// app's lifecycle has applied, so GenerateApp must return an app nothing
+// else holds.
 type AppSource interface {
 	NumApps() int
 	GenerateApp(i int) (*synth.App, error)
@@ -234,6 +237,9 @@ type runEnv struct {
 	// when it did not get that far), kept for apply's detector
 	// observation.
 	app *synth.App
+	// generated is the app the worker generated last; generate releases
+	// it, and so does the worker's exit.
+	generated *synth.App
 	// capture is the worker's capture buffer: every attempt's emulator
 	// run appends its pcap from capture[:0], and the buffer keeps the
 	// capacity of the largest capture so far. It leaves the worker only
@@ -241,6 +247,27 @@ type runEnv struct {
 	// from spare, the fleet's free list, or starts fresh.
 	capture []byte
 	spare   chan []byte
+}
+
+// generate generates app i in place of the app the worker generated
+// last, which it releases first: by the time the worker starts its next
+// attempt or replay, the last app's lifecycle has applied, and nothing
+// that outlives it aliases the app's dex file (DESIGN.md, "Methods live
+// in per-file arenas"). It clears app, which pointed at the released app
+// or at nothing.
+func (env *runEnv) generate(i int) (*synth.App, error) {
+	env.release()
+	app, err := env.source.GenerateApp(i)
+	env.generated = app
+	return app, err
+}
+
+// release releases the app the worker generated last, if any.
+func (env *runEnv) release() {
+	if env.generated != nil {
+		env.generated.Release()
+	}
+	env.app, env.generated = nil, nil
 }
 
 // runOne executes the full per-app worker job: pull the apk through the
@@ -254,10 +281,9 @@ type runEnv struct {
 // meters are what the attempt charged, on every exit path — a failed
 // attempt's telemetry is journaled like a completed run's.
 func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span) (_ *attribution.RunResult, _ *RunEvidence, meters *journal.RunMeters, _ bool, _ error) {
-	source, resolver, cfg, store := env.source, env.resolver, env.cfg, env.store
-	env.app = nil
+	resolver, cfg, store := env.resolver, env.cfg, env.store
 	defer func() { meters = env.attemptMeters() }()
-	app, err := source.GenerateApp(i)
+	app, err := env.generate(i)
 	if err != nil {
 		return nil, nil, nil, false, fmt.Errorf("generating app: %w", err)
 	}

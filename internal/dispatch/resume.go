@@ -28,7 +28,7 @@ import (
 // terminal outcome — back into the stream without re-running the app.
 func (f *fleetRun) replayApp(env *runEnv, i int, rec journal.AppOutcome, retries []journal.RetryInfo) {
 	last := transition{attempt: rec.Attempts, backoff: rec.Backoff, backoffMS: rec.BackoffMS, meters: rec.Meters}
-	env.app = nil
+	env.release()
 	switch {
 	case rec.Outcome == journal.OutcomeRun:
 		app, run, err := f.reconstructRun(env, i, rec)
@@ -58,7 +58,7 @@ func (f *fleetRun) replayApp(env *runEnv, i int, rec journal.AppOutcome, retries
 		// if the app cannot be generated now, it could not have been
 		// observed then either.
 		if f.cfg.Detector != nil {
-			if app, err := env.source.GenerateApp(i); err == nil && app.APK.SupportsX86() {
+			if app, err := env.generate(i); err == nil && app.APK.SupportsX86() {
 				env.app = app
 			}
 		}
@@ -79,7 +79,7 @@ func (f *fleetRun) replayApp(env *runEnv, i int, rec journal.AppOutcome, retries
 // stored bytes. Any integrity failure is returned for the caller to
 // requeue.
 func (f *fleetRun) reconstructRun(env *runEnv, i int, rec journal.AppOutcome) (*synth.App, *attribution.RunResult, error) {
-	app, err := env.source.GenerateApp(i)
+	app, err := env.generate(i)
 	if err != nil {
 		return nil, nil, fmt.Errorf("regenerating app: %w", err)
 	}

@@ -433,6 +433,7 @@ func (f *fleetRun) worker(jobs <-chan job) {
 		meters:    obs.NewMeters(),
 		spare:     f.spare,
 	}
+	defer env.release()
 	busy := f.tel.Gauge(obs.MFleetWorkersBusy)
 	total := f.tel.Gauge(obs.MFleetWorkers)
 	for j := range jobs {

@@ -26,6 +26,36 @@ type App struct {
 	LibIdxs []int
 
 	profile antProfile
+	// recycle says whether the dex file came from dex.Recycled and goes
+	// back at Release: not for an app past maxRecycledMedians.
+	recycle bool
+}
+
+// maxRecycledMedians bounds the apps that build into a recycled dex
+// file, and the room a recycled file grows, in multiples of the corpus's
+// median method count. App sizes are log-normal: past 8 medians lie 0.7%
+// of apps, holding 5% of all methods. A recycled file grown for one of
+// them would stay that large for the rest of the campaign: at
+// MethodScale 0.1, letting them grow the recycled files raised peak RSS
+// by about a fifth.
+const maxRecycledMedians = 8
+
+// Release hands the app's dex file back for a later app to build into
+// (dex.Recycled) and clears the app's pointers to it, so that a use after
+// the release panics instead of reading another app's methods. The caller
+// must be done with the file and with everything read from it: its
+// methods, signatures, parameter lists, and the Program's and APK's views
+// of them. The encoded apk stays valid. An app never released is simply
+// collected; releasing one twice does nothing.
+func (a *App) Release() {
+	f := a.Program.Dex
+	if f == nil {
+		return
+	}
+	a.Program.Dex, a.APK.Dex = nil, nil
+	if a.recycle {
+		f.Release()
+	}
 }
 
 // AnTOnly reports whether the app's generated traffic is exclusively
@@ -186,7 +216,9 @@ func (g *codeGen) genParams() []string {
 	return g.params
 }
 
-// GenerateApp deterministically generates app #idx of the corpus.
+// GenerateApp deterministically generates app #idx of the corpus. Its
+// dex file is built into one an earlier app released when one is idle
+// (dex.Recycled); the app's bytes do not depend on which.
 func (w *World) GenerateApp(idx int) (*App, error) {
 	if idx < 0 || idx >= w.cfg.NumApps {
 		return nil, fmt.Errorf("synth: app index %d outside corpus size %d", idx, w.cfg.NumApps)
@@ -301,7 +333,16 @@ func (w *World) GenerateApp(idx int) (*App, error) {
 			methods += shares[i]
 		}
 	}
-	d := dex.NewFileSized(created, methods)
+	// An app past maxRecycledMedians builds a file of its own, which
+	// Release drops, so the recycled files stay sized for the rest.
+	limit := maxRecycledMedians * int(meanMethods)
+	recycle := methods <= limit
+	var d *dex.File
+	if recycle {
+		d = dex.Recycled(created, methods, limit)
+	} else {
+		d = dex.NewFileSized(created, methods)
+	}
 	gen := &codeGen{d: d, rng: codeRng}
 	firstParty, err := gen.genPackage(pkg, firstPartyCount)
 	if err != nil {
@@ -413,6 +454,7 @@ func (w *World) GenerateApp(idx int) (*App, error) {
 		Program: program,
 		LibIdxs: libIdxs,
 		profile: profile,
+		recycle: recycle,
 	}, nil
 }
 

@@ -5,16 +5,20 @@ import "testing"
 // BenchmarkGenerateApp times generating one app of the seed-42 world,
 // apk encoding included: the largest layer of a code-heavy campaign.
 // Each iteration takes the next of 16 apps; a multiple of 16 iterations
-// (-benchtime 64x) weighs every app alike.
+// (-benchtime 64x) weighs every app alike. The recycled case releases
+// each app, as a campaign's worker does, so the next one builds into its
+// dex file; the others never release, so every app builds a fresh one.
 //
 //	go test -run '^$' -bench GenerateApp -benchmem -benchtime 64x ./internal/synth
 func BenchmarkGenerateApp(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		scale float64
+		name    string
+		scale   float64
+		release bool
 	}{
-		{"default", DefaultConfig().MethodScale},
-		{"scale0.1", 0.1},
+		{"default", DefaultConfig().MethodScale, false},
+		{"scale0.1", 0.1, false},
+		{"recycled", 0.1, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := smallConfig(42, 16)
@@ -26,8 +30,12 @@ func BenchmarkGenerateApp(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.GenerateApp(i % cfg.NumApps); err != nil {
+				app, err := w.GenerateApp(i % cfg.NumApps)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if bc.release {
+					app.Release()
 				}
 			}
 		})

@@ -2,10 +2,13 @@ package synth
 
 import (
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"libspector/internal/corpus"
+	"libspector/internal/dex"
 )
 
 func smallConfig(seed uint64, apps int) Config {
@@ -338,7 +341,14 @@ func TestNumApps(t *testing.T) {
 // method budget. What is left is about 0.35 allocations per method, mostly
 // the class names (a class holds 4–15 methods); a signature and a
 // parameter slice allocated per method would add ~2 per method.
+//
+// Recycled generation, each app released before the next, builds into
+// the released dex file: in the steady state it allocates no method list,
+// arena or index, only the class names, the encoded apk and the app's
+// program and its method-index lists. These apps measure 42–52 bytes per
+// method that way, against 280–305 with a fresh file.
 func TestGenerateAppAllocsPerMethod(t *testing.T) {
+	defer dex.SetRecycling(dex.SetRecycling(dex.RecycleOn))
 	cfg := smallConfig(42, 16)
 	cfg.MethodScale = 0.1
 	w, err := NewWorld(cfg)
@@ -359,15 +369,86 @@ func TestGenerateAppAllocsPerMethod(t *testing.T) {
 		if limit := float64(methods/2 + 1024); allocs > limit {
 			t.Errorf("app %d: GenerateApp allocates %.0f for %d methods, over %.0f", i, allocs, methods, limit)
 		}
+		// Warm the idle list, then measure generate-and-release.
+		app.Release()
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			app, err := w.GenerateApp(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app.Release()
+		}
+		runtime.ReadMemStats(&after)
+		perMethod := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(methods)
+		if limit := 80.0; perMethod > limit {
+			t.Errorf("app %d: recycled GenerateApp allocates %.0f bytes per method for %d methods, over %.0f", i, perMethod, methods, limit)
+		}
+		t.Logf("app %d: %d methods, recycled %.1f bytes per method", i, methods, perMethod)
 	}
+}
+
+// Two goroutines generate and release apps through the one idle list, in
+// poison mode: each app must be byte-identical to its serial generation
+// from fresh files, and its dex file must hold exactly its own methods
+// while it is in use.
+func TestGenerateAppReleaseConcurrent(t *testing.T) {
+	cfg := smallConfig(42, 12)
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dex.SetRecycling(dex.SetRecycling(dex.RecycleOff))
+	type ref struct {
+		sha  string
+		sigs []string
+	}
+	refs := make([]ref, cfg.NumApps)
+	for i := range refs {
+		app, err := w.GenerateApp(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = ref{app.SHA256, dex.DisassembleFile(app.Program.Dex).Signatures()}
+	}
+	dex.SetRecycling(dex.RecyclePoison)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 3*cfg.NumApps; n++ {
+				i := (g*5 + n) % cfg.NumApps
+				app, err := w.GenerateApp(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sigs := dex.DisassembleFile(app.Program.Dex).Signatures()
+				if app.SHA256 != refs[i].sha || !slices.Equal(sigs, refs[i].sigs) {
+					t.Errorf("goroutine %d: app %d differs from its serial generation", g, i)
+					return
+				}
+				app.Release()
+				if app.Program.Dex != nil || app.APK.Dex != nil {
+					t.Errorf("goroutine %d: a released app still points at its dex file", g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Generation's bytes per method, the apk encoded: mostly the dex file's
 // method list, arenas and two indexes, and the encoded apk. The apk
 // encoder and its string pool are reused from one app to the next, so
-// they add nothing. These apps measure 310–355 bytes per method; a fresh
-// compressor and string pool per app and the wider (class, name) index
-// made 475–525.
+// they add nothing. These apps measure 280–305 bytes per method; the
+// qualified index keyed per (class, name) instead of per class made
+// 310–355, and a fresh compressor and string pool per app on top of the
+// wider index 475–525.
 func TestGenerateAppBytesPerMethod(t *testing.T) {
 	cfg := smallConfig(42, 16)
 	cfg.MethodScale = 0.1
