@@ -15,9 +15,9 @@
 // With -store PATH a run also writes the queryable attribution record
 // store (internal/resultstore); the -query-app/-query-library/
 // -query-domain/-group-by flags then answer rollup queries purely from
-// that store on disk, with no fleet run at all. -merge-shards merges
-// shard outcome files written by -shard-index children into the report
-// (and, with -store, into the merged store).
+// that store on disk, with no fleet run at all. -merge-shards merges the
+// outcome files of -shard-index children into the report (with -store,
+// the store; with -events-out, the event log the outcomes carry).
 package main
 
 import (

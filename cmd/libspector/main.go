@@ -170,7 +170,7 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("\n%s\n\n", obs.Render(res.Snapshot))
 		printAggregateFigures(exp, *topN)
 		fmt.Println(report.PaperComparison(exp.Aggregates().CompareWithPaper()))
-		return nil
+		return flags.WriteOutputs()
 	}
 	if err := exp.RunContext(ctx); err != nil {
 		if ctx.Err() == nil || exp.Dataset() == nil {

@@ -10,6 +10,9 @@ import (
 	"regexp"
 	"strconv"
 	"testing"
+
+	"libspector/internal/dispatch"
+	"libspector/internal/obs"
 )
 
 func TestFullPipelineSmallCorpus(t *testing.T) {
@@ -197,31 +200,39 @@ func TestProcessModeEventLogMatchesSingleProcess(t *testing.T) {
 	if len(want) == 0 || !bytes.Equal(want, got) {
 		t.Errorf("process-mode event log (%d bytes) differs from the single-process one (%d bytes)", len(got), len(want))
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(fmt.Sprintf("%s.shard-%03d", two, i)); err != nil {
-			t.Errorf("child %d left no event log of its own: %v", i, err)
-		}
-	}
 	if _, err := os.Stat(filepath.Join(dir, "campaign.wal.coordinator")); err != nil {
 		t.Errorf("journaled process-mode campaign wrote no default coordinator WAL: %v", err)
 	}
 }
 
-// TestShardChildWritesEventsBeforeOutcome pins DESIGN.md §12's ordering
-// rule: a shard child writes its event log strictly before its outcome
-// file, so a child that cannot write the log must leave NO outcome — a
-// parent that found one would seal a shard whose log is missing.
-func TestShardChildWritesEventsBeforeOutcome(t *testing.T) {
+// TestShardChildSealsEventsInOutcome pins DESIGN.md §12's child rule: a
+// shard child's event log travels in its outcome file, sealed with the
+// rest of the outcome, and nowhere else — a child asked for an
+// -events-out file of its own is refused before it runs.
+func TestShardChildSealsEventsInOutcome(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "shard.out")
-	err := run(context.Background(), []string{
-		"-apps", "6", "-seed", "9", "-events", "60", "-shards", "2", "-shard-index", "0", "-shard-out", out,
-		"-events-out", filepath.Join(dir, "no-such-dir", "events.jsonl"),
-	})
-	if err == nil {
-		t.Fatal("child with an unwritable -events-out succeeded")
+	child := []string{"-apps", "6", "-seed", "9", "-events", "60", "-shards", "2", "-shard-index", "1", "-shard-out", out}
+	if err := run(context.Background(), append(child, "-events-out", filepath.Join(dir, "events.jsonl"))); err == nil {
+		t.Fatal("child with an -events-out of its own succeeded")
 	}
-	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
-		t.Errorf("outcome file exists (stat err %v) although the event log could not be written: %v", statErr, err)
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("refused child wrote an outcome (stat err %v)", err)
+	}
+	if err := run(context.Background(), child); err != nil {
+		t.Fatal(err)
+	}
+	o, err := dispatch.ReadShardOutcome(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := 0
+	for _, ev := range o.Events {
+		if ev.Type == obs.EvRunStarted {
+			started++
+		}
+	}
+	if o.Range.Len() == 0 || started != o.Range.Len() {
+		t.Errorf("outcome over apps [%d, %d) carries %d run.started events", o.Range.Lo, o.Range.Hi, started)
 	}
 }

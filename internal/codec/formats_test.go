@@ -226,15 +226,28 @@ var formats = []format{
 		magic:   "LSSHRD01",
 		fixture: "outcome.bin",
 		seeds: func(tb testing.TB) []seed {
-			valid, err := dispatch.EncodeShardOutcome(&dispatch.ShardOutcome{
+			out := &dispatch.ShardOutcome{
 				Range:    dispatch.ShardRange{Lo: 0, Hi: 2},
 				Snapshot: obs.Snapshot{Counters: map[string]int64{"fleet_apps_total": 2}, Gauges: map[string]int64{}, Histograms: map[string]obs.HistogramSnapshot{}},
 				Partial:  []byte{0xAA},
-			})
-			if err != nil {
-				tb.Fatal(err)
 			}
-			return []seed{{valid, true}, {valid[:len(valid)/2], false}, {nil, false}, {[]byte("LSSHRD01"), false}, {[]byte("LSSHRD01{}\x00\x00\x00\x00"), false}}
+			encode := func() []byte {
+				b, err := dispatch.EncodeShardOutcome(out)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				return b
+			}
+			valid := encode()
+			out.Range = dispatch.ShardRange{Lo: 2, Hi: 4}
+			out.Events = []obs.Event{
+				{Type: obs.EvRunStarted, TS: time.Unix(0, 0).UTC(), App: 2, Shard: -1},
+				{Type: obs.EvRunCompleted, TS: time.Unix(0, 0).UTC(), App: 2, Shard: -1, Attempt: 1, Package: "com.example.app", Flows: 3, VirtualMS: 60},
+			}
+			withEvents := encode()
+			out.Events[1].App = 4 // past the range's end
+			outOfRange := encode()
+			return []seed{{valid, true}, {withEvents, true}, {outOfRange, false}, {valid[:len(valid)/2], false}, {nil, false}, {[]byte("LSSHRD01"), false}, {[]byte("LSSHRD01{}\x00\x00\x00\x00"), false}}
 		},
 		decode: func(data []byte) (any, error) { return dispatch.DecodeShardOutcome(data) },
 		encode: func(tb testing.TB, v any) []byte {
@@ -245,8 +258,14 @@ var formats = []format{
 			return b
 		},
 		check: func(t *testing.T, _ []byte, v any) {
-			if out := v.(*dispatch.ShardOutcome); out.Index < 0 || out.Range.Hi < out.Range.Lo {
+			out := v.(*dispatch.ShardOutcome)
+			if out.Index < 0 || out.Range.Hi < out.Range.Lo {
 				t.Fatalf("accepted invalid outcome %+v", out)
+			}
+			for _, ev := range out.Events {
+				if !ev.Type.Logged() || ev.App < out.Range.Lo || ev.App >= out.Range.Hi {
+					t.Fatalf("accepted a %q event of app %d in an outcome over [%d,%d)", ev.Type, ev.App, out.Range.Lo, out.Range.Hi)
+				}
 			}
 		},
 	},

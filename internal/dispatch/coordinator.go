@@ -45,6 +45,10 @@ type ShardOutcome struct {
 	// ran without a result store. Like Partial it travels as opaque
 	// bytes — dispatch stays free of the producer's dependency.
 	Records []byte
+	// Events is the incarnation's event log (obs.EventLog) in canonical
+	// order, empty without an event bus: the one way a shard's events
+	// reach the campaign's, so a dead incarnation's die with it.
+	Events []obs.Event
 }
 
 // ShardRunner executes one shard task to completion and returns its
@@ -179,6 +183,8 @@ type CampaignOutcome struct {
 	// concatenation is already in canonical record order for
 	// resultstore.MergeSegments.
 	Segments [][]byte
+	// Events holds each shard's event log, in shard (so canonical) order.
+	Events [][]obs.Event
 	// Takeovers is how many shard re-launches the campaign consumed.
 	Takeovers int
 }
@@ -477,6 +483,7 @@ func MergeOutcomes(outcomes []*ShardOutcome) (*CampaignOutcome, error) {
 		out.Quarantined = append(out.Quarantined, o.Quarantined...)
 		out.Partials = append(out.Partials, o.Partial)
 		out.Segments = append(out.Segments, o.Records)
+		out.Events = append(out.Events, o.Events)
 		snaps = append(snaps, o.Snapshot)
 	}
 	sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].AppIndex < out.Failures[j].AppIndex })

@@ -26,7 +26,7 @@ const shardOutcomeMagic = "LSSHRD01"
 var ErrCorruptOutcome = errors.New("dispatch: corrupt shard outcome")
 
 // shardOutcomeFile is the JSON envelope a shard process writes for its
-// coordinator (fleetscan's -shard-out). The encoded analysis partial and
+// coordinator (fleetflags' -shard-out). The encoded analysis partial and
 // resultstore segment ride along base64-encoded; error values flatten to
 // strings.
 type shardOutcomeFile struct {
@@ -39,6 +39,7 @@ type shardOutcomeFile struct {
 	Snapshot    obs.Snapshot          `json:"snapshot"`
 	Partial     []byte                `json:"partial"`
 	Records     []byte                `json:"records,omitempty"`
+	Events      []obs.Event           `json:"events,omitempty"`
 }
 
 type shardFailureFile struct {
@@ -88,6 +89,7 @@ func EncodeShardOutcome(out *ShardOutcome) ([]byte, error) {
 		Snapshot:   out.Snapshot,
 		Partial:    out.Partial,
 		Records:    out.Records,
+		Events:     out.Events,
 	}
 	for _, fl := range out.Failures {
 		f.Failures = append(f.Failures, shardFailureFile{
@@ -135,6 +137,12 @@ func DecodeShardOutcome(data []byte) (*ShardOutcome, error) {
 	if f.Index < 0 || f.Lo < 0 || f.Hi < f.Lo {
 		return nil, fmt.Errorf("%w: shard %d claims range [%d,%d)", ErrCorruptOutcome, f.Index, f.Lo, f.Hi)
 	}
+	// A shard logs only its own apps' lifecycle.
+	for _, ev := range f.Events {
+		if !ev.Type.Logged() || ev.App < f.Lo || ev.App >= f.Hi {
+			return nil, fmt.Errorf("%w: shard %d over [%d,%d) carries a %q event of app %d", ErrCorruptOutcome, f.Index, f.Lo, f.Hi, ev.Type, ev.App)
+		}
+	}
 	out := &ShardOutcome{
 		Index:      f.Index,
 		Range:      ShardRange{Lo: f.Lo, Hi: f.Hi},
@@ -142,6 +150,7 @@ func DecodeShardOutcome(data []byte) (*ShardOutcome, error) {
 		Snapshot:   f.Snapshot,
 		Partial:    f.Partial,
 		Records:    f.Records,
+		Events:     f.Events,
 	}
 	for _, fl := range f.Failures {
 		out.Failures = append(out.Failures, RunFailure{

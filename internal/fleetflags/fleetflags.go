@@ -31,9 +31,9 @@ type Flags struct {
 	// (ShardIndex >= 0 selects child mode: RunShardChild).
 	Shards, ShardIndex int
 	// Tel is the campaign telemetry Open installed (nil when the binary
-	// registered no Ops group and -events-out is unset: an unobserved
-	// libreport run); Events the deterministic event log (nil without
-	// -events-out).
+	// registered no Ops group, -events-out is unset and the invocation is
+	// no shard child: an unobserved libreport run); Events the
+	// deterministic event log (nil without -events-out).
 	Tel    *obs.Telemetry
 	Events *obs.EventLog
 
@@ -102,7 +102,7 @@ func (f *Flags) Faults() *Flags {
 
 // EventLog registers -events-out.
 func (f *Flags) EventLog() *Flags {
-	f.fs.StringVar(&f.eventsOut, "events-out", "", "write the campaign's deterministic event log as JSONL to this file after the run (a -shards parent merges its children's FILE.shard-NNN logs into it)")
+	f.fs.StringVar(&f.eventsOut, "events-out", "", "write the campaign's deterministic event log as JSONL to this file after the run (a -shards parent or -merge-shards merger writes the whole campaign's: each shard's log travels in its outcome file)")
 	return f
 }
 
@@ -160,6 +160,8 @@ func (f *Flags) Config() (libspector.Config, error) {
 		// Killed shards can only be taken over from their journals; chaos
 		// without one would just fail the campaign.
 		return cfg, fmt.Errorf("-chaos-kill requires -journal")
+	case f.ShardIndex >= 0 && f.eventsOut != "":
+		return cfg, fmt.Errorf("-events-out belongs to the merging parent: a -shard-index child's events travel in its -shard-out file")
 	case f.Shards > 1 && f.ShardIndex < 0 && cfg.CoordinatorWAL == "" && cfg.Journal != "":
 		cfg.CoordinatorWAL = cfg.Journal + ".coordinator"
 	}
@@ -173,18 +175,20 @@ func (f *Flags) Config() (libspector.Config, error) {
 // endpoint switches to wall-clock telemetry, which adds the wall-only
 // series to the snapshot. The event bus exists only when something
 // consumes it — the ops endpoint streams it over SSE, -events-out records
-// the deterministic subset — so an unobserved run never pays for
-// publishing. The caller must Close.
+// the deterministic subset, a shard child seals its shard's log into
+// its outcome — so an unobserved run never pays for publishing. The
+// caller must Close.
 func (f *Flags) Open() (libspector.Config, error) {
 	cfg, err := f.Config()
-	if err != nil || (!f.opsGroup && f.eventsOut == "") {
+	child := f.ShardIndex >= 0
+	if err != nil || (!f.opsGroup && f.eventsOut == "" && !child) {
 		return cfg, err
 	}
 	f.Tel = obs.NewVirtual(nil)
 	if f.metricsAddr != "" {
 		f.Tel = obs.New()
 	}
-	if f.metricsAddr != "" || f.eventsOut != "" {
+	if f.metricsAddr != "" || f.eventsOut != "" || child {
 		f.Tel.SetBus(obs.NewBus(f.Tel.Metrics()))
 	}
 	if f.eventsOut != "" {
@@ -211,8 +215,7 @@ func (f *Flags) Close() {
 }
 
 // WriteOutputs writes what -trace-out and -events-out asked for after a
-// single-process or in-process-sharded campaign. (A shard child and a
-// process-mode parent write their event logs through the runner.)
+// campaign, whichever way it ran or merged.
 func (f *Flags) WriteOutputs() error {
 	if f.traceOut != "" {
 		if err := f.Tel.Tracer().WriteFile(f.traceOut); err != nil {
@@ -230,7 +233,7 @@ func (f *Flags) WriteOutputs() error {
 }
 
 // RunShardChild is -shard-index mode: run exactly one shard of the N-way
-// split and hand event log, then outcome file, to the parent.
+// split and hand its outcome file, event log included, to the parent.
 func (f *Flags) RunShardChild(ctx context.Context, cfg libspector.Config) error {
 	if f.shardOut == "" {
 		return fmt.Errorf("-shard-index requires -shard-out")
@@ -239,8 +242,8 @@ func (f *Flags) RunShardChild(ctx context.Context, cfg libspector.Config) error 
 	if err != nil {
 		return err
 	}
-	child := libspector.ShardChild{Index: f.ShardIndex, Shards: f.Shards, Out: f.shardOut, EventsOut: f.eventsOut}
-	if err := exp.RunShardChild(ctx, child, f.Events); err != nil {
+	child := libspector.ShardChild{Index: f.ShardIndex, Shards: f.Shards, Out: f.shardOut}
+	if err := exp.RunShardChild(ctx, child); err != nil {
 		return err
 	}
 	fmt.Printf("Shard %d/%d done -> %s\n", f.ShardIndex, f.Shards, f.shardOut)
@@ -255,7 +258,6 @@ func (f *Flags) RunShardProcesses(ctx context.Context, exp *libspector.Experimen
 		return nil, err
 	}
 	opts := f.proc
-	opts.EventsOut, opts.Events = f.eventsOut, f.Events
 	opts.Command = func(ctx context.Context, child libspector.ShardChild) *exec.Cmd {
 		if child.Attempt > 0 {
 			fmt.Printf("  [takeover] shard %d re-spawning with -resume (attempt %d)\n", child.Index, child.Attempt)
@@ -291,9 +293,6 @@ func (f *Flags) ChildArgs(child libspector.ShardChild) []string {
 		"-shard-out="+child.Out)
 	if child.Resume {
 		args = append(args, "-resume")
-	}
-	if child.EventsOut != "" {
-		args = append(args, "-events-out="+child.EventsOut)
 	}
 	if child.MetricsAddr != "" {
 		args = append(args, "-metrics-addr="+child.MetricsAddr)

@@ -44,7 +44,7 @@ func policy(c libspector.Config) []any {
 func TestChildArgvRoundTrip(t *testing.T) {
 	child := libspector.ShardChild{
 		Index: 2, Shards: 4, Attempt: 1, Out: "/tmp/out.json",
-		EventsOut: "/tmp/ev.jsonl.shard-002", MetricsAddr: "127.0.0.1:9102", KillAfter: 3,
+		MetricsAddr: "127.0.0.1:9102", KillAfter: 3,
 	}
 	for name, args := range map[string][]string{
 		"defaults": {"-shards", "4"},
@@ -75,10 +75,10 @@ func TestChildArgvRoundTrip(t *testing.T) {
 			if cf.Shards != 4 || cf.ShardIndex != 2 || cf.shardOut != child.Out {
 				t.Errorf("child shard identity = %d/%d -> %q", cf.ShardIndex, cf.Shards, cf.shardOut)
 			}
-			if ccfg.Resume != child.Resume || ccfg.ChaosKillAfterRuns != 3 || cf.eventsOut != child.EventsOut || cf.metricsAddr != child.MetricsAddr {
+			if ccfg.Resume != child.Resume || ccfg.ChaosKillAfterRuns != 3 || cf.metricsAddr != child.MetricsAddr {
 				t.Errorf("per-incarnation flags not re-issued from the ShardChild: %q", argv)
 			}
-			if ccfg.CoordinatorWAL != "" || cf.traceOut != "" || !reflect.DeepEqual(cf.proc, libspector.ProcessOptions{ProbeStrikes: 3}) {
+			if ccfg.CoordinatorWAL != "" || cf.traceOut != "" || cf.eventsOut != "" || !reflect.DeepEqual(cf.proc, libspector.ProcessOptions{ProbeStrikes: 3}) {
 				t.Errorf("parent-only flags leaked into the child: %q", argv)
 			}
 		})
@@ -110,6 +110,18 @@ func TestGroupsLeaveDefaults(t *testing.T) {
 	if f.Tel != nil || f.Events != nil {
 		t.Error("an unobserved libreport run must stay untelemetered")
 	}
+	// A shard child always publishes: its outcome carries its event log.
+	fs = flag.NewFlagSet("libreport", flag.ContinueOnError)
+	f = New(fs).Corpus(200, 0).ShardFlags().EventLog()
+	if err := fs.Parse([]string{"-shards", "2", "-shard-index", "1", "-shard-out", "o"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Tel.Virtual() || f.Tel.Bus() == nil || f.Events != nil {
+		t.Error("a shard child runs without virtual telemetry and an event bus")
+	}
 }
 
 func TestCrossFlagValidation(t *testing.T) {
@@ -121,6 +133,7 @@ func TestCrossFlagValidation(t *testing.T) {
 		{[]string{"-coordinator-wal", "w"}, "requires -shards > 1"},
 		{[]string{"-shards", "2", "-chaos-kill", "1"}, "-chaos-kill requires -journal"},
 		{[]string{"-fault-classes", "nope"}, "unknown class"},
+		{[]string{"-shards", "2", "-shard-index", "0", "-events-out", "e"}, "-events-out belongs to the merging parent"},
 	} {
 		fs, f := allGroups()
 		if err := fs.Parse(tc.args); err != nil {

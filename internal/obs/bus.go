@@ -226,6 +226,38 @@ func (b *Bus) Publish(ev Event) {
 	}
 }
 
+// Stream offers ev to every subscription and to no tap: the relay by
+// which a shard incarnation's own bus feeds the campaign's live view.
+// The campaign's taps take a shard's events from its sealed outcome
+// instead (Record), so a dead incarnation's events never reach them.
+func (b *Bus) Stream(ev Event) {
+	if b == nil {
+		return
+	}
+	ev.Seq = b.seq.Add(1)
+	b.published.Add(1)
+	b.mu.RLock()
+	for s := range b.subs {
+		s.offer(ev)
+	}
+	b.mu.RUnlock()
+}
+
+// Record hands ev to every tap and to no subscription: how a merge
+// delivers the events sealed in shard outcomes to the campaign's event
+// log, after Stream already showed them live.
+func (b *Bus) Record(ev Event) {
+	if b == nil {
+		return
+	}
+	b.mu.RLock()
+	taps := b.taps
+	b.mu.RUnlock()
+	for _, tap := range taps {
+		tap(ev)
+	}
+}
+
 // Tap registers a synchronous lossless tap. Taps cannot be removed;
 // they live as long as the bus.
 func (b *Bus) Tap(tap Tap) {

@@ -268,3 +268,35 @@ func TestEventLogCanonicalOrder(t *testing.T) {
 		t.Fatalf("campaign.done is not the final line:\n%s", a)
 	}
 }
+
+// TestBusStreamAndRecord: the relay a shard bus taps streams to the
+// campaign's subscriptions and never enters its event log; Record, the
+// merge's entry point, reaches the log and never the subscriptions.
+func TestBusStreamAndRecord(t *testing.T) {
+	shard, campaign := NewBus(nil), NewBus(nil)
+	shard.Tap(campaign.Stream)
+	shardLog, campaignLog := NewEventLog(), NewEventLog()
+	shardLog.AttachTo(shard)
+	campaignLog.AttachTo(campaign)
+	sub := campaign.Subscribe(SubOptions{})
+	defer sub.Close()
+
+	shard.Publish(Event{Type: EvRunStarted, App: 3, Shard: -1})
+	if ev, ok := sub.Next(context.Background()); !ok || ev.App != 3 {
+		t.Fatalf("subscriber got %+v, %t; want the shard's run.started", ev, ok)
+	}
+	if shardLog.Len() != 1 || campaignLog.Len() != 0 {
+		t.Fatalf("shard log holds %d events, campaign log %d; want 1 and 0", shardLog.Len(), campaignLog.Len())
+	}
+	for _, ev := range shardLog.Events() {
+		campaign.Record(ev)
+	}
+	if campaignLog.Len() != 1 || campaign.Stats().Published != 1 {
+		t.Fatalf("after Record the campaign log holds %d events and the bus streamed %d; want 1 and 1", campaignLog.Len(), campaign.Stats().Published)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if ev, ok := sub.Next(ctx); ok {
+		t.Fatalf("Record reached a subscriber: %+v", ev)
+	}
+}

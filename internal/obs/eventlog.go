@@ -54,8 +54,12 @@ func (l *EventLog) Len() int {
 	return len(l.events)
 }
 
-// Events returns the recorded events in canonical order.
+// Events returns the recorded events in canonical order (none for a nil
+// log, like the rest of the obs package's nil receivers).
 func (l *EventLog) Events() []Event {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	out := make([]Event, len(l.events))
 	copy(out, l.events)
@@ -90,8 +94,8 @@ func (l *EventLog) WriteJSONL(w io.Writer) error {
 }
 
 // WriteFile commits the JSONL log to path atomically and durably (temp
-// sibling, fsync, rename, directory fsync): a sealed shard outcome
-// presupposes its event log, so the log must survive the same crashes.
+// sibling, fsync, rename, directory fsync), so a crash never leaves a
+// torn log where a finished campaign's should be.
 func (l *EventLog) WriteFile(path string) error {
 	return journal.WriteFileAtomic(path, l.WriteJSONL)
 }

@@ -18,7 +18,7 @@ import (
 // truncating in place.
 func TestEventLogWriteAtomicity(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "events.jsonl.shard-000")
+	path := filepath.Join(dir, "events.jsonl")
 	log := NewEventLog()
 	ts := time.Unix(0, 0).UTC()
 	for app := 0; app < 40; app++ {

@@ -7,7 +7,6 @@ package libspector
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +15,6 @@ import (
 
 	"libspector/internal/dispatch"
 	"libspector/internal/faults"
-	"libspector/internal/journal"
 	"libspector/internal/obs"
 )
 
@@ -33,9 +31,6 @@ type ShardChild struct {
 	// Resume is set on a takeover or a whole-campaign resume: the child
 	// must run with Config.Resume so it replays its shard journal.
 	Resume bool
-	// EventsOut is where the child writes its shard's deterministic event
-	// log ("" = none).
-	EventsOut string
 	// MetricsAddr is the ops endpoint the child must serve for the
 	// parent's liveness probes ("" = none).
 	MetricsAddr string
@@ -44,20 +39,14 @@ type ShardChild struct {
 	KillAfter int
 }
 
-// ProcessOptions is the parent's supervision, chaos, and event-log
-// configuration for RunShardProcesses.
+// ProcessOptions is the parent's supervision and chaos configuration
+// for RunShardProcesses.
 type ProcessOptions struct {
 	// Command builds the not-yet-started command for one shard
 	// incarnation — the one thing that differs between callers. It must
 	// use exec.CommandContext with the given ctx; the runner owns process
 	// group setup, cancellation, and waiting.
 	Command func(ctx context.Context, child ShardChild) *exec.Cmd
-	// EventsOut, when set, is the campaign's merged event log: child i
-	// writes ShardPath(EventsOut, i), and after the merge the runner
-	// concatenates them in shard order followed by Events — the parent's
-	// own log, holding campaign.done.
-	EventsOut string
-	Events    *obs.EventLog
 	// ProbeBasePort, when > 0, gives child i an ops endpoint on
 	// 127.0.0.1:(port+i); the parent kills and takes over a shard whose
 	// /healthz fails ProbeStrikes times in a row, or — with StallDeadline
@@ -89,8 +78,8 @@ type ProcessOptions struct {
 // leaves orphan shard processes (or their ops-port listeners) behind, and
 // a cancelled shard context kills the child's whole tree.
 func (e *Experiment) RunShardProcesses(ctx context.Context, shards int, opts ProcessOptions) (*CampaignResult, error) {
-	if opts.Command == nil || (opts.EventsOut != "" && opts.Events == nil) {
-		return nil, fmt.Errorf("libspector: process mode needs a child command, and the parent's event log when EventsOut is set")
+	if opts.Command == nil {
+		return nil, fmt.Errorf("libspector: process mode needs a child command")
 	}
 	dir, err := os.MkdirTemp("", "libspector-shards-*")
 	if err != nil {
@@ -109,9 +98,6 @@ func (e *Experiment) RunShardProcesses(ctx context.Context, shards int, opts Pro
 			Index: task.Index, Shards: shards, Attempt: task.Attempt,
 			Out:    filepath.Join(dir, fmt.Sprintf("shard-%03d.attempt-%03d.json", task.Index, task.Attempt)),
 			Resume: e.cfg.Resume || task.Attempt > 0,
-		}
-		if opts.EventsOut != "" {
-			child.EventsOut = ShardPath(opts.EventsOut, task.Index)
 		}
 		if opts.ProbeBasePort > 0 {
 			child.MetricsAddr = addr(task.Index)
@@ -148,48 +134,18 @@ func (e *Experiment) RunShardProcesses(ctx context.Context, shards int, opts Pro
 	if err != nil {
 		return nil, fmt.Errorf("libspector: sharded campaign: %w", err)
 	}
-	res, err := e.finishCampaign(out, shards)
-	if err != nil || opts.EventsOut == "" {
-		return res, err
-	}
-	// Shard ranges are contiguous and ascending and each child log is
-	// already in canonical order, so concatenation in shard order IS the
-	// canonical order — the file comes out byte-identical to a
-	// single-process same-seed run's event log.
-	err = journal.WriteFileAtomic(opts.EventsOut, func(w io.Writer) error {
-		for i := 0; i < shards; i++ {
-			data, err := os.ReadFile(ShardPath(opts.EventsOut, i))
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(data); err != nil {
-				return err
-			}
-		}
-		return opts.Events.WriteJSONL(w)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("libspector: merging shard event logs: %w", err)
-	}
-	return res, nil
+	return e.finishCampaign(out, shards)
 }
 
 // RunShardChild is the child-process entry point: run shard child.Index
-// of child.Shards and hand the result to the parent. The event log is
-// written strictly before the outcome file: the parent seals a shard only
-// after reading its outcome, so a sealed shard always has a complete log
-// even when this process is killed at an arbitrary point. Resume, the
-// chaos kill, and the ops endpoint are part of the Experiment's Config
-// and telemetry, which the caller builds from the same ShardChild.
-func (e *Experiment) RunShardChild(ctx context.Context, child ShardChild, events *obs.EventLog) error {
+// of child.Shards and hand the result, its event log included, to the
+// parent in one outcome file. Resume, the chaos kill, the ops endpoint
+// and the event bus are part of the Experiment's Config and telemetry,
+// which the caller builds from the same ShardChild.
+func (e *Experiment) RunShardChild(ctx context.Context, child ShardChild) error {
 	out, err := e.RunShard(ctx, child.Index, child.Shards)
 	if err != nil {
 		return err
-	}
-	if child.EventsOut != "" {
-		if err := events.WriteFile(child.EventsOut); err != nil {
-			return fmt.Errorf("libspector: writing shard event log: %w", err)
-		}
 	}
 	return dispatch.WriteShardOutcome(child.Out, out)
 }

@@ -33,9 +33,7 @@ type CampaignResult struct {
 	Shards int
 }
 
-// ShardPath derives shard index's own file from a campaign-wide file
-// path: its journal from Config.Journal, its event log from the
-// campaign's events-out path.
+// ShardPath derives shard index's own journal from Config.Journal.
 func ShardPath(base string, index int) string {
 	return fmt.Sprintf("%s.shard-%03d", base, index)
 }
@@ -91,8 +89,8 @@ func (e *Experiment) coordinator(shards int, run dispatch.ShardRunner) *dispatch
 
 // RunSharded executes the campaign as N in-process shards under a
 // dispatch.Coordinator and merges the results. Each shard runs its
-// contiguous app-index range with its own collector, telemetry registry,
-// journal (Config.Journal + ".shard-NNN"), and artifact store
+// contiguous app-index range with its own collector, telemetry registry
+// and event bus, journal (Config.Journal + ".shard-NNN"), and artifact store
 // (Config.ArtifactDir + "/shard-NNN"); the synthetic world, detector,
 // and domain service are shared, which is safe because all three are
 // concurrency-safe and — crucially — their figure-shaping outputs do not
@@ -161,7 +159,7 @@ func (e *Experiment) MergeShardOutcomes(outcomes []*dispatch.ShardOutcome) (*Cam
 // artifact store, folding into one Accumulator that is sealed into the
 // shard's encoded partial.
 func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-	tel := e.shardTelemetry()
+	tel, events := e.shardTelemetry()
 	attr := attribution.NewAttributor(e.domains)
 	attr.SetTelemetry(tel)
 	spec := fleetSpec{index: task.Index, rng: task.Range, workers: task.Workers, tel: tel, attr: attr}
@@ -214,35 +212,54 @@ func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) 
 		Snapshot:    tel.Metrics().Snapshot(),
 		Partial:     enc,
 		Records:     seg,
+		Events:      events.Events(),
 	}, nil
 }
 
-// shardTelemetry builds a shard's private telemetry, mode-matched to the
-// campaign's: virtual campaigns get virtual shard registries (and so
-// byte-deterministic merged snapshots), live campaigns get wall-clock
-// ones, untelemetered campaigns get none.
-func (e *Experiment) shardTelemetry() *obs.Telemetry {
+// shardTelemetry builds a shard incarnation's private telemetry,
+// mode-matched to the campaign's: virtual campaigns get virtual shard
+// registries (and so byte-deterministic merged snapshots), live campaigns
+// get wall-clock ones, untelemetered campaigns get none. Under a campaign
+// event bus the incarnation gets a bus of its own, relayed to the
+// campaign's subscribers, and the event log its outcome carries.
+func (e *Experiment) shardTelemetry() (*obs.Telemetry, *obs.EventLog) {
 	var tel *obs.Telemetry
 	switch {
 	case e.cfg.Telemetry == nil:
-		return nil
+		return nil, nil
 	case e.cfg.Telemetry.Virtual():
 		tel = obs.NewVirtual(nil)
 	default:
 		tel = obs.New()
 	}
-	// Shards keep private registries (snapshots must merge back to the
-	// single-process one) but share the campaign's event bus, so every
-	// shard's run events land on the one live stream and event log.
-	tel.SetBus(e.cfg.Telemetry.Bus())
-	return tel
+	campaign := e.cfg.Telemetry.Bus()
+	if campaign == nil {
+		return tel, nil
+	}
+	bus, events := obs.NewBus(nil), obs.NewEventLog()
+	bus.Tap(campaign.Stream)
+	events.AttachTo(bus)
+	tel.SetBus(bus)
+	return tel, events
 }
 
 // finishCampaign decodes and merges the shard partials, finalizes the
-// detector, and finishes the figures. The merged aggregates are also
+// detector, finishes the figures, and merges the shards' result-store
+// segments and event logs into the campaign's. The merged aggregates are also
 // installed on the experiment so the usual accessors (Aggregates) and
 // report rendering keep working after a sharded run.
 func (e *Experiment) finishCampaign(out *dispatch.CampaignOutcome, shards int) (*CampaignResult, error) {
+	// Every app publishes run.started: under an event bus, an outcome over
+	// apps without events lost its log and would leave the campaign's partial.
+	bus := e.cfg.Telemetry.Bus()
+	if bus != nil {
+		plan := e.shardPlan(shards)
+		for i, events := range out.Events {
+			if rng := plan.Range(i); len(events) == 0 && rng.Len() > 0 {
+				return nil, fmt.Errorf("libspector: shard %d outcome over apps [%d, %d) carries no events", i, rng.Lo, rng.Hi)
+			}
+		}
+	}
 	parts := make([]*analysis.Partial, 0, len(out.Partials))
 	for i, enc := range out.Partials {
 		p, err := analysis.DecodePartial(enc, e.domains)
@@ -269,9 +286,16 @@ func (e *Experiment) finishCampaign(out *dispatch.CampaignOutcome, shards int) (
 			return nil, fmt.Errorf("libspector: writing result store: %w", err)
 		}
 	}
-	// Terminal event after durability, mirroring RunContext. The merged
-	// ledger equals the single-process one (shard ranges are disjoint and
-	// exhaustive), so the event's bytes are shard-count invariant.
+	// The shard logs join the campaign's here and only here, in shard
+	// (so canonical) order, and reach the taps alone: subscribers saw them
+	// live through the relay, if at all. Then the terminal event after
+	// durability, mirroring RunContext. The merged ledger equals the
+	// single-process one, so the event's bytes are shard-count invariant.
+	for _, events := range out.Events {
+		for _, ev := range events {
+			bus.Record(ev)
+		}
+	}
 	publishCampaignDone(e.cfg.Telemetry, out.Accounting)
 	return &CampaignResult{
 		Accounting:  out.Accounting,

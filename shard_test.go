@@ -11,11 +11,13 @@ import (
 
 // TestMergeShardOutcomesRefusesWrongPlan: merging out-of-band shard
 // outcomes accepts exactly the plan, in shard order (the determinism
-// harness's topoFiles draws merge it). A missing file, a repeated one or
-// a reordered list must be refused with an error naming the shard, not
-// merged into a campaign over the wrong apps.
+// harness's topoFiles draws merge it). A missing file, a repeated one, a
+// reordered list, or — in a campaign that logs events — an outcome whose
+// events are missing must be refused with an error naming the shard, not
+// merged into a campaign over the wrong apps or into a partial log.
 func TestMergeShardOutcomesRefusesWrongPlan(t *testing.T) {
 	cfg := smallConfig(83, 20)
+	evlog := observe(&cfg)
 	exp, err := libspector.NewExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -26,26 +28,28 @@ func TestMergeShardOutcomesRefusesWrongPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mute := *outs[1]
+	mute.Events = nil
 	for _, tc := range []struct {
-		name   string
-		shards []int
+		name string
+		list []*dispatch.ShardOutcome
 	}{
-		{"two of three", []int{0, 1}},
-		{"shard 0 twice", []int{0, 0, 1, 2}},
-		{"reordered", []int{1, 0, 2}},
+		{"two of three", outs[:2]},
+		{"shard 0 twice", []*dispatch.ShardOutcome{outs[0], outs[0], outs[1], outs[2]}},
+		{"reordered", []*dispatch.ShardOutcome{outs[1], outs[0], outs[2]}},
+		{"shard 1 without events", []*dispatch.ShardOutcome{outs[0], &mute, outs[2]}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			list := make([]*dispatch.ShardOutcome, len(tc.shards))
-			for i, s := range tc.shards {
-				list[i] = outs[s]
-			}
-			res, err := exp.MergeShardOutcomes(list)
+			res, err := exp.MergeShardOutcomes(tc.list)
 			if err == nil {
-				t.Fatalf("merged shards %v into a campaign of %d of %d apps", tc.shards, res.Accounting.TotalApps, cfg.Apps)
+				t.Fatalf("merged into a campaign of %d of %d apps", res.Accounting.TotalApps, cfg.Apps)
 			}
 			if !strings.Contains(err.Error(), "shard") {
 				t.Errorf("refusal does not name the shard: %v", err)
 			}
 		})
+	}
+	if n := evlog.Len(); n != 0 {
+		t.Errorf("refused merges logged %d events", n)
 	}
 }
