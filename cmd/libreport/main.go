@@ -17,13 +17,14 @@
 // -query-domain/-group-by flags then answer rollup queries purely from
 // that store on disk, with no fleet run at all. -merge-shards merges the
 // outcome files of -shard-index children into the report (with -store,
-// the store; with -events-out, the event log the outcomes carry).
+// the store; with -events-out or -trace-out, the log or spans they carry).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,7 +51,7 @@ func run(args []string) error {
 	// The campaign flags libreport shares with the fleet CLIs; -store and
 	// -artifacts keep libreport's own meanings (a record store path, a
 	// directory to reanalyze), so those groups are not adopted.
-	flags := fleetflags.New(fs).Corpus(200, 0).ShardFlags().EventLog()
+	flags := fleetflags.New(fs).Corpus(200, 0).ShardFlags().Outputs()
 	var (
 		figure      = fs.String("figure", "totals", "table/figure id: T1,F2..F10,E1,E2,E4,totals,json")
 		topN        = fs.Int("top", 15, "entries in the Figure 3 rankings")
@@ -79,8 +80,8 @@ func run(args []string) error {
 		return queryStore(*store, *queryApp, *queryLib, *queryDomain, *groupBy, *topGroups)
 	}
 
-	// -events-out records the deterministic campaign event log; virtual
-	// telemetry keeps same-seed logs byte-identical.
+	// -events-out and -trace-out record the deterministic log and trace;
+	// virtual telemetry keeps same-seed files byte-identical.
 	cfg, err := flags.Open()
 	if err != nil {
 		return err
@@ -292,37 +293,26 @@ func writeCSVs(ds *analysis.Dataset, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("creating csv dir: %w", err)
 	}
-	write := func(name string, fill func(w *os.File) error) error {
+	for name, fill := range map[string]func(w io.Writer) error{
+		"fig2_category_matrix.csv": func(w io.Writer) error { return report.Fig2CSV(w, ds.Fig2CategoryTransfer()) },
+		"fig4_cdf.csv":             func(w io.Writer) error { return report.Fig4CSV(w, ds.Fig4CDF()) },
+		"fig5_ratios.csv":          func(w io.Writer) error { return report.Fig5CSV(w, ds.Fig5FlowRatios()) },
+		"fig9_heatmap.csv":         func(w io.Writer) error { return report.Fig9CSV(w, ds.Fig9Heatmap()) },
+		"fig10_coverage.csv":       func(w io.Writer) error { return report.Fig10CSV(w, ds.Fig10Coverage()) },
+	} {
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return fmt.Errorf("creating %s: %w", name, err)
 		}
-		defer func() { _ = f.Close() }()
-		return fill(f)
+		err = fill(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if err := write("fig2_category_matrix.csv", func(w *os.File) error {
-		return report.Fig2CSV(w, ds.Fig2CategoryTransfer())
-	}); err != nil {
-		return err
-	}
-	if err := write("fig4_cdf.csv", func(w *os.File) error {
-		return report.Fig4CSV(w, ds.Fig4CDF())
-	}); err != nil {
-		return err
-	}
-	if err := write("fig5_ratios.csv", func(w *os.File) error {
-		return report.Fig5CSV(w, ds.Fig5FlowRatios())
-	}); err != nil {
-		return err
-	}
-	if err := write("fig9_heatmap.csv", func(w *os.File) error {
-		return report.Fig9CSV(w, ds.Fig9Heatmap())
-	}); err != nil {
-		return err
-	}
-	return write("fig10_coverage.csv", func(w *os.File) error {
-		return report.Fig10CSV(w, ds.Fig10Coverage())
-	})
+	return nil
 }
 
 // inspectCoordinatorWAL renders a coordinator write-ahead log as a

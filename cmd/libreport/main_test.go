@@ -34,8 +34,9 @@ func TestUnknownFigureRejected(t *testing.T) {
 }
 
 // TestMergeShardsEventLog: shard outcomes written by -shard-index
-// children carry their shards' event logs, so -merge-shards -events-out
-// writes the whole campaign's log, byte-equal to the single-process one.
+// children carry their shards' event logs and spans, so -merge-shards
+// -events-out -trace-out writes the whole campaign's log and trace, each
+// byte-equal to the single-process one.
 func TestMergeShardsEventLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-backed CLI test skipped in -short mode")
@@ -43,7 +44,7 @@ func TestMergeShardsEventLog(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	campaign := []string{"-apps", "12", "-seed", "42", "-workers", "2"}
-	if err := run(append(campaign, "-events-out", path("single.jsonl"))); err != nil {
+	if err := run(append(campaign, "-events-out", path("single.jsonl"), "-trace-out", path("single.trace"))); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []string{"0", "1"} {
@@ -51,18 +52,20 @@ func TestMergeShardsEventLog(t *testing.T) {
 			t.Fatalf("shard %s: %v", i, err)
 		}
 	}
-	if err := run(append(campaign, "-merge-shards", path("s0")+","+path("s1"), "-events-out", path("merged.jsonl"))); err != nil {
+	if err := run(append(campaign, "-merge-shards", path("s0")+","+path("s1"), "-events-out", path("merged.jsonl"), "-trace-out", path("merged.trace"))); err != nil {
 		t.Fatal(err)
 	}
-	single, err := os.ReadFile(path("single.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := os.ReadFile(path("merged.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(merged, single) {
-		t.Errorf("merged log holds %d lines, the single-process log %d", bytes.Count(merged, []byte("\n")), bytes.Count(single, []byte("\n")))
+	for _, name := range []string{"jsonl", "trace"} {
+		single, err := os.ReadFile(path("single." + name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := os.ReadFile(path("merged." + name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(merged, single) {
+			t.Errorf("merged %s holds %d lines, the single-process one %d", name, bytes.Count(merged, []byte("\n")), bytes.Count(single, []byte("\n")))
+		}
 	}
 }

@@ -171,53 +171,57 @@ func TestMain(m *testing.M) {
 
 // TestProcessModeEventLogMatchesSingleProcess drives the real
 // multi-process driver: `-shards 2` spawns two child processes of this
-// binary, and the merged -events-out must equal the `-shards 1` file
-// byte for byte.
+// binary, and the merged -events-out and -trace-out must equal the
+// `-shards 1` files byte for byte.
 func TestProcessModeEventLogMatchesSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-backed CLI test skipped in -short mode")
 	}
 	t.Setenv("LIBSPECTOR_TEST_AS_CLI", "1")
 	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
 	base := []string{"-apps", "12", "-seed", "9", "-events", "120", "-workers", "4"}
-	one, two := filepath.Join(dir, "one.jsonl"), filepath.Join(dir, "two.jsonl")
-	if err := run(context.Background(), append(base, "-events-out", one)); err != nil {
+	if err := run(context.Background(), append(base, "-events-out", path("one.jsonl"), "-trace-out", path("one.trace"))); err != nil {
 		t.Fatalf("-shards 1: %v", err)
 	}
-	err := run(context.Background(), append(base, "-shards", "2", "-events-out", two,
-		"-journal", filepath.Join(dir, "campaign.wal"), "-artifacts", filepath.Join(dir, "evidence")))
+	err := run(context.Background(), append(base, "-shards", "2", "-events-out", path("two.jsonl"), "-trace-out", path("two.trace"),
+		"-journal", path("campaign.wal"), "-artifacts", path("evidence")))
 	if err != nil {
 		t.Fatalf("-shards 2: %v", err)
 	}
-	want, err := os.ReadFile(one)
-	if err != nil {
-		t.Fatal(err)
+	for _, ext := range []string{"jsonl", "trace"} {
+		want, err := os.ReadFile(path("one." + ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path("two." + ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(want, got) {
+			t.Errorf("process-mode %s (%d bytes) differs from the single-process one (%d bytes)", ext, len(got), len(want))
+		}
 	}
-	got, err := os.ReadFile(two)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 || !bytes.Equal(want, got) {
-		t.Errorf("process-mode event log (%d bytes) differs from the single-process one (%d bytes)", len(got), len(want))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "campaign.wal.coordinator")); err != nil {
+	if _, err := os.Stat(path("campaign.wal.coordinator")); err != nil {
 		t.Errorf("journaled process-mode campaign wrote no default coordinator WAL: %v", err)
 	}
 }
 
 // TestShardChildSealsEventsInOutcome pins DESIGN.md §12's child rule: a
-// shard child's event log travels in its outcome file, sealed with the
-// rest of the outcome, and nowhere else — a child asked for an
-// -events-out file of its own is refused before it runs.
+// shard child's event log and spans travel in its outcome file, sealed
+// with the rest of the outcome, and nowhere else — a child asked for an
+// -events-out or -trace-out file of its own is refused before it runs.
 func TestShardChildSealsEventsInOutcome(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "shard.out")
 	child := []string{"-apps", "6", "-seed", "9", "-events", "60", "-shards", "2", "-shard-index", "1", "-shard-out", out}
-	if err := run(context.Background(), append(child, "-events-out", filepath.Join(dir, "events.jsonl"))); err == nil {
-		t.Fatal("child with an -events-out of its own succeeded")
-	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatalf("refused child wrote an outcome (stat err %v)", err)
+	for _, flag := range []string{"-events-out", "-trace-out"} {
+		if err := run(context.Background(), append(child, flag, filepath.Join(dir, "own.jsonl"))); err == nil {
+			t.Fatalf("child with an %s of its own succeeded", flag)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("refused child wrote an outcome (stat err %v)", err)
+		}
 	}
 	if err := run(context.Background(), child); err != nil {
 		t.Fatal(err)
@@ -226,13 +230,18 @@ func TestShardChildSealsEventsInOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := 0
-	for _, ev := range o.Events {
+	started, roots := 0, 0
+	for _, ev := range o.Telemetry.Events {
 		if ev.Type == obs.EvRunStarted {
 			started++
 		}
 	}
-	if o.Range.Len() == 0 || started != o.Range.Len() {
-		t.Errorf("outcome over apps [%d, %d) carries %d run.started events", o.Range.Lo, o.Range.Hi, started)
+	for _, s := range o.Telemetry.Spans {
+		if s.Name == obs.SpanDispatch {
+			roots++
+		}
+	}
+	if o.Range.Len() == 0 || started != o.Range.Len() || roots != o.Range.Len() {
+		t.Errorf("outcome over apps [%d, %d) carries %d run.started events and %d dispatch spans", o.Range.Lo, o.Range.Hi, started, roots)
 	}
 }

@@ -3,12 +3,14 @@ package libspector_test
 // The determinism harness. The reproduction contract is that a same-seed
 // campaign produces the same figures, result store, event log, ledger and
 // metrics, byte for byte, whatever its shard count, fault mix, kill or
-// resume. TestDeterminism holds that one invariant with one mechanism: a
-// draw describes a whole campaign (corpus, worker budget, topology, run
-// faults, durability, and one interruption followed by a resume), its
-// digest must equal the digest of the same draw run uninterrupted in one
-// process, and a failing draw shrinks to the smallest draw that still
-// fails, printed as a Go literal for the pinned table.
+// resume, and the same trace, byte for byte whatever its shard count and
+// by the replay rule after a kill or resume. TestDeterminism holds that
+// one invariant with one mechanism: a draw describes a whole campaign
+// (corpus, worker budget, topology, run faults, durability, and one
+// interruption followed by a resume), its digest must equal the digest
+// of the same draw run uninterrupted in one process, and a failing draw
+// shrinks to the smallest draw that still fails, printed as a Go literal
+// for the pinned table.
 
 import (
 	"bytes"
@@ -42,7 +44,7 @@ type topology int
 const (
 	topoSingle  topology = iota // Experiment.RunContext in this process
 	topoSharded                 // Experiment.RunSharded, shards in this process
-	topoFiles                   // RunShard per shard, outcome file round trip, MergeShardOutcomes
+	topoFiles                   // RunShardChild per shard in this process, outcome files, MergeShardOutcomes
 	topoProcess                 // RunShardProcesses over this test binary, re-executed
 )
 
@@ -221,19 +223,17 @@ func observe(cfg *libspector.Config) *obs.EventLog {
 	return evlog
 }
 
-func jsonl(evlog *obs.EventLog) []byte {
-	var buf bytes.Buffer
-	try(evlog.WriteJSONL(&buf))
-	return buf.Bytes()
-}
-
 // digest is a campaign's comparable identity, one serialized part per
 // name: the Summarize(25) figures, the ledger, the metrics snapshot
 // without the two resume series, the failure and quarantine rosters, the
-// result-store bytes, the event-log JSONL, and — where a RunContext sink
-// saw them — the sha256 of every completed run in app order.
+// result-store bytes, the event-log JSONL, the trace JSONL, and — where
+// a RunContext sink saw them — the sha256 of every completed run in app
+// order.
 type digest map[string][]byte
 
+// digestParts are compared byte for byte on every draw; the trace part
+// is too on a draw without a stop, and after a stop must keep the replay
+// rule (checkTrace).
 var digestParts = []string{"figures", "ledger", "metrics", "rosters", "store", "events", "runs"}
 
 // roster is the comparable projection of a failure or quarantine.
@@ -244,7 +244,9 @@ type roster struct {
 
 type rosters struct{ Failures, Quarantined []roster }
 
-func newDigest(res *libspector.CampaignResult, storePath string, events []byte) digest {
+// newDigest reads the campaign's digest off its result, its store and
+// the event log and tracer of its telemetry.
+func newDigest(res *libspector.CampaignResult, storePath string, tel *obs.Telemetry, evlog *obs.EventLog) digest {
 	var figures bytes.Buffer
 	try(res.Aggregates.Summarize(25).WriteJSON(&figures))
 	delete(res.Snapshot.Counters, obs.MResumeReplayed)
@@ -256,7 +258,10 @@ func newDigest(res *libspector.CampaignResult, storePath string, events []byte) 
 	for _, q := range res.Quarantined {
 		ro.Quarantined = append(ro.Quarantined, roster{q.AppIndex, q.Attempts, q.LastErr.Error()})
 	}
-	d := digest{"figures": figures.Bytes(), "events": events}
+	var events, trace bytes.Buffer
+	try(evlog.WriteJSONL(&events))
+	try(tel.Tracer().WriteJSONL(&trace))
+	d := digest{"figures": figures.Bytes(), "events": events.Bytes(), "trace": trace.Bytes()}
 	for name, v := range map[string]any{"ledger": res.Accounting, "metrics": res.Snapshot, "rosters": ro} {
 		d[name] = try1(json.MarshalIndent(v, "", " "))
 	}
@@ -312,6 +317,8 @@ type outcome struct {
 	takeovers int
 	// stopped reports that the stop really interrupted (see mustStop).
 	stopped bool
+	// retrace is the trace of the resume over a tampered outcome.
+	retrace []byte
 	acct    dispatch.Accounting // the digest's ledger, decoded by trial
 }
 
@@ -333,7 +340,7 @@ func runSingle(d draw, dir string) *outcome {
 	try(exp.RunContext(context.Background(), out.sink))
 	res := exp.Result()
 	out.digest = newDigest(&libspector.CampaignResult{Accounting: res.Accounting, Failures: res.Failures, Quarantined: res.Quarantined,
-		Snapshot: cfg.Telemetry.Metrics().Snapshot(), Aggregates: exp.Aggregates()}, cfg.ResultStore, jsonl(evlog))
+		Snapshot: cfg.Telemetry.Metrics().Snapshot(), Aggregates: exp.Aggregates()}, cfg.ResultStore, cfg.Telemetry, evlog)
 	for app := range d.Apps {
 		out.digest["runs"] = fmt.Appendf(out.digest["runs"], "%d %x\n", app, out.sink.runs[app])
 	}
@@ -426,25 +433,24 @@ func runSharded(d draw, dir string) *outcome {
 	if res.Shards != d.Shards {
 		fail("result reports %d shards, ran %d", res.Shards, d.Shards)
 	}
-	return &outcome{digest: newDigest(res, cfg.ResultStore, jsonl(evlog)), takeovers: res.Takeovers, stopped: res.Takeovers > 0}
+	return &outcome{digest: newDigest(res, cfg.ResultStore, cfg.Telemetry, evlog), takeovers: res.Takeovers, stopped: res.Takeovers > 0}
 }
 
 // runFiles runs each shard on its own Experiment, as a shard process
-// would, round-trips every outcome through its file format and merges
-// them.
+// does, reads every outcome back from its file and merges them.
 func runFiles(d draw, dir string) *outcome {
 	outcomes := make([]*dispatch.ShardOutcome, d.Shards)
 	for i := range outcomes {
 		cfg := d.config(dir, false)
 		observe(&cfg)
 		path := filepath.Join(dir, fmt.Sprintf("shard-%03d.outcome", i))
-		try(dispatch.WriteShardOutcome(path, try1(try1(libspector.NewExperiment(cfg)).RunShard(context.Background(), i, d.Shards))))
+		try(try1(libspector.NewExperiment(cfg)).RunShardChild(context.Background(), libspector.ShardChild{Index: i, Shards: d.Shards, Out: path}))
 		outcomes[i] = try1(dispatch.ReadShardOutcome(path))
 	}
 	cfg := d.config(dir, false)
 	evlog := observe(&cfg)
 	res := try1(try1(libspector.NewExperiment(cfg)).MergeShardOutcomes(outcomes))
-	return &outcome{digest: newDigest(res, cfg.ResultStore, jsonl(evlog))}
+	return &outcome{digest: newDigest(res, cfg.ResultStore, cfg.Telemetry, evlog)}
 }
 
 // TestMain lets the test binary moonlight as the process topology's
@@ -492,7 +498,7 @@ func child(role string) (err error) {
 		opts.ChaosSeed, opts.ChaosKill = d.Seed, d.At
 	}
 	res := try1(try1(libspector.NewExperiment(cfg)).RunShardProcesses(context.Background(), d.Shards, opts))
-	dg := newDigest(res, cfg.ResultStore, jsonl(evlog))
+	dg := newDigest(res, cfg.ResultStore, cfg.Telemetry, evlog)
 	return os.WriteFile(filepath.Join(dir, "digest.json"), try1(json.Marshal(dg)), 0o644)
 }
 
@@ -540,9 +546,11 @@ func runProcesses(d draw, dir string) *outcome {
 		if code, output := coordinate(d, dir, true); code != 0 {
 			fail("resume over a tampered outcome exited %d:\n%s", code, output)
 		}
-		if diff := read().diff(out.digest, digestParts...); diff != "" {
+		again := read()
+		if diff := again.diff(out.digest, digestParts...); diff != "" {
 			fail("resume over a tampered outcome changed the campaign: %s", diff)
 		}
+		out.retrace = again["trace"]
 	}
 	done := 0
 	for _, rec := range try1(dispatch.ReplayWAL(try1(os.ReadFile(wal)))) {
@@ -598,6 +606,10 @@ func (h *harness) trial(d draw) (got *outcome, err error) {
 		if diff := ref.digest.diff(h.reference(clean).digest, "figures", "store", "runs"); diff != "" {
 			fail("retried transient faults moved the campaign off the fault-free one: %s", diff)
 		}
+	}
+	checkTrace(d, got.digest["trace"], ref.digest["trace"])
+	if got.retrace != nil {
+		checkTrace(d, got.retrace, ref.digest["trace"])
 	}
 	try(json.Unmarshal(got.digest["ledger"], &got.acct))
 	checkLedger(d, got)
@@ -664,6 +676,63 @@ func checkEvents(d draw, got *outcome) {
 			fail("event log holds %d %s events, the ledger %d", n, typ, want)
 		}
 	}
+}
+
+// checkTrace: the trace equals the uninterrupted campaign's byte for
+// byte on a draw without a stop. After a stop it keeps the replay rule
+// (obs.SpanLine.ReplayStable) app by app: each app's trace is its
+// uninterrupted one, or carries the resume=replay mark and agrees with
+// it on the replay-stable spans, by name and attributes but the mark.
+func checkTrace(d draw, got, want []byte) {
+	if d.Stop == stopNone {
+		if !bytes.Equal(got, want) {
+			fail("trace differs from the uninterrupted single-process campaign's: %d lines, want %d", bytes.Count(got, []byte("\n")), bytes.Count(want, []byte("\n")))
+		}
+		return
+	}
+	g, w := appTraces(got), appTraces(want)
+	if len(g) != len(w) {
+		fail("trace holds %d app traces, the uninterrupted campaign's %d", len(g), len(w))
+	}
+	for id, lines := range w {
+		if slices.Equal(g[id].lines, lines.lines) {
+			continue
+		}
+		if !g[id].replayed {
+			fail("app trace %s differs from the uninterrupted one without a replay:\n%s", id, strings.Join(g[id].lines, "\n"))
+		}
+		if got, want := g[id].stable, lines.stable; got != want {
+			fail("replayed app trace %s breaks the replay rule: stable spans %s, want %s", id, got, want)
+		}
+	}
+}
+
+// appTrace is one app's share of a trace: its JSONL lines, whether a
+// span carries the resume=replay mark, and its replay-stable spans.
+type appTrace struct {
+	lines    []string
+	replayed bool
+	stable   string
+}
+
+func appTraces(trace []byte) map[string]appTrace {
+	out := map[string]appTrace{}
+	for _, line := range strings.SplitAfter(string(trace), "\n") {
+		if line == "" {
+			continue
+		}
+		var s obs.SpanLine
+		try(json.Unmarshal([]byte(line), &s))
+		at := out[s.Trace]
+		at.lines = append(at.lines, line)
+		at.replayed = at.replayed || s.Attrs["resume"] == "replay"
+		if s.ReplayStable() {
+			delete(s.Attrs, "resume")
+			at.stable += fmt.Sprintf("%s%v;", s.Name, s.Attrs)
+		}
+		out[s.Trace] = at
+	}
+	return out
 }
 
 // checkDurable: a durable campaign's store verifies and its journals hold

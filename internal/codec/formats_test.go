@@ -227,9 +227,9 @@ var formats = []format{
 		fixture: "outcome.bin",
 		seeds: func(tb testing.TB) []seed {
 			out := &dispatch.ShardOutcome{
-				Range:    dispatch.ShardRange{Lo: 0, Hi: 2},
-				Snapshot: obs.Snapshot{Counters: map[string]int64{"fleet_apps_total": 2}, Gauges: map[string]int64{}, Histograms: map[string]obs.HistogramSnapshot{}},
-				Partial:  []byte{0xAA},
+				Range:     dispatch.ShardRange{Lo: 0, Hi: 2},
+				Telemetry: obs.Bundle{Snapshot: obs.Snapshot{Counters: map[string]int64{"fleet_apps_total": 2}, Gauges: map[string]int64{}, Histograms: map[string]obs.HistogramSnapshot{}}},
+				Partial:   []byte{0xAA},
 			}
 			encode := func() []byte {
 				b, err := dispatch.EncodeShardOutcome(out)
@@ -240,14 +240,25 @@ var formats = []format{
 			}
 			valid := encode()
 			out.Range = dispatch.ShardRange{Lo: 2, Hi: 4}
-			out.Events = []obs.Event{
+			tel := &out.Telemetry
+			tel.Events = []obs.Event{
 				{Type: obs.EvRunStarted, TS: time.Unix(0, 0).UTC(), App: 2, Shard: -1},
 				{Type: obs.EvRunCompleted, TS: time.Unix(0, 0).UTC(), App: 2, Shard: -1, Attempt: 1, Package: "com.example.app", Flows: 3, VirtualMS: 60},
 			}
 			withEvents := encode()
-			out.Events[1].App = 4 // past the range's end
+			tel.Events[1].App = 4 // past the range's end
 			outOfRange := encode()
-			return []seed{{valid, true}, {withEvents, true}, {outOfRange, false}, {valid[:len(valid)/2], false}, {nil, false}, {[]byte("LSSHRD01"), false}, {[]byte("LSSHRD01{}\x00\x00\x00\x00"), false}}
+			tel.Events[1].App = 2
+			epoch := "1970-01-01T00:00:00Z"
+			tel.Spans = []obs.SpanLine{
+				{Trace: dispatch.TraceID(2), Span: 1, Name: obs.SpanDispatch, Start: epoch, End: epoch, Attrs: map[string]string{"app": "2", "outcome": "run"}},
+				{Trace: dispatch.TraceID(3), Span: 1, Name: obs.SpanDispatch, Start: epoch, End: epoch, Attrs: map[string]string{"app": "3", "outcome": "skip"}},
+			}
+			withSpans := encode()
+			tel.Spans[1].Trace = dispatch.TraceID(4) // past the range's end
+			spanOutOfRange := encode()
+			return []seed{{valid, true}, {withEvents, true}, {outOfRange, false}, {withSpans, true}, {spanOutOfRange, false},
+				{valid[:len(valid)/2], false}, {nil, false}, {[]byte("LSSHRD01"), false}, {[]byte("LSSHRD01{}\x00\x00\x00\x00"), false}}
 		},
 		decode: func(data []byte) (any, error) { return dispatch.DecodeShardOutcome(data) },
 		encode: func(tb testing.TB, v any) []byte {
@@ -262,9 +273,14 @@ var formats = []format{
 			if out.Index < 0 || out.Range.Hi < out.Range.Lo {
 				t.Fatalf("accepted invalid outcome %+v", out)
 			}
-			for _, ev := range out.Events {
+			for _, ev := range out.Telemetry.Events {
 				if !ev.Type.Logged() || ev.App < out.Range.Lo || ev.App >= out.Range.Hi {
 					t.Fatalf("accepted a %q event of app %d in an outcome over [%d,%d)", ev.Type, ev.App, out.Range.Lo, out.Range.Hi)
+				}
+			}
+			for _, s := range out.Telemetry.Spans {
+				if app, ok := dispatch.TraceApp(s.Trace); !ok || app < out.Range.Lo || app >= out.Range.Hi {
+					t.Fatalf("accepted a span of trace %q in an outcome over [%d,%d)", s.Trace, out.Range.Lo, out.Range.Hi)
 				}
 			}
 		},

@@ -36,8 +36,10 @@ type ShardOutcome struct {
 	Accounting  Accounting
 	Failures    []RunFailure
 	Quarantined []QuarantinedApp
-	// Snapshot is the shard's final telemetry registry state.
-	Snapshot obs.Snapshot
+	// Telemetry is the incarnation's sealed registry, event log and spans:
+	// the one way a shard's telemetry reaches the campaign's, so a dead
+	// incarnation's dies with it.
+	Telemetry obs.Bundle
 	// Partial is the shard's encoded analysis partial.
 	Partial []byte
 	// Records is the shard's flushed resultstore segment
@@ -45,10 +47,6 @@ type ShardOutcome struct {
 	// ran without a result store. Like Partial it travels as opaque
 	// bytes — dispatch stays free of the producer's dependency.
 	Records []byte
-	// Events is the incarnation's event log (obs.EventLog) in canonical
-	// order, empty without an event bus: the one way a shard's events
-	// reach the campaign's, so a dead incarnation's die with it.
-	Events []obs.Event
 }
 
 // ShardRunner executes one shard task to completion and returns its
@@ -169,12 +167,12 @@ type CampaignOutcome struct {
 	// sorted by global app index.
 	Failures    []RunFailure
 	Quarantined []QuarantinedApp
-	// Snapshot is the merged telemetry state, with the shard-lifecycle
-	// resume series stripped: replay bookkeeping from takeovers is
-	// coordinator plumbing, not campaign behavior, and stripping it
-	// keeps a taken-over campaign's snapshot byte-identical to an
-	// uninterrupted one.
-	Snapshot obs.Snapshot
+	// Telemetry is the shards' merged telemetry (obs.MergeBundles), its
+	// snapshot with the shard-lifecycle resume series stripped: replay
+	// bookkeeping from takeovers is coordinator plumbing, not campaign
+	// behavior, and stripping it keeps a taken-over campaign's snapshot
+	// byte-identical to an uninterrupted one.
+	Telemetry obs.Bundle
 	// Partials holds each shard's encoded analysis partial, in shard
 	// order, ready for analysis.DecodePartial + MergePartials.
 	Partials [][]byte
@@ -183,8 +181,6 @@ type CampaignOutcome struct {
 	// concatenation is already in canonical record order for
 	// resultstore.MergeSegments.
 	Segments [][]byte
-	// Events holds each shard's event log, in shard (so canonical) order.
-	Events [][]obs.Event
 	// Takeovers is how many shard re-launches the campaign consumed.
 	Takeovers int
 }
@@ -473,7 +469,7 @@ func MergeOutcomes(outcomes []*ShardOutcome) (*CampaignOutcome, error) {
 		return nil, fmt.Errorf("dispatch: no shard outcomes to merge")
 	}
 	out := &CampaignOutcome{}
-	snaps := make([]obs.Snapshot, 0, len(outcomes))
+	bundles := make([]obs.Bundle, 0, len(outcomes))
 	for i, o := range outcomes {
 		if o == nil {
 			return nil, fmt.Errorf("dispatch: shard %d produced no outcome", i)
@@ -483,13 +479,12 @@ func MergeOutcomes(outcomes []*ShardOutcome) (*CampaignOutcome, error) {
 		out.Quarantined = append(out.Quarantined, o.Quarantined...)
 		out.Partials = append(out.Partials, o.Partial)
 		out.Segments = append(out.Segments, o.Records)
-		out.Events = append(out.Events, o.Events)
-		snaps = append(snaps, o.Snapshot)
+		bundles = append(bundles, o.Telemetry)
 	}
 	sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].AppIndex < out.Failures[j].AppIndex })
 	sort.Slice(out.Quarantined, func(i, j int) bool { return out.Quarantined[i].AppIndex < out.Quarantined[j].AppIndex })
 
-	merged, err := obs.MergeSnapshots(snaps...)
+	merged, err := obs.MergeBundles(bundles...)
 	if err != nil {
 		return nil, err
 	}
@@ -497,8 +492,8 @@ func MergeOutcomes(outcomes []*ShardOutcome) (*CampaignOutcome, error) {
 	// replays; those series describe the takeover itself, not the
 	// campaign, so they are dropped before the snapshot is compared or
 	// published.
-	delete(merged.Counters, obs.MResumeReplayed)
-	delete(merged.Counters, obs.MResumeRequeued)
-	out.Snapshot = merged
+	delete(merged.Snapshot.Counters, obs.MResumeReplayed)
+	delete(merged.Snapshot.Counters, obs.MResumeRequeued)
+	out.Telemetry = merged
 	return out, nil
 }

@@ -98,7 +98,7 @@ func okOutcome(task ShardTask) *ShardOutcome {
 		Index:      task.Index,
 		Range:      task.Range,
 		Accounting: Accounting{TotalApps: task.Range.Len(), Completed: task.Range.Len()},
-		Snapshot:   coordSnapshot(int64(task.Range.Len())),
+		Telemetry:  obs.Bundle{Snapshot: coordSnapshot(int64(task.Range.Len()))},
 		Partial:    []byte{byte(task.Index)},
 	}
 }
@@ -119,8 +119,8 @@ func TestCoordinatorMergesShards(t *testing.T) {
 	if out.Accounting.TotalApps != 10 || out.Accounting.Completed != 10 {
 		t.Fatalf("accounting = %+v", out.Accounting)
 	}
-	if out.Snapshot.Counters["fleet_apps_total"] != 10 {
-		t.Fatalf("snapshot = %+v", out.Snapshot)
+	if out.Telemetry.Snapshot.Counters["fleet_apps_total"] != 10 {
+		t.Fatalf("snapshot = %+v", out.Telemetry.Snapshot)
 	}
 	if len(out.Partials) != 4 {
 		t.Fatalf("partials = %d, want 4", len(out.Partials))
@@ -218,8 +218,8 @@ func TestCoordinatorStripsResumeSeries(t *testing.T) {
 		Plan: ShardPlan{TotalApps: 2, Shards: 1, Workers: 1},
 		Run: func(ctx context.Context, task ShardTask) (*ShardOutcome, error) {
 			out := okOutcome(task)
-			out.Snapshot.Counters[obs.MResumeReplayed] = 5
-			out.Snapshot.Counters[obs.MResumeRequeued] = 1
+			out.Telemetry.Snapshot.Counters[obs.MResumeReplayed] = 5
+			out.Telemetry.Snapshot.Counters[obs.MResumeRequeued] = 1
 			return out, nil
 		},
 	}
@@ -227,10 +227,10 @@ func TestCoordinatorStripsResumeSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := out.Snapshot.Counters[obs.MResumeReplayed]; ok {
+	if _, ok := out.Telemetry.Snapshot.Counters[obs.MResumeReplayed]; ok {
 		t.Fatal("merged snapshot leaked the resume-replayed series")
 	}
-	if _, ok := out.Snapshot.Counters[obs.MResumeRequeued]; ok {
+	if _, ok := out.Telemetry.Snapshot.Counters[obs.MResumeRequeued]; ok {
 		t.Fatal("merged snapshot leaked the resume-requeued series")
 	}
 }
@@ -245,8 +245,11 @@ func TestShardOutcomeFileRoundTrip(t *testing.T) {
 		Quarantined: []QuarantinedApp{
 			{AppIndex: 8, Attempts: 3, LastErr: errors.New("hook fault")},
 		},
-		Snapshot: coordSnapshot(4),
-		Partial:  []byte{0x4c, 0x53, 0x00, 0xff},
+		Telemetry: obs.Bundle{Snapshot: coordSnapshot(4), Spans: []obs.SpanLine{{
+			Trace: TraceID(6), Span: 1, Name: obs.SpanDispatch, Start: "1970-01-01T00:00:00Z", End: "1970-01-01T00:00:00Z",
+			Attrs: map[string]string{"app": "6", "outcome": "run"},
+		}}},
+		Partial: []byte{0x4c, 0x53, 0x00, 0xff},
 	}
 	if err := WriteShardOutcome(path, in); err != nil {
 		t.Fatal(err)
@@ -260,6 +263,9 @@ func TestShardOutcomeFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Partial, in.Partial) {
 		t.Fatalf("partial bytes changed: %x vs %x", got.Partial, in.Partial)
+	}
+	if !reflect.DeepEqual(got.Telemetry.Spans, in.Telemetry.Spans) {
+		t.Fatalf("spans changed: %+v", got.Telemetry.Spans)
 	}
 	if len(got.Failures) != 1 || got.Failures[0].AppIndex != 7 || got.Failures[0].Err.Error() != "emulator wedged" {
 		t.Fatalf("failures changed: %+v", got.Failures)

@@ -26,9 +26,9 @@ const shardOutcomeMagic = "LSSHRD01"
 var ErrCorruptOutcome = errors.New("dispatch: corrupt shard outcome")
 
 // shardOutcomeFile is the JSON envelope a shard process writes for its
-// coordinator (fleetflags' -shard-out). The encoded analysis partial and
-// resultstore segment ride along base64-encoded; error values flatten to
-// strings.
+// coordinator (fleetflags' -shard-out), the telemetry bundle's keys at
+// its top level. The encoded analysis partial and resultstore segment
+// ride along base64-encoded; error values flatten to strings.
 type shardOutcomeFile struct {
 	Index       int                   `json:"index"`
 	Lo          int                   `json:"lo"`
@@ -36,10 +36,9 @@ type shardOutcomeFile struct {
 	Accounting  Accounting            `json:"accounting"`
 	Failures    []shardFailureFile    `json:"failures,omitempty"`
 	Quarantined []shardQuarantineFile `json:"quarantined,omitempty"`
-	Snapshot    obs.Snapshot          `json:"snapshot"`
-	Partial     []byte                `json:"partial"`
-	Records     []byte                `json:"records,omitempty"`
-	Events      []obs.Event           `json:"events,omitempty"`
+	obs.Bundle
+	Partial []byte `json:"partial"`
+	Records []byte `json:"records,omitempty"`
 }
 
 type shardFailureFile struct {
@@ -86,10 +85,9 @@ func EncodeShardOutcome(out *ShardOutcome) ([]byte, error) {
 		Lo:         out.Range.Lo,
 		Hi:         out.Range.Hi,
 		Accounting: out.Accounting,
-		Snapshot:   out.Snapshot,
+		Bundle:     out.Telemetry,
 		Partial:    out.Partial,
 		Records:    out.Records,
-		Events:     out.Events,
 	}
 	for _, fl := range out.Failures {
 		f.Failures = append(f.Failures, shardFailureFile{
@@ -137,20 +135,16 @@ func DecodeShardOutcome(data []byte) (*ShardOutcome, error) {
 	if f.Index < 0 || f.Lo < 0 || f.Hi < f.Lo {
 		return nil, fmt.Errorf("%w: shard %d claims range [%d,%d)", ErrCorruptOutcome, f.Index, f.Lo, f.Hi)
 	}
-	// A shard logs only its own apps' lifecycle.
-	for _, ev := range f.Events {
-		if !ev.Type.Logged() || ev.App < f.Lo || ev.App >= f.Hi {
-			return nil, fmt.Errorf("%w: shard %d over [%d,%d) carries a %q event of app %d", ErrCorruptOutcome, f.Index, f.Lo, f.Hi, ev.Type, ev.App)
-		}
+	if err := checkBundle(f.Bundle, f.Lo, f.Hi); err != nil {
+		return nil, fmt.Errorf("%w: shard %d over [%d,%d) carries %v", ErrCorruptOutcome, f.Index, f.Lo, f.Hi, err)
 	}
 	out := &ShardOutcome{
 		Index:      f.Index,
 		Range:      ShardRange{Lo: f.Lo, Hi: f.Hi},
 		Accounting: f.Accounting,
-		Snapshot:   f.Snapshot,
+		Telemetry:  f.Bundle,
 		Partial:    f.Partial,
 		Records:    f.Records,
-		Events:     f.Events,
 	}
 	for _, fl := range f.Failures {
 		out.Failures = append(out.Failures, RunFailure{
@@ -163,6 +157,22 @@ func DecodeShardOutcome(data []byte) (*ShardOutcome, error) {
 		})
 	}
 	return out, nil
+}
+
+// checkBundle is an outcome's one telemetry check: a shard logs its own
+// apps' lifecycle (Logged events) and traces its own apps' runs.
+func checkBundle(b obs.Bundle, lo, hi int) error {
+	for _, ev := range b.Events {
+		if !ev.Type.Logged() || ev.App < lo || ev.App >= hi {
+			return fmt.Errorf("a %q event of app %d", ev.Type, ev.App)
+		}
+	}
+	for _, s := range b.Spans {
+		if app, ok := TraceApp(s.Trace); !ok || app < lo || app >= hi {
+			return fmt.Errorf("a %q span of trace %q", s.Name, s.Trace)
+		}
+	}
+	return nil
 }
 
 func errText(err error) string {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"libspector/internal/attribution"
+	"libspector/internal/obs"
 	"libspector/internal/resultstore"
 )
 
@@ -19,7 +20,7 @@ func writeOutcomeFixture(t *testing.T) (string, []byte) {
 		Index:      0,
 		Range:      ShardRange{Lo: 0, Hi: 3},
 		Accounting: Accounting{TotalApps: 3, Completed: 3, Attempts: 3},
-		Snapshot:   coordSnapshot(3),
+		Telemetry:  obs.Bundle{Snapshot: coordSnapshot(3)},
 		Partial:    []byte{0x01, 0x02},
 		Records:    []byte{0x03, 0x04, 0x05},
 	}

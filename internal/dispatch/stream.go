@@ -465,6 +465,13 @@ func (f *fleetRun) worker(jobs <-chan job) {
 // index in the serialized JSONL.
 func TraceID(i int) string { return fmt.Sprintf("app-%05d", i) }
 
+// TraceApp is TraceID's inverse (false for an id TraceID never returns).
+func TraceApp(id string) (int, bool) {
+	var i int
+	_, err := fmt.Sscanf(id, "app-%d", &i)
+	return i, err == nil && TraceID(i) == id
+}
+
 // journalAppend records one lifecycle event. An append failure is
 // stream-fatal: continuing past it would leave a journal that lies about
 // campaign history, so the fleet aborts instead — and the degradation

@@ -41,8 +41,8 @@ func campaignEqual(t *testing.T, got, want *CampaignOutcome) {
 	if got.Takeovers != want.Takeovers {
 		t.Fatalf("takeovers = %d, want %d", got.Takeovers, want.Takeovers)
 	}
-	if !reflect.DeepEqual(got.Snapshot, want.Snapshot) {
-		t.Fatalf("snapshot diverged:\n got %+v\nwant %+v", got.Snapshot, want.Snapshot)
+	if !reflect.DeepEqual(got.Telemetry, want.Telemetry) {
+		t.Fatalf("telemetry diverged:\n got %+v\nwant %+v", got.Telemetry, want.Telemetry)
 	}
 	if !reflect.DeepEqual(got.Partials, want.Partials) {
 		t.Fatalf("partials diverged: %x vs %x", got.Partials, want.Partials)

@@ -100,19 +100,19 @@ func (f *Flags) Faults() *Flags {
 	return f
 }
 
-// EventLog registers -events-out.
-func (f *Flags) EventLog() *Flags {
+// Outputs registers -events-out and -trace-out.
+func (f *Flags) Outputs() *Flags {
 	f.fs.StringVar(&f.eventsOut, "events-out", "", "write the campaign's deterministic event log as JSONL to this file after the run (a -shards parent or -merge-shards merger writes the whole campaign's: each shard's log travels in its outcome file)")
+	f.fs.StringVar(&f.traceOut, "trace-out", "", "write per-run span traces as JSONL to this file after the fleet (a -shards parent or -merge-shards merger writes the whole campaign's: each shard's spans travel in its outcome file)")
 	return f
 }
 
-// Ops registers -events-out, -metrics-addr and -trace-out, and gives the
-// invocation telemetry even when none of them is set.
+// Ops registers -metrics-addr and the Outputs, and gives the invocation
+// telemetry even when none of them is set.
 func (f *Flags) Ops() *Flags {
 	f.opsGroup = true
 	f.fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve the live ops endpoint (dashboard at /, SSE events at /events, JSON snapshot at /debug/vars, pprof) on this address while the fleet runs")
-	f.fs.StringVar(&f.traceOut, "trace-out", "", "write per-run span traces as JSONL to this file after the fleet")
-	return f.EventLog()
+	return f.Outputs()
 }
 
 // ShardFlags registers -shards and the child-mode pair -shard-index /
@@ -162,6 +162,8 @@ func (f *Flags) Config() (libspector.Config, error) {
 		return cfg, fmt.Errorf("-chaos-kill requires -journal")
 	case f.ShardIndex >= 0 && f.eventsOut != "":
 		return cfg, fmt.Errorf("-events-out belongs to the merging parent: a -shard-index child's events travel in its -shard-out file")
+	case f.ShardIndex >= 0 && f.traceOut != "":
+		return cfg, fmt.Errorf("-trace-out belongs to the merging parent: a -shard-index child's spans travel in its -shard-out file")
 	case f.Shards > 1 && f.ShardIndex < 0 && cfg.CoordinatorWAL == "" && cfg.Journal != "":
 		cfg.CoordinatorWAL = cfg.Journal + ".coordinator"
 	}
@@ -173,7 +175,8 @@ func (f *Flags) Config() (libspector.Config, error) {
 // config. Telemetry is virtual by default, so same-flag runs stay
 // byte-identical (modulo wall-clock lines); opting into the live ops
 // endpoint switches to wall-clock telemetry, which adds the wall-only
-// series to the snapshot. The event bus exists only when something
+// series to the snapshot, except in a shard child: its telemetry is
+// sealed into its outcome. The event bus exists only when something
 // consumes it — the ops endpoint streams it over SSE, -events-out records
 // the deterministic subset, a shard child seals its shard's log into
 // its outcome — so an unobserved run never pays for publishing. The
@@ -181,11 +184,11 @@ func (f *Flags) Config() (libspector.Config, error) {
 func (f *Flags) Open() (libspector.Config, error) {
 	cfg, err := f.Config()
 	child := f.ShardIndex >= 0
-	if err != nil || (!f.opsGroup && f.eventsOut == "" && !child) {
+	if err != nil || (!f.opsGroup && f.eventsOut == "" && f.traceOut == "" && !child) {
 		return cfg, err
 	}
 	f.Tel = obs.NewVirtual(nil)
-	if f.metricsAddr != "" {
+	if f.metricsAddr != "" && !child {
 		f.Tel = obs.New()
 	}
 	if f.metricsAddr != "" || f.eventsOut != "" || child {
@@ -233,7 +236,7 @@ func (f *Flags) WriteOutputs() error {
 }
 
 // RunShardChild is -shard-index mode: run exactly one shard of the N-way
-// split and hand its outcome file, event log included, to the parent.
+// split and hand its outcome file, telemetry included, to the parent.
 func (f *Flags) RunShardChild(ctx context.Context, cfg libspector.Config) error {
 	if f.shardOut == "" {
 		return fmt.Errorf("-shard-index requires -shard-out")

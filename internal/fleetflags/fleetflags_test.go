@@ -1,13 +1,17 @@
 package fleetflags
 
 import (
+	"context"
 	"flag"
 	"io"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"libspector"
+	"libspector/internal/obs"
 )
 
 // allGroups is cmd/libspector's flag set: every group, so a child
@@ -92,7 +96,7 @@ func TestChildArgvRoundTrip(t *testing.T) {
 func TestGroupsLeaveDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("libreport", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := New(fs).Corpus(200, 0).ShardFlags().EventLog()
+	f := New(fs).Corpus(200, 0).ShardFlags().Outputs()
 	store := fs.String("store", "", "libreport's own -store")
 	if err := fs.Parse([]string{"-apps", "25", "-store", "x.lss"}); err != nil {
 		t.Fatal(err)
@@ -112,7 +116,7 @@ func TestGroupsLeaveDefaults(t *testing.T) {
 	}
 	// A shard child always publishes: its outcome carries its event log.
 	fs = flag.NewFlagSet("libreport", flag.ContinueOnError)
-	f = New(fs).Corpus(200, 0).ShardFlags().EventLog()
+	f = New(fs).Corpus(200, 0).ShardFlags().Outputs()
 	if err := fs.Parse([]string{"-shards", "2", "-shard-index", "1", "-shard-out", "o"}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +138,7 @@ func TestCrossFlagValidation(t *testing.T) {
 		{[]string{"-shards", "2", "-chaos-kill", "1"}, "-chaos-kill requires -journal"},
 		{[]string{"-fault-classes", "nope"}, "unknown class"},
 		{[]string{"-shards", "2", "-shard-index", "0", "-events-out", "e"}, "-events-out belongs to the merging parent"},
+		{[]string{"-shards", "2", "-shard-index", "0", "-trace-out", "t"}, "-trace-out belongs to the merging parent"},
 	} {
 		fs, f := allGroups()
 		if err := fs.Parse(tc.args); err != nil {
@@ -149,5 +154,36 @@ func TestCrossFlagValidation(t *testing.T) {
 	}
 	if _, cfg := parse(t, []string{"-shards", "2", "-journal", "j", "-shard-index", "0"}); cfg.CoordinatorWAL != "" {
 		t.Errorf("child got a coordinator WAL %q", cfg.CoordinatorWAL)
+	}
+}
+
+// TestProbedShardChild: a shard child given an ops endpoint — the
+// parent's liveness probe — keeps virtual telemetry, its outcome's, and
+// serves its shard's own registry, so the parent's stall watcher reads
+// the shard's progress.
+func TestProbedShardChild(t *testing.T) {
+	fs, f := allGroups()
+	out := filepath.Join(t.TempDir(), "shard.out")
+	if err := fs.Parse([]string{"-apps", "6", "-seed", "9", "-events", "60", "-workers", "2",
+		"-shards", "2", "-shard-index", "1", "-shard-out", out, "-metrics-addr", "127.0.0.1:0"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := f.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !f.Tel.Virtual() {
+		t.Error("a probed shard child switched to wall-clock telemetry")
+	}
+	if err := f.RunShardChild(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.FetchProgress(f.ops.(*obs.OpsServer).Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 3 {
+		t.Errorf("the child's endpoint reports %d terminal apps, its shard ran 3", got)
 	}
 }

@@ -51,6 +51,7 @@ type Trace struct {
 	id     string
 	nextID int
 	spans  []*Span
+	joined []SpanLine
 }
 
 // Span is one stage of a run. IDs are 1-based and sequential within
@@ -118,9 +119,10 @@ func (s *Span) AttrInt(key string, value int64) *Span {
 	return s.Attr(key, fmt.Sprintf("%d", value))
 }
 
-// spanLine is the JSONL wire form of one span. Field order is the
-// struct order; attrs marshal with sorted keys — both deterministic.
-type spanLine struct {
+// SpanLine is one exported span, in the JSONL form -trace-out writes and
+// a shard outcome carries. Field order is the struct order; attrs
+// marshal with sorted keys — both deterministic.
+type SpanLine struct {
 	Trace  string            `json:"trace"`
 	Span   int               `json:"span"`
 	Parent int               `json:"parent,omitempty"`
@@ -131,29 +133,44 @@ type spanLine struct {
 	Attrs  map[string]string `json:"attrs,omitempty"`
 }
 
-// WriteJSONL serializes every finished trace as one JSON object per
-// span line: traces sorted by id, spans in per-trace creation order.
-// Callers must not race it with live span creation — write after the
-// fleet drains.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+// ReplayStable reports whether the span is deterministic under replay
+// and takeover; it is the trace's rule, as EventType.Logged is the
+// event log's. A same-seed campaign's trace is deterministic app by app,
+// but a resumed or taken-over shard replays each app its journal holds
+// instead of running it: the app's trace is then a dispatch root marked
+// resume=replay, the attribution redone over the stored evidence and the
+// analysis fold, with none of the emulator stages; an app whose evidence
+// fails the replay's checks is requeued under one more root marked
+// outcome=requeue, then runs live. So an app's trace after a stop is
+// either its uninterrupted trace, byte for byte, or a replay trace, which
+// agrees with it only on the stable spans: the app's dispatch root and
+// analysis fold, by name and attributes but for the resume mark.
+func (s SpanLine) ReplayStable() bool {
+	return s.Name == SpanAnalysisFold || s.Name == SpanDispatch && s.Attrs["outcome"] != "requeue"
+}
+
+// Spans exports every trace in canonical order: traces sorted by id,
+// each trace's joined spans (Join) and then its own in creation order.
+// It is the tracer's one exported representation — WriteJSONL encodes
+// it, a shard incarnation seals it. Callers must not race it with live
+// span creation: export after the fleet drains.
+func (t *Tracer) Spans() []SpanLine {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	ids := make([]string, 0, len(t.traces))
 	for id := range t.traces {
 		ids = append(ids, id)
 	}
-	t.mu.Unlock()
 	sort.Strings(ids)
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var out []SpanLine
 	for _, id := range ids {
-		t.mu.Lock()
 		tr := t.traces[id]
-		t.mu.Unlock()
+		out = append(out, tr.joined...)
 		for _, s := range tr.spans {
-			line := spanLine{
+			out = append(out, SpanLine{
 				Trace:  tr.id,
 				Span:   s.id,
 				Parent: s.parent,
@@ -162,10 +179,32 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 				End:    s.end.UTC().Format(time.RFC3339Nano),
 				DurUS:  s.end.Sub(s.start).Microseconds(),
 				Attrs:  s.attrs,
-			}
-			if err := enc.Encode(line); err != nil {
-				return fmt.Errorf("obs: encoding span %s/%d: %w", tr.id, s.id, err)
-			}
+			})
+		}
+	}
+	return out
+}
+
+// Join adds spans another tracer exported — a shard incarnation's — to
+// their traces here, after any already joined, so they export again as
+// they were exported.
+func (t *Tracer) Join(spans []SpanLine) {
+	if t == nil {
+		return
+	}
+	for _, s := range spans {
+		tr := t.Trace(s.Trace)
+		tr.joined = append(tr.joined, s)
+	}
+}
+
+// WriteJSONL serializes Spans, one JSON object per span line.
+func (t *Tracer) WriteJSONL(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, s := range t.Spans() {
+		if err := enc.Encode(s); err != nil {
+			return fmt.Errorf("obs: encoding span %s/%d: %w", s.Trace, s.Span, err)
 		}
 	}
 	return bw.Flush()
@@ -196,7 +235,7 @@ func (t *Tracer) SpanCount() int {
 	defer t.mu.Unlock()
 	n := 0
 	for _, tr := range t.traces {
-		n += len(tr.spans)
+		n += len(tr.joined) + len(tr.spans)
 	}
 	return n
 }

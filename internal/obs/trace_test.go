@@ -97,3 +97,46 @@ func TestSpanEndClamped(t *testing.T) {
 		t.Fatalf("backwards span not clamped: %s", buf.String())
 	}
 }
+
+// TestBundleJoinReproducesTrace: two shard tracers' exported spans,
+// sealed into bundles, merged in shard order and joined into an empty
+// campaign tracer, serialize to the bytes one tracer holding every trace
+// writes, whichever order the shards' traces were created in.
+func TestBundleJoinReproducesTrace(t *testing.T) {
+	epoch := time.Unix(0, 0).UTC()
+	record := func(tr *Tracer, ids ...string) {
+		for _, id := range ids {
+			root := tr.Trace(id).Span(SpanDispatch, epoch).Attr("app", id)
+			root.Child(SpanMonkeyRun, epoch).End(epoch.Add(time.Millisecond))
+			root.End(epoch.Add(2 * time.Millisecond))
+		}
+	}
+	whole := NewTracer()
+	record(whole, "app-00000", "app-00001", "app-00002", "app-00003")
+	var bundles []Bundle
+	for _, ids := range [][]string{{"app-00001", "app-00000"}, {"app-00003", "app-00002"}} {
+		tel := NewVirtual(nil)
+		record(tel.Tracer(), ids...)
+		tel.Counter(MFleetCompleted).Add(int64(len(ids)))
+		bundles = append(bundles, Bundle{Snapshot: tel.Metrics().Snapshot(), Spans: tel.Tracer().Spans()})
+	}
+	merged, err := MergeBundles(bundles...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign := NewVirtual(nil)
+	campaign.Join(merged)
+	var want, got bytes.Buffer
+	if err := whole.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := campaign.Tracer().WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() || campaign.Tracer().SpanCount() != 8 {
+		t.Fatalf("joined trace (%d spans):\n%s\nwant:\n%s", campaign.Tracer().SpanCount(), got.String(), want.String())
+	}
+	if n := merged.Snapshot.Counters[MFleetCompleted]; n != 4 {
+		t.Fatalf("merged snapshot counts %d completed runs, want 4", n)
+	}
+}

@@ -137,13 +137,20 @@ func (e *Experiment) RunShardProcesses(ctx context.Context, shards int, opts Pro
 	return e.finishCampaign(out, shards)
 }
 
-// RunShardChild is the child-process entry point: run shard child.Index
-// of child.Shards and hand the result, its event log included, to the
-// parent in one outcome file. Resume, the chaos kill, the ops endpoint
-// and the event bus are part of the Experiment's Config and telemetry,
-// which the caller builds from the same ShardChild.
+// RunShardChild runs shard child.Index of child.Shards, as a shard
+// process does, and hands the result, telemetry included, to the parent
+// in one outcome file (read back by dispatch.ReadShardOutcome, merged by
+// MergeShardOutcomes). Resume, the chaos kill, the ops endpoint and the
+// event bus are part of the Experiment's Config and telemetry, which the
+// caller builds from the same ShardChild; that telemetry is the
+// incarnation's, so its ops endpoint serves the shard's own registry.
 func (e *Experiment) RunShardChild(ctx context.Context, child ShardChild) error {
-	out, err := e.RunShard(ctx, child.Index, child.Shards)
+	if child.Shards < 1 || child.Index < 0 || child.Index >= child.Shards {
+		return fmt.Errorf("libspector: shard index %d out of %d", child.Index, child.Shards)
+	}
+	plan := e.shardPlan(child.Shards)
+	task := dispatch.ShardTask{Index: child.Index, Range: plan.Range(child.Index), Workers: plan.WorkersFor(child.Index)}
+	out, err := e.runShardTask(ctx, task, e.cfg.Telemetry)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,10 @@
 # and demands the merged event log of the survivor be byte-identical to
 # the baseline's. This is the invariance bar from DESIGN.md: crashes,
 # takeovers, and WAL replay may change how the campaign executes, never
-# what it produces.
+# what it produces. Every shard child serves /healthz and /debug/vars on
+# 127.0.0.1:(PROBE_PORT+i) for the parent's liveness probes and stall
+# watcher; the deadline is generous, so a takeover the WAL blames on a
+# stall is a false one and fails the smoke.
 set -u -o pipefail
 
 APPS=${APPS:-40}
@@ -21,6 +24,8 @@ SEED=${SEED:-11}
 CHAOS_SEED=${CHAOS_SEED:-7}
 CHAOS_KILL=${CHAOS_KILL:-2}
 MAX_RESUMES=${MAX_RESUMES:-4}
+PROBE_PORT=${PROBE_PORT:-$((20000 + RANDOM % 20000))}
+STALL_DEADLINE=${STALL_DEADLINE:-30s}
 
 cd "$(dirname "$0")/.."
 
@@ -45,6 +50,7 @@ echo "chaos-smoke: chaos campaign ($SHARDS shards, chaos-seed $CHAOS_SEED, $CHAO
 "$work/libspector" -apps "$APPS" -workers 8 -seed "$SEED" -shards "$SHARDS" \
     -journal "$work/chaos.journal" -artifacts "$work/chaos-art" \
     -events-out "$work/chaos-events.jsonl" \
+    -probe-base-port "$PROBE_PORT" -stall-deadline "$STALL_DEADLINE" \
     -chaos-seed "$CHAOS_SEED" -chaos-kill "$CHAOS_KILL" >"$work/chaos.log" 2>&1
 rc=$?
 if [ $rc -eq 0 ]; then
@@ -58,7 +64,9 @@ converged=0
 for i in $(seq 1 "$MAX_RESUMES"); do
     "$work/libspector" -apps "$APPS" -workers 8 -seed "$SEED" -shards "$SHARDS" \
         -journal "$work/chaos.journal" -artifacts "$work/chaos-art" \
-        -events-out "$work/chaos-events.jsonl" -resume >"$work/resume$i.log" 2>&1
+        -events-out "$work/chaos-events.jsonl" \
+        -probe-base-port "$PROBE_PORT" -stall-deadline "$STALL_DEADLINE" \
+        -resume >"$work/resume$i.log" 2>&1
     rc=$?
     echo "chaos-smoke: resume $i exited $rc"
     if [ $rc -eq 0 ]; then
@@ -87,6 +95,13 @@ takeovers=$(grep -c '^\[ *[0-9]*\] takeover' "$work/wal.txt")
 dones=$(grep -c '^\[ *[0-9]*\] done' "$work/wal.txt")
 if [ "$takeovers" -lt 1 ] || [ "$dones" -ne 1 ]; then
     echo "chaos-smoke: FAIL — WAL shows $takeovers takeovers / $dones done records" >&2
+    cat "$work/wal.txt" >&2
+    exit 1
+fi
+# Every takeover must be a scheduled kill: healthy shards advance their
+# watermark well within the stall deadline.
+if grep -q '^\[ *[0-9]*\] takeover.*stalled' "$work/wal.txt"; then
+    echo "chaos-smoke: FAIL — the WAL blames a takeover on a stall" >&2
     cat "$work/wal.txt" >&2
     exit 1
 fi

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 
 	"libspector/internal/analysis"
 	"libspector/internal/attribution"
@@ -105,28 +106,14 @@ func (e *Experiment) coordinator(shards int, run dispatch.ShardRunner) *dispatch
 // Like RunContext, RunSharded finalizes the detector and must not be
 // called twice or concurrently with other runs on the same Experiment.
 func (e *Experiment) RunSharded(ctx context.Context, shards int) (*CampaignResult, error) {
-	out, err := e.coordinator(shards, e.runShardTask).Execute(ctx)
+	// Each in-process incarnation runs under telemetry of its own.
+	out, err := e.coordinator(shards, func(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
+		return e.runShardTask(ctx, task, e.shardTelemetry())
+	}).Execute(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("libspector: sharded campaign: %w", err)
 	}
 	return e.finishCampaign(out, shards)
-}
-
-// RunShard executes exactly one shard of an N-shard split and returns its
-// outcome, carrying the shard's encoded partial and ready for
-// dispatch.WriteShardOutcome — see RunShardChild for the child-process
-// entry point. Outcomes gathered out-of-band merge with
-// MergeShardOutcomes.
-func (e *Experiment) RunShard(ctx context.Context, index, shards int) (*dispatch.ShardOutcome, error) {
-	if shards < 1 || index < 0 || index >= shards {
-		return nil, fmt.Errorf("libspector: shard index %d out of %d", index, shards)
-	}
-	plan := e.shardPlan(shards)
-	return e.runShardTask(ctx, dispatch.ShardTask{
-		Index:   index,
-		Range:   plan.Range(index),
-		Workers: plan.WorkersFor(index),
-	})
 }
 
 // MergeShardOutcomes merges shard outcomes collected from separate
@@ -154,12 +141,14 @@ func (e *Experiment) MergeShardOutcomes(outcomes []*dispatch.ShardOutcome) (*Cam
 	return e.finishCampaign(out, len(outcomes))
 }
 
-// runShardTask is the in-process ShardRunner: runFleet restricted to the
-// task's range with the shard's own telemetry, attributor, journal, and
-// artifact store, folding into one Accumulator that is sealed into the
-// shard's encoded partial.
-func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) (*dispatch.ShardOutcome, error) {
-	tel, events := e.shardTelemetry()
+// runShardTask runs one shard incarnation, in-process (RunSharded) or as
+// a shard process (RunShardChild): runFleet over the task's range with
+// the given telemetry and the shard's own attributor, journal and
+// artifact store, folding into one Accumulator sealed into the shard's
+// partial; the telemetry is sealed once, into the outcome's bundle.
+func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask, tel *obs.Telemetry) (*dispatch.ShardOutcome, error) {
+	events := obs.NewEventLog()
+	events.AttachTo(tel.Bus())
 	attr := attribution.NewAttributor(e.domains)
 	attr.SetTelemetry(tel)
 	spec := fleetSpec{index: task.Index, rng: task.Range, workers: task.Workers, tel: tel, attr: attr}
@@ -209,55 +198,59 @@ func (e *Experiment) runShardTask(ctx context.Context, task dispatch.ShardTask) 
 		Accounting:  res.Accounting,
 		Failures:    res.Failures,
 		Quarantined: res.Quarantined,
-		Snapshot:    tel.Metrics().Snapshot(),
+		Telemetry:   obs.Bundle{Snapshot: tel.Metrics().Snapshot(), Events: events.Events(), Spans: tel.Tracer().Spans()},
 		Partial:     enc,
 		Records:     seg,
-		Events:      events.Events(),
 	}, nil
 }
 
-// shardTelemetry builds a shard incarnation's private telemetry,
-// mode-matched to the campaign's: virtual campaigns get virtual shard
-// registries (and so byte-deterministic merged snapshots), live campaigns
-// get wall-clock ones, untelemetered campaigns get none. Under a campaign
-// event bus the incarnation gets a bus of its own, relayed to the
-// campaign's subscribers, and the event log its outcome carries.
-func (e *Experiment) shardTelemetry() (*obs.Telemetry, *obs.EventLog) {
+// shardTelemetry builds an in-process shard incarnation's private
+// telemetry, mode-matched to the campaign's: virtual campaigns get
+// virtual shard registries (and so byte-deterministic merged snapshots),
+// live campaigns get wall-clock ones, untelemetered campaigns get none.
+// Under a campaign event bus the incarnation gets a bus of its own,
+// relayed to the campaign's subscribers.
+func (e *Experiment) shardTelemetry() *obs.Telemetry {
 	var tel *obs.Telemetry
 	switch {
 	case e.cfg.Telemetry == nil:
-		return nil, nil
+		return nil
 	case e.cfg.Telemetry.Virtual():
 		tel = obs.NewVirtual(nil)
 	default:
 		tel = obs.New()
 	}
-	campaign := e.cfg.Telemetry.Bus()
-	if campaign == nil {
-		return tel, nil
+	if campaign := e.cfg.Telemetry.Bus(); campaign != nil {
+		bus := obs.NewBus(nil)
+		bus.Tap(campaign.Stream)
+		tel.SetBus(bus)
 	}
-	bus, events := obs.NewBus(nil), obs.NewEventLog()
-	bus.Tap(campaign.Stream)
-	events.AttachTo(bus)
-	tel.SetBus(bus)
-	return tel, events
+	return tel
 }
 
 // finishCampaign decodes and merges the shard partials, finalizes the
-// detector, finishes the figures, and merges the shards' result-store
-// segments and event logs into the campaign's. The merged aggregates are also
-// installed on the experiment so the usual accessors (Aggregates) and
-// report rendering keep working after a sharded run.
+// detector, finishes the figures, merges the shards' result-store
+// segments into the campaign's, and joins their merged telemetry into
+// the campaign's. The merged aggregates are also installed on the
+// experiment so the usual accessors (Aggregates) and report rendering
+// keep working after a sharded run.
 func (e *Experiment) finishCampaign(out *dispatch.CampaignOutcome, shards int) (*CampaignResult, error) {
-	// Every app publishes run.started: under an event bus, an outcome over
-	// apps without events lost its log and would leave the campaign's partial.
-	bus := e.cfg.Telemetry.Bus()
-	if bus != nil {
-		plan := e.shardPlan(shards)
-		for i, events := range out.Events {
-			if rng := plan.Range(i); len(events) == 0 && rng.Len() > 0 {
-				return nil, fmt.Errorf("libspector: shard %d outcome over apps [%d, %d) carries no events", i, rng.Lo, rng.Hi)
-			}
+	// The join's coverage rule: every app publishes run.started and opens
+	// a dispatch span, so a shard whose first app has no event (under a
+	// campaign bus) or no span lost its log or trace to the outcome.
+	tel, plan := e.cfg.Telemetry, e.shardPlan(shards)
+	for i := 0; i < shards && tel != nil; i++ {
+		rng, what := plan.Range(i), ""
+		first := dispatch.TraceID(rng.Lo)
+		switch {
+		case rng.Len() == 0:
+		case tel.Bus() != nil && !slices.ContainsFunc(out.Telemetry.Events, func(ev obs.Event) bool { return ev.App == rng.Lo }):
+			what = "events"
+		case !slices.ContainsFunc(out.Telemetry.Spans, func(s obs.SpanLine) bool { return s.Trace == first }):
+			what = "spans"
+		}
+		if what != "" {
+			return nil, fmt.Errorf("libspector: shard %d outcome over apps [%d, %d) carries no %s", i, rng.Lo, rng.Hi, what)
 		}
 	}
 	parts := make([]*analysis.Partial, 0, len(out.Partials))
@@ -286,22 +279,17 @@ func (e *Experiment) finishCampaign(out *dispatch.CampaignOutcome, shards int) (
 			return nil, fmt.Errorf("libspector: writing result store: %w", err)
 		}
 	}
-	// The shard logs join the campaign's here and only here, in shard
-	// (so canonical) order, and reach the taps alone: subscribers saw them
-	// live through the relay, if at all. Then the terminal event after
-	// durability, mirroring RunContext. The merged ledger equals the
-	// single-process one, so the event's bytes are shard-count invariant.
-	for _, events := range out.Events {
-		for _, ev := range events {
-			bus.Record(ev)
-		}
-	}
-	publishCampaignDone(e.cfg.Telemetry, out.Accounting)
+	// The shards' events and spans join the campaign's here and only
+	// here. Then the terminal event after durability, mirroring
+	// RunContext. The merged ledger equals the single-process one, so the
+	// event's bytes are shard-count invariant.
+	tel.Join(out.Telemetry)
+	publishCampaignDone(tel, out.Accounting)
 	return &CampaignResult{
 		Accounting:  out.Accounting,
 		Failures:    out.Failures,
 		Quarantined: out.Quarantined,
-		Snapshot:    out.Snapshot,
+		Snapshot:    out.Telemetry.Snapshot,
 		Aggregates:  ag,
 		Takeovers:   out.Takeovers,
 		Shards:      shards,
