@@ -25,7 +25,10 @@ test:
 # (TestCheckConcurrent) and generate apps through apk.Encode's
 # (TestEncodeConcurrent) and into dex files released through one idle
 # list (TestGenerateAppReleaseConcurrent). The collector's barrier waiter map is shared by its receive loop and every
-# worker (TestBarrierConcurrentClients hammers it).
+# worker (TestBarrierConcurrentClients hammers it). Every worker saves its
+# own runs' evidence into one artifact store, concurrently
+# (TestArtifactSaveConcurrentDistinctSHAs, TestWorkerSavesEvidenceBeforeEmit,
+# TestEvidenceSaveFailureStopsStream).
 # The root run is the determinism harness (TestDeterminism: every pinned
 # row — shard coordinator, outcome-file merge, takeover, process-mode
 # chaos — plus one fresh draw; TestResultStoreShardInvariance and

@@ -29,6 +29,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -118,9 +119,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "libspector:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line a failed run prints: the error behind the
+// program's name, which the facade's errors already start with.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "libspector:") {
+		msg = "libspector: " + msg
+	}
+	return msg
 }
 
 func run(ctx context.Context, args []string) error {

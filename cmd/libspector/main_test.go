@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -154,6 +155,19 @@ func TestJournalResumeAuditCLI(t *testing.T) {
 	}
 }
 
+// A failed run prints the program's name once, whether or not the error
+// already starts with it.
+func TestErrorLine(t *testing.T) {
+	for _, tc := range []struct{ err, want string }{
+		{"libspector: shard 0 outcome carries no spans", "libspector: shard 0 outcome carries no spans"},
+		{"audit: 1 corrupt, 0 incomplete", "libspector: audit: 1 corrupt, 0 incomplete"},
+	} {
+		if got := errorLine(errors.New(tc.err)); got != tc.want {
+			t.Errorf("errorLine(%q) = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}
+
 // TestMain lets the test binary stand in for the libspector executable:
 // a -shards parent re-executes os.Executable() per shard, which under
 // `go test` is this binary, so children (marked through the inherited
@@ -161,7 +175,7 @@ func TestJournalResumeAuditCLI(t *testing.T) {
 func TestMain(m *testing.M) {
 	if os.Getenv("LIBSPECTOR_TEST_AS_CLI") != "" {
 		if err := run(context.Background(), os.Args[1:]); err != nil {
-			fmt.Fprintln(os.Stderr, "libspector:", err)
+			fmt.Fprintln(os.Stderr, errorLine(err))
 			os.Exit(1)
 		}
 		os.Exit(0)

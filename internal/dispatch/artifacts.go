@@ -87,6 +87,13 @@ func (s *ArtifactStore) Dir() string { return s.dir }
 // into a hidden temp directory first, then renamed into place, so a crash
 // (or an injected fault) mid-save can never leave a partial run directory
 // that passes for a complete one.
+//
+// Saves of distinct shas may run concurrently: each writes its own temp
+// directory and publishes it with one rename. A fleet's workers save that
+// way and never the same sha at once: every app's package name carries
+// its index, so no two apps share an apk. Saving a sha that is already
+// stored — a requeued run's fresh evidence over a damaged entry —
+// replaces it; two concurrent saves of one sha are not supported.
 func (s *ArtifactStore) Save(meta RunMeta, apkBytes, capture []byte, rawReports [][]byte, trace map[string]struct{}) error {
 	if meta.SHA256 == "" {
 		return fmt.Errorf("dispatch: artifact save without sha")
@@ -181,14 +188,20 @@ func writeFileSync(path string, data []byte) error {
 	return err
 }
 
-// Consume implements Sink: every completed run with attached evidence
-// (Config.Artifacts set) is persisted as it streams past, making the store a
-// plain stream consumer instead of a dispatcher special case.
+// Consume implements Sink: it commits the evidence an EventRun carries.
+// Only events a caller builds itself carry any; a fleet's workers commit
+// their own runs.
 func (s *ArtifactStore) Consume(ev RunEvent) error {
 	if ev.Kind != EventRun || ev.Evidence == nil {
 		return nil
 	}
-	e := ev.Evidence
+	return s.commit(ev.AppIndex, ev.Evidence)
+}
+
+// commit is the one way a completed run's evidence enters the store: Save,
+// then the artifact-flip injection when app i's plan draws it. A fleet
+// worker calls it for each run it completes.
+func (s *ArtifactStore) commit(i int, e *RunEvidence) error {
 	if err := s.Save(e.Meta, e.APK, e.Capture, e.RawReports, e.Trace); err != nil {
 		return err
 	}
@@ -196,7 +209,7 @@ func (s *ArtifactStore) Consume(ev RunEvent) error {
 		// First-attempt plan only: the flip models post-commit disk rot,
 		// not a retryable run fault, so it must not depend on how many
 		// attempts the run itself took.
-		if plan := s.faults.For(ev.AppIndex, 1); plan.Class == faults.ArtifactFlip {
+		if plan := s.faults.For(i, 1); plan.Class == faults.ArtifactFlip {
 			if err := s.flipStoredBit(e.Meta.SHA256, plan.Param); err != nil {
 				return fmt.Errorf("dispatch: injecting artifact flip: %w", err)
 			}
@@ -449,10 +462,10 @@ func (s *ArtifactStore) Audit() (*AuditReport, error) {
 	return report, nil
 }
 
-// SetFaults arms the store's crash-class fault hook: after a Save
-// triggered by an EventRun whose app's plan is faults.ArtifactFlip, one
-// bit of the stored apk is flipped in place — silent bit rot for the
-// audit and resume paths to detect.
+// SetFaults arms the store's crash-class fault hook: after the save of a
+// completed run whose app's plan is faults.ArtifactFlip, one bit of the
+// stored apk is flipped in place — silent bit rot for the audit and
+// resume paths to detect.
 func (s *ArtifactStore) SetFaults(inj *faults.Injector) { s.faults = inj }
 
 // flipStoredBit corrupts one stored apk byte, deterministically derived

@@ -3,16 +3,26 @@ package dispatch_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"libspector/internal/apk"
+	"libspector/internal/attribution"
+	"libspector/internal/dex"
 	"libspector/internal/dispatch"
 	"libspector/internal/dispatch/dispatchtest"
+	"libspector/internal/nets"
+	"libspector/internal/pcap"
+	"libspector/internal/synth"
 )
 
 func TestArtifactStoreRoundTrip(t *testing.T) {
@@ -27,7 +37,7 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 		BaseSeed:   51,
 		Attributor: attr,
 		Artifacts:  store,
-	}, store)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +237,7 @@ func TestArtifactStoreSameSeedByteIdentical(t *testing.T) {
 			BaseSeed:   109,
 			Attributor: newAttributor(t, 109, world),
 			Artifacts:  store,
-		}, store); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,11 +279,12 @@ func TestArtifactStoreSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// Evidence is borrowed, never recycled under a sink: with two workers
-// passing their capture buffers through Drain's free list, the capture
-// must not change while any sink of its event still runs, and every saved
-// capture.pcap must hold the bytes the sinks saw.
-func TestEvidenceCaptureNotRecycledUnderSinks(t *testing.T) {
+// The worker that completes a run saves its evidence before the run's
+// event is emitted, and the event carries none: with two workers saving
+// concurrently, every EventRun reaches the first sink with nil Evidence
+// and a run directory that already verifies, whose stored capture,
+// reports and trace re-attribute to exactly the event's RunResult.
+func TestWorkerSavesEvidenceBeforeEmit(t *testing.T) {
 	world := smallWorld(t, 57, 16)
 	store, err := dispatch.NewArtifactStore(t.TempDir())
 	if err != nil {
@@ -289,44 +300,177 @@ func TestEvidenceCaptureNotRecycledUnderSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := make(map[string][sha256.Size]byte) // by apk sha
-	uses := make(map[*byte]int)                // by capture buffer
-	var current [sha256.Size]byte
+	reattr := newAttributor(t, 57, world)
+	checked := 0
 	first := dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
-		if ev.Kind == dispatch.EventRun {
-			current = sha256.Sum256(ev.Evidence.Capture)
-			sums[ev.Evidence.Meta.SHA256] = current
-			uses[&ev.Evidence.Capture[0]]++
+		if ev.Kind != dispatch.EventRun {
+			return nil
+		}
+		checked++
+		if ev.Evidence != nil {
+			t.Errorf("app %d: fleet event carries evidence", ev.AppIndex)
+		}
+		sha := ev.Run.AppSHA
+		if err := store.Verify(sha); err != nil {
+			t.Errorf("app %d: evidence not saved before emit: %v", ev.AppIndex, err)
+			return nil
+		}
+		if got := reattribute(t, reattr, store, sha); !reflect.DeepEqual(got, ev.Run) {
+			t.Errorf("app %d: stored evidence re-attributes to a different result", ev.AppIndex)
 		}
 		return nil
 	})
-	last := dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
-		if ev.Kind == dispatch.EventRun && sha256.Sum256(ev.Evidence.Capture) != current {
-			t.Errorf("app %d: capture changed while the event's sinks ran", ev.AppIndex)
-		}
-		return nil
-	})
-	res, err := dispatch.Drain(events, first, store, last)
+	res, err := dispatch.Drain(events, first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sums) != res.Accounting.Completed || len(sums) == 0 {
-		t.Fatalf("hashed %d captures for %d completed runs", len(sums), res.Accounting.Completed)
+	if checked != res.Accounting.Completed || checked == 0 {
+		t.Fatalf("checked %d runs for %d completed", checked, res.Accounting.Completed)
 	}
-	for sha, want := range sums {
-		saved, err := os.ReadFile(filepath.Join(store.Dir(), sha, "capture.pcap"))
+}
+
+// reattribute runs offline attribution over one stored run, as Reanalyze
+// does for the whole store.
+func reattribute(t *testing.T, attr *attribution.Attributor, store *dispatch.ArtifactStore, sha string) *attribution.RunResult {
+	t.Helper()
+	stored, err := store.Load(sha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, err := apk.Decode(stored.APK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := attr.AnalyzeRun(attribution.RunInput{
+		AppSHA:        stored.Meta.SHA256,
+		AppPackage:    stored.Meta.Package,
+		AppCategory:   stored.Meta.Category,
+		Capture:       pcap.InPlace(stored.Capture),
+		Reports:       stored.Reports,
+		Trace:         stored.Trace,
+		Disassembly:   dex.DisassembleFile(pack.Dex),
+		LocalAddr:     nets.DefaultLocalAddr,
+		CollectorAddr: nets.DefaultCollectorAddr,
+		CollectorPort: nets.DefaultCollectorPort,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// countingSource counts the apps a fleet generated.
+type countingSource struct {
+	*synth.World
+	generated atomic.Int64
+}
+
+func (c *countingSource) GenerateApp(i int) (*synth.App, error) {
+	c.generated.Add(1)
+	return c.World.GenerateApp(i)
+}
+
+// A failed evidence save is stream-fatal, as a journal append failure
+// is, even under ContinueOnError: the stream ends with the save error
+// naming the app, the app is neither a per-app failure nor quarantined,
+// and the feeder hands out no further apps.
+func TestEvidenceSaveFailureStopsStream(t *testing.T) {
+	const apps = 24
+	world := smallWorld(t, 61, apps)
+	root := filepath.Join(t.TempDir(), "artifacts")
+	store, err := dispatch.NewArtifactStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A regular file where the store root was: every save fails.
+	if err := os.Remove(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(root, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{World: world}
+	res, runs, err := dispatchtest.Run(src, world.Resolver, dispatch.Config{
+		Workers:         2,
+		Emulator:        shortOpts(61),
+		BaseSeed:        61,
+		Attributor:      newAttributor(t, 61, world),
+		Artifacts:       store,
+		ContinueOnError: true,
+		MaxAttempts:     3,
+	})
+	if err == nil {
+		t.Fatal("stream with an unwritable store reported no error")
+	}
+	if !regexp.MustCompile(`^dispatch: app \d+: saving evidence: `).MatchString(err.Error()) || !errors.Is(err, syscall.ENOTDIR) {
+		t.Errorf("error = %v, want the wrapped save error naming the app", err)
+	}
+	acct := res.Accounting
+	if len(runs) != 0 || acct.Completed != 0 || acct.Failed != 0 || acct.Quarantined != 0 || len(res.Failures) != 0 || len(res.Quarantined) != 0 {
+		t.Errorf("unsaved runs were accounted as outcomes: %d runs emitted, %+v", len(runs), acct)
+	}
+	if n := src.generated.Load(); n >= apps/2 {
+		t.Errorf("the feeder kept going: %d of %d apps generated", n, apps)
+	}
+}
+
+// Saves of distinct shas run concurrently into one store, as a fleet's
+// workers save; the store then lists and audits clean. Saving a stored
+// sha again, as a requeued run does, replaces its entry.
+func TestArtifactSaveConcurrentDistinctSHAs(t *testing.T) {
+	const apps = 8
+	world := smallWorld(t, 67, apps)
+	store, err := dispatch.NewArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := make([]dispatch.RunMeta, apps)
+	apks := make([][]byte, apps)
+	for i := range metas {
+		app, err := world.GenerateApp(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sha256.Sum256(saved) != want {
-			t.Errorf("%s: saved capture.pcap differs from the capture its sinks consumed", sha)
+		metas[i] = dispatch.RunMeta{Package: app.APK.Manifest.Package, SHA256: app.SHA256}
+		apks[i] = app.Encoded
+	}
+	trace := map[string]struct{}{"Lcom/example/A;->run()V": {}}
+	start := make(chan struct{})
+	errs := make(chan error, apps)
+	var wg sync.WaitGroup
+	for i := range metas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- store.Save(metas[i], apks[i], []byte{byte(i)}, nil, trace)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	reused := false
-	for _, n := range uses {
-		reused = reused || n > 1
+	complete, incomplete, err := store.List()
+	if err != nil || len(complete) != apps || len(incomplete) != 0 {
+		t.Fatalf("List = %d complete, %v incomplete, %v; want %d, none", len(complete), incomplete, err, apps)
 	}
-	if !reused {
-		t.Fatalf("%d runs used %d distinct capture buffers: none came back for reuse", len(sums), len(uses))
+	report, err := store.Audit()
+	if err != nil || !report.Clean() || len(report.OK) != apps {
+		t.Fatalf("Audit = %+v, %v; want %d clean entries", report, err, apps)
+	}
+
+	if err := store.Save(metas[0], apks[0], []byte("fresh"), nil, trace); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := store.Load(metas[0].SHA256)
+	if err != nil || string(stored.Capture) != "fresh" {
+		t.Fatalf("re-save: capture %q, %v; want the fresh evidence", stored.Capture, err)
+	}
+	if report, err := store.Audit(); err != nil || !report.Clean() || len(report.OK) != apps {
+		t.Fatalf("Audit after re-save = %+v, %v", report, err)
 	}
 }

@@ -26,7 +26,7 @@ func populatedStore(t *testing.T, seed uint64, apps int) (*dispatch.ArtifactStor
 		BaseSeed:   seed,
 		Attributor: newAttributor(t, seed, world),
 		Artifacts:  store,
-	}, store); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	shas, incomplete, err := store.List()
@@ -183,7 +183,7 @@ func TestArtifactFlipFaultDetectedByAudit(t *testing.T) {
 		BaseSeed:   139,
 		Attributor: newAttributor(t, 139, world),
 		Artifacts:  store,
-	}, store); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -64,7 +64,7 @@ type transition struct {
 	// meters is the attempt's telemetry delta (nil: it charged nothing).
 	meters *journal.RunMeters
 	// run is the attribution result (outcomeRun), evidence its raw
-	// artifacts when the live fleet emits them.
+	// artifacts when the live fleet saves them (Config.Artifacts).
 	run      *attribution.RunResult
 	evidence *RunEvidence
 }
@@ -172,12 +172,12 @@ func (f *fleetRun) begin(env *runEnv, i int, replay, requeued bool) *appRun {
 }
 
 // apply performs every side effect of one transition, in the order
-// observe, journal, charge, publish, and — for a terminal outcome — close
-// the span and emit. Live and replay differ only where they truly do:
-// live journals the transition and replay does not; replay counts and
-// announces itself (fleet_resume_replayed_total, run.replayed); a
-// replayed failure never aborts the stream; an interrupted live failure
-// is not journaled. Returns false when the stream is aborting and the
+// observe, journal, save, charge, publish, and — for a terminal outcome —
+// close the span and emit. Live and replay differ only where they truly
+// do: live journals the transition and saves its evidence, and replay
+// does not; replay counts and announces itself
+// (fleet_resume_replayed_total, run.replayed); a replayed failure never
+// aborts the stream; an interrupted live failure is not journaled. Returns false when the stream is aborting and the
 // app's lifecycle must stop here.
 func (a *appRun) apply(tr transition) bool {
 	f, env, names := a.f, a.env, &outcomes[tr.kind]
@@ -218,6 +218,17 @@ func (a *appRun) apply(tr transition) bool {
 			rec.ArtifactSHA = tr.run.AppSHA
 		}
 		if !a.journal(rec) {
+			return false
+		}
+	}
+	// The worker saves its run's evidence itself, after the run-completed
+	// record (a journal crash therefore orphans the run's evidence, as a
+	// host dying between the two would) and before anything is charged or
+	// emitted: like a journal failure, a failed save stops the stream
+	// with the app neither completed nor failed.
+	if tr.evidence != nil {
+		if err := f.cfg.Artifacts.commit(a.i, tr.evidence); err != nil {
+			f.abort(a.i, fmt.Errorf("dispatch: app %d: saving evidence: %w", a.i, err))
 			return false
 		}
 	}
@@ -280,14 +291,8 @@ func (a *appRun) apply(tr transition) bool {
 	}
 
 	a.root.Attr("outcome", names.span).AttrInt("attempts", int64(tr.attempt)).End(f.tel.Now())
-	ev := RunEvent{Kind: names.stream, AppIndex: a.i, Run: tr.run, Evidence: tr.evidence, Err: tr.err}
+	ev := RunEvent{Kind: names.stream, AppIndex: a.i, Run: tr.run, Err: tr.err}
 	switch tr.kind {
-	case outcomeRun:
-		if tr.evidence != nil {
-			// The capture buffer goes with the event: Drain returns it to
-			// the free list once every sink has consumed it.
-			tr.evidence.recycle, env.capture = env.spare, nil
-		}
 	case outcomeQuarantined:
 		ev.Quarantine = &QuarantinedApp{AppIndex: a.i, Attempts: tr.attempt, LastErr: tr.err}
 	case outcomeFailed:
@@ -303,11 +308,11 @@ func (a *appRun) apply(tr transition) bool {
 
 // journal appends a transition's record. On a run that just completed
 // it is also where the journal crash classes fire: JournalCrash commits
-// the record durably, then dies before the event (and therefore its
-// evidence) reaches any sink — the journal says done, the store
-// disagrees; JournalTear dies mid-append, leaving a torn frame for
-// recovery to truncate. Both abort the stream the way a killed process
-// would. Returns false when the stream is aborting.
+// the record durably, then dies before the worker saves the run's
+// evidence — the journal says done, the store disagrees; JournalTear
+// dies mid-append, leaving a torn frame for recovery to truncate. Both
+// abort the stream the way a killed process would. Returns false when
+// the stream is aborting.
 func (a *appRun) journal(rec journal.Record) bool {
 	f, w := a.f, a.f.cfg.Journal
 	// A requeued run is the takeover of a crash that already fired: the

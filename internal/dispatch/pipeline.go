@@ -90,12 +90,13 @@ type Config struct {
 	// seeds, fault plans, trace IDs, and journal keys are unchanged — so
 	// a shard reproduces exactly the single-process runs for its range.
 	Shard ShardRange
-	// Artifacts is the campaign's evidence store. When set, each EventRun
-	// carries its run's raw evidence (apk, capture, reports, trace) for
-	// the store, as a Drain sink, to save (§II-B3). Completed runs are
-	// reconstructed from it on resume: it is required when Resume records
-	// any, and runs whose evidence is missing or corrupt
-	// (ErrCorruptArtifact) are requeued live rather than trusted.
+	// Artifacts is the campaign's evidence store. When set, the worker
+	// that completed a run saves its raw evidence (apk, capture, reports,
+	// trace) there (§II-B3), after the run-completed journal record and
+	// before the run's event is emitted; a failed save is stream-fatal.
+	// Completed runs are reconstructed from it on resume: it is required
+	// when Resume records any, and runs whose evidence is missing or
+	// corrupt (ErrCorruptArtifact) are requeued live rather than trusted.
 	Artifacts *ArtifactStore
 }
 
@@ -242,11 +243,10 @@ type runEnv struct {
 	generated *synth.App
 	// capture is the worker's capture buffer: every attempt's emulator
 	// run appends its pcap from capture[:0], and the buffer keeps the
-	// capacity of the largest capture so far. It leaves the worker only
-	// as emitted evidence (apply); nil until the next attempt takes one
-	// from spare, the fleet's free list, or starts fresh.
+	// capacity of the largest capture so far. It never leaves the worker:
+	// the evidence that aliases it is saved in apply, before the next
+	// attempt.
 	capture []byte
-	spare   chan []byte
 }
 
 // generate generates app i in place of the app the worker generated
@@ -324,12 +324,6 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 	if cfg.Faults != nil {
 		applyFaultPlan(&opts, cfg.Faults.For(i, attempt))
 	}
-	if env.capture == nil {
-		select {
-		case env.capture = <-env.spare:
-		default:
-		}
-	}
 	opts.Capture = env.capture
 	arts, err := emulator.RunContext(ctx, emulator.Installation{Program: app.Program, APKSHA256: sha}, resolver, opts)
 	if err != nil {
@@ -337,9 +331,8 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 	} else {
 		// Keep the buffer the capture grew into. Attribution reads it in
 		// place, but the RunResult it returns never aliases it; the
-		// evidence alone does, and carries it away only when the run's
-		// event is emitted. So after a failed or diskless attempt the
-		// next one can overwrite it.
+		// evidence alone does, and apply has saved it before the worker's
+		// next attempt overwrites it.
 		env.capture = arts.CaptureBytes[:0]
 		if arts.HookErrors > 0 {
 			err = fmt.Errorf("emulator run had %d hook errors", arts.HookErrors)

@@ -69,7 +69,7 @@ func (c *journaledCampaign) run(t *testing.T, w *journal.Writer, rep *journal.Re
 	t.Helper()
 	world := smallWorld(t, c.seed, c.apps)
 	cfg := c.config(t, w, rep, inj)
-	res, runs, err := dispatchtest.Run(world, world.Resolver, cfg, c.store)
+	res, runs, err := dispatchtest.Run(world, world.Resolver, cfg)
 	if res != nil {
 		// The two resume series describe the resume itself, not the
 		// campaign; shard merge strips them the same way.

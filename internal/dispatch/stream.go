@@ -58,40 +58,16 @@ func (k EventKind) String() string {
 	}
 }
 
-// RunEvidence bundles one run's raw artifacts for persistence sinks. It is
-// attached to EventRun events only when Config.Artifacts is set, so the
-// common analysis-only path never pays for carrying apk bytes downstream.
-//
-// Its byte slices are borrowed: a sink may read them only until its
-// Consume returns, and must copy whatever it keeps. Capture is the
-// emitting worker's capture buffer, which Drain hands back to the fleet
-// once every sink has consumed the event; the next run on any worker may
-// then overwrite it.
+// RunEvidence bundles one run's raw artifacts for the artifact store
+// (Config.Artifacts). A fleet worker builds it and saves it itself, before
+// the run's event is emitted, so its byte slices — Capture is the worker's
+// own capture buffer — never leave the worker.
 type RunEvidence struct {
 	Meta       RunMeta
 	APK        []byte
 	Capture    []byte
 	RawReports [][]byte
 	Trace      map[string]struct{}
-
-	// recycle is the free list of the fleet that lent Capture; nil when
-	// nothing is lent (evidence built outside a fleet, or already
-	// released).
-	recycle chan<- []byte
-}
-
-// release hands Capture's buffer back to the fleet that lent it. A full
-// free list drops the buffer. Capture is cleared, so a sink that kept the
-// evidence past Consume reads nothing rather than another run's bytes.
-func (e *RunEvidence) release() {
-	if e.recycle == nil {
-		return
-	}
-	select {
-	case e.recycle <- e.Capture[:0]:
-	default:
-	}
-	e.Capture, e.recycle = nil, nil
 }
 
 // RunEvent is one per-app outcome, emitted in completion order, or the
@@ -102,8 +78,9 @@ type RunEvent struct {
 	AppIndex int
 	// Run is the attribution result (EventRun).
 	Run *attribution.RunResult
-	// Evidence carries the raw run artifacts when Config.Artifacts is set
-	// (EventRun).
+	// Evidence is the run's raw artifacts, for ArtifactStore.Consume
+	// (EventRun). Only callers that build events themselves set it: a
+	// fleet saves its evidence on the worker and emits nil.
 	Evidence *RunEvidence
 	// Err is the per-app failure (EventFailure, EventQuarantine — the
 	// final attempt's error) or, on the summary, the stream-fatal error:
@@ -117,13 +94,12 @@ type RunEvent struct {
 	Summary *Result
 }
 
-// Sink consumes stream events: live progress printers, artifact
-// persistence, incremental aggregation (analysis.Accumulator,
-// analysis.DatasetBuilder). Sinks are invoked sequentially from the
-// consuming goroutine, in event order — a Sink may therefore use
-// single-goroutine state such as a symtab.Table without locking. An
-// event's Evidence bytes are borrowed until Consume returns (see
-// RunEvidence): a sink that needs them later copies them.
+// Sink consumes stream events: live progress printers, incremental
+// aggregation (analysis.Accumulator, analysis.DatasetBuilder), the result
+// store's record sink. Sinks are invoked sequentially from the consuming
+// goroutine, in event order — a Sink may therefore use single-goroutine
+// state such as a symtab.Table without locking. A run's evidence is
+// already in the artifact store when its event reaches a sink.
 type Sink interface {
 	Consume(ev RunEvent) error
 }
@@ -203,11 +179,7 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 		tel:       cfg.Telemetry,
 		// One buffered slot per worker is the backpressure budget.
 		events: make(chan RunEvent, workers),
-		// At most 2·workers+1 capture buffers are ever out of the free
-		// list — one held by each worker, one per buffered event, one in
-		// Drain's hands — so 2·workers slots drop almost none of them.
-		spare: make(chan []byte, 2*workers),
-		stop:  make(chan struct{}),
+		stop:   make(chan struct{}),
 	}
 	f.tel.Gauge(obs.MFleetWorkers).Set(int64(workers))
 	f.tel.Gauge(obs.MFleetWorkersBusy)
@@ -232,10 +204,9 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 
 // Drain consumes a stream to its end, forwarding every event to the sinks
 // in order, and returns the Result the closing summary — always the
-// stream's last event — carries. Once every sink has consumed an event,
-// Drain hands the event's capture buffer back to the fleet for reuse. On
-// error the returned Result still holds whatever the summary reported, so
-// callers can account for a partial fleet after a cancellation.
+// stream's last event — carries. On error the returned Result still
+// holds whatever the summary reported, so callers can account for a
+// partial fleet after a cancellation.
 func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 	var last RunEvent
 	var sinkErr error
@@ -247,9 +218,6 @@ func Drain(events <-chan RunEvent, sinks ...Sink) (*Result, error) {
 			if err := s.Consume(ev); err != nil && sinkErr == nil {
 				sinkErr = err
 			}
-		}
-		if ev.Evidence != nil {
-			ev.Evidence.release()
 		}
 		last = ev
 	}
@@ -268,9 +236,6 @@ type fleetRun struct {
 	collector *Collector
 	store     *Store
 	events    chan RunEvent
-	// spare is the free list of capture buffers Drain hands back from
-	// emitted evidence; a worker without a buffer takes one from it.
-	spare chan []byte
 
 	// stop is closed on the first stream-fatal error so the feeder stops
 	// handing out jobs without waiting for the caller's context.
@@ -431,7 +396,6 @@ func (f *fleetRun) worker(jobs <-chan job) {
 		client:    client,
 		tel:       f.tel,
 		meters:    obs.NewMeters(),
-		spare:     f.spare,
 	}
 	defer env.release()
 	busy := f.tel.Gauge(obs.MFleetWorkersBusy)

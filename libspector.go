@@ -282,20 +282,19 @@ func (e *Experiment) buildFleetConfig(spec fleetSpec) (dispatch.Config, error) {
 	return cfg, nil
 }
 
-// attachArtifacts wires an artifact store at dir into the fleet config
-// and returns the store, which is also the persistence sink the event
-// loop must feed.
-func attachArtifacts(cfg *dispatch.Config, dir string) (*dispatch.ArtifactStore, error) {
+// attachArtifacts wires an artifact store at dir into the fleet config;
+// the fleet's workers save every completed run's evidence there.
+func attachArtifacts(cfg *dispatch.Config, dir string) error {
 	artifacts, err := dispatch.NewArtifactStore(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg.Artifacts = artifacts
 	if cfg.Faults != nil {
 		// Lets the artifact-flip crash class damage stored evidence.
 		artifacts.SetFaults(cfg.Faults)
 	}
-	return artifacts, nil
+	return nil
 }
 
 // attachJournal opens (resume) or creates the journal at path and wires
@@ -392,11 +391,9 @@ func runFleet(ctx context.Context, e *Experiment, spec fleetSpec, fold dispatch.
 		return err
 	}), newFoldTracker(tel, spec.index)}, sinks...)
 	if spec.artifactDir != "" {
-		artifacts, err := attachArtifacts(&cfg, spec.artifactDir)
-		if err != nil {
+		if err := attachArtifacts(&cfg, spec.artifactDir); err != nil {
 			return nil, nil, fmt.Errorf("libspector: %w", err)
 		}
-		sinks = append(sinks, artifacts)
 	}
 	if e.cfg.ResultStore != "" {
 		records = dispatch.NewRecordSink()
