@@ -64,9 +64,10 @@ loc:
 # Fuzz smoke over everything fed by untrusted bytes, three targets (`go
 # test -fuzz` accepts one per invocation): the registered-format harness
 # (internal/codec/formats_test.go — every blob that crosses a process or
-# a crash boundary, stored capture.pcap files, SDEX containers and apks
-# included, one table row each, the readers of the last three held to an
-# allocation ceiling proportional to their input, and the SDEX and apk
+# a crash boundary, stored <sha>.run files, pcap captures, SDEX containers
+# and apks included, one table row each, the readers of the last four held
+# to an allocation ceiling proportional to their input, every single-bit
+# flip of an accepted run file rejected, and the SDEX and apk
 # checkers held to their decoders' verdicts, and the pcap row's in-place
 # and streaming readers to each other's), the pcap packet decoder, and
 # the HTTP head parsers, held to their bufio.Scanner references — the

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -8,18 +10,20 @@ import (
 	"sort"
 
 	"libspector/internal/attribution"
+	"libspector/internal/dispatch"
 	"libspector/internal/nets"
 	"libspector/internal/pcap"
 )
 
 // runDump implements "libspector dump", a tcpdump-lite for captures
 // produced by this repository: it prints the packets, reconstructed flows,
-// and DNS resolutions of a pcap file — e.g. one persisted under an
-// artifact directory by -artifacts.
+// and DNS resolutions of a pcap file, or of the capture inside a run file
+// an artifact directory holds (-artifacts), which it recognises by its
+// magic and verifies whole before reading.
 func runDump(args []string) error {
 	fs := flag.NewFlagSet("libspector dump", flag.ContinueOnError)
 	var (
-		path = fs.String("pcap", "", "capture file to inspect")
+		path = fs.String("pcap", "", "capture file, or stored <sha>.run file, to inspect")
 		mode = fs.String("mode", "flows", "output mode: flows, packets, dns")
 		max  = fs.Int("n", 0, "limit output lines (0 = unlimited)")
 	)
@@ -34,20 +38,35 @@ func runDump(args []string) error {
 		return fmt.Errorf("opening capture: %w", err)
 	}
 	defer func() { _ = f.Close() }()
+	br := bufio.NewReader(f)
+	var src io.Reader = br
+	// A file too short to hold the magic is no run file; the pcap reader
+	// reports it.
+	if head, _ := br.Peek(len(dispatch.EvidenceMagic)); string(head) == dispatch.EvidenceMagic {
+		data, err := io.ReadAll(br)
+		if err != nil {
+			return fmt.Errorf("reading run file: %w", err)
+		}
+		run, err := dispatch.DecodeEvidence(data)
+		if err != nil {
+			return err
+		}
+		src = bytes.NewReader(run.Capture)
+	}
 
 	switch *mode {
 	case "packets":
-		return dumpPackets(f, *max)
+		return dumpPackets(src, *max)
 	case "dns":
-		return dumpDNS(f, *max)
+		return dumpDNS(src, *max)
 	case "flows":
-		return dumpFlows(f, *max)
+		return dumpFlows(src, *max)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 }
 
-func dumpPackets(f *os.File, max int) error {
+func dumpPackets(f io.Reader, max int) error {
 	r, err := pcap.NewReader(f)
 	if err != nil {
 		return err
@@ -82,7 +101,7 @@ func dumpPackets(f *os.File, max int) error {
 	return nil
 }
 
-func dumpDNS(f *os.File, max int) error {
+func dumpDNS(f io.Reader, max int) error {
 	r, err := pcap.NewReader(f)
 	if err != nil {
 		return err
@@ -122,7 +141,7 @@ func dumpDNS(f *os.File, max int) error {
 	return nil
 }
 
-func dumpFlows(f *os.File, max int) error {
+func dumpFlows(f io.Reader, max int) error {
 	sum, err := attribution.ParseCapture(f,
 		nets.DefaultLocalAddr, nets.DefaultCollectorAddr, nets.DefaultCollectorPort)
 	if err != nil {

@@ -2,16 +2,18 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"libspector/internal/dispatch"
 	"libspector/internal/emulator"
 	"libspector/internal/synth"
 )
 
-// writeTestCapture runs one app and persists its capture.
-func writeTestCapture(t *testing.T) string {
+// testRun runs one app under a short monkey session.
+func testRun(t *testing.T) (*synth.App, *emulator.Artifacts) {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Seed = 81
@@ -31,6 +33,13 @@ func writeTestCapture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return app, arts
+}
+
+// writeTestCapture runs one app and persists its capture.
+func writeTestCapture(t *testing.T) string {
+	t.Helper()
+	_, arts := testRun(t)
 	path := filepath.Join(t.TempDir(), "capture.pcap")
 	if err := os.WriteFile(path, arts.CaptureBytes, 0o644); err != nil {
 		t.Fatal(err)
@@ -58,5 +67,37 @@ func TestDumpValidation(t *testing.T) {
 	path := writeTestCapture(t)
 	if err := run(ctx, []string{"dump", "-pcap", path, "-mode", "bogus"}); err == nil {
 		t.Error("unknown mode should fail")
+	}
+}
+
+// dump reads the capture inside a stored run file as it reads a pcap,
+// and refuses a run file whose seal no longer matches its bytes.
+func TestDumpRunFile(t *testing.T) {
+	app, arts := testRun(t)
+	store, err := dispatch.NewArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := dispatch.RunMeta{Package: app.APK.Manifest.Package, SHA256: app.SHA256}
+	if err := store.Save(meta, app.Encoded, arts.CaptureBytes, arts.RawReports, arts.Trace); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(store.Dir(), app.SHA256+".run")
+	ctx := context.Background()
+	for _, mode := range []string{"flows", "packets", "dns"} {
+		if err := run(ctx, []string{"dump", "-pcap", path, "-mode", mode, "-n", "5"}); err != nil {
+			t.Errorf("mode %s: %v", mode, err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(ctx, []string{"dump", "-pcap", path}); !errors.Is(err, dispatch.ErrCorruptArtifact) {
+		t.Errorf("dump of a flipped run file: %v, want ErrCorruptArtifact", err)
 	}
 }

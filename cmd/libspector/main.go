@@ -10,7 +10,7 @@
 //	           [-metrics-addr :8321] [-trace-out traces.jsonl] [-events-out events.jsonl]
 //	libspector -shards N [-journal campaign.wal -artifacts DIR] [-probe-base-port P]
 //	libspector audit -artifacts DIR [-journal campaign.wal]
-//	libspector dump -pcap DIR/<sha>/capture.pcap [-mode flows|packets|dns] [-n N]
+//	libspector dump -pcap FILE.pcap|DIR/<sha>.run [-mode flows|packets|dns] [-n N]
 //	libspector gen -out corpus/ [-apps 100] [-seed 42]
 //	libspector gen -verify corpus/
 //

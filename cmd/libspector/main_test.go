@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"libspector/internal/dispatch"
@@ -27,7 +28,8 @@ func TestFullPipelineSmallCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
-	// The artifact directory holds one run directory per analyzed app.
+	// The artifact directory holds one sealed run file per analyzed app,
+	// and nothing else.
 	entries, err := os.ReadDir(artifacts)
 	if err != nil {
 		t.Fatal(err)
@@ -36,10 +38,17 @@ func TestFullPipelineSmallCorpus(t *testing.T) {
 		t.Fatal("no artifacts persisted")
 	}
 	for _, e := range entries {
-		for _, name := range []string{"app.apk", "capture.pcap", "reports.bin", "trace.txt", "meta.json"} {
-			if _, err := os.Stat(filepath.Join(artifacts, e.Name(), name)); err != nil {
-				t.Errorf("artifact %s/%s missing: %v", e.Name(), name, err)
-			}
+		sha, ok := strings.CutSuffix(e.Name(), ".run")
+		if !ok || e.IsDir() {
+			t.Errorf("artifact directory holds %s, not a run file", e.Name())
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(artifacts, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run, err := dispatch.DecodeEvidence(data); err != nil || run.Meta.SHA256 != sha || len(run.Capture) == 0 {
+			t.Errorf("run file %s: %v", e.Name(), err)
 		}
 	}
 }
@@ -134,7 +143,7 @@ func TestJournalResumeAuditCLI(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no artifacts persisted: %v", err)
 	}
-	victim := filepath.Join(artifacts, entries[0].Name(), "app.apk")
+	victim := filepath.Join(artifacts, entries[0].Name())
 	blob, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +153,7 @@ func TestJournalResumeAuditCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run(ctx, audit); err == nil {
-		t.Fatal("audit missed a flipped apk bit")
+		t.Fatal("audit missed a flipped run-file bit")
 	}
 
 	if err := run(ctx, append(campaign, "-resume")); err != nil {

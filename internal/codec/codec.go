@@ -10,16 +10,17 @@
 //     and Open is strict — the input must be exactly one frame, so
 //     truncation, appended garbage, and bit rot all fail with a typed
 //     error instead of being indistinguishable from success. Shard
-//     partials ("LSPART01"), shard outcome envelopes ("LSSHRD01"), and
-//     the resultstore's segments, index, and footer are sealed; the
-//     journal's record frames share Sum.
+//     partials ("LSPART01"), shard outcome envelopes ("LSSHRD01"), stored
+//     runs ("LSEVID01", written part by part through SealTo), and the
+//     resultstore's segments, index, and footer are sealed; the journal's
+//     record frames share Sum.
 //
 //   - The body cursor, Reader: bounds-checked uvarint / varint /
 //     fixed-width little-endian / byte / bool / count / string / bytes
 //     reads with a sticky error wrapped in the caller's sentinel, and
 //     Finish as the trailing-bytes check. DecodePartial, DecodeSegment,
-//     the store index, dex.Decode, xposed.DecodeReport, and the
-//     reports.bin framing all read through it; no other package keeps a
+//     the store index, dex.Decode, xposed.DecodeReport, and the stored
+//     run's sections all read through it; no other package keeps a
 //     cursor of its own.
 //
 //   - The few Append helpers encoders share (AppendBool, AppendString),
@@ -37,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // ErrCorruptFrame reports a blob that is not exactly one well-formed
@@ -63,6 +65,24 @@ func Seal(magic string, body []byte) []byte {
 // step for encoders that build magic+body incrementally in one buffer.
 func AppendSum(b []byte, bodyStart int) []byte {
 	return binary.LittleEndian.AppendUint32(b, Sum(b[bodyStart:]))
+}
+
+// SealTo streams the frame Seal(magic, concatenated parts) to w part by
+// part: the checksum accumulates as each part is written, so no buffer
+// ever holds the whole body.
+func SealTo(w io.Writer, magic string, parts ...[]byte) error {
+	if _, err := io.WriteString(w, magic); err != nil {
+		return err
+	}
+	var sum uint32
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+		sum = crc32.Update(sum, crcTable, p)
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, sum))
+	return err
 }
 
 // Open verifies that data is exactly magic | body | crc32c(body) and

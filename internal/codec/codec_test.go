@@ -29,6 +29,17 @@ func TestAppendSumMatchesSeal(t *testing.T) {
 	}
 }
 
+func TestSealToMatchesSeal(t *testing.T) {
+	parts := [][]byte{[]byte("streamed "), nil, []byte("encoder"), {}, []byte(" body")}
+	var buf bytes.Buffer
+	if err := SealTo(&buf, "LSTEST01", parts...); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(Seal("LSTEST01", bytes.Join(parts, nil))) {
+		t.Fatalf("SealTo and Seal disagree on the framed bytes")
+	}
+}
+
 func TestOpenRejectsDamage(t *testing.T) {
 	sealed := Seal("LSTEST01", []byte("payload"))
 	cases := map[string][]byte{

@@ -73,7 +73,10 @@ type format struct {
 	// fixture names a file under testdata/ written by the encoders of
 	// commit 252e5be, before the shared cursor and record-log existed
 	// (apk.bin, added with its row, is app 0 of a seed-42 world at
-	// MethodScale 0.002). It must decode and re-encode to the identical
+	// MethodScale 0.002; evidence.bin, meta.bin and reports.bin, added
+	// when a stored run became one sealed file, replace that commit's
+	// meta.json and reports.bin and are fixtureRun, its meta section and
+	// its reports section). It must decode and re-encode to the identical
 	// bytes: the guard that a refactor of the codecs moved no byte on disk
 	// or on the wire. Regenerate a fixture only for a deliberate,
 	// documented format bump. Empty for pcap, whose layout libpcap fixes,
@@ -196,26 +199,81 @@ var formats = []format{
 		},
 	},
 	{
-		name:    "artifact-meta",
-		typed:   is(dispatch.ErrCorruptArtifact),
-		fixture: "meta.json",
+		// The meta section of a run file, read on its own.
+		name:      "artifact-meta",
+		typed:     is(dispatch.ErrCorruptArtifact),
+		strict:    true,
+		canonical: true,
+		fixture:   "meta.bin",
 		seeds: func(tb testing.TB) []seed {
-			valid := savedArtifact(tb, dispatch.RunMeta{
-				Package: "com.example.app", SHA256: fixtureSHA, Events: 500,
-				RecordedAt: time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC),
-			}, nil, "meta.json")
-			return []seed{
-				{valid, true},
-				{[]byte("{}"), false},
-				{nil, false},
-				{[]byte(`{"sha256":"` + strings.Repeat("b", 64) + `","package":"x"}`), false},
-			}
+			valid := dispatch.EncodeMeta(fixtureRun(tb).Meta)
+			// fixtureRun records a whole second, so the last byte is the
+			// nanoseconds' zero: in its place, a full second of them.
+			late := append(valid[:len(valid)-1:len(valid)-1], binary.AppendUvarint(nil, uint64(time.Second))...)
+			return append(variants(valid), seed{nil, false}, seed{late, false}, seed{dispatch.EncodeMeta(dispatch.RunMeta{}), true})
 		},
-		decode: func(data []byte) (any, error) { return dispatch.DecodeMeta(data, fixtureSHA) },
-		encode: func(tb testing.TB, v any) []byte { return savedArtifact(tb, v.(dispatch.RunMeta), nil, "meta.json") },
-		check: func(t *testing.T, _ []byte, v any) {
-			if meta := v.(dispatch.RunMeta); meta.SHA256 != fixtureSHA || meta.Package == "" {
-				t.Fatalf("accepted meta %+v for directory key %s", meta, fixtureSHA)
+		decode: func(data []byte) (any, error) { return dispatch.DecodeMeta(data) },
+		encode: func(_ testing.TB, v any) []byte { return dispatch.EncodeMeta(v.(dispatch.RunMeta)) },
+	},
+	{
+		// A stored run file: meta, apk, capture, reports and trace under
+		// one seal, as resume, audit, Reanalyze and `libspector dump`
+		// read it.
+		name:      "evidence",
+		typed:     is(dispatch.ErrCorruptArtifact),
+		strict:    true,
+		canonical: true,
+		magic:     dispatch.EvidenceMagic,
+		fixture:   "evidence.bin",
+		seeds: func(tb testing.TB) []seed {
+			valid := storedRun(tb, fixtureRun(tb))
+			bare := storedRun(tb, &dispatch.StoredRun{Meta: dispatch.RunMeta{SHA256: apk.Checksum(nil)}})
+			many := fixtureRun(tb)
+			for i := 0; i < 400; i++ {
+				many.Trace[fmt.Sprintf("Lcom/example/C%d;->m()V", i)] = struct{}{}
+			}
+			// The bare run's body ends in its report and trace counts,
+			// both zero: a forged trace count the bytes after it just
+			// cover, with every signature empty and so out of order.
+			body, err := codec.Open(dispatch.EvidenceMagic, bare)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			forged := binary.AppendUvarint(bytes.Clone(body[:len(body)-1]), 1<<14)
+			forged = codec.Seal(dispatch.EvidenceMagic, append(forged, make([]byte, 1<<14)...))
+			foreign := fixtureRun(tb)
+			foreign.Meta.SHA256 = fixtureSHA // not the apk's sha256
+			return append(variants(valid), seed{bare, true}, seed{storedRun(tb, many), true}, seed{forged, false},
+				seed{storedRun(tb, foreign), false}, seed{nil, false}, seed{[]byte(dispatch.EvidenceMagic), false})
+		},
+		// The byte sections alias the input. A trace signature takes at
+		// least one input byte and, presized from its validated count, at
+		// most about 61 bytes of map (Go 1.24's tables round up to a power
+		// of two); a report takes at least 60 bytes and decodes into a few
+		// hundred.
+		allocPerByte: 96,
+		allocBase:    64 << 10,
+		decode:       func(data []byte) (any, error) { return dispatch.DecodeEvidence(data) },
+		encode:       func(tb testing.TB, v any) []byte { return storedRun(tb, v.(*dispatch.StoredRun)) },
+		check: func(t *testing.T, data []byte, v any) {
+			// The artifact-meta and reports-bin rows read the sections
+			// this file holds.
+			run := v.(*dispatch.StoredRun)
+			body, _ := codec.Open(dispatch.EvidenceMagic, data)
+			if !bytes.HasPrefix(body, dispatch.EncodeMeta(run.Meta)) || !bytes.Contains(body, dispatch.EncodeReports(rawReports(t, run.Reports))) {
+				t.Fatal("the run file's meta or reports section differs from its section encoding")
+			}
+			// One seal covers every byte: no single-bit flip anywhere —
+			// magic, any section, the checksum — decodes.
+			flipped := bytes.Clone(data)
+			for i := range flipped {
+				for bit := byte(1); bit != 0; bit <<= 1 {
+					flipped[i] ^= bit
+					if _, err := dispatch.DecodeEvidence(flipped); !errors.Is(err, dispatch.ErrCorruptArtifact) {
+						t.Fatalf("byte %d bit %#02x flipped: err %v, want ErrCorruptArtifact", i, bit, err)
+					}
+					flipped[i] ^= bit
+				}
 			}
 		},
 	},
@@ -365,28 +423,21 @@ var formats = []format{
 		encode: func(tb testing.TB, v any) []byte { return storeImage(tb, v.([]resultstore.Record)) },
 	},
 	{
-		name:         "reports-bin",
-		typed:        is(dispatch.ErrCorruptArtifact),
-		strict:       true,
-		concatenated: true,
-		canonical:    true,
-		fixture:      "reports.bin",
+		// The reports section of a run file, read on its own.
+		name:      "reports-bin",
+		typed:     is(dispatch.ErrCorruptArtifact),
+		strict:    true,
+		canonical: true,
+		fixture:   "reports.bin",
 		seeds: func(tb testing.TB) []seed {
 			valid := dispatch.EncodeReports([][]byte{datagram(tb, 40001, 3), datagram(tb, 40002, 1)})
-			return append(variants(valid), seed{nil, true}, seed{[]byte{0x05, 'L', 'S', 'P', 'R'}, false})
+			return append(variants(valid), seed{dispatch.EncodeReports(nil), true},
+				// A count of five with four bytes behind it, and one sound
+				// frame around a datagram that does not decode.
+				seed{[]byte{0x05, 'L', 'S', 'P', 'R'}, false}, seed{[]byte{0x01, 0x04, 'L', 'S', 'P', 'R'}, false}, seed{nil, false})
 		},
-		decode: func(data []byte) (any, error) { return dispatch.DecodeReports(data, fixtureSHA) },
-		encode: func(tb testing.TB, v any) []byte {
-			var raws [][]byte
-			for _, rep := range v.([]*xposed.Report) {
-				raw, err := rep.Encode()
-				if err != nil {
-					tb.Fatalf("accepted report does not re-encode: %v", err)
-				}
-				raws = append(raws, raw)
-			}
-			return dispatch.EncodeReports(raws)
-		},
+		decode: func(data []byte) (any, error) { return dispatch.DecodeReports(data) },
+		encode: func(tb testing.TB, v any) []byte { return dispatch.EncodeReports(rawReports(tb, v.([]*xposed.Report))) },
 	},
 	{
 		name:    "sdex",
@@ -479,23 +530,15 @@ var formats = []format{
 		},
 	},
 	{
-		// A stored capture.pcap, read back by resume, audit and
-		// `libspector dump`. Not canonical (either byte order, any snap
+		// A capture, as a stored run carries it and resume, audit and
+		// `libspector dump` read it. Not canonical (either byte order, any snap
 		// length), and cut at a record boundary it is a shorter capture.
 		name:         "pcap",
 		typed:        prefixed("pcap: "),
 		strict:       true,
 		concatenated: true,
 		seeds: func(tb testing.TB) []seed {
-			raw, err := pcap.EncodeTCP(datagramTuple, pcap.FlagSYN, 0, 0, nil)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			w := pcap.NewWriter(nil)
-			if err := w.WritePacket(pcap.Packet{Timestamp: time.Unix(1, 0), Data: raw}); err != nil {
-				tb.Fatal(err)
-			}
-			valid := w.Bytes()
+			valid := onePacketCapture(tb)
 			return []seed{{valid, true}, {valid[:20], false}, {nil, false}, {forgedCapture(1 << 30), false}}
 		},
 		// Decoding reads the capture twice, in place (resume, audit) and
@@ -765,22 +808,63 @@ type replayedJournal struct {
 	recs []journal.Record
 }
 
-// savedArtifact saves one run through the artifact store and returns
-// the named file of its run directory.
-func savedArtifact(tb testing.TB, meta dispatch.RunMeta, rawReports [][]byte, file string) []byte {
+// storedRun saves run through the artifact store and returns its run
+// file.
+func storedRun(tb testing.TB, run *dispatch.StoredRun) []byte {
 	tb.Helper()
 	store, err := dispatch.NewArtifactStore(tb.TempDir())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := store.Save(meta, []byte("apk"), []byte("pcap"), rawReports, nil); err != nil {
+	if err := store.Save(run.Meta, run.APK, run.Capture, rawReports(tb, run.Reports), run.Trace); err != nil {
 		tb.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(store.Dir(), meta.SHA256, file))
+	data, err := os.ReadFile(filepath.Join(store.Dir(), run.Meta.SHA256+".run"))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return data
+}
+
+// rawReports re-encodes decoded reports to their datagrams.
+func rawReports(tb testing.TB, reports []*xposed.Report) [][]byte {
+	tb.Helper()
+	raws := make([][]byte, len(reports))
+	for i, rep := range reports {
+		raw, err := rep.Encode()
+		if err != nil {
+			tb.Fatalf("accepted report does not re-encode: %v", err)
+		}
+		raws[i] = raw
+	}
+	return raws
+}
+
+// fixtureRun is the evidence row's fixture run: a three-byte apk, a
+// one-packet capture, two reports and three trace signatures.
+func fixtureRun(tb testing.TB) *dispatch.StoredRun {
+	tb.Helper()
+	var reports []*xposed.Report
+	for _, raw := range [][]byte{datagram(tb, 40001, 3), datagram(tb, 40002, 1)} {
+		rep, err := xposed.DecodeReport(raw)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		reports = append(reports, rep)
+	}
+	apkBytes := []byte("apk")
+	return &dispatch.StoredRun{
+		Meta: dispatch.RunMeta{
+			Package: "com.example.app", SHA256: apk.Checksum(apkBytes), Category: "TOOLS", Events: 500,
+			RecordedAt: time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC),
+		},
+		APK: apkBytes, Capture: onePacketCapture(tb), Reports: reports,
+		Trace: map[string]struct{}{
+			"Lcom/unity3d/ads/android/cache/b;->doInBackground([Ljava/lang/String;)Ljava/lang/Object;": {},
+			"Lcom/example/app/Main;->onCreate(Landroid/os/Bundle;)V":                                   {},
+			"Lcom/example/app/Net;->fetch()V":                                                          {},
+		},
+	}
 }
 
 // datagramTuple is the connection every seed datagram and packet reports.
@@ -920,6 +1004,20 @@ func forgedEntrySize(tb testing.TB, zipped []byte, name string, size uint32) []b
 	}
 	tb.Fatalf("no central directory entry %s", name)
 	return nil
+}
+
+// onePacketCapture is a capture of one SYN of datagramTuple.
+func onePacketCapture(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := pcap.EncodeTCP(datagramTuple, pcap.FlagSYN, 0, 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := pcap.NewWriter(nil)
+	if err := w.WritePacket(pcap.Packet{Timestamp: time.Unix(1, 0), Data: raw}); err != nil {
+		tb.Fatal(err)
+	}
+	return w.Bytes()
 }
 
 // readCaptures is the pcap row's decoded form: what the in-place and the

@@ -1,12 +1,10 @@
 package dispatch
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,11 +24,12 @@ import (
 	"libspector/internal/xposed"
 )
 
-// ErrCorruptArtifact marks stored evidence whose content fails integrity
-// verification — an apk whose sha256 no longer matches its directory key,
-// undecodable metadata, or torn report framing. Callers separate it from
-// plain I/O errors with errors.Is; resume requeues the affected run
-// instead of attributing from silently wrong evidence.
+// ErrCorruptArtifact marks a stored run whose content fails integrity
+// verification — a seal that no longer matches its bytes, an apk whose
+// sha256 is not the run's key, or a section that does not decode.
+// Callers separate it from plain I/O errors with errors.Is; resume
+// requeues the affected run instead of attributing from silently wrong
+// evidence.
 var ErrCorruptArtifact = errors.New("dispatch: corrupt artifact")
 
 // corruptf wraps a content-integrity failure of one stored run with the
@@ -44,28 +43,42 @@ func corruptf(sha, format string, args ...any) error {
 // ArtifactStore materializes that database on disk so experiments can be
 // re-analyzed offline — different heuristics, same raw evidence.
 //
-// Layout (one directory per run, keyed by apk sha256):
+// Layout: one file per run, <dir>/<sha>.run, keyed by the apk's sha256
+// and sealed in the codec envelope (DESIGN.md §13):
 //
-//	<dir>/<sha>/app.apk       — the exact apk under analysis
-//	<dir>/<sha>/capture.pcap  — the emulator's packet capture
-//	<dir>/<sha>/reports.bin   — length-prefixed supervisor datagrams
-//	<dir>/<sha>/trace.txt     — Method Monitor trace (one signature/line)
-//	<dir>/<sha>/meta.json     — run metadata
+//	"LSEVID01" | body | crc32c(body) LE
+//
+// where the body is, in codec.Reader fields:
+//
+//	meta     string package | string sha256 | string category |
+//	         varint monkey events | varint unix seconds | uvarint nanoseconds
+//	apk      bytes — the exact apk under analysis
+//	capture  bytes — the emulator's packet capture
+//	reports  uvarint count | bytes datagram ...  (supervisor reports)
+//	trace    uvarint count | string signature ... (strictly ascending)
+//
+// One checksum covers every byte resume and Reanalyze read.
+
+// EvidenceMagic opens every stored run file.
+const EvidenceMagic = "LSEVID01"
+
+// runExt names a stored run's file: <sha>.run.
+const runExt = ".run"
 
 // RunMeta is the per-run metadata record.
 type RunMeta struct {
-	Package    string             `json:"package"`
-	SHA256     string             `json:"sha256"`
-	Category   corpus.AppCategory `json:"category"`
-	Events     int                `json:"monkey_events"`
-	RecordedAt time.Time          `json:"recorded_at"`
+	Package    string
+	SHA256     string
+	Category   corpus.AppCategory
+	Events     int
+	RecordedAt time.Time
 }
 
 // ArtifactStore reads and writes run artifacts under a root directory.
 type ArtifactStore struct {
 	dir string
 	// faults, when armed via SetFaults, injects silent bit rot into stored
-	// apks for crash-recovery testing (faults.ArtifactFlip).
+	// runs for crash-recovery testing (faults.ArtifactFlip).
 	faults *faults.Injector
 }
 
@@ -83,109 +96,158 @@ func NewArtifactStore(dir string) (*ArtifactStore, error) {
 // Dir returns the store root.
 func (s *ArtifactStore) Dir() string { return s.dir }
 
-// Save persists one run's raw evidence atomically: everything is written
-// into a hidden temp directory first, then renamed into place, so a crash
-// (or an injected fault) mid-save can never leave a partial run directory
-// that passes for a complete one.
+// path is the run file of sha.
+func (s *ArtifactStore) path(sha string) string { return filepath.Join(s.dir, sha+runExt) }
+
+// Save persists one run's raw evidence as one sealed file, committed by
+// journal.WriteFileAtomic like every other campaign output: a crash
+// mid-save leaves the previous file or none, never a torn run.
 //
 // Saves of distinct shas may run concurrently: each writes its own temp
-// directory and publishes it with one rename. A fleet's workers save that
-// way and never the same sha at once: every app's package name carries
-// its index, so no two apps share an apk. Saving a sha that is already
+// file and publishes it with one rename. A fleet's workers save that way
+// and never the same sha at once: every app's package name carries its
+// index, so no two apps share an apk. Saving a sha that is already
 // stored — a requeued run's fresh evidence over a damaged entry —
 // replaces it; two concurrent saves of one sha are not supported.
 func (s *ArtifactStore) Save(meta RunMeta, apkBytes, capture []byte, rawReports [][]byte, trace map[string]struct{}) error {
 	if meta.SHA256 == "" {
 		return fmt.Errorf("dispatch: artifact save without sha")
 	}
-	runDir, err := os.MkdirTemp(s.dir, tmpPrefix)
+	err := journal.WriteFileAtomic(s.path(meta.SHA256), func(w io.Writer) error {
+		return writeEvidence(w, meta, apkBytes, capture, rawReports, trace)
+	})
 	if err != nil {
-		return fmt.Errorf("dispatch: creating run temp dir: %w", err)
+		return fmt.Errorf("dispatch: saving run %s: %w", meta.SHA256, err)
 	}
-	committed := false
-	defer func() {
-		if !committed {
-			_ = os.RemoveAll(runDir)
-		}
-	}()
-	metaJSON, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("dispatch: marshaling meta: %w", err)
-	}
-	if err := writeFileSync(filepath.Join(runDir, "meta.json"), metaJSON); err != nil {
-		return fmt.Errorf("dispatch: writing meta: %w", err)
-	}
-	if err := writeFileSync(filepath.Join(runDir, "app.apk"), apkBytes); err != nil {
-		return fmt.Errorf("dispatch: writing apk: %w", err)
-	}
-	if err := writeFileSync(filepath.Join(runDir, "capture.pcap"), capture); err != nil {
-		return fmt.Errorf("dispatch: writing capture: %w", err)
-	}
+	return nil
+}
 
-	if err := writeFileSync(filepath.Join(runDir, "reports.bin"), EncodeReports(rawReports)); err != nil {
-		return fmt.Errorf("dispatch: writing reports: %w", err)
-	}
+// writeEvidence streams one run file to w. The meta and the small
+// sections are framed in buffers of their own; the apk and the capture
+// are written as they are, and the seal's checksum accumulates across
+// every part.
+func writeEvidence(w io.Writer, meta RunMeta, apkBytes, capture []byte, rawReports [][]byte, trace map[string]struct{}) error {
+	head := binary.AppendUvarint(appendMeta(nil, meta), uint64(len(apkBytes)))
+	mid := binary.AppendUvarint(nil, uint64(len(capture)))
 
 	sigs := make([]string, 0, len(trace))
 	for sig := range trace {
 		sigs = append(sigs, sig)
 	}
 	sort.Strings(sigs)
-	var traceBuf bytes.Buffer
+	size := 2 * binary.MaxVarintLen64
+	for _, raw := range rawReports {
+		size += binary.MaxVarintLen64 + len(raw)
+	}
 	for _, sig := range sigs {
-		traceBuf.WriteString(sig)
-		traceBuf.WriteByte('\n')
+		size += binary.MaxVarintLen64 + len(sig)
 	}
-	if err := writeFileSync(filepath.Join(runDir, "trace.txt"), traceBuf.Bytes()); err != nil {
-		return fmt.Errorf("dispatch: writing trace: %w", err)
+	tail := appendReports(make([]byte, 0, size), rawReports)
+	tail = binary.AppendUvarint(tail, uint64(len(sigs)))
+	for _, sig := range sigs {
+		tail = codec.AppendString(tail, sig)
 	}
-
-	// MkdirTemp creates the directory 0o700; open it up to match the old
-	// in-place layout before publishing.
-	if err := os.Chmod(runDir, 0o755); err != nil {
-		return fmt.Errorf("dispatch: chmod run dir: %w", err)
-	}
-	// The five entries must be durable in the run directory before the
-	// rename publishes it — fsyncing the files alone pins their contents,
-	// not their names.
-	if err := journal.SyncDir(runDir); err != nil {
-		return fmt.Errorf("dispatch: syncing run dir: %w", err)
-	}
-	target := filepath.Join(s.dir, meta.SHA256)
-	if err := os.Rename(runDir, target); err != nil {
-		// Re-saving the same sha: rename onto a non-empty directory fails
-		// on POSIX, so clear the stale run and publish again.
-		if rmErr := os.RemoveAll(target); rmErr != nil {
-			return fmt.Errorf("dispatch: replacing run dir: %w", rmErr)
-		}
-		if err := os.Rename(runDir, target); err != nil {
-			return fmt.Errorf("dispatch: publishing run dir: %w", err)
-		}
-	}
-	committed = true
-	// Rename makes the run visible; only the store-root fsync makes the
-	// commit durable. Skipping it is how a "saved" artifact vanishes in a
-	// crash and resume finds a journal that promises evidence the disk
-	// never kept.
-	return journal.SyncDir(s.dir)
+	return codec.SealTo(w, EvidenceMagic, head, apkBytes, mid, capture, tail)
 }
 
-// writeFileSync is os.WriteFile plus the fsync it omits: artifact
-// evidence backs journal replay, so its contents must be on disk before
-// the run directory is published, not merely in the page cache.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// appendMeta frames a run file's meta section.
+func appendMeta(b []byte, meta RunMeta) []byte {
+	b = codec.AppendString(b, meta.Package)
+	b = codec.AppendString(b, meta.SHA256)
+	b = codec.AppendString(b, meta.Category)
+	b = binary.AppendVarint(b, int64(meta.Events))
+	b = binary.AppendVarint(b, meta.RecordedAt.Unix())
+	return binary.AppendUvarint(b, uint64(meta.RecordedAt.Nanosecond()))
+}
+
+// readMeta reads the meta section appendMeta framed.
+func readMeta(r *codec.Reader) RunMeta {
+	meta := RunMeta{Package: r.String(), SHA256: r.String(), Category: corpus.AppCategory(r.String()), Events: int(r.Varint())}
+	sec, nsec := r.Varint(), r.Uvarint()
+	if nsec >= uint64(time.Second) {
+		r.Failf("recorded-at nanoseconds %d out of range", nsec)
+	}
+	meta.RecordedAt = time.Unix(sec, int64(nsec)).UTC()
+	return meta
+}
+
+// appendReports frames a run file's reports section: the count, then
+// each supervisor datagram length-prefixed.
+func appendReports(b []byte, rawReports [][]byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(rawReports)))
+	for _, raw := range rawReports {
+		b = codec.AppendString(b, raw)
+	}
+	return b
+}
+
+// readReports reads the reports section appendReports framed, decoding
+// each datagram.
+func readReports(r *codec.Reader) []*xposed.Report {
+	var reports []*xposed.Report
+	for n := r.Length(); n > 0 && r.Err() == nil; n-- {
+		rep, err := xposed.DecodeReport(r.Bytes())
+		if err != nil {
+			r.Failf("stored report: %v", err)
+		}
+		reports = append(reports, rep)
+	}
+	return reports
+}
+
+// EncodeMeta is a run file's meta section on its own: the bytes
+// writeEvidence writes first.
+func EncodeMeta(meta RunMeta) []byte { return appendMeta(nil, meta) }
+
+// DecodeMeta reads data as exactly one meta section, as DecodeEvidence
+// reads it in place. Failures wrap ErrCorruptArtifact.
+func DecodeMeta(data []byte) (RunMeta, error) {
+	r := codec.NewReader(data, ErrCorruptArtifact)
+	meta := readMeta(r)
+	return meta, r.Finish()
+}
+
+// EncodeReports is a run file's reports section on its own.
+func EncodeReports(rawReports [][]byte) []byte { return appendReports(nil, rawReports) }
+
+// DecodeReports reads data as exactly one reports section, as
+// DecodeEvidence reads it in place. Failures wrap ErrCorruptArtifact.
+func DecodeReports(data []byte) ([]*xposed.Report, error) {
+	r := codec.NewReader(data, ErrCorruptArtifact)
+	reports := readReports(r)
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return reports, nil
+}
+
+// DecodeEvidence reads one run file back: the seal, every section, and
+// the apk's sha256 against the meta's. Every failure wraps
+// ErrCorruptArtifact. The run's byte fields alias data.
+func DecodeEvidence(data []byte) (*StoredRun, error) {
+	body, err := codec.Open(EvidenceMagic, data)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("%w: %w", ErrCorruptArtifact, err)
 	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
+	r := codec.NewReader(body, ErrCorruptArtifact)
+	run := &StoredRun{Meta: readMeta(r), APK: r.Bytes(), Capture: r.Bytes()}
+	run.Reports = readReports(r)
+	n := r.Length()
+	run.Trace = make(map[string]struct{}, n)
+	for prev := ""; n > 0 && r.Err() == nil; n-- {
+		sig := r.String()
+		if len(run.Trace) > 0 && sig <= prev {
+			r.Failf("trace signature %q out of order", sig)
+		}
+		run.Trace[sig], prev = struct{}{}, sig
 	}
-	if closeErr := f.Close(); err == nil {
-		err = closeErr
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
-	return err
+	if got := apk.Checksum(run.APK); got != run.Meta.SHA256 {
+		return nil, corruptf(run.Meta.SHA256, "stored apk checksum %s does not match the run's", got)
+	}
+	return run, nil
 }
 
 // Consume implements Sink: it commits the evidence an EventRun carries.
@@ -218,49 +280,27 @@ func (s *ArtifactStore) commit(i int, e *RunEvidence) error {
 	return nil
 }
 
-// tmpPrefix marks in-flight Save directories; anything still carrying it is
-// an abandoned partial save.
-const tmpPrefix = ".tmp-run-"
-
-// runFiles is the complete set a run directory must hold.
-var runFiles = [...]string{"meta.json", "app.apk", "capture.pcap", "reports.bin", "trace.txt"}
-
 // List returns the stored run checksums, sorted, split into complete runs
-// and incomplete entries (abandoned temp dirs, or run dirs missing any
-// artifact file). Incomplete entries are reported rather than silently
-// skipped so a torn store is visible to its operator.
+// (<sha>.run files) and incomplete entries: "*.tmp-*" residue of an
+// interrupted save, and <sha>/ directories of the five-file layout this
+// store no longer reads. Incomplete entries are reported rather than
+// silently skipped so a torn or stale store is visible to its operator.
 func (s *ArtifactStore) List() (complete, incomplete []string, err error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dispatch: listing artifacts: %w", err)
 	}
+	// ReadDir sorts by name, so both lists come out sorted.
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
 		name := e.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
+		sha, isRun := strings.CutSuffix(name, runExt)
+		switch {
+		case strings.Contains(name, ".tmp-") || (e.IsDir() && len(name) == 64):
 			incomplete = append(incomplete, name)
-			continue
-		}
-		if len(name) != 64 {
-			continue
-		}
-		whole := true
-		for _, f := range runFiles {
-			if _, statErr := os.Stat(filepath.Join(s.dir, name, f)); statErr != nil {
-				whole = false
-				break
-			}
-		}
-		if whole {
-			complete = append(complete, name)
-		} else {
-			incomplete = append(incomplete, name)
+		case isRun && len(sha) == 64 && !e.IsDir():
+			complete = append(complete, sha)
 		}
 	}
-	sort.Strings(complete)
-	sort.Strings(incomplete)
 	return complete, incomplete, nil
 }
 
@@ -268,156 +308,39 @@ func (s *ArtifactStore) List() (complete, incomplete []string, err error) {
 type StoredRun struct {
 	Meta RunMeta
 	// APK is the stored apk's bytes, verified by Load: they hash to the
-	// run's directory key and pass apk.Check. A reader that needs the
-	// program decodes them itself (Reanalyze).
+	// run's key, and the seal proves them the bytes the live apk store
+	// checked. A reader that needs the program decodes them itself
+	// (Reanalyze).
 	APK     []byte
 	Capture []byte
 	Reports []*xposed.Report
 	Trace   map[string]struct{}
 }
 
-// DecodeMeta parses and validates one stored meta.json against its run
-// directory key. Content failures wrap ErrCorruptArtifact.
-func DecodeMeta(data []byte, sha string) (RunMeta, error) {
-	var meta RunMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return RunMeta{}, corruptf(sha, "parsing meta: %v", err)
-	}
-	if meta.SHA256 != sha {
-		return RunMeta{}, corruptf(sha, "meta sha %s does not match directory key", meta.SHA256)
-	}
-	if meta.Package == "" {
-		return RunMeta{}, corruptf(sha, "meta has no package name")
-	}
-	return meta, nil
-}
-
-// EncodeReports builds a reports.bin image: the run's supervisor
-// datagrams, each length-prefixed.
-func EncodeReports(rawReports [][]byte) []byte {
-	size := 0
-	for _, raw := range rawReports {
-		size += binary.MaxVarintLen16 + len(raw)
-	}
-	b := make([]byte, 0, size)
-	for _, raw := range rawReports {
-		b = codec.AppendString(b, raw)
-	}
-	return b
-}
-
-// DecodeReports parses a reports.bin image. Framing or decode failures
-// wrap ErrCorruptArtifact.
-func DecodeReports(data []byte, sha string) ([]*xposed.Report, error) {
-	var out []*xposed.Report
-	r := codec.NewReader(data, ErrCorruptArtifact)
-	for r.Remaining() > 0 {
-		raw := r.Bytes()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("%w (reports of %s)", r.Err(), sha)
-		}
-		rep, err := xposed.DecodeReport(raw)
-		if err != nil {
-			return nil, corruptf(sha, "decoding stored report: %v", err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// Load reads one run's artifacts back, verifying the on-disk apk's
-// sha256 against its directory key and its content with apk.Check, which
-// builds no program. Content-integrity failures wrap the typed
-// ErrCorruptArtifact so callers never mistake bit rot for an I/O hiccup —
-// and never analyze silently wrong evidence.
+// Load reads one run back with one decode (DecodeEvidence) and checks that
+// it is the run stored under sha. Content-integrity failures wrap the
+// typed ErrCorruptArtifact so callers never mistake bit rot for an I/O
+// hiccup — and never analyze silently wrong evidence; a missing run file
+// is a plain error.
 func (s *ArtifactStore) Load(sha string) (*StoredRun, error) {
-	runDir := filepath.Join(s.dir, sha)
-	metaJSON, err := os.ReadFile(filepath.Join(runDir, "meta.json"))
+	data, err := os.ReadFile(s.path(sha))
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading meta: %w", err)
+		return nil, fmt.Errorf("dispatch: reading run %s: %w", sha, err)
 	}
-	run := &StoredRun{}
-	if run.Meta, err = DecodeMeta(metaJSON, sha); err != nil {
-		return nil, err
-	}
-
-	apkBytes, err := os.ReadFile(filepath.Join(runDir, "app.apk"))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading apk: %w", err)
-	}
-	if got := apk.Checksum(apkBytes); got != sha {
-		return nil, corruptf(sha, "stored apk checksum %s does not match directory key", got)
-	}
-	if _, err := apk.Check(apkBytes); err != nil {
-		return nil, corruptf(sha, "decoding stored apk: %v", err)
-	}
-	run.APK = apkBytes
-
-	if run.Capture, err = os.ReadFile(filepath.Join(runDir, "capture.pcap")); err != nil {
-		return nil, fmt.Errorf("dispatch: reading capture: %w", err)
-	}
-
-	reportBytes, err := os.ReadFile(filepath.Join(runDir, "reports.bin"))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: reading reports: %w", err)
-	}
-	if run.Reports, err = DecodeReports(reportBytes, sha); err != nil {
-		return nil, err
-	}
-
-	traceFile, err := os.Open(filepath.Join(runDir, "trace.txt"))
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: opening trace: %w", err)
-	}
-	defer func() { _ = traceFile.Close() }()
-	run.Trace = make(map[string]struct{})
-	sc := bufio.NewScanner(traceFile)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		if line := sc.Text(); line != "" {
-			run.Trace[line] = struct{}{}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dispatch: scanning trace: %w", err)
+	run, err := DecodeEvidence(data)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("%w (run %s)", err, sha)
+	case run.Meta.SHA256 != sha:
+		return nil, corruptf(sha, "file holds the run of %s", run.Meta.SHA256)
 	}
 	return run, nil
 }
 
-// Verify audits one stored run without decoding the apk into a program:
-// every artifact file must exist, the apk must hash to the directory key,
-// the metadata must parse and agree with the key, and the report framing
-// must decode. Missing files surface as plain errors; content damage
-// wraps ErrCorruptArtifact.
+// Verify audits one stored run: it is Load, result discarded.
 func (s *ArtifactStore) Verify(sha string) error {
-	runDir := filepath.Join(s.dir, sha)
-	for _, f := range runFiles {
-		if _, err := os.Stat(filepath.Join(runDir, f)); err != nil {
-			return fmt.Errorf("dispatch: artifact %s missing %s: %w", sha, f, err)
-		}
-	}
-	metaJSON, err := os.ReadFile(filepath.Join(runDir, "meta.json"))
-	if err != nil {
-		return fmt.Errorf("dispatch: reading meta: %w", err)
-	}
-	if _, err := DecodeMeta(metaJSON, sha); err != nil {
-		return err
-	}
-	apkBytes, err := os.ReadFile(filepath.Join(runDir, "app.apk"))
-	if err != nil {
-		return fmt.Errorf("dispatch: reading apk: %w", err)
-	}
-	if got := apk.Checksum(apkBytes); got != sha {
-		return corruptf(sha, "stored apk checksum %s does not match directory key", got)
-	}
-	reportBytes, err := os.ReadFile(filepath.Join(runDir, "reports.bin"))
-	if err != nil {
-		return fmt.Errorf("dispatch: reading reports: %w", err)
-	}
-	if _, err := DecodeReports(reportBytes, sha); err != nil {
-		return err
-	}
-	return nil
+	_, err := s.Load(sha)
+	return err
 }
 
 // AuditEntry is one damaged store entry in an AuditReport.
@@ -433,8 +356,8 @@ type AuditReport struct {
 	// Corrupt lists entries whose content failed verification, sorted by
 	// sha; each Err wraps ErrCorruptArtifact for content damage.
 	Corrupt []AuditEntry
-	// Incomplete lists abandoned temp dirs and run dirs missing artifact
-	// files (from List), sorted.
+	// Incomplete lists the temp-file residue of interrupted saves and
+	// directories of the retired five-file layout (from List), sorted.
 	Incomplete []string
 }
 
@@ -464,23 +387,20 @@ func (s *ArtifactStore) Audit() (*AuditReport, error) {
 
 // SetFaults arms the store's crash-class fault hook: after the save of a
 // completed run whose app's plan is faults.ArtifactFlip, one bit of the
-// stored apk is flipped in place — silent bit rot for the audit and
-// resume paths to detect.
+// run file is flipped in place — silent bit rot for the audit and resume
+// paths to detect.
 func (s *ArtifactStore) SetFaults(inj *faults.Injector) { s.faults = inj }
 
-// flipStoredBit corrupts one stored apk byte, deterministically derived
-// from the plan parameter.
+// flipStoredBit corrupts one byte of a stored run file, deterministically
+// derived from the plan parameter. A run file is never empty: the seal
+// alone is twelve bytes.
 func (s *ArtifactStore) flipStoredBit(sha string, param uint64) error {
-	path := filepath.Join(s.dir, sha, "app.apk")
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(s.path(sha))
 	if err != nil {
 		return err
 	}
-	if len(data) == 0 {
-		return nil
-	}
 	data[param%uint64(len(data))] ^= 1 << ((param >> 32) % 8)
-	return os.WriteFile(path, data, 0o644)
+	return os.WriteFile(s.path(sha), data, 0o644)
 }
 
 // Reanalyze runs the offline analysis over every stored run — the "later

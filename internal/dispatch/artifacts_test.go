@@ -119,16 +119,18 @@ func TestArtifactStoreValidation(t *testing.T) {
 	}
 }
 
-// fakeRunFiles builds minimal Save inputs for store-shape tests that never
-// Load the content back.
-func fakeRunFiles(sha string) (dispatch.RunMeta, []byte, []byte, [][]byte, map[string]struct{}) {
+// fakeRunFiles builds minimal Save inputs, distinct per name, for
+// store-shape tests: the apk is a few bytes that hash to the run's sha
+// but decode to no program.
+func fakeRunFiles(name string) (dispatch.RunMeta, []byte, []byte, [][]byte, map[string]struct{}) {
+	apkBytes := []byte("apk-" + name)
 	meta := dispatch.RunMeta{
 		Package:    "com.fake.app",
-		SHA256:     sha,
+		SHA256:     apk.Checksum(apkBytes),
 		Events:     10,
 		RecordedAt: time.Date(2019, time.July, 1, 0, 0, 0, 0, time.UTC),
 	}
-	return meta, []byte("apk"), []byte("pcap"), [][]byte{[]byte("r1"), []byte("r2")}, map[string]struct{}{"sig": {}}
+	return meta, apkBytes, []byte("pcap"), nil, map[string]struct{}{"sig": {}}
 }
 
 // TestArtifactStoreSaveIsAtomic: a Save never leaves temp residue, and
@@ -139,29 +141,28 @@ func TestArtifactStoreSaveIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sha := strings.Repeat("a", 64)
-	meta, apkB, capture, reports, trace := fakeRunFiles(sha)
+	meta, apkB, capture, reports, trace := fakeRunFiles("a")
 	if err := store.Save(meta, apkB, capture, reports, trace); err != nil {
 		t.Fatal(err)
 	}
 	// Re-save with different capture bytes: must replace, not fail on the
-	// existing directory.
+	// existing run file.
 	if err := store.Save(meta, apkB, []byte("pcap-v2"), reports, trace); err != nil {
 		t.Fatalf("re-save over an existing run failed: %v", err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, sha, "capture.pcap"))
+	stored, err := store.Load(meta.SHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, []byte("pcap-v2")) {
-		t.Errorf("re-save did not replace capture: %q", got)
+	if !bytes.Equal(stored.Capture, []byte("pcap-v2")) {
+		t.Errorf("re-save did not replace capture: %q", stored.Capture)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
+		if strings.Contains(e.Name(), ".tmp-") {
 			t.Errorf("temp residue left behind: %s", e.Name())
 		}
 	}
@@ -171,31 +172,32 @@ func TestArtifactStoreSaveIsAtomic(t *testing.T) {
 	}
 }
 
-// TestArtifactStoreListReportsIncomplete: partial run directories and
-// abandoned temp dirs are surfaced as incomplete, not silently mixed into
-// the complete set, and Reanalyze skips them.
+// TestArtifactStoreListReportsIncomplete: the temp-file residue of an
+// interrupted save and run directories of the retired five-file layout
+// are surfaced as incomplete, not silently mixed into the complete set,
+// and Reanalyze skips them.
 func TestArtifactStoreListReportsIncomplete(t *testing.T) {
 	dir := t.TempDir()
 	store, err := dispatch.NewArtifactStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := strings.Repeat("b", 64)
-	meta, apkB, capture, reports, trace := fakeRunFiles(good)
+	meta, apkB, capture, reports, trace := fakeRunFiles("b")
+	good := meta.SHA256
 	if err := store.Save(meta, apkB, capture, reports, trace); err != nil {
 		t.Fatal(err)
 	}
-	// A torn run directory: right name shape, missing most files — what a
-	// pre-atomic Save could leave after a crash.
-	torn := strings.Repeat("c", 64)
-	if err := os.MkdirAll(filepath.Join(dir, torn), 0o755); err != nil {
+	// A run directory of the five-file layout: the store no longer reads
+	// it, so resume requeues its run and audit reports it.
+	stale := strings.Repeat("c", 64)
+	if err := os.MkdirAll(filepath.Join(dir, stale), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, torn, "meta.json"), []byte("{}"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, stale, "meta.json"), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// An abandoned temp dir from an interrupted Save.
-	if err := os.MkdirAll(filepath.Join(dir, ".tmp-run-dead"), 0o700); err != nil {
+	// The temp file of a save interrupted before its rename.
+	if err := os.WriteFile(filepath.Join(dir, good+".run.tmp-dead"), []byte("LSEVID01"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -207,7 +209,7 @@ func TestArtifactStoreListReportsIncomplete(t *testing.T) {
 		t.Errorf("complete = %v, want [%s]", complete, good)
 	}
 	if len(incomplete) != 2 {
-		t.Errorf("incomplete = %v, want the torn dir and the temp dir", incomplete)
+		t.Errorf("incomplete = %v, want the stale dir and the temp file", incomplete)
 	}
 	world := smallWorld(t, 107, 1)
 	runs, err := store.Reanalyze(newAttributor(t, 107, world), nil)

@@ -36,26 +36,32 @@ func populatedStore(t *testing.T, seed uint64, apps int) (*dispatch.ArtifactStor
 	return store, shas
 }
 
-// flipByte XORs one bit of a stored artifact file.
-func flipByte(t *testing.T, store *dispatch.ArtifactStore, sha, file string, offset int) {
+// runFile is the path of sha's stored run.
+func runFile(store *dispatch.ArtifactStore, sha string) string {
+	return filepath.Join(store.Dir(), sha+".run")
+}
+
+// flipByte XORs one bit of a stored run file; a negative offset counts
+// from its end.
+func flipByte(t *testing.T, store *dispatch.ArtifactStore, sha string, offset int) {
 	t.Helper()
-	path := filepath.Join(store.Dir(), sha, file)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(runFile(store, sha))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offset >= len(data) {
-		offset = len(data) - 1
+	if offset < 0 {
+		offset += len(data)
 	}
 	data[offset] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(runFile(store, sha), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLoadSurfacesCorruptArtifact: a stored apk whose bytes no longer hash
-// to the directory key must come back as the typed ErrCorruptArtifact, not
-// as silently wrong evidence or an untyped string error.
+// TestLoadSurfacesCorruptArtifact: a stored run whose bytes no longer
+// match their seal, or that is filed under another run's key, must come
+// back as the typed ErrCorruptArtifact, not as silently wrong evidence or
+// an untyped string error.
 func TestLoadSurfacesCorruptArtifact(t *testing.T) {
 	store, shas := populatedStore(t, 131, 3)
 
@@ -64,43 +70,37 @@ func TestLoadSurfacesCorruptArtifact(t *testing.T) {
 		t.Fatalf("clean load failed: %v", err)
 	}
 
-	flipByte(t, store, shas[0], "app.apk", 100)
+	flipByte(t, store, shas[0], 100)
 	_, err := store.Load(shas[0])
 	if !errors.Is(err, dispatch.ErrCorruptArtifact) {
-		t.Fatalf("flipped apk load error = %v, want ErrCorruptArtifact", err)
+		t.Fatalf("flipped run load error = %v, want ErrCorruptArtifact", err)
 	}
 	if !strings.Contains(err.Error(), shas[0]) {
 		t.Errorf("corrupt error should name the entry: %v", err)
 	}
 
-	// Torn report framing is corruption too.
-	reports := filepath.Join(store.Dir(), shas[1], "reports.bin")
-	data, readErr := os.ReadFile(reports)
+	// A torn run file is corruption too.
+	data, readErr := os.ReadFile(runFile(store, shas[1]))
 	if readErr != nil {
 		t.Fatal(readErr)
 	}
-	if len(data) < 4 {
-		t.Fatalf("reports.bin unexpectedly small: %d bytes", len(data))
-	}
-	if err := os.WriteFile(reports, data[:len(data)-3], 0o644); err != nil {
+	if err := os.WriteFile(runFile(store, shas[1]), data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Load(shas[1]); !errors.Is(err, dispatch.ErrCorruptArtifact) {
-		t.Errorf("torn reports load error = %v, want ErrCorruptArtifact", err)
+		t.Errorf("torn run load error = %v, want ErrCorruptArtifact", err)
 	}
 
-	// A meta whose recorded sha disagrees with its directory key.
-	meta := filepath.Join(store.Dir(), shas[2], "meta.json")
-	metaJSON, readErr := os.ReadFile(meta)
+	// An intact run filed under another run's key.
+	data, readErr = os.ReadFile(runFile(store, shas[2]))
 	if readErr != nil {
 		t.Fatal(readErr)
 	}
-	swapped := strings.Replace(string(metaJSON), shas[2], strings.Repeat("0", 64), 1)
-	if err := os.WriteFile(meta, []byte(swapped), 0o644); err != nil {
+	if err := os.WriteFile(runFile(store, shas[1]), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Load(shas[2]); !errors.Is(err, dispatch.ErrCorruptArtifact) {
-		t.Errorf("mismatched meta load error = %v, want ErrCorruptArtifact", err)
+	if _, err := store.Load(shas[1]); !errors.Is(err, dispatch.ErrCorruptArtifact) {
+		t.Errorf("misfiled run load error = %v, want ErrCorruptArtifact", err)
 	}
 
 	// Plain I/O failures stay untyped: a missing entry is not corruption.
@@ -122,10 +122,14 @@ func TestAuditReportsEveryDamageClass(t *testing.T) {
 		t.Fatalf("clean store audit = %+v", report)
 	}
 
-	// Damage one entry's apk, tear another's reports, and amputate a third.
-	flipByte(t, store, shas[0], "app.apk", 7)
-	flipByte(t, store, shas[1], "reports.bin", 0)
-	if err := os.Remove(filepath.Join(store.Dir(), shas[2], "trace.txt")); err != nil {
+	// Damage one run near its start and another near its end, and leave
+	// only a five-file-layout directory for a third.
+	flipByte(t, store, shas[0], 7)
+	flipByte(t, store, shas[1], -20)
+	if err := os.Remove(runFile(store, shas[2])); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(store.Dir(), shas[2]), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,7 +155,8 @@ func TestAuditReportsEveryDamageClass(t *testing.T) {
 		t.Errorf("Incomplete = %v, want [%s]", report.Incomplete, shas[2])
 	}
 
-	// Verify separates missing files (plain error) from content damage.
+	// Verify separates a missing run file (plain error) from content
+	// damage.
 	if err := store.Verify(shas[2]); err == nil || errors.Is(err, dispatch.ErrCorruptArtifact) {
 		t.Errorf("Verify of amputated entry = %v, want untyped missing-file error", err)
 	}

@@ -359,7 +359,7 @@ func (env *runEnv) runOne(ctx context.Context, i, attempt int, parent *obs.Span)
 				Category: pack.Manifest.Category,
 				Events:   arts.EventsInjected,
 				// The run's virtual clock, not wall time: identical seeds
-				// must produce byte-identical meta.json.
+				// must produce byte-identical run files.
 				RecordedAt: arts.FinishedAt.UTC(),
 			},
 			APK:        encoded,

@@ -21,8 +21,9 @@ import (
 // this file holds only what is replay's own: rebuilding a completed run's
 // result from its stored evidence (the same offline analysis the live run
 // performed, over the same bytes), and never trusting silently — the
-// stored apk is re-hashed against the journal-recorded sha, and any
-// missing or corrupt evidence demotes the replay to a live requeued run.
+// stored run's seal is checked and its apk re-hashed against the
+// journal-recorded sha, and any missing or corrupt evidence demotes the
+// replay to a live requeued run.
 
 // replayApp reads one app's journaled transitions — its retries, then its
 // terminal outcome — back into the stream without re-running the app.

@@ -292,16 +292,18 @@ func TestResumeAtEveryRecordBoundaryByteIdentical(t *testing.T) {
 }
 
 // TestResumeRequeuesCorruptEvidence is the acceptance path: a bit flipped
-// in stored evidence after the campaign is caught by the audit, and a
-// resume re-runs exactly that app — repairing the store — instead of
+// in any section of a stored run after the campaign — apk, capture,
+// reports, trace or meta — is caught by the audit, and a resume re-runs
+// exactly that app, re-saving the run byte-identical, instead of
 // attributing from rotten bytes.
 func TestResumeRequeuesCorruptEvidence(t *testing.T) {
-	store, err := dispatch.NewArtifactStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := dispatch.NewArtifactStore(filepath.Join(dir, "artifacts"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &journaledCampaign{seed: 173, apps: 8, store: store}
-	path := filepath.Join(t.TempDir(), "campaign.journal")
+	path := filepath.Join(dir, "campaign.journal")
 	w, err := journal.Create(path, c.header(), journal.Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -319,33 +321,117 @@ func TestResumeRequeuesCorruptEvidence(t *testing.T) {
 		t.Fatalf("List = %v, %v", complete, err)
 	}
 	victim := complete[0]
-	flipByte(t, store, victim, "app.apk", 42)
-
-	report, err := store.Audit()
+	pristine, err := os.ReadFile(filepath.Join(store.Dir(), victim+".run"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Corrupt) != 1 || report.Corrupt[0].SHA != victim {
-		t.Fatalf("audit = %+v, want exactly the flipped entry", report.Corrupt)
-	}
-
-	rw, rep, err := journal.Recover(path, journal.Options{SyncEvery: 1})
+	stored, err := store.Load(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.run(t, rw, rep, nil)
-	if err != nil {
-		t.Fatalf("resume over corrupt evidence failed: %v", err)
+	if len(stored.Reports) == 0 || len(stored.Trace) == 0 {
+		t.Fatalf("victim run holds %d reports, %d trace signatures", len(stored.Reports), len(stored.Trace))
 	}
-	_ = rw.Close()
-	sameOutcome(t, base, res)
-
-	// The requeued run re-saved fresh evidence: the store is whole again.
-	report, err = store.Audit()
+	report, err := stored.Reports[0].Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Clean() {
-		t.Errorf("resume left the store damaged: %+v", report)
+	var sig string
+	for s := range stored.Trace {
+		sig = s
+		break
+	}
+
+	// Each section is found by its content: the meta's package name
+	// comes first in the file, and a report (which the capture may also
+	// carry) and a trace signature last.
+	for _, tc := range []struct {
+		name    string
+		section []byte
+		find    func(s, sep []byte) int
+	}{
+		{"apk", stored.APK, bytes.Index},
+		{"capture", stored.Capture, bytes.Index},
+		{"reports", report, bytes.LastIndex},
+		{"trace", []byte(sig), bytes.LastIndex},
+		{"meta", []byte(stored.Meta.Package), bytes.Index},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			caseDir := t.TempDir()
+			caseStore, err := dispatch.NewArtifactStore(filepath.Join(caseDir, "artifacts"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			copyFiles(t, store.Dir(), caseStore.Dir())
+			casePath := filepath.Join(caseDir, "campaign.journal")
+			copyFiles(t, path, casePath)
+
+			off := tc.find(pristine, tc.section)
+			if off < 0 {
+				t.Fatalf("%s section not found in the run file", tc.name)
+			}
+			damaged := bytes.Clone(pristine)
+			damaged[off+len(tc.section)/2] ^= 0x01
+			runPath := filepath.Join(caseStore.Dir(), victim+".run")
+			if err := os.WriteFile(runPath, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			audit, err := caseStore.Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(audit.Corrupt) != 1 || audit.Corrupt[0].SHA != victim || len(audit.OK) != len(complete)-1 {
+				t.Fatalf("audit = %+v, want exactly the flipped entry corrupt", audit)
+			}
+
+			rw, rep, err := journal.Recover(casePath, journal.Options{SyncEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed := &journaledCampaign{seed: c.seed, apps: c.apps, store: caseStore}
+			res, err := resumed.run(t, rw, rep, nil)
+			if err != nil {
+				t.Fatalf("resume over corrupt evidence failed: %v", err)
+			}
+			_ = rw.Close()
+			sameOutcome(t, base, res)
+
+			// The requeued run re-saved fresh evidence: the store is whole
+			// again, the victim's file byte-identical to the original.
+			if audit, err := caseStore.Audit(); err != nil || !audit.Clean() {
+				t.Errorf("resume left the store damaged: %+v, %v", audit, err)
+			}
+			if got, err := os.ReadFile(runPath); err != nil || !bytes.Equal(got, pristine) {
+				t.Errorf("requeued run re-saved %d bytes (%v), want the original %d", len(got), err, len(pristine))
+			}
+		})
+	}
+}
+
+// copyFiles copies the file from to the path to, or every file of the
+// flat directory from into the directory to.
+func copyFiles(t *testing.T, from, to string) {
+	t.Helper()
+	info, err := os.Stat(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.IsDir() {
+		entries, err := os.ReadDir(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			copyFiles(t, filepath.Join(from, e.Name()), filepath.Join(to, e.Name()))
+		}
+		return
+	}
+	data, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

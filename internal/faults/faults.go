@@ -63,7 +63,7 @@ const (
 	// JournalTear crashes mid-append, leaving a torn final record for
 	// recovery to truncate.
 	JournalTear
-	// ArtifactFlip silently flips one bit of a stored apk after commit —
+	// ArtifactFlip silently flips one bit of a stored run file after commit —
 	// the disk-rot class only an integrity audit can catch.
 	ArtifactFlip
 )

@@ -3,8 +3,8 @@ package resultstore
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"libspector/internal/codec"
@@ -407,40 +407,21 @@ func distinct(recs []Record, col func(*Record) string) []string {
 	return out
 }
 
-// Write sorts records canonically and commits the store file atomically:
-// temp file in the destination directory, fsync, rename, fsync of the
-// directory. A crash at any point leaves either the previous file or
-// none — never a torn store.
+// Write sorts records canonically and commits the store file with
+// journal.WriteFileAtomic, like every other campaign output: a crash at
+// any point leaves either the previous file or none — never a torn store.
 func Write(path string, recs []Record) error {
 	SortRecords(recs)
 	img, err := buildImage(recs)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-store-*")
+	err = journal.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("resultstore: creating temp store: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { _ = os.Remove(tmpName) }
-	if _, err := tmp.Write(img); err != nil {
-		_ = tmp.Close()
-		cleanup()
-		return fmt.Errorf("resultstore: writing store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		cleanup()
-		return fmt.Errorf("resultstore: fsync store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("resultstore: closing store: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		cleanup()
 		return fmt.Errorf("resultstore: committing store: %w", err)
 	}
-	return journal.SyncDir(dir)
+	return nil
 }

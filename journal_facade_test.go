@@ -95,13 +95,13 @@ func TestExperimentJournalResume(t *testing.T) {
 		t.Errorf("journaled run diverged from clean run: %d vs %d bytes", got, wantBytes)
 	}
 
-	// Damage one stored apk; the resume must detect it, requeue the run,
-	// and overwrite the entry with fresh evidence.
+	// Damage one stored run file; the resume must detect it, requeue the
+	// run, and overwrite the entry with fresh evidence.
 	entries, err := os.ReadDir(cfg.ArtifactDir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no artifacts persisted: %v", err)
 	}
-	victim := filepath.Join(cfg.ArtifactDir, entries[0].Name(), "app.apk")
+	victim := filepath.Join(cfg.ArtifactDir, entries[0].Name())
 	blob, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,8 @@ import (
 // 64-app campaign, a durable campaign resumed from a cut journal and a
 // 20%-faulted durable campaign must equal the same campaigns run with no
 // reuse at all: every digest part (figures, runs, event log, result
-// store, ...) and every file of the artifact directory, trace.txt
-// included.
+// store, ...) and every stored run file of the artifact directory, its
+// trace section included.
 func TestReleasedFilesPoisoned(t *testing.T) {
 	defer dex.SetRecycling(dex.SetRecycling(dex.RecycleOn))
 	for name, d := range map[string]draw{

@@ -9,8 +9,8 @@
 #      (so the first invocation MUST die), then re-runs with -resume
 #      until the coordinator WAL replays to completion,
 #
-# and demands the merged event log of the survivor be byte-identical to
-# the baseline's. This is the invariance bar from DESIGN.md: crashes,
+# and demands the merged event log of the survivor, and every stored run
+# file, be byte-identical to the baseline's. This is the invariance bar from DESIGN.md: crashes,
 # takeovers, and WAL replay may change how the campaign executes, never
 # what it produces. Every shard child serves /healthz and /debug/vars on
 # 127.0.0.1:(PROBE_PORT+i) for the parent's liveness probes and stall
@@ -106,4 +106,22 @@ if grep -q '^\[ *[0-9]*\] takeover.*stalled' "$work/wal.txt"; then
     exit 1
 fi
 
-echo "chaos-smoke: OK — events byte-identical under $CHAOS_KILL shard kills + coordinator kill ($takeovers takeovers, WAL clean)"
+# Evidence must survive the kills too: the shards' stores together hold
+# exactly the baseline's run files, each byte-identical. A kill may leave
+# the *.tmp-* residue of an interrupted save, which no reader looks at.
+base_runs=$(cd "$work/base-art" && ls -- *.run | sort)
+chaos_runs=$(cd "$work/chaos-art" && ls -- shard-*/*.run | xargs -n1 basename | sort)
+if [ -z "$base_runs" ] || [ "$base_runs" != "$chaos_runs" ]; then
+    echo "chaos-smoke: FAIL — the shards' run files differ from the baseline's set" >&2
+    diff <(echo "$base_runs") <(echo "$chaos_runs") >&2
+    exit 1
+fi
+for f in "$work"/chaos-art/shard-*/*.run; do
+    if ! cmp -s "$f" "$work/base-art/$(basename "$f")"; then
+        echo "chaos-smoke: FAIL — $f differs from the baseline's run file" >&2
+        exit 1
+    fi
+done
+runs=$(echo "$base_runs" | wc -l)
+
+echo "chaos-smoke: OK — events and $runs run files byte-identical under $CHAOS_KILL shard kills + coordinator kill ($takeovers takeovers, WAL clean)"
