@@ -43,8 +43,10 @@ race:
 	$(GO) test -race -run 'TestDeterminism|TestResultStoreShardInvariance|TestResumeSnapshotUnderRunFaults|TestRunContextSlowSinkAfterCancel|TestReleasedFilesPoisoned' .
 
 # The repo's benchmark (BENCHMARK.json): six end-to-end campaign workloads
-# with a per-layer table, each run in its own process. bench_test.go stays
-# as per-layer diagnostics: `go test -run '^$$' -bench <regexp> -benchmem .`
+# with a per-layer table, each run in its own process. bench_test.go holds
+# host-time diagnostics only (`go test -run '^$$' -bench <regexp> -benchmem .`);
+# the paper's measured numbers are EXPERIMENTS.md's blocks, pinned by
+# TestReproductionRecord under `make test`.
 bench:
 	bash benchmark/run.sh
 

@@ -1,13 +1,13 @@
-// Benchmark harness regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index) plus the §II-B3
-// performance numbers and the DESIGN.md ablations.
+// Benchmarks of the pipeline's host cost: §II-B3's wall-clock
+// performance (instrumentation overhead, offline analysis per app), whole
+// campaigns through the facade and bare dispatch, the analysis fold, and
+// the journal, result-store and event-bus diagnostics. Every measured
+// number of the paper's evaluation lives in EXPERIMENTS.md instead,
+// rendered and pinned by TestReproductionRecord.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem
-//
-// Each figure bench reports the headline quantity of that figure as a
-// custom metric, so the bench output doubles as the reproduction record.
+//	go test -run '^$' -bench . -benchmem .
 package libspector_test
 
 import (
@@ -23,17 +23,13 @@ import (
 	"libspector"
 	"libspector/internal/analysis"
 	"libspector/internal/analysis/analysistest"
-	"libspector/internal/art"
 	"libspector/internal/attribution"
-	"libspector/internal/baseline"
-	"libspector/internal/corpus"
 	"libspector/internal/dex"
 	"libspector/internal/dispatch"
 	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
 	"libspector/internal/journal"
 	"libspector/internal/libradar"
-	"libspector/internal/monkey"
 	"libspector/internal/nets"
 	"libspector/internal/obs"
 	"libspector/internal/resultstore"
@@ -42,63 +38,11 @@ import (
 	"libspector/internal/xposed"
 )
 
-// benchState is the shared experiment all figure benches aggregate over,
-// plus the supervisor reports its flows matched.
-type benchState struct {
-	exp     *libspector.Experiment
-	ds      *analysis.Dataset
-	reports []*xposed.Report
-}
-
-var (
-	benchOnce sync.Once
-	bench     benchState
-	benchErr  error
-)
-
-// sharedExperiment lazily runs one mid-sized fleet.
-func sharedExperiment(b *testing.B) *benchState {
-	b.Helper()
-	benchOnce.Do(func() {
-		cfg := libspector.DefaultConfig()
-		cfg.Apps = 100
-		cfg.Seed = 42
-		cfg.MonkeyEvents = 400
-		exp, err := libspector.NewExperiment(cfg)
-		if err != nil {
-			benchErr = err
-			return
-		}
-		// The experiment keeps no runs, so the matched reports are
-		// gathered as the runs stream past.
-		var reports []*xposed.Report
-		if err := exp.RunContext(context.Background(), dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
-			if ev.Kind == dispatch.EventRun {
-				for _, f := range ev.Run.Flows {
-					if f.Report != nil {
-						reports = append(reports, f.Report)
-					}
-				}
-			}
-			return nil
-		})); err != nil {
-			benchErr = err
-			return
-		}
-		bench = benchState{exp: exp, ds: exp.Dataset(), reports: reports}
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
-	}
-	return &bench
-}
-
-// ---------------------------------------------------------------------------
-// T1 — Table I: domain-category tokenization.
-
+// BenchmarkTableIDomainTokenization times Table I's categorization of a
+// world's whole domain universe; the table itself is the record's T1
+// block.
 func BenchmarkTableIDomainTokenization(b *testing.B) {
-	st := sharedExperiment(b)
-	world := st.exp.World()
+	world := testWorld(b, 42, 2)
 	oracle := vtclient.NewOracle(42, world.DomainTruth())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -109,229 +53,23 @@ func BenchmarkTableIDomainTokenization(b *testing.B) {
 		for _, d := range world.Domains {
 			svc.Categorize(d.Name)
 		}
-		if i == 0 {
-			counts := svc.Counts()
-			b.ReportMetric(float64(counts[corpus.DomUnknown]), "unknown-domains")
-			b.ReportMetric(float64(len(world.Domains)), "domains")
-		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// F2 — Figure 2: per-app-category transfer by library category.
-
-func BenchmarkFig2CategoryTransfer(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var m *analysis.CategoryMatrix
-	for i := 0; i < b.N; i++ {
-		m = st.ds.Fig2CategoryTransfer()
-	}
-	b.ReportMetric(100*m.LegendShare[corpus.LibAdvertisement], "ads-share-%")
-	b.ReportMetric(100*m.LegendShare[corpus.LibDevelopmentAid], "devaid-share-%")
-	b.ReportMetric(100*m.LegendShare[corpus.LibUnknown], "unknown-share-%")
-	b.ReportMetric(100*m.LegendShare[corpus.LibGameEngine], "gameengine-share-%")
-}
-
-// ---------------------------------------------------------------------------
-// F3 — Figure 3: top origin-libraries and 2-level libraries.
-
-func BenchmarkFig3TopLibraries(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var origins, twoLevel []analysis.RankedLibrary
-	for i := 0; i < b.N; i++ {
-		origins = st.ds.Fig3TopOrigins(15)
-		twoLevel = st.ds.Fig3TopTwoLevel(15)
-	}
-	if len(origins) > 0 {
-		b.ReportMetric(float64(origins[0].Bytes)/1e6, "top-origin-MB")
-	}
-	if len(twoLevel) > 0 {
-		b.ReportMetric(float64(twoLevel[0].Bytes)/1e6, "top-2level-MB")
-	}
-	b.ReportMetric(100*st.ds.TopShare(25, true), "top25-2level-share-%")
-}
-
-// ---------------------------------------------------------------------------
-// F4 — Figure 4: CDFs of flow sizes.
-
-func BenchmarkFig4CDF(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var series []analysis.CDFSeries
-	for i := 0; i < b.N; i++ {
-		series = st.ds.Fig4CDF()
-	}
-	for _, s := range series {
-		if s.Label == "App: Received" && len(s.Values) > 0 {
-			b.ReportMetric(s.Values[len(s.Values)/2]/1e6, "median-app-recv-MB")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// F5 — Figure 5: transfer-flow ratios.
-
-func BenchmarkFig5FlowRatios(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var ratios []analysis.RatioSeries
-	for i := 0; i < b.N; i++ {
-		ratios = st.ds.Fig5FlowRatios()
-	}
-	b.ReportMetric(ratios[0].Mean, "app-ratio-mean")
-	b.ReportMetric(ratios[1].Mean, "lib-ratio-mean")
-	b.ReportMetric(ratios[2].Mean, "domain-ratio-mean")
-	b.ReportMetric(analysis.TopDecileRatioMean(ratios[1]), "lib-top10%-ratio")
-}
-
-// ---------------------------------------------------------------------------
-// F6 — Figure 6: AnT and common-library prevalence.
-
-func BenchmarkFig6AnTRatio(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var ant *analysis.AnTStats
-	for i := 0; i < b.N; i++ {
-		ant = st.ds.Fig6AnTShares()
-	}
-	b.ReportMetric(100*ant.FracAnTOnly, "ant-only-%")
-	b.ReportMetric(100*ant.FracSomeAnT, "some-ant-%")
-	b.ReportMetric(ant.AnTFlowRatioMean, "ant-flow-ratio")
-	b.ReportMetric(ant.CLFlowRatioMean, "cl-flow-ratio")
-}
-
-// ---------------------------------------------------------------------------
-// F7 — Figure 7: average transfer per library / domain category.
-
-func BenchmarkFig7AverageTransfer(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var avgs *analysis.CategoryAverages
-	for i := 0; i < b.N; i++ {
-		avgs = st.ds.Fig7Averages()
-	}
-	cdn := avgs.PerDomain[corpus.DomCDN]
-	ads := avgs.PerDomain[corpus.DomAdvertisements]
-	b.ReportMetric(cdn/1e6, "cdn-per-domain-MB")
-	b.ReportMetric(ads/1e6, "ads-per-domain-MB")
-	if ads > 0 {
-		b.ReportMetric(cdn/ads, "cdn-over-ads")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// F8 — Figure 8: average transfer per app category.
-
-func BenchmarkFig8AppCategoryAverage(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var avgs map[corpus.AppCategory]float64
-	for i := 0; i < b.N; i++ {
-		avgs = st.ds.Fig8AppCategoryAverages()
-	}
-	var maxCat corpus.AppCategory
-	var maxAvg float64
-	for cat, v := range avgs {
-		if v > maxAvg {
-			maxCat, maxAvg = cat, v
-		}
-	}
-	_ = maxCat
-	b.ReportMetric(maxAvg/1e6, "top-appcat-avg-MB")
-}
-
-// ---------------------------------------------------------------------------
-// F9 — Figure 9: library × domain category heatmap.
-
-func BenchmarkFig9Heatmap(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var h *analysis.Heatmap
-	for i := 0; i < b.N; i++ {
-		h = st.ds.Fig9Heatmap()
-	}
-	b.ReportMetric(100*h.ShareToDomain(corpus.LibAdvertisement, corpus.DomCDN), "ads-to-cdn-%")
-	b.ReportMetric(100*h.ShareToDomain(corpus.LibAdvertisement, corpus.DomAdvertisements), "ads-to-ads-%")
-}
-
-// ---------------------------------------------------------------------------
-// F10 — Figure 10: method coverage.
-
-func BenchmarkFig10Coverage(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var cov *analysis.CoverageStats
-	for i := 0; i < b.N; i++ {
-		cov = st.ds.Fig10Coverage()
-	}
-	b.ReportMetric(cov.Mean, "coverage-mean-%")
-	b.ReportMetric(100*cov.FracAboveMean, "apps-above-mean-%")
-	b.ReportMetric(cov.MeanMethods, "mean-methods")
-}
-
-// ---------------------------------------------------------------------------
-// E1/E2 — §IV-D cost and energy estimation.
-
-func BenchmarkCostEstimation(b *testing.B) {
-	st := sharedExperiment(b)
-	model := analysis.NewCostModel()
-	var costs []analysis.CategoryCost
-	for i := 0; i < b.N; i++ {
-		costs = analysis.CostPerCategory(st.ds.Fig7Averages(), model,
-			corpus.LibAdvertisement, corpus.LibMobileAnalytics, corpus.LibGameEngine)
-	}
-	b.ReportMetric(costs[0].DollarsPerHour, "ads-$/h")
-	// The paper's own inputs through the same model (unit-verified):
-	b.ReportMetric(model.DollarsPerHour(15.58e6), "paper-ads-$/h")
-}
-
-func BenchmarkEnergyEstimation(b *testing.B) {
-	st := sharedExperiment(b)
-	model := analysis.NewEnergyModel()
-	adBytes := st.ds.Fig7Averages().PerLibrary[corpus.LibAdvertisement]
-	var joules float64
-	for i := 0; i < b.N; i++ {
-		joules = model.EnergyJoules(adBytes)
-	}
-	b.ReportMetric(joules, "measured-J")
-	// The paper's arithmetic: 15.6 MB at the rounded constant ≈ 7794 J ≈
-	// 18.7% battery.
-	paperJ := 15.6e6 * analysis.PaperJoulesPerByte
-	b.ReportMetric(100*model.BatteryShare(paperJ), "paper-battery-%")
 }
 
 // ---------------------------------------------------------------------------
 // E3 — §II-B3 performance: instrumentation overhead and offline analysis.
 
-// benchApp generates a single app for run benchmarks.
-func benchApp(b *testing.B, seed uint64) (*synth.App, *synth.World) {
-	b.Helper()
-	cfg := synth.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumApps = 2
-	cfg.ARMOnlyRate = 0
-	world, err := synth.NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	app, err := world.GenerateApp(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return app, world
-}
-
+// BenchmarkInstrumentationOverhead times one run with and without the
+// supervisor hook; the virtual time the hook adds is the record's E3
+// block.
 func BenchmarkInstrumentationOverhead(b *testing.B) {
-	app, world := benchApp(b, 61)
+	world := testWorld(b, 61, 2)
 	for _, instrumented := range []bool{false, true} {
 		name := "uninstrumented"
 		if instrumented {
 			name = "instrumented"
 		}
 		b.Run(name, func(b *testing.B) {
-			var virtualNs float64
 			for i := 0; i < b.N; i++ {
 				fresh, err := world.GenerateApp(0)
 				if err != nil {
@@ -340,16 +78,12 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 				opts := emulator.DefaultOptions(61)
 				opts.Monkey.Events = 200
 				opts.Instrumented = instrumented
-				arts, err := emulator.Run(emulator.Installation{
+				if _, err := emulator.Run(emulator.Installation{
 					Program: fresh.Program, APKSHA256: fresh.SHA256,
-				}, world.Resolver, opts)
-				if err != nil {
+				}, world.Resolver, opts); err != nil {
 					b.Fatal(err)
 				}
-				virtualNs = float64(arts.VirtualDuration.Nanoseconds())
 			}
-			b.ReportMetric(virtualNs/1e6, "virtual-ms")
-			_ = app
 		})
 	}
 }
@@ -357,7 +91,11 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 func BenchmarkOfflineAnalysisPerApp(b *testing.B) {
 	// The paper: offline analysis takes <5 s per app. Measure a full
 	// AnalyzeRun over a recorded capture.
-	app, world := benchApp(b, 62)
+	world := testWorld(b, 62, 2)
+	app, err := world.GenerateApp(0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	opts := emulator.DefaultOptions(62)
 	opts.Monkey.Events = 1000
 	arts, err := emulator.Run(emulator.Installation{Program: app.Program, APKSHA256: app.SHA256}, world.Resolver, opts)
@@ -396,206 +134,6 @@ func BenchmarkOfflineAnalysisPerApp(b *testing.B) {
 			b.Fatal("join incomplete")
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// E4 — network-only baselines vs context-aware attribution.
-
-func BenchmarkBaselineComparison(b *testing.B) {
-	st := sharedExperiment(b)
-	b.ResetTimer()
-	var ua, host, content baseline.Comparison
-	for i := 0; i < b.N; i++ {
-		ua = baseline.CompareUA(st.ds)
-		host = baseline.CompareHostname(st.ds)
-		content = baseline.CompareContentType(st.ds)
-	}
-	b.ReportMetric(100*ua.Recall(), "ua-recall-%")
-	b.ReportMetric(100*host.Recall(), "host-recall-%")
-	b.ReportMetric(100*content.Recall(), "content-recall-%")
-	b.ReportMetric(100*ua.CDNShare(), "knownlib-cdn-share-%")
-}
-
-// ---------------------------------------------------------------------------
-// E5 — §IV-C event-budget study (10 … 5,000 events).
-
-func BenchmarkEventBudgetSweep(b *testing.B) {
-	cfg := synth.DefaultConfig()
-	cfg.Seed = 63
-	cfg.NumApps = 8
-	cfg.ARMOnlyRate = 0
-	world, err := synth.NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, events := range []int{10, 100, 500, 1000, 5000} {
-		b.Run(fmt.Sprintf("events=%d", events), func(b *testing.B) {
-			var covSum, methodsSum float64
-			for i := 0; i < b.N; i++ {
-				covSum, methodsSum = 0, 0
-				for a := 0; a < cfg.NumApps; a++ {
-					app, err := world.GenerateApp(a)
-					if err != nil {
-						b.Fatal(err)
-					}
-					opts := emulator.DefaultOptions(63)
-					opts.Monkey.Events = events
-					arts, err := emulator.Run(emulator.Installation{
-						Program: app.Program, APKSHA256: app.SHA256,
-					}, world.Resolver, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cov := attribution.ComputeCoverage(arts.Trace, dex.DisassembleFile(app.Program.Dex))
-					covSum += cov.Percent()
-					methodsSum += float64(cov.ExecutedMethods)
-				}
-			}
-			b.ReportMetric(covSum/float64(cfg.NumApps), "coverage-%")
-			b.ReportMetric(methodsSum/float64(cfg.NumApps), "methods-hit")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4.5).
-
-// BenchmarkAblationBuiltinFilter compares origin attribution with and
-// without the §III-C built-in frame filtering: without it, framework
-// packages swallow the attribution.
-func BenchmarkAblationBuiltinFilter(b *testing.B) {
-	reports := sharedExperiment(b).reports
-	if len(reports) == 0 {
-		b.Fatal("no reports")
-	}
-	for _, disable := range []bool{false, true} {
-		name := "filtered"
-		if disable {
-			name = "unfiltered"
-		}
-		b.Run(name, func(b *testing.B) {
-			attr := attribution.NewAttributor(nil)
-			attr.DisableBuiltinFilter = disable
-			var frameworkOrigins int
-			filter := corpus.NewBuiltinFilter()
-			for i := 0; i < b.N; i++ {
-				frameworkOrigins = 0
-				for _, rep := range reports {
-					origin, builtin, err := attr.OriginOf(rep)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if builtin || filter.IsBuiltin(origin+".X") {
-						frameworkOrigins++
-					}
-				}
-			}
-			b.ReportMetric(100*float64(frameworkOrigins)/float64(len(reports)), "framework-attributed-%")
-		})
-	}
-}
-
-// BenchmarkAblationTopOfStack compares chronologically-first attribution
-// (the paper's design) with naive top-of-stack attribution: the latter
-// credits HTTP-client libraries instead of the business-logic library.
-func BenchmarkAblationTopOfStack(b *testing.B) {
-	reports := sharedExperiment(b).reports
-	first := attribution.NewAttributor(nil)
-	top := attribution.NewAttributor(nil)
-	top.TopOfStack = true
-	var disagreements int
-	for i := 0; i < b.N; i++ {
-		disagreements = 0
-		for _, rep := range reports {
-			a, _, err := first.OriginOf(rep)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c, _, err := top.OriginOf(rep)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if a != c {
-				disagreements++
-			}
-		}
-	}
-	b.ReportMetric(100*float64(disagreements)/float64(len(reports)), "disagreement-%")
-}
-
-// BenchmarkAblationProfilerMode compares the stock bounded trace buffer
-// with the paper's unique-method ART modification.
-func BenchmarkAblationProfilerMode(b *testing.B) {
-	_, world := benchApp(b, 64)
-	for _, mode := range []art.ProfilerMode{art.ProfilerBounded, art.ProfilerUnique} {
-		name := "bounded"
-		if mode == art.ProfilerUnique {
-			name = "unique"
-		}
-		b.Run(name, func(b *testing.B) {
-			var uniqueMethods, dropped float64
-			for i := 0; i < b.N; i++ {
-				fresh, err := world.GenerateApp(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opts := emulator.DefaultOptions(64)
-				opts.Monkey.Events = 500
-				opts.ProfilerMode = mode
-				opts.ProfilerCapacity = 256
-				arts, err := emulator.Run(emulator.Installation{
-					Program: fresh.Program, APKSHA256: fresh.SHA256,
-				}, world.Resolver, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				uniqueMethods = float64(arts.ProfilerUniqueMethods)
-				dropped = float64(arts.ProfilerDroppedEntries)
-			}
-			b.ReportMetric(uniqueMethods, "unique-methods")
-			b.ReportMetric(dropped, "dropped-entries")
-		})
-	}
-}
-
-// BenchmarkAblationCategoryVoting compares the §III-D majority-voting
-// category prediction with a database-only resolver that maps every
-// unknown library to Unknown.
-func BenchmarkAblationCategoryVoting(b *testing.B) {
-	st := sharedExperiment(b)
-	origins := make(map[string]struct{})
-	for i := range st.ds.Records {
-		r := &st.ds.Records[i]
-		if !r.Builtin() {
-			origins[st.ds.Origin(r)] = struct{}{}
-		}
-	}
-	full := st.exp.Detector()
-	exactOnly := libradar.NewDetector(nil) // empty DB: everything Unknown
-	b.Run("with-voting", func(b *testing.B) {
-		var unknown int
-		for i := 0; i < b.N; i++ {
-			unknown = 0
-			for origin := range origins {
-				if full.Categorize(origin) == corpus.LibUnknown {
-					unknown++
-				}
-			}
-		}
-		b.ReportMetric(100*float64(unknown)/float64(len(origins)), "unknown-%")
-	})
-	b.Run("db-exact-only", func(b *testing.B) {
-		var unknown int
-		for i := 0; i < b.N; i++ {
-			unknown = 0
-			for origin := range origins {
-				if exactOnly.Categorize(origin) == corpus.LibUnknown {
-					unknown++
-				}
-			}
-		}
-		b.ReportMetric(100*float64(unknown)/float64(len(origins)), "unknown-%")
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -659,6 +197,32 @@ func BenchmarkFleetThroughput(b *testing.B) {
 	b.ReportMetric(float64(apps), "apps/op")
 }
 
+// benchFleet is a corpus of apps apps under seed, with its domain service
+// and a LibRadar detector that knows its libraries, and the config of a
+// fleet that runs it at 120 monkey events per app.
+func benchFleet(b *testing.B, seed uint64, apps int) (*synth.World, *vtclient.Service, *libradar.Detector, dispatch.Config) {
+	b.Helper()
+	cfg := synth.DefaultConfig()
+	cfg.Seed, cfg.NumApps = seed, apps
+	world, err := synth.NewWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := vtclient.NewService(vtclient.NewOracle(seed, world.DomainTruth()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	det := libradar.SeededDetector()
+	for prefix, cat := range world.KnownLibraryDB() {
+		if err := det.AddKnownLibrary(prefix, cat); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := emulator.DefaultOptions(seed)
+	opts.Monkey.Events = 120
+	return world, svc, det, dispatch.Config{Emulator: opts, BaseSeed: seed, Detector: det, Attributor: attribution.NewAttributor(svc)}
+}
+
 // BenchmarkStreamingPipelinePeakMemory contrasts the retained heap of the
 // two analysis paths on a 500-app corpus: the batch path materializes every
 // RunResult before building the Dataset (O(corpus)), while the streaming
@@ -666,34 +230,6 @@ func BenchmarkFleetThroughput(b *testing.B) {
 // per-run state be collected (O(aggregates)).
 func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 	const apps = 500
-	setup := func(b *testing.B) (*synth.World, *vtclient.Service, *libradar.Detector, dispatch.Config) {
-		b.Helper()
-		cfg := synth.DefaultConfig()
-		cfg.Seed = 77
-		cfg.NumApps = apps
-		world, err := synth.NewWorld(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc, err := vtclient.NewService(vtclient.NewOracle(77, world.DomainTruth()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		det := libradar.SeededDetector()
-		for prefix, cat := range world.KnownLibraryDB() {
-			if err := det.AddKnownLibrary(prefix, cat); err != nil {
-				b.Fatal(err)
-			}
-		}
-		opts := emulator.DefaultOptions(77)
-		opts.Monkey.Events = 120
-		return world, svc, det, dispatch.Config{
-			Emulator:   opts,
-			BaseSeed:   77,
-			Detector:   det,
-			Attributor: attribution.NewAttributor(svc),
-		}
-	}
 	// retained runs fn once and returns the heap bytes still live afterwards
 	// while fn's result is pinned — the corpus-proportional residue each
 	// path keeps around.
@@ -712,7 +248,7 @@ func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		var bytesRetained float64
 		for i := 0; i < b.N; i++ {
-			world, svc, det, cfg := setup(b)
+			world, svc, det, cfg := benchFleet(b, 77, apps)
 			bytesRetained = retained(func() interface{} {
 				res, runs, err := dispatchtest.Run(world, world.Resolver, cfg)
 				if err != nil {
@@ -731,7 +267,7 @@ func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 	b.Run("streaming", func(b *testing.B) {
 		var bytesRetained float64
 		for i := 0; i < b.N; i++ {
-			world, svc, det, cfg := setup(b)
+			world, svc, det, cfg := benchFleet(b, 77, apps)
 			bytesRetained = retained(func() interface{} {
 				acc, err := analysis.NewAccumulator(svc)
 				if err != nil {
@@ -771,30 +307,8 @@ func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 // per-app numbers; apps/sec is reported directly).
 func BenchmarkAnalysisThroughput(b *testing.B) {
 	const apps = 500
-	cfg := synth.DefaultConfig()
-	cfg.NumApps = apps
-	world, err := synth.NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc, err := vtclient.NewService(vtclient.NewOracle(cfg.Seed, world.DomainTruth()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	det := libradar.SeededDetector()
-	for prefix, cat := range world.KnownLibraryDB() {
-		if err := det.AddKnownLibrary(prefix, cat); err != nil {
-			b.Fatal(err)
-		}
-	}
-	opts := emulator.DefaultOptions(cfg.Seed)
-	opts.Monkey.Events = 120
-	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
-		Emulator:   opts,
-		BaseSeed:   cfg.Seed,
-		Detector:   det,
-		Attributor: attribution.NewAttributor(svc),
-	})
+	world, svc, det, cfg := benchFleet(b, synth.DefaultConfig().Seed, apps)
+	_, runs, err := dispatchtest.Run(world, world.Resolver, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -837,93 +351,6 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(runs))*float64(b.N)/b.Elapsed().Seconds(), "apps/sec")
 	})
-}
-
-// BenchmarkMonkeySeedVariance quantifies the §IV-C caveat that monkey
-// randomness makes measured coverage a lower bound: the same app exercised
-// under different monkey seeds yields varying coverage.
-func BenchmarkMonkeySeedVariance(b *testing.B) {
-	_, world := benchApp(b, 66)
-	var mean, min, max float64
-	for i := 0; i < b.N; i++ {
-		covs := make([]float64, 0, 8)
-		for seed := uint64(0); seed < 8; seed++ {
-			fresh, err := world.GenerateApp(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := emulator.DefaultOptions(1000 + seed)
-			// A tight budget: with hundreds of events every handler fires
-			// regardless of seed and the variance collapses.
-			opts.Monkey.Events = 12
-			arts, err := emulator.Run(emulator.Installation{
-				Program: fresh.Program, APKSHA256: fresh.SHA256,
-			}, world.Resolver, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cov := attribution.ComputeCoverage(arts.Trace, dex.DisassembleFile(fresh.Program.Dex))
-			covs = append(covs, cov.Percent())
-		}
-		min, max, mean = covs[0], covs[0], 0
-		for _, c := range covs {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-			mean += c
-		}
-		mean /= float64(len(covs))
-	}
-	b.ReportMetric(mean, "coverage-mean-%")
-	b.ReportMetric(min, "coverage-min-%")
-	b.ReportMetric(max, "coverage-max-%")
-}
-
-// BenchmarkAblationInputGenerator compares monkey's random events with a
-// systematic (activity, handler) sweep at small event budgets — the
-// coverage-improvement direction of PUMA/Dynodroid the paper cites.
-func BenchmarkAblationInputGenerator(b *testing.B) {
-	cfg := synth.DefaultConfig()
-	cfg.Seed = 67
-	cfg.NumApps = 8
-	cfg.ARMOnlyRate = 0
-	world, err := synth.NewWorld(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, strat := range []monkey.Strategy{monkey.StrategyRandom, monkey.StrategySystematic} {
-		name := "random"
-		if strat == monkey.StrategySystematic {
-			name = "systematic"
-		}
-		b.Run(name, func(b *testing.B) {
-			var covSum float64
-			for i := 0; i < b.N; i++ {
-				covSum = 0
-				for a := 0; a < cfg.NumApps; a++ {
-					app, err := world.GenerateApp(a)
-					if err != nil {
-						b.Fatal(err)
-					}
-					opts := emulator.DefaultOptions(67)
-					opts.Monkey.Events = 40
-					opts.Monkey.Strategy = strat
-					arts, err := emulator.Run(emulator.Installation{
-						Program: app.Program, APKSHA256: app.SHA256,
-					}, world.Resolver, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cov := attribution.ComputeCoverage(arts.Trace, dex.DisassembleFile(app.Program.Dex))
-					covSum += cov.Percent()
-				}
-			}
-			b.ReportMetric(covSum/float64(cfg.NumApps), "coverage-%")
-		})
-	}
 }
 
 // BenchmarkJournalAppend measures the campaign WAL's append path under the

@@ -5,9 +5,9 @@
 //
 //	libreport -figure F9 [-apps N] [-seed S]
 //
-// Figure ids: T1, F2, F3, F4, F5, F6, F7, F8, F9, F10, E1 (cost),
-// E2 (energy), E4 (baselines), totals, json (full machine-readable
-// summary).
+// Figure ids are those of report.Sections — totals, T1, F2 … F10, E1
+// (cost), E2 (energy), E4 (baselines), paper (shape targets) — plus json
+// (full machine-readable summary).
 //
 // With -artifacts DIR the report is regenerated from previously persisted
 // run evidence (see libspector -artifacts) instead of a fresh fleet run.
@@ -31,8 +31,6 @@ import (
 
 	"libspector"
 	"libspector/internal/analysis"
-	"libspector/internal/baseline"
-	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
 	"libspector/internal/fleetflags"
 	"libspector/internal/report"
@@ -53,7 +51,7 @@ func run(args []string) error {
 	// directory to reanalyze), so those groups are not adopted.
 	flags := fleetflags.New(fs).Corpus(200, 0).ShardFlags().Outputs()
 	var (
-		figure      = fs.String("figure", "totals", "table/figure id: T1,F2..F10,E1,E2,E4,totals,json")
+		figure      = fs.String("figure", "totals", "table/figure id: totals,T1,F2..F10,E1,E2,E4,paper,json")
 		topN        = fs.Int("top", 15, "entries in the Figure 3 rankings")
 		artifacts   = fs.String("artifacts", "", "reanalyze persisted run evidence from this directory instead of running a fleet")
 		csvDir      = fs.String("csv", "", "also write the figure series as CSV files into this directory")
@@ -78,6 +76,12 @@ func run(args []string) error {
 		// Query mode answers purely from the on-disk store: no world
 		// generation, no fleet, no in-memory fold.
 		return queryStore(*store, *queryApp, *queryLib, *queryDomain, *groupBy, *topGroups)
+	}
+
+	section, ok := report.FindSection(*figure)
+	asJSON := strings.EqualFold(*figure, "json")
+	if !ok && !asJSON {
+		return fmt.Errorf("unknown figure id %q", *figure)
 	}
 
 	// -events-out and -trace-out record the deterministic log and trace;
@@ -124,6 +128,9 @@ func run(args []string) error {
 	if err := flags.WriteOutputs(); err != nil {
 		return err
 	}
+	if section.Records && ds == nil {
+		return fmt.Errorf("%s renders flow records, which a sharded run does not materialize", section.ID)
+	}
 	ag := exp.Aggregates()
 	if ds != nil {
 		ag = ds.Aggregates()
@@ -138,51 +145,10 @@ func run(args []string) error {
 		}
 	}
 
-	switch strings.ToUpper(*figure) {
-	case "TOTALS":
-		fmt.Println(report.Totals(ag.ComputeTotals()))
-	case "T1":
-		for _, d := range exp.World().Domains {
-			exp.Domains().Categorize(d.Name)
-		}
-		fmt.Println(report.TableI(exp.Domains().Counts()))
-	case "F2":
-		fmt.Println(report.Fig2(ag.Fig2CategoryTransfer()))
-	case "F3":
-		fmt.Println(report.Fig3(ag.Fig3TopOrigins(*topN), ag.Fig3TopTwoLevel(*topN)))
-	case "F4":
-		fmt.Println(report.Fig4(ag.Fig4CDF()))
-	case "F5":
-		fmt.Println(report.Fig5(ag.Fig5FlowRatios()))
-	case "F6":
-		fmt.Println(report.Fig6(ag.Fig6AnTShares()))
-	case "F7":
-		fmt.Println(report.Fig7(ag.Fig7Averages()))
-	case "F8":
-		fmt.Println(report.Fig8(ag.Fig8AppCategoryAverages()))
-	case "F9":
-		fmt.Println(report.Fig9(ag.Fig9Heatmap()))
-	case "F10":
-		fmt.Println(report.Fig10(ag.Fig10Coverage()))
-	case "E1":
-		costs := analysis.CostPerCategory(ag.Fig7Averages(), analysis.NewCostModel(),
-			corpus.LibAdvertisement, corpus.LibMobileAnalytics,
-			corpus.LibSocialNetwork, corpus.LibDigitalIdentity, corpus.LibGameEngine)
-		fmt.Println(report.Costs(costs))
-	case "E2":
-		fmt.Println(report.Energy(analysis.NewEnergyModel(), ag.Fig7Averages().PerLibrary[corpus.LibAdvertisement]))
-	case "E4":
-		if ds == nil {
-			return fmt.Errorf("E4 compares record-level baselines, which a sharded run does not materialize")
-		}
-		fmt.Println(report.Baselines(baseline.CompareUA(ds), baseline.CompareHostname(ds), baseline.CompareContentType(ds)))
-	case "JSON":
-		if err := ag.Summarize(*topN).WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown figure id %q", *figure)
+	if asJSON {
+		return ag.Summarize(*topN).WriteJSON(os.Stdout)
 	}
+	fmt.Println(section.Render(report.Inputs{Aggregates: ag, Dataset: ds, DomainCounts: exp.TableICounts(), TopN: *topN}))
 	return nil
 }
 
@@ -260,7 +226,7 @@ func readOutcomes(list string) ([]*dispatch.ShardOutcome, error) {
 // stored apks through the LibRadar detection pass and re-runs the offline
 // attribution over the stored captures and reports.
 func reanalyze(exp *libspector.Experiment, dir string) (*analysis.Dataset, error) {
-	store, err := dispatch.NewArtifactStore(dir)
+	store, err := dispatch.OpenArtifactStore(dir)
 	if err != nil {
 		return nil, err
 	}

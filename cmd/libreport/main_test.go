@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"libspector"
 )
 
 // TestEveryFigureRenders exercises every figure id end-to-end on a tiny
@@ -14,7 +18,7 @@ func TestEveryFigureRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-backed CLI test skipped in -short mode")
 	}
-	for _, figure := range []string{"totals", "T1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "E1", "E2", "E4", "json"} {
+	for _, figure := range []string{"totals", "T1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "E1", "E2", "E4", "paper", "json"} {
 		figure := figure
 		t.Run(figure, func(t *testing.T) {
 			if err := run([]string{"-figure", figure, "-apps", "8", "-seed", "5"}); err != nil {
@@ -67,5 +71,55 @@ func TestMergeShardsEventLog(t *testing.T) {
 		if !bytes.Equal(merged, single) {
 			t.Errorf("merged %s holds %d lines, the single-process one %d", name, bytes.Count(merged, []byte("\n")), bytes.Count(single, []byte("\n")))
 		}
+	}
+}
+
+// TestReanalyzeShardedStore: -artifacts over a sharded campaign's base
+// directory reads every shard's store, and reanalysis summarizes to the
+// same bytes as over the unsharded campaign's store; a missing directory
+// is refused, not created.
+func TestReanalyzeShardedStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet-backed CLI test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	cfg := libspector.DefaultConfig()
+	cfg.Apps, cfg.Seed, cfg.MonkeyEvents, cfg.Workers = 40, 42, 120, 2
+	var summaries [2]bytes.Buffer
+	for i, shards := range []int{1, 2} {
+		cfg.ArtifactDir = filepath.Join(dir, fmt.Sprint(shards))
+		exp, err := libspector.NewExperiment(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards == 1 {
+			err = exp.Run()
+		} else {
+			_, err = exp.RunSharded(context.Background(), shards)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exp, err = libspector.NewExperiment(cfg); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := reanalyze(exp, cfg.ArtifactDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Summarize(25).WriteJSON(&summaries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(summaries[0].Bytes(), summaries[1].Bytes()) {
+		t.Errorf("reanalysis of the sharded store:\n%s\nof the unsharded one:\n%s", summaries[1].Bytes(), summaries[0].Bytes())
+	}
+
+	missing := filepath.Join(dir, "missing")
+	if err := run([]string{"-apps", "4", "-artifacts", missing}); err == nil {
+		t.Error("reanalysis of a missing store succeeded")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("reanalysis created the missing store (stat err %v)", err)
 	}
 }

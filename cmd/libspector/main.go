@@ -34,9 +34,6 @@ import (
 	"time"
 
 	"libspector"
-	"libspector/internal/analysis"
-	"libspector/internal/baseline"
-	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
 	"libspector/internal/fleetflags"
 	"libspector/internal/journal"
@@ -59,7 +56,7 @@ func runAudit(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("audit: -artifacts is required")
 	}
-	store, err := dispatch.NewArtifactStore(*dir)
+	store, err := dispatch.OpenArtifactStore(*dir)
 	if err != nil {
 		return err
 	}
@@ -166,6 +163,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	start := time.Now()
+	var snap obs.Snapshot
 	if flags.Shards > 1 {
 		// -shards N: the campaign runs as N child processes of this binary
 		// (-shard-index mode) under the supervising coordinator, and the
@@ -178,70 +176,37 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("Sharded fleet done in %s: %d runs across %d shards (%d takeovers), %d ARM-only apps skipped.\n",
 			time.Since(start).Round(time.Millisecond), acct.Completed, res.Shards, res.Takeovers, acct.SkippedARMOnly)
 		fleetflags.PrintDegraded(acct, res.Failures, res.Quarantined)
-		fmt.Printf("\n%s\n\n", obs.Render(res.Snapshot))
-		printAggregateFigures(exp, *topN)
-		fmt.Println(report.PaperComparison(exp.Aggregates().CompareWithPaper()))
-		return flags.WriteOutputs()
-	}
-	if err := exp.RunContext(ctx); err != nil {
-		if ctx.Err() == nil || exp.Dataset() == nil {
-			return err
-		}
-		// Interrupted mid-fleet: the streaming accumulator already holds
-		// everything that completed, so report the partial view.
-		fmt.Printf("Interrupted after %s — reporting partial aggregates over %d completed runs.\n",
-			time.Since(start).Round(time.Millisecond), exp.Result().Accounting.Completed)
+		snap = res.Snapshot
 	} else {
-		acct := exp.Result().Accounting
-		fmt.Printf("Fleet done in %s: %d runs, %d ARM-only apps skipped.\n",
-			time.Since(start).Round(time.Millisecond), acct.Completed, acct.SkippedARMOnly)
+		if err := exp.RunContext(ctx); err != nil {
+			if ctx.Err() == nil || exp.Dataset() == nil {
+				return err
+			}
+			// Interrupted mid-fleet: the streaming accumulator already holds
+			// everything that completed, so report the partial view.
+			fmt.Printf("Interrupted after %s — reporting partial aggregates over %d completed runs.\n",
+				time.Since(start).Round(time.Millisecond), exp.Result().Accounting.Completed)
+		} else {
+			acct := exp.Result().Accounting
+			fmt.Printf("Fleet done in %s: %d runs, %d ARM-only apps skipped.\n",
+				time.Since(start).Round(time.Millisecond), acct.Completed, acct.SkippedARMOnly)
+		}
+		res := exp.Result()
+		fleetflags.PrintDegraded(res.Accounting, res.Failures, res.Quarantined)
+		// The fleet, collector, and attribution series all render from the
+		// one telemetry snapshot.
+		snap = flags.Tel.Metrics().Snapshot()
 	}
-	res := exp.Result()
-	fleetflags.PrintDegraded(res.Accounting, res.Failures, res.Quarantined)
-	// The fleet, collector, and attribution series all render from the one
-	// telemetry snapshot.
-	fmt.Printf("\n%s\n\n", obs.Render(flags.Tel.Metrics().Snapshot()))
+	fmt.Printf("\n%s\n\n", obs.Render(snap))
 
-	// Figures and tables render from the streaming aggregates; the batch
-	// dataset (byte-identical on a clean run) still backs the record-level
-	// baselines below, which a sharded campaign never materializes.
-	ds := exp.Dataset()
-	printAggregateFigures(exp, *topN)
-	fmt.Println(report.Baselines(baseline.CompareUA(ds), baseline.CompareHostname(ds), baseline.CompareContentType(ds)))
-	fmt.Println(report.PaperComparison(exp.Aggregates().CompareWithPaper()))
+	// Every section renders from the streaming aggregates, except the
+	// record-level ones, which need the dataset a sharded campaign never
+	// materializes.
+	in := report.Inputs{Aggregates: exp.Aggregates(), Dataset: exp.Dataset(), DomainCounts: exp.TableICounts(), TopN: *topN}
+	for _, s := range report.Sections {
+		if !s.Records || in.Dataset != nil {
+			fmt.Println(s.Render(in))
+		}
+	}
 	return flags.WriteOutputs()
-}
-
-// printAggregateFigures renders every table and figure that needs only
-// the streaming aggregates — the shared body of the single-process and
-// sharded report paths. Record-level sections (the §V baselines) need
-// the batch dataset, which a sharded campaign never materializes, so
-// they stay with the single-process caller.
-func printAggregateFigures(exp *libspector.Experiment, topN int) {
-	ag := exp.Aggregates()
-	fmt.Println(report.Totals(ag.ComputeTotals()))
-
-	// Table I over the full domain universe, as the paper categorizes
-	// every domain seen in DNS requests.
-	for _, d := range exp.World().Domains {
-		exp.Domains().Categorize(d.Name)
-	}
-	fmt.Println(report.TableI(exp.Domains().Counts()))
-
-	fmt.Println(report.Fig2(ag.Fig2CategoryTransfer()))
-	fmt.Println(report.Fig3(ag.Fig3TopOrigins(topN), ag.Fig3TopTwoLevel(topN)))
-	fmt.Println(report.Fig4(ag.Fig4CDF()))
-	fmt.Println(report.Fig5(ag.Fig5FlowRatios()))
-	fmt.Println(report.Fig6(ag.Fig6AnTShares()))
-	avgs := ag.Fig7Averages()
-	fmt.Println(report.Fig7(avgs))
-	fmt.Println(report.Fig8(ag.Fig8AppCategoryAverages()))
-	fmt.Println(report.Fig9(ag.Fig9Heatmap()))
-	fmt.Println(report.Fig10(ag.Fig10Coverage()))
-
-	costs := analysis.CostPerCategory(avgs, analysis.NewCostModel(),
-		corpus.LibAdvertisement, corpus.LibMobileAnalytics,
-		corpus.LibSocialNetwork, corpus.LibDigitalIdentity, corpus.LibGameEngine)
-	fmt.Println(report.Costs(costs))
-	fmt.Println(report.Energy(analysis.NewEnergyModel(), avgs.PerLibrary[corpus.LibAdvertisement]))
 }

@@ -60,9 +60,12 @@ func TestFlaglessCampaignUsesCollector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-backed CLI test skipped in -short mode")
 	}
-	out := captureStdout(t, func() error {
+	out, err := captureStdout(func() error {
 		return run(context.Background(), []string{"-apps", "6", "-seed", "9", "-events", "60"})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := regexp.MustCompile(`(?m)^\s*collector_datagrams_received_total\s+(\d+)$`).FindStringSubmatch(out)
 	if m == nil {
 		t.Fatalf("no collector_datagrams_received_total line in the output:\n%s", out)
@@ -73,12 +76,11 @@ func TestFlaglessCampaignUsesCollector(t *testing.T) {
 }
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
-// printed.
-func captureStdout(t *testing.T, fn func() error) string {
-	t.Helper()
+// printed and fn's error.
+func captureStdout(fn func() error) (string, error) {
 	r, w, err := os.Pipe()
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	orig := os.Stdout
 	os.Stdout = w
@@ -92,10 +94,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 	_ = w.Close()
 	out := <-read
 	_ = r.Close()
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return string(out)
+	return string(out), runErr
 }
 
 func TestBadFlagRejected(t *testing.T) {
@@ -113,6 +112,13 @@ func TestResumeRequiresJournal(t *testing.T) {
 func TestAuditRequiresArtifacts(t *testing.T) {
 	if err := run(context.Background(), []string{"audit"}); err == nil {
 		t.Error("audit without -artifacts should fail")
+	}
+	missing := filepath.Join(t.TempDir(), "missing")
+	if err := run(context.Background(), []string{"audit", "-artifacts", missing}); err == nil {
+		t.Error("audit of a missing store should fail")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("audit created the missing store (stat err %v)", err)
 	}
 }
 
@@ -227,6 +233,29 @@ func TestProcessModeEventLogMatchesSingleProcess(t *testing.T) {
 	}
 	if _, err := os.Stat(path("campaign.wal.coordinator")); err != nil {
 		t.Errorf("journaled process-mode campaign wrote no default coordinator WAL: %v", err)
+	}
+
+	// The shards' stores audit as one store: every run counted, and a run
+	// flipped inside a shard named by its path.
+	audit := func() (string, error) {
+		return captureStdout(func() error { return run(context.Background(), []string{"audit", "-artifacts", path("evidence")}) })
+	}
+	runs, err := filepath.Glob(path("evidence/shard-*/*.run"))
+	if out, aerr := audit(); len(runs) == 0 || aerr != nil || !strings.Contains(out, fmt.Sprintf("Audited %d stored runs: %d ok", len(runs), len(runs))) {
+		t.Fatalf("audit of the shards' %d stored runs: %v\n%s", len(runs), errors.Join(err, aerr), out)
+	}
+	victim := runs[len(runs)-1]
+	blob, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 0x10
+	if err := os.WriteFile(victim, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	key := strings.TrimSuffix(strings.TrimPrefix(victim, path("evidence")+"/"), ".run")
+	if out, err := audit(); err == nil || !strings.Contains(out, "corrupt    "+key) {
+		t.Errorf("audit of a flipped shard run: %v\n%s", err, out)
 	}
 }
 

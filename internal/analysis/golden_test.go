@@ -10,8 +10,6 @@ import (
 	"libspector/internal/analysis"
 	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
-	"libspector/internal/baseline"
-	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
 	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
@@ -72,51 +70,25 @@ func goldenFixture(t *testing.T) (*analysis.Dataset, *analysis.Aggregates) {
 	return ds, ag
 }
 
-// renderAll produces every rendered figure/table keyed by golden-file stem.
-// The figureAPI constraint keeps the batch and streaming render sets
-// identical, so one golden pins both paths.
-type figureAPI interface {
-	ComputeTotals() analysis.Totals
-	Fig2CategoryTransfer() *analysis.CategoryMatrix
-	Fig3TopOrigins(n int) []analysis.RankedLibrary
-	Fig3TopTwoLevel(n int) []analysis.RankedLibrary
-	Fig4CDF() []analysis.CDFSeries
-	Fig5FlowRatios() []analysis.RatioSeries
-	Fig6AnTShares() *analysis.AnTStats
-	Fig7Averages() *analysis.CategoryAverages
-	Fig8AppCategoryAverages() map[corpus.AppCategory]float64
-	Fig9Heatmap() *analysis.Heatmap
-	Fig10Coverage() *analysis.CoverageStats
-	CompareWithPaper() []analysis.TargetComparison
-	Summarize(topN int) *analysis.Summary
-}
-
-func renderAll(t *testing.T, src figureAPI) map[string]string {
+// renderAll renders every report section but Table I, whose counts come
+// from the domain service rather than the fold, keyed by golden-file stem:
+// the section id, plus the serialized summary. The record-level sections
+// render only from a dataset. One golden thus pins the batch and the
+// streaming path, through the section table both CLIs print from.
+func renderAll(t *testing.T, ag *analysis.Aggregates, ds *analysis.Dataset) map[string]string {
 	t.Helper()
-	avgs := src.Fig7Averages()
-	costs := analysis.CostPerCategory(avgs, analysis.NewCostModel(),
-		corpus.LibAdvertisement, corpus.LibMobileAnalytics,
-		corpus.LibSocialNetwork, corpus.LibDigitalIdentity, corpus.LibGameEngine)
 	var json bytes.Buffer
-	if err := src.Summarize(25).WriteJSON(&json); err != nil {
+	if err := ag.Summarize(25).WriteJSON(&json); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]string{
-		"totals":           report.Totals(src.ComputeTotals()),
-		"fig2":             report.Fig2(src.Fig2CategoryTransfer()),
-		"fig3":             report.Fig3(src.Fig3TopOrigins(25), src.Fig3TopTwoLevel(25)),
-		"fig4":             report.Fig4(src.Fig4CDF()),
-		"fig5":             report.Fig5(src.Fig5FlowRatios()),
-		"fig6":             report.Fig6(src.Fig6AnTShares()),
-		"fig7":             report.Fig7(avgs),
-		"fig8":             report.Fig8(src.Fig8AppCategoryAverages()),
-		"fig9":             report.Fig9(src.Fig9Heatmap()),
-		"fig10":            report.Fig10(src.Fig10Coverage()),
-		"costs":            report.Costs(costs),
-		"energy":           report.Energy(analysis.NewEnergyModel(), avgs.PerLibrary[corpus.LibAdvertisement]),
-		"paper_comparison": report.PaperComparison(src.CompareWithPaper()),
-		"summary.json":     json.String(),
+	out := map[string]string{"summary.json": json.String()}
+	in := report.Inputs{Aggregates: ag, Dataset: ds, TopN: 25}
+	for _, s := range report.Sections {
+		if s.ID != "T1" && (!s.Records || ds != nil) {
+			out[s.ID] = s.Render(in)
+		}
 	}
+	return out
 }
 
 // TestGoldenFigures pins every rendered figure/table and the serialized
@@ -127,12 +99,8 @@ func renderAll(t *testing.T, src figureAPI) map[string]string {
 func TestGoldenFigures(t *testing.T) {
 	ds, ag := goldenFixture(t)
 
-	batch := renderAll(t, ds)
-	// The E4 baseline comparison needs per-flow records, so it only exists
-	// on the batch side.
-	batch["baselines"] = report.Baselines(
-		baseline.CompareUA(ds), baseline.CompareHostname(ds), baseline.CompareContentType(ds))
-	stream := renderAll(t, ag)
+	batch := renderAll(t, ds.Aggregates(), ds)
+	stream := renderAll(t, ag, nil)
 
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {

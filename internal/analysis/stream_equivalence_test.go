@@ -8,7 +8,6 @@ import (
 	"libspector/internal/analysis"
 	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
-	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
 	"libspector/internal/dispatch/dispatchtest"
 	"libspector/internal/emulator"
@@ -78,38 +77,16 @@ func TestStreamingAccumulatorMatchesBatchDataset(t *testing.T) {
 		t.Errorf("unattributed flows: streaming %d, batch %d", ag.UnattributedFlows, ds.UnattributedFlows)
 	}
 
-	// Every figure/table renders byte-identically (F2–F10 plus the totals
-	// both tables and the paper comparison derive from).
-	avgsDS, avgsAG := ds.Fig7Averages(), ag.Fig7Averages()
-	costCats := []corpus.LibraryCategory{
-		corpus.LibAdvertisement, corpus.LibMobileAnalytics,
-		corpus.LibSocialNetwork, corpus.LibDigitalIdentity, corpus.LibGameEngine,
-	}
-	model := analysis.NewCostModel()
-	energy := analysis.NewEnergyModel()
-	rendered := map[string][2]string{
-		"Totals": {report.Totals(ds.ComputeTotals()), report.Totals(ag.ComputeTotals())},
-		"Fig2":   {report.Fig2(ds.Fig2CategoryTransfer()), report.Fig2(ag.Fig2CategoryTransfer())},
-		"Fig3": {report.Fig3(ds.Fig3TopOrigins(25), ds.Fig3TopTwoLevel(25)),
-			report.Fig3(ag.Fig3TopOrigins(25), ag.Fig3TopTwoLevel(25))},
-		"Fig4":  {report.Fig4(ds.Fig4CDF()), report.Fig4(ag.Fig4CDF())},
-		"Fig5":  {report.Fig5(ds.Fig5FlowRatios()), report.Fig5(ag.Fig5FlowRatios())},
-		"Fig6":  {report.Fig6(ds.Fig6AnTShares()), report.Fig6(ag.Fig6AnTShares())},
-		"Fig7":  {report.Fig7(avgsDS), report.Fig7(avgsAG)},
-		"Fig8":  {report.Fig8(ds.Fig8AppCategoryAverages()), report.Fig8(ag.Fig8AppCategoryAverages())},
-		"Fig9":  {report.Fig9(ds.Fig9Heatmap()), report.Fig9(ag.Fig9Heatmap())},
-		"Fig10": {report.Fig10(ds.Fig10Coverage()), report.Fig10(ag.Fig10Coverage())},
-		"Costs": {report.Costs(analysis.CostPerCategory(avgsDS, model, costCats...)),
-			report.Costs(analysis.CostPerCategory(avgsAG, model, costCats...))},
-		"Energy": {report.Energy(energy, avgsDS.PerLibrary[corpus.LibAdvertisement]),
-			report.Energy(energy, avgsAG.PerLibrary[corpus.LibAdvertisement])},
-		"PaperComparison": {report.PaperComparison(ds.CompareWithPaper()),
-			report.PaperComparison(ag.CompareWithPaper())},
-	}
-	for name, pair := range rendered {
-		if pair[0] != pair[1] {
-			t.Errorf("%s diverges between batch and streaming:\nbatch:\n%s\nstreaming:\n%s",
-				name, pair[0], pair[1])
+	// Every aggregate-backed section of the report renders byte-identically
+	// (Table I comes from the domain service, not the fold).
+	batch := report.Inputs{Aggregates: ds.Aggregates(), TopN: 25}
+	stream := report.Inputs{Aggregates: ag, TopN: 25}
+	for _, s := range report.Sections {
+		if s.ID == "T1" || s.Records {
+			continue
+		}
+		if b, st := s.Render(batch), s.Render(stream); b != st {
+			t.Errorf("%s diverges between batch and streaming:\nbatch:\n%s\nstreaming:\n%s", s.ID, b, st)
 		}
 	}
 

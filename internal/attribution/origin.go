@@ -23,7 +23,7 @@ type DomainCategorizer interface {
 type Attributor struct {
 	filter     *corpus.BuiltinFilter
 	domainCats DomainCategorizer
-	// DisableBuiltinFilter supports the ablation benchmark: when set, the
+	// DisableBuiltinFilter supports the filter ablation: when set, the
 	// §III-C frame filtering is skipped and the chronologically first
 	// frame wins regardless of package.
 	DisableBuiltinFilter bool

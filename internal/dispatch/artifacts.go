@@ -93,6 +93,14 @@ func NewArtifactStore(dir string) (*ArtifactStore, error) {
 	return &ArtifactStore{dir: dir}, nil
 }
 
+// OpenArtifactStore opens an existing store; a missing one is refused.
+func OpenArtifactStore(dir string) (*ArtifactStore, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("dispatch: opening artifact store: %w", err)
+	}
+	return &ArtifactStore{dir: dir}, nil
+}
+
 // Dir returns the store root.
 func (s *ArtifactStore) Dir() string { return s.dir }
 
@@ -280,28 +288,48 @@ func (s *ArtifactStore) commit(i int, e *RunEvidence) error {
 	return nil
 }
 
-// List returns the stored run checksums, sorted, split into complete runs
-// (<sha>.run files) and incomplete entries: "*.tmp-*" residue of an
+// List returns the keys of the stored runs, sorted, split into complete
+// runs (<sha>.run files) and incomplete entries: "*.tmp-*" residue of an
 // interrupted save, and <sha>/ directories of the five-file layout this
 // store no longer reads. Incomplete entries are reported rather than
 // silently skipped so a torn or stale store is visible to its operator.
+// A key is the run's sha, or shard-NNN/<sha> for a run in one shard's
+// store under a sharded campaign's base directory (libspector.ShardArtifactDir).
 func (s *ArtifactStore) List() (complete, incomplete []string, err error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dispatch: listing artifacts: %w", err)
-	}
-	// ReadDir sorts by name, so both lists come out sorted.
-	for _, e := range entries {
-		name := e.Name()
-		sha, isRun := strings.CutSuffix(name, runExt)
-		switch {
-		case strings.Contains(name, ".tmp-") || (e.IsDir() && len(name) == 64):
-			incomplete = append(incomplete, name)
-		case isRun && len(sha) == 64 && !e.IsDir():
-			complete = append(complete, sha)
+	// ReadDir sorts by name, and every shard-NNN sorts after every sha,
+	// so both lists come out sorted.
+	for dirs, i := []string{""}, 0; i < len(dirs); i++ {
+		entries, err := os.ReadDir(filepath.Join(s.dir, dirs[i]))
+		if err != nil {
+			return nil, nil, fmt.Errorf("dispatch: listing artifacts: %w", err)
+		}
+		for _, e := range entries {
+			name := e.Name()
+			sha, isRun := strings.CutSuffix(name, runExt)
+			switch {
+			case strings.Contains(name, ".tmp-") || (e.IsDir() && len(name) == 64):
+				incomplete = append(incomplete, filepath.Join(dirs[i], name))
+			case isRun && len(sha) == 64 && !e.IsDir():
+				complete = append(complete, filepath.Join(dirs[i], sha))
+			case i == 0 && e.IsDir() && strings.HasPrefix(name, "shard-"):
+				dirs = append(dirs, name)
+			}
 		}
 	}
 	return complete, incomplete, nil
+}
+
+// removeIncomplete deletes the incomplete entries of the store's own
+// directory. Only resume calls it: in a live store a temp file may be a
+// save in flight.
+func (s *ArtifactStore) removeIncomplete() error {
+	_, incomplete, err := s.List()
+	for _, name := range incomplete {
+		if err == nil && filepath.Dir(name) == "." {
+			err = os.RemoveAll(filepath.Join(s.dir, name))
+		}
+	}
+	return err
 }
 
 // StoredRun is one run loaded back from disk.
@@ -318,8 +346,8 @@ type StoredRun struct {
 }
 
 // Load reads one run back with one decode (DecodeEvidence) and checks that
-// it is the run stored under sha. Content-integrity failures wrap the
-// typed ErrCorruptArtifact so callers never mistake bit rot for an I/O
+// it is the run stored under sha, a List key. Content-integrity failures
+// wrap the typed ErrCorruptArtifact so callers never mistake bit rot for an I/O
 // hiccup — and never analyze silently wrong evidence; a missing run file
 // is a plain error.
 func (s *ArtifactStore) Load(sha string) (*StoredRun, error) {
@@ -331,7 +359,7 @@ func (s *ArtifactStore) Load(sha string) (*StoredRun, error) {
 	switch {
 	case err != nil:
 		return nil, fmt.Errorf("%w (run %s)", err, sha)
-	case run.Meta.SHA256 != sha:
+	case run.Meta.SHA256 != filepath.Base(sha):
 		return nil, corruptf(sha, "file holds the run of %s", run.Meta.SHA256)
 	}
 	return run, nil
@@ -416,6 +444,9 @@ func (s *ArtifactStore) Reanalyze(attributor *attribution.Attributor, detector *
 	if err != nil {
 		return nil, err
 	}
+	// Runs fold in sha order wherever they are stored: a sharded
+	// campaign's store reanalyzes to the same figures as an unsharded one.
+	sort.Slice(shas, func(i, j int) bool { return filepath.Base(shas[i]) < filepath.Base(shas[j]) })
 	out := make([]*attribution.RunResult, 0, len(shas))
 	for _, sha := range shas {
 		stored, err := s.Load(sha)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,6 +289,52 @@ func TestResumeAtEveryRecordBoundaryByteIdentical(t *testing.T) {
 			t.Fatalf("boundary %d: resumed journal holds %d outcomes, %d in flight",
 				k, len(after.Outcomes), len(after.InFlight))
 		}
+	}
+}
+
+// TestResumeRemovesIncompleteEntries: a fresh campaign's saves leave a
+// store's stale entries alone, and resuming into the store removes them —
+// a killed save's temp residue and a directory of the retired per-run
+// layout — so it audits clean.
+func TestResumeRemovesIncompleteEntries(t *testing.T) {
+	dir := t.TempDir()
+	store, err := dispatch.NewArtifactStore(filepath.Join(dir, "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldLayout := filepath.Join(store.Dir(), strings.Repeat("a", 64))
+	if err := os.Mkdir(oldLayout, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(store.Dir(), strings.Repeat("b", 64)+".run.tmp-42"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := &journaledCampaign{seed: 181, apps: 4, store: store}
+	path := filepath.Join(dir, "campaign.journal")
+	// audit runs the campaign under w, resuming rep when non-nil, and
+	// audits the store it leaves.
+	audit := func(w *journal.Writer, rep *journal.Replay, err error) *dispatch.AuditReport {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.run(t, w, rep, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		report, err := store.Audit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
+	w, err := journal.Create(path, c.header(), journal.Options{SyncEvery: 1})
+	if report := audit(w, nil, err); len(report.Incomplete) != 2 {
+		t.Fatalf("fresh campaign: audit %+v; want both stale entries left", report)
+	}
+	if report := audit(journal.Resume(path, c.header(), journal.Options{SyncEvery: 1})); !report.Clean() || len(report.OK) == 0 {
+		t.Errorf("resumed store: audit %+v; want clean", report)
 	}
 }
 

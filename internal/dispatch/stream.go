@@ -152,6 +152,12 @@ func Stream(ctx context.Context, source AppSource, resolver nets.Resolver, cfg C
 			}
 		}
 	}
+	if cfg.Resume != nil && cfg.Artifacts != nil {
+		// Half-written entries are never read: their runs save afresh.
+		if err := cfg.Artifacts.removeIncomplete(); err != nil {
+			return nil, err
+		}
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

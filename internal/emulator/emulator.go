@@ -150,7 +150,7 @@ type Artifacts struct {
 	BlockedConnections int64
 	// Violations are the policy denials, when a policy was installed.
 	Violations []borderpatrol.Violation
-	// Profiler exposes invocation counters for the ablation benchmarks.
+	// Profiler exposes invocation counters for the profiler ablation.
 	ProfilerUniqueMethods  int
 	ProfilerTotalCalls     int64
 	ProfilerDroppedEntries int64

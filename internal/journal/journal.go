@@ -148,9 +148,9 @@ type Record struct {
 	// Per-app fields.
 	App     int     `json:"app,omitempty"`
 	Outcome Outcome `json:"outcome,omitempty"`
-	// ArtifactSHA is the run's apk sha256 — the artifact store directory
-	// key — for OutcomeRun records, so resume can cross-check the
-	// evidence on disk.
+	// ArtifactSHA is the run's apk sha256 — the key of its <sha>.run file
+	// in the artifact store — for OutcomeRun records, so resume can
+	// cross-check the evidence on disk.
 	ArtifactSHA string `json:"artifact_sha,omitempty"`
 	// Attempts, BackoffNS, and BackoffMS replicate the run's retry
 	// accounting so a resumed campaign's ledger and metrics fold to the

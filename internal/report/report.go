@@ -1,6 +1,7 @@
 // Package report renders the analysis results as aligned text tables and
-// series — one renderer per table/figure of the paper, consumed by the
-// cmd/libspector and cmd/libreport binaries. Renderers consume only
+// series — one renderer per table/figure of the paper, wired to its inputs
+// once, in Sections, which the cmd/libspector and cmd/libreport binaries
+// print from. Renderers consume only
 // resolved strings and category types from analysis figure values; the
 // interned symbol IDs of the analysis core never reach this layer.
 package report
@@ -381,4 +382,60 @@ func pow2(x float64) float64 {
 		x--
 	}
 	return r * (1 + x) // linear residual, mirrors the band computation
+}
+
+// Inputs is everything the sections render from. Dataset holds the flow
+// records, nil when the run kept none (a sharded campaign).
+type Inputs struct {
+	Aggregates   *analysis.Aggregates
+	Dataset      *analysis.Dataset
+	DomainCounts map[corpus.DomainCategory]int // Table I's count column
+	TopN         int                           // depth of the Figure 3 rankings
+}
+
+// Section is one table or figure of the evaluation. Its ID is what
+// `libreport -figure` takes and names its block in EXPERIMENTS.md;
+// Records marks a section that reads Inputs.Dataset.
+type Section struct {
+	ID      string
+	Records bool
+	Render  func(Inputs) string
+}
+
+// Sections lists every section in the order a full report prints them.
+var Sections = []Section{
+	{ID: "totals", Render: func(in Inputs) string { return Totals(in.Aggregates.ComputeTotals()) }},
+	{ID: "T1", Render: func(in Inputs) string { return TableI(in.DomainCounts) }},
+	{ID: "F2", Render: func(in Inputs) string { return Fig2(in.Aggregates.Fig2CategoryTransfer()) }},
+	{ID: "F3", Render: func(in Inputs) string {
+		return Fig3(in.Aggregates.Fig3TopOrigins(in.TopN), in.Aggregates.Fig3TopTwoLevel(in.TopN))
+	}},
+	{ID: "F4", Render: func(in Inputs) string { return Fig4(in.Aggregates.Fig4CDF()) }},
+	{ID: "F5", Render: func(in Inputs) string { return Fig5(in.Aggregates.Fig5FlowRatios()) }},
+	{ID: "F6", Render: func(in Inputs) string { return Fig6(in.Aggregates.Fig6AnTShares()) }},
+	{ID: "F7", Render: func(in Inputs) string { return Fig7(in.Aggregates.Fig7Averages()) }},
+	{ID: "F8", Render: func(in Inputs) string { return Fig8(in.Aggregates.Fig8AppCategoryAverages()) }},
+	{ID: "F9", Render: func(in Inputs) string { return Fig9(in.Aggregates.Fig9Heatmap()) }},
+	{ID: "F10", Render: func(in Inputs) string { return Fig10(in.Aggregates.Fig10Coverage()) }},
+	{ID: "E1", Render: func(in Inputs) string {
+		return Costs(analysis.CostPerCategory(in.Aggregates.Fig7Averages(), analysis.NewCostModel(), corpus.LibAdvertisement,
+			corpus.LibMobileAnalytics, corpus.LibSocialNetwork, corpus.LibDigitalIdentity, corpus.LibGameEngine))
+	}},
+	{ID: "E2", Render: func(in Inputs) string {
+		return Energy(analysis.NewEnergyModel(), in.Aggregates.Fig7Averages().PerLibrary[corpus.LibAdvertisement])
+	}},
+	{ID: "E4", Records: true, Render: func(in Inputs) string {
+		return Baselines(baseline.CompareUA(in.Dataset), baseline.CompareHostname(in.Dataset), baseline.CompareContentType(in.Dataset))
+	}},
+	{ID: "paper", Render: func(in Inputs) string { return PaperComparison(in.Aggregates.CompareWithPaper()) }},
+}
+
+// FindSection returns the section whose ID is id, ignoring case.
+func FindSection(id string) (Section, bool) {
+	for _, s := range Sections {
+		if strings.EqualFold(s.ID, id) {
+			return s, true
+		}
+	}
+	return Section{}, false
 }

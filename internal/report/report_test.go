@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"libspector/internal/analysis"
-	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 )
 
@@ -17,117 +16,6 @@ func TestTableIRendering(t *testing.T) {
 	for _, want := range []string{"Table I", "advertisements", "1336", "cdn", "77", "Total", "14140", "(all remaining)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table I output missing %q", want)
-		}
-	}
-}
-
-func TestTotalsRendering(t *testing.T) {
-	out := Totals(analysis.Totals{
-		BytesSent: 1_620_000, BytesReceived: 29_130_000,
-		Flows: 617, DistinctOrigins: 86, DistinctDomains: 141, DistinctApps: 25,
-		UDPWireBytes: 100, TCPWireBytes: 10_000, DNSWireBytes: 97,
-	})
-	for _, want := range []string{"29.13 MB", "1.62 MB", "617", "origin-libraries"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("totals output missing %q", want)
-		}
-	}
-}
-
-func TestFigureRenderersNonEmpty(t *testing.T) {
-	m := &analysis.CategoryMatrix{
-		Bytes: map[corpus.AppCategory]map[corpus.LibraryCategory]int64{
-			"TOOLS": {corpus.LibAdvertisement: 1000},
-		},
-		LegendShare: map[corpus.LibraryCategory]float64{corpus.LibAdvertisement: 1},
-		Total:       1000,
-	}
-	if out := Fig2(m); !strings.Contains(out, "TOOLS") || !strings.Contains(out, "100.00%") {
-		t.Errorf("Fig2 output wrong:\n%s", out)
-	}
-
-	ranked := []analysis.RankedLibrary{
-		{Name: "com.unity3d.player", Bytes: 1_590_000_000},
-		{Name: "*-Advertisement", Bytes: 900_000_000, Builtin: true},
-	}
-	out := Fig3(ranked, ranked)
-	if !strings.Contains(out, "com.unity3d.player") || !strings.Contains(out, "[builtin]") {
-		t.Errorf("Fig3 output wrong:\n%s", out)
-	}
-
-	cdf := []analysis.CDFSeries{{Label: "App: Sent", Values: []float64{1, 2, 3, 4, 100}}}
-	if out := Fig4(cdf); !strings.Contains(out, "App: Sent") {
-		t.Errorf("Fig4 output wrong:\n%s", out)
-	}
-
-	ratios := []analysis.RatioSeries{{Label: "Apps", Ratios: []float64{100, 50, 10}, Mean: 53.3}}
-	if out := Fig5(ratios); !strings.Contains(out, "53.3") {
-		t.Errorf("Fig5 output wrong:\n%s", out)
-	}
-
-	ant := &analysis.AnTStats{FracAnTOnly: 0.35, FracSomeAnT: 0.89, FracAnTFree: 0.10,
-		AnTFlowRatioMean: 54.8, CLFlowRatioMean: 24.4}
-	out = Fig6(ant)
-	for _, want := range []string{"35.0%", "89.0%", "54.8", "24.4"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Fig6 missing %q", want)
-		}
-	}
-
-	avgs := &analysis.CategoryAverages{
-		PerLibrary: map[corpus.LibraryCategory]float64{corpus.LibMobileAnalytics: 35_600_000},
-		PerDomain:  map[corpus.DomainCategory]float64{corpus.DomCDN: 46_270_000},
-	}
-	out = Fig7(avgs)
-	if !strings.Contains(out, "35.60 MB") || !strings.Contains(out, "46.27 MB") {
-		t.Errorf("Fig7 output wrong:\n%s", out)
-	}
-
-	if out := Fig8(map[corpus.AppCategory]float64{"MUSIC_AND_AUDIO": 3_500_000}); !strings.Contains(out, "MUSIC_AND_AUDIO") {
-		t.Errorf("Fig8 output wrong:\n%s", out)
-	}
-
-	h := &analysis.Heatmap{Bytes: map[corpus.LibraryCategory]map[corpus.DomainCategory]int64{
-		corpus.LibAdvertisement: {corpus.DomCDN: 2_098_800_000},
-	}}
-	out = Fig9(h)
-	if !strings.Contains(out, "2098.8") {
-		t.Errorf("Fig9 output wrong:\n%s", out)
-	}
-
-	cov := &analysis.CoverageStats{Percents: []float64{9.5}, Mean: 9.5, FracAboveMean: 0.405, MeanMethods: 49138}
-	out = Fig10(cov)
-	if !strings.Contains(out, "9.50%") || !strings.Contains(out, "49138") {
-		t.Errorf("Fig10 output wrong:\n%s", out)
-	}
-}
-
-func TestCostAndEnergyRendering(t *testing.T) {
-	costs := []analysis.CategoryCost{
-		{Category: corpus.LibAdvertisement, BytesPerRun: 15_580_000, DollarsPerHour: 1.17},
-	}
-	out := Costs(costs)
-	if !strings.Contains(out, "$1.17") || !strings.Contains(out, "15.58 MB") {
-		t.Errorf("Costs output wrong:\n%s", out)
-	}
-
-	out = Energy(analysis.NewEnergyModel(), 15_600_000)
-	for _, want := range []string{"0.325 W", "battery share"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Energy output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestBaselinesRendering(t *testing.T) {
-	c := baseline.Comparison{
-		ContextAnTBytes: 1000, BaselineAnTBytes: 600, AgreedBytes: 500,
-		MissedBytes: 500, SpuriousBytes: 100, KnownLibCDNBytes: 193, TotalBytes: 1000,
-	}
-	out := Baselines(c, c, c)
-	for _, want := range []string{"User-Agent", "Hostname", "50.0%", "19.3%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Baselines output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 
 	"libspector/internal/analysis"
 	"libspector/internal/attribution"
+	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
 	"libspector/internal/emulator"
 	"libspector/internal/faults"
@@ -233,6 +234,15 @@ func (e *Experiment) Detector() *libradar.Detector { return e.detector }
 
 // Domains exposes the VirusTotal-style domain categorization service.
 func (e *Experiment) Domains() *vtclient.Service { return e.domains }
+
+// TableICounts is Table I's count column: every domain of the world
+// categorized, as the paper categorizes every domain seen in DNS requests.
+func (e *Experiment) TableICounts() map[corpus.DomainCategory]int {
+	for _, d := range e.world.Domains {
+		e.domains.Categorize(d.Name)
+	}
+	return e.domains.Counts()
+}
 
 // Attributor exposes the traffic attributor.
 func (e *Experiment) Attributor() *attribution.Attributor { return e.attributor }

@@ -108,7 +108,8 @@ fi
 
 # Evidence must survive the kills too: the shards' stores together hold
 # exactly the baseline's run files, each byte-identical. A kill may leave
-# the *.tmp-* residue of an interrupted save, which no reader looks at.
+# the *.tmp-* residue of an interrupted save; resume removes it, so the
+# audit below finds the store clean.
 base_runs=$(cd "$work/base-art" && ls -- *.run | sort)
 chaos_runs=$(cd "$work/chaos-art" && ls -- shard-*/*.run | xargs -n1 basename | sort)
 if [ -z "$base_runs" ] || [ "$base_runs" != "$chaos_runs" ]; then
@@ -123,5 +124,13 @@ for f in "$work"/chaos-art/shard-*/*.run; do
     fi
 done
 runs=$(echo "$base_runs" | wc -l)
+# The audit reads every shard's store under the base directory: it must
+# count all the baseline's runs and find nothing corrupt or incomplete.
+if ! "$work/libspector" audit -artifacts "$work/chaos-art" >"$work/audit.txt" 2>&1 ||
+    ! grep -q "^Audited $runs stored runs: $runs ok" "$work/audit.txt"; then
+    echo "chaos-smoke: FAIL — audit of the resumed campaign's stores" >&2
+    cat "$work/audit.txt" >&2
+    exit 1
+fi
 
-echo "chaos-smoke: OK — events and $runs run files byte-identical under $CHAOS_KILL shard kills + coordinator kill ($takeovers takeovers, WAL clean)"
+echo "chaos-smoke: OK — events and $runs run files byte-identical, store audited clean, under $CHAOS_KILL shard kills + coordinator kill ($takeovers takeovers, WAL clean)"
