@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -81,6 +82,15 @@ func runAudit(args []string) error {
 		if replay.TornBytes > 0 {
 			fmt.Printf("Journal has a torn %d-byte tail (crash mid-append; resume truncates it).\n", replay.TornBytes)
 		}
+		// The journal records bare shas; a sharded store lists a shard's
+		// runs as shard-NNN/<sha>.
+		keys := make(map[string]string, len(rep.OK)+len(rep.Corrupt))
+		for _, key := range rep.OK {
+			keys[filepath.Base(key)] = key
+		}
+		for _, e := range rep.Corrupt {
+			keys[filepath.Base(e.SHA)] = e.SHA
+		}
 		apps := make([]int, 0, len(replay.Outcomes))
 		for app := range replay.Outcomes {
 			apps = append(apps, app)
@@ -93,7 +103,11 @@ func runAudit(args []string) error {
 				continue
 			}
 			completed++
-			if err := store.Verify(rec.ArtifactSHA); err != nil {
+			key, ok := keys[rec.ArtifactSHA]
+			if !ok {
+				key = rec.ArtifactSHA
+			}
+			if err := store.Verify(key); err != nil {
 				unbacked++
 				fmt.Printf("  journal app %d: evidence %s fails verification: %v\n", app, rec.ArtifactSHA, err)
 			}

@@ -259,6 +259,48 @@ func TestProcessModeEventLogMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestShardedStdoutAndJournalAudit: two same-seed `-shards 2` campaigns
+// print the same stdout but for the wall-clock line (each child's
+// "Shard i/N done" line goes to stderr), and each shard's journal audits
+// clean against the campaign's base store, which lists the shard's runs
+// as shard-NNN/<sha> where the journal records bare shas.
+func TestShardedStdoutAndJournalAudit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet-backed CLI test skipped in -short mode")
+	}
+	t.Setenv("LIBSPECTOR_TEST_AS_CLI", "1")
+	ctx := context.Background()
+	dir := t.TempDir()
+	var outs [2]string
+	for k := range outs {
+		out, err := captureStdout(func() error {
+			return run(ctx, []string{"-apps", "20", "-seed", "5", "-events", "120", "-shards", "2",
+				"-journal", filepath.Join(dir, fmt.Sprint(k), "J"), "-artifacts", filepath.Join(dir, fmt.Sprint(k), "A")})
+		})
+		if err != nil {
+			t.Fatalf("campaign %d: %v", k, err)
+		}
+		var kept []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.Contains(line, "leet done in") {
+				kept = append(kept, line)
+			}
+		}
+		outs[k] = strings.Join(kept, "\n")
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("two same-seed sharded campaigns printed different stdouts:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	for _, shard := range []string{"J.shard-000", "J.shard-001"} {
+		out, err := captureStdout(func() error {
+			return run(ctx, []string{"audit", "-artifacts", filepath.Join(dir, "0", "A"), "-journal", filepath.Join(dir, "0", shard)})
+		})
+		if err != nil || !strings.Contains(out, "0 lack intact evidence") || strings.Contains(out, "Cross-checked 0 ") {
+			t.Errorf("audit with %s: %v\n%s", shard, err, out)
+		}
+	}
+}
+
 // TestShardChildSealsEventsInOutcome pins DESIGN.md §12's child rule: a
 // shard child's event log and spans travel in its outcome file, sealed
 // with the rest of the outcome, and nowhere else — a child asked for an

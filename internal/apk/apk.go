@@ -280,6 +280,19 @@ func Check(data []byte) (Manifest, error) {
 // emptied at every GC.
 var idleEntryBufs = make(chan []byte, runtime.GOMAXPROCS(0))
 
+// DrainIdle drops every idle encoder and entry buffer, so that a heap
+// reading taken next counts none of the scratch kept between calls.
+func DrainIdle() {
+	for {
+		select {
+		case <-idleEncoders:
+		case <-idleEntryBufs:
+		default:
+			return
+		}
+	}
+}
+
 // maxIdleEntryBytes is the largest entry buffer Check keeps for the next
 // apk, far above a generated app's (about 11 bytes per method).
 const maxIdleEntryBytes = 8 << 20

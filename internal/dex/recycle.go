@@ -56,6 +56,20 @@ func (f *File) Release() {
 	}
 }
 
+// DrainIdle drops every idle File, encode scratch and checker, so that a
+// heap reading taken next counts none of the scratch kept between calls.
+func DrainIdle() {
+	for {
+		select {
+		case <-idleFiles:
+		case <-idleEncoders:
+		case <-idleCheckers:
+		default:
+			return
+		}
+	}
+}
+
 // Recycling is what Release does with a File. Campaigns always run with
 // RecycleOn; the other two exist for tests of the rule that nothing reads
 // a File after its release.

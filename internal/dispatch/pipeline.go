@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"libspector/internal/attribution"
@@ -243,10 +244,48 @@ type runEnv struct {
 	generated *synth.App
 	// capture is the worker's capture buffer: every attempt's emulator
 	// run appends its pcap from capture[:0], and the buffer keeps the
-	// capacity of the largest capture so far. It never leaves the worker:
-	// the evidence that aliases it is saved in apply, before the next
-	// attempt.
+	// capacity of the largest capture so far. The evidence that aliases
+	// it is saved in apply, before the next attempt. The worker takes it
+	// from idleCaptures when it starts and gives it back when it exits,
+	// after its last run was saved and attributed, so a later fleet's
+	// worker starts with the capacity this one grew.
 	capture []byte
+}
+
+// idleCaptures holds capture buffers between fleets, one for each
+// processor that may be capturing at once; like dex's idleFiles, it is
+// not emptied at every GC as a sync.Pool would be. Without it every
+// fleet's workers regrow their buffers from 64 KiB.
+var idleCaptures = make(chan []byte, runtime.GOMAXPROCS(0))
+
+// maxIdleCaptureBytes is the largest capture buffer kept for a later
+// fleet. Growth doubles from 64 KiB, so a capture of up to 64 MiB leaves
+// a buffer that is kept (the largest captures of 1 000-event campaigns at
+// VolumeScale 4 are ~36 MB); a larger one is dropped.
+const maxIdleCaptureBytes = 64 << 20
+
+// takeCapture returns an idle capture buffer, or nil (the emulator then
+// starts a fresh one).
+func takeCapture() []byte {
+	select {
+	case b := <-idleCaptures:
+		return b
+	default:
+		return nil
+	}
+}
+
+// releaseCapture keeps b for a later fleet's worker unless it grew past
+// maxIdleCaptureBytes or the list is full. The caller gives b up: the
+// next worker to take it writes over its bytes.
+func releaseCapture(b []byte) {
+	if b == nil || cap(b) > maxIdleCaptureBytes {
+		return
+	}
+	select {
+	case idleCaptures <- b[:0]:
+	default:
+	}
 }
 
 // generate generates app i in place of the app the worker generated

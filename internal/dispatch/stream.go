@@ -61,7 +61,7 @@ func (k EventKind) String() string {
 // RunEvidence bundles one run's raw artifacts for the artifact store
 // (Config.Artifacts). A fleet worker builds it and saves it itself, before
 // the run's event is emitted, so its byte slices — Capture is the worker's
-// own capture buffer — never leave the worker.
+// own capture buffer — never reach the stream.
 type RunEvidence struct {
 	Meta       RunMeta
 	APK        []byte
@@ -402,8 +402,13 @@ func (f *fleetRun) worker(jobs <-chan job) {
 		client:    client,
 		tel:       f.tel,
 		meters:    obs.NewMeters(),
+		capture:   takeCapture(),
 	}
 	defer env.release()
+	// Runs once the loop's last runApp has saved and attributed the
+	// worker's last run, so nothing that outlives the worker aliases the
+	// buffer it gives back.
+	defer func() { releaseCapture(env.capture) }()
 	busy := f.tel.Gauge(obs.MFleetWorkersBusy)
 	total := f.tel.Gauge(obs.MFleetWorkers)
 	for j := range jobs {

@@ -249,7 +249,9 @@ func (f *Flags) RunShardChild(ctx context.Context, cfg libspector.Config) error 
 	if err := exp.RunShardChild(ctx, child); err != nil {
 		return err
 	}
-	fmt.Printf("Shard %d/%d done -> %s\n", f.ShardIndex, f.Shards, f.shardOut)
+	// Stderr: a process-mode parent's children share its stdout, where
+	// this line would land in completion order, naming a temp path.
+	fmt.Fprintf(os.Stderr, "Shard %d/%d done -> %s\n", f.ShardIndex, f.Shards, f.shardOut)
 	return nil
 }
 
