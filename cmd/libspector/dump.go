@@ -80,8 +80,8 @@ func dumpPackets(f io.Reader, max int) error {
 		if err != nil {
 			return err
 		}
-		seg, err := pcap.DecodeSegment(p.Data)
-		if err != nil {
+		var seg pcap.Segment
+		if err := pcap.DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 			return err
 		}
 		proto := "TCP"
@@ -90,8 +90,14 @@ func dumpPackets(f io.Reader, max int) error {
 			proto = "UDP"
 			detail = ""
 		}
-		fmt.Printf("%s %s %-42s len=%-5d payload=%-5d %s\n",
-			p.Timestamp.Format("15:04:05.000000"), proto, seg.Tuple, seg.WireLen, len(seg.Payload), detail)
+		// len is the wire length and payload the wire payload; a snapped
+		// record captured only caplen bytes of them, its headers.
+		if len(p.Data) < p.OrigLen {
+			detail += " snapped"
+		}
+		fmt.Printf("%s %s %-42s len=%-5d caplen=%-5d payload=%-5d %s\n",
+			p.Timestamp.Format("15:04:05.000000"), proto, seg.Tuple, seg.WireLen, len(p.Data),
+			seg.WireLen-len(p.Data)+len(seg.Payload), detail)
 		count++
 		if max > 0 && count >= max {
 			break
@@ -115,8 +121,8 @@ func dumpDNS(f io.Reader, max int) error {
 		if err != nil {
 			return err
 		}
-		seg, err := pcap.DecodeSegment(p.Data)
-		if err != nil {
+		var seg pcap.Segment
+		if err := pcap.DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 			return err
 		}
 		if seg.Protocol != pcap.ProtoUDP ||

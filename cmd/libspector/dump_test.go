@@ -5,6 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"libspector/internal/dispatch"
@@ -54,6 +57,51 @@ func TestDumpModes(t *testing.T) {
 			t.Errorf("mode %s: %v", mode, err)
 		}
 	}
+}
+
+// The packets mode prints each record's wire length, captured length and
+// wire payload, and marks the records whose payload the capture snapped:
+// every data segment after its direction's first.
+func TestDumpPacketsShowsSnappedRecords(t *testing.T) {
+	path := writeTestCapture(t)
+	out, err := captureStdout(func() error {
+		return run(context.Background(), []string{"dump", "-pcap", path, "-mode", "packets"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`^\S+ (TCP|UDP) +(\S+) +len=(\d+) +caplen=(\d+) +payload=(\d+) .*?( snapped)?$`)
+	var snapped, whole int
+	for _, l := range strings.Split(strings.TrimSpace(out), "\n") {
+		m := line.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		wire, capLen, payload := atoi(t, m[3]), atoi(t, m[4]), atoi(t, m[5])
+		switch {
+		case m[6] != "":
+			if m[1] != "TCP" || capLen != 40 || payload != wire-40 || payload == 0 {
+				t.Fatalf("snapped record printed as %q", l)
+			}
+			snapped++
+		case capLen != wire:
+			t.Fatalf("short record not marked snapped: %q", l)
+		case payload > 0:
+			whole++
+		}
+	}
+	if snapped == 0 || whole == 0 {
+		t.Fatalf("%d snapped and %d whole payload-bearing records in:\n%s", snapped, whole, out)
+	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestDumpValidation(t *testing.T) {

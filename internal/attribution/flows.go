@@ -144,7 +144,7 @@ func ParseCapture(r io.Reader, localAddr netip.Addr, collectorAddr netip.Addr, c
 		if err != nil {
 			return nil, fmt.Errorf("attribution: reading capture: %w", err)
 		}
-		if err := pcap.DecodeSegmentInto(&seg, pkt.Data); err != nil {
+		if err := pcap.DecodeSegmentInto(&seg, pkt.Data, pkt.OrigLen); err != nil {
 			return nil, fmt.Errorf("attribution: decoding packet at %s: %w", pkt.Timestamp, err)
 		}
 		switch seg.Protocol {

@@ -539,7 +539,8 @@ var formats = []format{
 		concatenated: true,
 		seeds: func(tb testing.TB) []seed {
 			valid := onePacketCapture(tb)
-			return []seed{{valid, true}, {valid[:20], false}, {nil, false}, {forgedCapture(1 << 30), false}}
+			return append([]seed{{valid, true}, {valid[:20], false}, {nil, false}, {forgedCapture(1 << 30), false}},
+				shortRecordCaptures(tb)...)
 		},
 		// Decoding reads the capture twice, in place (resume, audit) and
 		// streaming (`libspector dump`), under one ceiling: each ReadAll's
@@ -572,7 +573,7 @@ var formats = []format{
 				return fmt.Errorf("in place read %d packets, streaming %d", len(both.inPlace), len(both.streamed))
 			}
 			for i, p := range both.inPlace {
-				if q := both.streamed[i]; !p.Timestamp.Equal(q.Timestamp) || !bytes.Equal(p.Data, q.Data) {
+				if q := both.streamed[i]; !p.Timestamp.Equal(q.Timestamp) || p.OrigLen != q.OrigLen || !bytes.Equal(p.Data, q.Data) {
 					return fmt.Errorf("packet %d differs", i)
 				}
 			}
@@ -1018,6 +1019,37 @@ func onePacketCapture(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return w.Bytes()
+}
+
+// shortRecordCaptures are one-record captures of records shorter than
+// their packets: a snapped TCP segment, which is valid, then a record cut
+// inside its TCP header, one holding more than its original length, one
+// whose original length is not its IPv4 total length, and a short UDP
+// record, which are not.
+func shortRecordCaptures(tb testing.TB) []seed {
+	tb.Helper()
+	tcp, err := pcap.EncodeTCP(datagramTuple, pcap.FlagACK|pcap.FlagPSH, 1, 1, make([]byte, 200))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	udp, err := pcap.EncodeUDP(datagramTuple, make([]byte, 200))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	record := func(data []byte, capLen, origLen int) []byte {
+		b := bytes.Clone(pcap.NewWriter(nil).Bytes())
+		rec := make([]byte, 16)
+		binary.LittleEndian.PutUint32(rec[8:12], uint32(capLen))
+		binary.LittleEndian.PutUint32(rec[12:16], uint32(origLen))
+		return append(append(b, rec...), data...)
+	}
+	return []seed{
+		{record(tcp[:40], 40, len(tcp)), true},
+		{record(tcp[:30], 30, len(tcp)), false},
+		{record(tcp, len(tcp), len(tcp)-1), false},
+		{record(tcp[:40], 40, len(tcp)+1), false},
+		{record(udp[:28], 28, len(udp)), false},
+	}
 }
 
 // readCaptures is the pcap row's decoded form: what the in-place and the

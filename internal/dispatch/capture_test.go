@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -12,7 +13,12 @@ import (
 	"libspector/internal/attribution"
 	"libspector/internal/dex"
 	"libspector/internal/dispatch"
+	"libspector/internal/dispatch/dispatchtest"
+	"libspector/internal/emulator"
+	"libspector/internal/journal"
 	"libspector/internal/libradar"
+	"libspector/internal/nets"
+	"libspector/internal/pcap"
 	"libspector/internal/synth"
 	"libspector/internal/vtclient"
 )
@@ -113,6 +119,105 @@ func TestReleasedCapturesPoisoned(t *testing.T) {
 	if after := render(); !bytes.Equal(after, before) {
 		t.Errorf("poisoning the released capture buffers changed the campaign's events, runs or figures (%d bytes rendered, %d before)", len(after), len(before))
 	}
+}
+
+// TestCaptureWireVolumesMatchTheStack: a capture keeps only the headers
+// of most TCP segments, so its size no longer shows a wrong length in a
+// record header. What guards the sizes is the network stack's own
+// counters, charged as it sent each packet and journaled with the run's
+// meters. Over a seed-42 12-app campaign at VolumeScale 4, each stored
+// run's parsed capture accounts exactly the TCP and DNS wire bytes and
+// the packets the stack counted, and every flow that moved payload in a
+// direction kept its first payload there.
+func TestCaptureWireVolumesMatchTheStack(t *testing.T) {
+	const seed, apps = 42, 12
+	cfg := synth.DefaultConfig()
+	cfg.Seed, cfg.NumApps, cfg.VolumeScale = seed, apps, 4
+	world, err := synth.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal")
+	j, err := journal.Create(path, journal.Header{Seed: seed, Apps: apps}, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := dispatch.NewArtifactStore(filepath.Join(dir, "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
+		Workers: 2, Emulator: emulator.DefaultOptions(seed), BaseSeed: seed,
+		Attributor: newAttributor(t, seed, world), Journal: j, Artifacts: store,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := journal.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	for app, out := range replay.Outcomes {
+		if out.ArtifactSHA == "" {
+			continue
+		}
+		runs++
+		stored, err := store.Load(out.ArtifactSHA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := attribution.ParseCapture(pcap.InPlace(stored.Capture),
+			nets.DefaultLocalAddr, nets.DefaultCollectorAddr, nets.DefaultCollectorPort)
+		if err != nil {
+			t.Fatalf("app %d: %v", app, err)
+		}
+		m := out.Meters
+		if sum.TCPWireBytes != m.TCPWireBytes || sum.DNSWireBytes != m.DNSWireBytes || sum.UDPWireBytes+sum.SupervisorWireBytes != m.UDPWireBytes {
+			t.Errorf("app %d: capture accounts TCP %d, DNS %d, UDP %d wire bytes; the stack counted %d, %d, %d",
+				app, sum.TCPWireBytes, sum.DNSWireBytes, sum.UDPWireBytes+sum.SupervisorWireBytes, m.TCPWireBytes, m.DNSWireBytes, m.UDPWireBytes)
+		}
+		packets := int64(datagrams(t, stored.Capture))
+		for _, f := range sum.Flows {
+			packets += int64(f.PacketsSent + f.PacketsReceived)
+			// Every TCP packet carries 40 bytes of headers; a direction
+			// that counts more moved payload.
+			if f.BytesSent > 40*int64(f.PacketsSent) && len(f.FirstClientPayload) == 0 ||
+				f.BytesReceived > 40*int64(f.PacketsReceived) && len(f.FirstServerPayload) == 0 {
+				t.Errorf("app %d: flow %s moved payload the capture did not keep", app, f.Tuple)
+			}
+		}
+		if packets != m.Packets {
+			t.Errorf("app %d: capture accounts %d packets, the stack counted %d", app, packets, m.Packets)
+		}
+	}
+	if runs != apps {
+		t.Fatalf("%d of %d apps stored a run", runs, apps)
+	}
+}
+
+// datagrams counts the UDP packets of a capture.
+func datagrams(t *testing.T, capture []byte) int {
+	t.Helper()
+	r, err := pcap.NewReader(pcap.InPlace(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	var p pcap.Packet
+	var seg pcap.Segment
+	for r.NextInto(&p) == nil {
+		if err := pcap.DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
+			t.Fatal(err)
+		}
+		if seg.Protocol == pcap.ProtoUDP {
+			n++
+		}
+	}
+	return n
 }
 
 func errString(err error) string {

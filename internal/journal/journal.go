@@ -189,6 +189,9 @@ type RunMeters struct {
 	UDPWireBytes int64 `json:"udp_wire_bytes,omitempty"`
 	DNSWireBytes int64 `json:"dns_wire_bytes,omitempty"`
 	Packets      int64 `json:"packets,omitempty"`
+	// CaptureBytes is the size of the capture the run kept, which snaps
+	// TCP payload after each flow direction's first segment: captured
+	// bytes, not wire bytes.
 	CaptureBytes int64 `json:"capture_bytes,omitempty"`
 	BlockedConns int64 `json:"blocked_conns,omitempty"`
 	DroppedGrams int64 `json:"dropped_grams,omitempty"`

@@ -49,12 +49,20 @@ func (c *Conn) ReceivedPayload() int64 { return c.rcvdPayload }
 func (c *Conn) Closed() bool { return c.closed }
 
 // emit records one TCP packet on the connection, encoded straight into
-// its capture record; sum is the payload's partial checksum.
+// its capture record; sum is the payload's partial checksum. The capture
+// keeps the payload of each direction's first payload-bearing segment,
+// the one attribution reads, and of no later one: after it, a record
+// holds the IPv4 and TCP headers only, its original length the whole
+// packet's (DESIGN.md §1). Send, Receive and ReceiveN count a segment's
+// payload after emitting it, so a direction's count is zero exactly
+// until its first payload is captured.
 func (c *Conn) emit(t pcap.FourTuple, flags uint8, payload []byte, sum pcap.Sum) error {
 	outbound := t.SrcIP == c.stack.cfg.LocalAddr
 	var seq, ack uint32
+	moved := c.rcvdPayload
 	if outbound {
 		seq, ack = c.seq, c.peerSeq
+		moved = c.sentPayload
 	} else {
 		seq, ack = c.peerSeq, c.seq
 	}
@@ -62,7 +70,11 @@ func (c *Conn) emit(t pcap.FourTuple, flags uint8, payload []byte, sum pcap.Sum)
 	if err != nil {
 		return fmt.Errorf("nets: encoding TCP packet on %s: %w", c.tuple, err)
 	}
-	pkt, err := c.stack.record(n, pcap.ProtoTCP, false)
+	keep := n
+	if moved > 0 {
+		keep = n - len(payload)
+	}
+	pkt, err := c.stack.record(n, keep, pcap.ProtoTCP, false)
 	if err != nil {
 		return err
 	}

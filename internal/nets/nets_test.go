@@ -108,14 +108,19 @@ func parseCapture(t *testing.T, s *Stack) []pcap.Segment {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, err := pcap.DecodeSegment(p.Data)
-		if err != nil {
+		var seg pcap.Segment
+		if err := pcap.DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 			t.Fatal(err)
 		}
 		segs = append(segs, seg)
 	}
 	return segs
 }
+
+// tcpHeaders is the IPv4 and TCP header length of every TCP packet the
+// stack emits: a segment's wire payload is its WireLen less this, whether
+// or not the capture kept the payload.
+const tcpHeaders = 40
 
 func TestDialEmitsDNSAndHandshake(t *testing.T) {
 	s := newTestStack(t, true)
@@ -176,7 +181,7 @@ func TestConnByteAccounting(t *testing.T) {
 	}
 
 	segs := parseCapture(t, s)
-	var inPayload, outPayload int64
+	var inPayload, outPayload, inKept, outKept int64
 	var inPackets, outPackets int
 	local := s.LocalAddr()
 	for _, seg := range segs {
@@ -184,10 +189,12 @@ func TestConnByteAccounting(t *testing.T) {
 			continue
 		}
 		if seg.Tuple.SrcIP == local {
-			outPayload += int64(len(seg.Payload))
+			outPayload += int64(seg.WireLen - tcpHeaders)
+			outKept += int64(len(seg.Payload))
 			outPackets++
 		} else {
-			inPayload += int64(len(seg.Payload))
+			inPayload += int64(seg.WireLen - tcpHeaders)
+			inKept += int64(len(seg.Payload))
 			inPackets++
 		}
 	}
@@ -196,6 +203,11 @@ func TestConnByteAccounting(t *testing.T) {
 	}
 	if inPayload != respSize {
 		t.Errorf("captured inbound payload %d, want %d", inPayload, respSize)
+	}
+	// The capture keeps each direction's first payload segment whole and
+	// only the headers of the rest.
+	if outKept != 500 || inKept != DefaultMSS {
+		t.Errorf("capture kept %d outbound and %d inbound payload bytes, want 500 and %d", outKept, inKept, DefaultMSS)
 	}
 	// Data segments: ceil(100000/1460) = 69 inbound; ACKs from the app
 	// every ackSpacing-th segment keep outbound packet counts low.

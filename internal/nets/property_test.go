@@ -9,8 +9,9 @@ import (
 )
 
 // TestConnAccountingProperty checks, for random request/response sizes,
-// that the payload bytes visible in the capture match the connection's
-// own accounting exactly, in both directions.
+// that the payload bytes the capture's packet lengths declare match the
+// connection's own accounting exactly, in both directions, and that the
+// capture keeps no payload beyond each direction's first segment.
 func TestConnAccountingProperty(t *testing.T) {
 	check := func(reqRaw uint16, respRaw uint32) bool {
 		reqSize := int(reqRaw % 5000)
@@ -45,22 +46,25 @@ func TestConnAccountingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var in, out int64
+		var in, out, inKept, outKept int64
 		for _, p := range pkts {
-			seg, err := pcap.DecodeSegment(p.Data)
-			if err != nil {
+			var seg pcap.Segment
+			if err := pcap.DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 				return false
 			}
 			if seg.Protocol != pcap.ProtoTCP {
 				continue
 			}
 			if seg.Tuple.SrcIP == s.LocalAddr() {
-				out += int64(len(seg.Payload))
+				out += int64(seg.WireLen - tcpHeaders)
+				outKept += int64(len(seg.Payload))
 			} else {
-				in += int64(len(seg.Payload))
+				in += int64(seg.WireLen - tcpHeaders)
+				inKept += int64(len(seg.Payload))
 			}
 		}
 		return out == int64(reqSize) && in == respSize &&
+			outKept == min(out, DefaultMSS) && inKept == min(in, DefaultMSS) &&
 			conn.SentPayload() == int64(reqSize) && conn.ReceivedPayload() == respSize
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {

@@ -219,10 +219,10 @@ func (s *Stack) allocPort() uint16 {
 }
 
 // record charges latency and counts one packet of n wire bytes, then
-// reserves its capture record, stamped with the advanced clock, and
-// returns the packet bytes for the caller to encode into — nil when the
-// stack captures nothing.
-func (s *Stack) record(n int, proto uint8, isDNS bool) ([]byte, error) {
+// reserves its capture record of the first keep of them, stamped with
+// the advanced clock, and returns those bytes for the caller to encode
+// into — nil when the stack captures nothing.
+func (s *Stack) record(n, keep int, proto uint8, isDNS bool) ([]byte, error) {
 	s.clock.Advance(s.cfg.PacketLatency)
 	s.packetCount++
 	switch proto {
@@ -237,7 +237,7 @@ func (s *Stack) record(n int, proto uint8, isDNS bool) ([]byte, error) {
 	if s.capture == nil {
 		return nil, nil
 	}
-	pkt, err := s.capture.Reserve(s.clock.Now(), n)
+	pkt, err := s.capture.Reserve(s.clock.Now(), keep, n)
 	if err != nil {
 		return nil, fmt.Errorf("nets: recording packet: %w", err)
 	}
@@ -251,7 +251,7 @@ func (s *Stack) emitUDP(t pcap.FourTuple, payload []byte, isDNS bool) error {
 	if err != nil {
 		return err
 	}
-	pkt, err := s.record(n, pcap.ProtoUDP, isDNS)
+	pkt, err := s.record(n, n, pcap.ProtoUDP, isDNS)
 	if err != nil || pkt == nil {
 		return err
 	}

@@ -38,6 +38,9 @@ const (
 	MNetsDNSBytes     = "nets_dns_wire_bytes_total"
 	MNetsPackets      = "nets_packets_total"
 	MNetsDroppedGrams = "nets_supervisor_datagrams_dropped_total"
+	// MNetsCaptureBytes counts the bytes the capture kept (pcap headers
+	// and records included), not wire bytes: after each flow direction's
+	// first payload segment a TCP record keeps only its headers.
 	MNetsCaptureBytes = "nets_capture_bytes_total"
 	MNetsBlockedConns = "nets_blocked_connections_total"
 

@@ -10,8 +10,9 @@ import (
 )
 
 // encodeAllocCapture renders n equally-sized TCP packets so a reused
-// Packet's Data buffer reaches steady state after the first record.
-func encodeAllocCapture(t *testing.T, n int) []byte {
+// Packet's Data buffer reaches steady state after the first record; with
+// snap set, each record keeps only its packet's headers.
+func encodeAllocCapture(t *testing.T, n int, snap bool) []byte {
 	t.Helper()
 	w := NewWriter(nil)
 	base := time.Date(2019, 7, 1, 12, 0, 0, 0, time.UTC)
@@ -21,7 +22,11 @@ func encodeAllocCapture(t *testing.T, n int) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WritePacket(Packet{Timestamp: base.Add(time.Duration(i) * time.Millisecond), Data: raw}); err != nil {
+		p := Packet{Timestamp: base.Add(time.Duration(i) * time.Millisecond), Data: raw}
+		if snap {
+			p.Data, p.OrigLen = raw[:ipv4HeaderLen+tcpHeaderLen], len(raw)
+		}
+		if err := w.WritePacket(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,28 +57,31 @@ func decodeAllocsPerRun(t *testing.T, capture []byte, src func([]byte) io.Reader
 			if err := pr.NextInto(p); err != nil {
 				break
 			}
-			if err := DecodeSegmentInto(&seg, p.Data); err != nil {
+			if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 }
 
-// The zero-copy decode contract, streaming and in place: once a streamed
-// Packet's buffer is warm, reading and decoding a packet allocates
-// nothing — all allocations of a pass are reader setup, independent of
-// packet count. In place there is no buffer to warm.
+// The zero-copy decode contract, streaming and in place, over whole and
+// snapped records: once a streamed Packet's buffer is warm, reading and
+// decoding a packet allocates nothing — all allocations of a pass are
+// reader setup, independent of packet count. In place there is no buffer
+// to warm.
 func TestDecodeAllocsPerPacketIsZero(t *testing.T) {
 	for name, src := range map[string]func([]byte) io.Reader{
 		"streaming": func(b []byte) io.Reader { return bytes.NewReader(b) },
 		"in place":  func(b []byte) io.Reader { return InPlace(b) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			small := decodeAllocsPerRun(t, encodeAllocCapture(t, 1), src)
-			large := decodeAllocsPerRun(t, encodeAllocCapture(t, 129), src)
-			perPacket := (large - small) / 128
-			if perPacket > 0.01 {
-				t.Fatalf("decode allocates %.3f allocs/packet (runs: %0.f vs %0.f), want 0", perPacket, small, large)
+			for _, snap := range []bool{false, true} {
+				small := decodeAllocsPerRun(t, encodeAllocCapture(t, 1, snap), src)
+				large := decodeAllocsPerRun(t, encodeAllocCapture(t, 129, snap), src)
+				perPacket := (large - small) / 128
+				if perPacket > 0.01 {
+					t.Fatalf("snapped %v: decode allocates %.3f allocs/packet (runs: %0.f vs %0.f), want 0", snap, perPacket, small, large)
+				}
 			}
 		})
 	}

@@ -6,7 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzDecodeSegment hardens the IPv4/TCP/UDP decoder.
+// FuzzDecodeSegment hardens the IPv4/TCP/UDP decoder over whole packets
+// and short records: the packet is data plus snapped more wire bytes the
+// capture did not keep. The decoder is also the Reader's rule for a
+// short record, which it may accept only as a TCP segment's headers.
 func FuzzDecodeSegment(f *testing.F) {
 	tcp, err := EncodeTCP(testTuple(), FlagPSH|FlagACK, 1, 2, []byte("payload"))
 	if err != nil {
@@ -16,16 +19,26 @@ func FuzzDecodeSegment(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(tcp)
-	f.Add(udp)
-	f.Add([]byte{0x45})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		seg, err := DecodeSegment(data)
-		if err != nil {
+	f.Add(tcp, uint16(0))
+	f.Add(udp, uint16(0))
+	f.Add([]byte{0x45}, uint16(0))
+	// Short records: a snapped segment (valid), cut inside its TCP and
+	// its IPv4 header, and a short datagram.
+	f.Add(tcp[:40], uint16(len(tcp)-40))
+	f.Add(tcp[:30], uint16(len(tcp)-30))
+	f.Add(tcp[:12], uint16(len(tcp)-12))
+	f.Add(udp[:28], uint16(len(udp)-28))
+	f.Fuzz(func(t *testing.T, data []byte, snapped uint16) {
+		origLen := len(data) + int(snapped)
+		var seg Segment
+		if err := DecodeSegmentInto(&seg, data, origLen); err != nil {
 			return
 		}
-		if seg.WireLen != len(data) {
-			t.Fatalf("accepted segment wire length %d != input %d", seg.WireLen, len(data))
+		if seg.WireLen != origLen {
+			t.Fatalf("accepted segment wire length %d != original length %d", seg.WireLen, origLen)
+		}
+		if snapped > 0 && seg.Protocol != ProtoTCP {
+			t.Fatalf("accepted a short record of protocol %d", seg.Protocol)
 		}
 		// Pool-recycle discipline: decode into a pooled packet's buffer,
 		// copy the lazily-aliased payload (the ownership contract), then
@@ -36,8 +49,8 @@ func FuzzDecodeSegment(f *testing.F) {
 		pkt := AcquirePacket()
 		pkt.Data = append(pkt.Data[:0], data...)
 		var first Segment
-		if err := DecodeSegmentInto(&first, pkt.Data); err != nil {
-			t.Fatalf("DecodeSegmentInto rejected input DecodeSegment accepted: %v", err)
+		if err := DecodeSegmentInto(&first, pkt.Data, origLen); err != nil {
+			t.Fatalf("decode into a pooled buffer rejected accepted input: %v", err)
 		}
 		payloadCopy := append([]byte(nil), first.Payload...)
 		ReleasePacket(pkt)
@@ -50,14 +63,13 @@ func FuzzDecodeSegment(f *testing.F) {
 		var second Segment
 		// Re-decode over the mutated recycled buffer may accept or
 		// reject; it must not panic and must not disturb the copy.
-		_ = DecodeSegmentInto(&second, again.Data)
+		_ = DecodeSegmentInto(&second, again.Data, origLen)
 		ReleasePacket(again)
 
-		seg2, err := DecodeSegment(data)
-		if err != nil {
+		if err := DecodeSegmentInto(&seg, data, origLen); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
 		}
-		if !bytes.Equal(seg2.Payload, payloadCopy) {
+		if !bytes.Equal(seg.Payload, payloadCopy) {
 			t.Fatalf("payload copied before recycle diverged from a fresh decode")
 		}
 	})

@@ -79,9 +79,12 @@ type Segment struct {
 	Flags    uint8 // TCP only
 	Seq      uint32
 	Ack      uint32
-	Payload  []byte
+	// Payload is the captured payload: all of it, or none of a snapped
+	// segment's.
+	Payload []byte
 	// WireLen is the total on-wire size (IPv4 header + transport header +
-	// payload); the paper's traffic-volume metric sums this per stream.
+	// payload), the IPv4 total length, whether or not the capture kept
+	// the payload; the paper's traffic-volume metric sums this per stream.
 	WireLen int
 }
 
@@ -187,11 +190,15 @@ func packetLen(t FourTuple, transportHdrLen, payloadLen int) (int, error) {
 	return total, nil
 }
 
-// PutTCP encodes a raw IPv4+TCP packet into pkt, which must be
-// TCPLen(t, len(payload)) bytes long; sum is SumOf(payload). Every byte
-// of pkt is written, so it may hold anything before.
+// PutTCP encodes a raw IPv4+TCP packet carrying payload into pkt, which
+// is the packet's first len(pkt) bytes: all TCPLen(t, len(payload)) of
+// them, or — a snapped record — its IPv4 and TCP headers, TCPLen(t, 0)
+// bytes, or any length between. The headers describe the whole packet
+// either way: the IPv4 total length counts the payload, and sum,
+// SumOf(payload), puts it in the TCP checksum. Every byte of pkt is
+// written, so it may hold anything before.
 func PutTCP(pkt []byte, t FourTuple, flags uint8, seq, ack uint32, payload []byte, sum Sum) {
-	b := putIPv4(pkt, t, ProtoTCP, tcpHeaderLen)
+	b := putIPv4(pkt, t, ProtoTCP, tcpHeaderLen, len(payload))
 	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
 	binary.BigEndian.PutUint32(b[4:8], seq)
@@ -200,26 +207,27 @@ func PutTCP(pkt []byte, t FourTuple, flags uint8, seq, ack uint32, payload []byt
 	b[13] = flags
 	binary.BigEndian.PutUint16(b[14:16], 65535) // window
 	copy(b[tcpHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[16:18], transportChecksum(t, ProtoTCP, b, tcpHeaderLen, sum))
+	binary.BigEndian.PutUint16(b[16:18], transportChecksum(t, ProtoTCP, b[:tcpHeaderLen], len(payload), sum))
 }
 
 // PutUDP is PutTCP for a raw IPv4+UDP packet of UDPLen(t, len(payload))
 // bytes.
 func PutUDP(pkt []byte, t FourTuple, payload []byte, sum Sum) {
-	b := putIPv4(pkt, t, ProtoUDP, udpHeaderLen)
+	b := putIPv4(pkt, t, ProtoUDP, udpHeaderLen, len(payload))
 	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
 	binary.BigEndian.PutUint16(b[4:6], uint16(udpHeaderLen+len(payload)))
 	copy(b[udpHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[6:8], transportChecksum(t, ProtoUDP, b, udpHeaderLen, sum))
+	binary.BigEndian.PutUint16(b[6:8], transportChecksum(t, ProtoUDP, b[:udpHeaderLen], len(payload), sum))
 }
 
-// putIPv4 writes the IPv4 header of pkt, zeroes the transport header
-// after it (reserved fields, checksum slot), and returns the segment.
-func putIPv4(pkt []byte, t FourTuple, proto uint8, transportHdrLen int) []byte {
+// putIPv4 writes the IPv4 header of a packet carrying payloadLen bytes
+// into pkt, zeroes the transport header after it (reserved fields,
+// checksum slot), and returns the segment.
+func putIPv4(pkt []byte, t FourTuple, proto uint8, transportHdrLen, payloadLen int) []byte {
 	clear(pkt[:ipv4HeaderLen+transportHdrLen])
 	pkt[0] = 0x45 // version 4, IHL 5
-	binary.BigEndian.PutUint16(pkt[2:4], uint16(len(pkt)))
+	binary.BigEndian.PutUint16(pkt[2:4], uint16(ipv4HeaderLen+transportHdrLen+payloadLen))
 	pkt[8] = 64 // TTL
 	pkt[9] = proto
 	src := t.SrcIP.As4()
@@ -230,38 +238,44 @@ func putIPv4(pkt []byte, t FourTuple, proto uint8, transportHdrLen int) []byte {
 	return pkt[ipv4HeaderLen:]
 }
 
-// transportChecksum folds the IPv4 pseudo-header, the segment's header
-// and the payload's partial sum into one ones-complement sum, without
-// materializing the pseudo-header or summing the payload again. The
-// payload starts at an even offset of the pseudo-header and segment, so
-// the sum is bit-identical to checksumming the concatenation.
-func transportChecksum(t FourTuple, proto uint8, segment []byte, hdrLen int, payload Sum) uint16 {
+// transportChecksum folds the IPv4 pseudo-header, the transport header
+// hdr and the partial sum of the payloadLen bytes after it into one
+// ones-complement sum, without materializing the pseudo-header or
+// summing the payload again. The payload starts at an even offset of the
+// pseudo-header and segment, so the sum is bit-identical to checksumming
+// the concatenation.
+func transportChecksum(t FourTuple, proto uint8, hdr []byte, payloadLen int, payload Sum) uint16 {
 	src := t.SrcIP.As4()
 	dst := t.DstIP.As4()
 	pseudo := uint64(binary.BigEndian.Uint16(src[0:2])) + uint64(binary.BigEndian.Uint16(src[2:4])) +
 		uint64(binary.BigEndian.Uint16(dst[0:2])) + uint64(binary.BigEndian.Uint16(dst[2:4])) +
-		uint64(proto) + uint64(uint16(len(segment)))
-	return fold(addSums(partialSum(pseudo, segment[:hdrLen]), uint64(payload)))
+		uint64(proto) + uint64(uint16(len(hdr)+payloadLen))
+	return fold(addSums(partialSum(pseudo, hdr), uint64(payload)))
 }
 
-// DecodeSegment parses a raw IPv4 packet into a Segment. The payload is
-// a lazy slice of data — no copy is made — so the Segment is valid only
-// as long as data is.
+// DecodeSegment parses a whole raw IPv4 packet into a Segment. The
+// payload is a lazy slice of data — no copy is made — so the Segment is
+// valid only as long as data is.
 func DecodeSegment(data []byte) (Segment, error) {
 	var seg Segment
-	if err := DecodeSegmentInto(&seg, data); err != nil {
+	if err := DecodeSegmentInto(&seg, data, len(data)); err != nil {
 		return Segment{}, err
 	}
 	return seg, nil
 }
 
-// DecodeSegmentInto parses a raw IPv4 packet into a reused Segment,
-// overwriting its previous contents without allocating. Like
+// DecodeSegmentInto parses a captured raw IPv4 packet of origLen wire
+// bytes into a reused Segment, overwriting its previous contents without
+// allocating. data is the whole packet, or a snapped TCP segment's IPv4
+// and TCP headers, as the Reader accepts them (Packet.OrigLen). Like
 // DecodeSegment, the payload lazily aliases data; with a pooled packet
 // buffer that means the segment must be consumed before the buffer's
 // next NextInto fill. On error seg is zeroed.
-func DecodeSegmentInto(seg *Segment, data []byte) error {
+func DecodeSegmentInto(seg *Segment, data []byte, origLen int) error {
 	*seg = Segment{}
+	if len(data) > origLen {
+		return fmt.Errorf("pcap: %d captured bytes of a %d-byte packet", len(data), origLen)
+	}
 	if len(data) < ipv4HeaderLen {
 		return fmt.Errorf("pcap: packet of %d bytes shorter than IPv4 header", len(data))
 	}
@@ -273,8 +287,8 @@ func DecodeSegmentInto(seg *Segment, data []byte) error {
 		return fmt.Errorf("pcap: invalid IPv4 header length %d", ihl)
 	}
 	totalLen := int(binary.BigEndian.Uint16(data[2:4]))
-	if totalLen != len(data) {
-		return fmt.Errorf("pcap: IPv4 total length %d does not match capture length %d", totalLen, len(data))
+	if totalLen != origLen {
+		return fmt.Errorf("pcap: IPv4 total length %d does not match packet length %d", totalLen, origLen)
 	}
 	proto := data[9]
 	srcIP := netip.AddrFrom4([4]byte(data[12:16]))
@@ -300,6 +314,9 @@ func DecodeSegmentInto(seg *Segment, data []byte) error {
 		seg.Flags = transport[13]
 		seg.Payload = transport[dataOff:]
 	case ProtoUDP:
+		if len(data) < origLen {
+			return fmt.Errorf("pcap: UDP datagram captured short (%d of %d bytes)", len(data), origLen)
+		}
 		if len(transport) < udpHeaderLen {
 			return fmt.Errorf("pcap: truncated UDP header (%d bytes)", len(transport))
 		}
@@ -318,6 +335,6 @@ func DecodeSegmentInto(seg *Segment, data []byte) error {
 		return fmt.Errorf("pcap: unsupported IP protocol %d", proto)
 	}
 	seg.Protocol = proto
-	seg.WireLen = len(data)
+	seg.WireLen = totalLen
 	return nil
 }

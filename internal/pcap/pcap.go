@@ -4,7 +4,10 @@
 // Captures written by this package are genuine pcap files (magic
 // 0xa1b2c3d4, version 2.4, LINKTYPE_RAW) — the attribution pipeline reads
 // them back cold, exactly as the paper's offline analysis traverses the
-// packet capture of each app run (§III-E).
+// packet capture of each app run (§III-E). A record may keep less of its
+// packet than the packet's original length, as libpcap's snap length
+// does; this package writes and accepts such a record only for a TCP
+// segment whose IPv4 and TCP headers it keeps whole.
 package pcap
 
 import (
@@ -26,11 +29,13 @@ const (
 	DefaultSnapLen = 262144
 )
 
-// ErrCorruptCapture marks a record header no valid capture of this
-// format can hold: a length beyond the snap length or beyond the largest
-// IPv4 packet, or a truncated packet. The reader refuses it before
-// allocating for it. A record longer than what is left of a source of
-// known size fails as io.ErrUnexpectedEOF, also before allocating.
+// ErrCorruptCapture marks a record no valid capture of this format can
+// hold: a length beyond the snap length or beyond the largest IPv4
+// packet, more bytes captured than the packet had, or a short record
+// that is not a whole IPv4 and TCP header of a packet of its original
+// length. The reader refuses a bad length before allocating for it. A
+// record longer than what is left of a source of known size fails as
+// io.ErrUnexpectedEOF, also before allocating.
 var ErrCorruptCapture = errors.New("pcap: corrupt capture")
 
 // Packet is one captured packet: a timestamp plus raw bytes starting at the
@@ -38,6 +43,10 @@ var ErrCorruptCapture = errors.New("pcap: corrupt capture")
 type Packet struct {
 	Timestamp time.Time
 	Data      []byte
+	// OrigLen is the packet's length on the wire, the record header's
+	// original length. Data holds all of it, or — a snapped TCP segment —
+	// only its IPv4 and TCP headers. Zero means len(Data) to WritePacket.
+	OrigLen int
 }
 
 // Writer appends a pcap file — the global header, then one record per
@@ -86,26 +95,34 @@ func (pw *Writer) grow(n int) []byte {
 	return pw.buf[l:]
 }
 
-// Reserve appends the record of an n-byte packet stamped ts and returns
-// the packet's bytes for the caller to fill, so a packet is encoded
-// straight into its place in the capture. The bytes are valid until the
-// next write. It refuses a packet the Reader would: one larger than an
-// IPv4 packet can be.
-func (pw *Writer) Reserve(ts time.Time, n int) ([]byte, error) {
-	if n > maxPacketLen {
-		return nil, fmt.Errorf("pcap: packet of %d bytes exceeds the IPv4 maximum %d", n, maxPacketLen)
+// Reserve appends the record of a packet of origLen wire bytes stamped
+// ts, of which the capture keeps the first capLen, and returns those
+// bytes for the caller to fill, so a packet is encoded straight into its
+// place in the capture. The bytes are valid until the next write. It
+// refuses a record the Reader would: a packet larger than an IPv4 packet
+// can be, or more bytes kept than the packet has.
+func (pw *Writer) Reserve(ts time.Time, capLen, origLen int) ([]byte, error) {
+	if origLen > maxPacketLen {
+		return nil, fmt.Errorf("pcap: packet of %d bytes exceeds the IPv4 maximum %d", origLen, maxPacketLen)
 	}
-	rec := pw.grow(recordHeaderLen + n)
+	if capLen < 0 || capLen > origLen {
+		return nil, fmt.Errorf("pcap: capturing %d bytes of a %d-byte packet", capLen, origLen)
+	}
+	rec := pw.grow(recordHeaderLen + capLen)
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(ts.Unix()))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(ts.Nanosecond()/1000))
-	binary.LittleEndian.PutUint32(rec[8:12], uint32(n))
-	binary.LittleEndian.PutUint32(rec[12:16], uint32(n))
+	binary.LittleEndian.PutUint32(rec[8:12], uint32(capLen))
+	binary.LittleEndian.PutUint32(rec[12:16], uint32(origLen))
 	return rec[recordHeaderLen:], nil
 }
 
 // WritePacket appends one packet record, copying p.Data into it.
 func (pw *Writer) WritePacket(p Packet) error {
-	b, err := pw.Reserve(p.Timestamp, len(p.Data))
+	orig := p.OrigLen
+	if orig == 0 {
+		orig = len(p.Data)
+	}
+	b, err := pw.Reserve(p.Timestamp, len(p.Data), orig)
 	if err != nil {
 		return err
 	}
@@ -262,7 +279,8 @@ const (
 // before the next call. An in-place reader points p.Data into the
 // capture, capacity capped at the packet, and leaves the old buffer
 // alone; such a packet must not go back to the packet pool, whose next
-// streaming fill would write into the capture.
+// streaming fill would write into the capture. p.OrigLen is the packet's
+// wire length; a snapped record's p.Data holds its headers only.
 func (pr *Reader) NextInto(p *Packet) error {
 	var hdr []byte
 	if pr.r == nil {
@@ -282,7 +300,7 @@ func (pr *Reader) NextInto(p *Packet) error {
 		}
 		hdr = pr.rec[:]
 	}
-	capLen, err := pr.record(hdr)
+	capLen, origLen, err := pr.record(hdr)
 	if err != nil {
 		return err
 	}
@@ -291,47 +309,56 @@ func (pr *Reader) NextInto(p *Packet) error {
 		end := recordHeaderLen + capLen
 		p.Data = pr.data[recordHeaderLen:end:end]
 		pr.data = pr.data[end:]
-		p.Timestamp = ts
-		return nil
-	}
-	if cap(p.Data) < capLen {
-		p.Data = make([]byte, capLen)
 	} else {
-		p.Data = p.Data[:capLen]
+		if cap(p.Data) < capLen {
+			p.Data = make([]byte, capLen)
+		} else {
+			p.Data = p.Data[:capLen]
+		}
+		if _, err := io.ReadFull(pr.r, p.Data); err != nil {
+			return fmt.Errorf("pcap: reading packet data: %w", err)
+		}
 	}
-	if _, err := io.ReadFull(pr.r, p.Data); err != nil {
-		return fmt.Errorf("pcap: reading packet data: %w", err)
+	if capLen < origLen {
+		// The one kind of short record the capture writes (DESIGN.md §1):
+		// the whole IPv4 and TCP headers, options included, of a segment
+		// whose IPv4 total length is the original length. The decoder
+		// accepts a short record only as that.
+		var seg Segment
+		if err := DecodeSegmentInto(&seg, p.Data, origLen); err != nil {
+			return fmt.Errorf("%w: short record: %w", ErrCorruptCapture, err)
+		}
 	}
-	p.Timestamp = ts
+	p.Timestamp, p.OrigLen = ts, origLen
 	return nil
 }
 
-// record checks a record header and returns the length of the packet
-// that follows it. Every length check runs before the packet is sized
-// or sliced: a forged header must not make the reader allocate what it
-// declares.
-func (pr *Reader) record(hdr []byte) (int, error) {
-	capLen := pr.order.Uint32(hdr[8:12])
-	origLen := pr.order.Uint32(hdr[12:16])
-	if capLen > pr.snapLen {
-		return 0, fmt.Errorf("%w: captured length %d exceeds snap length %d", ErrCorruptCapture, capLen, pr.snapLen)
+// record checks a record header and returns the captured length of the
+// packet that follows it and its original length. Every length check
+// runs before the packet is sized or sliced: a forged header must not
+// make the reader allocate what it declares.
+func (pr *Reader) record(hdr []byte) (capLen, origLen int, err error) {
+	c, o := pr.order.Uint32(hdr[8:12]), pr.order.Uint32(hdr[12:16])
+	if c > pr.snapLen {
+		return 0, 0, fmt.Errorf("%w: captured length %d exceeds snap length %d", ErrCorruptCapture, c, pr.snapLen)
 	}
-	if capLen > maxPacketLen {
-		return 0, fmt.Errorf("%w: captured length %d exceeds the IPv4 maximum %d", ErrCorruptCapture, capLen, maxPacketLen)
+	if o > maxPacketLen {
+		return 0, 0, fmt.Errorf("%w: original length %d exceeds the IPv4 maximum %d", ErrCorruptCapture, o, maxPacketLen)
 	}
-	if capLen != origLen {
-		return 0, fmt.Errorf("%w: truncated packet (captured %d of %d bytes)", ErrCorruptCapture, capLen, origLen)
+	if c > o {
+		return 0, 0, fmt.Errorf("%w: captured length %d exceeds original length %d", ErrCorruptCapture, c, o)
 	}
+	capLen, origLen = int(c), int(o)
 	if pr.left >= 0 {
 		pr.left -= recordHeaderLen
-		if int(capLen) > pr.left {
+		if capLen > pr.left {
 			// The capture ends inside this record: the error the read
 			// would return, without sizing a buffer for the missing bytes.
-			return 0, fmt.Errorf("pcap: reading packet data: %w", io.ErrUnexpectedEOF)
+			return 0, 0, fmt.Errorf("pcap: reading packet data: %w", io.ErrUnexpectedEOF)
 		}
-		pr.left -= int(capLen)
+		pr.left -= capLen
 	}
-	return int(capLen), nil
+	return capLen, origLen, nil
 }
 
 // readAllPresizeCap bounds the up-front ReadAll allocation (entries, not

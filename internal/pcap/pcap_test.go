@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"runtime"
@@ -61,7 +62,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 // Read as a plain io.Reader, a View yields its bytes like bytes.Reader;
 // handed to NewReader it is consumed whole, read in place.
 func TestViewReadsLikeBytesReader(t *testing.T) {
-	capture := encodeAllocCapture(t, 3)
+	capture := encodeAllocCapture(t, 3, false)
 	got, err := io.ReadAll(InPlace(capture))
 	if err != nil || !bytes.Equal(got, capture) {
 		t.Fatalf("io.ReadAll(InPlace) = %d bytes, %v; want the %d-byte capture", len(got), err, len(capture))
@@ -137,6 +138,123 @@ func TestReaderRejectsForgedRecordLength(t *testing.T) {
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 				t.Fatalf("rejecting the record allocated %d bytes, want < 1 MiB", got)
+			}
+		})
+	}
+}
+
+// A snapped record keeps the IPv4 and TCP headers of the whole packet,
+// checksum and total length included, and reads back, in place and
+// streaming, with the packet's wire length.
+func TestSnappedRecordRoundTrip(t *testing.T) {
+	payload := bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), 50)
+	whole, err := EncodeTCP(testTuple(), FlagPSH|FlagACK, 7, 9, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(nil)
+	hdrLen, _ := TCPLen(testTuple(), 0)
+	pkt, err := w.Reserve(time.Unix(5, 0), hdrLen, len(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutTCP(pkt, testTuple(), FlagPSH|FlagACK, 7, 9, payload, SumOf(payload))
+	if !bytes.Equal(pkt, whole[:hdrLen]) {
+		t.Fatalf("snapped headers % x, want the whole packet's % x", pkt, whole[:hdrLen])
+	}
+	if _, err := w.Reserve(time.Unix(5, 0), 41, 40); err == nil {
+		t.Error("Reserve kept more bytes than the packet has")
+	}
+	for name, src := range map[string]io.Reader{"in place": InPlace(w.Bytes()), "streaming": bytes.NewReader(w.Bytes())} {
+		r, err := NewReader(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(p.Data) != hdrLen || p.OrigLen != len(whole) {
+			t.Fatalf("%s: read %d of %d bytes, want %d of %d", name, len(p.Data), p.OrigLen, hdrLen, len(whole))
+		}
+		var seg Segment
+		if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if seg.WireLen != len(whole) || len(seg.Payload) != 0 || seg.Seq != 7 || seg.Ack != 9 || seg.Tuple != testTuple() {
+			t.Fatalf("%s: decoded %+v", name, seg)
+		}
+	}
+}
+
+// rawCapture is a capture of one record with the given header lengths
+// around data, written by hand so that it can hold what Writer refuses.
+func rawCapture(data []byte, capLen, origLen uint32) []byte {
+	b := NewWriter(nil).Bytes()
+	var rec [recordHeaderLen]byte
+	binary.LittleEndian.PutUint32(rec[8:12], capLen)
+	binary.LittleEndian.PutUint32(rec[12:16], origLen)
+	return append(append(b, rec[:]...), data...)
+}
+
+// A record shorter than its packet is accepted only as the whole IPv4 and
+// TCP headers of a packet whose IPv4 total length is the record's
+// original length; anything else fails typed, with the same text in
+// place and streaming.
+func TestReaderShortRecords(t *testing.T) {
+	whole, err := EncodeTCP(testTuple(), FlagACK, 0, 0, make([]byte, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint32(len(whole))
+	// withOptions declares a 24-byte TCP header: 4 bytes of options.
+	withOptions := bytes.Clone(whole)
+	withOptions[20+12] = 6 << 4
+	wrongTotal := bytes.Clone(whole)
+	binary.BigEndian.PutUint16(wrongTotal[2:4], uint16(n-1))
+	dgram, err := EncodeUDP(testTuple(), make([]byte, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		capture []byte
+		ok      bool
+	}{
+		{"headers whole", rawCapture(whole[:40], 40, n), true},
+		{"headers and some payload", rawCapture(whole[:70], 70, n), true},
+		{"options whole", rawCapture(withOptions[:44], 44, n), true},
+		{"cut inside the IPv4 header", rawCapture(whole[:12], 12, n), false},
+		{"cut inside the TCP header", rawCapture(whole[:30], 30, n), false},
+		{"cut inside the TCP options", rawCapture(withOptions[:40], 40, n), false},
+		{"captured beyond original", rawCapture(whole, n, n-1), false},
+		{"original is not the IPv4 total length", rawCapture(wrongTotal[:40], 40, n), false},
+		{"short UDP record", rawCapture(dgram[:28], 28, uint32(len(dgram))), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var errs [2]error
+			for i, src := range []io.Reader{InPlace(tc.capture), bytes.NewReader(tc.capture)} {
+				r, err := NewReader(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var p Packet
+				if errs[i] = r.NextInto(&p); errs[i] == nil {
+					var seg Segment
+					if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil || seg.WireLen != int(n) {
+						t.Fatalf("accepted record decodes to wire length %d, %v; want %d", seg.WireLen, err, n)
+					}
+				}
+			}
+			if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+				t.Fatalf("in place %v, streaming %v", errs[0], errs[1])
+			}
+			if tc.ok && errs[0] != nil {
+				t.Fatalf("valid short record refused: %v", errs[0])
+			}
+			if !tc.ok && !errors.Is(errs[0], ErrCorruptCapture) {
+				t.Fatalf("NextInto = %v, want ErrCorruptCapture", errs[0])
 			}
 		})
 	}
@@ -281,6 +399,13 @@ func TestDecodeSegmentErrors(t *testing.T) {
 	}
 	if _, err := DecodeSegment(raw[:len(raw)-1]); err == nil {
 		t.Error("total-length mismatch should fail")
+	}
+	var seg Segment
+	if err := DecodeSegmentInto(&seg, raw, len(raw)+1); err == nil {
+		t.Error("total length short of the original length should fail")
+	}
+	if err := DecodeSegmentInto(&seg, raw, len(raw)-1); err == nil {
+		t.Error("more bytes captured than the packet has should fail")
 	}
 }
 
