@@ -28,11 +28,7 @@ test:
 # worker (TestBarrierConcurrentClients hammers it). Every worker saves its
 # own runs' evidence into one artifact store, concurrently
 # (TestArtifactSaveConcurrentDistinctSHAs, TestWorkerSavesEvidenceBeforeEmit,
-# TestEvidenceSaveFailureStopsStream). Workers of every fleet in the
-# process take and give back capture buffers through one idle list
-# (TestConcurrentFleetsShareIdleCaptures runs two fleets through it at
-# once, TestCaptureBufferOutlivesFleet and TestReleasedCapturesPoisoned
-# hand a released buffer on and poison it).
+# TestEvidenceSaveFailureStopsStream).
 # The root run is the determinism harness (TestDeterminism: every pinned
 # row — shard coordinator, outcome-file merge, takeover, process-mode
 # chaos — plus one fresh draw; TestResultStoreShardInvariance and

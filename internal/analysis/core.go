@@ -15,8 +15,8 @@ import (
 // aggregation math (F2–F10, totals, half-traffic). Both analysis paths run
 // through it: the streaming Accumulator wraps it directly, and the batch
 // DatasetBuilder folds the same way while additionally materializing
-// compact FlowRecords. Every aggregate is a symbol-indexed slice or a
-// dense category matrix — the fold does no string hashing beyond the one
+// compact FlowRecords. Every aggregate is a symbol-indexed slice or the
+// sparse library cells — the fold does no string hashing beyond the one
 // intern per flow field.
 //
 // Byte-identical output across fold orders holds because every folded
@@ -49,33 +49,26 @@ type core struct {
 	perOrigin entityStats
 	perDomain entityStats
 
-	// Fig2: per app-category volume, split by builtin-ness. Builtin
-	// pseudo-origins always resolve to LibUnknown, so they fold into one
-	// column; non-builtin cells keep the origin symbol so the deferred
-	// LibRadar category can be applied in finish.
-	fig2NB countMatrix // [appCat sym][origin sym]
-	fig2B  countVec    // [appCat sym]
+	// lib is the library fold of Figures 2, 3 (builtin markers), 7 (library
+	// panel), 8 and 9: each attributed flow's bytes under its (app
+	// category, domain category, origin, builtin) cell. The LibRadar origin
+	// category is deferred to finish, so the cells keep the origin symbol.
+	// A cell exists iff a flow folded into it, so the fold grows with the
+	// distinct cells observed, not with categories × origins.
+	lib map[libCell]int64
 
-	// Fig3 rankings: origin bytes come from perOrigin; only the builtin
-	// markers and the 2-level column are folded separately.
-	originBuiltin []bool   // OR of BuiltinOrigin per origin sym
-	twoBytes      countVec // [2-level sym]
-	twoBuiltin    []bool
+	// Fig3 2-level rankings; origin bytes come from perOrigin.
+	twoBytes   countVec // [2-level sym]
+	twoBuiltin []bool
 
 	// Fig6 per-app AnT/common-library accumulation (non-builtin flows).
 	fig6 []antAcc // [app sym]
 
-	// Fig7 (library panel) and Fig9 need the deferred origin category:
-	// fold per origin sym.
-	nbOrigin countVec    // [origin sym] non-builtin totals
-	fig9     countMatrix // [domCat sym][origin sym]
-
 	// Fig7 domain panel (members are derived from perDomain in finish).
 	domBytes countVec // [domCat sym]
 
-	// Fig8.
-	fig8Bytes countVec       // [appCat sym]
-	fig8Cats  [][]symtab.Sym // [app sym] → app-category syms folded for it
+	// Fig8 app counts: app sym → app-category syms folded for it.
+	fig8Cats [][]symtab.Sym
 
 	// Fig10: per-run coverage, re-sorted into app-index order in finish so
 	// completion order does not leak into the figure.
@@ -86,7 +79,28 @@ func newCore(domains DomainCategorizer) (*core, error) {
 	if domains == nil {
 		return nil, fmt.Errorf("analysis: nil domain categorizer")
 	}
-	return &core{syms: newSymbols(domains)}, nil
+	return &core{syms: newSymbols(domains), lib: make(map[libCell]int64)}, nil
+}
+
+// libCell keys one cell of the library fold.
+type libCell struct {
+	appCat, domCat, origin symtab.Sym
+	builtin                bool
+}
+
+// less orders cells by app category, domain category, origin, then
+// builtin (false first): the order Encode writes them in.
+func (k libCell) less(o libCell) bool {
+	if k.appCat != o.appCat {
+		return k.appCat < o.appCat
+	}
+	if k.domCat != o.domCat {
+		return k.domCat < o.domCat
+	}
+	if k.origin != o.origin {
+		return k.origin < o.origin
+	}
+	return !k.builtin && o.builtin
 }
 
 // pair is one entity's directional byte totals.
@@ -129,18 +143,6 @@ func (v *countVec) add(i int, x int64) {
 	}
 	v.vals[i] += x
 	v.seen[i] = true
-}
-
-// countMatrix is a dense [row][col]int64 with presence bits per cell.
-type countMatrix struct {
-	rows []countVec
-}
-
-func (m *countMatrix) add(row, col int, x int64) {
-	if row >= len(m.rows) {
-		m.rows = grow(m.rows, row+1)
-	}
-	m.rows[row].add(col, x)
 }
 
 type antAcc struct {
@@ -236,22 +238,13 @@ func (c *core) observe(appIndex int, run *attribution.RunResult, each func(*Flow
 		if f.Domain != "" {
 			dom = c.syms.domains.Intern(f.Domain)
 		}
-		domCat := int(c.syms.domainCats[dom]) // None → DomUnknown fact
+		domCat := c.syms.domainCats[dom] // None → DomUnknown fact
 
 		c.flows++
 		c.bytesSent += f.BytesSent
 		c.bytesReceived += f.BytesReceived
 
-		if f.BuiltinOrigin {
-			c.fig2B.add(int(catSym), total)
-		} else {
-			c.fig2NB.add(int(catSym), int(origin), total)
-		}
-
-		c.originBuiltin = growBools(c.originBuiltin, int(origin))
-		if f.BuiltinOrigin {
-			c.originBuiltin[origin] = true
-		}
+		c.lib[libCell{catSym, domCat, origin, f.BuiltinOrigin}] += total
 		c.twoBytes.add(int(two), total)
 		c.twoBuiltin = growBools(c.twoBuiltin, int(two))
 		if f.BuiltinOrigin || c.syms.twoPlatform[two] {
@@ -264,7 +257,7 @@ func (c *core) observe(appIndex int, run *attribution.RunResult, each func(*Flow
 			// From the domain's perspective "sent" is what the server
 			// transmitted (the app's received bytes).
 			c.perDomain.add(dom, f.BytesReceived, f.BytesSent)
-			c.domBytes.add(domCat, total)
+			c.domBytes.add(int(domCat), total)
 		}
 
 		if !f.BuiltinOrigin {
@@ -284,11 +277,7 @@ func (c *core) observe(appIndex int, run *attribution.RunResult, each func(*Flow
 				acc.clSent += f.BytesSent
 				acc.clRcvd += f.BytesReceived
 			}
-			c.nbOrigin.add(int(origin), total)
-			c.fig9.add(domCat, int(origin), total)
 		}
-
-		c.fig8Bytes.add(int(catSym), total)
 
 		if each != nil {
 			c.rec = FlowRecord{
@@ -368,40 +357,38 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 		TCPWireBytes:    c.tcpWire,
 	}
 
-	// Figure 2. Builtin cells have no LibRadar category and land on
-	// LibUnknown; non-builtin cells resolve their origin's category.
+	// Figures 2, 3's builtin markers, 7's library panel, 8 and 9 read
+	// the library cells. Builtin cells have no LibRadar category and land
+	// on LibUnknown in Figure 2; Figures 7 and 9 read only the other
+	// cells, under their origin's category.
 	m := &CategoryMatrix{
 		Bytes:       make(map[corpus.AppCategory]map[corpus.LibraryCategory]int64),
 		LegendShare: make(map[corpus.LibraryCategory]float64),
 	}
+	h := &Heatmap{Bytes: make(map[corpus.LibraryCategory]map[corpus.DomainCategory]int64)}
 	perLib := make(map[corpus.LibraryCategory]int64)
-	for ci := 0; ci < syms.appCats.Len(); ci++ {
-		var row map[corpus.LibraryCategory]int64
-		ensureRow := func() map[corpus.LibraryCategory]int64 {
-			if row == nil {
-				row = make(map[corpus.LibraryCategory]int64)
-				m.Bytes[syms.appCategory(symtab.Sym(ci))] = row
+	libBytes := make(map[corpus.LibraryCategory]int64)
+	libMembers := make(map[corpus.LibraryCategory]int)
+	catBytes := make(map[symtab.Sym]int64)
+	originBuiltin := make([]bool, syms.origins.Len())
+	nbOrigin := make([]bool, syms.origins.Len())
+	for k, v := range c.lib {
+		lib := corpus.LibUnknown
+		if k.builtin {
+			originBuiltin[k.origin] = true
+		} else {
+			lib = originCats[k.origin]
+			libBytes[lib] += v
+			if !nbOrigin[k.origin] {
+				nbOrigin[k.origin] = true
+				libMembers[lib]++
 			}
-			return row
+			addCell(h.Bytes, lib, syms.domainCategoryAt(k.domCat), v)
 		}
-		if ci < len(c.fig2NB.rows) {
-			r := &c.fig2NB.rows[ci]
-			for o, seen := range r.seen {
-				if !seen {
-					continue
-				}
-				cat := originCats[o]
-				ensureRow()[cat] += r.vals[o]
-				perLib[cat] += r.vals[o]
-				m.Total += r.vals[o]
-			}
-		}
-		if ci < len(c.fig2B.seen) && c.fig2B.seen[ci] {
-			b := c.fig2B.vals[ci]
-			ensureRow()[corpus.LibUnknown] += b
-			perLib[corpus.LibUnknown] += b
-			m.Total += b
-		}
+		addCell(m.Bytes, syms.appCategory(k.appCat), lib, v)
+		perLib[lib] += v
+		m.Total += v
+		catBytes[k.appCat] += v
 	}
 	if m.Total > 0 {
 		for cat, b := range perLib {
@@ -409,6 +396,7 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 		}
 	}
 	ag.fig2 = m
+	ag.fig9 = h
 
 	// Figure 3 rankings (full; truncated per call). Origin bytes are the
 	// perOrigin pair totals.
@@ -421,7 +409,7 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 		origins = append(origins, RankedLibrary{
 			Name:    syms.origins.String(symtab.Sym(i)),
 			Bytes:   p.sent + p.rcvd,
-			Builtin: c.originBuiltin[i],
+			Builtin: originBuiltin[i],
 		})
 	}
 	ag.fig3Origins = sortRanked(origins)
@@ -463,16 +451,6 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 		PerLibrary: make(map[corpus.LibraryCategory]float64),
 		PerDomain:  make(map[corpus.DomainCategory]float64),
 	}
-	libBytes := make(map[corpus.LibraryCategory]int64)
-	libMembers := make(map[corpus.LibraryCategory]int)
-	for o, seen := range c.nbOrigin.seen {
-		if !seen {
-			continue
-		}
-		cat := originCats[o]
-		libBytes[cat] += c.nbOrigin.vals[o]
-		libMembers[cat]++
-	}
 	for cat, b := range libBytes {
 		if n := libMembers[cat]; n > 0 {
 			avgs.PerLibrary[cat] = float64(b) / float64(n)
@@ -503,34 +481,11 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 		}
 	}
 	ag.fig8 = make(map[corpus.AppCategory]float64)
-	for ci, seen := range c.fig8Bytes.seen {
-		if !seen {
-			continue
-		}
+	for ci, b := range catBytes {
 		if n := appsPerCat[ci]; n > 0 {
-			ag.fig8[syms.appCategory(symtab.Sym(ci))] = float64(c.fig8Bytes.vals[ci]) / float64(n)
+			ag.fig8[syms.appCategory(ci)] = float64(b) / float64(n)
 		}
 	}
-
-	// Figure 9.
-	h := &Heatmap{Bytes: make(map[corpus.LibraryCategory]map[corpus.DomainCategory]int64)}
-	for di := range c.fig9.rows {
-		r := &c.fig9.rows[di]
-		domCat := syms.domainCategoryAt(symtab.Sym(di))
-		for o, seen := range r.seen {
-			if !seen {
-				continue
-			}
-			cat := originCats[o]
-			row := h.Bytes[cat]
-			if row == nil {
-				row = make(map[corpus.DomainCategory]int64)
-				h.Bytes[cat] = row
-			}
-			row[domCat] += r.vals[o]
-		}
-	}
-	ag.fig9 = h
 
 	// Figure 10, in app-index order like the batch path's run order.
 	sort.Slice(c.coverage, func(i, j int) bool { return c.coverage[i].appIndex < c.coverage[j].appIndex })
@@ -564,6 +519,16 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 		Domains: c.perDomain.halfCount(),
 	}
 	return ag, nil
+}
+
+// addCell adds v to m[row][col], making the row on first use.
+func addCell[R, C comparable](m map[R]map[C]int64, row R, col C, v int64) {
+	r := m[row]
+	if r == nil {
+		r = make(map[C]int64)
+		m[row] = r
+	}
+	r[col] += v
 }
 
 // sortRanked orders a ranking volume-descending, name-ascending (Fig3).

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"libspector/internal/codec"
 	"libspector/internal/libradar"
@@ -15,13 +16,13 @@ import (
 // Partial is one shard's sealed aggregation state: the columnar core
 // frozen before the finish step. Unlike Aggregates — which is float-laden
 // and sorted, hence unmergeable — a Partial holds only commutative int64
-// columns keyed by private symbol IDs, so two partials produced by
-// different processes merge exactly: their symbol tables are unified with
-// symtab.MergeFrom and every column is re-folded through the resulting
-// dense remap. Merging N shard partials and finishing once yields
-// byte-identical figures to folding the whole corpus in one process,
-// because the fold is order-independent and finish sorts before every
-// float computation.
+// columns and cells keyed by private symbol IDs, so two partials produced
+// by different processes merge exactly: their symbol tables are unified
+// with symtab.MergeFrom and every column and cell key is re-folded
+// through the resulting dense remap. Merging N shard partials and
+// finishing once yields byte-identical figures to folding the whole
+// corpus in one process, because the fold is order-independent and
+// finish sorts before every float computation.
 //
 // A Partial also serializes (Encode/DecodePartial) so shards in separate
 // processes can ship their state to a coordinator as an opaque blob.
@@ -89,10 +90,10 @@ func MergePartials(parts ...*Partial) (*Partial, error) {
 
 // mergeInto folds src into dst. The symbol tables are unified first — the
 // on-intern hooks rebuild dst's fact columns for strings dst has not seen
-// — and every symbol-indexed column is then re-folded through the dense
-// old→new remaps. All folded quantities are commutative int64 sums, so
-// the result is independent of merge order up to symbol numbering, which
-// finish erases by sorting. The strings table holds only a
+// — and every symbol-indexed column and every library cell's key is then
+// re-folded through the dense old→new remaps. All folded quantities are
+// commutative int64 sums, so the result is independent of merge order up
+// to symbol numbering, which finish erases by sorting. The strings table holds only a
 // DatasetBuilder's record strings, so a partial's is always empty.
 func mergeInto(dst, src *core) {
 	appR := dst.syms.apps.MergeFrom(src.syms.apps)
@@ -115,17 +116,9 @@ func mergeInto(dst, src *core) {
 	mergeEntityStats(&dst.perOrigin, &src.perOrigin, orgR)
 	mergeEntityStats(&dst.perDomain, &src.perDomain, domR)
 
-	for ri := range src.fig2NB.rows {
-		row := &src.fig2NB.rows[ri]
-		for ci, seen := range row.seen {
-			if seen {
-				dst.fig2NB.add(int(catR[ri]), int(orgR[ci]), row.vals[ci])
-			}
-		}
+	for k, v := range src.lib {
+		dst.lib[libCell{catR[k.appCat], dcR[k.domCat], orgR[k.origin], k.builtin}] += v
 	}
-	mergeCountVec(&dst.fig2B, &src.fig2B, catR)
-
-	mergeBoolCol(&dst.originBuiltin, src.originBuiltin, orgR)
 	mergeCountVec(&dst.twoBytes, &src.twoBytes, twoR)
 	mergeBoolCol(&dst.twoBuiltin, src.twoBuiltin, twoR)
 
@@ -149,17 +142,7 @@ func mergeInto(dst, src *core) {
 		d.clRcvd += a.clRcvd
 	}
 
-	mergeCountVec(&dst.nbOrigin, &src.nbOrigin, orgR)
-	for ri := range src.fig9.rows {
-		row := &src.fig9.rows[ri]
-		for ci, seen := range row.seen {
-			if seen {
-				dst.fig9.add(int(dcR[ri]), int(orgR[ci]), row.vals[ci])
-			}
-		}
-	}
 	mergeCountVec(&dst.domBytes, &src.domBytes, dcR)
-	mergeCountVec(&dst.fig8Bytes, &src.fig8Bytes, catR)
 	for i, cats := range src.fig8Cats {
 		for _, cat := range cats {
 			dst.addFig8App(appR[i], catR[cat])
@@ -205,8 +188,9 @@ func mergeBoolCol(dst *[]bool, src []bool, r symtab.Remap) {
 // Wire format
 // ---------------------------------------------------------------------------
 
-// partialMagic identifies a serialized shard partial, version 01.
-const partialMagic = "LSPART01"
+// partialMagic identifies a serialized shard partial, version 02: the
+// library fold is sparse cells (version 01 wrote dense matrices).
+const partialMagic = "LSPART02"
 
 // ErrCorruptPartial reports a serialized partial that is torn, truncated,
 // or otherwise not decodable. Decoders must surface it (wrapped) rather
@@ -220,13 +204,14 @@ var ErrCategorizerMismatch = errors.New("analysis: partial domain categories dis
 
 // Encode serializes the partial deterministically:
 //
-//	"LSPART01" | body | crc32c(body) little-endian
+//	"LSPART02" | body | crc32c(body) little-endian
 //
 // The body is a fixed sequence of varint-framed sections: the six symbol
 // tables (string count, then length-prefixed strings in dense ID order),
 // the recorded domain-category facts (for the decode-side categorizer
-// cross-check), the scalar totals, and every column. Encoding does not
-// mutate the partial and may be called repeatedly.
+// cross-check), the scalar totals, every column, and last the library
+// cells in key order (libCell.less). Encoding does not mutate the partial
+// and may be called repeatedly.
 func (p *Partial) Encode() ([]byte, error) {
 	if p == nil || p.core == nil {
 		return nil, fmt.Errorf("analysis: nil partial")
@@ -264,9 +249,6 @@ func (p *Partial) Encode() ([]byte, error) {
 	b = appendEntityStats(b, &c.perApp)
 	b = appendEntityStats(b, &c.perOrigin)
 	b = appendEntityStats(b, &c.perDomain)
-	b = appendCountMatrix(b, &c.fig2NB)
-	b = appendCountVec(b, &c.fig2B)
-	b = appendBools(b, c.originBuiltin)
 	b = appendCountVec(b, &c.twoBytes)
 	b = appendBools(b, c.twoBuiltin)
 
@@ -279,10 +261,7 @@ func (p *Partial) Encode() ([]byte, error) {
 		}
 	}
 
-	b = appendCountVec(b, &c.nbOrigin)
-	b = appendCountMatrix(b, &c.fig9)
 	b = appendCountVec(b, &c.domBytes)
-	b = appendCountVec(b, &c.fig8Bytes)
 
 	b = binary.AppendUvarint(b, uint64(len(c.fig8Cats)))
 	for _, cats := range c.fig8Cats {
@@ -297,6 +276,20 @@ func (p *Partial) Encode() ([]byte, error) {
 		b = binary.AppendVarint(b, int64(e.appIndex))
 		b = binary.AppendUvarint(b, math.Float64bits(e.percent))
 		b = binary.AppendUvarint(b, math.Float64bits(e.methods))
+	}
+
+	cells := make([]libCell, 0, len(c.lib))
+	for k := range c.lib {
+		cells = append(cells, k)
+	}
+	sort.Slice(cells, func(i, j int) bool { return cells[i].less(cells[j]) })
+	b = binary.AppendUvarint(b, uint64(len(cells)))
+	for _, k := range cells {
+		b = binary.AppendUvarint(b, uint64(k.appCat))
+		b = binary.AppendUvarint(b, uint64(k.domCat))
+		b = binary.AppendUvarint(b, uint64(k.origin))
+		b = codec.AppendBool(b, k.builtin)
+		b = binary.AppendVarint(b, c.lib[k])
 	}
 
 	return codec.AppendSum(b, body), nil
@@ -315,14 +308,6 @@ func appendCountVec(b []byte, v *countVec) []byte {
 	for i := range v.vals {
 		b = codec.AppendBool(b, v.seen[i])
 		b = binary.AppendVarint(b, v.vals[i])
-	}
-	return b
-}
-
-func appendCountMatrix(b []byte, m *countMatrix) []byte {
-	b = binary.AppendUvarint(b, uint64(len(m.rows)))
-	for i := range m.rows {
-		b = appendCountVec(b, &m.rows[i])
 	}
 	return b
 }
@@ -359,14 +344,6 @@ func readCountVec(d *codec.Reader) countVec {
 		v.vals[i] = d.Varint()
 	}
 	return v
-}
-
-func readCountMatrix(d *codec.Reader) countMatrix {
-	m := countMatrix{rows: make([]countVec, d.Length())}
-	for i := range m.rows {
-		m.rows[i] = readCountVec(d)
-	}
-	return m
 }
 
 func readEntityStats(d *codec.Reader) entityStats {
@@ -489,9 +466,6 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 	c.perApp = readEntityStats(d)
 	c.perOrigin = readEntityStats(d)
 	c.perDomain = readEntityStats(d)
-	c.fig2NB = readCountMatrix(d)
-	c.fig2B = readCountVec(d)
-	c.originBuiltin = readBools(d)
 	c.twoBytes = readCountVec(d)
 	c.twoBuiltin = readBools(d)
 
@@ -508,21 +482,14 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 		a.clRcvd = d.Varint()
 	}
 
-	c.nbOrigin = readCountVec(d)
-	c.fig9 = readCountMatrix(d)
 	c.domBytes = readCountVec(d)
-	c.fig8Bytes = readCountVec(d)
 
 	c.fig8Cats = make([][]symtab.Sym, d.Length())
 	for i := range c.fig8Cats {
 		if m := d.Length(); m > 0 {
 			c.fig8Cats[i] = make([]symtab.Sym, m)
 			for j := range c.fig8Cats[i] {
-				raw := d.Uvarint()
-				if d.Err() == nil && raw >= uint64(c.syms.appCats.Len()) {
-					d.Failf("fig8 category symbol %d out of range", raw)
-				}
-				c.fig8Cats[i][j] = symtab.Sym(raw)
+				c.fig8Cats[i][j] = readSym(d, c.syms.appCats, "fig8 category")
 			}
 		}
 	}
@@ -533,6 +500,24 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 		c.coverage[i].percent = math.Float64frombits(d.Uvarint())
 		c.coverage[i].methods = math.Float64frombits(d.Uvarint())
 	}
+
+	// The cells must come in strictly increasing key order, which rejects
+	// a repeated cell and keeps every accepted partial's encoding its own.
+	n := d.Length()
+	var prev libCell
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := libCell{
+			appCat: readSym(d, c.syms.appCats, "cell app category"),
+			domCat: readSym(d, c.syms.domCats, "cell domain category"),
+			origin: readSym(d, c.syms.origins, "cell origin"),
+		}
+		k.builtin = d.Bool()
+		if i > 0 && !prev.less(k) {
+			d.Failf("library cell %d out of order", i)
+		}
+		c.lib[k] = d.Varint()
+		prev = k
+	}
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
@@ -540,6 +525,15 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 		return nil, err
 	}
 	return &Partial{core: c}, nil
+}
+
+// readSym reads a symbol of table t, failing d when it is out of range.
+func readSym(d *codec.Reader, t *symtab.Table, what string) symtab.Sym {
+	raw := d.Uvarint()
+	if d.Err() == nil && raw >= uint64(t.Len()) {
+		d.Failf("%s symbol %d out of range", what, raw)
+	}
+	return symtab.Sym(raw)
 }
 
 // validatePartial rejects decoded state whose symbol references escape
@@ -552,41 +546,20 @@ func validatePartial(c *core) error {
 		}
 		return nil
 	}
-	apps, cats := c.syms.apps.Len(), c.syms.appCats.Len()
-	origins, twos := c.syms.origins.Len(), c.syms.twoLevels.Len()
+	apps, origins, twos := c.syms.apps.Len(), c.syms.origins.Len(), c.syms.twoLevels.Len()
 	doms, domCats := c.syms.domains.Len(), c.syms.domCats.Len()
 	for _, e := range []error{
 		check("perApp", len(c.perApp.pairs), apps),
 		check("perOrigin", len(c.perOrigin.pairs), origins),
 		check("perDomain", len(c.perDomain.pairs), doms),
-		check("fig2NB rows", len(c.fig2NB.rows), cats),
-		check("fig2B", len(c.fig2B.vals), cats),
-		check("originBuiltin", len(c.originBuiltin), origins),
 		check("twoBytes", len(c.twoBytes.vals), twos),
 		check("twoBuiltin", len(c.twoBuiltin), twos),
 		check("fig6", len(c.fig6), apps),
-		check("nbOrigin", len(c.nbOrigin.vals), origins),
-		check("fig9 rows", len(c.fig9.rows), domCats),
 		check("domBytes", len(c.domBytes.vals), domCats),
-		check("fig8Bytes", len(c.fig8Bytes.vals), cats),
 		check("fig8Cats", len(c.fig8Cats), apps),
 	} {
 		if e != nil {
 			return e
-		}
-	}
-	for _, m := range []*countMatrix{&c.fig2NB, &c.fig9} {
-		for i := range m.rows {
-			if err := check("matrix row", len(m.rows[i].vals), origins); err != nil {
-				return err
-			}
-		}
-	}
-	for _, cats := range c.fig8Cats {
-		for _, cat := range cats {
-			if int(cat) >= c.syms.appCats.Len() {
-				return fmt.Errorf("%w: fig8 category symbol %d out of range", ErrCorruptPartial, cat)
-			}
 		}
 	}
 	return nil

@@ -10,7 +10,7 @@
 //     and Open is strict — the input must be exactly one frame, so
 //     truncation, appended garbage, and bit rot all fail with a typed
 //     error instead of being indistinguishable from success. Shard
-//     partials ("LSPART01"), shard outcome envelopes ("LSSHRD01"), stored
+//     partials ("LSPART02"), shard outcome envelopes ("LSSHRD01"), stored
 //     runs ("LSEVID01", written part by part through SealTo), and the
 //     resultstore's segments, index, and footer are sealed; the journal's
 //     record frames share Sum.

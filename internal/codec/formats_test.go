@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,8 +46,7 @@ type format struct {
 	// typed reports whether a rejection carries the format's error type;
 	// every error decode returns must satisfy it.
 	typed func(error) bool
-	// seeds builds the corpus. A seed marked valid was written by the
-	// production encoder: it must decode and re-encode byte-identically.
+	// seeds builds the corpus, each seed with its verdict.
 	seeds func(tb testing.TB) []seed
 	// decode is the production decoder; encode is the production encoder
 	// applied to decode's result.
@@ -76,7 +76,12 @@ type format struct {
 	// MethodScale 0.002; evidence.bin, meta.bin and reports.bin, added
 	// when a stored run became one sealed file, replace that commit's
 	// meta.json and reports.bin and are fixtureRun, its meta section and
-	// its reports section). It must decode and re-encode to the identical
+	// its reports section; partial.bin, rewritten for LSPART02, folds the
+	// four flows 252e5be's image held: app sha-a (GAME_PUZZLE) from
+	// com.vungle.publisher to ads.example.com and from okhttp3 to
+	// api.example.com, app sha-b (TOOLS) from com.app.b.net to
+	// cdn.example.net and from builtin *-Advertisement to
+	// ads.example.com). It must decode and re-encode to the identical
 	// bytes: the guard that a refactor of the codecs moved no byte on disk
 	// or on the wire. Regenerate a fixture only for a deliberate,
 	// documented format bump. Empty for pcap, whose layout libpcap fixes,
@@ -95,9 +100,23 @@ type format struct {
 }
 
 type seed struct {
-	data  []byte
-	valid bool
+	data []byte
+	want verdict
 }
+
+// verdict is what TestFormats requires of a seed.
+type verdict int
+
+const (
+	// rejected input must fail decoding.
+	rejected verdict = iota
+	// encoded input was written by the production encoder: it must
+	// decode and re-encode byte-identically.
+	encoded
+	// tolerated input was written by no encoder but decodes by design;
+	// it must be accepted and pass the row's checks.
+	tolerated
+)
 
 func is(sentinels ...error) func(error) bool {
 	return func(err error) bool {
@@ -118,9 +137,9 @@ func prefixed(p string) func(error) bool {
 // first half, and the image with a byte appended.
 func variants(valid []byte) []seed {
 	return []seed{
-		{valid, true},
-		{valid[:len(valid)/2], false},
-		{append(valid[:len(valid):len(valid)], 0xFF), false},
+		{valid, encoded},
+		{valid[:len(valid)/2], rejected},
+		{append(valid[:len(valid):len(valid)], 0xFF), rejected},
 	}
 }
 
@@ -140,7 +159,9 @@ var formats = []format{
 				{Type: journal.TypeQuarantined, App: 1, Attempts: 3, Error: "boom"},
 				{Type: journal.TypeStarted, App: 2},
 			})
-			return []seed{{img, true}, {img[:len(img)/2], false}, {nil, false}, {bytes.Repeat([]byte{0xff}, 64), false}}
+			// Cut mid-record, the log replays its intact prefix and
+			// drops the torn tail.
+			return []seed{{img, encoded}, {img[:len(img)/2], tolerated}, {nil, rejected}, {bytes.Repeat([]byte{0xff}, 64), rejected}}
 		},
 		decode: func(data []byte) (any, error) {
 			r, err := journal.ReplayBytes(data)
@@ -184,7 +205,8 @@ var formats = []format{
 			// record, with intact records after it.
 			rotten := bytes.Clone(img)
 			rotten[len(img)/3] ^= 0x40
-			return []seed{{img, true}, {img[:len(img)-3], false}, {rotten, false}, {nil, false}}
+			// A torn last record is dropped, as in the journal row.
+			return []seed{{img, encoded}, {img[:len(img)-3], tolerated}, {rotten, rejected}, {nil, rejected}}
 		},
 		decode: func(data []byte) (any, error) { return dispatch.ReplayWAL(data) },
 		encode: func(tb testing.TB, v any) []byte { return logImage(tb, v.([]dispatch.WALRecord)) },
@@ -210,7 +232,7 @@ var formats = []format{
 			// fixtureRun records a whole second, so the last byte is the
 			// nanoseconds' zero: in its place, a full second of them.
 			late := append(valid[:len(valid)-1:len(valid)-1], binary.AppendUvarint(nil, uint64(time.Second))...)
-			return append(variants(valid), seed{nil, false}, seed{late, false}, seed{dispatch.EncodeMeta(dispatch.RunMeta{}), true})
+			return append(variants(valid), seed{nil, rejected}, seed{late, rejected}, seed{dispatch.EncodeMeta(dispatch.RunMeta{}), encoded})
 		},
 		decode: func(data []byte) (any, error) { return dispatch.DecodeMeta(data) },
 		encode: func(_ testing.TB, v any) []byte { return dispatch.EncodeMeta(v.(dispatch.RunMeta)) },
@@ -243,8 +265,8 @@ var formats = []format{
 			forged = codec.Seal(dispatch.EvidenceMagic, append(forged, make([]byte, 1<<14)...))
 			foreign := fixtureRun(tb)
 			foreign.Meta.SHA256 = fixtureSHA // not the apk's sha256
-			return append(variants(valid), seed{bare, true}, seed{storedRun(tb, many), true}, seed{forged, false},
-				seed{storedRun(tb, foreign), false}, seed{nil, false}, seed{[]byte(dispatch.EvidenceMagic), false})
+			return append(variants(valid), seed{bare, encoded}, seed{storedRun(tb, many), encoded}, seed{forged, rejected},
+				seed{storedRun(tb, foreign), rejected}, seed{nil, rejected}, seed{[]byte(dispatch.EvidenceMagic), rejected})
 		},
 		// The byte sections alias the input. A trace signature takes at
 		// least one input byte and, presized from its validated count, at
@@ -315,8 +337,8 @@ var formats = []format{
 			withSpans := encode()
 			tel.Spans[1].Trace = dispatch.TraceID(4) // past the range's end
 			spanOutOfRange := encode()
-			return []seed{{valid, true}, {withEvents, true}, {outOfRange, false}, {withSpans, true}, {spanOutOfRange, false},
-				{valid[:len(valid)/2], false}, {nil, false}, {[]byte("LSSHRD01"), false}, {[]byte("LSSHRD01{}\x00\x00\x00\x00"), false}}
+			return []seed{{valid, encoded}, {withEvents, encoded}, {outOfRange, rejected}, {withSpans, encoded}, {spanOutOfRange, rejected},
+				{valid[:len(valid)/2], rejected}, {nil, rejected}, {[]byte("LSSHRD01"), rejected}, {[]byte("LSSHRD01{}\x00\x00\x00\x00"), rejected}}
 		},
 		decode: func(data []byte) (any, error) { return dispatch.DecodeShardOutcome(data) },
 		encode: func(tb testing.TB, v any) []byte {
@@ -348,7 +370,7 @@ var formats = []format{
 		typed:     is(analysis.ErrCorruptPartial, analysis.ErrCategorizerMismatch),
 		strict:    true,
 		canonical: true,
-		magic:     "LSPART01",
+		magic:     "LSPART02",
 		fixture:   "partial.bin",
 		seeds: func(tb testing.TB) []seed {
 			var out []seed
@@ -357,10 +379,11 @@ var formats = []format{
 				enc := randPartial(tb, rng, trial*30, 1+rng.Intn(6))
 				rotten := bytes.Clone(enc)
 				rotten[12] ^= 0xFF
-				out = append(out, seed{enc, true}, seed{enc[:len(enc)/2], false}, seed{rotten, false},
-					seed{append(enc[:len(enc):len(enc)], 0x00), false})
+				out = append(out, seed{enc, encoded}, seed{enc[:len(enc)/2], rejected}, seed{rotten, rejected},
+					seed{append(enc[:len(enc):len(enc)], 0x00), rejected})
 			}
-			return append(out, seed{nil, false}, seed{[]byte("LSPART01"), false}, seed{[]byte("LSPART01\x00\x00\x00\x00"), false})
+			out = append(out, seed{nil, rejected}, seed{[]byte("LSPART02"), rejected}, seed{[]byte("LSPART02\x00\x00\x00\x00"), rejected})
+			return append(out, partialCellSeeds(tb)...)
 		},
 		decode: func(data []byte) (any, error) { return analysis.DecodePartial(data, partialCats) },
 		encode: func(tb testing.TB, v any) []byte {
@@ -392,8 +415,8 @@ var formats = []format{
 		seeds: func(tb testing.TB) []seed {
 			valid := mustSegment(tb, storeRecords(5))
 			return []seed{
-				{nil, false}, {[]byte("LSSEG001"), false}, {valid, true}, {valid[:len(valid)-1], false},
-				{append(valid[:len(valid):len(valid)], 0xFF), false}, {mustSegment(tb, nil), true},
+				{nil, rejected}, {[]byte("LSSEG001"), rejected}, {valid, encoded}, {valid[:len(valid)-1], rejected},
+				{append(valid[:len(valid):len(valid)], 0xFF), rejected}, {mustSegment(tb, nil), encoded},
 			}
 		},
 		decode: func(data []byte) (any, error) { return resultstore.DecodeSegment(data) },
@@ -409,7 +432,7 @@ var formats = []format{
 			// tiling check has something to tile.
 			valid := storeImage(tb, storeRecords(40))
 			noFooter := valid[:len(valid)-20]
-			return append(variants(valid), seed{noFooter, false}, seed{[]byte("LSSTORE1"), false}, seed{storeImage(tb, nil), true})
+			return append(variants(valid), seed{noFooter, rejected}, seed{[]byte("LSSTORE1"), rejected}, seed{storeImage(tb, nil), encoded})
 		},
 		decode: func(data []byte) (any, error) {
 			s, err := resultstore.OpenBytes(data)
@@ -431,10 +454,10 @@ var formats = []format{
 		fixture:   "reports.bin",
 		seeds: func(tb testing.TB) []seed {
 			valid := dispatch.EncodeReports([][]byte{datagram(tb, 40001, 3), datagram(tb, 40002, 1)})
-			return append(variants(valid), seed{dispatch.EncodeReports(nil), true},
+			return append(variants(valid), seed{dispatch.EncodeReports(nil), encoded},
 				// A count of five with four bytes behind it, and one sound
 				// frame around a datagram that does not decode.
-				seed{[]byte{0x05, 'L', 'S', 'P', 'R'}, false}, seed{[]byte{0x01, 0x04, 'L', 'S', 'P', 'R'}, false}, seed{nil, false})
+				seed{[]byte{0x05, 'L', 'S', 'P', 'R'}, rejected}, seed{[]byte{0x01, 0x04, 'L', 'S', 'P', 'R'}, rejected}, seed{nil, rejected})
 		},
 		decode: func(data []byte) (any, error) { return dispatch.DecodeReports(data) },
 		encode: func(tb testing.TB, v any) []byte { return dispatch.EncodeReports(rawReports(tb, v.([]*xposed.Report))) },
@@ -454,11 +477,11 @@ var formats = []format{
 				tb.Fatal(err)
 			}
 			return []seed{
-				{valid, true}, {[]byte("SDEX\x01\x00"), false}, {nil, false},
+				{valid, encoded}, {[]byte("SDEX\x01\x00"), rejected}, {nil, rejected},
 				// A method count the bytes left just cover, though they
 				// decode as duplicate methods after the first.
-				{append(sdexContainer(1<<14, []string{"a.B", "f", "V"}, [][]uint64{{0, 1, 2}}), make([]byte, 1<<14)...), false},
-				{amplifiedContainer(), false},
+				{append(sdexContainer(1<<14, []string{"a.B", "f", "V"}, [][]uint64{{0, 1, 2}}), make([]byte, 1<<14)...), rejected},
+				{amplifiedContainer(), rejected},
 			}
 		},
 		// A method takes at least four container bytes and ~300 bytes of
@@ -518,7 +541,7 @@ var formats = []format{
 		canonical: true,
 		fixture:   "datagram.bin",
 		seeds: func(tb testing.TB) []seed {
-			return []seed{{datagram(tb, 40001, 5), true}, {[]byte("LSPR"), false}, {[]byte(strings.Repeat("L", 200)), false}, {nil, false}}
+			return []seed{{datagram(tb, 40001, 5), encoded}, {[]byte("LSPR"), rejected}, {[]byte(strings.Repeat("L", 200)), rejected}, {nil, rejected}}
 		},
 		decode: func(data []byte) (any, error) { return xposed.DecodeReport(data) },
 		encode: func(tb testing.TB, v any) []byte {
@@ -539,7 +562,7 @@ var formats = []format{
 		concatenated: true,
 		seeds: func(tb testing.TB) []seed {
 			valid := onePacketCapture(tb)
-			return append([]seed{{valid, true}, {valid[:20], false}, {nil, false}, {forgedCapture(1 << 30), false}},
+			return append([]seed{{valid, encoded}, {valid[:20], rejected}, {nil, rejected}, {forgedCapture(1 << 30), rejected}},
 				shortRecordCaptures(tb)...)
 		},
 		// Decoding reads the capture twice, in place (resume, audit) and
@@ -590,12 +613,15 @@ var formats = []format{
 		seeds: func(tb testing.TB) []seed {
 			valid := generatedAPK(tb)
 			manifest := `{"package":"com.a","version_code":1,"category":"TOOLS","main_activity":"com.a.M"}`
-			return append(variants(valid), seed{nil, false}, seed{forgedEntrySize(tb, valid, "classes.dex", 60<<20), false},
+			// archive/zip finds the end record before a byte appended
+			// past it, so that image decodes.
+			return append([]seed{{valid, encoded}, {valid[:len(valid)/2], rejected}, {append(valid[:len(valid):len(valid)], 0xFF), tolerated}},
+				seed{nil, rejected}, seed{forgedEntrySize(tb, valid, "classes.dex", 60<<20), rejected},
 				// Sound zips around a dex that fails: junk, and two
 				// methods with one signature.
-				seed{zipped(tb, "AndroidManifest.json", manifest, "classes.dex", "SDEX junk"), false},
+				seed{zipped(tb, "AndroidManifest.json", manifest, "classes.dex", "SDEX junk"), rejected},
 				seed{zipped(tb, "AndroidManifest.json", manifest, "classes.dex",
-					string(sdexContainer(2, []string{"a.B", "f", "V"}, [][]uint64{{0, 1, 2}, {0, 1, 2}}))), false})
+					string(sdexContainer(2, []string{"a.B", "f", "V"}, [][]uint64{{0, 1, 2}, {0, 1, 2}}))), rejected})
 		},
 		// An entry inflates at most apk's maxInflation (1032) bytes per
 		// container byte, into a buffer presized no further; the dex then
@@ -744,10 +770,10 @@ func TestFormats(t *testing.T) {
 			}
 			for j, s := range f.seeds(t) {
 				t.Run(fmt.Sprintf("seed#%d", j), func(t *testing.T) {
-					if s.valid {
+					if s.want == encoded {
 						roundTrips(t, s.data)
-					} else {
-						exercise(t, f, s.data)
+					} else if _, ok := exercise(t, f, s.data); ok != (s.want == tolerated) {
+						t.Fatalf("decoded: %v, want %v", ok, s.want == tolerated)
 					}
 				})
 			}
@@ -1044,11 +1070,11 @@ func shortRecordCaptures(tb testing.TB) []seed {
 		return append(append(b, rec...), data...)
 	}
 	return []seed{
-		{record(tcp[:40], 40, len(tcp)), true},
-		{record(tcp[:30], 30, len(tcp)), false},
-		{record(tcp, len(tcp), len(tcp)-1), false},
-		{record(tcp[:40], 40, len(tcp)+1), false},
-		{record(udp[:28], 28, len(udp)), false},
+		{record(tcp[:40], 40, len(tcp)), encoded},
+		{record(tcp[:30], 30, len(tcp)), rejected},
+		{record(tcp, len(tcp), len(tcp)-1), rejected},
+		{record(tcp[:40], 40, len(tcp)+1), rejected},
+		{record(udp[:28], 28, len(udp)), rejected},
 	}
 }
 
@@ -1155,16 +1181,8 @@ func randPartial(tb testing.TB, rng *rand.Rand, base, runs int) []byte {
 		tb.Fatal(err)
 	}
 	for r := 0; r < runs; r++ {
-		origin := origins[rng.Intn(len(origins))]
-		flow := &attribution.Flow{
-			Tuple: pcap.FourTuple{
-				SrcIP: netip.AddrFrom4([4]byte{10, 0, 2, 15}), SrcPort: 40000,
-				DstIP: netip.AddrFrom4([4]byte{198, 18, 0, 1}), DstPort: 80,
-			},
-			Domain:    domains[rng.Intn(len(domains))],
-			BytesSent: rng.Int63n(10_000), BytesReceived: rng.Int63n(100_000),
-			Report: &xposed.Report{}, OriginLibrary: origin, TwoLevelLibrary: libradar.TwoLevel(origin),
-		}
+		flow := partialFlow(origins[rng.Intn(len(origins))], domains[rng.Intn(len(domains))],
+			rng.Int63n(10_000), rng.Int63n(100_000))
 		run := &attribution.RunResult{
 			AppSHA: "sha-f", AppPackage: "com.app.fz", AppCategory: appCats[rng.Intn(len(appCats))],
 			Flows:    []*attribution.Flow{flow},
@@ -1174,6 +1192,22 @@ func randPartial(tb testing.TB, rng *rand.Rand, base, runs int) []byte {
 			tb.Fatal(err)
 		}
 	}
+	return sealPartial(tb, acc)
+}
+
+func partialFlow(origin, domain string, sent, rcvd int64) *attribution.Flow {
+	return &attribution.Flow{
+		Tuple: pcap.FourTuple{
+			SrcIP: netip.AddrFrom4([4]byte{10, 0, 2, 15}), SrcPort: 40000,
+			DstIP: netip.AddrFrom4([4]byte{198, 18, 0, 1}), DstPort: 80,
+		},
+		Domain: domain, BytesSent: sent, BytesReceived: rcvd,
+		Report: &xposed.Report{}, OriginLibrary: origin, TwoLevelLibrary: libradar.TwoLevel(origin),
+	}
+}
+
+func sealPartial(tb testing.TB, acc *analysis.Accumulator) []byte {
+	tb.Helper()
 	p, err := acc.Seal()
 	if err != nil {
 		tb.Fatal(err)
@@ -1183,4 +1217,43 @@ func randPartial(tb testing.TB, rng *rand.Rand, base, runs int) []byte {
 		tb.Fatal(err)
 	}
 	return enc
+}
+
+// partialCellSeeds returns a two-cell partial, the partial under version
+// 01's magic, and three rejected rewrites of its library cells: the two
+// cells swapped, one cell twice, and a cell whose origin symbol is past
+// the origin table. The cells end
+// the body: their count, then per cell the app-category, domain-category
+// and origin symbols, the builtin flag and the zig-zag byte total.
+func partialCellSeeds(tb testing.TB) []seed {
+	tb.Helper()
+	acc, err := analysis.NewAccumulator(partialCats)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := acc.Observe(0, &attribution.RunResult{
+		AppSHA: "sha-c", AppPackage: "com.app.c", AppCategory: "TOOLS",
+		Flows: []*attribution.Flow{partialFlow("com.a.net", "", 1, 2), partialFlow("com.b.net", "", 3, 4)},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	enc := sealPartial(tb, acc)
+	body, err := codec.Open("LSPART02", enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Symbol 0 of every table is "", and the "" domain's category,
+	// unknown, is domain category 1.
+	a := []byte{1, 1, 1, 0, 6}  // TOOLS, unknown, com.a.net, not builtin, 3 bytes
+	b := []byte{1, 1, 2, 0, 14} // TOOLS, unknown, com.b.net, not builtin, 7 bytes
+	cells := slices.Concat([]byte{2}, a, b)
+	if !bytes.HasSuffix(body, cells) {
+		tb.Fatalf("the partial's body does not end with its cells % x", cells)
+	}
+	head := body[:len(body)-len(cells)]
+	rewrite := func(a, b []byte) seed {
+		return seed{codec.Seal("LSPART02", slices.Concat(head, []byte{2}, a, b)), rejected}
+	}
+	v01 := append([]byte("LSPART01"), enc[len("LSPART02"):]...)
+	return []seed{{enc, encoded}, {v01, rejected}, rewrite(b, a), rewrite(a, a), rewrite(a, []byte{1, 1, 3, 0, 14})}
 }

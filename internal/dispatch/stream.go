@@ -402,13 +402,8 @@ func (f *fleetRun) worker(jobs <-chan job) {
 		client:    client,
 		tel:       f.tel,
 		meters:    obs.NewMeters(),
-		capture:   takeCapture(),
 	}
 	defer env.release()
-	// Runs once the loop's last runApp has saved and attributed the
-	// worker's last run, so nothing that outlives the worker aliases the
-	// buffer it gives back.
-	defer func() { releaseCapture(env.capture) }()
 	busy := f.tel.Gauge(obs.MFleetWorkersBusy)
 	total := f.tel.Gauge(obs.MFleetWorkers)
 	for j := range jobs {
