@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -298,14 +299,23 @@ func DrainIdle() {
 const maxIdleEntryBytes = 8 << 20
 
 // walk is the one reader of an encoded package: Decode and Check both run
-// it, so they accept and reject the same bytes. It reads every entry
-// under maxEntryBytes with archive/zip's size and CRC checks, parses the
-// manifest, hands the classes.dex bytes to readDex (which reports its
-// method count), collects the native ABIs, sorted, and applies validate.
+// it, so they accept and reject the same bytes. The container must end
+// with its end-of-central-directory record, comment-free, right after a
+// central directory that the record places from byte 0: exactly what
+// Encode writes. archive/zip alone reads past bytes appended after that
+// record or prepended before the first entry, so distinct byte strings,
+// under distinct checksums, would check as one package. It reads every
+// entry under maxEntryBytes with archive/zip's size and CRC checks,
+// parses the manifest, hands the classes.dex bytes to readDex (which
+// reports its method count), collects the native ABIs, sorted, and
+// applies validate.
 // Entries are read into *buf, which grows as needed, so the dex bytes
 // readDex gets are valid only during the call.
 func walk(data []byte, buf *[]byte, readDex func([]byte) (int, error)) (Manifest, []string, error) {
 	var m Manifest
+	if err := checkEnd(data); err != nil {
+		return m, nil, err
+	}
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return m, nil, fmt.Errorf("apk: opening zip container: %w", err)
@@ -361,6 +371,30 @@ func walk(data []byte, buf *[]byte, readDex func([]byte) (int, error)) (Manifest
 		return m, nil, fmt.Errorf("apk: decode: %w", err)
 	}
 	return m, abis, nil
+}
+
+// endRecordLen is the size of a zip end-of-central-directory record with
+// an empty comment; endRecordSig opens it.
+const (
+	endRecordLen = 22
+	endRecordSig = 0x06054b50
+)
+
+// checkEnd requires data to end with a comment-free end-of-central-directory
+// record whose central directory ends where the record begins.
+func checkEnd(data []byte) error {
+	if len(data) < endRecordLen {
+		return fmt.Errorf("apk: container of %d bytes is shorter than a zip end record", len(data))
+	}
+	end := data[len(data)-endRecordLen:]
+	if binary.LittleEndian.Uint32(end) != endRecordSig || binary.LittleEndian.Uint16(end[20:]) != 0 {
+		return fmt.Errorf("apk: container does not end with a comment-free zip end record")
+	}
+	size, offset := binary.LittleEndian.Uint32(end[12:]), binary.LittleEndian.Uint32(end[16:])
+	if uint64(offset)+uint64(size) != uint64(len(data)-endRecordLen) {
+		return fmt.Errorf("apk: central directory at %d+%d does not end at the end record (%d)", offset, size, len(data)-endRecordLen)
+	}
+	return nil
 }
 
 // maxEntryBytes bounds the declared uncompressed size of an entry Decode

@@ -208,6 +208,42 @@ func TestDecodeRejectsBitFlip(t *testing.T) {
 	}
 }
 
+// archive/zip reads a container past bytes around the one Encode wrote:
+// appended after its end record, prepended before its first entry, or a
+// comment in the end record. Each would be a distinct byte string, with
+// its own checksum, of one package; Decode and Check refuse them all.
+func TestDecodeRejectsBytesAroundContainer(t *testing.T) {
+	data, err := sampleAPK(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := data[len(data)-endRecordLen:]
+	commented := bytes.Clone(data)
+	commented[len(commented)-2] = 1 // comment length
+	commented = append(commented, 'x')
+	cases := map[string][]byte{
+		"byte appended":       append(bytes.Clone(data), 0xFF),
+		"end record appended": append(bytes.Clone(data), end...),
+		"byte prepended":      append([]byte{0}, data...),
+		"comment":             commented,
+	}
+	for name, c := range cases {
+		if _, err := zip.NewReader(bytes.NewReader(c), int64(len(c))); err != nil {
+			t.Fatalf("%s: archive/zip rejects it already (%v); the case shows nothing", name, err)
+		}
+		for _, r := range readers {
+			if err := r.read(c); err == nil {
+				t.Errorf("%s: %s accepts the container", r.name, name)
+			}
+		}
+	}
+	for _, r := range readers {
+		if err := r.read(data); err != nil {
+			t.Errorf("%s rejects Encode's own container: %v", r.name, err)
+		}
+	}
+}
+
 // zeros reads as an endless stream of zero bytes.
 type zeros struct{}
 

@@ -3,6 +3,8 @@ package art
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,14 +45,27 @@ func TestThreadStackOrdering(t *testing.T) {
 	}
 }
 
+// profiledFile is a dex file of n methods a.B.m0()V … a.B.m<n-1>()V for
+// the profiler tests.
+func profiledFile(t *testing.T, n int) *dex.File {
+	t.Helper()
+	d := dex.NewFile(time.Now())
+	for i := 0; i < n; i++ {
+		if err := d.AddMethod(dex.Method{Class: "a.B", Name: fmt.Sprintf("m%d", i), Return: "V"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
 func TestProfilerUniqueMode(t *testing.T) {
-	p, err := NewProfiler(ProfilerUnique, 0)
+	p, err := NewProfiler(ProfilerUnique, 0, profiledFile(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		p.OnMethodEntry("La/B;->f()V")
-		p.OnMethodEntry("La/B;->g()V")
+		p.OnMethodEntry(0)
+		p.OnMethodEntry(1)
 	}
 	if p.UniqueCount() != 2 {
 		t.Errorf("UniqueCount = %d, want 2", p.UniqueCount())
@@ -66,16 +81,18 @@ func TestProfilerUniqueMode(t *testing.T) {
 func TestProfilerBoundedModeLosesData(t *testing.T) {
 	// Stock ART behaviour (§II-B1): the buffer fills with repeated calls
 	// and later first-invocations are lost.
-	p, err := NewProfiler(ProfilerBounded, 100)
+	d := profiledFile(t, 2)
+	const hot, cold = 0, 1
+	p, err := NewProfiler(ProfilerBounded, 100, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 100 repeated calls to one method fill the buffer...
 	for i := 0; i < 100; i++ {
-		p.OnMethodEntry("La/B;->hot()V")
+		p.OnMethodEntry(hot)
 	}
 	// ...so this first invocation is dropped.
-	p.OnMethodEntry("La/B;->cold()V")
+	p.OnMethodEntry(cold)
 	if p.UniqueCount() != 1 {
 		t.Errorf("bounded mode recorded %d unique methods, want 1 (data loss)", p.UniqueCount())
 	}
@@ -84,36 +101,40 @@ func TestProfilerBoundedModeLosesData(t *testing.T) {
 	}
 
 	// The unique-mode modification records both under the same load.
-	u, err := NewProfiler(ProfilerUnique, 100)
+	u, err := NewProfiler(ProfilerUnique, 100, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		u.OnMethodEntry("La/B;->hot()V")
+		u.OnMethodEntry(hot)
 	}
-	u.OnMethodEntry("La/B;->cold()V")
+	u.OnMethodEntry(cold)
 	if u.UniqueCount() != 2 {
 		t.Errorf("unique mode recorded %d methods, want 2", u.UniqueCount())
 	}
 }
 
 func TestProfilerModeValidation(t *testing.T) {
-	if _, err := NewProfiler(ProfilerMode(0), 0); err == nil {
+	d := profiledFile(t, 1)
+	if _, err := NewProfiler(ProfilerMode(0), 0, d); err == nil {
 		t.Error("zero mode should fail")
 	}
-	if _, err := NewProfiler(ProfilerMode(99), 0); err == nil {
+	if _, err := NewProfiler(ProfilerMode(99), 0, d); err == nil {
 		t.Error("unknown mode should fail")
+	}
+	if _, err := NewProfiler(ProfilerUnique, 0, nil); err == nil {
+		t.Error("nil dex file should fail")
 	}
 }
 
 func TestProfilerTraceRoundTrip(t *testing.T) {
-	p, err := NewProfiler(ProfilerUnique, 0)
+	d := profiledFile(t, 3)
+	p, err := NewProfiler(ProfilerUnique, 0, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs := []string{"La/B;->f()V", "La/B;->g(I)V", "Lc/D;->h()Z"}
-	for _, s := range sigs {
-		p.OnMethodEntry(s)
+	for i := 0; i < d.MethodCount(); i++ {
+		p.OnMethodEntry(i)
 	}
 	var buf bytes.Buffer
 	if err := p.WriteTrace(&buf); err != nil {
@@ -123,16 +144,109 @@ func TestProfilerTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace) != len(sigs) {
-		t.Fatalf("trace has %d entries, want %d", len(trace), len(sigs))
+	if len(trace) != d.MethodCount() {
+		t.Fatalf("trace has %d entries, want %d", len(trace), d.MethodCount())
 	}
-	for _, s := range sigs {
-		if _, ok := trace[s]; !ok {
-			t.Errorf("trace missing %s", s)
+	for i := 0; i < d.MethodCount(); i++ {
+		sig, _ := d.SignatureAt(i)
+		if _, ok := trace[sig]; !ok {
+			t.Errorf("trace missing %s", sig)
 		}
 	}
 	if sorted := p.SortedUnique(); len(sorted) != 3 || sorted[0] > sorted[1] {
 		t.Errorf("SortedUnique = %v", sorted)
+	}
+}
+
+// stringProfiler is the profiler as it was when it kept signatures: a
+// bounded buffer of every entry, a string-keyed first-invocation set and
+// its order. The index-keyed profiler must report exactly what it did.
+type stringProfiler struct {
+	bounded  bool
+	capacity int
+	entries  []string
+	unique   map[string]struct{}
+	order    []string
+	dropped  int64
+}
+
+func (p *stringProfiler) OnMethodEntry(sig string) {
+	if p.bounded {
+		if len(p.entries) >= p.capacity {
+			p.dropped++
+			return
+		}
+		p.entries = append(p.entries, sig)
+	}
+	if _, seen := p.unique[sig]; !seen {
+		p.unique[sig] = struct{}{}
+		p.order = append(p.order, sig)
+	}
+}
+
+func TestProfilerMatchesStringKeyed(t *testing.T) {
+	d := profiledFile(t, 300)
+	// A skewed entry sequence: mostly hot methods, a long tail of cold
+	// ones, so a bounded buffer fills before the tail is seen.
+	var seq []int
+	for i := 0; i < 2000; i++ {
+		switch {
+		case i%7 == 0:
+			seq = append(seq, (i*131)%d.MethodCount())
+		default:
+			seq = append(seq, i%5)
+		}
+	}
+	for _, tc := range []struct {
+		mode     ProfilerMode
+		capacity int
+	}{{ProfilerUnique, 0}, {ProfilerBounded, 100}, {ProfilerBounded, 1000}, {ProfilerBounded, 5000}} {
+		t.Run(fmt.Sprintf("mode%d-cap%d", tc.mode, tc.capacity), func(t *testing.T) {
+			p, err := NewProfiler(tc.mode, tc.capacity, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &stringProfiler{bounded: tc.mode == ProfilerBounded, capacity: tc.capacity, unique: map[string]struct{}{}}
+			for _, idx := range seq {
+				p.OnMethodEntry(idx)
+				sig, _ := d.SignatureAt(idx)
+				ref.OnMethodEntry(sig)
+			}
+			if p.DroppedInvocations() != ref.dropped || p.UniqueCount() != len(ref.unique) || p.TotalInvocations() != int64(len(seq)) {
+				t.Fatalf("dropped %d, unique %d, total %d; string-keyed: dropped %d, unique %d, total %d",
+					p.DroppedInvocations(), p.UniqueCount(), p.TotalInvocations(), ref.dropped, len(ref.unique), len(seq))
+			}
+			var got bytes.Buffer
+			if err := p.WriteTrace(&got); err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Join(ref.order, "\n") + "\n"
+			if got.String() != want {
+				t.Errorf("trace file differs from the string-keyed one:\n%s\nwant\n%s", got.String(), want)
+			}
+			if !maps.Equal(p.UniqueMethods(), ref.unique) {
+				t.Error("unique set differs from the string-keyed one")
+			}
+			sorted := slices.Clone(ref.order)
+			slices.Sort(sorted)
+			if !slices.Equal(p.SortedUnique(), sorted) {
+				t.Error("SortedUnique differs from the string-keyed set, sorted")
+			}
+		})
+	}
+}
+
+// A repeated entry touches one bit: it allocates nothing, in either mode.
+func TestProfilerRepeatEntryAllocatesNothing(t *testing.T) {
+	for _, mode := range []ProfilerMode{ProfilerUnique, ProfilerBounded} {
+		p, err := NewProfiler(mode, 0, profiledFile(t, 70))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.OnMethodEntry(69)
+		if allocs := testing.AllocsPerRun(100, func() { p.OnMethodEntry(69) }); allocs != 0 {
+			t.Errorf("mode %d: a repeated entry allocates %.1f objects, want 0", mode, allocs)
+		}
 	}
 }
 
@@ -204,7 +318,7 @@ func (r *recordingPerformer) Perform(th *Thread, action NetworkAction) error {
 
 func TestRuntimeSocketStackShape(t *testing.T) {
 	prog, methods := buildTestProgram(t, 1)
-	profiler, err := NewProfiler(ProfilerUnique, 0)
+	profiler, err := NewProfiler(ProfilerUnique, 0, prog.Dex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +365,7 @@ func TestRuntimeSocketStackShape(t *testing.T) {
 
 func TestRuntimeRunLimit(t *testing.T) {
 	prog, _ := buildTestProgram(t, 2)
-	profiler, err := NewProfiler(ProfilerUnique, 0)
+	profiler, err := NewProfiler(ProfilerUnique, 0, prog.Dex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +391,7 @@ func TestRuntimeRunLimit(t *testing.T) {
 
 func TestRuntimeOnCreateRunsOncePerActivity(t *testing.T) {
 	prog, methods := buildTestProgram(t, 1)
-	profiler, err := NewProfiler(ProfilerUnique, 0)
+	profiler, err := NewProfiler(ProfilerUnique, 0, prog.Dex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +423,11 @@ func TestRuntimeOnCreateRunsOncePerActivity(t *testing.T) {
 	}
 }
 
-// The profiler is handed the signatures the dex file rendered once, so
-// re-firing a handler whose methods were all seen, with no net ops,
+// The profiler records method indices in a bitset, so re-firing a handler whose methods were all seen, with no net ops,
 // allocates nothing — the monkey's common case.
 func TestRepeatDispatchAllocatesNothing(t *testing.T) {
 	prog, _ := buildTestProgram(t, 1)
-	profiler, err := NewProfiler(ProfilerUnique, 0)
+	profiler, err := NewProfiler(ProfilerUnique, 0, prog.Dex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +450,7 @@ func TestRepeatDispatchAllocatesNothing(t *testing.T) {
 
 func TestRuntimeIndexModulo(t *testing.T) {
 	prog, _ := buildTestProgram(t, 1)
-	profiler, err := NewProfiler(ProfilerUnique, 0)
+	profiler, err := NewProfiler(ProfilerUnique, 0, prog.Dex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,12 +539,19 @@ func TestContextAndTransportFrames(t *testing.T) {
 
 func TestRuntimeConstructorValidation(t *testing.T) {
 	prog, _ := buildTestProgram(t, 1)
-	profiler, err := NewProfiler(ProfilerUnique, 0)
+	profiler, err := NewProfiler(ProfilerUnique, 0, prog.Dex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewRuntime(prog, nil, &recordingPerformer{}); err == nil {
 		t.Error("nil profiler should fail")
+	}
+	other, err := NewProfiler(ProfilerUnique, 0, profiledFile(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRuntime(prog, other, &recordingPerformer{}); err == nil {
+		t.Error("a profiler of another dex file should fail")
 	}
 	if _, err := NewRuntime(prog, profiler, nil); err == nil {
 		t.Error("nil performer should fail")
@@ -451,7 +571,7 @@ func (failingPerformer) Perform(*Thread, NetworkAction) error {
 
 func TestRuntimePropagatesNetworkErrors(t *testing.T) {
 	prog, _ := buildTestProgram(t, 1)
-	profiler, err := NewProfiler(ProfilerUnique, 0)
+	profiler, err := NewProfiler(ProfilerUnique, 0, prog.Dex)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"unsafe"
+
+	"libspector/internal/dex"
 )
 
 // ProfilerMode selects how the method-trace listener stores invocations.
@@ -29,30 +31,40 @@ const DefaultBoundedBufferSize = 8192
 
 // Profiler is the Method Monitor's runtime half: an Android-Profiler-style
 // listener registered through the Activity Manager API that observes every
-// Java method entry (§II-B1).
+// Java method entry (§II-B1). It observes the methods of one dex file by
+// index and renders their signatures from the file only when asked for
+// the trace.
 type Profiler struct {
 	mode     ProfilerMode
 	capacity int
+	file     *dex.File
 
-	// entries is the raw buffer (bounded mode only).
-	entries []string
-	// unique is the first-invocation set (both modes track it; in bounded
-	// mode entries beyond capacity are lost before reaching it, which is
-	// exactly the deficiency the paper fixed).
-	unique map[string]struct{}
+	// buffered counts the entries the raw buffer holds (bounded mode
+	// only); nothing reads the entries themselves.
+	buffered int
+	// seen is the first-invocation set, one bit per method index (both
+	// modes track it; in bounded mode entries beyond capacity are lost
+	// before reaching it, which is exactly the deficiency the paper
+	// fixed).
+	seen []uint64
 	// order preserves first-invocation order for trace-file output.
-	order   []string
+	order   []int32
 	dropped int64
 	total   int64
 }
 
-// NewProfiler creates a profiler. capacity applies to bounded mode;
-// non-positive values use DefaultBoundedBufferSize.
-func NewProfiler(mode ProfilerMode, capacity int) (*Profiler, error) {
+// NewProfiler creates a profiler for the methods of file, which holds
+// every method it will hold while the profiler observes it. capacity
+// applies to bounded mode; non-positive values use
+// DefaultBoundedBufferSize.
+func NewProfiler(mode ProfilerMode, capacity int, file *dex.File) (*Profiler, error) {
 	switch mode {
 	case ProfilerBounded, ProfilerUnique:
 	default:
 		return nil, fmt.Errorf("art: unknown profiler mode %d", mode)
+	}
+	if file == nil {
+		return nil, fmt.Errorf("art: profiler needs a dex file")
 	}
 	if capacity <= 0 {
 		capacity = DefaultBoundedBufferSize
@@ -60,56 +72,59 @@ func NewProfiler(mode ProfilerMode, capacity int) (*Profiler, error) {
 	return &Profiler{
 		mode:     mode,
 		capacity: capacity,
-		unique:   make(map[string]struct{}),
+		file:     file,
+		seen:     make([]uint64, (file.MethodCount()+63)/64),
 	}, nil
 }
 
-// OnMethodEntry records one method invocation identified by its full type
-// signature.
-func (p *Profiler) OnMethodEntry(signature string) {
+// OnMethodEntry records one invocation of the file's method idx, which
+// the caller has checked is in range.
+func (p *Profiler) OnMethodEntry(idx int) {
 	p.total++
-	switch p.mode {
-	case ProfilerBounded:
-		if len(p.entries) >= p.capacity {
+	if p.mode == ProfilerBounded {
+		if p.buffered >= p.capacity {
 			p.dropped++
 			return
 		}
-		p.entries = append(p.entries, signature)
-		if _, seen := p.unique[signature]; !seen {
-			p.unique[signature] = struct{}{}
-			p.order = append(p.order, signature)
-		}
-	case ProfilerUnique:
-		if _, seen := p.unique[signature]; seen {
-			return
-		}
-		p.unique[signature] = struct{}{}
-		p.order = append(p.order, signature)
+		p.buffered++
 	}
+	word, bit := idx/64, uint64(1)<<(idx%64)
+	if p.seen[word]&bit != 0 {
+		return
+	}
+	p.seen[word] |= bit
+	p.order = append(p.order, int32(idx))
+}
+
+// signature renders recorded method idx from the file.
+func (p *Profiler) signature(idx int32) string {
+	sig, _ := p.file.SignatureAt(int(idx)) // in range: OnMethodEntry's contract
+	return sig
 }
 
 // UniqueMethods returns the set of method signatures observed at least
 // once (subject to bounded-mode data loss). Its keys are copies, all in
-// one block the set owns: the signatures the profiler observed are
-// usually the dex file's own, which the file's release hands to another
-// app while the set may still be on its way to the artifact store.
+// one block the set owns: the file's release hands its signatures to
+// another app while the set may still be on its way to the artifact
+// store.
 func (p *Profiler) UniqueMethods() map[string]struct{} {
 	n := 0
-	for _, s := range p.order {
-		n += len(s)
+	for _, idx := range p.order {
+		n += len(p.signature(idx))
 	}
 	block := make([]byte, 0, n)
 	out := make(map[string]struct{}, len(p.order))
-	for _, s := range p.order {
-		block = append(block, s...)
-		key := block[len(block)-len(s):]
+	for _, idx := range p.order {
+		sig := p.signature(idx)
+		block = append(block, sig...)
+		key := block[len(block)-len(sig):]
 		out[unsafe.String(unsafe.SliceData(key), len(key))] = struct{}{}
 	}
 	return out
 }
 
 // UniqueCount reports the number of distinct recorded methods.
-func (p *Profiler) UniqueCount() int { return len(p.unique) }
+func (p *Profiler) UniqueCount() int { return len(p.order) }
 
 // TotalInvocations reports every observed method entry, including repeats.
 func (p *Profiler) TotalInvocations() int64 { return p.total }
@@ -122,8 +137,8 @@ func (p *Profiler) DroppedInvocations() int64 { return p.dropped }
 // first-invocation order.
 func (p *Profiler) WriteTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, sig := range p.order {
-		if _, err := bw.WriteString(sig); err != nil {
+	for _, idx := range p.order {
+		if _, err := bw.WriteString(p.signature(idx)); err != nil {
 			return fmt.Errorf("art: writing trace: %w", err)
 		}
 		if err := bw.WriteByte('\n'); err != nil {
@@ -157,9 +172,9 @@ func ReadTrace(r io.Reader) (map[string]struct{}, error) {
 // SortedUnique returns the recorded signatures sorted, for deterministic
 // assertions in tests.
 func (p *Profiler) SortedUnique() []string {
-	out := make([]string, 0, len(p.unique))
-	for s := range p.unique {
-		out = append(out, s)
+	out := make([]string, len(p.order))
+	for i, idx := range p.order {
+		out[i] = p.signature(idx)
 	}
 	sort.Strings(out)
 	return out

@@ -41,6 +41,9 @@ func NewRuntime(program *Program, profiler *Profiler, net NetworkPerformer) (*Ru
 	if profiler == nil {
 		return nil, fmt.Errorf("art: runtime needs a profiler")
 	}
+	if profiler.file != program.Dex {
+		return nil, fmt.Errorf("art: profiler observes another dex file than the program's")
+	}
 	if net == nil {
 		return nil, fmt.Errorf("art: runtime needs a network performer")
 	}
@@ -109,11 +112,10 @@ func (rt *Runtime) runHandler(ai, hi int) error {
 	// Record every method the handler invokes. Repeated dispatches
 	// re-record; the profiler mode decides what is kept (§II-B1).
 	for _, idx := range h.MethodIdxs {
-		sig, err := rt.program.Dex.SignatureAt(idx)
-		if err != nil {
+		if _, err := rt.program.Dex.SignatureAt(idx); err != nil {
 			return fmt.Errorf("art: handler %s/%s: %w", act.Name, h.Name, err)
 		}
-		rt.profiler.OnMethodEntry(sig)
+		rt.profiler.OnMethodEntry(idx)
 	}
 
 	for oi := range h.NetOps {
@@ -148,12 +150,11 @@ func (rt *Runtime) runNetOp(op *NetOp) error {
 		pushed++
 	}
 	for _, idx := range op.ChainIdxs {
-		sig, err := rt.program.Dex.SignatureAt(idx)
+		m, err := rt.program.Dex.MethodAt(idx)
 		if err != nil {
 			return err
 		}
-		rt.profiler.OnMethodEntry(sig)
-		m, _ := rt.program.Dex.MethodAt(idx) // in range: SignatureAt accepted idx
+		rt.profiler.OnMethodEntry(idx)
 		rt.thread.Push(frameForMethod(m))
 		pushed++
 	}

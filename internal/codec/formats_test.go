@@ -605,17 +605,19 @@ var formats = []format{
 	},
 	{
 		// An encoded apk, as the apk store and the artifact store check
-		// it. Not canonical and not strict: zip admits many encodings of
-		// one package, and archive/zip reads past trailing bytes.
+		// it. Not canonical: zip admits many encodings of one package.
+		// Strict: the container must end with its zip end record, so no
+		// proper prefix and no extension of an image decodes.
 		name:    "apk",
+		strict:  true,
 		typed:   prefixed("apk: "),
 		fixture: "apk.bin",
 		seeds: func(tb testing.TB) []seed {
 			valid := generatedAPK(tb)
 			manifest := `{"package":"com.a","version_code":1,"category":"TOOLS","main_activity":"com.a.M"}`
-			// archive/zip finds the end record before a byte appended
-			// past it, so that image decodes.
-			return append([]seed{{valid, encoded}, {valid[:len(valid)/2], rejected}, {append(valid[:len(valid):len(valid)], 0xFF), tolerated}},
+			// The container must end with its end record, so the image
+			// with a byte appended is rejected, though archive/zip reads it.
+			return append(variants(valid),
 				seed{nil, rejected}, seed{forgedEntrySize(tb, valid, "classes.dex", 60<<20), rejected},
 				// Sound zips around a dex that fails: junk, and two
 				// methods with one signature.

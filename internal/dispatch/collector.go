@@ -141,8 +141,9 @@ func (c *Collector) receiveLoop() {
 			c.mu.Unlock()
 			continue
 		}
-		payload := make([]byte, n)
-		copy(payload, buf[:n])
+		// DecodeReport copies what it keeps and the hash is taken before
+		// the next read, so both work on the receive buffer itself.
+		payload := buf[:n]
 		report, err := xposed.DecodeReport(payload)
 		if err != nil {
 			c.cMalformed.Inc()

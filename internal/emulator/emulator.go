@@ -291,7 +291,7 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 		return nil, fmt.Errorf("emulator: building network stack: %w", err)
 	}
 
-	profiler, err := art.NewProfiler(opts.ProfilerMode, opts.ProfilerCapacity)
+	profiler, err := art.NewProfiler(opts.ProfilerMode, opts.ProfilerCapacity, install.Program.Dex)
 	if err != nil {
 		return nil, fmt.Errorf("emulator: %w", err)
 	}
@@ -333,11 +333,12 @@ func RunContext(ctx context.Context, install Installation, resolver nets.Resolve
 			artifacts.ReportsSent = int(supervisor.ReportsSent())
 			artifacts.DroppedDatagrams = stack.DroppedDatagrams()
 		}()
+		// The sink owns each payload (SetUDPSink), so the run's evidence
+		// keeps the supervisor's buffer itself.
 		stack.SetUDPSink(func(payload []byte) error {
-			raw := append([]byte(nil), payload...)
-			artifacts.RawReports = append(artifacts.RawReports, raw)
+			artifacts.RawReports = append(artifacts.RawReports, payload)
 			if opts.ReportSink != nil {
-				return opts.ReportSink(raw)
+				return opts.ReportSink(payload)
 			}
 			return nil
 		})

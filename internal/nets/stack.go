@@ -170,6 +170,8 @@ func (s *Stack) OnConnect(observe ConnectObserver) {
 func (s *Stack) SetInstrumentationDelay(d time.Duration) { s.instrumentDelay = d }
 
 // SetUDPSink installs the forwarding function for supervisor datagrams.
+// The sink takes ownership of each payload SendSupervisorReport forwards:
+// it may keep it without copying.
 func (s *Stack) SetUDPSink(sink func(payload []byte) error) { s.udpSink = sink }
 
 // SetDatagramLoss installs a fault hook dropping supervisor datagrams on
@@ -351,6 +353,8 @@ func (s *Stack) dialAddr(domain string, addr netip.Addr, port uint16) (*Conn, er
 // report toward the collection server: the datagram is recorded in the
 // emulator capture (the paper explicitly excludes these from traffic
 // accounting, §III-E) and the payload is forwarded to the collector sink.
+// The caller hands payload over: the sink may keep it, so the caller must
+// not write to it again.
 func (s *Stack) SendSupervisorReport(payload []byte) error {
 	tuple := pcap.FourTuple{
 		SrcIP: s.cfg.LocalAddr, SrcPort: s.allocPort(),

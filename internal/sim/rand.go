@@ -121,6 +121,29 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
+// PermPrefix returns Perm(n)[:k], drawing exactly what Perm(n) draws, in
+// O(k) memory. Perm's step i draws j from [0, i], moves p[j] to p[i] and
+// puts i at p[j]. A step i ≥ k writes below k only through p[j] = i, and
+// what it moves to p[i] lies at or past k, where nothing below k reads
+// it: the prefix needs no position past it. It panics unless 0 ≤ k ≤ n.
+func (r *Rand) PermPrefix(n, k int) []int {
+	if k < 0 || k > n {
+		panic(fmt.Sprintf("sim: PermPrefix(%d, %d) outside 0 ≤ k ≤ n", n, k))
+	}
+	p := make([]int, k)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	for i := k; i < n; i++ {
+		if j := r.Intn(i + 1); j < k {
+			p[j] = i
+		}
+	}
+	return p
+}
+
 // Shuffle pseudo-randomly reorders n elements using the provided swap.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

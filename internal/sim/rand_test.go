@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,49 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// PermPrefix(n, k) must be Perm(n)[:k] and leave the generator where
+// Perm(n) does, for every k: it replaces Perm in app generation, whose
+// corpus bytes depend on both.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	ns := []int{1000, 2048, 4099}
+	for n := 0; n <= 200; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		seed := uint64(n)*7919 + 3
+		full := NewRand(seed)
+		want := full.Perm(n)
+		next := full.Uint64()
+		ks := []int{0, 1, n / 10, n / 2, n}
+		if n <= 200 {
+			ks = ks[:0]
+			for k := 0; k <= n; k++ {
+				ks = append(ks, k)
+			}
+		}
+		for _, k := range ks {
+			r := NewRand(seed)
+			got := r.PermPrefix(n, k)
+			if !slices.Equal(got, want[:k]) {
+				t.Fatalf("PermPrefix(%d, %d) = %v, want %v", n, k, got, want[:k])
+			}
+			if after := r.Uint64(); after != next {
+				t.Fatalf("PermPrefix(%d, %d) leaves the generator at %d, Perm at %d", n, k, after, next)
+			}
+		}
+	}
+	for _, bad := range [][2]int{{3, 4}, {3, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PermPrefix(%d, %d) should panic", bad[0], bad[1])
+				}
+			}()
+			NewRand(1).PermPrefix(bad[0], bad[1])
+		}()
 	}
 }
 

@@ -104,13 +104,21 @@ type codeGen struct {
 	params []string
 }
 
+// methodRange is n consecutive dex method indices from start: the methods
+// one genPackage call added.
+type methodRange struct{ start, n int }
+
+// pick draws one method of the range.
+func (r methodRange) pick(rng *sim.Rand) int { return r.start + rng.Intn(r.n) }
+
 // genPackage creates count methods (at least one) under the base package
-// (spread over subpackages and classes) and returns their dex indices.
-func (g *codeGen) genPackage(base string, count int) ([]int, error) {
+// (spread over subpackages and classes) and returns their dex indices,
+// which are consecutive: each step adds exactly one method.
+func (g *codeGen) genPackage(base string, count int) (methodRange, error) {
 	if count < 1 {
 		count = 1
 	}
-	idxs := make([]int, 0, count)
+	r := methodRange{start: g.d.MethodCount()}
 	// Choose a handful of package variants under base.
 	numPkgs := 1 + count/60
 	if numPkgs > 6 {
@@ -129,14 +137,14 @@ func (g *codeGen) genPackage(base string, count int) ([]int, error) {
 
 	obfuscated := g.rng.Bool(0.4)
 	classSeq := 0
-	for len(idxs) < count {
+	for r.n < count {
 		pkg := pkgs[g.rng.Intn(len(pkgs))]
 		className := g.className(obfuscated, classSeq)
 		classSeq++
 		fq := pkg + "." + className
 		methodsInClass := 4 + g.rng.Intn(12)
 		var prevName string
-		for m := 0; m < methodsInClass && len(idxs) < count; m++ {
+		for m := 0; m < methodsInClass && r.n < count; m++ {
 			name := g.methodName(obfuscated)
 			// Occasional overloads of the previous method name.
 			if prevName != "" && g.rng.Bool(0.15) {
@@ -151,15 +159,15 @@ func (g *codeGen) genPackage(base string, count int) ([]int, error) {
 			}
 			if err := g.d.AddMethod(method); err != nil {
 				// Duplicate signature: perturb the name deterministically.
-				method.Name = fmt.Sprintf("%s%d", name, len(idxs))
+				method.Name = fmt.Sprintf("%s%d", name, r.n)
 				if err := g.d.AddMethod(method); err != nil {
-					return nil, fmt.Errorf("synth: generating method in %s: %w", fq, err)
+					return methodRange{}, fmt.Errorf("synth: generating method in %s: %w", fq, err)
 				}
 			}
-			idxs = append(idxs, g.d.MethodCount()-1)
+			r.n++
 		}
 	}
-	return idxs, nil
+	return r, nil
 }
 
 func (g *codeGen) className(obfuscated bool, seq int) string {
@@ -348,7 +356,7 @@ func (w *World) GenerateApp(idx int) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	libPools := make(map[int][]int, len(libIdxs))
+	libPools := make(map[int]methodRange, len(libIdxs))
 	for i, li := range libIdxs {
 		pool, err := gen.genPackage(w.Libraries[li].Prefix, shares[i])
 		if err != nil {
@@ -374,27 +382,19 @@ func (w *World) GenerateApp(idx int) (*App, error) {
 	}
 
 	// Coverage: distribute a reachable subset of all methods over the
-	// handlers (Figure 10 distribution).
-	allMethods := make([]int, 0, d.MethodCount())
-	allMethods = append(allMethods, firstParty...)
-	// Iterate libraries in embedding order: map iteration order would make
-	// the reachable-method selection nondeterministic.
-	for _, li := range libIdxs {
-		allMethods = append(allMethods, libPools[li]...)
-	}
+	// handlers (Figure 10 distribution). The packages were generated one
+	// after another, so the file's methods are 0..MethodCount-1 in the
+	// order first party, then libraries in embedding order: a draw from a
+	// permutation of the indices is the method itself.
 	covFrac := rng.LogNormal(coverageLogMeanPct, coverageLogSigma) / 100
 	if covFrac > 1 {
 		covFrac = 1
 	}
-	reachCount := int(covFrac * float64(len(allMethods)))
+	reachCount := int(covFrac * float64(d.MethodCount()))
 	if reachCount < 5 {
 		reachCount = 5
 	}
-	perm := rng.Perm(len(allMethods))
-	reachable := make([]int, 0, reachCount)
-	for _, pi := range perm[:reachCount] {
-		reachable = append(reachable, allMethods[pi])
-	}
+	reachable := rng.PermPrefix(d.MethodCount(), reachCount)
 	// onCreate of the launcher activity gets the startup slice (~35%).
 	startup := reachCount * 35 / 100
 	activities[0].Handlers[0].MethodIdxs = append(activities[0].Handlers[0].MethodIdxs, reachable[:startup]...)
@@ -465,8 +465,8 @@ type trafficGen struct {
 	appCat     corpus.AppCategory
 	profile    antProfile
 	libsByCat  map[corpus.LibraryCategory][]int
-	libPools   map[int][]int
-	firstParty []int
+	libPools   map[int]methodRange
+	firstParty methodRange
 	activities []art.Activity
 	// requestScale is the app-level upload heterogeneity factor: most apps
 	// barely send anything (pure consumers), a minority upload heavily.
@@ -538,7 +538,7 @@ func (tg *trafficGen) emitCategory(cat corpus.LibraryCategory, volume float64) e
 func (tg *trafficGen) emitOp(cat corpus.LibraryCategory, volume float64) error {
 	// Choose the chain source: a library of the category, or first-party
 	// code for the Unknown category.
-	var chainPool []int
+	var chainPool methodRange
 	var lib *Library
 	if cat == corpus.LibUnknown {
 		// 75% first-party code, 25% a LibRadar-unknown embedded library.
@@ -562,9 +562,6 @@ func (tg *trafficGen) emitOp(cat corpus.LibraryCategory, volume float64) error {
 		lib = &tg.world.Libraries[li]
 		chainPool = tg.libPools[li]
 	}
-	if len(chainPool) == 0 {
-		chainPool = tg.firstParty
-	}
 
 	// Build the app-level chain (bottom-first; chain[0] is the
 	// origin-library candidate). Development-aid pool sockets (15%) have
@@ -578,7 +575,7 @@ func (tg *trafficGen) emitOp(cat corpus.LibraryCategory, volume float64) error {
 		chainLen := 1 + tg.rng.Intn(3)
 		chain = make([]int, 0, chainLen)
 		for i := 0; i < chainLen; i++ {
-			chain = append(chain, chainPool[tg.rng.Intn(len(chainPool))])
+			chain = append(chain, chainPool.pick(tg.rng))
 		}
 	} else if transport == art.TransportBuiltinOkhttp || transport == art.TransportJavaNet {
 		transport = art.TransportBundledOkhttp3

@@ -1,6 +1,9 @@
 package synth
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkGenerateApp times generating one app of the seed-42 world,
 // apk encoding included: the largest layer of a code-heavy campaign.
@@ -8,6 +11,7 @@ import "testing"
 // (-benchtime 64x) weighs every app alike. The recycled case releases
 // each app, as a campaign's worker does, so the next one builds into its
 // dex file; the others never release, so every app builds a fresh one.
+// B/method is the bytes allocated per generated method.
 //
 //	go test -run '^$' -bench GenerateApp -benchmem -benchtime 64x ./internal/synth
 func BenchmarkGenerateApp(b *testing.B) {
@@ -28,16 +32,23 @@ func BenchmarkGenerateApp(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
+			methods := 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				app, err := w.GenerateApp(i % cfg.NumApps)
 				if err != nil {
 					b.Fatal(err)
 				}
+				methods += app.Program.Dex.MethodCount()
 				if bc.release {
 					app.Release()
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(methods), "B/method")
 		})
 	}
 }

@@ -42,7 +42,7 @@ func TestGeneratedFileConcurrentReaders(t *testing.T) {
 			return nil
 		},
 		func() error {
-			profiler, err := art.NewProfiler(art.ProfilerUnique, 0)
+			profiler, err := art.NewProfiler(art.ProfilerUnique, 0, f)
 			if err != nil {
 				return err
 			}

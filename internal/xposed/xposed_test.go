@@ -58,6 +58,26 @@ func TestReportEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// The collector decodes each datagram straight from its receive buffer,
+// which the next datagram overwrites: a decoded report must own every
+// byte it keeps.
+func TestDecodedReportOutlivesItsBuffer(t *testing.T) {
+	data, err := sampleReport().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xAA
+	}
+	if want := sampleReport(); !reflect.DeepEqual(decoded, want) {
+		t.Errorf("report changed with its input buffer:\n%+v\nwant\n%+v", decoded, want)
+	}
+}
+
 func TestReportEncodeValidation(t *testing.T) {
 	r := sampleReport()
 	r.APKSHA256 = "zz"
