@@ -22,7 +22,6 @@ import (
 
 	"libspector"
 	"libspector/internal/analysis"
-	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
 	"libspector/internal/dex"
 	"libspector/internal/dispatch"
@@ -227,11 +226,11 @@ func benchFleet(b *testing.B, seed uint64, apps int) (*synth.World, *vtclient.Se
 	return world, svc, det, dispatch.Config{Emulator: opts, BaseSeed: seed, Detector: det, Attributor: attribution.NewAttributor(svc)}
 }
 
-// BenchmarkStreamingPipelinePeakMemory contrasts the retained heap of the
-// two analysis paths on a 500-app corpus: the batch path materializes every
-// RunResult before building the Dataset (O(corpus)), while the streaming
-// path folds each RunEvent into an Accumulator as it completes and lets the
-// per-run state be collected (O(aggregates)).
+// BenchmarkStreamingPipelinePeakMemory contrasts the retained heap of
+// folding after the fleet and folding during it, on a 500-app corpus: the
+// batch path materializes every RunResult before folding them (O(corpus)),
+// while the streaming path folds each RunEvent into an Accumulator as it
+// completes and lets the per-run state be collected (O(aggregates)).
 func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 	const apps = 500
 	// retained runs fn once and returns the heap bytes still live afterwards
@@ -259,11 +258,7 @@ func BenchmarkStreamingPipelinePeakMemory(b *testing.B) {
 					b.Fatal(err)
 				}
 				det.Finalize(2)
-				ds, err := analysistest.BuildDataset(runs, det, svc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return []interface{}{res, runs, ds}
+				return []interface{}{res, runs, foldRuns(b, runs, det, svc)}
 			})
 		}
 		b.ReportMetric(bytesRetained/1e6, "retained-MB")
@@ -318,43 +313,33 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 	}
 	det.Finalize(2)
 
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ds, err := analysistest.BuildDataset(runs, det, svc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ds.Summarize(25).Totals.Flows == 0 {
-				b.Fatal("no flows analyzed")
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if foldRuns(b, runs, det, svc).Summarize(25).Totals.Flows == 0 {
+			b.Fatal("no flows analyzed")
 		}
-		b.ReportMetric(float64(len(runs))*float64(b.N)/b.Elapsed().Seconds(), "apps/sec")
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			acc, err := analysis.NewAccumulator(svc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j, run := range runs {
-				if err := acc.Observe(j, run); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ag, err := acc.Finish(det)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ag.Summarize(25).Totals.Flows == 0 {
-				b.Fatal("no flows analyzed")
-			}
+	}
+	b.ReportMetric(float64(len(runs))*float64(b.N)/b.Elapsed().Seconds(), "apps/sec")
+}
+
+// foldRuns folds runs through an Accumulator, app index = slice position,
+// and finishes it.
+func foldRuns(b *testing.B, runs []*attribution.RunResult, det *libradar.Detector, svc analysis.DomainCategorizer) *analysis.Aggregates {
+	acc, err := analysis.NewAccumulator(svc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j, run := range runs {
+		if err := acc.Observe(j, run); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(runs))*float64(b.N)/b.Elapsed().Seconds(), "apps/sec")
-	})
+	}
+	ag, err := acc.Finish(det)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ag
 }
 
 // BenchmarkJournalAppend measures the campaign WAL's append path under the

@@ -99,9 +99,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The record-level dataset backs E4 and the CSV export; a sharded run
-	// only ever materializes the mergeable aggregates.
-	var ds *analysis.Dataset
+	// Artifact reanalysis folds its own aggregates; every other path
+	// leaves them on the experiment.
+	var ag *analysis.Aggregates
 	switch {
 	case *mergeShards != "":
 		outs, err := readOutcomes(*mergeShards)
@@ -116,31 +116,23 @@ func run(args []string) error {
 			return err
 		}
 	case *artifacts != "":
-		if ds, err = reanalyze(exp, *artifacts); err != nil {
+		if ag, err = reanalyze(exp, *artifacts); err != nil {
 			return err
 		}
 	default:
 		if err := exp.Run(); err != nil {
 			return err
 		}
-		ds = exp.Dataset()
 	}
 	if err := flags.WriteOutputs(); err != nil {
 		return err
 	}
-	if section.Records && ds == nil {
-		return fmt.Errorf("%s renders flow records, which a sharded run does not materialize", section.ID)
-	}
-	ag := exp.Aggregates()
-	if ds != nil {
-		ag = ds.Aggregates()
+	if ag == nil {
+		ag = exp.Aggregates()
 	}
 
 	if *csvDir != "" {
-		if ds == nil {
-			return fmt.Errorf("-csv needs the record-level dataset, which a sharded run does not materialize")
-		}
-		if err := writeCSVs(ds, *csvDir); err != nil {
+		if err := writeCSVs(ag, *csvDir); err != nil {
 			return err
 		}
 	}
@@ -148,7 +140,7 @@ func run(args []string) error {
 	if asJSON {
 		return ag.Summarize(*topN).WriteJSON(os.Stdout)
 	}
-	fmt.Println(section.Render(report.Inputs{Aggregates: ag, Dataset: ds, DomainCounts: exp.TableICounts(), TopN: *topN}))
+	fmt.Println(section.Render(report.Inputs{Aggregates: ag, DomainCounts: exp.TableICounts(), TopN: *topN}))
 	return nil
 }
 
@@ -222,10 +214,10 @@ func readOutcomes(list string) ([]*dispatch.ShardOutcome, error) {
 	return outs, nil
 }
 
-// reanalyze rebuilds the dataset from persisted artifacts: it feeds the
+// reanalyze rebuilds the aggregates from persisted artifacts: it feeds the
 // stored apks through the LibRadar detection pass and re-runs the offline
 // attribution over the stored captures and reports.
-func reanalyze(exp *libspector.Experiment, dir string) (*analysis.Dataset, error) {
+func reanalyze(exp *libspector.Experiment, dir string) (*analysis.Aggregates, error) {
 	store, err := dispatch.OpenArtifactStore(dir)
 	if err != nil {
 		return nil, err
@@ -242,29 +234,29 @@ func reanalyze(exp *libspector.Experiment, dir string) (*analysis.Dataset, error
 		return nil, err
 	}
 	exp.Detector().Finalize(2)
-	b, err := analysis.NewDatasetBuilder(exp.Domains())
+	acc, err := analysis.NewAccumulator(exp.Domains())
 	if err != nil {
 		return nil, err
 	}
 	for i, run := range runs {
-		if err := b.Observe(i, run); err != nil {
+		if err := acc.Observe(i, run); err != nil {
 			return nil, err
 		}
 	}
-	return b.Finish(exp.Detector())
+	return acc.Finish(exp.Detector())
 }
 
 // writeCSVs exports the plottable figure series.
-func writeCSVs(ds *analysis.Dataset, dir string) error {
+func writeCSVs(ag *analysis.Aggregates, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("creating csv dir: %w", err)
 	}
 	for name, fill := range map[string]func(w io.Writer) error{
-		"fig2_category_matrix.csv": func(w io.Writer) error { return report.Fig2CSV(w, ds.Fig2CategoryTransfer()) },
-		"fig4_cdf.csv":             func(w io.Writer) error { return report.Fig4CSV(w, ds.Fig4CDF()) },
-		"fig5_ratios.csv":          func(w io.Writer) error { return report.Fig5CSV(w, ds.Fig5FlowRatios()) },
-		"fig9_heatmap.csv":         func(w io.Writer) error { return report.Fig9CSV(w, ds.Fig9Heatmap()) },
-		"fig10_coverage.csv":       func(w io.Writer) error { return report.Fig10CSV(w, ds.Fig10Coverage()) },
+		"fig2_category_matrix.csv": func(w io.Writer) error { return report.Fig2CSV(w, ag.Fig2CategoryTransfer()) },
+		"fig4_cdf.csv":             func(w io.Writer) error { return report.Fig4CSV(w, ag.Fig4CDF()) },
+		"fig5_ratios.csv":          func(w io.Writer) error { return report.Fig5CSV(w, ag.Fig5FlowRatios()) },
+		"fig9_heatmap.csv":         func(w io.Writer) error { return report.Fig9CSV(w, ag.Fig9Heatmap()) },
+		"fig10_coverage.csv":       func(w io.Writer) error { return report.Fig10CSV(w, ag.Fig10Coverage()) },
 	} {
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {

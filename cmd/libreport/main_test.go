@@ -40,7 +40,9 @@ func TestUnknownFigureRejected(t *testing.T) {
 // TestMergeShardsEventLog: shard outcomes written by -shard-index
 // children carry their shards' event logs and spans, so -merge-shards
 // -events-out -trace-out writes the whole campaign's log and trace, each
-// byte-equal to the single-process one.
+// byte-equal to the single-process one. -csv after -merge-shards and
+// after an in-process -shards 2 writes the single-process run's five CSV
+// files, byte for byte.
 func TestMergeShardsEventLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-backed CLI test skipped in -short mode")
@@ -48,7 +50,10 @@ func TestMergeShardsEventLog(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
 	campaign := []string{"-apps", "12", "-seed", "42", "-workers", "2"}
-	if err := run(append(campaign, "-events-out", path("single.jsonl"), "-trace-out", path("single.trace"))); err != nil {
+	if err := run(append(campaign, "-events-out", path("single.jsonl"), "-trace-out", path("single.trace"), "-csv", path("single-csv"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(campaign, "-shards", "2", "-csv", path("sharded-csv"))); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []string{"0", "1"} {
@@ -56,7 +61,7 @@ func TestMergeShardsEventLog(t *testing.T) {
 			t.Fatalf("shard %s: %v", i, err)
 		}
 	}
-	if err := run(append(campaign, "-merge-shards", path("s0")+","+path("s1"), "-events-out", path("merged.jsonl"), "-trace-out", path("merged.trace"))); err != nil {
+	if err := run(append(campaign, "-merge-shards", path("s0")+","+path("s1"), "-events-out", path("merged.jsonl"), "-trace-out", path("merged.trace"), "-csv", path("merged-csv"))); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"jsonl", "trace"} {
@@ -70,6 +75,21 @@ func TestMergeShardsEventLog(t *testing.T) {
 		}
 		if !bytes.Equal(merged, single) {
 			t.Errorf("merged %s holds %d lines, the single-process one %d", name, bytes.Count(merged, []byte("\n")), bytes.Count(single, []byte("\n")))
+		}
+	}
+	csvs, err := os.ReadDir(path("single-csv"))
+	if err != nil || len(csvs) != 5 {
+		t.Fatalf("single-process -csv wrote %d files (%v), want 5", len(csvs), err)
+	}
+	for _, f := range csvs {
+		single, err := os.ReadFile(filepath.Join(path("single-csv"), f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sharded := range []string{"sharded-csv", "merged-csv"} {
+			if got, err := os.ReadFile(filepath.Join(path(sharded), f.Name())); err != nil || !bytes.Equal(got, single) {
+				t.Errorf("%s/%s differs from the single-process file (err %v)", sharded, f.Name(), err)
+			}
 		}
 	}
 }
@@ -103,11 +123,11 @@ func TestReanalyzeShardedStore(t *testing.T) {
 		if exp, err = libspector.NewExperiment(cfg); err != nil {
 			t.Fatal(err)
 		}
-		ds, err := reanalyze(exp, cfg.ArtifactDir)
+		ag, err := reanalyze(exp, cfg.ArtifactDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.Summarize(25).WriteJSON(&summaries[i]); err != nil {
+		if err := ag.Summarize(25).WriteJSON(&summaries[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -193,7 +193,7 @@ func run(ctx context.Context, args []string) error {
 		snap = res.Snapshot
 	} else {
 		if err := exp.RunContext(ctx); err != nil {
-			if ctx.Err() == nil || exp.Dataset() == nil {
+			if ctx.Err() == nil || exp.Aggregates() == nil {
 				return err
 			}
 			// Interrupted mid-fleet: the streaming accumulator already holds
@@ -213,14 +213,10 @@ func run(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("\n%s\n\n", obs.Render(snap))
 
-	// Every section renders from the streaming aggregates, except the
-	// record-level ones, which need the dataset a sharded campaign never
-	// materializes.
-	in := report.Inputs{Aggregates: exp.Aggregates(), Dataset: exp.Dataset(), DomainCounts: exp.TableICounts(), TopN: *topN}
+	// Every section renders from the aggregates, sharded or not.
+	in := report.Inputs{Aggregates: exp.Aggregates(), DomainCounts: exp.TableICounts(), TopN: *topN}
 	for _, s := range report.Sections {
-		if !s.Records || in.Dataset != nil {
-			fmt.Println(s.Render(in))
-		}
+		fmt.Println(s.Render(in))
 	}
 	return flags.WriteOutputs()
 }

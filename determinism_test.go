@@ -35,6 +35,7 @@ import (
 	"libspector/internal/faults"
 	"libspector/internal/journal"
 	"libspector/internal/obs"
+	"libspector/internal/report"
 	"libspector/internal/resultstore"
 )
 
@@ -224,7 +225,8 @@ func observe(cfg *libspector.Config) *obs.EventLog {
 }
 
 // digest is a campaign's comparable identity, one serialized part per
-// name: the Summarize(25) figures, the ledger, the metrics snapshot
+// name: the Summarize(25) figures followed by every report section but
+// Table I (whose counts come from the domain service), the ledger, the metrics snapshot
 // without the two resume series, the failure and quarantine rosters, the
 // result-store bytes, the event-log JSONL, the trace JSONL, and — where
 // a RunContext sink saw them — the sha256 of every completed run in app
@@ -249,6 +251,12 @@ type rosters struct{ Failures, Quarantined []roster }
 func newDigest(res *libspector.CampaignResult, storePath string, tel *obs.Telemetry, evlog *obs.EventLog) digest {
 	var figures bytes.Buffer
 	try(res.Aggregates.Summarize(25).WriteJSON(&figures))
+	in := report.Inputs{Aggregates: res.Aggregates, TopN: 25}
+	for _, s := range report.Sections {
+		if s.ID != "T1" {
+			figures.WriteString(s.Render(in))
+		}
+	}
 	delete(res.Snapshot.Counters, obs.MResumeReplayed)
 	delete(res.Snapshot.Counters, obs.MResumeRequeued)
 	var ro rosters

@@ -18,7 +18,7 @@ import (
 	"libspector"
 	"libspector/internal/analysis"
 	"libspector/internal/corpus"
-	"libspector/internal/symtab"
+	"libspector/internal/dispatch"
 )
 
 func main() {
@@ -42,41 +42,53 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := exp.RunContext(ctx); err != nil {
-		if ctx.Err() == nil || exp.Dataset() == nil {
-			return err
-		}
-		fmt.Println("Interrupted — auditing the completed prefix of the corpus.")
-	}
-	ds := exp.Dataset()
 
-	// Per-app AnT share ranking.
+	// Per-app AnT share ranking, tallied from the attributed flows as the
+	// runs stream past.
 	type appShare struct {
 		pkg        string
 		ant, total int64
 	}
-	byApp := make(map[symtab.Sym]*appShare)
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		if r.Builtin() {
-			continue
+	antList := corpus.AnTPrefixes()
+	byApp := make(map[string]*appShare)
+	tally := dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+		if ev.Kind != dispatch.EventRun || ev.Run == nil {
+			return nil
 		}
-		a := byApp[r.App]
-		if a == nil {
-			a = &appShare{pkg: ds.AppPackage(r)}
-			byApp[r.App] = a
+		for _, f := range ev.Run.Flows {
+			if !f.Attributed() || f.BuiltinOrigin {
+				continue
+			}
+			a := byApp[ev.Run.AppSHA]
+			if a == nil {
+				a = &appShare{pkg: ev.Run.AppPackage}
+				byApp[ev.Run.AppSHA] = a
+			}
+			vol := f.TotalBytes()
+			a.total += vol
+			if corpus.HasPrefixInList(f.OriginLibrary, antList) {
+				a.ant += vol
+			}
 		}
-		a.total += r.TotalBytes()
-		if r.IsAnT() {
-			a.ant += r.TotalBytes()
+		return nil
+	})
+	if err := exp.RunContext(ctx, tally); err != nil {
+		if ctx.Err() == nil || exp.Aggregates() == nil {
+			return err
 		}
+		fmt.Println("Interrupted — auditing the completed prefix of the corpus.")
 	}
+	ag := exp.Aggregates()
 	ranked := make([]*appShare, 0, len(byApp))
 	for _, a := range byApp {
 		ranked = append(ranked, a)
 	}
 	sort.Slice(ranked, func(i, j int) bool {
-		return float64(ranked[i].ant)/float64(ranked[i].total) > float64(ranked[j].ant)/float64(ranked[j].total)
+		si, sj := float64(ranked[i].ant)/float64(ranked[i].total), float64(ranked[j].ant)/float64(ranked[j].total)
+		if si != sj {
+			return si > sj
+		}
+		return ranked[i].pkg < ranked[j].pkg
 	})
 
 	fmt.Printf("AnT traffic audit over %d apps (seed %d)\n\n", len(ranked), *seed)
@@ -90,12 +102,12 @@ func run(ctx context.Context) error {
 			a.pkg, float64(a.ant)/1e3, float64(a.total)/1e3, 100*float64(a.ant)/float64(a.total))
 	}
 
-	st := ds.Fig6AnTShares()
+	st := ag.Fig6AnTShares()
 	fmt.Printf("\nCorpus prevalence: %.0f%% AnT-only, %.0f%% some AnT, %.0f%% AnT-free (paper: 35%% / 89%% / ~10%%)\n",
 		100*st.FracAnTOnly, 100*st.FracSomeAnT, 100*st.FracAnTFree)
 
 	// §IV-D cost estimates from the measured Figure 7 averages.
-	avgs := ds.Fig7Averages()
+	avgs := ag.Fig7Averages()
 	costModel := analysis.NewCostModel()
 	adBytes := avgs.PerLibrary[corpus.LibAdvertisement]
 	fmt.Printf("\nEstimated user cost of advertising traffic:\n")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,7 +17,7 @@ import (
 
 	"libspector"
 	"libspector/internal/corpus"
-	"libspector/internal/symtab"
+	"libspector/internal/dispatch"
 )
 
 // policy is the BorderPatrol-style output document.
@@ -57,10 +58,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := exp.Run(); err != nil {
-		return err
-	}
-	ds := exp.Dataset()
 
 	undesirable := map[corpus.DomainCategory]bool{
 		corpus.DomAdvertisements: true,
@@ -69,30 +66,41 @@ func run() error {
 		corpus.DomAdult:          true,
 	}
 	type acc struct {
-		name       string
 		total, bad int64
-		cat        corpus.LibraryCategory
-		apps       map[symtab.Sym]struct{}
+		apps       map[string]struct{}
 	}
-	byLib := make(map[symtab.Sym]*acc)
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		if r.Builtin() {
-			continue
+	antList := corpus.AnTPrefixes()
+	byLib := make(map[string]*acc)
+	// The per-library tally reads the attributed flows as the runs stream
+	// past; domain categories come from the experiment's domain service.
+	tally := dispatch.SinkFunc(func(ev dispatch.RunEvent) error {
+		if ev.Kind != dispatch.EventRun || ev.Run == nil {
+			return nil
 		}
-		a := byLib[r.Origin]
-		if a == nil {
-			a = &acc{name: ds.Origin(r), cat: ds.LibCategory(r), apps: make(map[symtab.Sym]struct{})}
-			byLib[r.Origin] = a
+		for _, f := range ev.Run.Flows {
+			if !f.Attributed() || f.BuiltinOrigin {
+				continue
+			}
+			a := byLib[f.OriginLibrary]
+			if a == nil {
+				a = &acc{apps: make(map[string]struct{})}
+				byLib[f.OriginLibrary] = a
+			}
+			vol := f.TotalBytes()
+			a.total += vol
+			a.apps[ev.Run.AppSHA] = struct{}{}
+			// A library is "undesirable" both when its destination category
+			// is flagged and when context identifies it as an AnT SDK
+			// regardless of endpoint — the CDN-evasion case a DNS-only
+			// policy misses.
+			if f.Domain != "" && undesirable[exp.Domains().Categorize(f.Domain)] || corpus.HasPrefixInList(f.OriginLibrary, antList) {
+				a.bad += vol
+			}
 		}
-		a.total += r.TotalBytes()
-		a.apps[r.App] = struct{}{}
-		// A library is "undesirable" both when its destination category is
-		// flagged and when context identifies it as an AnT SDK regardless
-		// of endpoint — the CDN-evasion case a DNS-only policy misses.
-		if undesirable[ds.DomainCategory(r)] || r.IsAnT() {
-			a.bad += r.TotalBytes()
-		}
+		return nil
+	})
+	if err := exp.RunContext(context.Background(), tally); err != nil {
+		return err
 	}
 
 	doc := policy{
@@ -100,7 +108,7 @@ func run() error {
 		Threshold: *threshold,
 		Stats:     map[string]int{"libraries_observed": len(byLib)},
 	}
-	for _, a := range byLib {
+	for name, a := range byLib {
 		if a.total < *minBytes {
 			continue
 		}
@@ -109,8 +117,8 @@ func run() error {
 			continue
 		}
 		doc.Blacklist = append(doc.Blacklist, policyEntry{
-			Library:          a.name,
-			Category:         string(a.cat),
+			Library:          name,
+			Category:         string(exp.Detector().Categorize(name)),
 			TotalBytes:       a.total,
 			UndesirableBytes: a.bad,
 			UndesirableShare: share,

@@ -12,18 +12,16 @@ import (
 // aggregates, so a fleet of any size can be analyzed with peak memory
 // proportional to the number of distinct apps, origin-libraries, and
 // domains — O(aggregates) — instead of retaining every run and flow record
-// (O(corpus)).
+// (O(corpus)). Every campaign folds through it: a whole-corpus run
+// finishes it, a shard seals it into a Partial, and artifact reanalysis
+// feeds it the reanalyzed runs.
 //
-// It is a thin shell over the shared columnar core: the batch
-// DatasetBuilder runs the very same fold, which is why the two paths
-// produce byte-identical figures on the same corpus.
-//
-// Library categories cannot be resolved mid-stream: the LibRadar detector
-// only categorizes after Finalize, which needs the whole fleet's package
-// observations. The core therefore keys its per-origin aggregates by
-// origin symbol during the fold and resolves each symbol's category once,
-// in Finish. Domain categories (vtclient) are deterministic per domain, so
-// they are resolved once per domain symbol at intern time.
+// It is a thin shell over the columnar core, which keys its per-origin
+// aggregates by origin symbol during the fold and resolves each symbol's
+// LibRadar category once, in Finish, from the detector's database. Domain
+// categories (vtclient) and the hostname baseline's verdicts are
+// deterministic per domain, so they are resolved once per domain symbol
+// at intern time.
 //
 // Accumulator is not safe for concurrent use; dispatch sinks are invoked
 // sequentially from the consuming goroutine, which is exactly this model.
@@ -57,11 +55,11 @@ func (a *Accumulator) Observe(appIndex int, run *attribution.RunResult) error {
 	if a.sealed {
 		return fmt.Errorf("analysis: accumulator already sealed")
 	}
-	return a.core.observe(appIndex, run, nil)
+	return a.core.observe(appIndex, run)
 }
 
-// Finish resolves the deferred library categories through the (finalized)
-// detector and freezes the aggregates. The accumulator rejects further
+// Finish resolves the deferred library categories through the detector
+// and freezes the aggregates. The accumulator rejects further
 // observations afterwards.
 func (a *Accumulator) Finish(detector *libradar.Detector) (*Aggregates, error) {
 	if a.sealed {

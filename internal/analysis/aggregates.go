@@ -1,14 +1,15 @@
 package analysis
 
 import (
+	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 )
 
 // Aggregates is the frozen, category-resolved output of the aggregation
-// core — reachable through Accumulator.Finish on the streaming path and
-// Dataset.Aggregates on the batch path. Both paths run the same fold, so on
-// the same corpus they produce byte-identical output. All strings here are
-// fully resolved: symbol IDs never leave the core.
+// core, reached through Accumulator.Finish or Partial.Finish. The fold is
+// order-independent, so any fold of the same runs — one process or merged
+// shards — produces byte-identical output. All strings here are fully
+// resolved: symbol IDs never leave the core.
 type Aggregates struct {
 	// Runs counts the folded runs.
 	Runs int
@@ -27,11 +28,7 @@ type Aggregates struct {
 	fig9         *Heatmap
 	fig10        *CoverageStats
 	half         HalfTrafficCounts
-
-	// originCats is the category resolved for each origin symbol at finish
-	// time; the Dataset uses it to answer per-record category queries
-	// without re-running the detector.
-	originCats []corpus.LibraryCategory
+	e4           [3]baseline.Comparison // User-Agent, hostname, content type
 }
 
 // ComputeTotals returns the §IV-A headline totals.
@@ -97,6 +94,12 @@ func (ag *Aggregates) Fig10Coverage() *CoverageStats { return ag.fig10 }
 
 // ComputeHalfTraffic returns the §IV-A concentration counts.
 func (ag *Aggregates) ComputeHalfTraffic() HalfTrafficCounts { return ag.half }
+
+// Baselines returns the §IV-E comparisons of the User-Agent, hostname and
+// content-type classifiers against context-aware attribution.
+func (ag *Aggregates) Baselines() (ua, host, content baseline.Comparison) {
+	return ag.e4[0], ag.e4[1], ag.e4[2]
+}
 
 // CompareWithPaper evaluates the headline shape targets against the
 // paper's published values.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"libspector/internal/attribution"
+	"libspector/internal/baseline"
 )
 
 // The fold-per-run allocation pin: once an accumulator's symbol tables
@@ -43,50 +44,46 @@ func TestFoldAllocsPerRunStaysPinned(t *testing.T) {
 	}
 }
 
-// Same pin for the batch builder, which additionally materializes one
-// FlowRecord per attributed flow: record/order appends are amortized
-// slice growth, so the steady-state cost per run stays a small constant
-// rather than scaling with per-flow allocations.
-func TestDatasetFoldAllocsPerRunStaysPinned(t *testing.T) {
-	runs := mergeTestRuns(32)
-
-	b, err := NewDatasetBuilder(mergeCats)
+// The baseline fold's per-flow work — the User-Agent memo and classifier,
+// the content-type classifier, the cell update — allocates nothing once a
+// flow's cell exists, even when every flow's User-Agent differs from the
+// last one's, so folding the same run again costs E4 nothing.
+func TestBaselineFoldAllocatesNothing(t *testing.T) {
+	c, err := newCore(mergeCats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, run := range runs {
-		if err := b.Observe(i, run); err != nil {
-			t.Fatal(err)
-		}
+	run := mkRun("sha-e4", "com.app.e4", "TOOLS",
+		mkFlow("com.vungle.publisher", "ads.example.com", 100, 2000, false),
+		mkFlow("okhttp3.internal.http", "cdn.example.net", 100, 2000, false),
+		mkFlow("com.app.local.net", "api.example.com", 100, 2000, false))
+	run.Flows[0].UserAgent, run.Flows[0].ContentType = mergeUAs[0], "image/webp"
+	run.Flows[1].UserAgent, run.Flows[1].ContentType = "Dalvik/2.1.0", "application/json"
+	run.Flows[2].UserAgent = "OkHttp/3.12.0"
+	if err := c.observe(0, run); err != nil {
+		t.Fatal(err)
 	}
-	next := len(runs)
-	allocs := testing.AllocsPerRun(200, func() {
-		for _, run := range runs {
-			if err := b.Observe(next, run); err != nil {
-				t.Fatal(err)
-			}
-			next++
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, f := range run.Flows {
+			c.addE4(c.syms.origins.Intern(f.OriginLibrary), c.syms.domains.Intern(f.Domain), f)
 		}
 	})
-	perRun := allocs / float64(len(runs))
-	// Steady state leaves three growing slices (records, order, coverage)
-	// whose doubling reallocations amortize to a few allocs per run. The
-	// corpus here folds ~3 flows per run, so a per-flow allocation
-	// regression (one alloc per flow or worse) clears this bound.
-	if perRun > 4.0 {
-		t.Fatalf("batch fold allocates %.2f allocs/run, want <= 4", perRun)
+	if allocs != 0 {
+		t.Errorf("the baseline fold allocates %.1f objects per run, want 0", allocs)
+	}
+	verdicts := []baseline.Verdict{baseline.UAAd | baseline.HostAd | baseline.ContentAd, baseline.HostCDN, 0}
+	for i, f := range run.Flows {
+		origin, _ := c.syms.origins.Lookup(f.OriginLibrary)
+		if _, ok := c.e4[e4Cell{origin, verdicts[i]}]; !ok || len(c.e4) != len(verdicts) {
+			t.Errorf("flow %d: no cell with verdict %#x in %v", i, verdicts[i], c.e4)
+		}
 	}
 }
 
 // mergeTestRuns builds a deterministic corpus of runs with HTTP context
-// on some flows, so the batch builder's strings-table interning (user
-// agents, hosts, content types, app packages) is exercised, not just the
-// core fold.
+// on some flows, so the baseline classifiers run inside the fold.
 func mergeTestRuns(n int) []*attribution.RunResult {
 	rng := rand.New(rand.NewSource(67))
-	uas := []string{"okhttp/3.12.0", "Dalvik/2.1.0", ""}
-	hosts := []string{"api.example.com", "cdn.example.net", ""}
-	ctypes := []string{"application/json", "image/png", ""}
 	runs := make([]*attribution.RunResult, 0, n)
 	for r := 0; r < n; r++ {
 		nFlows := 1 + rng.Intn(5)
@@ -99,9 +96,8 @@ func mergeTestRuns(n int) []*attribution.RunResult {
 			}
 			fl := mkFlow(origin, mergeDomains[rng.Intn(len(mergeDomains))],
 				rng.Int63n(10_000), rng.Int63n(100_000), builtin)
-			fl.UserAgent = uas[rng.Intn(len(uas))]
-			fl.HTTPHost = hosts[rng.Intn(len(hosts))]
-			fl.ContentType = ctypes[rng.Intn(len(ctypes))]
+			fl.UserAgent = mergeUAs[rng.Intn(len(mergeUAs))]
+			fl.ContentType = mergeCTypes[rng.Intn(len(mergeCTypes))]
 			flows = append(flows, fl)
 		}
 		run := mkRun(fmt.Sprintf("sha-%03d", r), fmt.Sprintf("com.app.x%d", r),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"libspector/internal/attribution"
+	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 	"libspector/internal/libradar"
 	"libspector/internal/nets"
@@ -65,22 +66,22 @@ func testDetector() *libradar.Detector {
 	})
 }
 
-// buildDataset folds runs through a DatasetBuilder, app index = slice
-// position (analysistest.BuildDataset, which this package cannot import).
-func buildDataset(runs []*attribution.RunResult, detector *libradar.Detector, domains DomainCategorizer) (*Dataset, error) {
-	b, err := NewDatasetBuilder(domains)
+// fold folds runs through an Accumulator, app index = slice position,
+// and finishes it.
+func fold(runs []*attribution.RunResult, detector *libradar.Detector, domains DomainCategorizer) (*Aggregates, error) {
+	acc, err := NewAccumulator(domains)
 	if err != nil {
 		return nil, err
 	}
 	for i, run := range runs {
-		if err := b.Observe(i, run); err != nil {
+		if err := acc.Observe(i, run); err != nil {
 			return nil, err
 		}
 	}
-	return b.Finish(detector)
+	return acc.Finish(detector)
 }
 
-func testDataset(t *testing.T) *Dataset {
+func testAggregates(t *testing.T) *Aggregates {
 	t.Helper()
 	runs := []*attribution.RunResult{
 		mkRun("sha-a", "com.app.a", "GAME_PUZZLE",
@@ -101,53 +102,37 @@ func testDataset(t *testing.T) *Dataset {
 		"cdn.example.net": corpus.DomCDN,
 		"api.example.com": corpus.DomInfoTech,
 	}
-	ds, err := buildDataset(runs, testDetector(), cats)
+	ag, err := fold(runs, testDetector(), cats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	return ag
 }
 
-func TestBuildDatasetRecords(t *testing.T) {
-	ds := testDataset(t)
-	if len(ds.Records) != 6 {
-		t.Fatalf("records = %d, want 6", len(ds.Records))
-	}
-	// Vungle flows are AnT; okhttp3 is a common library; builtin flows
-	// carry the pseudo library and Unknown category.
-	var vungle, builtin *FlowRecord
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		switch {
-		case ds.Origin(r) == "com.vungle.publisher" && vungle == nil:
-			vungle = r
-		case r.Builtin():
-			builtin = r
+// TestBaselinesOverFixture checks the §IV-E fold on the fixture: Vungle
+// flows are context AnT, the builtin flow is left out, and the Vungle flow
+// to the CDN host is the known-library CDN volume.
+func TestBaselinesOverFixture(t *testing.T) {
+	ua, host, content := testAggregates(t).Baselines()
+	const vungle = 101_000 + 200_500 + 40_200
+	for name, c := range map[string]baseline.Comparison{"ua": ua, "host": host, "content": content} {
+		if c.TotalBytes != vungle+52_000+31_000 || c.ContextAnTBytes != vungle || c.KnownLibCDNBytes != 200_500 {
+			t.Errorf("%s: %+v", name, c)
 		}
 	}
-	if vungle == nil || !vungle.IsAnT() || ds.LibCategory(vungle) != corpus.LibAdvertisement {
-		t.Errorf("vungle record wrong: %+v", vungle)
+	// No flow carries a User-Agent or a Content-Type; the hostname
+	// classifier calls both ads.example.com flows AnT and nothing else.
+	if ua.BaselineAnTBytes != 0 || content.BaselineAnTBytes != 0 {
+		t.Errorf("ua %+v, content %+v", ua, content)
 	}
-	if ds.TwoLevel(vungle) != "com.vungle" {
-		t.Errorf("vungle two-level = %q", ds.TwoLevel(vungle))
-	}
-	if builtin == nil || ds.LibCategory(builtin) != corpus.LibUnknown || builtin.IsAnT() {
-		t.Errorf("builtin record wrong: %+v", builtin)
-	}
-}
-
-func TestBuildDatasetValidation(t *testing.T) {
-	if _, err := buildDataset(nil, nil, staticCategorizer{}); err == nil {
-		t.Error("nil detector should fail")
-	}
-	if _, err := buildDataset(nil, testDetector(), nil); err == nil {
-		t.Error("nil categorizer should fail")
+	if host.BaselineAnTBytes != 101_000+40_200 || host.AgreedBytes != host.BaselineAnTBytes || host.MissedBytes != 200_500 {
+		t.Errorf("host %+v", host)
 	}
 }
 
 func TestComputeTotals(t *testing.T) {
-	ds := testDataset(t)
-	totals := ds.ComputeTotals()
+	ag := testAggregates(t)
+	totals := ag.ComputeTotals()
 	if totals.Flows != 6 {
 		t.Errorf("flows = %d", totals.Flows)
 	}
@@ -167,8 +152,8 @@ func TestComputeTotals(t *testing.T) {
 }
 
 func TestFig2Shares(t *testing.T) {
-	ds := testDataset(t)
-	m := ds.Fig2CategoryTransfer()
+	ag := testAggregates(t)
+	m := ag.Fig2CategoryTransfer()
 	var sum float64
 	for _, share := range m.LegendShare {
 		sum += share
@@ -188,8 +173,8 @@ func TestFig2Shares(t *testing.T) {
 }
 
 func TestFig3Rankings(t *testing.T) {
-	ds := testDataset(t)
-	top := ds.Fig3TopOrigins(2)
+	ag := testAggregates(t)
+	top := ag.Fig3TopOrigins(2)
 	if len(top) != 2 {
 		t.Fatalf("top = %d entries", len(top))
 	}
@@ -199,7 +184,7 @@ func TestFig3Rankings(t *testing.T) {
 	if top[0].Bytes != 341700 {
 		t.Errorf("top origin bytes = %d", top[0].Bytes)
 	}
-	two := ds.Fig3TopTwoLevel(0)
+	two := ag.Fig3TopTwoLevel(0)
 	foundBuiltin := false
 	for _, r := range two {
 		if r.Name == "*-Advertisement" && r.Builtin {
@@ -209,14 +194,14 @@ func TestFig3Rankings(t *testing.T) {
 	if !foundBuiltin {
 		t.Error("builtin pseudo-library missing from 2-level ranking")
 	}
-	if share := ds.TopShare(1, false); share <= 0.4 {
+	if share := ag.TopShare(1, false); share <= 0.4 {
 		t.Errorf("top-1 share = %v", share)
 	}
 }
 
 func TestFig4CDF(t *testing.T) {
-	ds := testDataset(t)
-	series := ds.Fig4CDF()
+	ag := testAggregates(t)
+	series := ag.Fig4CDF()
 	if len(series) != 6 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -241,8 +226,8 @@ func TestFig4CDF(t *testing.T) {
 }
 
 func TestFig5Ratios(t *testing.T) {
-	ds := testDataset(t)
-	ratios := ds.Fig5FlowRatios()
+	ag := testAggregates(t)
+	ratios := ag.Fig5FlowRatios()
 	if len(ratios) != 3 {
 		t.Fatalf("ratio series = %d", len(ratios))
 	}
@@ -281,8 +266,8 @@ func TestFig5Ratios(t *testing.T) {
 }
 
 func TestFig6AnTStats(t *testing.T) {
-	ds := testDataset(t)
-	st := ds.Fig6AnTShares()
+	ag := testAggregates(t)
+	st := ag.Fig6AnTShares()
 	// App a: AnT 301500 of 353500 → partial. App b: builtin excluded, its
 	// only counted flow is first-party → AnT-free. App c: 100% AnT.
 	if math.Abs(st.FracAnTOnly-1.0/3) > 1e-9 {
@@ -303,8 +288,8 @@ func TestFig6AnTStats(t *testing.T) {
 }
 
 func TestFig7Averages(t *testing.T) {
-	ds := testDataset(t)
-	avgs := ds.Fig7Averages()
+	ag := testAggregates(t)
+	avgs := ag.Fig7Averages()
 	// Advertisement: one distinct origin (vungle), 341700 bytes.
 	if got := avgs.PerLibrary[corpus.LibAdvertisement]; got != 341700 {
 		t.Errorf("per-library ads avg = %v", got)
@@ -321,8 +306,8 @@ func TestFig7Averages(t *testing.T) {
 }
 
 func TestFig8Averages(t *testing.T) {
-	ds := testDataset(t)
-	avgs := ds.Fig8AppCategoryAverages()
+	ag := testAggregates(t)
+	avgs := ag.Fig8AppCategoryAverages()
 	// TOOLS: apps b (31000+10100) and c (40200) → (41100+40200)/2.
 	want := (41100.0 + 40200.0) / 2
 	if got := avgs["TOOLS"]; math.Abs(got-want) > 1e-9 {
@@ -331,8 +316,8 @@ func TestFig8Averages(t *testing.T) {
 }
 
 func TestFig9Heatmap(t *testing.T) {
-	ds := testDataset(t)
-	h := ds.Fig9Heatmap()
+	ag := testAggregates(t)
+	h := ag.Fig9Heatmap()
 	if got := h.Bytes[corpus.LibAdvertisement][corpus.DomCDN]; got != 200500 {
 		t.Errorf("ads→cdn = %d", got)
 	}
@@ -343,7 +328,7 @@ func TestFig9Heatmap(t *testing.T) {
 			builtinTotal += b
 		}
 	}
-	totals := ds.ComputeTotals()
+	totals := ag.ComputeTotals()
 	if builtinTotal >= totals.TotalBytes() {
 		t.Error("heatmap should exclude builtin traffic")
 	}
@@ -357,8 +342,8 @@ func TestFig9Heatmap(t *testing.T) {
 }
 
 func TestFig10Coverage(t *testing.T) {
-	ds := testDataset(t)
-	st := ds.Fig10Coverage()
+	ag := testAggregates(t)
+	st := ag.Fig10Coverage()
 	if len(st.Percents) != 3 {
 		t.Fatalf("coverage points = %d", len(st.Percents))
 	}
@@ -371,8 +356,8 @@ func TestFig10Coverage(t *testing.T) {
 }
 
 func TestHalfTraffic(t *testing.T) {
-	ds := testDataset(t)
-	half := ds.ComputeHalfTraffic()
+	ag := testAggregates(t)
+	half := ag.ComputeHalfTraffic()
 	// App a alone carries 353500 of 424000 bytes — more than half.
 	if half.Apps != 1 {
 		t.Errorf("half-traffic apps = %d, want 1", half.Apps)
@@ -428,8 +413,8 @@ func TestEnergyModelPaperArithmetic(t *testing.T) {
 }
 
 func TestCostPerCategory(t *testing.T) {
-	ds := testDataset(t)
-	costs := CostPerCategory(ds.Fig7Averages(), NewCostModel(), corpus.LibAdvertisement, corpus.LibPayment)
+	ag := testAggregates(t)
+	costs := CostPerCategory(ag.Fig7Averages(), NewCostModel(), corpus.LibAdvertisement, corpus.LibPayment)
 	if len(costs) != 2 {
 		t.Fatalf("costs = %d entries", len(costs))
 	}
@@ -445,22 +430,22 @@ func TestUnattributedFlowsCounted(t *testing.T) {
 	run := mkRun("sha-x", "com.app.x", "TOOLS",
 		mkFlow("com.vungle.publisher", "ads.example.com", 10, 100, false))
 	run.Flows = append(run.Flows, &attribution.Flow{Domain: "ads.example.com"}) // no report
-	ds, err := buildDataset([]*attribution.RunResult{run}, testDetector(),
+	ag, err := fold([]*attribution.RunResult{run}, testDetector(),
 		staticCategorizer{"ads.example.com": corpus.DomAdvertisements})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.UnattributedFlows != 1 {
-		t.Errorf("unattributed = %d", ds.UnattributedFlows)
+	if ag.UnattributedFlows != 1 {
+		t.Errorf("unattributed = %d", ag.UnattributedFlows)
 	}
-	if len(ds.Records) != 1 {
-		t.Errorf("records = %d", len(ds.Records))
+	if n := ag.ComputeTotals().Flows; n != 1 {
+		t.Errorf("folded flows = %d", n)
 	}
 }
 
 func TestSummarizeRoundTrip(t *testing.T) {
-	ds := testDataset(t)
-	sum := ds.Summarize(10)
+	ag := testAggregates(t)
+	sum := ag.Summarize(10)
 	if sum.Totals.Flows != 6 {
 		t.Errorf("summary totals = %+v", sum.Totals)
 	}
@@ -491,8 +476,8 @@ func TestSummarizeRoundTrip(t *testing.T) {
 }
 
 func TestCompareWithPaper(t *testing.T) {
-	ds := testDataset(t)
-	rows := ds.CompareWithPaper()
+	ag := testAggregates(t)
+	rows := ag.CompareWithPaper()
 	if len(rows) != 17 {
 		t.Fatalf("comparison rows = %d, want 17", len(rows))
 	}
@@ -507,8 +492,8 @@ func TestCompareWithPaper(t *testing.T) {
 }
 
 func TestDiagonalShare(t *testing.T) {
-	ds := testDataset(t)
-	h := ds.Fig9Heatmap()
+	ag := testAggregates(t)
+	h := ag.Fig9Heatmap()
 	share := h.DiagonalShare()
 	// Advertisement traffic: 101000+40200 on ads domains, 200500 on cdn →
 	// diagonal = 141200 / 341700.

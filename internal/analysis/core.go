@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"libspector/internal/attribution"
+	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 	"libspector/internal/libradar"
 	"libspector/internal/sim"
@@ -12,12 +13,10 @@ import (
 )
 
 // core is the single columnar implementation of the figure/table
-// aggregation math (F2–F10, totals, half-traffic). Both analysis paths run
-// through it: the streaming Accumulator wraps it directly, and the batch
-// DatasetBuilder folds the same way while additionally materializing
-// compact FlowRecords. Every aggregate is a symbol-indexed slice or the
-// sparse library cells — the fold does no string hashing beyond the one
-// intern per flow field.
+// aggregation math (F2–F10, E4, totals, half-traffic), wrapped by the
+// Accumulator. Every aggregate is a symbol-indexed slice or a sparse cell
+// map — the fold does no string hashing beyond the one intern per flow
+// field.
 //
 // Byte-identical output across fold orders holds because every folded
 // quantity is an int64 sum (order-independent) and every float statistic is
@@ -25,12 +24,6 @@ import (
 type core struct {
 	syms     *Symbols
 	finished bool
-
-	// rec is the scratch record handed to observe's each callback. A
-	// loop-local FlowRecord would escape through the indirect callback
-	// call and cost one heap allocation per attributed flow; callbacks
-	// copy the record and must not retain the pointer.
-	rec FlowRecord
 
 	// Totals.
 	runs          int
@@ -57,6 +50,17 @@ type core struct {
 	// distinct cells observed, not with categories × origins.
 	lib map[libCell]int64
 
+	// e4 is the §IV-E baseline fold: each attributed non-builtin flow's
+	// bytes under its origin and the network-only classifiers' verdicts.
+	// Context-aware AnT membership and the LibRadar category are facts of
+	// the origin, resolved in finish.
+	e4 map[e4Cell]int64
+	// ua classifies User-Agents; lastUA/lastUAAd memoize its latest call
+	// (a run's flows mostly share one User-Agent).
+	ua       *baseline.UAClassifier
+	lastUA   string
+	lastUAAd bool
+
 	// Fig3 2-level rankings; origin bytes come from perOrigin.
 	twoBytes   countVec // [2-level sym]
 	twoBuiltin []bool
@@ -79,7 +83,27 @@ func newCore(domains DomainCategorizer) (*core, error) {
 	if domains == nil {
 		return nil, fmt.Errorf("analysis: nil domain categorizer")
 	}
-	return &core{syms: newSymbols(domains), lib: make(map[libCell]int64)}, nil
+	return &core{
+		syms: newSymbols(domains),
+		lib:  make(map[libCell]int64),
+		e4:   make(map[e4Cell]int64),
+		ua:   baseline.NewUAClassifier(),
+	}, nil
+}
+
+// e4Cell keys one cell of the baseline fold.
+type e4Cell struct {
+	origin  symtab.Sym
+	verdict baseline.Verdict
+}
+
+// less orders cells by origin, then verdict: the order Encode writes them
+// in.
+func (k e4Cell) less(o e4Cell) bool {
+	if k.origin != o.origin {
+		return k.origin < o.origin
+	}
+	return k.verdict < o.verdict
 }
 
 // libCell keys one cell of the library fold.
@@ -194,10 +218,8 @@ func grow[T any](s []T, n int) []T {
 }
 
 // observe folds one run. The app index orders the Fig10 coverage series
-// deterministically regardless of stream-completion order. When each is
-// non-nil it receives the compact record of every attributed flow (the
-// batch path materializes them; the streaming path passes nil).
-func (c *core) observe(appIndex int, run *attribution.RunResult, each func(*FlowRecord, *attribution.Flow)) error {
+// deterministically regardless of stream-completion order.
+func (c *core) observe(appIndex int, run *attribution.RunResult) error {
 	if c.finished {
 		return fmt.Errorf("analysis: accumulator already finished")
 	}
@@ -277,32 +299,25 @@ func (c *core) observe(appIndex int, run *attribution.RunResult, each func(*Flow
 				acc.clSent += f.BytesSent
 				acc.clRcvd += f.BytesReceived
 			}
-		}
-
-		if each != nil {
-			c.rec = FlowRecord{
-				App:           appSym,
-				AppCat:        catSym,
-				Origin:        origin,
-				TwoLevel:      two,
-				Domain:        dom,
-				BytesSent:     f.BytesSent,
-				BytesReceived: f.BytesReceived,
-			}
-			if f.BuiltinOrigin {
-				c.rec.Flags |= FlagBuiltin
-			} else {
-				if c.syms.originAnT[origin] {
-					c.rec.Flags |= FlagAnT
-				}
-				if c.syms.originCL[origin] {
-					c.rec.Flags |= FlagCommonLib
-				}
-			}
-			each(&c.rec, f)
+			c.addE4(origin, dom, f)
 		}
 	}
 	return nil
+}
+
+// addE4 folds one non-builtin flow into the baseline cells.
+func (c *core) addE4(origin, dom symtab.Sym, f *attribution.Flow) {
+	v := c.syms.domainVerdicts[dom]
+	if f.UserAgent != c.lastUA {
+		c.lastUA, c.lastUAAd = f.UserAgent, c.ua.IsAdTraffic(f.UserAgent)
+	}
+	if c.lastUAAd {
+		v |= baseline.UAAd
+	}
+	if contentAd.IsAdTraffic(f.ContentType, f.BytesReceived) {
+		v |= baseline.ContentAd
+	}
+	c.e4[e4Cell{origin, v}] += f.BytesSent + f.BytesReceived
 }
 
 // addFig8App records that app contributed traffic under cat (apps can show
@@ -320,8 +335,11 @@ func (c *core) addFig8App(app, cat symtab.Sym) {
 	c.fig8Cats[app] = append(c.fig8Cats[app], cat)
 }
 
-// finish resolves the deferred library categories through the (finalized)
-// detector — exactly once per origin symbol — and freezes the aggregates.
+// contentAd is the content-type baseline; it holds no state.
+var contentAd baseline.ContentTypeClassifier
+
+// finish resolves the deferred library categories through the detector's
+// database — exactly once per origin symbol — and freezes the aggregates.
 // Further observations are rejected afterwards.
 func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 	if detector == nil {
@@ -341,7 +359,6 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 	ag := &Aggregates{
 		Runs:              c.runs,
 		UnattributedFlows: c.unattributed,
-		originCats:        originCats,
 	}
 
 	// Totals.
@@ -397,6 +414,16 @@ func (c *core) finish(detector *libradar.Detector) (*Aggregates, error) {
 	}
 	ag.fig2 = m
 	ag.fig9 = h
+
+	// E4: every baseline against context-aware attribution, with the
+	// known-library CDN volume of categorized origins.
+	for k, v := range c.e4 {
+		contextAd := syms.originAnT[k.origin]
+		knownLibCDN := k.verdict&baseline.HostCDN != 0 && originCats[k.origin] != corpus.LibUnknown
+		ag.e4[0].Add(v, contextAd, k.verdict&baseline.UAAd != 0, knownLibCDN)
+		ag.e4[1].Add(v, contextAd, k.verdict&baseline.HostAd != 0, knownLibCDN)
+		ag.e4[2].Add(v, contextAd, k.verdict&baseline.ContentAd != 0, knownLibCDN)
+	}
 
 	// Figure 3 rankings (full; truncated per call). Origin bytes are the
 	// perOrigin pair totals.

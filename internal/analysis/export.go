@@ -55,9 +55,6 @@ type Summary struct {
 	HalfTraffic HalfTrafficCounts `json:"half_traffic"`
 }
 
-// Summarize computes the full summary over the dataset's aggregates.
-func (ds *Dataset) Summarize(topN int) *Summary { return ds.agg.Summarize(topN) }
-
 // WriteJSON serializes the summary as indented JSON.
 func (s *Summary) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

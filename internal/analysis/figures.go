@@ -9,8 +9,7 @@ import (
 
 // This file holds the figure/table result types and their pure rendering
 // helpers. The aggregation math that fills them lives in one place — the
-// columnar core (core.go) — reached through either the streaming
-// Accumulator or the batch Dataset.
+// columnar core (core.go) — reached through the Accumulator.
 
 // ---------------------------------------------------------------------------
 // Figure 2: data transfer of origin-library categories per app category.

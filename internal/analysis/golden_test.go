@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"libspector/internal/analysis"
-	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
 	"libspector/internal/dispatch"
 	"libspector/internal/dispatch/dispatchtest"
@@ -21,9 +20,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure files")
 
-// goldenFixture runs one small fleet on the default seed and returns both
-// analysis paths over it: the batch Dataset and the streaming Aggregates.
-func goldenFixture(t *testing.T) (*analysis.Dataset, *analysis.Aggregates) {
+// goldenFixture runs one small fleet on the default seed, four workers
+// wide, and returns the aggregates its runs folded into in completion
+// order.
+func goldenFixture(t *testing.T) *analysis.Aggregates {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.NumApps = 24 // default seed (42), corpus scaled for test time
@@ -48,7 +48,7 @@ func goldenFixture(t *testing.T) (*analysis.Dataset, *analysis.Aggregates) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
+	_, _, err = dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Workers:    4,
 		Emulator:   opts,
 		BaseSeed:   cfg.Seed,
@@ -59,32 +59,27 @@ func goldenFixture(t *testing.T) (*analysis.Dataset, *analysis.Aggregates) {
 		t.Fatal(err)
 	}
 	detector.Finalize(2)
-	ds, err := analysistest.BuildDataset(runs, detector, domains)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ag, err := acc.Finish(detector)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, ag
+	return ag
 }
 
 // renderAll renders every report section but Table I, whose counts come
 // from the domain service rather than the fold, keyed by golden-file stem:
-// the section id, plus the serialized summary. The record-level sections
-// render only from a dataset. One golden thus pins the batch and the
-// streaming path, through the section table both CLIs print from.
-func renderAll(t *testing.T, ag *analysis.Aggregates, ds *analysis.Dataset) map[string]string {
+// the section id, plus the serialized summary, through the section table
+// both CLIs print from.
+func renderAll(t *testing.T, ag *analysis.Aggregates) map[string]string {
 	t.Helper()
 	var json bytes.Buffer
 	if err := ag.Summarize(25).WriteJSON(&json); err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]string{"summary.json": json.String()}
-	in := report.Inputs{Aggregates: ag, Dataset: ds, TopN: 25}
+	in := report.Inputs{Aggregates: ag, TopN: 25}
 	for _, s := range report.Sections {
-		if s.ID != "T1" && (!s.Records || ds != nil) {
+		if s.ID != "T1" {
 			out[s.ID] = s.Render(in)
 		}
 	}
@@ -93,42 +88,63 @@ func renderAll(t *testing.T, ag *analysis.Aggregates, ds *analysis.Dataset) map[
 
 // TestGoldenFigures pins every rendered figure/table and the serialized
 // JSON summary on the default seed: any refactor of the aggregation core
-// must reproduce them byte-for-byte from both the batch and the streaming
-// path. Regenerate deliberately with `go test ./internal/analysis -run
-// TestGoldenFigures -update`.
+// must reproduce them byte-for-byte, whatever order the four workers'
+// runs complete in. Regenerate deliberately with `go test
+// ./internal/analysis -run TestGoldenFigures -update`.
 func TestGoldenFigures(t *testing.T) {
-	ds, ag := goldenFixture(t)
-
-	batch := renderAll(t, ds.Aggregates(), ds)
-	stream := renderAll(t, ag, nil)
+	got := renderAll(t, goldenFixture(t))
 
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Join("testdata", "golden"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range batch {
+		for name, text := range got {
 			path := filepath.Join("testdata", "golden", name+".golden")
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	check := func(path, name, got string) {
-		t.Helper()
+	for name, text := range got {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".golden"))
 		if err != nil {
-			t.Fatalf("%s: %v (run with -update to regenerate)", path, err)
+			t.Fatalf("%v (run with -update to regenerate)", err)
 		}
-		if got != string(want) {
-			t.Errorf("%s/%s diverges from golden:\n--- golden ---\n%s\n--- got ---\n%s",
-				path, name, want, got)
+		if text != string(want) {
+			t.Errorf("%s diverges from golden:\n--- golden ---\n%s\n--- got ---\n%s", name, want, text)
 		}
 	}
-	for name, got := range batch {
-		check("batch", name, got)
+}
+
+// TestAccumulatorValidation covers the constructor and lifecycle guards.
+func TestAccumulatorValidation(t *testing.T) {
+	if _, err := analysis.NewAccumulator(nil); err == nil {
+		t.Error("nil domain categorizer should fail")
 	}
-	for name, got := range stream {
-		check("streaming", name, got)
+	svc, err := vtclient.NewService(vtclient.NewOracle(1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := analysis.NewAccumulator(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.Observe(0, nil); err == nil {
+		t.Error("nil run should fail")
+	}
+	if _, err := acc.Finish(nil); err == nil {
+		t.Error("nil detector should fail")
+	}
+	det := libradar.SeededDetector()
+	det.Finalize(2)
+	if _, err := acc.Finish(det); err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.Observe(0, &attribution.RunResult{}); err == nil {
+		t.Error("observe after finish should fail")
+	}
+	if _, err := acc.Finish(det); err == nil {
+		t.Error("double finish should fail")
 	}
 }

@@ -30,6 +30,13 @@ var mergeDomains = []string{"ads.example.com", "cdn.example.net", "api.example.c
 
 var mergeAppCats = []corpus.AppCategory{"GAME_PUZZLE", "TOOLS", "SOCIAL"}
 
+// The HTTP context the baseline classifiers read: an identifiable and a
+// generic User-Agent, creative and non-creative content types, and none.
+var (
+	mergeUAs    = []string{"Vungle/6.2.0 (Linux; U; Android 7.1.1)", "okhttp/3.12.0", "Dalvik/2.1.0", ""}
+	mergeCTypes = []string{"image/webp", "application/json", ""}
+)
+
 // randPartial folds a randomized batch of runs starting at the given app
 // index and seals it — one synthetic shard partial.
 func randPartial(t *testing.T, rng *rand.Rand, baseIndex, runs int) *Partial {
@@ -54,6 +61,8 @@ func randPartial(t *testing.T, rng *rand.Rand, baseIndex, runs int) *Partial {
 			}
 			fl := mkFlow(origin, mergeDomains[rng.Intn(len(mergeDomains))],
 				rng.Int63n(10_000), rng.Int63n(100_000), builtin)
+			fl.UserAgent = mergeUAs[rng.Intn(len(mergeUAs))]
+			fl.ContentType = mergeCTypes[rng.Intn(len(mergeCTypes))]
 			flows = append(flows, fl)
 		}
 		run := mkRun(fmt.Sprintf("sha-%03d", baseIndex+r), fmt.Sprintf("com.app.x%d", baseIndex+r),
@@ -86,7 +95,8 @@ func emptyPartial(t *testing.T) *Partial {
 }
 
 // summaryJSON finishes a partial and renders the full evaluation summary
-// — the figure-level equality the campaign invariant is stated in.
+// and the baseline comparisons — the figure-level equality the campaign
+// invariant is stated in.
 func summaryJSON(t *testing.T, p *Partial) []byte {
 	t.Helper()
 	ag, err := p.Finish(testDetector())
@@ -97,6 +107,7 @@ func summaryJSON(t *testing.T, p *Partial) []byte {
 	if err := ag.Summarize(25).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	fmt.Fprintf(&buf, "%+v\n", ag.e4)
 	return buf.Bytes()
 }
 

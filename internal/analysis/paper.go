@@ -63,10 +63,6 @@ func log2(x float64) float64 {
 	return n + (x - 1)
 }
 
-// CompareWithPaper evaluates the headline shape targets against the
-// paper's published values.
-func (ds *Dataset) CompareWithPaper() []TargetComparison { return ds.agg.CompareWithPaper() }
-
 // compareRows builds the comparison table from the already-computed
 // figures.
 func compareRows(totals Totals, m *CategoryMatrix, ratios []RatioSeries, ant *AnTStats,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"libspector/internal/baseline"
 	"libspector/internal/codec"
 	"libspector/internal/libradar"
 	"libspector/internal/symtab"
@@ -47,8 +48,8 @@ func (a *Accumulator) Seal() (*Partial, error) {
 // Runs reports how many runs this partial folded.
 func (p *Partial) Runs() int { return p.core.runs }
 
-// Finish resolves the deferred library categories through the (finalized)
-// detector and freezes the partial into Aggregates, exactly like
+// Finish resolves the deferred library categories through the detector
+// and freezes the partial into Aggregates, exactly like
 // Accumulator.Finish. A partial can be finished once.
 func (p *Partial) Finish(detector *libradar.Detector) (*Aggregates, error) {
 	return p.core.finish(detector)
@@ -93,8 +94,7 @@ func MergePartials(parts ...*Partial) (*Partial, error) {
 // — and every symbol-indexed column and every library cell's key is then
 // re-folded through the dense old→new remaps. All folded quantities are
 // commutative int64 sums, so the result is independent of merge order up
-// to symbol numbering, which finish erases by sorting. The strings table holds only a
-// DatasetBuilder's record strings, so a partial's is always empty.
+// to symbol numbering, which finish erases by sorting.
 func mergeInto(dst, src *core) {
 	appR := dst.syms.apps.MergeFrom(src.syms.apps)
 	catR := dst.syms.appCats.MergeFrom(src.syms.appCats)
@@ -118,6 +118,9 @@ func mergeInto(dst, src *core) {
 
 	for k, v := range src.lib {
 		dst.lib[libCell{catR[k.appCat], dcR[k.domCat], orgR[k.origin], k.builtin}] += v
+	}
+	for k, v := range src.e4 {
+		dst.e4[e4Cell{orgR[k.origin], k.verdict}] += v
 	}
 	mergeCountVec(&dst.twoBytes, &src.twoBytes, twoR)
 	mergeBoolCol(&dst.twoBuiltin, src.twoBuiltin, twoR)
@@ -188,9 +191,10 @@ func mergeBoolCol(dst *[]bool, src []bool, r symtab.Remap) {
 // Wire format
 // ---------------------------------------------------------------------------
 
-// partialMagic identifies a serialized shard partial, version 02: the
-// library fold is sparse cells (version 01 wrote dense matrices).
-const partialMagic = "LSPART02"
+// partialMagic identifies a serialized shard partial, version 03: the
+// baseline cells follow the library cells (version 02 had none; version
+// 01 wrote dense matrices).
+const partialMagic = "LSPART03"
 
 // ErrCorruptPartial reports a serialized partial that is torn, truncated,
 // or otherwise not decodable. Decoders must surface it (wrapped) rather
@@ -204,14 +208,15 @@ var ErrCategorizerMismatch = errors.New("analysis: partial domain categories dis
 
 // Encode serializes the partial deterministically:
 //
-//	"LSPART02" | body | crc32c(body) little-endian
+//	"LSPART03" | body | crc32c(body) little-endian
 //
 // The body is a fixed sequence of varint-framed sections: the six symbol
 // tables (string count, then length-prefixed strings in dense ID order),
 // the recorded domain-category facts (for the decode-side categorizer
-// cross-check), the scalar totals, every column, and last the library
-// cells in key order (libCell.less). Encoding does not mutate the partial
-// and may be called repeatedly.
+// cross-check), the scalar totals, every column, the library cells in key
+// order (libCell.less), and last the baseline cells in key order
+// (e4Cell.less), each an origin symbol, a verdict byte and its bytes.
+// Encoding does not mutate the partial and may be called repeatedly.
 func (p *Partial) Encode() ([]byte, error) {
 	if p == nil || p.core == nil {
 		return nil, fmt.Errorf("analysis: nil partial")
@@ -290,6 +295,18 @@ func (p *Partial) Encode() ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(k.origin))
 		b = codec.AppendBool(b, k.builtin)
 		b = binary.AppendVarint(b, c.lib[k])
+	}
+
+	e4 := make([]e4Cell, 0, len(c.e4))
+	for k := range c.e4 {
+		e4 = append(e4, k)
+	}
+	sort.Slice(e4, func(i, j int) bool { return e4[i].less(e4[j]) })
+	b = binary.AppendUvarint(b, uint64(len(e4)))
+	for _, k := range e4 {
+		b = binary.AppendUvarint(b, uint64(k.origin))
+		b = append(b, byte(k.verdict))
+		b = binary.AppendVarint(b, c.e4[k])
 	}
 
 	return codec.AppendSum(b, body), nil
@@ -517,6 +534,22 @@ func DecodePartial(data []byte, domains DomainCategorizer) (*Partial, error) {
 		}
 		c.lib[k] = d.Varint()
 		prev = k
+	}
+	// The baseline cells, under the same order rule; a verdict byte may
+	// carry only the defined bits.
+	n = d.Length()
+	var prevE4 e4Cell
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := e4Cell{origin: readSym(d, c.syms.origins, "baseline cell origin")}
+		k.verdict = baseline.Verdict(d.Byte())
+		if k.verdict&^baseline.AllVerdicts != 0 {
+			d.Failf("baseline cell %d has undefined verdict bits %#x", i, k.verdict)
+		}
+		if i > 0 && !prevE4.less(k) {
+			d.Failf("baseline cell %d out of order", i)
+		}
+		c.e4[k] = d.Varint()
+		prevE4 = k
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err

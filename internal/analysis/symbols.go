@@ -1,17 +1,17 @@
 package analysis
 
 import (
+	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 	"libspector/internal/symtab"
 )
 
 // Symbols bundles the intern tables of one analysis pass plus the
 // per-symbol facts resolved exactly once at intern time: domain category
-// (vtclient is deterministic per domain), AnT/common-library prefix
-// membership, and the platform flag of 2-level names. The one category that
-// cannot be resolved mid-stream — the LibRadar origin-library category,
-// which needs the whole fleet's package observations — is resolved once per
-// symbol in the core's finish step instead.
+// (vtclient is deterministic per domain), the hostname baseline's verdict,
+// AnT/common-library prefix membership, and the platform flag of 2-level
+// names. The LibRadar origin-library category is resolved once per symbol
+// in the core's finish step instead, so a fold need not hold a detector.
 //
 // Symbol IDs are private coordinates of the aggregation core: they never
 // appear in rendered or exported output, which resolves strings back
@@ -23,7 +23,6 @@ type Symbols struct {
 	twoLevels *symtab.Table // 2-level library names
 	domains   *symtab.Table // DNS names
 	domCats   *symtab.Table // domain categories
-	strings   *symtab.Table // misc record strings (packages, HTTP headers)
 
 	categorizer DomainCategorizer
 	antList     []string
@@ -34,6 +33,8 @@ type Symbols struct {
 	originCL    []bool       // origin is in the common-library list (AnT wins)
 	twoPlatform []bool       // 2-level name is com.android / com.google
 	domainCats  []symtab.Sym // domain sym → domCats sym ("" → DomUnknown)
+	// domainVerdicts holds each domain's HostAd/HostCDN bits ("" → 0).
+	domainVerdicts []baseline.Verdict
 }
 
 // newSymbols wires the tables with their fact-resolution hooks.
@@ -46,7 +47,7 @@ func newSymbols(domains DomainCategorizer) *Symbols {
 	s.apps = symtab.NewTable(nil)
 	s.appCats = symtab.NewTable(nil)
 	s.domCats = symtab.NewTable(nil)
-	s.strings = symtab.NewTable(nil)
+	host := baseline.NewHostnameClassifier()
 	s.origins = symtab.NewTable(func(_ symtab.Sym, name string) {
 		// The AnT and common-library sets are contrasted in Figure 6;
 		// membership is disjoint, with the AnT list taking precedence
@@ -64,6 +65,7 @@ func newSymbols(domains DomainCategorizer) *Symbols {
 			cat = s.categorizer.Categorize(name)
 		}
 		s.domainCats = append(s.domainCats, s.domCats.Intern(string(cat)))
+		s.domainVerdicts = append(s.domainVerdicts, host.Verdict(name))
 	})
 	return s
 }
@@ -76,9 +78,4 @@ func (s *Symbols) appCategory(sym symtab.Sym) corpus.AppCategory {
 // domainCategoryAt resolves a domCats-table symbol.
 func (s *Symbols) domainCategoryAt(sym symtab.Sym) corpus.DomainCategory {
 	return corpus.DomainCategory(s.domCats.String(sym))
-}
-
-// domainCategoryOf resolves the domain category fact of a domain symbol.
-func (s *Symbols) domainCategoryOf(dom symtab.Sym) corpus.DomainCategory {
-	return s.domainCategoryAt(s.domainCats[dom])
 }

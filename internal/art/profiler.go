@@ -1,10 +1,7 @@
 package art
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"sort"
 	"unsafe"
 
 	"libspector/internal/dex"
@@ -33,7 +30,7 @@ const DefaultBoundedBufferSize = 8192
 // listener registered through the Activity Manager API that observes every
 // Java method entry (§II-B1). It observes the methods of one dex file by
 // index and renders their signatures from the file only when asked for
-// the trace.
+// the unique set.
 type Profiler struct {
 	mode     ProfilerMode
 	capacity int
@@ -47,7 +44,8 @@ type Profiler struct {
 	// before reaching it, which is exactly the deficiency the paper
 	// fixed).
 	seen []uint64
-	// order preserves first-invocation order for trace-file output.
+	// order lists the recorded methods in first-invocation order, the
+	// methods UniqueMethods renders.
 	order   []int32
 	dropped int64
 	total   int64
@@ -131,51 +129,3 @@ func (p *Profiler) TotalInvocations() int64 { return p.total }
 
 // DroppedInvocations reports entries lost to a full bounded buffer.
 func (p *Profiler) DroppedInvocations() int64 { return p.dropped }
-
-// WriteTrace writes the method trace file the framework produces at the
-// end of each experiment (§II-B3): one type signature per line, in
-// first-invocation order.
-func (p *Profiler) WriteTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, idx := range p.order {
-		if _, err := bw.WriteString(p.signature(idx)); err != nil {
-			return fmt.Errorf("art: writing trace: %w", err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return fmt.Errorf("art: writing trace: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("art: flushing trace: %w", err)
-	}
-	return nil
-}
-
-// ReadTrace parses a trace file back into a signature set.
-func ReadTrace(r io.Reader) (map[string]struct{}, error) {
-	out := make(map[string]struct{})
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		out[line] = struct{}{}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("art: reading trace: %w", err)
-	}
-	return out, nil
-}
-
-// SortedUnique returns the recorded signatures sorted, for deterministic
-// assertions in tests.
-func (p *Profiler) SortedUnique() []string {
-	out := make([]string, len(p.order))
-	for i, idx := range p.order {
-		out[i] = p.signature(idx)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -3,14 +3,32 @@
 // §V): the User-Agent approach of Xue et al. and Maier et al., and the
 // hostname approach of Tongaonkar et al. Both operate on what the packet
 // capture alone exposes — HTTP headers and DNS names — without any app
-// context.
+// context. The analysis fold asks them once per flow (or once per domain)
+// and keeps only their verdict bits, so the comparison is an aggregate like
+// every other figure.
 package baseline
 
 import (
+	"bytes"
 	"strings"
+	"unicode/utf8"
+)
 
-	"libspector/internal/analysis"
-	"libspector/internal/corpus"
+// Verdict packs the network-only classifiers' calls on one flow.
+type Verdict uint8
+
+const (
+	// UAAd: the User-Agent classifier calls the flow AnT.
+	UAAd Verdict = 1 << iota
+	// HostAd: the hostname classifier calls the flow's DNS name AnT.
+	HostAd
+	// ContentAd: the content-type classifier calls the response an ad
+	// creative.
+	ContentAd
+	// HostCDN: the flow's DNS name looks like CDN infrastructure.
+	HostCDN
+	// AllVerdicts is every defined bit.
+	AllVerdicts = UAAd | HostAd | ContentAd | HostCDN
 )
 
 // uaAdPatterns are product substrings a curated User-Agent list can match
@@ -37,24 +55,42 @@ var hostCDNKeywords = []string{
 
 // UAClassifier is the Xue/Maier-style header classifier.
 type UAClassifier struct {
-	patterns []string
+	patterns [][]byte
 }
 
 // NewUAClassifier builds the classifier with the curated pattern list.
 func NewUAClassifier() *UAClassifier {
-	return &UAClassifier{patterns: uaAdPatterns}
+	c := &UAClassifier{patterns: make([][]byte, len(uaAdPatterns))}
+	for i, p := range uaAdPatterns {
+		c.patterns[i] = []byte(p)
+	}
+	return c
 }
 
 // IsAdTraffic reports whether the User-Agent identifies an AnT SDK. The
 // generic Dalvik User-Agent — and any unparseable (e.g. TLS) payload,
-// which yields an empty string — never matches.
+// which yields an empty string — never matches. An ASCII User-Agent is
+// lower-cased into a stack buffer, so the per-flow call allocates
+// nothing; only a non-ASCII one goes through strings.ToLower.
 func (c *UAClassifier) IsAdTraffic(userAgent string) bool {
 	if userAgent == "" || strings.HasPrefix(userAgent, "Dalvik/") {
 		return false
 	}
-	lowered := strings.ToLower(userAgent)
+	var buf [128]byte
+	lowered := buf[:0]
+	for i := 0; i < len(userAgent); i++ {
+		b := userAgent[i]
+		if b >= utf8.RuneSelf {
+			lowered = []byte(strings.ToLower(userAgent))
+			break
+		}
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		lowered = append(lowered, b)
+	}
 	for _, p := range c.patterns {
-		if strings.Contains(lowered, p) {
+		if bytes.Contains(lowered, p) {
 			return true
 		}
 	}
@@ -71,20 +107,38 @@ func NewHostnameClassifier() *HostnameClassifier {
 
 // IsAdTraffic reports whether the domain name looks like an AnT endpoint.
 func (c *HostnameClassifier) IsAdTraffic(domain string) bool {
-	return matchDomainKeywords(domain, hostAdKeywords)
+	return matchKeywords(domainLabels(domain), hostAdKeywords)
 }
 
 // IsCDN reports whether the domain name looks like CDN infrastructure.
 func (c *HostnameClassifier) IsCDN(domain string) bool {
-	return matchDomainKeywords(domain, hostCDNKeywords)
+	return matchKeywords(domainLabels(domain), hostCDNKeywords)
 }
 
-// matchDomainKeywords checks hyphen/dot-separated and embedded keywords.
-func matchDomainKeywords(domain string, keywords []string) bool {
-	lowered := strings.ToLower(domain)
-	labels := strings.FieldsFunc(lowered, func(r rune) bool {
+// Verdict returns the domain's HostAd and HostCDN bits, splitting it into
+// labels once for both.
+func (c *HostnameClassifier) Verdict(domain string) Verdict {
+	labels := domainLabels(domain)
+	var v Verdict
+	if matchKeywords(labels, hostAdKeywords) {
+		v |= HostAd
+	}
+	if matchKeywords(labels, hostCDNKeywords) {
+		v |= HostCDN
+	}
+	return v
+}
+
+// domainLabels lower-cases a domain and splits it at dots, hyphens and
+// digits.
+func domainLabels(domain string) []string {
+	return strings.FieldsFunc(strings.ToLower(domain), func(r rune) bool {
 		return r == '.' || r == '-' || r >= '0' && r <= '9'
 	})
+}
+
+// matchKeywords checks hyphen/dot-separated and embedded keywords.
+func matchKeywords(labels, keywords []string) bool {
 	for _, kw := range keywords {
 		for _, label := range labels {
 			if label == kw || len(kw) >= 4 && strings.Contains(label, kw) {
@@ -136,63 +190,38 @@ func (c Comparison) Precision() float64 {
 	return float64(c.AgreedBytes) / float64(c.BaselineAnTBytes)
 }
 
+// Add counts vol bytes of non-builtin traffic: contextAd is context-aware
+// attribution's call (an AnT origin), baselineAd the baseline's, and
+// knownLibCDN whether the bytes come from a LibRadar-categorized library
+// and go to a CDN-looking host — what a pure DNS categorization would
+// file under "cdn".
+func (c *Comparison) Add(vol int64, contextAd, baselineAd, knownLibCDN bool) {
+	c.TotalBytes += vol
+	if contextAd {
+		c.ContextAnTBytes += vol
+	}
+	if baselineAd {
+		c.BaselineAnTBytes += vol
+	}
+	switch {
+	case contextAd && baselineAd:
+		c.AgreedBytes += vol
+	case contextAd:
+		c.MissedBytes += vol
+	case baselineAd:
+		c.SpuriousBytes += vol
+	}
+	if knownLibCDN {
+		c.KnownLibCDNBytes += vol
+	}
+}
+
 // CDNShare is KnownLibCDNBytes over total.
 func (c Comparison) CDNShare() float64 {
 	if c.TotalBytes == 0 {
 		return 0
 	}
 	return float64(c.KnownLibCDNBytes) / float64(c.TotalBytes)
-}
-
-// CompareUA evaluates the User-Agent baseline over a dataset.
-func CompareUA(ds *analysis.Dataset) Comparison {
-	ua := NewUAClassifier()
-	return compare(ds, func(r *analysis.FlowRecord) bool {
-		return ua.IsAdTraffic(ds.UserAgent(r))
-	})
-}
-
-// CompareHostname evaluates the hostname baseline over a dataset.
-func CompareHostname(ds *analysis.Dataset) Comparison {
-	host := NewHostnameClassifier()
-	return compare(ds, func(r *analysis.FlowRecord) bool {
-		return host.IsAdTraffic(ds.Domain(r))
-	})
-}
-
-func compare(ds *analysis.Dataset, baselineSaysAd func(*analysis.FlowRecord) bool) Comparison {
-	var c Comparison
-	host := NewHostnameClassifier()
-	for i := range ds.Records {
-		r := &ds.Records[i]
-		if r.Builtin() {
-			continue
-		}
-		vol := r.TotalBytes()
-		c.TotalBytes += vol
-		contextAd := r.IsAnT()
-		baselineAd := baselineSaysAd(r)
-		if contextAd {
-			c.ContextAnTBytes += vol
-		}
-		if baselineAd {
-			c.BaselineAnTBytes += vol
-		}
-		switch {
-		case contextAd && baselineAd:
-			c.AgreedBytes += vol
-		case contextAd:
-			c.MissedBytes += vol
-		case baselineAd:
-			c.SpuriousBytes += vol
-		}
-		// Known-library traffic landing on CDN hosts is what a pure DNS
-		// categorization would file under "cdn".
-		if ds.LibCategory(r) != corpus.LibUnknown && host.IsCDN(ds.Domain(r)) {
-			c.KnownLibCDNBytes += vol
-		}
-	}
-	return c
 }
 
 // contentAdTypes are the MIME types content-based classification (in the
@@ -220,12 +249,4 @@ func (c *ContentTypeClassifier) IsAdTraffic(contentType string, responseBytes in
 		return false
 	}
 	return contentAdTypes[contentType] && responseBytes < 1_000_000
-}
-
-// CompareContentType evaluates the content-type baseline over a dataset.
-func CompareContentType(ds *analysis.Dataset) Comparison {
-	ct := NewContentTypeClassifier()
-	return compare(ds, func(r *analysis.FlowRecord) bool {
-		return ct.IsAdTraffic(ds.ContentType(r), r.BytesReceived)
-	})
 }

@@ -1,11 +1,13 @@
-package baseline
+// The comparisons are folded by the analysis core, which imports this
+// package, so the tests live outside it.
+package baseline_test
 
 import (
 	"testing"
 
 	"libspector/internal/analysis"
-	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
+	"libspector/internal/baseline"
 	"libspector/internal/corpus"
 	"libspector/internal/libradar"
 	"libspector/internal/nets"
@@ -13,12 +15,13 @@ import (
 )
 
 func TestUAClassifier(t *testing.T) {
-	c := NewUAClassifier()
+	c := baseline.NewUAClassifier()
 	ad := []string{
 		"Vungle/6.2.0 (Linux; U; Android 7.1.1)",
 		"Chartboost-sdk/7.0",
 		"MyAnalytics/1.0",
 		"AppsFlyer/4.8",
+		"Trac\u212Aer/1.0", // the Kelvin sign lower-cases to an ASCII k
 	}
 	for _, ua := range ad {
 		if !c.IsAdTraffic(ua) {
@@ -39,7 +42,7 @@ func TestUAClassifier(t *testing.T) {
 }
 
 func TestHostnameClassifier(t *testing.T) {
-	c := NewHostnameClassifier()
+	c := baseline.NewHostnameClassifier()
 	ad := []string{
 		"ads.example.com",
 		"doubleclick.example.net",
@@ -95,8 +98,8 @@ func mkFlow(origin, domain, userAgent, contentType string, builtin bool, sent, r
 	}
 }
 
-// buildDataset runs the real analysis build over one synthetic run.
-func buildDataset(t *testing.T, flows ...*attribution.Flow) *analysis.Dataset {
+// fold runs the real analysis fold over one synthetic run.
+func fold(t *testing.T, flows ...*attribution.Flow) *analysis.Aggregates {
 	t.Helper()
 	detector := libradar.NewDetector(map[string]corpus.LibraryCategory{
 		"com.vungle.publisher": corpus.LibAdvertisement,
@@ -107,15 +110,22 @@ func buildDataset(t *testing.T, flows ...*attribution.Flow) *analysis.Dataset {
 		AppCategory: "TOOLS",
 		Flows:       flows,
 	}
-	ds, err := analysistest.BuildDataset([]*attribution.RunResult{run}, detector, unknownDomains{})
+	acc, err := analysis.NewAccumulator(unknownDomains{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	if err := acc.Observe(0, run); err != nil {
+		t.Fatal(err)
+	}
+	ag, err := acc.Finish(detector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ag
 }
 
 func TestComparisonMetrics(t *testing.T) {
-	ds := buildDataset(t,
+	ua, host, _ := fold(t,
 		// Context AnT flow with an identifiable UA on an ad host: both
 		// baselines catch it.
 		mkFlow("com.vungle.publisher", "ads.example.com", "Vungle/6.2", "", false, 100, 900),
@@ -127,9 +137,8 @@ func TestComparisonMetrics(t *testing.T) {
 		mkFlow("com.app.news", "promo.example.com", nets.DefaultUserAgent, "", false, 50, 450),
 		// Builtin flow must be ignored entirely.
 		mkFlow("*-Advertisement", "ads.example.com", "", "", true, 10, 90),
-	)
+	).Baselines()
 
-	ua := CompareUA(ds)
 	if ua.TotalBytes != 1000+2000+500 {
 		t.Errorf("total = %d", ua.TotalBytes)
 	}
@@ -156,7 +165,6 @@ func TestComparisonMetrics(t *testing.T) {
 		t.Errorf("CDN share = %v", got)
 	}
 
-	host := CompareHostname(ds)
 	if host.AgreedBytes != 1000 {
 		t.Errorf("hostname agreed = %d", host.AgreedBytes)
 	}
@@ -169,14 +177,14 @@ func TestComparisonMetrics(t *testing.T) {
 }
 
 func TestComparisonZeroSafety(t *testing.T) {
-	var c Comparison
+	var c baseline.Comparison
 	if c.Recall() != 0 || c.Precision() != 0 || c.CDNShare() != 0 {
 		t.Error("zero comparison should not divide by zero")
 	}
 }
 
 func TestContentTypeClassifier(t *testing.T) {
-	c := NewContentTypeClassifier()
+	c := baseline.NewContentTypeClassifier()
 	if !c.IsAdTraffic("image/gif", 50_000) {
 		t.Error("small gif should classify as ad creative")
 	}
@@ -192,11 +200,10 @@ func TestContentTypeClassifier(t *testing.T) {
 }
 
 func TestCompareContentType(t *testing.T) {
-	ds := buildDataset(t,
+	_, _, c := fold(t,
 		mkFlow("com.vungle.publisher", "cdn.example.net", "", "image/webp", false, 100, 200_000),
 		mkFlow("com.app.gallery", "img.example.com", "", "image/jpeg", false, 100, 200_000),
-	)
-	c := CompareContentType(ds)
+	).Baselines()
 	// The creative on the CDN is caught even though UA/hostname would
 	// miss it; the first-party jpeg is correctly not flagged.
 	if c.AgreedBytes != 200_100 {

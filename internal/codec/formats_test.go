@@ -76,12 +76,12 @@ type format struct {
 	// MethodScale 0.002; evidence.bin, meta.bin and reports.bin, added
 	// when a stored run became one sealed file, replace that commit's
 	// meta.json and reports.bin and are fixtureRun, its meta section and
-	// its reports section; partial.bin, rewritten for LSPART02, folds the
-	// four flows 252e5be's image held: app sha-a (GAME_PUZZLE) from
-	// com.vungle.publisher to ads.example.com and from okhttp3 to
-	// api.example.com, app sha-b (TOOLS) from com.app.b.net to
-	// cdn.example.net and from builtin *-Advertisement to
-	// ads.example.com). It must decode and re-encode to the identical
+	// its reports section; partial.bin, rewritten for LSPART02 and again
+	// for LSPART03, folds the four flows 252e5be's image held: app sha-a
+	// (GAME_PUZZLE) from com.vungle.publisher to ads.example.com and from
+	// okhttp3 to api.example.com, app sha-b (TOOLS) from com.app.b.net to
+	// cdn.example.net and from builtin *-Advertisement to ads.example.com;
+	// the three non-builtin ones fill its three baseline cells). It must decode and re-encode to the identical
 	// bytes: the guard that a refactor of the codecs moved no byte on disk
 	// or on the wire. Regenerate a fixture only for a deliberate,
 	// documented format bump. Empty for pcap, whose layout libpcap fixes,
@@ -370,7 +370,7 @@ var formats = []format{
 		typed:     is(analysis.ErrCorruptPartial, analysis.ErrCategorizerMismatch),
 		strict:    true,
 		canonical: true,
-		magic:     "LSPART02",
+		magic:     "LSPART03",
 		fixture:   "partial.bin",
 		seeds: func(tb testing.TB) []seed {
 			var out []seed
@@ -382,7 +382,7 @@ var formats = []format{
 				out = append(out, seed{enc, encoded}, seed{enc[:len(enc)/2], rejected}, seed{rotten, rejected},
 					seed{append(enc[:len(enc):len(enc)], 0x00), rejected})
 			}
-			out = append(out, seed{nil, rejected}, seed{[]byte("LSPART02"), rejected}, seed{[]byte("LSPART02\x00\x00\x00\x00"), rejected})
+			out = append(out, seed{nil, rejected}, seed{[]byte("LSPART03"), rejected}, seed{[]byte("LSPART03\x00\x00\x00\x00"), rejected})
 			return append(out, partialCellSeeds(tb)...)
 		},
 		decode: func(data []byte) (any, error) { return analysis.DecodePartial(data, partialCats) },
@@ -1222,11 +1222,15 @@ func sealPartial(tb testing.TB, acc *analysis.Accumulator) []byte {
 }
 
 // partialCellSeeds returns a two-cell partial, the partial under version
-// 01's magic, and three rejected rewrites of its library cells: the two
-// cells swapped, one cell twice, and a cell whose origin symbol is past
-// the origin table. The cells end
-// the body: their count, then per cell the app-category, domain-category
-// and origin symbols, the builtin flag and the zig-zag byte total.
+// 01's magic, three rejected rewrites of its library cells (the two cells
+// swapped, one cell twice, and a cell whose origin symbol is past the
+// origin table), then four rejected rewrites of its baseline cells (the
+// same three, and a verdict byte with an undefined bit) and the partial
+// under version 02's magic. The library cells come last but for the
+// baseline cells: their count, then per cell the app-category,
+// domain-category and origin symbols, the builtin flag and the zig-zag
+// byte total; the baseline cells' count, then per cell the origin symbol,
+// the verdict byte and the zig-zag byte total.
 func partialCellSeeds(tb testing.TB) []seed {
 	tb.Helper()
 	acc, err := analysis.NewAccumulator(partialCats)
@@ -1240,7 +1244,7 @@ func partialCellSeeds(tb testing.TB) []seed {
 		tb.Fatal(err)
 	}
 	enc := sealPartial(tb, acc)
-	body, err := codec.Open("LSPART02", enc)
+	body, err := codec.Open("LSPART03", enc)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -1248,14 +1252,20 @@ func partialCellSeeds(tb testing.TB) []seed {
 	// unknown, is domain category 1.
 	a := []byte{1, 1, 1, 0, 6}  // TOOLS, unknown, com.a.net, not builtin, 3 bytes
 	b := []byte{1, 1, 2, 0, 14} // TOOLS, unknown, com.b.net, not builtin, 7 bytes
-	cells := slices.Concat([]byte{2}, a, b)
+	ea := []byte{1, 0, 6}       // com.a.net, no verdict, 3 bytes
+	eb := []byte{2, 0, 14}      // com.b.net, no verdict, 7 bytes
+	cells := slices.Concat([]byte{2}, a, b, []byte{2}, ea, eb)
 	if !bytes.HasSuffix(body, cells) {
 		tb.Fatalf("the partial's body does not end with its cells % x", cells)
 	}
 	head := body[:len(body)-len(cells)]
-	rewrite := func(a, b []byte) seed {
-		return seed{codec.Seal("LSPART02", slices.Concat(head, []byte{2}, a, b)), rejected}
+	rewrite := func(a, b, ea, eb []byte) seed {
+		return seed{codec.Seal("LSPART03", slices.Concat(head, []byte{2}, a, b, []byte{2}, ea, eb)), rejected}
 	}
-	v01 := append([]byte("LSPART01"), enc[len("LSPART02"):]...)
-	return []seed{{enc, encoded}, {v01, rejected}, rewrite(b, a), rewrite(a, a), rewrite(a, []byte{1, 1, 3, 0, 14})}
+	v01 := append([]byte("LSPART01"), enc[len("LSPART03"):]...)
+	v02 := append([]byte("LSPART02"), enc[len("LSPART03"):]...)
+	return []seed{{enc, encoded}, {v01, rejected},
+		rewrite(b, a, ea, eb), rewrite(a, a, ea, eb), rewrite(a, []byte{1, 1, 3, 0, 14}, ea, eb),
+		rewrite(a, b, eb, ea), rewrite(a, b, ea, ea), rewrite(a, b, ea, []byte{3, 0, 14}), rewrite(a, b, ea, []byte{2, 0x10, 14}),
+		{v02, rejected}}
 }

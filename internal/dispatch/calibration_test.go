@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"libspector/internal/analysis"
-	"libspector/internal/analysis/analysistest"
 	"libspector/internal/attribution"
 	"libspector/internal/corpus"
 	"libspector/internal/dispatch"
@@ -15,8 +14,8 @@ import (
 	"libspector/internal/vtclient"
 )
 
-// buildFleet runs a fleet end-to-end and returns the analysis dataset.
-func buildFleet(t testing.TB, numApps int, seed uint64) *analysis.Dataset {
+// buildFleet runs a fleet end-to-end and returns the analysis aggregates.
+func buildFleet(t testing.TB, numApps int, seed uint64) *analysis.Aggregates {
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Seed = seed
@@ -35,21 +34,24 @@ func buildFleet(t testing.TB, numApps int, seed uint64) *analysis.Dataset {
 	if err != nil {
 		t.Fatalf("vtclient.NewService: %v", err)
 	}
-	_, runs, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
+	acc, err := analysis.NewAccumulator(vtSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dispatchtest.Run(world, world.Resolver, dispatch.Config{
 		Emulator:   emulator.DefaultOptions(seed),
 		BaseSeed:   seed,
 		Detector:   detector,
 		Attributor: attribution.NewAttributor(vtSvc),
-	})
-	if err != nil {
+	}, acc); err != nil {
 		t.Fatalf("fleet: %v", err)
 	}
 	detector.Finalize(2)
-	ds, err := analysistest.BuildDataset(runs, detector, vtSvc)
+	ag, err := acc.Finish(detector)
 	if err != nil {
-		t.Fatalf("building dataset: %v", err)
+		t.Fatalf("finishing aggregates: %v", err)
 	}
-	return ds
+	return ag
 }
 
 // within asserts that got lies in [lo, hi].
@@ -68,9 +70,9 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration fleet run skipped in -short mode")
 	}
-	ds := buildFleet(t, 150, 7)
+	ag := buildFleet(t, 150, 7)
 
-	totals := ds.ComputeTotals()
+	totals := ag.ComputeTotals()
 	if totals.DistinctApps < 130 {
 		t.Fatalf("only %d apps produced traffic", totals.DistinctApps)
 	}
@@ -87,7 +89,7 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 
 	// Figure 2 legend shares (paper: ads 28.28%, dev-aid 26.34%, unknown
 	// 25.3%, game engine 10.2%; ads must lead).
-	m := ds.Fig2CategoryTransfer()
+	m := ag.Fig2CategoryTransfer()
 	ads := m.LegendShare[corpus.LibAdvertisement]
 	devAid := m.LegendShare[corpus.LibDevelopmentAid]
 	unknown := m.LegendShare[corpus.LibUnknown]
@@ -103,14 +105,14 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 	within(t, "app-market share", m.LegendShare[corpus.LibAppMarket], 0, 0.01)
 
 	// Figure 5 ratio means (paper: apps 81×, libs 87×, domains 104×).
-	ratios := ds.Fig5FlowRatios()
+	ratios := ag.Fig5FlowRatios()
 	within(t, "app ratio mean", ratios[0].Mean, 40, 160)
 	within(t, "lib ratio mean", ratios[1].Mean, 40, 180)
 	within(t, "domain ratio mean", ratios[2].Mean, 30, 200)
 
 	// Figure 6 prevalence (paper: 35% AnT-only, 89% some AnT, ~10% free;
 	// AnT flow ratio at least ~1.5× the common libraries').
-	ant := ds.Fig6AnTShares()
+	ant := ag.Fig6AnTShares()
 	within(t, "AnT-only fraction", ant.FracAnTOnly, 0.25, 0.45)
 	within(t, "some-AnT fraction", ant.FracSomeAnT, 0.80, 0.97)
 	within(t, "AnT-free fraction", ant.FracAnTFree, 0.03, 0.20)
@@ -121,7 +123,7 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 
 	// Figure 7: CDN domains receive far more per domain than ad domains
 	// (paper: ~11×).
-	avgs := ds.Fig7Averages()
+	avgs := ag.Fig7Averages()
 	cdn := avgs.PerDomain[corpus.DomCDN]
 	adsDom := avgs.PerDomain[corpus.DomAdvertisements]
 	if cdn < 4*adsDom {
@@ -131,7 +133,7 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 	// Figure 9: no 1-to-1 category correlation — a large share of
 	// advertisement-library traffic lands on CDN and business domains
 	// (paper: ads→CDN ≈ 29% via 2098/8697 MB).
-	h := ds.Fig9Heatmap()
+	h := ag.Fig9Heatmap()
 	within(t, "ads→cdn share", h.ShareToDomain(corpus.LibAdvertisement, corpus.DomCDN), 0.12, 0.40)
 	adsToAds := h.ShareToDomain(corpus.LibAdvertisement, corpus.DomAdvertisements)
 	if adsToAds > 0.75 {
@@ -139,7 +141,7 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 	}
 
 	// Figure 10: coverage mean ≈ 9.5%.
-	cov := ds.Fig10Coverage()
+	cov := ag.Fig10Coverage()
 	within(t, "coverage mean %", cov.Mean, 6, 15)
 	if len(cov.Percents) != totals.DistinctApps {
 		// Every analyzed app contributes a coverage point; a handful of
@@ -150,7 +152,7 @@ func TestCalibrationAgainstPaper(t *testing.T) {
 	}
 
 	// Concentration (§IV-A): a minority of entities causes half the bytes.
-	half := ds.ComputeHalfTraffic()
+	half := ag.ComputeHalfTraffic()
 	if 2*half.Apps > totals.DistinctApps {
 		t.Errorf("half-traffic app count %d should be a minority of %d", half.Apps, totals.DistinctApps)
 	}

@@ -95,7 +95,7 @@ type RunEvent struct {
 }
 
 // Sink consumes stream events: live progress printers, incremental
-// aggregation (analysis.Accumulator, analysis.DatasetBuilder), the result
+// aggregation (analysis.Accumulator), the result
 // store's record sink. Sinks are invoked sequentially from the consuming
 // goroutine, in event order — a Sink may therefore use single-goroutine
 // state such as a symtab.Table without locking. A run's evidence is

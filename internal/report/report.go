@@ -384,22 +384,18 @@ func pow2(x float64) float64 {
 	return r * (1 + x) // linear residual, mirrors the band computation
 }
 
-// Inputs is everything the sections render from. Dataset holds the flow
-// records, nil when the run kept none (a sharded campaign).
+// Inputs is everything the sections render from.
 type Inputs struct {
 	Aggregates   *analysis.Aggregates
-	Dataset      *analysis.Dataset
 	DomainCounts map[corpus.DomainCategory]int // Table I's count column
 	TopN         int                           // depth of the Figure 3 rankings
 }
 
 // Section is one table or figure of the evaluation. Its ID is what
-// `libreport -figure` takes and names its block in EXPERIMENTS.md;
-// Records marks a section that reads Inputs.Dataset.
+// `libreport -figure` takes and names its block in EXPERIMENTS.md.
 type Section struct {
-	ID      string
-	Records bool
-	Render  func(Inputs) string
+	ID     string
+	Render func(Inputs) string
 }
 
 // Sections lists every section in the order a full report prints them.
@@ -424,9 +420,7 @@ var Sections = []Section{
 	{ID: "E2", Render: func(in Inputs) string {
 		return Energy(analysis.NewEnergyModel(), in.Aggregates.Fig7Averages().PerLibrary[corpus.LibAdvertisement])
 	}},
-	{ID: "E4", Records: true, Render: func(in Inputs) string {
-		return Baselines(baseline.CompareUA(in.Dataset), baseline.CompareHostname(in.Dataset), baseline.CompareContentType(in.Dataset))
-	}},
+	{ID: "E4", Render: func(in Inputs) string { return Baselines(in.Aggregates.Baselines()) }},
 	{ID: "paper", Render: func(in Inputs) string { return PaperComparison(in.Aggregates.CompareWithPaper()) }},
 }
 

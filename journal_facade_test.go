@@ -81,7 +81,7 @@ func TestExperimentJournalResume(t *testing.T) {
 	if err := base.Run(); err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := base.Dataset().ComputeTotals().TotalBytes()
+	wantBytes := base.Aggregates().ComputeTotals().TotalBytes()
 	wantAcct := base.Result().Accounting
 
 	exp, err := libspector.NewExperiment(cfg)
@@ -91,7 +91,7 @@ func TestExperimentJournalResume(t *testing.T) {
 	if err := exp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := exp.Dataset().ComputeTotals().TotalBytes(); got != wantBytes {
+	if got := exp.Aggregates().ComputeTotals().TotalBytes(); got != wantBytes {
 		t.Errorf("journaled run diverged from clean run: %d vs %d bytes", got, wantBytes)
 	}
 
@@ -120,7 +120,7 @@ func TestExperimentJournalResume(t *testing.T) {
 	if err := resumed.Run(); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if got := resumed.Dataset().ComputeTotals().TotalBytes(); got != wantBytes {
+	if got := resumed.Aggregates().ComputeTotals().TotalBytes(); got != wantBytes {
 		t.Errorf("resumed run diverged: %d vs %d bytes", got, wantBytes)
 	}
 	if got := resumed.Result().Accounting; got != wantAcct {

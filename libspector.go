@@ -17,8 +17,8 @@
 //	exp, err := libspector.NewExperiment(libspector.DefaultConfig())
 //	if err != nil { ... }
 //	if err := exp.Run(); err != nil { ... }
-//	ds := exp.Dataset()
-//	fmt.Println(ds.Fig2CategoryTransfer().LegendShare)
+//	ag := exp.Aggregates()
+//	fmt.Println(ag.Fig2CategoryTransfer().LegendShare)
 package libspector
 
 import (
@@ -169,7 +169,7 @@ func DefaultConfig() Config {
 
 // Experiment owns one end-to-end measurement: the synthetic world, the
 // LibRadar detector, the VirusTotal-style domain service, the fleet
-// results, and the analysis dataset.
+// results, and the analysis aggregates.
 type Experiment struct {
 	cfg  Config
 	apps int // effective corpus size after defaulting
@@ -180,7 +180,6 @@ type Experiment struct {
 	attributor *attribution.Attributor
 
 	result     *dispatch.Result
-	dataset    *analysis.Dataset
 	aggregates *analysis.Aggregates
 }
 
@@ -367,9 +366,8 @@ type fleetSpec struct {
 // corpus or one shard of it, fresh or resumed — attaches its artifact
 // store and journal, streams the range through dispatch.Stream, drains
 // the events into the sinks, and closes the journal. fold is the
-// fleet's analysis fold — the record-retaining analysis.DatasetBuilder a
-// whole-corpus run finishes into a Dataset, or the sealable
-// analysis.Accumulator a shard ships to its coordinator — and the first
+// fleet's analysis.Accumulator — finished by a whole-corpus run, sealed
+// by a shard for its coordinator — and the first
 // sink: every completed run folds into it exactly once, on the draining
 // goroutine, under an analysis.fold span, and a fold error surfaces as
 // a sink error. records is the flattened attribution record set when the
@@ -452,29 +450,27 @@ func runFleet(ctx context.Context, e *Experiment, spec fleetSpec, fold dispatch.
 	return res, records, err
 }
 
-// Run executes the fleet over the whole corpus and builds the analysis
-// dataset. It is not safe to call concurrently with itself.
+// Run executes the fleet over the whole corpus and folds the analysis
+// aggregates. It is not safe to call concurrently with itself.
 func (e *Experiment) Run() error {
 	return e.RunContext(context.Background())
 }
 
 // RunContext executes the fleet as a streaming pipeline under the given
-// context, folding results through one analysis.DatasetBuilder as they
-// are drained and forwarding every stream event to the optional sinks
-// (live progress, custom persistence). One pass builds both the record
-// set and the figure aggregates, and no run outlives its fold: the
-// experiment retains records and aggregates, never RunResults.
+// context, folding results through one analysis.Accumulator as they are
+// drained and forwarding every stream event to the optional sinks (live
+// progress, custom persistence, per-flow tables of one's own). No run
+// outlives its fold: the experiment retains aggregates, never RunResults.
 // Cancelling ctx stops the fleet within one in-flight app per worker;
 // every run that completed, in-flight ones included, still reaches the
-// fold and the sinks, so Result, Dataset, and Aggregates hold the same
-// partial view alongside the returned error.
+// fold and the sinks, so Result and Aggregates hold the same partial view
+// alongside the returned error.
 func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) error {
-	builder, err := analysis.NewDatasetBuilder(e.domains)
+	acc, err := analysis.NewAccumulator(e.domains)
 	if err != nil {
 		return fmt.Errorf("libspector: %w", err)
 	}
-	// The whole-corpus run is the shard whose range is the corpus, plus
-	// what only it needs: a record-retaining fold.
+	// The whole-corpus run is the shard whose range is the corpus.
 	res, records, runErr := runFleet(ctx, e, fleetSpec{
 		index:       -1,
 		workers:     e.resolvedWorkers(),
@@ -483,7 +479,7 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 		artifactDir: e.cfg.ArtifactDir,
 		journal:     e.cfg.Journal,
 		resume:      e.cfg.Resume,
-	}, builder, sinks...)
+	}, acc, sinks...)
 	if res == nil {
 		return runErr
 	}
@@ -492,12 +488,11 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 	// Even after a cancellation or failure, resolve what did complete so
 	// callers can report partial aggregates.
 	e.detector.Finalize(2)
-	ds, err := builder.Finish(e.detector)
+	ag, err := acc.Finish(e.detector)
 	if err != nil {
-		return fmt.Errorf("libspector: building dataset: %w", err)
+		return fmt.Errorf("libspector: finishing aggregates: %w", err)
 	}
-	e.dataset = ds
-	e.aggregates = ds.Aggregates()
+	e.aggregates = ag
 	if runErr != nil {
 		return fmt.Errorf("libspector: fleet run: %w", runErr)
 	}
@@ -521,12 +516,16 @@ func (e *Experiment) RunContext(ctx context.Context, sinks ...dispatch.Sink) err
 // Result returns the raw fleet result (nil before Run).
 func (e *Experiment) Result() *dispatch.Result { return e.result }
 
-// Dataset returns the analysis dataset (nil before Run).
-func (e *Experiment) Dataset() *analysis.Dataset { return e.dataset }
+// Dataset returns the aggregates under the name the nested benchmark
+// module still uses.
+//
+// Deprecated: use Aggregates. It goes with benchmark/staged.go (ROADMAP
+// item 2(a)).
+func (e *Experiment) Dataset() *analysis.Dataset { return e.aggregates }
 
 // Aggregates returns the incrementally-folded analysis aggregates (nil
-// before Run). On a clean run they match Dataset's figures byte-for-byte;
-// after a cancellation they cover the completed prefix of the fleet.
+// before Run). After a cancellation they cover the completed prefix of
+// the fleet.
 func (e *Experiment) Aggregates() *analysis.Aggregates { return e.aggregates }
 
 // RunSingleApp exercises one app of the corpus as a one-app, one-worker

@@ -27,24 +27,24 @@ func TestExperimentEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exp.Dataset() != nil || exp.Result() != nil {
-		t.Error("dataset/result should be nil before Run")
+	if exp.Aggregates() != nil || exp.Result() != nil {
+		t.Error("aggregates/result should be nil before Run")
 	}
 	if err := exp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ds := exp.Dataset()
-	if ds == nil {
-		t.Fatal("nil dataset after Run")
+	ag := exp.Aggregates()
+	if ag == nil {
+		t.Fatal("nil aggregates after Run")
 	}
-	totals := ds.ComputeTotals()
+	totals := ag.ComputeTotals()
 	if totals.Flows == 0 || totals.DistinctApps == 0 {
 		t.Errorf("empty totals: %+v", totals)
 	}
 	if totals.BytesReceived <= totals.BytesSent {
 		t.Error("received should dominate sent")
 	}
-	m := ds.Fig2CategoryTransfer()
+	m := ag.Fig2CategoryTransfer()
 	if m.Total == 0 {
 		t.Error("Fig2 empty")
 	}
@@ -136,7 +136,7 @@ func TestExperimentWithAllOptions(t *testing.T) {
 
 // TestExperimentRunContextCancelled cancels a fleet mid-run through a sink
 // and checks the facade surfaces the cancellation while still exposing the
-// partial Result, Dataset, and Aggregates over the completed prefix.
+// partial Result and Aggregates over the completed prefix.
 func TestExperimentRunContextCancelled(t *testing.T) {
 	const apps = 40
 	cfg := smallConfig(59, apps)
@@ -156,19 +156,15 @@ func TestExperimentRunContextCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext error = %v, want context.Canceled", err)
 	}
-	res, ds, ag := exp.Result(), exp.Dataset(), exp.Aggregates()
-	if res == nil || ds == nil || ag == nil {
-		t.Fatal("cancelled run must still expose partial result/dataset/aggregates")
+	res, ag := exp.Result(), exp.Aggregates()
+	if res == nil || ag == nil {
+		t.Fatal("cancelled run must still expose partial result/aggregates")
 	}
 	if done := res.Accounting.Completed + res.Accounting.SkippedARMOnly; done >= apps {
 		t.Errorf("cancellation did not stop the fleet: %d of %d apps visited", done, apps)
 	}
 	if ag.Runs != res.Accounting.Completed {
 		t.Errorf("aggregates folded %d runs, ledger counts %d", ag.Runs, res.Accounting.Completed)
-	}
-	// The partial aggregates still agree with the batch view of the prefix.
-	if got, want := ag.ComputeTotals(), ds.ComputeTotals(); got != want {
-		t.Errorf("partial totals diverge: streaming %+v, batch %+v", got, want)
 	}
 }
 
@@ -213,7 +209,7 @@ func TestRunContextSlowSinkAfterCancel(t *testing.T) {
 }
 
 // TestExperimentRetainedHeapIndependentOfRuns: a finished Experiment keeps
-// its Dataset's records and aggregates, never the RunResults that produced
+// its aggregates, never the RunResults that produced
 // them, so its retained heap grows by at most 16 KiB per app from 64 to
 // 256 apps. Keeping every run (flows and payload snippets) costs about
 // 60 KiB per app.
@@ -253,9 +249,9 @@ func TestExperimentRetainedHeapIndependentOfRuns(t *testing.T) {
 	}
 }
 
-// TestExperimentAggregatesMatchDataset checks the facade-level contract
-// that Aggregates reproduces Dataset's serialized summary byte-for-byte on
-// a clean run.
+// TestExperimentAggregatesMatchDataset checks that Dataset, the name the
+// nested benchmark module hashes its figures through, serializes the same
+// summary as Aggregates on a clean run.
 func TestExperimentAggregatesMatchDataset(t *testing.T) {
 	exp, err := libspector.NewExperiment(smallConfig(57, 16))
 	if err != nil {
@@ -272,7 +268,7 @@ func TestExperimentAggregatesMatchDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(batch.Bytes(), stream.Bytes()) {
-		t.Error("facade summaries diverge between batch and streaming paths")
+		t.Error("facade summaries diverge between Dataset and Aggregates")
 	}
 }
 
@@ -295,21 +291,21 @@ func TestLargeScaleFleet(t *testing.T) {
 	if err := exp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ds := exp.Dataset()
-	totals := ds.ComputeTotals()
+	ag := exp.Aggregates()
+	totals := ag.ComputeTotals()
 	if totals.DistinctApps < 900 {
 		t.Fatalf("only %d of 1000 apps produced traffic", totals.DistinctApps)
 	}
-	m := ds.Fig2CategoryTransfer()
+	m := ag.Fig2CategoryTransfer()
 	ads := m.LegendShare[corpus.LibAdvertisement]
 	if ads < 0.20 || ads > 0.36 {
 		t.Errorf("ads share at scale = %.3f, want ~0.28", ads)
 	}
-	ant := ds.Fig6AnTShares()
+	ant := ag.Fig6AnTShares()
 	if ant.FracAnTOnly < 0.28 || ant.FracAnTOnly > 0.42 {
 		t.Errorf("AnT-only at scale = %.3f, want ~0.35", ant.FracAnTOnly)
 	}
-	cov := ds.Fig10Coverage()
+	cov := ag.Fig10Coverage()
 	if cov.Mean < 6 || cov.Mean > 15 {
 		t.Errorf("coverage mean at scale = %.2f, want ~9.5", cov.Mean)
 	}
@@ -359,7 +355,7 @@ func TestExperimentWithFaultInjection(t *testing.T) {
 	if got, want := acct.Completed, clean.Result().Accounting.Completed; got != want {
 		t.Fatalf("faulted fleet completed %d runs, clean %d", got, want)
 	}
-	a, b := clean.Dataset().ComputeTotals(), exp.Dataset().ComputeTotals()
+	a, b := clean.Aggregates().ComputeTotals(), exp.Aggregates().ComputeTotals()
 	if a != b {
 		t.Errorf("faulted totals differ from clean run:\n%+v\n%+v", a, b)
 	}

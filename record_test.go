@@ -200,8 +200,8 @@ func referenceRecord(t *testing.T) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := exp.Dataset()
-	in := report.Inputs{Aggregates: exp.Aggregates(), Dataset: ds, DomainCounts: exp.TableICounts(), TopN: 15}
+	ag := exp.Aggregates()
+	in := report.Inputs{Aggregates: ag, DomainCounts: exp.TableICounts(), TopN: 15}
 	record := make(map[string]string)
 	for _, s := range report.Sections {
 		record[s.ID] = s.Render(in)
@@ -209,7 +209,7 @@ func referenceRecord(t *testing.T) map[string]string {
 	acct := exp.Result().Accounting
 	record["campaign"] = fmt.Sprintf("%d apps, %d monkey events each: %d runs analyzed, %d ARM-only apps skipped, %d failed\n"+
 		"%d flows joined to a supervisor report, %d without one\n",
-		cfg.Apps, cfg.MonkeyEvents, acct.Completed, acct.SkippedARMOnly, acct.Failed, len(reports), ds.UnattributedFlows)
+		cfg.Apps, cfg.MonkeyEvents, acct.Completed, acct.SkippedARMOnly, acct.Failed, len(reports), ag.UnattributedFlows)
 
 	// The attribution ablations over the reference campaign's reports:
 	// the share of sockets for which counts holds, given the origin and
@@ -240,15 +240,15 @@ func referenceRecord(t *testing.T) map[string]string {
 		"sockets whose origin changes under top-of-stack attribution: %s\n",
 		len(reports), share(top, func(origin, paper string, _ bool) bool { return origin != paper }))
 
-	origins := make(map[string]bool)
-	for i := range ds.Records {
-		if r := &ds.Records[i]; !r.Builtin() {
-			origins[ds.Origin(r)] = true
+	var origins []string
+	for _, r := range ag.Fig3TopOrigins(0) {
+		if !r.Builtin {
+			origins = append(origins, r.Name)
 		}
 	}
 	unknown := func(det *libradar.Detector) string {
 		n := 0
-		for origin := range origins {
+		for _, origin := range origins {
 			if det.Categorize(origin) == corpus.LibUnknown {
 				n++
 			}

@@ -9,8 +9,8 @@
 #      (so the first invocation MUST die), then re-runs with -resume
 #      until the coordinator WAL replays to completion,
 #
-# and demands the merged event log of the survivor, and every stored run
-# file, be byte-identical to the baseline's. This is the invariance bar from DESIGN.md: crashes,
+# and demands the merged event log of the survivor, its report sections,
+# and every stored run file, be byte-identical to the baseline's. This is the invariance bar from DESIGN.md: crashes,
 # takeovers, and WAL replay may change how the campaign executes, never
 # what it produces. Every shard child serves /healthz and /debug/vars on
 # 127.0.0.1:(PROBE_PORT+i) for the parent's liveness probes and stall
@@ -84,6 +84,16 @@ if ! cmp "$work/base-events.jsonl" "$work/chaos-events.jsonl"; then
     echo "chaos-smoke: FAIL — merged event log differs from single-process baseline" >&2
     exit 1
 fi
+# The report sections, stdout from the totals section to the end (less
+# the line naming the events file), every one folded from the merged
+# shard aggregates.
+sections() { sed -n '/^== Dataset totals/,$p' "$1" | grep -v '^Wrote '; }
+if ! grep -q "^== Network-only baselines" "$work/base.log" ||
+    ! cmp <(sections "$work/base.log") <(sections "$work/resume$i.log"); then
+    echo "chaos-smoke: FAIL — report sections differ from single-process baseline" >&2
+    diff <(sections "$work/base.log") <(sections "$work/resume$i.log") | head -20 >&2
+    exit 1
+fi
 
 # The coordinator WAL must replay cleanly and record at least one
 # takeover (the schedule killed shard children) and exactly one done.
@@ -133,4 +143,4 @@ if ! "$work/libspector" audit -artifacts "$work/chaos-art" >"$work/audit.txt" 2>
     exit 1
 fi
 
-echo "chaos-smoke: OK — events and $runs run files byte-identical, store audited clean, under $CHAOS_KILL shard kills + coordinator kill ($takeovers takeovers, WAL clean)"
+echo "chaos-smoke: OK — events, report sections and $runs run files byte-identical, store audited clean, under $CHAOS_KILL shard kills + coordinator kill ($takeovers takeovers, WAL clean)"
