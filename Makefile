@@ -70,8 +70,7 @@ loc:
 # and apks included, one table row each, the readers of the last four held
 # to an allocation ceiling proportional to their input, every single-bit
 # flip of an accepted run file rejected, and the SDEX and apk
-# checkers held to their decoders' verdicts, and the pcap row's in-place
-# and streaming readers to each other's), the pcap packet decoder, and
+# checkers held to their decoders' verdicts), the pcap packet decoder, and
 # the HTTP head parsers, held to their bufio.Scanner references — the
 # last two read traffic rather than a format of ours. A short
 # minimize budget keeps the harness exploring instead of shrinking each

@@ -11,7 +11,6 @@
 package libspector_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -31,6 +30,7 @@ import (
 	"libspector/internal/libradar"
 	"libspector/internal/nets"
 	"libspector/internal/obs"
+	"libspector/internal/pcap"
 	"libspector/internal/resultstore"
 	"libspector/internal/synth"
 	"libspector/internal/vtclient"
@@ -122,7 +122,7 @@ func BenchmarkOfflineAnalysisPerApp(b *testing.B) {
 			AppSHA:        app.SHA256,
 			AppPackage:    app.APK.Manifest.Package,
 			AppCategory:   app.APK.Manifest.Category,
-			Capture:       bytes.NewReader(arts.CaptureBytes),
+			Capture:       pcap.InPlace(arts.CaptureBytes),
 			Reports:       reports,
 			Trace:         arts.Trace,
 			Disassembly:   disasm,

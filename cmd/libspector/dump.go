@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -19,7 +18,8 @@ import (
 // produced by this repository: it prints the packets, reconstructed flows,
 // and DNS resolutions of a pcap file, or of the capture inside a run file
 // an artifact directory holds (-artifacts), which it recognises by its
-// magic and verifies whole before reading.
+// magic and verifies whole before reading. It reads the file once and
+// walks the capture in place.
 func runDump(args []string) error {
 	fs := flag.NewFlagSet("libspector dump", flag.ContinueOnError)
 	var (
@@ -33,47 +33,41 @@ func runDump(args []string) error {
 	if *path == "" {
 		return fmt.Errorf("-pcap is required")
 	}
-	f, err := os.Open(*path)
+	capture, err := os.ReadFile(*path)
 	if err != nil {
-		return fmt.Errorf("opening capture: %w", err)
+		return fmt.Errorf("reading capture: %w", err)
 	}
-	defer func() { _ = f.Close() }()
-	br := bufio.NewReader(f)
-	var src io.Reader = br
 	// A file too short to hold the magic is no run file; the pcap reader
 	// reports it.
-	if head, _ := br.Peek(len(dispatch.EvidenceMagic)); string(head) == dispatch.EvidenceMagic {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return fmt.Errorf("reading run file: %w", err)
-		}
-		run, err := dispatch.DecodeEvidence(data)
+	if bytes.HasPrefix(capture, []byte(dispatch.EvidenceMagic)) {
+		run, err := dispatch.DecodeEvidence(capture)
 		if err != nil {
 			return err
 		}
-		src = bytes.NewReader(run.Capture)
+		capture = run.Capture
 	}
 
 	switch *mode {
 	case "packets":
-		return dumpPackets(src, *max)
+		return dumpPackets(capture, *max)
 	case "dns":
-		return dumpDNS(src, *max)
+		return dumpDNS(capture, *max)
 	case "flows":
-		return dumpFlows(src, *max)
+		return dumpFlows(capture, *max)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 }
 
-func dumpPackets(f io.Reader, max int) error {
-	r, err := pcap.NewReader(f)
+func dumpPackets(capture []byte, max int) error {
+	r, err := pcap.NewReader(pcap.InPlace(capture))
 	if err != nil {
 		return err
 	}
 	count := 0
+	var p pcap.Packet
 	for {
-		p, err := r.Next()
+		err := r.Next(&p)
 		if err == io.EOF {
 			break
 		}
@@ -107,14 +101,15 @@ func dumpPackets(f io.Reader, max int) error {
 	return nil
 }
 
-func dumpDNS(f io.Reader, max int) error {
-	r, err := pcap.NewReader(f)
+func dumpDNS(capture []byte, max int) error {
+	r, err := pcap.NewReader(pcap.InPlace(capture))
 	if err != nil {
 		return err
 	}
 	count := 0
+	var p pcap.Packet
 	for {
-		p, err := r.Next()
+		err := r.Next(&p)
 		if err == io.EOF {
 			break
 		}
@@ -147,8 +142,8 @@ func dumpDNS(f io.Reader, max int) error {
 	return nil
 }
 
-func dumpFlows(f io.Reader, max int) error {
-	sum, err := attribution.ParseCapture(f,
+func dumpFlows(capture []byte, max int) error {
+	sum, err := attribution.ParseCapture(pcap.InPlace(capture),
 		nets.DefaultLocalAddr, nets.DefaultCollectorAddr, nets.DefaultCollectorPort)
 	if err != nil {
 		return err

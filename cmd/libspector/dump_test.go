@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -115,6 +117,29 @@ func TestDumpValidation(t *testing.T) {
 	path := writeTestCapture(t)
 	if err := run(ctx, []string{"dump", "-pcap", path, "-mode", "bogus"}); err == nil {
 		t.Error("unknown mode should fail")
+	}
+}
+
+// A raw pcap torn inside a record fails in every mode with the reader's
+// error.
+func TestDumpTornCapture(t *testing.T) {
+	path := writeTestCapture(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every record holds at least an IPv4 header, so five bytes short of
+	// the end is inside the last record's packet data.
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"flows", "packets", "dns"} {
+		_, err := captureStdout(func() error {
+			return run(context.Background(), []string{"dump", "-pcap", path, "-mode", mode})
+		})
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(fmt.Sprint(err), "pcap: reading packet data: unexpected EOF") {
+			t.Errorf("mode %s: %v, want the reader's torn-record error", mode, err)
+		}
 	}
 }
 

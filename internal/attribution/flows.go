@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"time"
 
 	"libspector/internal/pcap"
 	"libspector/internal/xposed"
@@ -41,17 +40,12 @@ type Flow struct {
 	// FirstServerPayload is the first data the server sent (truncated),
 	// carrying the response status line and Content-Type.
 	FirstServerPayload []byte
-	// FirstSeen / LastSeen are capture timestamps.
-	FirstSeen time.Time
-	LastSeen  time.Time
 
-	// UserAgent and HTTPHost are what a purely network-focused analysis
-	// can read out of the flow's first request ("" when the payload is
-	// not parseable HTTP, e.g. TLS); ContentType is the response MIME
-	// type. AnalyzeRun extracts them once from the stored payload
-	// snippets.
+	// UserAgent is what a purely network-focused analysis can read out
+	// of the flow's first request ("" when the payload is not parseable
+	// HTTP, e.g. TLS); ContentType is the response MIME type. AnalyzeRun
+	// extracts them once from the stored payload snippets.
 	UserAgent   string
-	HTTPHost    string
 	ContentType string
 
 	// Report is the matched Socket Supervisor report (nil if the join
@@ -106,11 +100,12 @@ func (c *CaptureSummary) FlowByTuple(t pcap.FourTuple) (*Flow, bool) {
 	return f, ok
 }
 
-// ParseCapture reads a pcap stream and reconstructs flows, DNS
+// ParseCapture reads a pcap capture and reconstructs flows, DNS
 // associations, and traffic counters. localAddr identifies the emulated
 // device; collectorAddr/collectorPort identify supervisor report traffic
-// to exclude. Handed a pcap.InPlace view, it reads the capture in place;
-// the summary never aliases the capture's bytes either way.
+// to exclude. The capture is read through pcap.NewReader, so a
+// pcap.InPlace view is read without a copy; the summary never aliases
+// the capture's bytes.
 func ParseCapture(r io.Reader, localAddr netip.Addr, collectorAddr netip.Addr, collectorPort uint16) (*CaptureSummary, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
@@ -121,23 +116,16 @@ func ParseCapture(r io.Reader, localAddr netip.Addr, collectorAddr netip.Addr, c
 		ResolvedDomains: make(map[netip.Addr]string),
 	}
 	// Zero-copy decode: one packet and one segment struct are reused for
-	// the whole capture, and the segment payload lazily aliases the
-	// packet's bytes — the capture itself when reading in place, else one
-	// pooled buffer. Everything retained past an iteration (payload
-	// snippets, DNS names) is copied by the consume paths, so neither the
-	// buffer reuse nor the capture is visible outside this loop. A packet
-	// read in place has no buffer of its own to pool, and must not be
-	// released into the pool.
-	var pkt *pcap.Packet
-	if pr.InPlace() {
-		pkt = new(pcap.Packet)
-	} else {
-		pkt = pcap.AcquirePacket()
-		defer pcap.ReleasePacket(pkt)
-	}
-	var seg pcap.Segment
+	// the whole capture, and both alias the capture's bytes. Everything
+	// retained past an iteration (payload snippets, DNS names) is copied
+	// by the consume paths, so the capture is not visible outside this
+	// loop.
+	var (
+		pkt pcap.Packet
+		seg pcap.Segment
+	)
 	for {
-		err := pr.NextInto(pkt)
+		err := pr.Next(&pkt)
 		if err == io.EOF {
 			break
 		}
@@ -153,7 +141,7 @@ func ParseCapture(r io.Reader, localAddr netip.Addr, collectorAddr netip.Addr, c
 				return nil, err
 			}
 		case pcap.ProtoTCP:
-			sum.consumeTCP(seg, pkt.Timestamp, localAddr)
+			sum.consumeTCP(seg, localAddr)
 		}
 	}
 	// Associate flows with domains after the full capture is processed,
@@ -191,7 +179,7 @@ func (c *CaptureSummary) consumeUDP(seg pcap.Segment, collectorAddr netip.Addr, 
 	return nil
 }
 
-func (c *CaptureSummary) consumeTCP(seg pcap.Segment, ts time.Time, localAddr netip.Addr) {
+func (c *CaptureSummary) consumeTCP(seg pcap.Segment, localAddr netip.Addr) {
 	c.TCPWireBytes += int64(seg.WireLen)
 	outbound := seg.Tuple.SrcIP == localAddr
 	appTuple := seg.Tuple
@@ -202,13 +190,12 @@ func (c *CaptureSummary) consumeTCP(seg pcap.Segment, ts time.Time, localAddr ne
 	if f == nil || f.Tuple != appTuple {
 		var ok bool
 		if f, ok = c.flowByTuple[appTuple]; !ok {
-			f = &Flow{Tuple: appTuple, FirstSeen: ts}
+			f = &Flow{Tuple: appTuple}
 			c.flowByTuple[appTuple] = f
 			c.Flows = append(c.Flows, f)
 		}
 		c.last = f
 	}
-	f.LastSeen = ts
 	if outbound {
 		f.BytesSent += int64(seg.WireLen)
 		f.PacketsSent++

@@ -90,7 +90,6 @@ func (a *Attributor) AnalyzeRun(in RunInput) (*RunResult, error) {
 		if len(f.FirstClientPayload) > 0 {
 			if info, err := nets.ParseHTTPRequest(f.FirstClientPayload); err == nil {
 				f.UserAgent = info.UserAgent
-				f.HTTPHost = info.Host
 			}
 		}
 		if len(f.FirstServerPayload) > 0 {

@@ -162,7 +162,7 @@ func datagrams(t *testing.T, capture []byte) int {
 	n := 0
 	var p pcap.Packet
 	var seg pcap.Segment
-	for r.NextInto(&p) == nil {
+	for r.Next(&p) == nil {
 		if err := pcap.DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 			t.Fatal(err)
 		}

@@ -100,8 +100,9 @@ func parseCapture(t *testing.T, s *Stack) []pcap.Segment {
 		t.Fatal(err)
 	}
 	var segs []pcap.Segment
+	var p pcap.Packet
 	for {
-		p, err := r.Next()
+		err := r.Next(&p)
 		if err == io.EOF {
 			break
 		}

@@ -1,7 +1,7 @@
 package nets
 
 import (
-	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -38,16 +38,20 @@ func TestConnAccountingProperty(t *testing.T) {
 		if err := conn.Close(); err != nil {
 			return false
 		}
-		r, err := pcap.NewReader(bytes.NewReader(s.capture.Bytes()))
-		if err != nil {
-			return false
-		}
-		pkts, err := r.ReadAll()
+		r, err := pcap.NewReader(pcap.InPlace(s.capture.Bytes()))
 		if err != nil {
 			return false
 		}
 		var in, out, inKept, outKept int64
-		for _, p := range pkts {
+		var p pcap.Packet
+		for {
+			err := r.Next(&p)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return false
+			}
 			var seg pcap.Segment
 			if err := pcap.DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 				return false

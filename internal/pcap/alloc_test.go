@@ -1,17 +1,14 @@
 package pcap
 
 import (
-	"bytes"
-	"io"
 	"math/bits"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// encodeAllocCapture renders n equally-sized TCP packets so a reused
-// Packet's Data buffer reaches steady state after the first record; with
-// snap set, each record keeps only its packet's headers.
+// encodeAllocCapture renders n equally-sized TCP packets; with snap set,
+// each record keeps only its packet's headers.
 func encodeAllocCapture(t *testing.T, n int, snap bool) []byte {
 	t.Helper()
 	w := NewWriter(nil)
@@ -34,29 +31,20 @@ func encodeAllocCapture(t *testing.T, n int, snap bool) []byte {
 }
 
 // decodeAllocsPerRun measures the allocations of one full pass over a
-// capture through the hot path: NextInto into a Packet acquired once,
-// DecodeSegmentInto into a reused Segment. src wraps the capture: a
-// bytes.Reader streams it, a View is read in place.
-func decodeAllocsPerRun(t *testing.T, capture []byte, src func([]byte) io.Reader) float64 {
+// capture through the hot path: Next over a View, DecodeSegmentInto into
+// a reused Segment.
+func decodeAllocsPerRun(t *testing.T, capture []byte) float64 {
 	t.Helper()
-	pkt := AcquirePacket()
-	defer ReleasePacket(pkt)
-	var seg Segment
+	var (
+		p   Packet
+		seg Segment
+	)
 	return testing.AllocsPerRun(50, func() {
-		pr, err := NewReader(src(capture))
+		pr, err := NewReader(InPlace(capture))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := pkt
-		if pr.InPlace() {
-			// A packet read in place aliases the capture; it must not go
-			// back to the pool.
-			p = &Packet{}
-		}
-		for {
-			if err := pr.NextInto(p); err != nil {
-				break
-			}
+		for pr.Next(&p) == nil {
 			if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
 				t.Fatal(err)
 			}
@@ -64,27 +52,20 @@ func decodeAllocsPerRun(t *testing.T, capture []byte, src func([]byte) io.Reader
 	})
 }
 
-// The zero-copy decode contract, streaming and in place, over whole and
-// snapped records: once a streamed Packet's buffer is warm, reading and
-// decoding a packet allocates nothing — all allocations of a pass are
-// reader setup, independent of packet count. In place there is no buffer
-// to warm.
+// The zero-copy decode contract, read in place over whole and snapped
+// records: reading and decoding a packet allocates nothing — all
+// allocations of a pass are reader setup, independent of packet count.
 func TestDecodeAllocsPerPacketIsZero(t *testing.T) {
-	for name, src := range map[string]func([]byte) io.Reader{
-		"streaming": func(b []byte) io.Reader { return bytes.NewReader(b) },
-		"in place":  func(b []byte) io.Reader { return InPlace(b) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			for _, snap := range []bool{false, true} {
-				small := decodeAllocsPerRun(t, encodeAllocCapture(t, 1, snap), src)
-				large := decodeAllocsPerRun(t, encodeAllocCapture(t, 129, snap), src)
-				perPacket := (large - small) / 128
-				if perPacket > 0.01 {
-					t.Fatalf("snapped %v: decode allocates %.3f allocs/packet (runs: %0.f vs %0.f), want 0", snap, perPacket, small, large)
-				}
+	t.Run("in place", func(t *testing.T) {
+		for _, snap := range []bool{false, true} {
+			small := decodeAllocsPerRun(t, encodeAllocCapture(t, 1, snap))
+			large := decodeAllocsPerRun(t, encodeAllocCapture(t, 129, snap))
+			perPacket := (large - small) / 128
+			if perPacket > 0.01 {
+				t.Fatalf("snapped %v: decode allocates %.3f allocs/packet (runs: %0.f vs %0.f), want 0", snap, perPacket, small, large)
 			}
-		})
-	}
+		}
+	})
 }
 
 // The writer half of the same contract: once the global header is out,

@@ -1,7 +1,6 @@
 package pcap
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -39,38 +38,6 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		if snapped > 0 && seg.Protocol != ProtoTCP {
 			t.Fatalf("accepted a short record of protocol %d", seg.Protocol)
-		}
-		// Pool-recycle discipline: decode into a pooled packet's buffer,
-		// copy the lazily-aliased payload (the ownership contract), then
-		// recycle the packet, overwrite the recycled buffer as the next
-		// capture would, and decode again. The copy taken before the
-		// recycle must survive byte-for-byte — anything else means the
-		// copy still aliased pool-owned memory.
-		pkt := AcquirePacket()
-		pkt.Data = append(pkt.Data[:0], data...)
-		var first Segment
-		if err := DecodeSegmentInto(&first, pkt.Data, origLen); err != nil {
-			t.Fatalf("decode into a pooled buffer rejected accepted input: %v", err)
-		}
-		payloadCopy := append([]byte(nil), first.Payload...)
-		ReleasePacket(pkt)
-
-		again := AcquirePacket()
-		again.Data = append(again.Data[:0], data...)
-		for i := range again.Data {
-			again.Data[i] ^= 0xff
-		}
-		var second Segment
-		// Re-decode over the mutated recycled buffer may accept or
-		// reject; it must not panic and must not disturb the copy.
-		_ = DecodeSegmentInto(&second, again.Data, origLen)
-		ReleasePacket(again)
-
-		if err := DecodeSegmentInto(&seg, data, origLen); err != nil {
-			t.Fatalf("re-decode of accepted input failed: %v", err)
-		}
-		if !bytes.Equal(seg.Payload, payloadCopy) {
-			t.Fatalf("payload copied before recycle diverged from a fresh decode")
 		}
 	})
 }

@@ -268,9 +268,8 @@ func DecodeSegment(data []byte) (Segment, error) {
 // bytes into a reused Segment, overwriting its previous contents without
 // allocating. data is the whole packet, or a snapped TCP segment's IPv4
 // and TCP headers, as the Reader accepts them (Packet.OrigLen). Like
-// DecodeSegment, the payload lazily aliases data; with a pooled packet
-// buffer that means the segment must be consumed before the buffer's
-// next NextInto fill. On error seg is zeroed.
+// DecodeSegment, the payload lazily aliases data — for a Reader's
+// packet, the capture itself. On error seg is zeroed.
 func DecodeSegmentInto(seg *Segment, data []byte, origLen int) error {
 	*seg = Segment{}
 	if len(data) > origLen {

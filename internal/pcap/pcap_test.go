@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net/netip"
 	"runtime"
@@ -37,14 +36,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := NewReader(bytes.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readAll(t, bytes.NewReader(w.Bytes()))
 	if len(got) != len(packets) {
 		t.Fatalf("read %d packets, want %d", len(got), len(packets))
 	}
@@ -59,8 +51,30 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// readAll reads every packet of src.
+func readAll(t *testing.T, src io.Reader) []Packet {
+	t.Helper()
+	r, err := NewReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Packet
+	for {
+		var p Packet
+		err := r.Next(&p)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+}
+
 // Read as a plain io.Reader, a View yields its bytes like bytes.Reader;
-// handed to NewReader it is consumed whole, read in place.
+// handed to NewReader it is consumed whole, and the packets alias it. Any
+// other source is read into a buffer of the reader's own.
 func TestViewReadsLikeBytesReader(t *testing.T) {
 	capture := encodeAllocCapture(t, 3, false)
 	got, err := io.ReadAll(InPlace(capture))
@@ -68,18 +82,16 @@ func TestViewReadsLikeBytesReader(t *testing.T) {
 		t.Fatalf("io.ReadAll(InPlace) = %d bytes, %v; want the %d-byte capture", len(got), err, len(capture))
 	}
 	v := InPlace(capture)
-	r, err := NewReader(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.InPlace() {
-		t.Fatal("a View is not read in place")
-	}
+	first := readAll(t, v)[0]
 	if n, err := v.Read(make([]byte, 1)); n != 0 || err != io.EOF {
 		t.Fatalf("the view still yields %d bytes (%v) after NewReader took it", n, err)
 	}
-	if r, err := NewReader(bytes.NewReader(capture)); err != nil || r.InPlace() {
-		t.Fatalf("a bytes.Reader is read in place (err %v)", err)
+	inCapture := func(p Packet) bool { return &p.Data[0] == &capture[globalHeaderLen+recordHeaderLen] }
+	if !inCapture(first) {
+		t.Fatal("a packet read from a View does not alias the capture")
+	}
+	if inCapture(readAll(t, bytes.NewReader(capture))[0]) {
+		t.Fatal("a packet read from a bytes.Reader aliases the caller's capture")
 	}
 }
 
@@ -88,8 +100,8 @@ func TestEmptyCaptureIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("empty capture Next() = %v, want EOF", err)
+	if err := r.Next(&Packet{}); err != io.EOF {
+		t.Errorf("empty capture Next = %v, want EOF", err)
 	}
 }
 
@@ -105,10 +117,10 @@ func forgedCapture(recLen uint32) []byte {
 	return append(b, rec[:]...)
 }
 
-// A forged record length must fail typed before the reader sizes a
-// buffer for it: whatever the snap length says, no raw IPv4 packet
-// exceeds 65 535 bytes, and a source of known length cannot hold a record
-// longer than what is left of it.
+// A forged record length must fail typed, whatever the source, without
+// the reader allocating what it declares: whatever the snap length says,
+// no raw IPv4 packet exceeds 65 535 bytes, and a capture cannot hold a
+// record longer than what is left of it.
 func TestReaderRejectsForgedRecordLength(t *testing.T) {
 	sized := func(b []byte) io.Reader { return bytes.NewReader(b) }
 	cases := []struct {
@@ -131,10 +143,10 @@ func TestReaderRejectsForgedRecordLength(t *testing.T) {
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err = r.NextInto(&Packet{})
+			err = r.Next(&Packet{})
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, tc.want) {
-				t.Fatalf("NextInto = %v, want %v", err, tc.want)
+				t.Fatalf("Next = %v, want %v", err, tc.want)
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 				t.Fatalf("rejecting the record allocated %d bytes, want < 1 MiB", got)
@@ -144,8 +156,8 @@ func TestReaderRejectsForgedRecordLength(t *testing.T) {
 }
 
 // A snapped record keeps the IPv4 and TCP headers of the whole packet,
-// checksum and total length included, and reads back, in place and
-// streaming, with the packet's wire length.
+// checksum and total length included, and reads back with the packet's
+// wire length.
 func TestSnappedRecordRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), 50)
 	whole, err := EncodeTCP(testTuple(), FlagPSH|FlagACK, 7, 9, payload)
@@ -165,25 +177,16 @@ func TestSnappedRecordRoundTrip(t *testing.T) {
 	if _, err := w.Reserve(time.Unix(5, 0), 41, 40); err == nil {
 		t.Error("Reserve kept more bytes than the packet has")
 	}
-	for name, src := range map[string]io.Reader{"in place": InPlace(w.Bytes()), "streaming": bytes.NewReader(w.Bytes())} {
-		r, err := NewReader(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := r.Next()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(p.Data) != hdrLen || p.OrigLen != len(whole) {
-			t.Fatalf("%s: read %d of %d bytes, want %d of %d", name, len(p.Data), p.OrigLen, hdrLen, len(whole))
-		}
-		var seg Segment
-		if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if seg.WireLen != len(whole) || len(seg.Payload) != 0 || seg.Seq != 7 || seg.Ack != 9 || seg.Tuple != testTuple() {
-			t.Fatalf("%s: decoded %+v", name, seg)
-		}
+	p := readAll(t, InPlace(w.Bytes()))[0]
+	if len(p.Data) != hdrLen || p.OrigLen != len(whole) {
+		t.Fatalf("read %d of %d bytes, want %d of %d", len(p.Data), p.OrigLen, hdrLen, len(whole))
+	}
+	var seg Segment
+	if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil {
+		t.Fatal(err)
+	}
+	if seg.WireLen != len(whole) || len(seg.Payload) != 0 || seg.Seq != 7 || seg.Ack != 9 || seg.Tuple != testTuple() {
+		t.Fatalf("decoded %+v", seg)
 	}
 }
 
@@ -199,8 +202,7 @@ func rawCapture(data []byte, capLen, origLen uint32) []byte {
 
 // A record shorter than its packet is accepted only as the whole IPv4 and
 // TCP headers of a packet whose IPv4 total length is the record's
-// original length; anything else fails typed, with the same text in
-// place and streaming.
+// original length; anything else fails typed.
 func TestReaderShortRecords(t *testing.T) {
 	whole, err := EncodeTCP(testTuple(), FlagACK, 0, 0, make([]byte, 100))
 	if err != nil {
@@ -233,28 +235,23 @@ func TestReaderShortRecords(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var errs [2]error
-			for i, src := range []io.Reader{InPlace(tc.capture), bytes.NewReader(tc.capture)} {
-				r, err := NewReader(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var p Packet
-				if errs[i] = r.NextInto(&p); errs[i] == nil {
-					var seg Segment
-					if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil || seg.WireLen != int(n) {
-						t.Fatalf("accepted record decodes to wire length %d, %v; want %d", seg.WireLen, err, n)
-					}
+			r, err := NewReader(InPlace(tc.capture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p Packet
+			err = r.Next(&p)
+			if err == nil {
+				var seg Segment
+				if err := DecodeSegmentInto(&seg, p.Data, p.OrigLen); err != nil || seg.WireLen != int(n) {
+					t.Fatalf("accepted record decodes to wire length %d, %v; want %d", seg.WireLen, err, n)
 				}
 			}
-			if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
-				t.Fatalf("in place %v, streaming %v", errs[0], errs[1])
+			if tc.ok && err != nil {
+				t.Fatalf("valid short record refused: %v", err)
 			}
-			if tc.ok && errs[0] != nil {
-				t.Fatalf("valid short record refused: %v", errs[0])
-			}
-			if !tc.ok && !errors.Is(errs[0], ErrCorruptCapture) {
-				t.Fatalf("NextInto = %v, want ErrCorruptCapture", errs[0])
+			if !tc.ok && !errors.Is(err, ErrCorruptCapture) {
+				t.Fatalf("Next = %v, want ErrCorruptCapture", err)
 			}
 		})
 	}
